@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import DomainError, EmptyTrace, OversizedVm, ParseError, UnstableQueue
 from .specs import DtrpSpec
-from .workload import SeededStream
+from .workload import SeededStream, poisson_arrivals
 
 # ---------------------------------------------------------------------------
 # Closed forms
@@ -165,8 +165,8 @@ def synthetic_vm_trace(
     if rate <= 0 or mean_lifetime <= 0 or horizon <= 0:
         raise DomainError("rate, mean_lifetime and horizon must be positive")
     rng = stream.generator()
-    n = rng.poisson(rate * horizon)
-    arrivals = np.sort(rng.uniform(0.0, horizon, n))
+    arrivals = poisson_arrivals(rate, horizon, rng)
+    n = len(arrivals)
     lifetimes = rng.exponential(mean_lifetime, n)
     cores = rng.choice(VM_SIZES, size=n, p=VM_SIZE_PROBS)
     hints = rng.integers(0, k_sites, n) if k_sites else [None] * n

@@ -120,6 +120,12 @@ def _renewal_from(body: dict) -> RenewalSpec:
     return RenewalSpec(float(body["mean"]), float(body.get("scv", 1.0)), body.get("family", "exponential"))
 
 
+def _optional(body: dict, key: str, cast):
+    """cast(body[key]), or None when the key is absent or null (zero is a value)."""
+    value = body.get(key)
+    return None if value is None else cast(value)
+
+
 def sim_config_from_dict(raw: dict) -> tuple[SimConfig, dict]:
     """Build a SimConfig from a normalized config dict; returns (config, normalized)."""
     cfg = normalize_config(raw)
@@ -153,17 +159,17 @@ def sim_config_from_dict(raw: dict) -> tuple[SimConfig, dict]:
         arrivals=_renewal_from(wl["arrivals"]) if wl.get("arrivals") else None,
         service1=_renewal_from(wl["service1"]) if wl.get("service1") else None,
         service2=_renewal_from(wl["service2"]) if wl.get("service2") else None,
-        horizon_requests=(int(sim["horizon_requests"]) if sim.get("horizon_requests") else None),
-        horizon_s=(float(sim["horizon_s"]) if sim.get("horizon_s") else None),
+        horizon_requests=_optional(sim, "horizon_requests", int),
+        horizon_s=_optional(sim, "horizon_s", float),
         warmup=float(sim.get("warmup", 0.1)),
         network=net,
-        dest_rate=(float(sim["dest_rate"]) if sim.get("dest_rate") else None),
+        dest_rate=_optional(sim, "dest_rate", float),
         dest_home_load=float(sim.get("dest_home_load", 0.0)),
         two_stage_service=bool(sim.get("two_stage_service", False)),
         bins_per_period=int(sim.get("bins_per_period", 100)),
         rush_stat=str(sim.get("rush_stat", "peak_bin")),
         allow_unstable=bool(sim.get("allow_unstable", False)),
-        max_in_system=(int(sim["max_in_system"]) if sim.get("max_in_system") else None),
+        max_in_system=_optional(sim, "max_in_system", int),
         event_log=sim.get("event_log"),
     )
     config.validate()

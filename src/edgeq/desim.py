@@ -26,15 +26,15 @@ from __future__ import annotations
 import csv
 import heapq
 import math
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass, field, fields
+from typing import ClassVar, Optional
 
 import numpy as np
 
 from .analytic import effective_service_rate, overload_window
 from .errors import ConfigError, InstabilityDetected
 from .specs import CloudSpec, NetworkSpec, QueueSpec, SinusoidProfile
-from .workload import RenewalSpec, SeededStream
+from .workload import RenewalSpec, SeededStream, nhpp_sinusoidal, poisson_arrivals, renewal_times
 
 MODELS = ("two_phase_edge", "gg1_edge", "mtm1_sinusoidal", "mmk_cloud")
 RUSH_STATS = ("peak_bin", "arrivals", "served")
@@ -71,6 +71,10 @@ class SimConfig:
             raise ConfigError("warmup fraction must lie in [0, 1)")
         if self.rush_stat not in RUSH_STATS:
             raise ConfigError(f"rush_stat must be one of {RUSH_STATS}")
+        if self.dest_rate is not None and not self.dest_rate > 0:
+            raise ConfigError("dest_rate must be positive")
+        if (self.horizon_requests or 0) < 0 or (self.horizon_s or 0) < 0:
+            raise ConfigError("horizons must be non-negative")
         if self.model in ("two_phase_edge", "gg1_edge"):
             if self.queue is None:
                 raise ConfigError(f"{self.model} requires a QueueSpec")
@@ -105,11 +109,10 @@ class SimMetrics:
     mean_wait_conditional: float = 0.0   # mmk_cloud: wait averaged over delayed requests
     window_duration: float = 0.0
 
-    FIELDS = (
-        "mean_wait", "mean_response", "p95_response", "utilization_observed",
-        "count_served", "count_migrated", "little_l", "mean_sojourn",
-        "mean_wait_conditional", "window_duration",
-    )
+    FIELDS: ClassVar[tuple[str, ...]]  # field names in declaration order, set below
+
+
+SimMetrics.FIELDS = tuple(f.name for f in fields(SimMetrics))
 
 
 @dataclass
@@ -319,36 +322,17 @@ def _draw_arrivals(config: SimConfig, rng) -> np.ndarray:
         spec = RenewalSpec(1.0 / q.lam)
     if config.horizon_requests is not None:
         n = int(config.horizon_requests)
-        inter = _renewal_draws(spec, n, rng)
-        return np.cumsum(inter)
+        return np.cumsum(renewal_times(spec, n, rng))
     # horizon in seconds: draw in chunks until past the horizon
     out = []
     total = 0.0
     chunk = max(1024, int(config.horizon_s / spec.mean * 1.2))
     while total < config.horizon_s:
-        inter = _renewal_draws(spec, chunk, rng)
-        t = total + np.cumsum(inter)
+        t = total + np.cumsum(renewal_times(spec, chunk, rng))
         out.append(t)
         total = float(t[-1])
-    t = np.concatenate(out)
+    t = np.concatenate(out) if out else np.empty(0)
     return t[t < config.horizon_s]
-
-
-def _renewal_draws(spec: RenewalSpec, count: int, rng) -> np.ndarray:
-    """renewal_times against an existing generator (keeps one stream per run)."""
-    if spec.family == "exponential":
-        return rng.exponential(spec.mean, count)
-    if spec.family == "deterministic":
-        return np.full(count, spec.mean)
-    if spec.family == "hyperexponential2":
-        p, r1, r2 = spec.hyper2_params
-        pick = rng.uniform(size=count) < p
-        return np.where(pick, rng.exponential(1.0 / r1, count), rng.exponential(1.0 / r2, count))
-    if spec.family == "erlang":
-        n = spec.erlang_stages
-        return rng.gamma(n, spec.mean / n, count)
-    sigma2 = math.log1p(spec.scv)
-    return rng.lognormal(math.log(spec.mean) - 0.5 * sigma2, math.sqrt(sigma2), count)
 
 
 def run_two_phase_sim(config: SimConfig, stream: SeededStream) -> SimMetrics:
@@ -366,16 +350,11 @@ def run_two_phase_sim(config: SimConfig, stream: SeededStream) -> SimMetrics:
     if n == 0:
         return SimMetrics()
     migrate = rng.uniform(size=n) < q.r
-    if config.service1 is not None:
-        x1 = _renewal_draws(config.service1, n, rng)
-    else:
-        x1 = rng.exponential(1.0 / q.mu1, n)
+    x1 = renewal_times(config.service1 or RenewalSpec(1.0 / q.mu1), n, rng)
     if math.isinf(q.mu2):
         x2 = np.zeros(n)
-    elif config.service2 is not None:
-        x2 = _renewal_draws(config.service2, n, rng)
     else:
-        x2 = rng.exponential(1.0 / q.mu2, n)
+        x2 = renewal_times(config.service2 or RenewalSpec(1.0 / q.mu2), n, rng)
     s1 = x1 + np.where(migrate, x2, 0.0)
 
     w1 = lindley_waits(t, s1)
@@ -389,8 +368,7 @@ def run_two_phase_sim(config: SimConfig, stream: SeededStream) -> SimMetrics:
     t_mig = dep1[migrate]
     n_home = 0
     if config.dest_home_load > 0 and len(dep1):
-        span = float(dep1[-1])
-        home = np.sort(rng.uniform(0.0, span, rng.poisson(config.dest_home_load * span)))
+        home = poisson_arrivals(config.dest_home_load, float(dep1[-1]), rng)
         n_home = len(home)
         q2_t = np.concatenate([t_mig, home])
         from_mig = np.concatenate([np.ones(len(t_mig), bool), np.zeros(n_home, bool)])
@@ -465,7 +443,7 @@ def run_mtm1_sim(config: SimConfig, stream: SeededStream) -> tuple[SimMetrics, T
     mu_eff = effective_service_rate(q.mu1, q.mu2, q.r)
     rng = stream.generator()
 
-    t = _nhpp_with_rng(prof, config.horizon_s, rng)
+    t = nhpp_sinusoidal(prof, config.horizon_s, rng)
     n = len(t)
     period = prof.period
     n_bins = config.bins_per_period
@@ -530,14 +508,6 @@ def run_mtm1_sim(config: SimConfig, stream: SeededStream) -> tuple[SimMetrics, T
     return metrics, ts
 
 
-def _nhpp_with_rng(profile: SinusoidProfile, horizon: float, rng) -> np.ndarray:
-    lam_max = profile.peak_rate
-    n = rng.poisson(lam_max * horizon)
-    t = np.sort(rng.uniform(0.0, horizon, n))
-    keep = rng.uniform(0.0, 1.0, n) * lam_max < profile.rate(t)
-    return t[keep]
-
-
 def run_mmk_sim(config: SimConfig, stream: SeededStream) -> SimMetrics:
     """M/M/k pool run; also reports the wait conditioned on being delayed."""
     config.validate()
@@ -552,10 +522,9 @@ def run_mmk_sim(config: SimConfig, stream: SeededStream) -> SimMetrics:
     if lam == 0.0:
         return SimMetrics()
     if config.horizon_requests is not None:
-        t = np.cumsum(rng.exponential(1.0 / lam, int(config.horizon_requests)))
+        t = np.cumsum(renewal_times(RenewalSpec(1.0 / lam), int(config.horizon_requests), rng))
     else:
-        n = rng.poisson(lam * config.horizon_s)
-        t = np.sort(rng.uniform(0.0, config.horizon_s, n))
+        t = poisson_arrivals(lam, config.horizon_s, rng)
     n = len(t)
     if n == 0:
         return SimMetrics()

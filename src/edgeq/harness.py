@@ -245,7 +245,11 @@ def _bound_root(mu1, mu2, r, k, mu_cloud, delta_t, lo, hi) -> Optional[float]:
 
 
 def _sign_change(xs: Sequence[float], ys: Sequence[float]) -> Optional[float]:
-    """First downstream zero crossing, linearly interpolated."""
+    """First upward zero crossing (y goes from negative to non-negative), linearly interpolated.
+
+    Only that first crossing is reported: a later one, or a downward
+    crossing (non-negative to negative), is ignored.
+    """
     for (x1, y1), (x2, y2) in zip(zip(xs, ys), list(zip(xs, ys))[1:]):
         if y1 < 0 <= y2:
             return x1 + (x2 - x1) * (-y1) / (y2 - y1)

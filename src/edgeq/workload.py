@@ -1,10 +1,16 @@
-"""Seeded arrival- and service-process generators.
+"""Seeded arrival- and service-process samplers.
 
-Every generator is a pure function of its parameters and a SeededStream;
-identical (seed, stream_id) pairs reproduce identical draws bit for bit.
-Substreams are built on numpy's Philox counter-based generator keyed
-through SeedSequence(seed, spawn_key=(stream_id,)), which guarantees
-statistically independent streams for distinct stream ids.
+This module is the only sampling layer: the simulators draw every
+arrival process and service law through the samplers below. Each sampler
+takes a ``np.random.Generator`` and draws from it in a fixed order, so a
+run builds one generator and threads it through every sampler it calls.
+``SeededStream`` appears only where a run starts (the ``desim`` runners,
+``replicate``, the harness, the CLI and the capacity trace and packing
+entry points); identical (seed, stream_id) pairs reproduce identical
+draws bit for bit. Substreams are built on numpy's Philox counter-based
+generator keyed through SeedSequence(seed, spawn_key=(stream_id,)),
+which guarantees statistically independent streams for distinct stream
+ids.
 """
 from __future__ import annotations
 
@@ -85,11 +91,10 @@ class RenewalSpec:
         return p, 2.0 * p / self.mean, 2.0 * (1.0 - p) / self.mean
 
 
-def renewal_times(spec: RenewalSpec, count: int, stream: SeededStream) -> np.ndarray:
+def renewal_times(spec: RenewalSpec, count: int, rng: np.random.Generator) -> np.ndarray:
     """Draw `count` iid samples with the spec's mean and squared CoV."""
     if count < 0:
         raise DomainError("count must be non-negative")
-    rng = stream.generator()
     if spec.family == "exponential":
         return rng.exponential(spec.mean, count)
     if spec.family == "deterministic":
@@ -111,7 +116,7 @@ def renewal_times(spec: RenewalSpec, count: int, stream: SeededStream) -> np.nda
     return rng.lognormal(math.log(spec.mean) - 0.5 * sigma2, math.sqrt(sigma2), count)
 
 
-def poisson_arrivals(lam: float, horizon: float, stream: SeededStream) -> np.ndarray:
+def poisson_arrivals(lam: float, horizon: float, rng: np.random.Generator) -> np.ndarray:
     """Poisson arrival instants on [0, horizon), sorted ascending."""
     if lam <= 0:
         raise DomainError("rate must be positive")
@@ -119,42 +124,25 @@ def poisson_arrivals(lam: float, horizon: float, stream: SeededStream) -> np.nda
         raise DomainError("horizon must be non-negative")
     if horizon == 0:
         return np.empty(0)
-    rng = stream.generator()
     n = rng.poisson(lam * horizon)
     return np.sort(rng.uniform(0.0, horizon, n))
 
 
-def poisson_interarrival_times(lam: float, count: int, stream: SeededStream) -> np.ndarray:
-    """Arrival instants of exactly `count` Poisson arrivals (cumulative Exp draws)."""
-    if lam <= 0:
-        raise DomainError("rate must be positive")
-    rng = stream.generator()
-    return np.cumsum(rng.exponential(1.0 / lam, count))
-
-
-def nhpp_sinusoidal(profile: SinusoidProfile, horizon: float, stream: SeededStream) -> np.ndarray:
+def nhpp_sinusoidal(profile: SinusoidProfile, horizon: float, rng: np.random.Generator) -> np.ndarray:
     """Nonhomogeneous Poisson arrivals for a sinusoidal rate, by thinning.
 
     Candidates are drawn at the constant envelope lambda_bar*(1+A) and
     kept with probability lam(t)/envelope, which is exact for any phase.
     """
-    if horizon < 0:
-        raise DomainError("horizon must be non-negative")
-    if horizon == 0:
-        return np.empty(0)
-    rng = stream.generator()
-    lam_max = profile.peak_rate
-    n = rng.poisson(lam_max * horizon)
-    t = np.sort(rng.uniform(0.0, horizon, n))
-    keep = rng.uniform(0.0, 1.0, n) * lam_max < profile.rate(t)
-    return t[keep]
+    t = poisson_arrivals(profile.peak_rate, horizon, rng)
+    return t[rng.uniform(0.0, 1.0, len(t)) * profile.peak_rate < profile.rate(t)]
 
 
 def phase_shifted_sites(
     k: int,
     base: SinusoidProfile,
     phase_law: str | Sequence[float],
-    stream: SeededStream,
+    rng: np.random.Generator,
 ) -> list[SinusoidProfile]:
     """k copies of `base` with phases drawn from the law.
 
@@ -166,7 +154,7 @@ def phase_shifted_sites(
     if isinstance(phase_law, str):
         if phase_law != "uniform":
             raise DomainError(f"unknown phase law {phase_law!r}")
-        phases = stream.generator().uniform(0.0, 2.0 * math.pi, k)
+        phases = rng.uniform(0.0, 2.0 * math.pi, k)
     else:
         phases = list(phase_law)
         if len(phases) != k:

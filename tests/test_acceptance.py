@@ -374,7 +374,7 @@ def test_criterion_8_statistical_hygiene():
     # NHPP per-bin rates within 3 sigma on all 100 bins
     profile = SinusoidProfile(80.0, 0.5, 2 * math.pi / 100)
     horizon = 10_000.0
-    t = nhpp_sinusoidal(profile, horizon, SeededStream(21))
+    t = nhpp_sinusoidal(profile, horizon, SeededStream(21).generator())
     n_bins = 100
     width = profile.period / n_bins
     idx = np.minimum((np.mod(t, profile.period) / width).astype(int), n_bins - 1)
@@ -412,11 +412,11 @@ def test_criterion_9_phase_shift_smoothing():
     amps64, amps4 = [], []
     smoothed = 0
     for draw in range(100):
-        sites64 = phase_shifted_sites(64, base, "uniform", SeededStream(4001, draw))
+        sites64 = phase_shifted_sites(64, base, "uniform", SeededStream(4001, draw).generator())
         amp64 = aggregate_cloud_profile(sites64).relative_amplitude()
         amps64.append(amp64)
         smoothed += amp64 < base.amplitude
-        sites4 = phase_shifted_sites(4, base, "uniform", SeededStream(4002, draw))
+        sites4 = phase_shifted_sites(4, base, "uniform", SeededStream(4002, draw).generator())
         amps4.append(aggregate_cloud_profile(sites4).relative_amplitude())
     med64 = float(np.median(amps64))
     med4 = float(np.median(amps4))

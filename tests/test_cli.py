@@ -152,6 +152,28 @@ class TestSimulateCommand:
         assert code == EXIT_UNSTABLE
         assert "instability" in err
 
+    @pytest.mark.parametrize(
+        "key, expected_code, err_fragment",
+        [
+            ("dest_rate", EXIT_CONFIG, "dest_rate must be positive"),
+            ("max_in_system", EXIT_UNSTABLE, "> cap 0"),
+            ("horizon_requests", EXIT_OK, ""),
+            ("horizon_s", EXIT_OK, ""),
+        ],
+    )
+    def test_zero_value_is_honoured(self, capsys, tmp_path, key, expected_code, err_fragment):
+        sim = {"horizon_requests": 2000, "seed": 7, "reps": 1, key: 0}
+        if key == "horizon_s":
+            del sim["horizon_requests"]
+        cfg = tmp_path / "zero.json"
+        cfg.write_text(json.dumps({**MINIMAL_SIM_CONFIG, "simulation": sim}))
+        code, _, err = run_cli(capsys, "simulate", str(cfg), "--out", str(tmp_path))
+        assert code == expected_code
+        assert err_fragment in err
+        if code == EXIT_OK:
+            metrics = json.loads((tmp_path / "zero.metrics.json").read_text())["metrics_mean"]
+            assert metrics["count_served"] == 0 and metrics["mean_wait"] == 0.0
+
     def test_mtm1_writes_timeseries(self, capsys, tmp_path):
         cfg_data = {
             "model": "mtm1_sinusoidal",

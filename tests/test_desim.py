@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from edgeq import (
     CloudSpec,
@@ -20,6 +22,7 @@ from edgeq import (
     erlang_c_wait,
     gg1_two_phase_wait,
     mm1_two_phase_wait,
+    renewal_times,
     replicate,
     run_mmk_sim,
     run_mtm1_sim,
@@ -38,22 +41,34 @@ def two_phase_config(lam, r, n=200_000, **kw):
     )
 
 
+# (inter-arrival gap, service time) pairs; lengths 0 and 1 included
+queue_inputs = st.lists(
+    st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)), min_size=0, max_size=200
+).map(lambda pairs: (
+    np.cumsum([gap for gap, _ in pairs]),
+    np.array([svc for _, svc in pairs], dtype=float),
+))
+
+
 class TestLindleyCore:
-    def test_matches_direct_recursion(self):
-        rng = np.random.default_rng(0)
-        t = np.cumsum(rng.exponential(0.1, 500))
-        s = rng.exponential(0.08, 500)
+    @settings(max_examples=200, deadline=None)
+    @given(queue_inputs)
+    def test_matches_direct_recursion(self, inputs):
+        t, s = inputs
         got = lindley_waits(t, s)
+        assert len(got) == len(t)
         w = 0.0
         for i in range(1, len(t)):
             w = max(0.0, w + s[i - 1] - (t[i] - t[i - 1]))
-            assert got[i] == pytest.approx(w, abs=1e-12)
-        assert got[0] == 0.0
+            # 200 steps of size <= 1 in float64 round by well under 1e-9 in either form
+            assert got[i] == pytest.approx(w, abs=1e-9)
+        if len(t):
+            assert got[0] == 0.0
 
-    def test_multiserver_reduces_to_lindley_at_k1(self):
-        rng = np.random.default_rng(1)
-        t = np.cumsum(rng.exponential(0.1, 200))
-        s = rng.exponential(0.05, 200)
+    @settings(max_examples=200, deadline=None)
+    @given(queue_inputs)
+    def test_multiserver_reduces_to_lindley_at_k1(self, inputs):
+        t, s = inputs
         assert np.allclose(multiserver_waits(t, s, 1), lindley_waits(t, s))
 
 
@@ -65,6 +80,20 @@ class TestTwoPhaseSim:
     def test_two_phase_oracle_with_migration(self):
         agg = replicate(two_phase_config(10.0, 0.1), 5, SeededStream(101))
         assert agg.mean.mean_wait == pytest.approx(0.00656201, rel=0.05)
+
+    def test_erlang_service_warns_like_renewal_times(self):
+        spec = RenewalSpec(0.02, 0.3, "erlang")
+        with pytest.warns(UserWarning) as direct:
+            renewal_times(spec, 1, SeededStream(0).generator())
+        with pytest.warns(UserWarning) as simulated:
+            run_two_phase_sim(two_phase_config(10.0, 0.1, n=1000, service1=spec), SeededStream(102))
+        assert [str(w.message) for w in simulated] == [str(w.message) for w in direct]
+
+    @pytest.mark.parametrize("horizon", [{"horizon_requests": -1}, {"horizon_s": -1.0}])
+    def test_negative_horizon_rejected(self, horizon):
+        cfg = SimConfig(model="two_phase_edge", queue=QueueSpec(10.0, 50.0, 50.0, 0.1), **horizon)
+        with pytest.raises(ConfigError, match="horizons"):
+            run_two_phase_sim(cfg, SeededStream(102))
 
     def test_zero_requests_give_zero_metrics(self):
         m = run_two_phase_sim(two_phase_config(10.0, 0.1, n=0), SeededStream(102))

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from edgeq import (
@@ -35,25 +37,25 @@ class TestSeededStream:
 
 class TestPoissonArrivals:
     def test_zero_horizon_is_empty(self):
-        assert len(poisson_arrivals(100.0, 0.0, SeededStream(1))) == 0
+        assert len(poisson_arrivals(100.0, 0.0, SeededStream(1).generator())) == 0
 
     def test_count_within_three_sigma(self):
-        t = poisson_arrivals(100.0, 1000.0, SeededStream(2))
+        t = poisson_arrivals(100.0, 1000.0, SeededStream(2).generator())
         assert abs(len(t) - 100_000) <= 3 * math.sqrt(100_000)
 
     def test_sorted_strictly_increasing_in_range(self):
-        t = poisson_arrivals(50.0, 100.0, SeededStream(3))
+        t = poisson_arrivals(50.0, 100.0, SeededStream(3).generator())
         assert np.all(np.diff(t) > 0)
         assert t[0] >= 0 and t[-1] < 100.0
 
     def test_fixed_seed_reproduces_sequence(self):
-        a = poisson_arrivals(10.0, 50.0, SeededStream(4, 2))
-        b = poisson_arrivals(10.0, 50.0, SeededStream(4, 2))
+        a = poisson_arrivals(10.0, 50.0, SeededStream(4, 2).generator())
+        b = poisson_arrivals(10.0, 50.0, SeededStream(4, 2).generator())
         assert np.array_equal(a, b)
 
     def test_rejects_bad_rate(self):
         with pytest.raises(DomainError):
-            poisson_arrivals(0.0, 10.0, SeededStream(1))
+            poisson_arrivals(0.0, 10.0, SeededStream(1).generator())
 
 
 class TestRenewalTimes:
@@ -68,7 +70,7 @@ class TestRenewalTimes:
         ],
     )
     def test_mean_and_scv_converge(self, spec):
-        x = renewal_times(spec, 1_000_000, SeededStream(10))
+        x = renewal_times(spec, 1_000_000, SeededStream(10).generator())
         sigma = spec.mean * math.sqrt(max(spec.effective_scv, 1e-12) / len(x))
         assert abs(x.mean() - spec.mean) <= 4 * sigma + 1e-12
         got_scv = x.var() / x.mean() ** 2
@@ -81,14 +83,14 @@ class TestRenewalTimes:
         assert r2 == pytest.approx(2 * (1 - p), rel=1e-12)
 
     def test_deterministic_samples_constant(self):
-        x = renewal_times(RenewalSpec(1.0, 0.0, "deterministic"), 100, SeededStream(11))
+        x = renewal_times(RenewalSpec(1.0, 0.0, "deterministic"), 100, SeededStream(11).generator())
         assert np.all(x == 1.0)
 
     def test_erlang_snaps_to_nearest_stage_count_with_warning(self):
         spec = RenewalSpec(1.0, 0.3, "erlang")  # 1/0.3 = 3.33 -> n = 3
         assert spec.erlang_stages == 3
         with pytest.warns(UserWarning, match="erlang"):
-            renewal_times(spec, 10, SeededStream(12))
+            renewal_times(spec, 10, SeededStream(12).generator())
 
     def test_unreachable_scv_rejected(self):
         with pytest.raises(UnreachableScv):
@@ -106,9 +108,27 @@ class TestRenewalTimes:
 
 
 class TestNhppSinusoidal:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        lambda_bar=st.floats(0.01, 50.0),
+        amplitude=st.floats(0.0, 1.0),
+        gamma=st.floats(1e-3, 10.0),
+        phase=st.floats(0.0, 2 * math.pi),
+        horizon=st.floats(0.0, 20.0),
+    )
+    def test_thinning_keeps_a_subset_of_the_envelope_candidates(
+        self, seed, lambda_bar, amplitude, gamma, phase, horizon
+    ):
+        prof = SinusoidProfile(lambda_bar, amplitude, gamma, phase)
+        stream = SeededStream(seed)
+        kept = nhpp_sinusoidal(prof, horizon, stream.generator())
+        candidates = poisson_arrivals(prof.peak_rate, horizon, stream.generator())
+        assert np.isin(kept, candidates).all()
+
     def test_flat_profile_matches_poisson_statistics(self):
         prof = SinusoidProfile(50.0, 0.0, 1.0)
-        t = nhpp_sinusoidal(prof, 2000.0, SeededStream(20))
+        t = nhpp_sinusoidal(prof, 2000.0, SeededStream(20).generator())
         inter = np.diff(t)
         # KS against the exponential with the same rate
         stat = stats.kstest(inter, "expon", args=(0, 1 / 50.0))
@@ -117,7 +137,7 @@ class TestNhppSinusoidal:
     def test_bin_rates_track_the_profile(self):
         prof = SinusoidProfile(80.0, 0.5, 2 * math.pi / 100)
         horizon = 10_000.0
-        t = nhpp_sinusoidal(prof, horizon, SeededStream(21))
+        t = nhpp_sinusoidal(prof, horizon, SeededStream(21).generator())
         n_bins, period = 100, prof.period
         width = period / n_bins
         idx = np.minimum((np.mod(t, period) / width).astype(int), n_bins - 1)
@@ -132,13 +152,13 @@ class TestNhppSinusoidal:
 
     def test_count_over_whole_periods(self):
         prof = SinusoidProfile(40.0, 0.8, 2 * math.pi / 50)
-        t = nhpp_sinusoidal(prof, 500.0, SeededStream(22))
+        t = nhpp_sinusoidal(prof, 500.0, SeededStream(22).generator())
         assert abs(len(t) - 40.0 * 500) <= 3 * math.sqrt(40.0 * 500)
 
     def test_thinning_acceptance_chi_square(self):
         prof = SinusoidProfile(100.0, 0.7, 2 * math.pi / 10)
         horizon = 10_000.0
-        t = nhpp_sinusoidal(prof, horizon, SeededStream(23))
+        t = nhpp_sinusoidal(prof, horizon, SeededStream(23).generator())
         n_bins = 100
         width = prof.period / n_bins
         idx = np.minimum((np.mod(t, prof.period) / width).astype(int), n_bins - 1)
@@ -154,7 +174,7 @@ class TestNhppSinusoidal:
 
     def test_phase_offset_respected(self):
         prof = SinusoidProfile(80.0, 0.9, 2 * math.pi / 100, phase=math.pi)
-        t = nhpp_sinusoidal(prof, 5000.0, SeededStream(24))
+        t = nhpp_sinusoidal(prof, 5000.0, SeededStream(24).generator())
         phase = np.mod(t, 100.0)
         # with phase pi the first half-cycle is the trough
         first_half = np.sum(phase < 50.0)
@@ -164,21 +184,21 @@ class TestNhppSinusoidal:
 class TestPhaseShiftedSites:
     def test_fixed_single_site_is_base(self):
         base = SinusoidProfile(10, 0.5, 1.0)
-        (site,) = phase_shifted_sites(1, base, [0.0], SeededStream(30))
+        (site,) = phase_shifted_sites(1, base, [0.0], SeededStream(30).generator())
         assert site == base
 
     def test_fixed_antiphase_pair(self):
         base = SinusoidProfile(10, 0.5, 1.0)
-        sites = phase_shifted_sites(2, base, [0.0, math.pi], SeededStream(31))
+        sites = phase_shifted_sites(2, base, [0.0, math.pi], SeededStream(31).generator())
         assert [s.phase for s in sites] == [0.0, math.pi]
 
     def test_uniform_law_is_reproducible(self):
         base = SinusoidProfile(10, 0.7, 1.0)
-        a = phase_shifted_sites(64, base, "uniform", SeededStream(32, 5))
-        b = phase_shifted_sites(64, base, "uniform", SeededStream(32, 5))
+        a = phase_shifted_sites(64, base, "uniform", SeededStream(32, 5).generator())
+        b = phase_shifted_sites(64, base, "uniform", SeededStream(32, 5).generator())
         assert a == b
         assert all(0 <= s.phase < 2 * math.pi for s in a)
 
     def test_wrong_list_length_rejected(self):
         with pytest.raises(DomainError):
-            phase_shifted_sites(3, SinusoidProfile(10, 0.5, 1.0), [0.0], SeededStream(33))
+            phase_shifted_sites(3, SinusoidProfile(10, 0.5, 1.0), [0.0], SeededStream(33).generator())
