@@ -8,25 +8,31 @@ and the trace-driven packing simulator).
 Exit codes: 0 success, 2 validation/config error, 3 runtime instability.
 ``EDGEQ_SEED`` provides the default seed when none is given. All numbers
 print with 9 significant digits so regression files stay stable. Rates
-are per second, times in seconds; sinusoid frequency may be given as
-``gamma_rad_s`` or ``period_s`` (exactly one) and is stored as rad/s.
+are per second, times in seconds; ``mu2`` may be ``inf``; sinusoid
+frequency may be given as ``gamma_rad_s`` or ``period_s`` (exactly one)
+and is stored as rad/s.
+
+``simulate`` configs and scenario files both go through the key tables
+of ``edgeq.config``: an unknown key, a missing required key or a value
+that does not convert exits 2 and names the key. The ``config`` block of
+``*.metrics.json`` lists every resolved value, defaults included.
 """
 from __future__ import annotations
 
 import argparse
 import csv
 import json
-import math
 import os
 import sys
 from pathlib import Path
 
 from . import analytic, capacity
-from .desim import MODELS, SimConfig, replicate
+from .config import load_sim_config
+from .desim import replicate
 from .errors import EdgeqError, InstabilityDetected
 from .harness import load_scenario, run_scenario
-from .specs import CloudSpec, NetworkSpec, QueueSpec, SinusoidProfile, VariabilitySpec
-from .workload import RenewalSpec, SeededStream
+from .specs import CloudSpec, QueueSpec, VariabilitySpec
+from .workload import SeededStream
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -41,139 +47,6 @@ def _default_seed(value) -> int:
     if value is not None:
         return int(value)
     return int(os.environ.get("EDGEQ_SEED", "0"))
-
-
-def _rate(text: str) -> float:
-    return math.inf if text.lower() in ("inf", "infinity") else float(text)
-
-
-# ---------------------------------------------------------------------------
-# Config file handling
-
-_SCHEMA = {
-    "model": None,
-    "edge": {"lambda", "mu1", "mu2", "r"},
-    "cloud": {"k", "mu", "rho"},
-    "network": {"t_edge_s", "t_cloud_s"},
-    "workload": {"profile", "arrivals", "service1", "service2"},
-    "simulation": {
-        "horizon_requests", "horizon_s", "warmup", "bins_per_period", "rush_stat",
-        "two_stage_service", "dest_rate", "dest_home_load", "allow_unstable",
-        "max_in_system", "seed", "reps", "event_log",
-    },
-    "capacity": {"trace", "synthetic", "topology", "policy", "q", "site_assign"},
-    "output": {"dir", "formats", "deterministic_names", "name"},
-}
-_PROFILE_KEYS = {"lambda_bar", "amplitude", "gamma_rad_s", "period_s", "phase"}
-_RENEWAL_KEYS = {"mean", "scv", "family"}
-
-
-def _reject_unknown(mapping: dict, allowed, where: str) -> None:
-    unknown = set(mapping) - set(allowed)
-    if unknown:
-        raise EdgeqError(f"{where}: unknown keys {sorted(unknown)}")
-
-
-def normalize_config(raw: dict) -> dict:
-    """Validate keys, resolve period_s -> gamma_rad_s, fill defaults.
-
-    Idempotent: normalizing a normalized config returns it unchanged.
-    """
-    _reject_unknown(raw, _SCHEMA, "config")
-    if "model" not in raw:
-        raise EdgeqError("config: missing 'model'")
-    if raw["model"] not in MODELS:
-        raise EdgeqError(f"config: unknown model {raw['model']!r}; expected one of {MODELS}")
-    out = {"model": raw["model"]}
-    for section, allowed in _SCHEMA.items():
-        if section == "model" or section not in raw:
-            continue
-        body = dict(raw[section])
-        _reject_unknown(body, allowed, f"config.{section}")
-        out[section] = body
-    profile = out.get("workload", {}).get("profile")
-    if profile is not None:
-        _reject_unknown(profile, _PROFILE_KEYS, "config.workload.profile")
-        has_gamma, has_period = "gamma_rad_s" in profile, "period_s" in profile
-        if has_gamma == has_period:
-            raise EdgeqError("config.workload.profile: give exactly one of gamma_rad_s, period_s")
-        if has_period:
-            profile["gamma_rad_s"] = 2.0 * math.pi / float(profile.pop("period_s"))
-        profile.setdefault("phase", 0.0)
-    for key in ("arrivals", "service1", "service2"):
-        spec = out.get("workload", {}).get(key)
-        if spec is not None:
-            _reject_unknown(spec, _RENEWAL_KEYS, f"config.workload.{key}")
-            spec.setdefault("scv", 1.0)
-            spec.setdefault("family", "exponential")
-    sim = out.setdefault("simulation", {})
-    sim.setdefault("warmup", 0.1)
-    sim.setdefault("reps", 1)
-    output = out.setdefault("output", {})
-    output.setdefault("dir", ".")
-    output.setdefault("formats", ["json"])
-    output.setdefault("deterministic_names", False)
-    return out
-
-
-def _renewal_from(body: dict) -> RenewalSpec:
-    return RenewalSpec(float(body["mean"]), float(body.get("scv", 1.0)), body.get("family", "exponential"))
-
-
-def _optional(body: dict, key: str, cast):
-    """cast(body[key]), or None when the key is absent or null (zero is a value)."""
-    value = body.get(key)
-    return None if value is None else cast(value)
-
-
-def sim_config_from_dict(raw: dict) -> tuple[SimConfig, dict]:
-    """Build a SimConfig from a normalized config dict; returns (config, normalized)."""
-    cfg = normalize_config(raw)
-    model = cfg["model"]
-    queue = cloud = profile = None
-    if "edge" in cfg:
-        e = cfg["edge"]
-        queue = QueueSpec(float(e["lambda"]), float(e["mu1"]), _rate(str(e["mu2"])), float(e.get("r", 0.0)))
-    if "cloud" in cfg:
-        c = cfg["cloud"]
-        cloud = CloudSpec(int(c["k"]), float(c["mu"]), float(c["rho"]))
-    net = None
-    if "network" in cfg:
-        n = cfg["network"]
-        net = NetworkSpec(float(n.get("t_edge_s", 0.0)), float(n.get("t_cloud_s", 0.0)))
-    wl = cfg.get("workload", {})
-    if wl.get("profile") is not None:
-        p = wl["profile"]
-        profile = SinusoidProfile(
-            float(p["lambda_bar"]), float(p["amplitude"]),
-            float(p["gamma_rad_s"]), float(p.get("phase", 0.0)),
-        )
-        if queue is None and model == "mtm1_sinusoidal":
-            raise EdgeqError("config: mtm1_sinusoidal needs an edge section for service rates")
-    sim = cfg["simulation"]
-    config = SimConfig(
-        model=model,
-        queue=queue,
-        cloud=cloud,
-        profile=profile,
-        arrivals=_renewal_from(wl["arrivals"]) if wl.get("arrivals") else None,
-        service1=_renewal_from(wl["service1"]) if wl.get("service1") else None,
-        service2=_renewal_from(wl["service2"]) if wl.get("service2") else None,
-        horizon_requests=_optional(sim, "horizon_requests", int),
-        horizon_s=_optional(sim, "horizon_s", float),
-        warmup=float(sim.get("warmup", 0.1)),
-        network=net,
-        dest_rate=_optional(sim, "dest_rate", float),
-        dest_home_load=float(sim.get("dest_home_load", 0.0)),
-        two_stage_service=bool(sim.get("two_stage_service", False)),
-        bins_per_period=int(sim.get("bins_per_period", 100)),
-        rush_stat=str(sim.get("rush_stat", "peak_bin")),
-        allow_unstable=bool(sim.get("allow_unstable", False)),
-        max_in_system=_optional(sim, "max_in_system", int),
-        event_log=sim.get("event_log"),
-    )
-    config.validate()
-    return config, cfg
 
 
 # ---------------------------------------------------------------------------
@@ -248,18 +121,18 @@ def _cmd_simulate(args) -> int:
         print(f"config file not found: {path}", file=sys.stderr)
         return EXIT_CONFIG
     raw = json.loads(path.read_text())
-    config, cfg = sim_config_from_dict(raw)
+    config, cfg = load_sim_config(raw)
     sim = cfg["simulation"]
-    seed = _default_seed(args.seed if args.seed is not None else sim.get("seed"))
-    reps = args.reps if args.reps is not None else int(sim.get("reps", 1))
+    seed = _default_seed(args.seed if args.seed is not None else sim["seed"])
+    reps = args.reps if args.reps is not None else sim["reps"]
 
     agg = replicate(config, reps, SeededStream(seed))
 
     out = cfg["output"]
     out_dir = Path(args.out if args.out is not None else out["dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
-    deterministic = bool(out.get("deterministic_names", False)) or args.deterministic_names
-    stem = out.get("name") or path.stem
+    deterministic = out["deterministic_names"] or args.deterministic_names
+    stem = out["name"] or path.stem
     if not deterministic:
         import time as _time
 
@@ -418,7 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_wait = an_sub.add_parser("wait", help="two-phase edge waiting time")
     p_wait.add_argument("--lambda", dest="lam", type=float, required=True, help="arrival rate /s")
     p_wait.add_argument("--mu1", type=float, required=True, help="phase-1 service rate /s")
-    p_wait.add_argument("--mu2", type=_rate, required=True, help="phase-2 rate /s, or 'inf'")
+    p_wait.add_argument("--mu2", type=float, required=True, help="phase-2 rate /s, or 'inf'")
     p_wait.add_argument("--r", type=float, default=0.0, help="migration probability")
     p_wait.add_argument("--json", action="store_true")
     p_wait.set_defaults(func=_cmd_analytic_wait)
@@ -427,7 +300,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_dt.add_argument("--mode", choices=("mmk", "ggk"), default="mmk")
     p_dt.add_argument("--lambda", dest="lam", type=float, required=True)
     p_dt.add_argument("--mu1", type=float, required=True)
-    p_dt.add_argument("--mu2", type=_rate, required=True)
+    p_dt.add_argument("--mu2", type=float, required=True)
     p_dt.add_argument("--r", type=float, default=0.0)
     p_dt.add_argument("--k", type=int, required=True, help="cloud server count")
     p_dt.add_argument("--mu-cloud", dest="mu_cloud", type=float, required=True)

@@ -19,18 +19,44 @@ from pathlib import Path
 from typing import Callable, Optional, Sequence
 
 from . import analytic, capacity
+from .config import REQUIRED, table_of, take
 from .desim import SimConfig, replicate
 from .errors import ConfigError, DomainError
 from .specs import CloudSpec, NetworkSpec, QueueSpec, SinusoidProfile
 from .workload import SeededStream
 
-COMPARISON_MODELS = (
-    "two_phase_wait",
-    "mobility_crossover",
-    "rush_hour",
-    "excess_wait",
-    "packing_sweep",
-)
+_WARMUP = table_of(SimConfig, warmup=float)
+_SINUSOID = {"gamma_rad_s": (float, None), "period_s": (float, None)}
+
+# comparison model -> (keys its grid may sweep, {key: (cast, default)} for
+# every key it reads). A key is set in the grid or in the fixed block, not both.
+_MODELS: dict[str, tuple[tuple[str, ...], dict]] = {
+    "two_phase_wait": (("lam", "r"), {
+        "lam": (float, REQUIRED), "r": (float, 0.0), "mu1": (float, 50.0), "mu2": (float, 50.0),
+        "horizon_requests": (int, 200_000), **_WARMUP,
+    }),
+    "mobility_crossover": (("lam", "r"), {
+        "lam": (float, REQUIRED), "r": (float, REQUIRED), "mu1": (float, 50.0), "mu2": (float, 50.0),
+        "cloud_k": (int, 1), "mu_cloud": (float, None),  # None: mu1
+        "t_edge_s": (float, 0.001), "t_cloud_s": (float, 0.028),
+        "horizon_requests": (int, 100_000), **_WARMUP,
+    }),
+    "rush_hour": (("amplitude",), {
+        "amplitude": (float, REQUIRED), "lambda_bar": (float, REQUIRED), "mu1": (float, REQUIRED),
+        "mu2": (float, REQUIRED), "r": (float, 0.0), **_SINUSOID, "horizon_periods": (float, 10),
+        "scale": (float, 16.0), **table_of(SimConfig, warmup=float, bins_per_period=int, rush_stat=str),
+    }),
+    "excess_wait": (("amplitude",), {
+        "amplitude": (float, REQUIRED), "rho": (float, REQUIRED), "mu_eff": (float, REQUIRED),
+        **_SINUSOID, "horizon_periods": (float, 12), **_WARMUP,
+    }),
+    "packing_sweep": (("cores_per_site",), {
+        "cores_per_site": (int, REQUIRED), "k_sites": (int, 16), "q": (float, 2.0),
+        "vm_rate": (float, 16.0), "mean_lifetime_s": (float, 10.0), "horizon_s": (float, 400.0),
+        "policy": (str, "first_fit"),
+    }),
+}
+COMPARISON_MODELS = tuple(_MODELS)
 
 
 @dataclass(frozen=True)
@@ -53,6 +79,18 @@ class Scenario:
         bad = set(self.outputs) - {"csv", "json"}
         if bad:
             raise ConfigError(f"unknown output formats {sorted(bad)}")
+        unsweepable = set(self.grid) - set(_MODELS[self.model][0])
+        if unsweepable:
+            raise ConfigError(f"scenario {self.name!r}: {self.model} cannot sweep {sorted(unsweepable)}")
+        both = set(self.grid) & set(self.fixed)
+        if both:
+            raise ConfigError(f"scenario {self.name!r}: keys both swept and fixed {sorted(both)}")
+        self.points()
+
+    def points(self) -> list[tuple[dict, dict]]:
+        """(grid point, resolved values of the point over the fixed block) per grid point."""
+        table, where = _MODELS[self.model][1], f"scenario {self.name!r}"
+        return [(p, take({**self.fixed, **p}, table, where)) for p in _grid_points(self.grid)]
 
 
 @dataclass
@@ -90,23 +128,11 @@ def load_scenario(source: str | Path) -> Scenario:
     return _scenario_from_dict(json.loads(path.read_text()), str(source))
 
 
+_SCENARIO = table_of(Scenario, name=str, model=str, grid=dict, fixed=dict, replications=int, seed=int, outputs=tuple)
+
+
 def _scenario_from_dict(raw: dict, origin: str) -> Scenario:
-    allowed = {"name", "model", "grid", "fixed", "replications", "seed", "outputs"}
-    unknown = set(raw) - allowed
-    if unknown:
-        raise ConfigError(f"{origin}: unknown scenario keys {sorted(unknown)}")
-    try:
-        sc = Scenario(
-            name=raw["name"],
-            model=raw["model"],
-            grid={k: list(v) for k, v in raw["grid"].items()},
-            fixed=dict(raw.get("fixed", {})),
-            replications=int(raw.get("replications", 30)),
-            seed=int(raw.get("seed", 0)),
-            outputs=tuple(raw.get("outputs", ("csv", "json"))),
-        )
-    except KeyError as exc:
-        raise ConfigError(f"{origin}: missing scenario key {exc}") from None
+    sc = Scenario(**take(raw, _SCENARIO, origin))
     sc.validate()
     return sc
 
@@ -128,45 +154,39 @@ def _point_stream(seed: int, index: int) -> SeededStream:
 
 
 def _run_two_phase_wait(sc: Scenario, workers: int):
-    fx = sc.fixed
-    points = _grid_points(sc.grid)
-
     def one(item):
-        idx, p = item
+        idx, (p, v) = item
         params = {**p}
         try:
-            spec = QueueSpec(p["lam"], fx.get("mu1", 50.0), fx.get("mu2", 50.0), p.get("r", fx.get("r", 0.0)))
+            spec = QueueSpec(v["lam"], v["mu1"], v["mu2"], v["r"])
             want = analytic.mm1_two_phase_wait(spec)
         except DomainError as exc:
             return _skip(params, str(exc))
         config = SimConfig(
             model="two_phase_edge",
             queue=spec,
-            horizon_requests=int(fx.get("horizon_requests", 200_000)),
-            warmup=float(fx.get("warmup", 0.1)),
+            horizon_requests=v["horizon_requests"],
+            warmup=v["warmup"],
         )
         agg = replicate(config, sc.replications, _point_stream(sc.seed, idx))
         mean, _, ci = agg.metric("mean_wait")
         return ComparisonRow(params, want, mean, ci)
 
-    rows = _map_ordered(one, list(enumerate(points)), workers)
+    rows = _map_ordered(one, list(enumerate(sc.points())), workers)
     return rows, {}
 
 
 def _run_mobility_crossover(sc: Scenario, workers: int):
-    fx = sc.fixed
-    mu1 = float(fx.get("mu1", 50.0))
-    mu2 = float(fx.get("mu2", 50.0))
-    k = int(fx.get("cloud_k", 1))
-    mu_cloud = float(fx.get("mu_cloud", mu1))
-    net = NetworkSpec(float(fx.get("t_edge_s", 0.001)), float(fx.get("t_cloud_s", 0.028)))
-    horizon = int(fx.get("horizon_requests", 100_000))
-    warmup = float(fx.get("warmup", 0.1))
-    points = _grid_points(sc.grid)
+    points = sc.points()
+    fx = points[0][1]  # keys that cannot be swept read the same at every point
+    mu1, mu2, k = fx["mu1"], fx["mu2"], fx["cloud_k"]
+    mu_cloud = mu1 if fx["mu_cloud"] is None else fx["mu_cloud"]
+    net = NetworkSpec(fx["t_edge_s"], fx["t_cloud_s"])
+    horizon, warmup = fx["horizon_requests"], fx["warmup"]
 
     def one(item):
-        idx, p = item
-        lam, r = float(p["lam"]), float(p["r"])
+        idx, (p, v) = item
+        lam, r = v["lam"], v["r"]
         params = {**p}
         try:
             edge_spec = QueueSpec(lam, mu1, mu2, r)
@@ -200,15 +220,14 @@ def _run_mobility_crossover(sc: Scenario, workers: int):
 
     rows = _map_ordered(one, list(enumerate(points)), workers)
     summary = {"delta_t": net.delta_t, "crossovers": {}}
-    for r in sorted({float(p["r"]) for p in points}):
-        ok = [row for row in rows if row.status == "ok" and float(row.parameters["r"]) == r]
-        ok.sort(key=lambda row: float(row.parameters["lam"]))
-        lams = [float(row.parameters["lam"]) for row in ok]
+    for r in sorted({v["r"] for _, v in points}):
+        ok = sorted((v["lam"], i) for i, (_, v) in enumerate(points) if rows[i].status == "ok" and v["r"] == r)
+        lams = [lam for lam, _ in ok]
         if not lams:
             continue
         root = _bound_root(mu1, mu2, r, k, mu_cloud, net.delta_t, min(lams), max(lams))
         sim_cross = _sign_change(
-            lams, [row.parameters["edge_response"] - row.parameters["cloud_response"] for row in ok]
+            lams, [rows[i].parameters["edge_response"] - rows[i].parameters["cloud_response"] for _, i in ok]
         )
         summary["crossovers"][f"r={r:g}"] = {
             "analytic_root_lam": root,
@@ -256,17 +275,11 @@ def _sign_change(xs: Sequence[float], ys: Sequence[float]) -> Optional[float]:
     return None
 
 
-def _rush_profile(fx: dict, amplitude: float, scale: float) -> tuple[SinusoidProfile, QueueSpec, float]:
-    gamma = fx.get("gamma_rad_s")
-    if gamma is None:
-        gamma = 2.0 * math.pi / float(fx["period_s"])
-    lam_bar = float(fx["lambda_bar"]) * scale
-    mu1 = float(fx["mu1"]) * scale
-    mu2 = float(fx["mu2"]) * scale
-    r = float(fx.get("r", 0.0))
-    profile = SinusoidProfile(lam_bar, amplitude, float(gamma))
-    queue = QueueSpec(lam_bar, mu1, mu2, r)
-    mu_eff = analytic.effective_service_rate(mu1, mu2, r)
+def _rush_profile(v: dict, scale: float) -> tuple[SinusoidProfile, QueueSpec, float]:
+    lam_bar, mu1, mu2 = v["lambda_bar"] * scale, v["mu1"] * scale, v["mu2"] * scale
+    profile = SinusoidProfile(lam_bar, v["amplitude"], v["gamma_rad_s"])
+    queue = QueueSpec(lam_bar, mu1, mu2, v["r"])
+    mu_eff = analytic.effective_service_rate(mu1, mu2, v["r"])
     return profile, queue, mu_eff
 
 
@@ -281,23 +294,26 @@ def table_rush_hour(
     """Rush-hour table: per amplitude, fluid drain estimate vs simulated rush wait.
 
     Columns mirror the published layout: overall mean wait, rush-window
-    wait, fluid estimate, and their gap. ``scale`` multiplies lambda_bar,
-    mu1 and mu2 together, under which the fluid column is invariant.
+    wait, fluid estimate, and their gap. ``params`` is a ``rush_hour``
+    fixed block; ``scale`` multiplies lambda_bar, mu1 and mu2 together,
+    under which the fluid column is invariant.
     """
+    table = _MODELS["rush_hour"][1]
+    values = [take({**params, "amplitude": amp}, table, "table_rush_hour") for amp in amplitudes]
 
     def one(item):
-        idx, amp = item
-        profile, queue, mu_eff = _rush_profile(params, amp, scale)
+        idx, (amp, v) = item
+        profile, queue, mu_eff = _rush_profile(v, scale)
         row_params = {"amplitude": amp, "scale": scale}
         fluid = analytic.rush_hour_wait(profile, mu_eff)
         config = SimConfig(
             model="mtm1_sinusoidal",
             queue=queue,
             profile=profile,
-            horizon_s=float(params.get("horizon_periods", 10)) * profile.period,
-            warmup=float(params.get("warmup", 0.1)),
-            bins_per_period=int(params.get("bins_per_period", 100)),
-            rush_stat=str(params.get("rush_stat", "peak_bin")),
+            horizon_s=v["horizon_periods"] * profile.period,
+            warmup=v["warmup"],
+            bins_per_period=v["bins_per_period"],
+            rush_stat=v["rush_stat"],
         )
         agg = replicate(config, replications, _point_stream(seed, idx))
         rush = agg.timeseries.rush_window()
@@ -310,12 +326,13 @@ def table_rush_hour(
         )
         return ComparisonRow(row_params, fluid, sim_rush, agg.ci95["mean_wait"])
 
-    return _map_ordered(one, list(enumerate(amplitudes)), workers)
+    return _map_ordered(one, list(enumerate(zip(amplitudes, values))), workers)
 
 
 def _run_rush_hour(sc: Scenario, workers: int):
-    amplitudes = [float(a) for a in sc.grid["amplitude"]]
-    scale = float(sc.fixed.get("scale", 16.0))
+    points = sc.points()
+    amplitudes = [v["amplitude"] for _, v in points]
+    scale = points[0][1]["scale"]
     base = table_rush_hour(sc.fixed, amplitudes, sc.replications, sc.seed, 1.0, workers)
     scaled = table_rush_hour(sc.fixed, amplitudes, sc.replications, sc.seed + 1, scale, workers)
     fluid_drift = max(
@@ -325,19 +342,15 @@ def _run_rush_hour(sc: Scenario, workers: int):
 
 
 def _run_excess_wait(sc: Scenario, workers: int):
-    fx = sc.fixed
-    mu_eff = float(fx["mu_eff"])
-    rho = float(fx["rho"])
-    gamma = fx.get("gamma_rad_s")
-    if gamma is None:
-        gamma = 2.0 * math.pi / float(fx["period_s"])
-    gamma = float(gamma)
+    points = sc.points()
+    fx = points[0][1]  # keys that cannot be swept read the same at every point
+    mu_eff, rho, gamma = fx["mu_eff"], fx["rho"], fx["gamma_rad_s"]
     lam_bar = rho * mu_eff
     stationary = rho / (mu_eff * (1.0 - rho))
 
     def one(item):
-        idx, p = item
-        amp = float(p["amplitude"])
+        idx, (p, v) = item
+        amp = v["amplitude"]
         params = {**p}
         try:
             want = analytic.excess_wait_sinusoidal(rho, amp, gamma, mu_eff)
@@ -348,33 +361,31 @@ def _run_excess_wait(sc: Scenario, workers: int):
             model="mtm1_sinusoidal",
             queue=QueueSpec(lam_bar, mu_eff, math.inf, 0.0),
             profile=profile,
-            horizon_s=float(fx.get("horizon_periods", 12)) * profile.period,
-            warmup=float(fx.get("warmup", 0.1)),
+            horizon_s=v["horizon_periods"] * profile.period,
+            warmup=v["warmup"],
         )
         agg = replicate(config, sc.replications, _point_stream(sc.seed, idx))
         excess = agg.mean.mean_wait - stationary
         params.update(mean_wait=agg.mean.mean_wait, stationary_wait=stationary)
         return ComparisonRow(params, want, excess, agg.ci95["mean_wait"])
 
-    rows = _map_ordered(one, list(enumerate(_grid_points(sc.grid))), workers)
+    rows = _map_ordered(one, list(enumerate(points)), workers)
     return rows, {"stationary_wait": stationary}
 
 
 def _run_packing_sweep(sc: Scenario, workers: int):
-    fx = sc.fixed
-    k_sites = int(fx.get("k_sites", 16))
-    q = float(fx.get("q", 2.0))
+    values = [v for _, v in sc.points()]
+    fx = values[0]  # keys that cannot be swept read the same at every point
+    k_sites, q = fx["k_sites"], fx["q"]
     trace = capacity.synthetic_vm_trace(
-        rate=float(fx.get("vm_rate", 16.0)),
-        mean_lifetime=float(fx.get("mean_lifetime_s", 10.0)),
-        horizon=float(fx.get("horizon_s", 400.0)),
+        rate=fx["vm_rate"],
+        mean_lifetime=fx["mean_lifetime_s"],
+        horizon=fx["horizon_s"],
         stream=SeededStream(sc.seed, 777),
         k_sites=k_sites,
     )
-    grid = [int(c) for c in sc.grid["cores_per_site"]]
-    points, cloud_peak, model_size = capacity.capacity_sweep(
-        trace, k_sites, grid, q, policy=str(fx.get("policy", "first_fit"))
-    )
+    grid = [v["cores_per_site"] for v in values]
+    points, cloud_peak, model_size = capacity.capacity_sweep(trace, k_sites, grid, q, policy=fx["policy"])
     target = cloud_peak * capacity.edge_overprovision_factor(q)
     rows = [
         ComparisonRow(

@@ -4,7 +4,9 @@ import math
 
 import pytest
 
-from edgeq.cli import EXIT_CONFIG, EXIT_OK, EXIT_UNSTABLE, main, normalize_config
+from edgeq import ConfigError, SimConfig
+from edgeq.cli import EXIT_CONFIG, EXIT_OK, EXIT_UNSTABLE, main
+from edgeq.config import load_sim_config
 
 
 def run_cli(capsys, *argv):
@@ -241,18 +243,52 @@ class TestValidateCommand:
         assert "not found" in err
 
 
+SIM_CONFIGS = {
+    "two_phase_edge": {
+        "model": "two_phase_edge",
+        "edge": {"lambda": 10.0, "mu1": 50.0, "mu2": "inf", "r": 0.2},
+        "network": {"t_edge_s": 0.001},
+        "simulation": {"horizon_requests": 1000, "dest_rate": 40.0, "dest_home_load": 5.0},
+    },
+    "gg1_edge": {
+        "model": "gg1_edge",
+        "edge": {"lambda": 10.0, "mu1": 50.0, "mu2": 50.0},
+        "workload": {
+            "arrivals": {"mean": 0.1, "scv": 0.25, "family": "erlang"},
+            "service1": {"mean": 0.02, "scv": 2.0, "family": "hyperexponential2"},
+        },
+        "simulation": {"horizon_s": 100.0},
+    },
+    "mtm1_sinusoidal": {
+        "model": "mtm1_sinusoidal",
+        "edge": {"lambda": 16.0, "mu1": 32.0, "mu2": 32.0, "r": 0.3},
+        "workload": {"profile": {"lambda_bar": 16.0, "amplitude": 0.5, "period_s": 200.0}},
+        "simulation": {"horizon_s": 100.0, "rush_stat": "arrivals"},
+    },
+    "mmk_cloud": {
+        "model": "mmk_cloud",
+        "cloud": {"k": 4, "mu": 10.0, "rho": 0.7},
+        "simulation": {"horizon_requests": 1000, "seed": 3, "reps": 2},
+        "output": {"name": "pool"},
+    },
+}
+
+
 class TestConfigNormalization:
     def test_round_trip_idempotent(self):
-        raw = {
-            "model": "mtm1_sinusoidal",
-            "edge": {"lambda": 16.0, "mu1": 32.0, "mu2": 32.0, "r": 0.3},
-            "workload": {"profile": {"lambda_bar": 16.0, "amplitude": 0.5, "period_s": 200.0}},
-            "simulation": {"horizon_s": 100.0},
-        }
-        once = normalize_config(raw)
-        twice = normalize_config(json.loads(json.dumps(once)))
-        assert once == twice
-        assert once["workload"]["profile"]["gamma_rad_s"] == pytest.approx(2 * math.pi / 200)
+        for model, raw in SIM_CONFIGS.items():
+            config, resolved = load_sim_config(raw)
+            again, resolved_again = load_sim_config(json.loads(json.dumps(resolved)))
+            assert config.model == model
+            assert again == config
+            assert resolved_again == resolved
+            assert resolved["simulation"]["warmup"] == SimConfig.warmup  # defaults are listed
+
+    def test_period_resolves_to_gamma(self):
+        config, resolved = load_sim_config(SIM_CONFIGS["mtm1_sinusoidal"])
+        assert resolved["workload"]["profile"]["gamma_rad_s"] == pytest.approx(2 * math.pi / 200)
+        assert "period_s" not in resolved["workload"]["profile"]
+        assert config.profile.gamma == resolved["workload"]["profile"]["gamma_rad_s"]
 
     def test_gamma_and_period_mutually_exclusive(self):
         raw = {
@@ -263,5 +299,47 @@ class TestConfigNormalization:
             }},
             "simulation": {"horizon_s": 10.0},
         }
-        with pytest.raises(Exception, match="exactly one"):
-            normalize_config(raw)
+        with pytest.raises(ConfigError, match="exactly one"):
+            load_sim_config(raw)
+
+
+def _without(section: dict, key: str) -> dict:
+    return {k: v for k, v in section.items() if k != key}
+
+
+TINY_SCENARIO = {
+    "name": "tiny", "model": "two_phase_wait", "grid": {"lam": [10.0]},
+    "fixed": {"mu1": 50.0, "mu2": 50.0, "horizon_requests": 2000}, "replications": 1,
+}
+RUSH_FIXED = {
+    "lambda_bar": 16.0, "mu1": 32.0, "mu2": 32.0, "period_s": 200.0, "horizon_periods": 1,
+}
+
+
+@pytest.mark.parametrize(
+    "command, body, key",
+    [
+        ("simulate", {**MINIMAL_SIM_CONFIG, "capacity": {"q": 2.0}}, "capacity"),
+        ("simulate", {**MINIMAL_SIM_CONFIG, "output": {"formats": ["csv"]}}, "formats"),
+        ("simulate", {**MINIMAL_SIM_CONFIG, "edge": _without(MINIMAL_SIM_CONFIG["edge"], "mu1")}, "mu1"),
+        ("simulate", {"model": "mmk_cloud", "cloud": {"k": 2, "mu": 10.0},
+                      "simulation": {"horizon_requests": 1000}}, "rho"),
+        ("validate", {**TINY_SCENARIO, "fixed": {"mu1": 50.0, "horizon_request": 2000}}, "horizon_request"),
+        ("validate", {**TINY_SCENARIO, "model": "mobility_crossover"}, "'r'"),
+        ("validate", {**TINY_SCENARIO, "model": "rush_hour", "grid": {"amplitude": [0.5]},
+                      "fixed": _without(RUSH_FIXED, "lambda_bar")}, "lambda_bar"),
+        ("validate", {**TINY_SCENARIO, "model": "excess_wait", "grid": {"amplitude": [0.1]},
+                      "fixed": {"rho": 0.5, "mu_eff": 10.0, "period_s": 100.0, "gamma_rad_s": 0.1}},
+         "gamma_rad_s"),
+        ("validate", {**TINY_SCENARIO, "model": "rush_hour",
+                      "grid": {"amplitude": [0.5], "mu1": [32.0]}, "fixed": RUSH_FIXED}, "mu1"),
+    ],
+    ids=["capacity", "formats", "edge-mu1", "cloud-rho", "fixed-typo", "crossover-r",
+         "rush-lambda_bar", "period-and-gamma", "rush-grid-mu1"],
+)
+def test_config_faults_exit_2_naming_the_key(capsys, tmp_path, command, body, key):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(body))
+    code, _, err = run_cli(capsys, command, str(path), "--out", str(tmp_path))
+    assert code == EXIT_CONFIG
+    assert key in err

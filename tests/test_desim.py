@@ -71,6 +71,19 @@ class TestLindleyCore:
         t, s = inputs
         assert np.allclose(multiserver_waits(t, s, 1), lindley_waits(t, s))
 
+    @settings(max_examples=200, deadline=None)
+    @given(queue_inputs, st.integers(2, 8))
+    def test_multiserver_matches_min_free_server_loop(self, inputs, k):
+        t, s = inputs
+        free = [0.0] * k  # time each server next becomes free
+        want = []
+        for arrival, service in zip(t, s):
+            j = free.index(min(free))
+            wait = max(0.0, free[j] - arrival)
+            want.append(wait)
+            free[j] = arrival + wait + service
+        np.testing.assert_array_equal(multiserver_waits(t, s, k), np.array(want, dtype=float))
+
 
 class TestTwoPhaseSim:
     def test_mm1_oracle_without_migration(self):

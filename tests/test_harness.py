@@ -4,7 +4,10 @@ import math
 
 import pytest
 
-from edgeq import ComparisonRow, ConfigError, Scenario, load_scenario, run_scenario, table_rush_hour
+from edgeq import (
+    ComparisonRow, ConfigError, QueueSpec, Scenario, load_scenario, mm1_two_phase_wait, run_scenario,
+    table_rush_hour,
+)
 from edgeq.harness import _grid_points, _sign_change
 
 
@@ -48,6 +51,42 @@ class TestScenarioValidation:
     def test_missing_file(self):
         with pytest.raises(ConfigError, match="not found"):
             load_scenario("nope.scenario")
+
+
+RUSH_FIXED = {"lambda_bar": 16.0, "mu1": 32.0, "mu2": 32.0, "period_s": 200.0, "horizon_periods": 1}
+
+
+class TestScenarioKeys:
+    @pytest.mark.parametrize(
+        "overrides, key",
+        [
+            (dict(fixed={"mu1": 50.0, "horizon_request": 2000}), "horizon_request"),
+            (dict(model="mobility_crossover", grid={"lam": [10.0]}), "'r'"),
+            (dict(model="rush_hour", grid={"amplitude": [0.5]},
+                  fixed={k: v for k, v in RUSH_FIXED.items() if k != "lambda_bar"}), "lambda_bar"),
+            (dict(model="excess_wait", grid={"amplitude": [0.1]},
+                  fixed={"rho": 0.5, "mu_eff": 10.0, "period_s": 100.0, "gamma_rad_s": 0.1}), "gamma_rad_s"),
+            (dict(model="rush_hour", grid={"amplitude": [0.5], "mu1": [32.0]}, fixed=RUSH_FIXED), "mu1"),
+            (dict(grid={"lam": [10.0], "r": [0.1]}, fixed={"r": 0.2}), "'r'"),
+            (dict(fixed={"mu1": "fast"}), "mu1"),
+        ],
+        ids=["fixed-typo", "crossover-r", "rush-lambda_bar", "period-and-gamma", "rush-grid-mu1",
+             "swept-and-fixed", "bad-value"],
+    )
+    def test_faults_raise_config_error_naming_the_key(self, tmp_path, overrides, key):
+        # run_scenario validates, so scenarios rebuilt with dataclasses.replace are checked too
+        with pytest.raises(ConfigError, match=key):
+            run_scenario(tiny_two_phase_scenario(**overrides), out_dir=tmp_path)
+        assert not list(tmp_path.iterdir())
+
+    def test_infinite_mu2_in_fixed_block_runs(self, tmp_path):
+        sc = tiny_two_phase_scenario(
+            grid={"lam": [10.0]}, fixed={"mu1": 50.0, "mu2": "inf", "r": 0.3, "horizon_requests": 2000},
+            replications=1,
+        )
+        rows, _, _ = run_scenario(sc, out_dir=tmp_path, deterministic_names=True)
+        assert rows[0].status == "ok"
+        assert rows[0].analytic_value == mm1_two_phase_wait(QueueSpec(10.0, 50.0, math.inf, 0.3))
 
 
 class TestGridHelpers:
