@@ -6,7 +6,7 @@ that validate them. See the README for the CLI and scenario harness.
 """
 
 from .analytic import (
-    aggregate_cloud_profile,
+    AggregateProfile,
     delta_t_bound_ggk,
     delta_t_bound_mmk,
     destination_wait,

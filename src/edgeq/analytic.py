@@ -9,7 +9,7 @@ GI/G approximations
 Time-varying arrivals
     effective_service_rate, sinusoidal_offered_load, offered_load_lag,
     sinusoidal_wait_profile, excess_wait_sinusoidal, overload_window,
-    fluid_backlog, rush_hour_wait, psa_cloud_wait, aggregate_cloud_profile
+    fluid_backlog, rush_hour_wait, psa_cloud_wait, AggregateProfile
 Provisioning rules
     empirical_rule_capacities
 
@@ -367,7 +367,7 @@ def psa_cloud_wait(rho_t: float, cloud: CloudSpec) -> float:
 
 
 class AggregateProfile:
-    """Sum of sinusoidal site profiles, sampled as a rate function."""
+    """Aggregate arrival profile a cloud sees from many sinusoidal edge sites."""
 
     def __init__(self, sites: Sequence[SinusoidProfile]):
         if not sites:
@@ -402,10 +402,6 @@ class AggregateProfile:
         mean = float(np.mean(rates))
         return (float(np.max(rates)) - mean) / mean
 
-
-def aggregate_cloud_profile(sites: Sequence[SinusoidProfile]) -> AggregateProfile:
-    """Aggregate arrival profile a cloud sees from many edge sites."""
-    return AggregateProfile(sites)
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,8 @@
 
 A key table maps each key of a JSON object to ``(cast, default)``, or to
 ``(nested table, default)`` for a nested object. Rates go through
-``float``, which reads ``"inf"``. Defaults that a dataclass carries are
+``float``, which reads ``"inf"``; switches go through ``flag``, which
+reads only JSON true and false. Defaults that a dataclass carries are
 read from its fields, so each is written once.
 """
 from __future__ import annotations
@@ -49,6 +50,13 @@ def take(body, table: dict, where: str) -> dict:
     return out
 
 
+def flag(value) -> bool:
+    """A JSON boolean; ``bool`` would read the string "false" as true."""
+    if not isinstance(value, bool):
+        raise ValueError(f"expected true or false, got {value!r}")
+    return value
+
+
 def table_of(cls, **casts) -> dict:
     """A key table over fields of the dataclass ``cls``, with the defaults they carry."""
     defaults = {
@@ -92,13 +100,13 @@ _CONFIG = {
     "simulation": ({
         **table_of(
             SimConfig, horizon_requests=int, horizon_s=float, warmup=float, bins_per_period=int,
-            rush_stat=str, two_stage_service=bool, dest_rate=float, dest_home_load=float,
-            allow_unstable=bool, max_in_system=int, event_log=str,
+            rush_stat=str, two_stage_service=flag, dest_rate=float, dest_home_load=float,
+            allow_unstable=flag, max_in_system=int, event_log=str,
         ),
         "seed": (int, None),
         "reps": (int, 1),
     }, {}),
-    "output": ({"dir": (str, "."), "deterministic_names": (bool, False), "name": (str, None)}, {}),
+    "output": ({"dir": (str, "."), "deterministic_names": (flag, False), "name": (str, None)}, {}),
 }
 
 

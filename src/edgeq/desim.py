@@ -14,12 +14,16 @@ Single-server waiting times are computed with the vectorized Lindley
 recursion (reflected random walk), so one run handles millions of
 requests in milliseconds and is bit-reproducible for a fixed stream.
 
-Metric conventions for the tandem model: ``mean_wait`` composes the
-source-queue wait over all requests with the destination-queue wait per
-migrating request, which is the quantity the closed-form total predicts;
-``mean_response`` is RTT + mean_wait + mean source occupancy (phase 1
-plus migration work). Per-request sojourns, including the destination
-visit, feed ``p95_response`` and the event log.
+Every runner ends in one metric layer, ``_summarize``. The first
+``int(n * warmup)`` requests are a warm-up and are not counted. The
+window runs from the first counted arrival to the last departure, and
+``little_l`` is the time-average number in system over it: each request,
+counted or not, adds its overlap with the window. The tandem model's
+``mean_wait`` composes the source-queue wait over all requests with the
+destination-queue wait per migrating request, which is the quantity the
+closed-form total predicts; ``mean_response`` is RTT + mean_wait + mean
+source occupancy (phase 1 plus migration work). Per-request sojourns,
+including the destination visit, feed ``p95_response`` and the event log.
 """
 from __future__ import annotations
 
@@ -249,17 +253,14 @@ def multiserver_waits(arrivals: np.ndarray, services: np.ndarray, k: int) -> np.
 def _time_average_in_system(
     arrivals: np.ndarray, departures: np.ndarray, t0: float, t1: float
 ) -> float:
-    """Exact time average of the number in system over [t0, t1]."""
+    """Exact time average of the number in system over [t0, t1].
+
+    The area under N(t) is the sum of each request's overlap with the
+    window, so no event sort is needed.
+    """
     if t1 <= t0:
         return 0.0
-    times = np.concatenate([arrivals, departures])
-    deltas = np.concatenate([np.ones(len(arrivals)), -np.ones(len(departures))])
-    order = np.argsort(times, kind="stable")
-    times, deltas = times[order], deltas[order]
-    levels = np.cumsum(deltas)
-    seg_a = np.clip(times[:-1], t0, t1)
-    seg_b = np.clip(times[1:], t0, t1)
-    area = float(np.sum(levels[:-1] * (seg_b - seg_a)))
+    area = float(np.sum(np.clip(departures, t0, t1) - np.clip(arrivals, t0, t1)))
     return area / (t1 - t0)
 
 
@@ -308,6 +309,28 @@ def _event_rows(queue_id, ids, arrivals, starts, departures):
         rows.append((float(s), "service_start", int(i), queue_id))
         rows.append((float(d), "departure", int(i), queue_id))
     return rows
+
+
+def _summarize(t, done, busy, sojourn, cut, rtt, mean_wait, servers=1, **extra) -> SimMetrics:
+    """The metrics of one run from its per-request arrays in arrival order.
+
+    ``done`` holds departures, ``busy`` server-held time and ``sojourn``
+    time in system; requests before ``cut`` are the warm-up. ``extra``
+    passes the model-specific fields.
+    """
+    t0, t_end = float(t[cut]), float(np.max(done))
+    window = t_end - t0
+    return SimMetrics(
+        mean_wait=mean_wait,
+        mean_response=rtt + mean_wait + float(np.mean(busy[cut:])),
+        p95_response=float(np.percentile(rtt + sojourn[cut:], 95)),
+        utilization_observed=float(np.sum(busy[cut:])) / (servers * window) if window > 0 else 0.0,
+        count_served=len(t) - cut,
+        little_l=_time_average_in_system(t, done, t0, t_end),
+        mean_sojourn=float(np.mean(sojourn[cut:])),
+        window_duration=window,
+        **extra,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -366,12 +389,10 @@ def run_two_phase_sim(config: SimConfig, stream: SeededStream) -> SimMetrics:
     # destination queue: migrated stream, optionally plus a home load
     dest_rate = config.dest_rate if config.dest_rate is not None else q.mu2
     t_mig = dep1[migrate]
-    n_home = 0
     if config.dest_home_load > 0 and len(dep1):
         home = poisson_arrivals(config.dest_home_load, float(dep1[-1]), rng)
-        n_home = len(home)
         q2_t = np.concatenate([t_mig, home])
-        from_mig = np.concatenate([np.ones(len(t_mig), bool), np.zeros(n_home, bool)])
+        from_mig = np.concatenate([np.ones(len(t_mig), bool), np.zeros(len(home), bool)])
         order = np.argsort(q2_t, kind="stable")
         q2_t, from_mig = q2_t[order], from_mig[order]
     else:
@@ -383,37 +404,14 @@ def run_two_phase_sim(config: SimConfig, stream: SeededStream) -> SimMetrics:
     w2_all = lindley_waits(q2_t, s2)
     dep2_all = q2_t + w2_all + s2
     w2 = w2_all[from_mig]
-    s2_mig = s2[from_mig]
     dep2 = dep2_all[from_mig]
 
     # per-request totals in arrival order
-    wait2 = np.zeros(n)
-    wait2[migrate] = w2
-    svc2 = np.zeros(n)
-    svc2[migrate] = s2_mig
-    done = np.where(migrate, 0.0, dep1)
+    sojourn = w1 + s1
+    sojourn[migrate] += w2
+    sojourn[migrate] += s2[from_mig]
+    done = dep1.copy()
     done[migrate] = dep2
-
-    cut = int(n * config.warmup)
-    counted = np.arange(n) >= cut
-    n_counted = int(counted.sum())
-    if n_counted == 0:
-        return SimMetrics()
-    rtt = config.network.t_edge if config.network is not None else 0.0
-
-    cnt_mig = counted & migrate
-    mean_w1 = float(np.mean(w1[counted]))
-    mean_w2 = float(np.mean(wait2[cnt_mig])) if cnt_mig.any() else 0.0
-    mean_wait = mean_w1 + mean_w2
-    mean_src_service = float(np.mean(s1[counted]))
-    sojourn = w1 + s1 + wait2 + svc2
-    resp = rtt + sojourn
-
-    t0 = float(t[cut])
-    t_end = float(max(dep1[-1], dep2[-1] if len(dep2) else 0.0))
-    window = t_end - t0
-    util = float(np.sum(s1[counted])) / window if window > 0 else 0.0
-    little = _time_average_in_system(t, done, t0, t_end)
     _check_instability(config, t, done)
 
     if config.event_log:
@@ -421,16 +419,12 @@ def run_two_phase_sim(config: SimConfig, stream: SeededStream) -> SimMetrics:
         rows += _event_rows("dest", np.flatnonzero(migrate), t_mig, t_mig + w2, dep2)
         _write_event_log(config.event_log, rows)
 
-    return SimMetrics(
-        mean_wait=mean_wait,
-        mean_response=rtt + mean_wait + mean_src_service,
-        p95_response=float(np.percentile(resp[counted], 95)),
-        utilization_observed=util,
-        count_served=n_counted,
-        count_migrated=int(cnt_mig.sum()),
-        little_l=little,
-        mean_sojourn=float(np.mean(sojourn[counted])),
-        window_duration=window,
+    cut = int(n * config.warmup)
+    w2c = w2[np.count_nonzero(migrate[:cut]):]  # destination waits of counted migrants
+    mean_w2 = float(np.mean(w2c)) if len(w2c) else 0.0
+    rtt = config.network.t_edge if config.network is not None else 0.0
+    return _summarize(
+        t, done, s1, sojourn, cut, rtt, float(np.mean(w1[cut:])) + mean_w2, count_migrated=len(w2c)
     )
 
 
@@ -467,8 +461,7 @@ def run_mtm1_sim(config: SimConfig, stream: SeededStream) -> tuple[SimMetrics, T
     dep = t + w + s
 
     cut = int(n * config.warmup)
-    tc, wc, sc, depc = t[cut:], w[cut:], s[cut:], dep[cut:]
-    rtt = config.network.t_edge if config.network is not None else 0.0
+    tc, wc, depc = t[cut:], w[cut:], dep[cut:]
 
     phase = np.mod(tc, period)
     idx = np.minimum((phase / period * n_bins).astype(int), n_bins - 1)
@@ -489,22 +482,12 @@ def run_mtm1_sim(config: SimConfig, stream: SeededStream) -> tuple[SimMetrics, T
         rush.served_sum = float(np.sum(wc[in_srv]))
         rush.served_count = int(np.sum(in_srv))
 
-    t0, t_end = float(tc[0]), float(dep[-1])
-    window = t_end - t0
-    sojourn = wc + sc
-    metrics = SimMetrics(
-        mean_wait=float(np.mean(wc)),
-        mean_response=rtt + float(np.mean(wc)) + float(np.mean(sc)),
-        p95_response=float(np.percentile(rtt + sojourn, 95)),
-        utilization_observed=float(np.sum(sc)) / window if window > 0 else 0.0,
-        count_served=len(tc),
-        count_migrated=int(np.sum(migrate[cut:])),
-        little_l=_time_average_in_system(t, dep, t0, t_end),
-        mean_sojourn=float(np.mean(sojourn)),
-        window_duration=window,
-    )
     if config.event_log:
         _write_event_log(config.event_log, _event_rows("edge", np.arange(n), t, t + w, dep))
+    rtt = config.network.t_edge if config.network is not None else 0.0
+    metrics = _summarize(
+        t, dep, s, w + s, cut, rtt, float(np.mean(wc)), count_migrated=int(np.sum(migrate[cut:]))
+    )
     return metrics, ts
 
 
@@ -531,31 +514,17 @@ def run_mmk_sim(config: SimConfig, stream: SeededStream) -> SimMetrics:
     s = rng.exponential(1.0 / cloud.mu_cloud, n)
     w = multiserver_waits(t, s, cloud.k)
     dep = t + w + s
-
-    cut = int(n * config.warmup)
-    tc, wc, sc = t[cut:], w[cut:], s[cut:]
-    if len(tc) == 0:
-        return SimMetrics()
-    rtt = config.network.t_cloud if config.network is not None else 0.0
-    delayed = wc[wc > 0.0]
-
-    t0, t_end = float(tc[0]), float(np.max(dep))
-    window = t_end - t0
-    sojourn = wc + sc
     _check_instability(config, t, dep)
     if config.event_log:
         _write_event_log(config.event_log, _event_rows("cloud", np.arange(n), t, t + w, dep))
-    return SimMetrics(
-        mean_wait=float(np.mean(wc)),
-        mean_response=rtt + float(np.mean(wc)) + float(np.mean(sc)),
-        p95_response=float(np.percentile(rtt + sojourn, 95)),
-        utilization_observed=float(np.sum(sc)) / (cloud.k * window) if window > 0 else 0.0,
-        count_served=len(tc),
-        count_migrated=0,
-        little_l=_time_average_in_system(t, dep, t0, t_end),
-        mean_sojourn=float(np.mean(sojourn)),
+
+    cut = int(n * config.warmup)
+    wc = w[cut:]
+    delayed = wc[wc > 0.0]
+    rtt = config.network.t_cloud if config.network is not None else 0.0
+    return _summarize(
+        t, dep, s, w + s, cut, rtt, float(np.mean(wc)), servers=cloud.k,
         mean_wait_conditional=float(np.mean(delayed)) if len(delayed) else 0.0,
-        window_duration=window,
     )
 
 

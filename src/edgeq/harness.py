@@ -72,8 +72,11 @@ class Scenario:
     def validate(self) -> None:
         if self.model not in COMPARISON_MODELS:
             raise ConfigError(f"unknown comparison model {self.model!r}")
-        if not self.grid or any(len(v) == 0 for v in self.grid.values()):
+        if not self.grid:
             raise ConfigError("parameter grid must be non-empty")
+        for key, values in self.grid.items():
+            if not isinstance(values, list) or not values:
+                raise ConfigError(f"scenario {self.name!r}: grid.{key} must be a non-empty list")
         if self.replications < 1:
             raise ConfigError("replication count must be >= 1")
         bad = set(self.outputs) - {"csv", "json"}

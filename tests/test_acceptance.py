@@ -13,6 +13,7 @@ import pytest
 from scipy.integrate import quad
 
 from edgeq import (
+    AggregateProfile,
     CloudSpec,
     QueueSpec,
     Scenario,
@@ -22,7 +23,6 @@ from edgeq import (
     UnstableQueue,
     VariabilitySpec,
     VmRequest,
-    aggregate_cloud_profile,
     cloud_capacity_equivalent,
     edge_overprovision_factor,
     fluid_backlog,
@@ -413,11 +413,11 @@ def test_criterion_9_phase_shift_smoothing():
     smoothed = 0
     for draw in range(100):
         sites64 = phase_shifted_sites(64, base, "uniform", SeededStream(4001, draw).generator())
-        amp64 = aggregate_cloud_profile(sites64).relative_amplitude()
+        amp64 = AggregateProfile(sites64).relative_amplitude()
         amps64.append(amp64)
         smoothed += amp64 < base.amplitude
         sites4 = phase_shifted_sites(4, base, "uniform", SeededStream(4002, draw).generator())
-        amps4.append(aggregate_cloud_profile(sites4).relative_amplitude())
+        amps4.append(AggregateProfile(sites4).relative_amplitude())
     med64 = float(np.median(amps64))
     med4 = float(np.median(amps4))
     elapsed = time.time() - t0

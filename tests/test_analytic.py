@@ -7,6 +7,7 @@ from scipy.integrate import quad
 from scipy.optimize import minimize_scalar
 
 from edgeq import (
+    AggregateProfile,
     CloudSpec,
     DomainError,
     IncompatiblePeriods,
@@ -16,7 +17,6 @@ from edgeq import (
     SinusoidProfile,
     UnstableQueue,
     VariabilitySpec,
-    aggregate_cloud_profile,
     delta_t_bound_ggk,
     delta_t_bound_mmk,
     destination_wait,
@@ -422,13 +422,13 @@ class TestPsaCloudWait:
 class TestAggregateProfile:
     def test_identical_in_phase_sites(self):
         sites = [SinusoidProfile(10, 0.5, 1.0)] * 4
-        agg = aggregate_cloud_profile(sites)
+        agg = AggregateProfile(sites)
         assert agg.mean == pytest.approx(40.0, rel=1e-12)
         assert agg.relative_amplitude() == pytest.approx(0.5, abs=1e-5)
 
     def test_antiphase_pair_cancels(self):
         sites = [SinusoidProfile(10, 0.5, 1.0, 0.0), SinusoidProfile(10, 0.5, 1.0, math.pi)]
-        agg = aggregate_cloud_profile(sites)
+        agg = AggregateProfile(sites)
         t = np.linspace(0, 2 * math.pi, 512)
         assert np.allclose(agg.rate(t), 20.0, atol=1e-9)
         assert agg.relative_amplitude() == pytest.approx(0.0, abs=1e-9)
@@ -439,18 +439,18 @@ class TestAggregateProfile:
             SinusoidProfile(rng.uniform(1, 50), rng.uniform(0, 1), 1.0, rng.uniform(0, 2 * math.pi))
             for _ in range(16)
         ]
-        agg = aggregate_cloud_profile(sites)
+        agg = AggregateProfile(sites)
         t = np.linspace(0, 2 * math.pi, 20_000, endpoint=False)
         assert float(np.mean(agg.rate(t))) == pytest.approx(agg.mean, abs=1e-9 * agg.mean + 1e-9)
 
     def test_many_random_phases_smooth_the_aggregate(self):
         rng = np.random.default_rng(7)
         sites = [SinusoidProfile(10, 0.7, 1.0, p) for p in rng.uniform(0, 2 * math.pi, 64)]
-        assert aggregate_cloud_profile(sites).relative_amplitude() < 0.7
+        assert AggregateProfile(sites).relative_amplitude() < 0.7
 
     def test_mixed_frequencies_need_horizon(self):
         sites = [SinusoidProfile(10, 0.5, 1.0), SinusoidProfile(10, 0.5, 2.0)]
-        agg = aggregate_cloud_profile(sites)
+        agg = AggregateProfile(sites)
         with pytest.raises(IncompatiblePeriods):
             agg.relative_amplitude()
         assert agg.relative_amplitude(horizon=2 * math.pi) > 0.0

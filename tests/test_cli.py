@@ -333,9 +333,13 @@ RUSH_FIXED = {
          "gamma_rad_s"),
         ("validate", {**TINY_SCENARIO, "model": "rush_hour",
                       "grid": {"amplitude": [0.5], "mu1": [32.0]}, "fixed": RUSH_FIXED}, "mu1"),
+        # bool("false") is True, so a string flag must not switch the stability guard off
+        ("simulate", {**MINIMAL_SIM_CONFIG, "edge": {**MINIMAL_SIM_CONFIG["edge"], "lambda": 80.0},
+                      "simulation": {**MINIMAL_SIM_CONFIG["simulation"], "allow_unstable": "false"}},
+         "allow_unstable"),
     ],
     ids=["capacity", "formats", "edge-mu1", "cloud-rho", "fixed-typo", "crossover-r",
-         "rush-lambda_bar", "period-and-gamma", "rush-grid-mu1"],
+         "rush-lambda_bar", "period-and-gamma", "rush-grid-mu1", "string-flag"],
 )
 def test_config_faults_exit_2_naming_the_key(capsys, tmp_path, command, body, key):
     path = tmp_path / "bad.json"

@@ -29,7 +29,7 @@ from edgeq import (
     run_two_phase_sim,
 )
 from edgeq.analytic import effective_service_rate
-from edgeq.desim import lindley_waits, multiserver_waits
+from edgeq.desim import _time_average_in_system, lindley_waits, multiserver_waits
 
 
 def two_phase_config(lam, r, n=200_000, **kw):
@@ -85,6 +85,49 @@ class TestLindleyCore:
         np.testing.assert_array_equal(multiserver_waits(t, s, k), np.array(want, dtype=float))
 
 
+def sorted_event_time_average(arrivals, departures, t0, t1):
+    """Reference: the number in system as a step function over the sorted events."""
+    if t1 <= t0:
+        return 0.0
+    times = np.concatenate([arrivals, departures])
+    deltas = np.concatenate([np.ones(len(arrivals)), -np.ones(len(departures))])
+    order = np.argsort(times, kind="stable")
+    times, deltas = times[order], deltas[order]
+    levels = np.cumsum(deltas)
+    seg = np.clip(times[1:], t0, t1) - np.clip(times[:-1], t0, t1)
+    return float(np.sum(levels[:-1] * seg)) / (t1 - t0)
+
+
+times = st.floats(0.0, 10.0, allow_subnormal=False)
+
+
+class TestTimeAverageInSystem:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(st.tuples(times, times), min_size=0, max_size=200),
+        st.floats(-5.0, 2100.0, allow_subnormal=False),
+        st.floats(-5.0, 2100.0, allow_subnormal=False),
+    )
+    def test_overlap_sum_matches_sorted_events(self, pairs, t0, t1):
+        # sorted arrivals; departures at or after their arrivals, in any order;
+        # windows may be empty, inverted or outside the events
+        arrivals = np.cumsum([gap for gap, _ in pairs])
+        departures = arrivals + np.array([stay for _, stay in pairs], dtype=float)
+        got = _time_average_in_system(arrivals, departures, t0, t1)
+        assert got == pytest.approx(sorted_event_time_average(arrivals, departures, t0, t1), rel=1e-9)
+
+
+def mtm1_config(amplitude, **kw):
+    defaults = dict(
+        model="mtm1_sinusoidal",
+        queue=QueueSpec(16.0, 32.0, 32.0, 0.3),
+        profile=SinusoidProfile(16.0, amplitude, 2 * math.pi / 200),
+        horizon_s=2000.0,
+    )
+    defaults.update(kw)
+    return SimConfig(**defaults)
+
+
 class TestTwoPhaseSim:
     def test_mm1_oracle_without_migration(self):
         agg = replicate(two_phase_config(10.0, 0.0), 5, SeededStream(100))
@@ -126,8 +169,16 @@ class TestTwoPhaseSim:
         m = run_two_phase_sim(two_phase_config(20.0, 0.3, n=1_000_000), SeededStream(105))
         assert m.utilization_observed == pytest.approx(20 / 50 + 0.3 * 20 / 50, rel=0.01)
 
-    def test_littles_law(self):
-        m = run_two_phase_sim(two_phase_config(20.0, 0.0, n=1_000_000), SeededStream(106))
+    @pytest.mark.parametrize("model", ["two_phase_edge", "mmk_cloud", "mtm1_sinusoidal"])
+    def test_littles_law(self, model):
+        # M/M/4 departures leave arrival order; the sinusoid's load changes over the window
+        if model == "two_phase_edge":
+            m = run_two_phase_sim(two_phase_config(20.0, 0.0, n=1_000_000), SeededStream(106))
+        elif model == "mmk_cloud":
+            cfg = SimConfig(model="mmk_cloud", cloud=CloudSpec(4, 50.0, 0.8), horizon_requests=400_000)
+            m = run_mmk_sim(cfg, SeededStream(106))
+        else:
+            m, _ = run_mtm1_sim(mtm1_config(0.5, horizon_s=20_000.0), SeededStream(106))
         lam_hat = m.count_served / m.window_duration
         assert m.little_l == pytest.approx(lam_hat * m.mean_sojourn, rel=0.02)
 
@@ -243,32 +294,21 @@ class TestMmkSim:
 
 
 class TestMtm1Sim:
-    def mk_config(self, amplitude, **kw):
-        prof = SinusoidProfile(16.0, amplitude, 2 * math.pi / 200)
-        defaults = dict(
-            model="mtm1_sinusoidal",
-            queue=QueueSpec(16.0, 32.0, 32.0, 0.3),
-            profile=prof,
-            horizon_s=2000.0,
-        )
-        defaults.update(kw)
-        return SimConfig(**defaults)
-
     def test_flat_profile_reduces_to_stationary_mm1(self):
-        agg = replicate(self.mk_config(0.0), 5, SeededStream(140))
+        agg = replicate(mtm1_config(0.0), 5, SeededStream(140))
         mu_eff = effective_service_rate(32.0, 32.0, 0.3)
         rho = 16.0 / mu_eff
         assert agg.mean.mean_wait == pytest.approx(rho / (mu_eff * (1 - rho)), rel=0.05)
 
     def test_rush_window_populated_only_under_overload(self):
-        _, ts_low = run_mtm1_sim(self.mk_config(0.3), SeededStream(141))
+        _, ts_low = run_mtm1_sim(mtm1_config(0.3), SeededStream(141))
         assert ts_low.rush_window() is None
-        _, ts_high = run_mtm1_sim(self.mk_config(0.8), SeededStream(141))
+        _, ts_high = run_mtm1_sim(mtm1_config(0.8), SeededStream(141))
         t1, t2, wait = ts_high.rush_window()
         assert 0 <= t1 < t2 and wait > 0
 
     def test_bins_cover_one_period(self):
-        _, ts = run_mtm1_sim(self.mk_config(0.5, bins_per_period=50), SeededStream(142))
+        _, ts = run_mtm1_sim(mtm1_config(0.5, bins_per_period=50), SeededStream(142))
         bins = ts.bins
         assert len(bins) == 50
         centers = [b[0] for b in bins]
@@ -278,17 +318,17 @@ class TestMtm1Sim:
         assert rates.max() > 1.3 * max(rates.min(), 1e-9)
 
     def test_rush_stats_variants_ordered(self):
-        cfg = self.mk_config(0.8)
+        cfg = mtm1_config(0.8)
         _, ts = run_mtm1_sim(cfg, SeededStream(143))
         peak = ts.rush_window()[2]
         for stat in ("arrivals", "served"):
             _, other = run_mtm1_sim(
-                self.mk_config(0.8, rush_stat=stat), SeededStream(143)
+                mtm1_config(0.8, rush_stat=stat), SeededStream(143)
             )
             assert other.rush_window()[2] <= peak
 
     def test_two_stage_service_counts_migrants(self):
-        m, _ = run_mtm1_sim(self.mk_config(0.2, two_stage_service=True), SeededStream(144))
+        m, _ = run_mtm1_sim(mtm1_config(0.2, two_stage_service=True), SeededStream(144))
         frac = m.count_migrated / m.count_served
         assert frac == pytest.approx(0.3, abs=0.02)
 
