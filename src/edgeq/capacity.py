@@ -2,15 +2,15 @@
 
 The closed forms relate the server capacity a distributed edge needs to
 match a centralized pool handling the same geographically pinned VM
-workload; the packing simulator replays a trace against both layouts to
-measure the over-provisioning empirically.
+workload. The packing sweep measures the over-provisioning; peaks where
+nothing queues come from a sorted +/-cores sweep; saturated sites are replayed.
 """
 from __future__ import annotations
 
 import csv
 import heapq
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -179,6 +179,8 @@ def synthetic_vm_trace(
 # ---------------------------------------------------------------------------
 # Packing simulator
 
+POLICIES = ("first_fit", "best_fit", "first_fit_decreasing_batch")
+
 
 @dataclass(frozen=True)
 class Topology:
@@ -204,13 +206,10 @@ class PackingReport:
 
     peak_servers_used: int                  # concurrent busy servers, system-wide
     peak_servers_per_site: list[int]        # per-site concurrent busy-server peaks
-    peak_used_cores_per_site: list[int]     # per-site concurrent occupied-core peaks
     site_capacity_cores: int                # sum of per-site occupied-core peaks
     rejected_or_queued: int                 # peak FIFO backlog, system-wide
     placed: int
     completed: int
-    utilization_timeline: list[tuple[float, float]] = field(default_factory=list)
-    relative_error_vs_cloud: Optional[float] = None
 
 
 class _Site:
@@ -275,7 +274,6 @@ def simulate_packing(
     policy: str = "first_fit",
     site_assign: str = "uniform",
     stream: Optional[SeededStream] = None,
-    timeline_samples: int = 200,
 ) -> PackingReport:
     """Replay a VM trace against a topology.
 
@@ -284,7 +282,7 @@ def simulate_packing(
     site waits in FIFO order until releases free enough cores. Verifies
     conservation and never oversubscribes a server.
     """
-    if policy not in ("first_fit", "best_fit", "first_fit_decreasing_batch"):
+    if policy not in POLICIES:
         raise DomainError(f"unknown policy {policy!r}")
     if site_assign not in ("uniform", "hint"):
         raise DomainError(f"unknown site_assign {site_assign!r}")
@@ -316,7 +314,6 @@ def simulate_packing(
     peak_queue = 0
     busy_total = 0
     peak_busy_total = 0
-    starts, ends, sizes = [], [], []
 
     def place(site_idx: int, cores: int) -> Optional[int]:
         nonlocal busy_total, peak_busy_total
@@ -341,7 +338,6 @@ def simulate_packing(
             queued_now -= 1
             placed += 1
             heapq.heappush(releases, (now + lifetime, site_idx, idx, cores))
-            starts.append(now), ends.append(now + lifetime), sizes.append(cores)
 
     def release_until(now: float) -> None:
         nonlocal completed, busy_total
@@ -379,7 +375,6 @@ def simulate_packing(
             else:
                 placed += 1
                 heapq.heappush(releases, (req.arrival + req.lifetime, int(site_of[b]), idx, req.cores))
-                starts.append(req.arrival), ends.append(req.arrival + req.lifetime), sizes.append(req.cores)
         i = j
     release_until(math.inf)
 
@@ -387,35 +382,14 @@ def simulate_packing(
     assert all(min(s.free, default=cap) >= 0 for s in sites), "server oversubscribed"
     assert queued_now == 0
 
-    total_cores = n_sites * topology.servers_per_site * cap
-    timeline = _utilization_timeline(starts, ends, sizes, total_cores, timeline_samples)
     return PackingReport(
         peak_servers_used=peak_busy_total,
         peak_servers_per_site=[s.peak_busy for s in sites],
-        peak_used_cores_per_site=[s.peak_used for s in sites],
         site_capacity_cores=sum(s.peak_used for s in sites),
         rejected_or_queued=peak_queue,
         placed=placed,
         completed=completed,
-        utilization_timeline=timeline,
     )
-
-
-def _utilization_timeline(starts, ends, sizes, total_cores, n_samples):
-    if not starts or n_samples <= 0:
-        return []
-    starts = np.array(starts)
-    ends = np.array(ends)
-    sizes = np.array(sizes, dtype=float)
-    t = np.linspace(float(starts.min()), float(ends.max()), n_samples)
-    order_s = np.argsort(starts)
-    order_e = np.argsort(ends)
-    add = np.cumsum(sizes[order_s])
-    sub = np.cumsum(sizes[order_e])
-    si = np.searchsorted(starts[order_s], t, side="right")
-    ei = np.searchsorted(ends[order_e], t, side="right")
-    used = np.where(si > 0, add[np.maximum(si - 1, 0)], 0.0) - np.where(ei > 0, sub[np.maximum(ei - 1, 0)], 0.0)
-    return [(float(a), float(u) / total_cores) for a, u in zip(t, used)]
 
 
 def packing_relative_error(edge_capacity: float, cloud_capacity: float, q: float) -> float:
@@ -444,20 +418,40 @@ def capacity_sweep(
     """Edge-site-size sweep against the pooled-cloud baseline.
 
     Returns the per-size points, the cloud peak used cores, and the
-    model-predicted edge size cloud_peak*(1+1/q)/k_sites. Peak capacity
-    is measured as concurrent occupied cores (summed per-site peaks for
-    the edge), so the comparison is insensitive to server granularity.
-    Site hints must be present so every size sees the same assignment.
+    model-predicted edge size cloud_peak*(1+1/q)/k_sites. Peaks are occupied
+    cores (summed per site for the edge) over a hinted trace in arrival order.
+    The cloud and each site whose peak fits never queue, so one sorted
+    +/-cores sweep gives their exact peaks. The VMs of the saturated sites are
+    replayed together, so the backlog is system-wide.
     """
-    cloud_top = Topology("cloud", 1, len(trace), max(int(r.cores) for r in trace))
-    cloud = simulate_packing(trace, cloud_top, policy="first_fit", site_assign="hint")
-    cloud_peak = cloud.site_capacity_cores
+    if not trace:
+        raise EmptyTrace("trace contains no VM requests")
+    if policy not in POLICIES:
+        raise DomainError(f"unknown policy {policy!r}")
+    if any(r.site_hint is None for r in trace):
+        raise DomainError("capacity_sweep requires every VM to carry a site hint")
+    start = np.array([r.arrival for r in trace])
+    # a VM that ends at its own arrival time still holds its cores through its arrival batch
+    end = np.maximum(start + [r.lifetime for r in trace], np.nextafter(start, np.inf))
+    cores = np.array([r.cores for r in trace], dtype=np.int64)
+    site = np.array([r.site_hint % k_sites for r in trace])
+    # events sort by (site, time, departures first), as the replay releases before it
+    # places; each site's events sum to zero, so the running total restarts per site
+    times, delta = np.concatenate([end, start]), np.concatenate([-cores, cores])
+    sites = np.concatenate([site, site])
+    is_arrival = np.arange(len(times)) >= len(trace)
+    order = np.lexsort((is_arrival, times, sites))
+    peaks = np.zeros(k_sites, dtype=np.int64)
+    np.maximum.at(peaks, sites[order], np.cumsum(delta[order]))
+    cloud_peak = int(np.cumsum(delta[np.lexsort((is_arrival, times))]).max())
     model_size = cloud_peak * edge_overprovision_factor(q) / k_sites
     points = []
-    for cores in core_grid:
-        top = Topology("edge", k_sites, 1, int(cores))
-        rep = simulate_packing(trace, top, policy=policy, site_assign="hint")
-        err = packing_relative_error(rep.site_capacity_cores, cloud_peak, q)
-        rep.relative_error_vs_cloud = err
-        points.append(SweepPoint(int(cores), rep.site_capacity_cores, err, rep.rejected_or_queued))
+    for size in map(int, core_grid):
+        saturated = peaks > size
+        capacity, queue = int(peaks[~saturated].sum()), 0
+        if saturated.any():
+            replayed = [trace[i] for i in np.flatnonzero(saturated[site])]
+            rep = simulate_packing(replayed, Topology("edge", k_sites, 1, size), policy=policy, site_assign="hint")
+            capacity, queue = capacity + rep.site_capacity_cores, rep.rejected_or_queued
+        points.append(SweepPoint(size, capacity, packing_relative_error(capacity, cloud_peak, q), queue))
     return points, cloud_peak, model_size

@@ -57,6 +57,13 @@ def flag(value) -> bool:
     return value
 
 
+def listed(value) -> tuple:
+    """A JSON list (or the tuple default) as a tuple; ``tuple`` would split "csv" into letters."""
+    if not isinstance(value, (list, tuple)):
+        raise ValueError(f"must be a list, got {value!r}")
+    return tuple(value)
+
+
 def table_of(cls, **casts) -> dict:
     """A key table over fields of the dataclass ``cls``, with the defaults they carry."""
     defaults = {

@@ -459,6 +459,7 @@ def run_mtm1_sim(config: SimConfig, stream: SeededStream) -> tuple[SimMetrics, T
         s = rng.exponential(1.0 / mu_eff, n)
     w = lindley_waits(t, s)
     dep = t + w + s
+    _check_instability(config, t, dep)
 
     cut = int(n * config.warmup)
     tc, wc, depc = t[cut:], w[cut:], dep[cut:]

@@ -19,7 +19,7 @@ from pathlib import Path
 from typing import Callable, Optional, Sequence
 
 from . import analytic, capacity
-from .config import REQUIRED, table_of, take
+from .config import REQUIRED, listed, table_of, take
 from .desim import SimConfig, replicate
 from .errors import ConfigError, DomainError
 from .specs import CloudSpec, NetworkSpec, QueueSpec, SinusoidProfile
@@ -79,9 +79,8 @@ class Scenario:
                 raise ConfigError(f"scenario {self.name!r}: grid.{key} must be a non-empty list")
         if self.replications < 1:
             raise ConfigError("replication count must be >= 1")
-        bad = set(self.outputs) - {"csv", "json"}
-        if bad:
-            raise ConfigError(f"unknown output formats {sorted(bad)}")
+        if not isinstance(self.outputs, (list, tuple)) or not set(self.outputs) <= {"csv", "json"}:
+            raise ConfigError(f"scenario {self.name!r}: outputs must be a list of 'csv' and 'json', got {self.outputs!r}")
         unsweepable = set(self.grid) - set(_MODELS[self.model][0])
         if unsweepable:
             raise ConfigError(f"scenario {self.name!r}: {self.model} cannot sweep {sorted(unsweepable)}")
@@ -131,7 +130,7 @@ def load_scenario(source: str | Path) -> Scenario:
     return _scenario_from_dict(json.loads(path.read_text()), str(source))
 
 
-_SCENARIO = table_of(Scenario, name=str, model=str, grid=dict, fixed=dict, replications=int, seed=int, outputs=tuple)
+_SCENARIO = table_of(Scenario, name=str, model=str, grid=dict, fixed=dict, replications=int, seed=int, outputs=listed)
 
 
 def _scenario_from_dict(raw: dict, origin: str) -> Scenario:

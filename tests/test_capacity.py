@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from edgeq import (
     DomainError,
@@ -21,7 +23,9 @@ from edgeq import (
     simulate_packing,
     synthetic_vm_trace,
 )
+import edgeq.capacity
 from edgeq.capacity import (
+    SweepPoint,
     capacity_sweep,
     packing_relative_error,
     save_vm_trace,
@@ -223,13 +227,6 @@ class TestPackingSimulator:
         assert plain.peak_servers_used == 4   # 4+4 | 4+6 | 6 | 6
         assert ffd.peak_servers_used == 3     # 6+4 on each
 
-    def test_utilization_timeline_bounded(self):
-        trace = synthetic_vm_trace(20.0, 5.0, 50.0, SeededStream(52), k_sites=2)
-        rep = simulate_packing(trace, Topology("edge", 2, 50, 32), site_assign="hint")
-        assert rep.utilization_timeline
-        fractions = [u for _, u in rep.utilization_timeline]
-        assert all(0.0 <= u <= 1.0 for u in fractions)
-
     def test_uniform_assignment_needs_stream(self):
         with pytest.raises(DomainError):
             simulate_packing(toy_trace(), Topology("edge", 2, 2, 10), site_assign="uniform")
@@ -247,3 +244,113 @@ class TestCapacitySweep:
         assert [p.cores_per_site for p in points] == [32, 64, 96]
         # small sites saturate: measured capacity grows with the site size
         assert points[0].edge_capacity <= points[-1].edge_capacity
+
+
+def replayed_sweep(trace, k_sites, core_grid, q, policy):
+    """capacity_sweep by full replays: the cloud on one server per VM, every edge size in full."""
+    cloud = simulate_packing(
+        trace, Topology("cloud", 1, len(trace), max(r.cores for r in trace)), site_assign="hint"
+    )
+    cloud_peak = cloud.site_capacity_cores
+    points = []
+    for cores in core_grid:
+        rep = simulate_packing(trace, Topology("edge", k_sites, 1, cores), policy=policy, site_assign="hint")
+        err = packing_relative_error(rep.site_capacity_cores, cloud_peak, q)
+        points.append(SweepPoint(cores, rep.site_capacity_cores, err, rep.rejected_or_queued))
+    return points, cloud_peak, cloud_peak * edge_overprovision_factor(q) / k_sites
+
+
+def site_peaks(trace, k_sites):
+    """Occupied cores per site after each arrival batch, maximised; nothing waits."""
+    peaks = [0] * k_sites
+    for r in trace:
+        site = r.site_hint % k_sites
+        used = sum(
+            v.cores for v in trace
+            if v.site_hint % k_sites == site and v.arrival <= r.arrival < v.arrival + v.lifetime
+        )
+        peaks[site] = max(peaks[site], used)
+    return peaks
+
+
+@st.composite
+def hinted_sweeps(draw):
+    """A sorted hinted trace on a coarse time grid, so arrivals tie and VMs leave as others arrive."""
+    k_sites = draw(st.integers(1, 4))
+    rows = draw(st.lists(
+        st.tuples(st.integers(0, 40), st.integers(1, 12), st.sampled_from([1, 2, 4, 6, 8]),
+                  st.integers(0, 7)),
+        min_size=1, max_size=60,
+    ))
+    rows.sort(key=lambda row: row[0])
+    trace = [VmRequest(f"v{i}", a * 0.5, life * 0.5, c, site_hint=h) for i, (a, life, c, h) in enumerate(rows)]
+    largest = max(r.cores for r in trace)
+    sizes = {largest} | {s for p in site_peaks(trace, k_sites) for s in (p - 1, p, p + 1) if s >= largest}
+    grid = draw(st.lists(st.sampled_from(sorted(sizes)), min_size=1, max_size=5))
+    return trace, k_sites, grid
+
+
+class TestSweepMatchesReplay:
+    @settings(max_examples=200, deadline=None)
+    @given(hinted_sweeps(), st.sampled_from([0.5, 2.0, 4.0]),
+           st.sampled_from(["first_fit", "best_fit", "first_fit_decreasing_batch"]))
+    def test_equals_full_replay(self, sweep, q, policy):
+        trace, k_sites, grid = sweep
+        got = capacity_sweep(trace, k_sites, grid, q, policy=policy)
+        assert repr(got) == repr(replayed_sweep(trace, k_sites, grid, q, policy))
+
+    def test_vm_ending_at_its_arrival_time_holds_its_cores_through_the_batch(self):
+        # 1e17 + 1.0 == 1e17: the first VM's release time equals its arrival
+        trace = [
+            VmRequest("a", 1e17, 1.0, 4, site_hint=0),
+            VmRequest("b", 1e17, 1e3, 4, site_hint=0),
+            VmRequest("c", 2e17, 1e3, 2, site_hint=1),
+        ]
+        got = capacity_sweep(trace, 2, [4, 8], 2.0)
+        assert got[1] == 8
+        assert repr(got) == repr(replayed_sweep(trace, 2, [4, 8], 2.0, "first_fit"))
+
+    def test_replays_only_saturated_sites(self, monkeypatch):
+        calls = []
+        replay = edgeq.capacity.simulate_packing
+
+        def recording(trace, topology, **kw):
+            calls.append([r.id for r in trace])
+            return replay(trace, topology, **kw)
+
+        monkeypatch.setattr(edgeq.capacity, "simulate_packing", recording)
+        trace = [
+            VmRequest("a", 0.0, 10.0, 4, site_hint=0),
+            VmRequest("b", 1.0, 10.0, 4, site_hint=0),
+            VmRequest("c", 2.0, 10.0, 4, site_hint=1),
+        ]
+        points, cloud_peak, _ = capacity_sweep(trace, 3, [8, 4], 2.0)
+        assert calls == [["a", "b"]]
+        assert cloud_peak == 12
+        assert [(p.edge_capacity, p.peak_queue) for p in points] == [(12, 0), (8, 1)]
+
+    def test_grid_below_largest_vm_names_the_same_vm(self):
+        trace = [
+            VmRequest("small", 0.0, 5.0, 2, site_hint=0),
+            VmRequest("big", 1.0, 5.0, 8, site_hint=1),
+            VmRequest("bigger", 2.0, 5.0, 16, site_hint=0),
+        ]
+        with pytest.raises(OversizedVm) as ref:
+            replayed_sweep(trace, 2, [32, 4], 2.0, "first_fit")
+        with pytest.raises(OversizedVm, match="VM big wants 8") as got:
+            capacity_sweep(trace, 2, [32, 4], 2.0)
+        assert str(got.value) == str(ref.value)
+
+    def test_vm_without_hint_rejected(self):
+        trace = [VmRequest("a", 0.0, 5.0, 2, site_hint=0), VmRequest("b", 1.0, 5.0, 2)]
+        with pytest.raises(DomainError, match="hint"):
+            capacity_sweep(trace, 2, [8], 2.0)
+
+    def test_empty_trace_rejected(self):
+        with pytest.raises(EmptyTrace):
+            capacity_sweep([], 2, [8], 2.0)
+
+    def test_unknown_policy_rejected_where_nothing_saturates(self):
+        trace = [VmRequest("a", 0.0, 5.0, 2, site_hint=0)]
+        with pytest.raises(DomainError, match="policy"):
+            capacity_sweep(trace, 1, [64], 2.0, policy="worst_fit")

@@ -154,6 +154,19 @@ class TestSimulateCommand:
         assert code == EXIT_UNSTABLE
         assert "instability" in err
 
+    def test_sinusoidal_run_honours_max_in_system(self, capsys, tmp_path):
+        cfg_data = {
+            "model": "mtm1_sinusoidal",
+            "edge": {"lambda": 16.0, "mu1": 32.0, "mu2": 32.0, "r": 0.3},
+            "workload": {"profile": {"lambda_bar": 16.0, "amplitude": 0.8, "period_s": 200.0}},
+            "simulation": {"horizon_s": 400.0, "seed": 3, "reps": 1, "max_in_system": 0},
+        }
+        cfg = tmp_path / "sin.json"
+        cfg.write_text(json.dumps(cfg_data))
+        code, _, err = run_cli(capsys, "simulate", str(cfg), "--out", str(tmp_path))
+        assert code == EXIT_UNSTABLE
+        assert "> cap 0" in err
+
     @pytest.mark.parametrize(
         "key, expected_code, err_fragment",
         [
@@ -337,9 +350,11 @@ RUSH_FIXED = {
         ("simulate", {**MINIMAL_SIM_CONFIG, "edge": {**MINIMAL_SIM_CONFIG["edge"], "lambda": 80.0},
                       "simulation": {**MINIMAL_SIM_CONFIG["simulation"], "allow_unstable": "false"}},
          "allow_unstable"),
+        # tuple("csv") is ('c', 's', 'v'), so outputs must be a JSON list
+        ("validate", {**TINY_SCENARIO, "outputs": "csv"}, "outputs"),
     ],
     ids=["capacity", "formats", "edge-mu1", "cloud-rho", "fixed-typo", "crossover-r",
-         "rush-lambda_bar", "period-and-gamma", "rush-grid-mu1", "string-flag"],
+         "rush-lambda_bar", "period-and-gamma", "rush-grid-mu1", "string-flag", "outputs-string"],
 )
 def test_config_faults_exit_2_naming_the_key(capsys, tmp_path, command, body, key):
     path = tmp_path / "bad.json"

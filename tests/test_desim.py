@@ -17,6 +17,7 @@ from edgeq import (
     SeededStream,
     SimConfig,
     SinusoidProfile,
+    TimeSeriesMetrics,
     UnstableQueue,
     VariabilitySpec,
     erlang_c_wait,
@@ -29,7 +30,7 @@ from edgeq import (
     run_two_phase_sim,
 )
 from edgeq.analytic import effective_service_rate
-from edgeq.desim import _time_average_in_system, lindley_waits, multiserver_waits
+from edgeq.desim import RushStats, _time_average_in_system, lindley_waits, multiserver_waits
 
 
 def two_phase_config(lam, r, n=200_000, **kw):
@@ -331,6 +332,51 @@ class TestMtm1Sim:
         m, _ = run_mtm1_sim(mtm1_config(0.2, two_stage_service=True), SeededStream(144))
         frac = m.count_migrated / m.count_served
         assert frac == pytest.approx(0.3, abs=0.02)
+
+
+@st.composite
+def time_series(draw, n_bins, period):
+    """Raw accumulators as a run leaves them: integer counts, float sums."""
+    sums = st.floats(0.0, 1e3)
+    counts = st.integers(0, 10_000)
+    rush = draw(st.none() | st.builds(RushStats, st.just(10.0), st.just(40.0), sums, counts, sums, counts))
+    return TimeSeriesMetrics(
+        period,
+        np.array(draw(st.lists(sums, min_size=n_bins, max_size=n_bins))),
+        np.array(draw(st.lists(counts, min_size=n_bins, max_size=n_bins)), dtype=float),
+        np.array(draw(st.lists(sums, min_size=n_bins, max_size=n_bins))),
+        rush,
+    )
+
+
+class TestPooledWith:
+    @settings(max_examples=200, deadline=None)
+    @given(st.data(), st.integers(1, 8), st.sampled_from([1.0, 200.0, 1000.0]))
+    def test_associative(self, data, n_bins, period):
+        a, b, c = (data.draw(time_series(n_bins, period)) for _ in range(3))
+        left = a.pooled_with(b).pooled_with(c)
+        right = a.pooled_with(b.pooled_with(c))
+        assert np.array_equal(left.bin_count, right.bin_count)
+        assert np.array_equal(left.bin_count, a.bin_count + b.bin_count + c.bin_count)
+        assert left.bin_wait_sum == pytest.approx(right.bin_wait_sum, rel=1e-12, abs=1e-9)
+        assert left.bin_exposure == pytest.approx(right.bin_exposure, rel=1e-12, abs=1e-9)
+        assert (left.period, left.rush_stat) == (right.period, right.rush_stat)
+        assert (left.rush is None) == (right.rush is None)
+        if left.rush is not None:
+            for name in ("t1", "t2", "arrivals_count", "served_count"):
+                assert getattr(left.rush, name) == getattr(right.rush, name)
+            for name in ("arrivals_sum", "served_sum"):
+                assert getattr(left.rush, name) == pytest.approx(getattr(right.rush, name), rel=1e-12, abs=1e-9)
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.data(), st.integers(1, 8), st.sampled_from([(1, 0.0), (0, 1.0)]))
+    def test_different_binning_raises(self, data, n_bins, shift):
+        a = data.draw(time_series(n_bins, 200.0))
+        b = data.draw(time_series(n_bins + shift[0], 200.0 + shift[1]))
+        with pytest.raises(ConfigError, match="binning"):
+            a.pooled_with(b)
+        with pytest.raises(ConfigError, match="binning"):
+            b.pooled_with(a)
 
 
 class TestReplicate:

@@ -70,9 +70,10 @@ class TestScenarioKeys:
             (dict(grid={"lam": [10.0], "r": [0.1]}, fixed={"r": 0.2}), "'r'"),
             (dict(fixed={"mu1": "fast"}), "mu1"),
             (dict(grid={"lam": 5}), "grid.lam"),
+            (dict(outputs="csv"), "outputs must be a list"),
         ],
         ids=["fixed-typo", "crossover-r", "rush-lambda_bar", "period-and-gamma", "rush-grid-mu1",
-             "swept-and-fixed", "bad-value", "scalar-grid"],
+             "swept-and-fixed", "bad-value", "scalar-grid", "outputs-string"],
     )
     def test_faults_raise_config_error_naming_the_key(self, tmp_path, overrides, key):
         # run_scenario validates, so scenarios rebuilt with dataclasses.replace are checked too
