@@ -55,7 +55,7 @@ from .errors import (
     UnreachableScv,
     UnstableQueue,
 )
-from .harness import ComparisonRow, Scenario, load_scenario, run_scenario, table_rush_hour
+from .harness import ComparisonRow, Scenario, load_scenario, run_scenario
 from .specs import (
     CloudSpec,
     DtrpSpec,

@@ -157,8 +157,7 @@ def gg1_two_phase_wait(spec: QueueSpec, var: VariabilitySpec) -> float:
     term) by (ca2 + cs2)/2, assuming the variability is similar on source
     and destination sites. ca2 = cs2 = 1 recovers mm1_two_phase_wait.
     """
-    bracket = mm1_source_wait(spec) + destination_wait(spec.lam, spec.mu1, spec.r)
-    return bracket * var.correction
+    return mm1_two_phase_wait(spec) * var.correction
 
 
 def ggk_wait_probability(k: int, rho: float) -> float:

@@ -164,12 +164,14 @@ def synthetic_vm_trace(
     """
     if rate <= 0 or mean_lifetime <= 0 or horizon <= 0:
         raise DomainError("rate, mean_lifetime and horizon must be positive")
+    if k_sites is not None and k_sites < 1:
+        raise DomainError(f"k_sites must be >= 1, got {k_sites}")
     rng = stream.generator()
     arrivals = poisson_arrivals(rate, horizon, rng)
     n = len(arrivals)
     lifetimes = rng.exponential(mean_lifetime, n)
     cores = rng.choice(VM_SIZES, size=n, p=VM_SIZE_PROBS)
-    hints = rng.integers(0, k_sites, n) if k_sites else [None] * n
+    hints = [None] * n if k_sites is None else rng.integers(0, k_sites, n)
     return [
         VmRequest(f"vm{i}", float(a), float(lf), int(c), None if h is None else int(h))
         for i, (a, lf, c, h) in enumerate(zip(arrivals, lifetimes, cores, hints))
@@ -428,6 +430,8 @@ def capacity_sweep(
         raise EmptyTrace("trace contains no VM requests")
     if policy not in POLICIES:
         raise DomainError(f"unknown policy {policy!r}")
+    if k_sites < 1:
+        raise DomainError(f"k_sites must be >= 1, got {k_sites}")
     if any(r.site_hint is None for r in trace):
         raise DomainError("capacity_sweep requires every VM to carry a site hint")
     start = np.array([r.arrival for r in trace])

@@ -24,13 +24,14 @@ import csv
 import json
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from . import analytic, capacity
 from .config import load_sim_config
 from .desim import replicate
 from .errors import EdgeqError, InstabilityDetected
-from .harness import load_scenario, run_scenario
+from .harness import load_scenario, output_stem, run_scenario
 from .specs import CloudSpec, QueueSpec, VariabilitySpec
 from .workload import SeededStream
 
@@ -131,12 +132,7 @@ def _cmd_simulate(args) -> int:
     out = cfg["output"]
     out_dir = Path(args.out if args.out is not None else out["dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
-    deterministic = out["deterministic_names"] or args.deterministic_names
-    stem = out["name"] or path.stem
-    if not deterministic:
-        import time as _time
-
-        stem = f"{stem}_{_time.strftime('%Y%m%dT%H%M%SZ', _time.gmtime())}"
+    stem = output_stem(out["name"] or path.stem, out["deterministic_names"] or args.deterministic_names)
 
     payload = {
         "config": cfg,
@@ -178,8 +174,6 @@ def _cmd_simulate(args) -> int:
 def _cmd_validate(args) -> int:
     scenario = load_scenario(args.scenario)
     if args.seed is not None:
-        from dataclasses import replace
-
         scenario = replace(scenario, seed=int(args.seed))
     rows, summary, written = run_scenario(
         scenario, out_dir=args.out, deterministic_names=args.deterministic_names,

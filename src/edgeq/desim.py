@@ -52,9 +52,9 @@ class SimConfig:
     queue: Optional[QueueSpec] = None
     cloud: Optional[CloudSpec] = None
     profile: Optional[SinusoidProfile] = None
-    arrivals: Optional[RenewalSpec] = None     # gg1_edge inter-arrival law
-    service1: Optional[RenewalSpec] = None     # gg1_edge phase-1 law
-    service2: Optional[RenewalSpec] = None     # gg1_edge phase-2 law
+    arrivals: Optional[RenewalSpec] = None     # tandem models: inter-arrival law
+    service1: Optional[RenewalSpec] = None     # tandem models: phase-1 law
+    service2: Optional[RenewalSpec] = None     # tandem models: phase-2 law
     horizon_requests: Optional[int] = None
     horizon_s: Optional[float] = None
     warmup: float = 0.1
@@ -79,6 +79,9 @@ class SimConfig:
             raise ConfigError("dest_rate must be positive")
         if (self.horizon_requests or 0) < 0 or (self.horizon_s or 0) < 0:
             raise ConfigError("horizons must be non-negative")
+        laws = [key for key in ("arrivals", "service1", "service2") if getattr(self, key) is not None]
+        if laws and self.model not in ("two_phase_edge", "gg1_edge"):
+            raise ConfigError(f"{self.model} takes no renewal laws; drop {laws}")
         if self.model in ("two_phase_edge", "gg1_edge"):
             if self.queue is None:
                 raise ConfigError(f"{self.model} requires a QueueSpec")
@@ -120,31 +123,25 @@ SimMetrics.FIELDS = tuple(f.name for f in fields(SimMetrics))
 
 
 @dataclass
-class RushStats:
-    """Waiting-time accumulators scoped to the analytic overload window."""
-
-    t1: float
-    t2: float
-    arrivals_sum: float = 0.0
-    arrivals_count: int = 0
-    served_sum: float = 0.0
-    served_count: int = 0
-
-
-@dataclass
 class TimeSeriesMetrics:
-    """Per-cycle binned waits and rates, plus optional rush-window stats.
+    """Per-cycle binned waits and rates, plus the rush-window statistic.
 
     Accumulators are kept raw (sums and counts) so replications pool
     exactly; ``bins`` and ``rush_window`` expose the spec-level view.
+    ``window`` is the analytic overload window (t1, t2), None without
+    overload. ``rush_sum``/``rush_count`` accumulate the waits of the
+    requests arriving (``arrivals``) or finishing (``served``) inside it;
+    ``peak_bin`` reads only the bins and leaves them at zero.
     """
 
     period: float
     bin_wait_sum: np.ndarray
     bin_count: np.ndarray
     bin_exposure: np.ndarray
-    rush: Optional[RushStats] = None
+    window: Optional[tuple[float, float]] = None
     rush_stat: str = "peak_bin"
+    rush_sum: float = 0.0
+    rush_count: int = 0
 
     @property
     def n_bins(self) -> int:
@@ -177,43 +174,34 @@ class TimeSeriesMetrics:
         estimate lower-bounds; ``arrivals``/``served`` average over the
         requests arriving (resp. finishing) inside the window.
         """
-        if self.rush is None:
+        if self.window is None:
             return None
-        r = self.rush
-        if self.rush_stat == "arrivals":
-            val = r.arrivals_sum / r.arrivals_count if r.arrivals_count else 0.0
-        elif self.rush_stat == "served":
-            val = r.served_sum / r.served_count if r.served_count else 0.0
+        t1, t2 = self.window
+        if self.rush_stat != "peak_bin":
+            val = self.rush_sum / self.rush_count if self.rush_count else 0.0
         else:
-            centers = self.bin_centers
-            dur = r.t2 - r.t1
-            inside = np.mod(centers - r.t1, self.period) <= dur
+            inside = np.mod(self.bin_centers - t1, self.period) <= t2 - t1
             inside &= self.bin_count > 0
             if not inside.any():
                 val = 0.0
             else:
                 val = float(np.max(self.bin_wait_sum[inside] / self.bin_count[inside]))
-        return (r.t1, r.t2, val)
+        return (t1, t2, val)
 
     def pooled_with(self, other: "TimeSeriesMetrics") -> "TimeSeriesMetrics":
         if self.n_bins != other.n_bins or self.period != other.period:
             raise ConfigError("cannot pool time series with different binning")
-        rush = None
-        if self.rush is not None and other.rush is not None:
-            rush = RushStats(
-                self.rush.t1, self.rush.t2,
-                self.rush.arrivals_sum + other.rush.arrivals_sum,
-                self.rush.arrivals_count + other.rush.arrivals_count,
-                self.rush.served_sum + other.rush.served_sum,
-                self.rush.served_count + other.rush.served_count,
-            )
+        if (self.window, self.rush_stat) != (other.window, other.rush_stat):
+            raise ConfigError("cannot pool time series with different rush windows")
         return TimeSeriesMetrics(
             self.period,
             self.bin_wait_sum + other.bin_wait_sum,
             self.bin_count + other.bin_count,
             self.bin_exposure + other.bin_exposure,
-            rush,
+            self.window,
             self.rush_stat,
+            self.rush_sum + other.rush_sum,
+            self.rush_count + other.rush_count,
         )
 
 
@@ -338,11 +326,7 @@ def _summarize(t, done, busy, sojourn, cut, rtt, mean_wait, servers=1, **extra) 
 
 
 def _draw_arrivals(config: SimConfig, rng) -> np.ndarray:
-    q = config.queue
-    if config.model == "gg1_edge" and config.arrivals is not None:
-        spec = config.arrivals
-    else:
-        spec = RenewalSpec(1.0 / q.lam)
+    spec = config.arrivals or RenewalSpec(1.0 / config.queue.lam)
     if config.horizon_requests is not None:
         n = int(config.horizon_requests)
         return np.cumsum(renewal_times(spec, n, rng))
@@ -442,12 +426,12 @@ def run_mtm1_sim(config: SimConfig, stream: SeededStream) -> tuple[SimMetrics, T
     period = prof.period
     n_bins = config.bins_per_period
     win = overload_window(prof, mu_eff)
-    rush = RushStats(win.t1, win.t2) if win is not None else None
-    ts_empty = TimeSeriesMetrics(
-        period, np.zeros(n_bins), np.zeros(n_bins), np.zeros(n_bins), rush, config.rush_stat
-    )
+    window = (win.t1, win.t2) if win is not None else None
     if n == 0:
-        return SimMetrics(), ts_empty
+        empty = TimeSeriesMetrics(
+            period, np.zeros(n_bins), np.zeros(n_bins), np.zeros(n_bins), window, config.rush_stat
+        )
+        return SimMetrics(), empty
 
     migrate = np.zeros(n, bool)
     if config.two_stage_service:
@@ -466,22 +450,21 @@ def run_mtm1_sim(config: SimConfig, stream: SeededStream) -> tuple[SimMetrics, T
 
     phase = np.mod(tc, period)
     idx = np.minimum((phase / period * n_bins).astype(int), n_bins - 1)
+    rush_sum, rush_count = 0.0, 0
+    if window is not None and config.rush_stat != "peak_bin":
+        t1, t2 = window
+        inside = np.mod((tc if config.rush_stat == "arrivals" else depc) - t1, period) <= t2 - t1
+        rush_sum, rush_count = float(np.sum(wc[inside])), int(np.count_nonzero(inside))
     ts = TimeSeriesMetrics(
         period,
         np.bincount(idx, weights=wc, minlength=n_bins),
         np.bincount(idx, minlength=n_bins).astype(float),
         _bin_exposure(float(tc[0]), float(tc[-1]), period, n_bins),
-        rush,
+        window,
         config.rush_stat,
+        rush_sum,
+        rush_count,
     )
-    if rush is not None:
-        dur = rush.t2 - rush.t1
-        in_arr = np.mod(tc - rush.t1, period) <= dur
-        in_srv = np.mod(depc - rush.t1, period) <= dur
-        rush.arrivals_sum = float(np.sum(wc[in_arr]))
-        rush.arrivals_count = int(np.sum(in_arr))
-        rush.served_sum = float(np.sum(wc[in_srv]))
-        rush.served_count = int(np.sum(in_srv))
 
     if config.event_log:
         _write_event_log(config.event_log, _event_rows("edge", np.arange(n), t, t + w, dep))

@@ -277,70 +277,50 @@ def _sign_change(xs: Sequence[float], ys: Sequence[float]) -> Optional[float]:
     return None
 
 
-def _rush_profile(v: dict, scale: float) -> tuple[SinusoidProfile, QueueSpec, float]:
-    lam_bar, mu1, mu2 = v["lambda_bar"] * scale, v["mu1"] * scale, v["mu2"] * scale
-    profile = SinusoidProfile(lam_bar, v["amplitude"], v["gamma_rad_s"])
-    queue = QueueSpec(lam_bar, mu1, mu2, v["r"])
-    mu_eff = analytic.effective_service_rate(mu1, mu2, v["r"])
-    return profile, queue, mu_eff
-
-
-def table_rush_hour(
-    params: dict,
-    amplitudes: Sequence[float],
-    replications: int = 30,
-    seed: int = 0,
-    scale: float = 1.0,
-    workers: int = 1,
-) -> list[ComparisonRow]:
-    """Rush-hour table: per amplitude, fluid drain estimate vs simulated rush wait.
+def _run_rush_hour(sc: Scenario, workers: int):
+    """Per amplitude, fluid drain estimate vs simulated rush wait, at scale 1 then at ``scale``.
 
     Columns mirror the published layout: overall mean wait, rush-window
-    wait, fluid estimate, and their gap. ``params`` is a ``rush_hour``
-    fixed block; ``scale`` multiplies lambda_bar, mu1 and mu2 together,
-    under which the fluid column is invariant.
+    wait, fluid estimate, and their gap. ``scale`` multiplies lambda_bar,
+    mu1 and mu2 together, under which the fluid column is invariant.
     """
-    table = _MODELS["rush_hour"][1]
-    values = [take({**params, "amplitude": amp}, table, "table_rush_hour") for amp in amplitudes]
+    points = sc.points()
+    scale = points[0][1]["scale"]
+    jobs = [
+        (s, seed, idx, v)
+        for s, seed in ((1.0, sc.seed), (scale, sc.seed + 1))
+        for idx, (_, v) in enumerate(points)
+    ]
 
-    def one(item):
-        idx, (amp, v) = item
-        profile, queue, mu_eff = _rush_profile(v, scale)
-        row_params = {"amplitude": amp, "scale": scale}
-        fluid = analytic.rush_hour_wait(profile, mu_eff)
+    def one(job):
+        s, seed, idx, v = job
+        lam_bar, mu1, mu2 = v["lambda_bar"] * s, v["mu1"] * s, v["mu2"] * s
+        profile = SinusoidProfile(lam_bar, v["amplitude"], v["gamma_rad_s"])
+        fluid = analytic.rush_hour_wait(profile, analytic.effective_service_rate(mu1, mu2, v["r"]))
         config = SimConfig(
             model="mtm1_sinusoidal",
-            queue=queue,
+            queue=QueueSpec(lam_bar, mu1, mu2, v["r"]),
             profile=profile,
             horizon_s=v["horizon_periods"] * profile.period,
             warmup=v["warmup"],
             bins_per_period=v["bins_per_period"],
             rush_stat=v["rush_stat"],
         )
-        agg = replicate(config, replications, _point_stream(seed, idx))
+        agg = replicate(config, sc.replications, _point_stream(seed, idx))
         rush = agg.timeseries.rush_window()
         sim_rush = rush[2] if rush is not None else 0.0
-        row_params.update(
-            mean_wait=agg.mean.mean_wait,
-            err_rush=sim_rush - fluid,
-            rush_t1=rush[0] if rush else math.nan,
-            rush_t2=rush[1] if rush else math.nan,
-        )
-        return ComparisonRow(row_params, fluid, sim_rush, agg.ci95["mean_wait"])
+        params = {
+            "amplitude": v["amplitude"], "scale": s, "mean_wait": agg.mean.mean_wait,
+            "err_rush": sim_rush - fluid,
+            "rush_t1": rush[0] if rush else math.nan,
+            "rush_t2": rush[1] if rush else math.nan,
+        }
+        return ComparisonRow(params, fluid, sim_rush, agg.ci95["mean_wait"])
 
-    return _map_ordered(one, list(enumerate(zip(amplitudes, values))), workers)
-
-
-def _run_rush_hour(sc: Scenario, workers: int):
-    points = sc.points()
-    amplitudes = [v["amplitude"] for _, v in points]
-    scale = points[0][1]["scale"]
-    base = table_rush_hour(sc.fixed, amplitudes, sc.replications, sc.seed, 1.0, workers)
-    scaled = table_rush_hour(sc.fixed, amplitudes, sc.replications, sc.seed + 1, scale, workers)
-    fluid_drift = max(
-        abs(b.analytic_value - s.analytic_value) for b, s in zip(base, scaled)
-    )
-    return base + scaled, {"scale": scale, "fluid_scale_invariance_drift": fluid_drift}
+    rows = _map_ordered(one, jobs, workers)
+    base, scaled = rows[:len(points)], rows[len(points):]
+    fluid_drift = max(abs(b.analytic_value - s.analytic_value) for b, s in zip(base, scaled))
+    return rows, {"scale": scale, "fluid_scale_invariance_drift": fluid_drift}
 
 
 def _run_excess_wait(sc: Scenario, workers: int):
@@ -442,6 +422,11 @@ def run_scenario(
     return rows, summary, written
 
 
+def output_stem(name: str, deterministic: bool) -> str:
+    """The file stem of a run's outputs: ``name``, plus a UTC timestamp unless names are deterministic."""
+    return name if deterministic else f"{name}_{time.strftime('%Y%m%dT%H%M%SZ', time.gmtime())}"
+
+
 def write_outputs(
     scenario: Scenario,
     rows: list[ComparisonRow],
@@ -451,9 +436,7 @@ def write_outputs(
 ) -> list[Path]:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    stem = scenario.name if deterministic_names else (
-        f"{scenario.name}_{time.strftime('%Y%m%dT%H%M%SZ', time.gmtime())}"
-    )
+    stem = output_stem(scenario.name, deterministic_names)
     written = []
     if "csv" in scenario.outputs:
         path = out / f"{stem}.csv"

@@ -122,9 +122,6 @@ class VariabilitySpec:
         return 0.5 * (self.ca2 + self.cs2)
 
 
-MARKOVIAN = VariabilitySpec(1.0, 1.0)
-
-
 @dataclass(frozen=True)
 class PhaseMoments:
     """First two moments of the two service phases plus the branch probability."""

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.optimize import minimize_scalar
 
@@ -474,6 +476,43 @@ class TestEmpiricalRule:
                 assert c_cloud == pytest.approx(c_edge, rel=1e-12)
             else:
                 assert c_cloud < c_edge
+
+
+def ordered_pair(low=0.0, high=0.99):
+    """Two values lo <= hi; the default range keeps a load below the stability edge."""
+    return st.tuples(st.floats(low, high), st.floats(low, high)).map(sorted)
+
+
+class TestMonotoneInLoad:
+    """Over the stable range each wait is nondecreasing in its load parameter."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        ordered_pair(1e-6), st.floats(1.0, 200.0), st.floats(1.0, 200.0) | st.just(math.inf), st.floats(0.0, 1.0)
+    )
+    def test_two_phase_wait_in_lambda(self, fractions, mu1, mu2, r):
+        lam_max = 1.0 / (1.0 / mu1 + (0.0 if math.isinf(mu2) else r / mu2))
+        lo, hi = (mm1_two_phase_wait(QueueSpec(f * lam_max, mu1, mu2, r)) for f in fractions)
+        assert lo <= hi
+
+    @settings(max_examples=300, deadline=None)
+    @given(ordered_pair(), st.integers(1, 64), st.floats(0.1, 200.0))
+    def test_cloud_waits_in_rho(self, rhos, k, mu):
+        lo, hi = (CloudSpec(k, mu, rho) for rho in rhos)
+        assert mmk_qed_wait(lo) <= mmk_qed_wait(hi)
+        assert erlang_c_wait(lo) <= erlang_c_wait(hi)
+
+    @settings(max_examples=300, deadline=None)
+    @given(ordered_pair(), st.floats(0.0, 1.0), st.floats(1e-3, 10.0), st.floats(0.1, 200.0))
+    def test_excess_wait_in_rho(self, rhos, amplitude, gamma, mu_eff):
+        lo, hi = (excess_wait_sinusoidal(rho, amplitude, gamma, mu_eff) for rho in rhos)
+        assert lo <= hi
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.floats(0.0, 0.99), ordered_pair(0.0, 1.0), st.floats(1e-3, 10.0), st.floats(0.1, 200.0))
+    def test_excess_wait_in_amplitude(self, rho, amplitudes, gamma, mu_eff):
+        lo, hi = (excess_wait_sinusoidal(rho, amp, gamma, mu_eff) for amp in amplitudes)
+        assert lo <= hi
 
 
 class TestDomainErrors:

@@ -245,6 +245,14 @@ class TestCapacitySweep:
         # small sites saturate: measured capacity grows with the site size
         assert points[0].edge_capacity <= points[-1].edge_capacity
 
+    @pytest.mark.parametrize("k_sites", [0, -2])
+    def test_fewer_than_one_site_rejected(self, k_sites):
+        trace = synthetic_vm_trace(8.0, 10.0, 50.0, SeededStream(54), k_sites=4)
+        with pytest.raises(DomainError, match="k_sites"):
+            capacity_sweep(trace, k_sites, [32], 2.0)
+        with pytest.raises(DomainError, match="k_sites"):
+            synthetic_vm_trace(8.0, 10.0, 50.0, SeededStream(54), k_sites=k_sites)
+
 
 def replayed_sweep(trace, k_sites, core_grid, q, policy):
     """capacity_sweep by full replays: the cloud on one server per VM, every edge size in full."""

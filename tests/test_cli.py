@@ -324,6 +324,10 @@ TINY_SCENARIO = {
     "name": "tiny", "model": "two_phase_wait", "grid": {"lam": [10.0]},
     "fixed": {"mu1": 50.0, "mu2": 50.0, "horizon_requests": 2000}, "replications": 1,
 }
+PACKING_SCENARIO = {
+    "name": "tiny_fig8", "model": "packing_sweep", "grid": {"cores_per_site": [16]},
+    "fixed": {"horizon_s": 50.0}, "replications": 1,
+}
 RUSH_FIXED = {
     "lambda_bar": 16.0, "mu1": 32.0, "mu2": 32.0, "period_s": 200.0, "horizon_periods": 1,
 }
@@ -352,9 +356,16 @@ RUSH_FIXED = {
          "allow_unstable"),
         # tuple("csv") is ('c', 's', 'v'), so outputs must be a JSON list
         ("validate", {**TINY_SCENARIO, "outputs": "csv"}, "outputs"),
+        # only the tandem models draw from renewal laws; the others must not ignore one
+        ("simulate", {**SIM_CONFIGS["mtm1_sinusoidal"], "workload": {
+            **SIM_CONFIGS["mtm1_sinusoidal"]["workload"], "arrivals": {"mean": 0.0625}}}, "arrivals"),
+        ("simulate", {**SIM_CONFIGS["mmk_cloud"], "workload": {"service1": {"mean": 0.1}}}, "service1"),
+        ("validate", {**PACKING_SCENARIO, "fixed": {**PACKING_SCENARIO["fixed"], "k_sites": 0}}, "k_sites"),
+        ("validate", {**PACKING_SCENARIO, "fixed": {**PACKING_SCENARIO["fixed"], "k_sites": -2}}, "k_sites"),
     ],
     ids=["capacity", "formats", "edge-mu1", "cloud-rho", "fixed-typo", "crossover-r",
-         "rush-lambda_bar", "period-and-gamma", "rush-grid-mu1", "string-flag", "outputs-string"],
+         "rush-lambda_bar", "period-and-gamma", "rush-grid-mu1", "string-flag", "outputs-string",
+         "mtm1-arrivals", "mmk-service1", "k_sites-0", "k_sites-negative"],
 )
 def test_config_faults_exit_2_naming_the_key(capsys, tmp_path, command, body, key):
     path = tmp_path / "bad.json"

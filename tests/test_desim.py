@@ -23,6 +23,8 @@ from edgeq import (
     erlang_c_wait,
     gg1_two_phase_wait,
     mm1_two_phase_wait,
+    nhpp_sinusoidal,
+    overload_window,
     renewal_times,
     replicate,
     run_mmk_sim,
@@ -30,7 +32,7 @@ from edgeq import (
     run_two_phase_sim,
 )
 from edgeq.analytic import effective_service_rate
-from edgeq.desim import RushStats, _time_average_in_system, lindley_waits, multiserver_waits
+from edgeq.desim import _time_average_in_system, lindley_waits, multiserver_waits
 
 
 def two_phase_config(lam, r, n=200_000, **kw):
@@ -268,6 +270,20 @@ class TestGg1EdgeSim:
         agg = replicate(cfg, 5, SeededStream(122))
         assert agg.mean.mean_wait > 1.5 * mm1_two_phase_wait(spec)
 
+    def test_two_phase_edge_honours_the_same_laws(self):
+        laws = dict(
+            arrivals=RenewalSpec(0.05, 4.0, "hyperexponential2"),
+            service1=RenewalSpec(0.02, 0.5, "erlang"),
+        )
+        spec = QueueSpec(20.0, 50.0, 50.0, 0.2)
+        gg1 = run_two_phase_sim(
+            SimConfig(model="gg1_edge", queue=spec, horizon_requests=20_000, **laws), SeededStream(123)
+        )
+        tandem = run_two_phase_sim(
+            SimConfig(model="two_phase_edge", queue=spec, horizon_requests=20_000, **laws), SeededStream(123)
+        )
+        assert tandem == gg1
+
 
 class TestMmkSim:
     def test_k1_matches_mm1_wait(self):
@@ -318,6 +334,34 @@ class TestMtm1Sim:
         rates = np.array([b[2] for b in bins])
         assert rates.max() > 1.3 * max(rates.min(), 1e-9)
 
+    @pytest.mark.parametrize("stat", ["peak_bin", "arrivals", "served"])
+    def test_rush_window_matches_recomputed_statistic(self, stat):
+        cfg = mtm1_config(0.8, horizon_s=1000.0, bins_per_period=40, rush_stat=stat)
+        _, ts = run_mtm1_sim(cfg, SeededStream(145))
+        # the run's own draws, in its order: arrivals, then service times
+        rng = SeededStream(145).generator()
+        t = nhpp_sinusoidal(cfg.profile, cfg.horizon_s, rng)
+        mu_eff = effective_service_rate(cfg.queue.mu1, cfg.queue.mu2, cfg.queue.r)
+        s = rng.exponential(1.0 / mu_eff, len(t))
+        w = lindley_waits(t, s)
+        cut = int(len(t) * cfg.warmup)
+        tc, wc, depc = t[cut:], w[cut:], (t + w + s)[cut:]
+        win = overload_window(cfg.profile, mu_eff)
+        period, n_bins = cfg.profile.period, cfg.bins_per_period
+        if stat == "peak_bin":
+            idx = np.minimum((np.mod(tc, period) / period * n_bins).astype(int), n_bins - 1)
+            sums = np.bincount(idx, weights=wc, minlength=n_bins)
+            counts = np.bincount(idx, minlength=n_bins).astype(float)
+            centers = (np.arange(n_bins) + 0.5) * (period / n_bins)
+            inside = (np.mod(centers - win.t1, period) <= win.t2 - win.t1) & (counts > 0)
+            want = float(np.max(sums[inside] / counts[inside]))
+            assert (ts.rush_sum, ts.rush_count) == (0.0, 0)
+        else:
+            at = tc if stat == "arrivals" else depc
+            inside = np.mod(at - win.t1, period) <= win.t2 - win.t1
+            want = float(np.sum(wc[inside])) / int(np.count_nonzero(inside))
+        assert ts.rush_window() == (win.t1, win.t2, want)
+
     def test_rush_stats_variants_ordered(self):
         cfg = mtm1_config(0.8)
         _, ts = run_mtm1_sim(cfg, SeededStream(143))
@@ -335,38 +379,39 @@ class TestMtm1Sim:
 
 
 @st.composite
-def time_series(draw, n_bins, period):
+def time_series(draw, n_bins, period, window=None):
     """Raw accumulators as a run leaves them: integer counts, float sums."""
     sums = st.floats(0.0, 1e3)
     counts = st.integers(0, 10_000)
-    rush = draw(st.none() | st.builds(RushStats, st.just(10.0), st.just(40.0), sums, counts, sums, counts))
     return TimeSeriesMetrics(
         period,
         np.array(draw(st.lists(sums, min_size=n_bins, max_size=n_bins))),
         np.array(draw(st.lists(counts, min_size=n_bins, max_size=n_bins)), dtype=float),
         np.array(draw(st.lists(sums, min_size=n_bins, max_size=n_bins))),
-        rush,
+        window,
+        "peak_bin" if window is None else "arrivals",
+        draw(sums) if window is not None else 0.0,
+        draw(counts) if window is not None else 0,
     )
 
 
 class TestPooledWith:
     @settings(max_examples=200, deadline=None)
-    @given(st.data(), st.integers(1, 8), st.sampled_from([1.0, 200.0, 1000.0]))
-    def test_associative(self, data, n_bins, period):
-        a, b, c = (data.draw(time_series(n_bins, period)) for _ in range(3))
+    @given(
+        st.data(), st.integers(1, 8), st.sampled_from([1.0, 200.0, 1000.0]),
+        st.sampled_from([None, (10.0, 40.0)]),
+    )
+    def test_associative(self, data, n_bins, period, window):
+        a, b, c = (data.draw(time_series(n_bins, period, window)) for _ in range(3))
         left = a.pooled_with(b).pooled_with(c)
         right = a.pooled_with(b.pooled_with(c))
         assert np.array_equal(left.bin_count, right.bin_count)
         assert np.array_equal(left.bin_count, a.bin_count + b.bin_count + c.bin_count)
         assert left.bin_wait_sum == pytest.approx(right.bin_wait_sum, rel=1e-12, abs=1e-9)
         assert left.bin_exposure == pytest.approx(right.bin_exposure, rel=1e-12, abs=1e-9)
-        assert (left.period, left.rush_stat) == (right.period, right.rush_stat)
-        assert (left.rush is None) == (right.rush is None)
-        if left.rush is not None:
-            for name in ("t1", "t2", "arrivals_count", "served_count"):
-                assert getattr(left.rush, name) == getattr(right.rush, name)
-            for name in ("arrivals_sum", "served_sum"):
-                assert getattr(left.rush, name) == pytest.approx(getattr(right.rush, name), rel=1e-12, abs=1e-9)
+        assert (left.period, left.window, left.rush_stat) == (right.period, right.window, right.rush_stat)
+        assert left.rush_count == right.rush_count == a.rush_count + b.rush_count + c.rush_count
+        assert left.rush_sum == pytest.approx(right.rush_sum, rel=1e-12, abs=1e-9)
 
     @settings(max_examples=50, deadline=None)
     @given(st.data(), st.integers(1, 8), st.sampled_from([(1, 0.0), (0, 1.0)]))
@@ -376,6 +421,16 @@ class TestPooledWith:
         with pytest.raises(ConfigError, match="binning"):
             a.pooled_with(b)
         with pytest.raises(ConfigError, match="binning"):
+            b.pooled_with(a)
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.data(), st.integers(1, 8), st.sampled_from([None, (10.0, 50.0)]))
+    def test_different_windows_raise(self, data, n_bins, other):
+        a = data.draw(time_series(n_bins, 200.0, (10.0, 40.0)))
+        b = data.draw(time_series(n_bins, 200.0, other))
+        with pytest.raises(ConfigError, match="rush windows"):
+            a.pooled_with(b)
+        with pytest.raises(ConfigError, match="rush windows"):
             b.pooled_with(a)
 
 

@@ -6,7 +6,6 @@ import pytest
 
 from edgeq import (
     ComparisonRow, ConfigError, QueueSpec, Scenario, load_scenario, mm1_two_phase_wait, run_scenario,
-    table_rush_hour,
 )
 from edgeq.harness import _grid_points, _sign_change
 
@@ -153,26 +152,47 @@ class TestRunScenario:
 
 
 class TestTableRushHour:
-    PARAMS = {
+    FIXED = {
         "lambda_bar": 16.0, "mu1": 32.0, "mu2": 32.0, "r": 0.3,
-        "period_s": 200.0, "horizon_periods": 4, "warmup": 0.1,
+        "period_s": 200.0, "horizon_periods": 4, "warmup": 0.1, "scale": 32.0,
     }
-    AMPS = [0.3, 0.8]
 
-    def test_below_threshold_rows_read_zero(self):
-        rows = table_rush_hour(self.PARAMS, self.AMPS, replications=2, seed=3)
-        assert rows[0].analytic_value == 0.0 and rows[0].sim_value == 0.0
-        assert rows[1].analytic_value > 0.0
+    def run(self, tmp_path, seed, replications=2, workers=1):
+        sc = Scenario(
+            name="rush", model="rush_hour", grid={"amplitude": [0.3, 0.8]}, fixed=self.FIXED,
+            replications=replications, seed=seed,
+        )
+        rows, summary, _ = run_scenario(
+            sc, out_dir=tmp_path / f"w{workers}", deterministic_names=True, workers=workers
+        )
+        assert [(r.parameters["amplitude"], r.parameters["scale"]) for r in rows] == [
+            (0.3, 1.0), (0.8, 1.0), (0.3, 32.0), (0.8, 32.0)
+        ]
+        return rows, summary
 
-    def test_scaled_run_keeps_fluid_column(self):
-        base = table_rush_hour(self.PARAMS, self.AMPS, replications=1, seed=3)
-        scaled = table_rush_hour(self.PARAMS, self.AMPS, replications=1, seed=3, scale=32.0)
-        for b, s in zip(base, scaled):
-            assert s.analytic_value == pytest.approx(b.analytic_value, rel=1e-12)
+    def test_below_threshold_rows_read_zero(self, tmp_path):
+        rows, _ = self.run(tmp_path, seed=3)
+        for low, high in (rows[:2], rows[2:]):
+            assert low.analytic_value == 0.0 and low.sim_value == 0.0
+            assert high.analytic_value > 0.0
 
-    def test_err_column_matches_difference(self):
-        rows = table_rush_hour(self.PARAMS, self.AMPS, replications=2, seed=4)
+    def test_scaled_run_keeps_fluid_column(self, tmp_path):
+        rows, summary = self.run(tmp_path, seed=3, replications=1)
+        for base, scaled in zip(rows[:2], rows[2:]):
+            assert scaled.analytic_value == pytest.approx(base.analytic_value, rel=1e-12)
+        assert summary["scale"] == 32.0
+        assert summary["fluid_scale_invariance_drift"] == pytest.approx(0.0, abs=1e-12)
+
+    def test_err_column_matches_difference(self, tmp_path):
+        rows, _ = self.run(tmp_path, seed=4)
         for row in rows:
             assert row.parameters["err_rush"] == pytest.approx(
                 row.sim_value - row.analytic_value, abs=1e-12
             )
+
+    def test_workers_give_equal_rows(self, tmp_path):
+        one, _ = self.run(tmp_path, seed=5, replications=1)
+        two, _ = self.run(tmp_path, seed=5, replications=1, workers=2)
+        assert [(r.parameters, r.sim_value, r.sim_ci) for r in one] == [
+            (r.parameters, r.sim_value, r.sim_ci) for r in two
+        ]
