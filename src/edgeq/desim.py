@@ -2,10 +2,10 @@
 
 Three models:
 
-* ``two_phase_edge`` / ``gg1_edge`` -- tandem pair: a source queue whose
-  single server performs the mandatory phase and, for migrating requests,
-  the migration phase back to back, feeding a destination queue that
-  serves only the migrated stream.
+* ``two_phase_edge`` -- tandem pair: a source queue whose single server
+  performs the mandatory phase and, for migrating requests, the migration
+  phase back to back, feeding a destination queue that serves only the
+  migrated stream; renewal inter-arrival and service laws are optional.
 * ``mtm1_sinusoidal`` -- single server driven by a sinusoidal
   nonhomogeneous Poisson process.
 * ``mmk_cloud`` -- one FCFS queue in front of k identical servers.
@@ -40,7 +40,7 @@ from .errors import ConfigError, InstabilityDetected
 from .specs import CloudSpec, NetworkSpec, QueueSpec, SinusoidProfile
 from .workload import RenewalSpec, SeededStream, nhpp_sinusoidal, poisson_arrivals, renewal_times
 
-MODELS = ("two_phase_edge", "gg1_edge", "mtm1_sinusoidal", "mmk_cloud")
+MODELS = ("two_phase_edge", "mtm1_sinusoidal", "mmk_cloud")
 RUSH_STATS = ("peak_bin", "arrivals", "served")
 
 
@@ -52,9 +52,9 @@ class SimConfig:
     queue: Optional[QueueSpec] = None
     cloud: Optional[CloudSpec] = None
     profile: Optional[SinusoidProfile] = None
-    arrivals: Optional[RenewalSpec] = None     # tandem models: inter-arrival law
-    service1: Optional[RenewalSpec] = None     # tandem models: phase-1 law
-    service2: Optional[RenewalSpec] = None     # tandem models: phase-2 law
+    arrivals: Optional[RenewalSpec] = None     # two_phase_edge: inter-arrival law
+    service1: Optional[RenewalSpec] = None     # two_phase_edge: phase-1 law
+    service2: Optional[RenewalSpec] = None     # two_phase_edge: phase-2 law
     horizon_requests: Optional[int] = None
     horizon_s: Optional[float] = None
     warmup: float = 0.1
@@ -80,9 +80,9 @@ class SimConfig:
         if (self.horizon_requests or 0) < 0 or (self.horizon_s or 0) < 0:
             raise ConfigError("horizons must be non-negative")
         laws = [key for key in ("arrivals", "service1", "service2") if getattr(self, key) is not None]
-        if laws and self.model not in ("two_phase_edge", "gg1_edge"):
+        if laws and self.model != "two_phase_edge":
             raise ConfigError(f"{self.model} takes no renewal laws; drop {laws}")
-        if self.model in ("two_phase_edge", "gg1_edge"):
+        if self.model == "two_phase_edge":
             if self.queue is None:
                 raise ConfigError(f"{self.model} requires a QueueSpec")
             if self.horizon_requests is None and self.horizon_s is None:
@@ -345,7 +345,7 @@ def _draw_arrivals(config: SimConfig, rng) -> np.ndarray:
 def run_two_phase_sim(config: SimConfig, stream: SeededStream) -> SimMetrics:
     """Tandem edge simulation; see module docstring for the metric contract."""
     config.validate()
-    if config.model not in ("two_phase_edge", "gg1_edge"):
+    if config.model != "two_phase_edge":
         raise ConfigError(f"run_two_phase_sim cannot run model {config.model!r}")
     q = config.queue
     if not config.allow_unstable:
@@ -514,7 +514,7 @@ def run_mmk_sim(config: SimConfig, stream: SeededStream) -> SimMetrics:
 
 def run_model(config: SimConfig, stream: SeededStream):
     """Dispatch on config.model; mtm1 returns (SimMetrics, TimeSeriesMetrics)."""
-    if config.model in ("two_phase_edge", "gg1_edge"):
+    if config.model == "two_phase_edge":
         return run_two_phase_sim(config, stream)
     if config.model == "mtm1_sinusoidal":
         return run_mtm1_sim(config, stream)
@@ -534,9 +534,6 @@ class Aggregate:
     stderr: dict[str, float] = field(default_factory=dict)
     ci95: dict[str, float] = field(default_factory=dict)
     timeseries: Optional[TimeSeriesMetrics] = None
-
-    def metric(self, name: str) -> tuple[float, float, float]:
-        return getattr(self.mean, name), self.stderr[name], self.ci95[name]
 
 
 def replicate(config: SimConfig, n_runs: int, base_stream: SeededStream) -> Aggregate:

@@ -1,8 +1,10 @@
 """Scenario runner pairing closed-form predictions with simulation estimates.
 
 A scenario names a comparison model, a parameter grid, and replication
-count; running it yields one ComparisonRow per grid point (skipped points
-keep their row, flagged in ``status``) plus optional CSV/JSON artifacts.
+count; running it yields one ComparisonRow per grid point plus optional
+CSV/JSON artifacts. ``_MODELS`` names each model's keys and runner. A
+point that the model's formulas or specs reject keeps its row, marked
+``skipped: <reason>``; a bad fixed value raises ConfigError before any run.
 Rows are pure functions of (scenario, seed): re-running writes
 byte-identical files when deterministic names are requested.
 """
@@ -24,39 +26,6 @@ from .desim import SimConfig, replicate
 from .errors import ConfigError, DomainError
 from .specs import CloudSpec, NetworkSpec, QueueSpec, SinusoidProfile
 from .workload import SeededStream
-
-_WARMUP = table_of(SimConfig, warmup=float)
-_SINUSOID = {"gamma_rad_s": (float, None), "period_s": (float, None)}
-
-# comparison model -> (keys its grid may sweep, {key: (cast, default)} for
-# every key it reads). A key is set in the grid or in the fixed block, not both.
-_MODELS: dict[str, tuple[tuple[str, ...], dict]] = {
-    "two_phase_wait": (("lam", "r"), {
-        "lam": (float, REQUIRED), "r": (float, 0.0), "mu1": (float, 50.0), "mu2": (float, 50.0),
-        "horizon_requests": (int, 200_000), **_WARMUP,
-    }),
-    "mobility_crossover": (("lam", "r"), {
-        "lam": (float, REQUIRED), "r": (float, REQUIRED), "mu1": (float, 50.0), "mu2": (float, 50.0),
-        "cloud_k": (int, 1), "mu_cloud": (float, None),  # None: mu1
-        "t_edge_s": (float, 0.001), "t_cloud_s": (float, 0.028),
-        "horizon_requests": (int, 100_000), **_WARMUP,
-    }),
-    "rush_hour": (("amplitude",), {
-        "amplitude": (float, REQUIRED), "lambda_bar": (float, REQUIRED), "mu1": (float, REQUIRED),
-        "mu2": (float, REQUIRED), "r": (float, 0.0), **_SINUSOID, "horizon_periods": (float, 10),
-        "scale": (float, 16.0), **table_of(SimConfig, warmup=float, bins_per_period=int, rush_stat=str),
-    }),
-    "excess_wait": (("amplitude",), {
-        "amplitude": (float, REQUIRED), "rho": (float, REQUIRED), "mu_eff": (float, REQUIRED),
-        **_SINUSOID, "horizon_periods": (float, 12), **_WARMUP,
-    }),
-    "packing_sweep": (("cores_per_site",), {
-        "cores_per_site": (int, REQUIRED), "k_sites": (int, 16), "q": (float, 2.0),
-        "vm_rate": (float, 16.0), "mean_lifetime_s": (float, 10.0), "horizon_s": (float, 400.0),
-        "policy": (str, "first_fit"),
-    }),
-}
-COMPARISON_MODELS = tuple(_MODELS)
 
 
 @dataclass(frozen=True)
@@ -114,27 +83,17 @@ class ComparisonRow:
         return 0.0 if self.abs_err == 0.0 else math.inf
 
 
-def _skip(params: dict, reason: str) -> ComparisonRow:
-    return ComparisonRow(dict(params), math.nan, math.nan, math.nan, f"skipped: {reason}")
+_SCENARIO = table_of(Scenario, name=str, model=str, grid=dict, fixed=dict, replications=int, seed=int, outputs=listed)
 
 
 def load_scenario(source: str | Path) -> Scenario:
     """Load a scenario JSON file; bare names resolve to bundled scenarios."""
     path = Path(source)
     if not path.exists():
-        bundled = resources.files("edgeq.scenarios").joinpath(str(source))
-        if bundled.is_file():
-            raw = json.loads(bundled.read_text())
-            return _scenario_from_dict(raw, str(source))
-        raise ConfigError(f"scenario file not found: {source}")
-    return _scenario_from_dict(json.loads(path.read_text()), str(source))
-
-
-_SCENARIO = table_of(Scenario, name=str, model=str, grid=dict, fixed=dict, replications=int, seed=int, outputs=listed)
-
-
-def _scenario_from_dict(raw: dict, origin: str) -> Scenario:
-    sc = Scenario(**take(raw, _SCENARIO, origin))
+        path = resources.files("edgeq.scenarios").joinpath(str(source))
+        if not path.is_file():
+            raise ConfigError(f"scenario file not found: {source}")
+    sc = Scenario(**take(json.loads(path.read_text()), _SCENARIO, str(source)))
     sc.validate()
     return sc
 
@@ -155,27 +114,35 @@ def _point_stream(seed: int, index: int) -> SeededStream:
     return SeededStream(seed, (index + 1) * 1_000_000)
 
 
-def _run_two_phase_wait(sc: Scenario, workers: int):
-    def one(item):
-        idx, (p, v) = item
-        params = {**p}
+def _map_points(one: Callable, jobs: list[tuple], workers: int) -> list[ComparisonRow]:
+    """``one(seed, idx, params, values)`` per job, in order; a DomainError gives the job a skipped row."""
+    def guarded(job):
         try:
-            spec = QueueSpec(v["lam"], v["mu1"], v["mu2"], v["r"])
-            want = analytic.mm1_two_phase_wait(spec)
+            return one(*job)
         except DomainError as exc:
-            return _skip(params, str(exc))
-        config = SimConfig(
-            model="two_phase_edge",
-            queue=spec,
-            horizon_requests=v["horizon_requests"],
-            warmup=v["warmup"],
-        )
-        agg = replicate(config, sc.replications, _point_stream(sc.seed, idx))
-        mean, _, ci = agg.metric("mean_wait")
-        return ComparisonRow(params, want, mean, ci)
+            return ComparisonRow(job[2], math.nan, math.nan, math.nan, f"skipped: {exc}")
 
-    rows = _map_ordered(one, list(enumerate(sc.points())), workers)
-    return rows, {}
+    return _map_ordered(guarded, jobs, workers)
+
+
+def _map_ordered(fn, items, workers: int):
+    if workers <= 1 or len(items) <= 1:
+        return [fn(it) for it in items]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(fn, items))
+
+
+def _run_two_phase_wait(sc: Scenario, workers: int):
+    def one(seed, idx, params, v):
+        spec = QueueSpec(v["lam"], v["mu1"], v["mu2"], v["r"])
+        want = analytic.mm1_two_phase_wait(spec)
+        config = SimConfig(
+            model="two_phase_edge", queue=spec, horizon_requests=v["horizon_requests"], warmup=v["warmup"]
+        )
+        agg = replicate(config, sc.replications, _point_stream(seed, idx))
+        return ComparisonRow(params, want, agg.mean.mean_wait, agg.ci95["mean_wait"])
+
+    return _map_points(one, [(sc.seed, idx, p, v) for idx, (p, v) in enumerate(sc.points())], workers), {}
 
 
 def _run_mobility_crossover(sc: Scenario, workers: int):
@@ -183,20 +150,17 @@ def _run_mobility_crossover(sc: Scenario, workers: int):
     fx = points[0][1]  # keys that cannot be swept read the same at every point
     mu1, mu2, k = fx["mu1"], fx["mu2"], fx["cloud_k"]
     mu_cloud = mu1 if fx["mu_cloud"] is None else fx["mu_cloud"]
+    if not mu_cloud > 0:
+        raise ConfigError(f"scenario {sc.name!r}: mu_cloud (default mu1) must be positive, got {mu_cloud}")
     net = NetworkSpec(fx["t_edge_s"], fx["t_cloud_s"])
     horizon, warmup = fx["horizon_requests"], fx["warmup"]
 
-    def one(item):
-        idx, (p, v) = item
+    def one(seed, idx, params, v):
         lam, r = v["lam"], v["r"]
-        params = {**p}
-        try:
-            edge_spec = QueueSpec(lam, mu1, mu2, r)
-            # one cloud server per edge site at the same per-server load
-            cloud_spec = CloudSpec(k, mu_cloud, lam / mu_cloud)
-            bound = analytic.delta_t_bound_mmk(edge_spec, cloud_spec)
-        except DomainError as exc:
-            return _skip(params, str(exc))
+        edge_spec = QueueSpec(lam, mu1, mu2, r)
+        # one cloud server per edge site at the same per-server load
+        cloud_spec = CloudSpec(k, mu_cloud, lam / mu_cloud)
+        bound = analytic.delta_t_bound_mmk(edge_spec, cloud_spec)
         edge_cfg = SimConfig(
             model="two_phase_edge", queue=edge_spec, horizon_requests=horizon,
             warmup=warmup, network=net,
@@ -205,14 +169,15 @@ def _run_mobility_crossover(sc: Scenario, workers: int):
             model="mmk_cloud", cloud=cloud_spec, horizon_requests=horizon,
             warmup=warmup, network=net,
         )
-        edge = replicate(edge_cfg, sc.replications, _point_stream(sc.seed, 2 * idx))
-        cloud = replicate(cloud_cfg, sc.replications, _point_stream(sc.seed, 2 * idx + 1))
+        edge = replicate(edge_cfg, sc.replications, _point_stream(seed, 2 * idx))
+        cloud = replicate(cloud_cfg, sc.replications, _point_stream(seed, 2 * idx + 1))
         # cloud response uses the wait conditioned on queueing, mirroring the
         # conservative multiserver form inside the analytic bound
         edge_resp = edge.mean.mean_response
         cloud_resp = net.t_cloud + cloud.mean.mean_wait_conditional + 1.0 / mu_cloud
         sim_bound = (edge_resp - net.t_edge) - (cloud_resp - net.t_cloud)
-        params.update(
+        params = dict(
+            params,
             edge_response=edge_resp,
             cloud_response=cloud_resp,
             edge_wait=edge.mean.mean_wait,
@@ -220,7 +185,7 @@ def _run_mobility_crossover(sc: Scenario, workers: int):
         )
         return ComparisonRow(params, bound, sim_bound, edge.ci95["mean_wait"])
 
-    rows = _map_ordered(one, list(enumerate(points)), workers)
+    rows = _map_points(one, [(sc.seed, idx, p, v) for idx, (p, v) in enumerate(points)], workers)
     summary = {"delta_t": net.delta_t, "crossovers": {}}
     for r in sorted({v["r"] for _, v in points}):
         ok = sorted((v["lam"], i) for i, (_, v) in enumerate(points) if rows[i].status == "ok" and v["r"] == r)
@@ -287,13 +252,13 @@ def _run_rush_hour(sc: Scenario, workers: int):
     points = sc.points()
     scale = points[0][1]["scale"]
     jobs = [
-        (s, seed, idx, v)
+        (seed, idx, {"amplitude": v["amplitude"], "scale": s}, v)
         for s, seed in ((1.0, sc.seed), (scale, sc.seed + 1))
         for idx, (_, v) in enumerate(points)
     ]
 
-    def one(job):
-        s, seed, idx, v = job
+    def one(seed, idx, params, v):
+        s = params["scale"]
         lam_bar, mu1, mu2 = v["lambda_bar"] * s, v["mu1"] * s, v["mu2"] * s
         profile = SinusoidProfile(lam_bar, v["amplitude"], v["gamma_rad_s"])
         fluid = analytic.rush_hour_wait(profile, analytic.effective_service_rate(mu1, mu2, v["r"]))
@@ -310,16 +275,17 @@ def _run_rush_hour(sc: Scenario, workers: int):
         rush = agg.timeseries.rush_window()
         sim_rush = rush[2] if rush is not None else 0.0
         params = {
-            "amplitude": v["amplitude"], "scale": s, "mean_wait": agg.mean.mean_wait,
+            **params, "mean_wait": agg.mean.mean_wait,
             "err_rush": sim_rush - fluid,
             "rush_t1": rush[0] if rush else math.nan,
             "rush_t2": rush[1] if rush else math.nan,
         }
         return ComparisonRow(params, fluid, sim_rush, agg.ci95["mean_wait"])
 
-    rows = _map_ordered(one, jobs, workers)
+    rows = _map_points(one, jobs, workers)
     base, scaled = rows[:len(points)], rows[len(points):]
-    fluid_drift = max(abs(b.analytic_value - s.analytic_value) for b, s in zip(base, scaled))
+    ok = [(b, s) for b, s in zip(base, scaled) if b.status == s.status == "ok"]
+    fluid_drift = max((abs(b.analytic_value - s.analytic_value) for b, s in ok), default=0.0)
     return rows, {"scale": scale, "fluid_scale_invariance_drift": fluid_drift}
 
 
@@ -327,17 +293,16 @@ def _run_excess_wait(sc: Scenario, workers: int):
     points = sc.points()
     fx = points[0][1]  # keys that cannot be swept read the same at every point
     mu_eff, rho, gamma = fx["mu_eff"], fx["rho"], fx["gamma_rad_s"]
+    if not mu_eff > 0:
+        raise ConfigError(f"scenario {sc.name!r}: mu_eff must be positive, got {mu_eff}")
+    if not 0 < rho < 1:
+        raise ConfigError(f"scenario {sc.name!r}: rho must lie in (0, 1), got {rho}")
     lam_bar = rho * mu_eff
     stationary = rho / (mu_eff * (1.0 - rho))
 
-    def one(item):
-        idx, (p, v) = item
+    def one(seed, idx, params, v):
         amp = v["amplitude"]
-        params = {**p}
-        try:
-            want = analytic.excess_wait_sinusoidal(rho, amp, gamma, mu_eff)
-        except DomainError as exc:
-            return _skip(params, str(exc))
+        want = analytic.excess_wait_sinusoidal(rho, amp, gamma, mu_eff)
         profile = SinusoidProfile(lam_bar, amp, gamma)
         config = SimConfig(
             model="mtm1_sinusoidal",
@@ -346,12 +311,12 @@ def _run_excess_wait(sc: Scenario, workers: int):
             horizon_s=v["horizon_periods"] * profile.period,
             warmup=v["warmup"],
         )
-        agg = replicate(config, sc.replications, _point_stream(sc.seed, idx))
+        agg = replicate(config, sc.replications, _point_stream(seed, idx))
         excess = agg.mean.mean_wait - stationary
-        params.update(mean_wait=agg.mean.mean_wait, stationary_wait=stationary)
+        params = dict(params, mean_wait=agg.mean.mean_wait, stationary_wait=stationary)
         return ComparisonRow(params, want, excess, agg.ci95["mean_wait"])
 
-    rows = _map_ordered(one, list(enumerate(points)), workers)
+    rows = _map_points(one, [(sc.seed, idx, p, v) for idx, (p, v) in enumerate(points)], workers)
     return rows, {"stationary_wait": stationary}
 
 
@@ -389,20 +354,38 @@ def _run_packing_sweep(sc: Scenario, workers: int):
     return rows, summary
 
 
-_RUNNERS: dict[str, Callable] = {
-    "two_phase_wait": _run_two_phase_wait,
-    "mobility_crossover": _run_mobility_crossover,
-    "rush_hour": _run_rush_hour,
-    "excess_wait": _run_excess_wait,
-    "packing_sweep": _run_packing_sweep,
+_WARMUP = table_of(SimConfig, warmup=float)
+_SINUSOID = {"gamma_rad_s": (float, None), "period_s": (float, None)}
+
+# comparison model -> (keys its grid may sweep, {key: (cast, default)} for
+# every key it reads, runner). A key is set in the grid or in the fixed block, not both.
+_MODELS: dict[str, tuple[tuple[str, ...], dict, Callable]] = {
+    "two_phase_wait": (("lam", "r"), {
+        "lam": (float, REQUIRED), "r": (float, 0.0), "mu1": (float, 50.0), "mu2": (float, 50.0),
+        "horizon_requests": (int, 200_000), **_WARMUP,
+    }, _run_two_phase_wait),
+    "mobility_crossover": (("lam", "r"), {
+        "lam": (float, REQUIRED), "r": (float, REQUIRED), "mu1": (float, 50.0), "mu2": (float, 50.0),
+        "cloud_k": (int, 1), "mu_cloud": (float, None),  # None: mu1
+        "t_edge_s": (float, 0.001), "t_cloud_s": (float, 0.028),
+        "horizon_requests": (int, 100_000), **_WARMUP,
+    }, _run_mobility_crossover),
+    "rush_hour": (("amplitude",), {
+        "amplitude": (float, REQUIRED), "lambda_bar": (float, REQUIRED), "mu1": (float, REQUIRED),
+        "mu2": (float, REQUIRED), "r": (float, 0.0), **_SINUSOID, "horizon_periods": (float, 10),
+        "scale": (float, 16.0), **table_of(SimConfig, warmup=float, bins_per_period=int, rush_stat=str),
+    }, _run_rush_hour),
+    "excess_wait": (("amplitude",), {
+        "amplitude": (float, REQUIRED), "rho": (float, REQUIRED), "mu_eff": (float, REQUIRED),
+        **_SINUSOID, "horizon_periods": (float, 12), **_WARMUP,
+    }, _run_excess_wait),
+    "packing_sweep": (("cores_per_site",), {
+        "cores_per_site": (int, REQUIRED), "k_sites": (int, 16), "q": (float, 2.0),
+        "vm_rate": (float, 16.0), "mean_lifetime_s": (float, 10.0), "horizon_s": (float, 400.0),
+        "policy": (str, "first_fit"),
+    }, _run_packing_sweep),
 }
-
-
-def _map_ordered(fn, items, workers: int):
-    if workers <= 1 or len(items) <= 1:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
+COMPARISON_MODELS = tuple(_MODELS)
 
 
 # ---------------------------------------------------------------------------
@@ -417,7 +400,7 @@ def run_scenario(
 ) -> tuple[list[ComparisonRow], dict, list[Path]]:
     """Run every grid point; returns (rows, summary, written files)."""
     scenario.validate()
-    rows, summary = _RUNNERS[scenario.model](scenario, workers)
+    rows, summary = _MODELS[scenario.model][2](scenario, workers)
     written = write_outputs(scenario, rows, summary, out_dir, deterministic_names)
     return rows, summary, written
 

@@ -263,8 +263,8 @@ SIM_CONFIGS = {
         "network": {"t_edge_s": 0.001},
         "simulation": {"horizon_requests": 1000, "dest_rate": 40.0, "dest_home_load": 5.0},
     },
-    "gg1_edge": {
-        "model": "gg1_edge",
+    "two_phase_edge_renewal": {
+        "model": "two_phase_edge",
         "edge": {"lambda": 10.0, "mu1": 50.0, "mu2": 50.0},
         "workload": {
             "arrivals": {"mean": 0.1, "scv": 0.25, "family": "erlang"},
@@ -289,10 +289,10 @@ SIM_CONFIGS = {
 
 class TestConfigNormalization:
     def test_round_trip_idempotent(self):
-        for model, raw in SIM_CONFIGS.items():
+        for raw in SIM_CONFIGS.values():
             config, resolved = load_sim_config(raw)
             again, resolved_again = load_sim_config(json.loads(json.dumps(resolved)))
-            assert config.model == model
+            assert config.model == raw["model"]
             assert again == config
             assert resolved_again == resolved
             assert resolved["simulation"]["warmup"] == SimConfig.warmup  # defaults are listed
@@ -362,10 +362,12 @@ RUSH_FIXED = {
         ("simulate", {**SIM_CONFIGS["mmk_cloud"], "workload": {"service1": {"mean": 0.1}}}, "service1"),
         ("validate", {**PACKING_SCENARIO, "fixed": {**PACKING_SCENARIO["fixed"], "k_sites": 0}}, "k_sites"),
         ("validate", {**PACKING_SCENARIO, "fixed": {**PACKING_SCENARIO["fixed"], "k_sites": -2}}, "k_sites"),
+        # renewal laws run under two_phase_edge; the old duplicate name is an unknown model
+        ("simulate", {**SIM_CONFIGS["two_phase_edge_renewal"], "model": "gg1_edge"}, "gg1_edge"),
     ],
     ids=["capacity", "formats", "edge-mu1", "cloud-rho", "fixed-typo", "crossover-r",
          "rush-lambda_bar", "period-and-gamma", "rush-grid-mu1", "string-flag", "outputs-string",
-         "mtm1-arrivals", "mmk-service1", "k_sites-0", "k_sites-negative"],
+         "mtm1-arrivals", "mmk-service1", "k_sites-0", "k_sites-negative", "gg1-edge"],
 )
 def test_config_faults_exit_2_naming_the_key(capsys, tmp_path, command, body, key):
     path = tmp_path / "bad.json"

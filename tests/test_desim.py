@@ -237,7 +237,7 @@ class TestTwoPhaseSim:
 class TestGg1EdgeSim:
     def test_markovian_renewal_specs_match_mm1(self):
         cfg = SimConfig(
-            model="gg1_edge",
+            model="two_phase_edge",
             queue=QueueSpec(10.0, 50.0, 50.0, 0.1),
             arrivals=RenewalSpec(0.1, 1.0, "exponential"),
             horizon_requests=200_000,
@@ -250,7 +250,7 @@ class TestGg1EdgeSim:
         # formula is the exact M/G/1 answer at cs2 = 0.5
         spec = QueueSpec(20.0, 50.0, 50.0, 0.0)
         cfg = SimConfig(
-            model="gg1_edge",
+            model="two_phase_edge",
             queue=spec,
             service1=RenewalSpec(0.02, 0.5, "erlang"),
             horizon_requests=200_000,
@@ -262,27 +262,13 @@ class TestGg1EdgeSim:
     def test_bursty_arrivals_raise_waits(self):
         spec = QueueSpec(20.0, 50.0, 50.0, 0.0)
         cfg = SimConfig(
-            model="gg1_edge",
+            model="two_phase_edge",
             queue=spec,
             arrivals=RenewalSpec(0.05, 4.0, "hyperexponential2"),
             horizon_requests=200_000,
         )
         agg = replicate(cfg, 5, SeededStream(122))
         assert agg.mean.mean_wait > 1.5 * mm1_two_phase_wait(spec)
-
-    def test_two_phase_edge_honours_the_same_laws(self):
-        laws = dict(
-            arrivals=RenewalSpec(0.05, 4.0, "hyperexponential2"),
-            service1=RenewalSpec(0.02, 0.5, "erlang"),
-        )
-        spec = QueueSpec(20.0, 50.0, 50.0, 0.2)
-        gg1 = run_two_phase_sim(
-            SimConfig(model="gg1_edge", queue=spec, horizon_requests=20_000, **laws), SeededStream(123)
-        )
-        tandem = run_two_phase_sim(
-            SimConfig(model="two_phase_edge", queue=spec, horizon_requests=20_000, **laws), SeededStream(123)
-        )
-        assert tandem == gg1
 
 
 class TestMmkSim:

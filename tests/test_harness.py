@@ -1,4 +1,5 @@
 """Scenario runner tests: validation, row invariants, artifact determinism."""
+import dataclasses
 import json
 import math
 
@@ -7,6 +8,7 @@ import pytest
 from edgeq import (
     ComparisonRow, ConfigError, QueueSpec, Scenario, load_scenario, mm1_two_phase_wait, run_scenario,
 )
+from edgeq.cli import EXIT_OK, main
 from edgeq.harness import _grid_points, _sign_change
 
 
@@ -53,6 +55,9 @@ class TestScenarioValidation:
 
 
 RUSH_FIXED = {"lambda_bar": 16.0, "mu1": 32.0, "mu2": 32.0, "period_s": 200.0, "horizon_periods": 1}
+EXCESS_FIXED = {"rho": 0.5, "mu_eff": 10.0, "period_s": 100.0, "horizon_periods": 1}
+CROSSOVER = dict(model="mobility_crossover", grid={"lam": [10.0], "r": [0.1]})
+EXCESS = dict(model="excess_wait", grid={"amplitude": [0.1]})
 
 
 class TestScenarioKeys:
@@ -70,9 +75,18 @@ class TestScenarioKeys:
             (dict(fixed={"mu1": "fast"}), "mu1"),
             (dict(grid={"lam": 5}), "grid.lam"),
             (dict(outputs="csv"), "outputs must be a list"),
+            # fixed values outside a model's domain fail before any point runs
+            (dict(CROSSOVER, fixed={"mu_cloud": 0.0}), "mu_cloud"),
+            (dict(CROSSOVER, fixed={"mu_cloud": -5.0}), "mu_cloud"),
+            (dict(EXCESS, fixed={**EXCESS_FIXED, "mu_eff": 0.0}), "mu_eff"),
+            (dict(EXCESS, fixed={**EXCESS_FIXED, "mu_eff": -1.0}), "mu_eff"),
+            (dict(EXCESS, fixed={**EXCESS_FIXED, "rho": 0.0}), "rho"),
+            (dict(EXCESS, fixed={**EXCESS_FIXED, "rho": 1.0}), "rho"),
+            (dict(EXCESS, fixed={**EXCESS_FIXED, "rho": 1.2}), "rho"),
         ],
         ids=["fixed-typo", "crossover-r", "rush-lambda_bar", "period-and-gamma", "rush-grid-mu1",
-             "swept-and-fixed", "bad-value", "scalar-grid", "outputs-string"],
+             "swept-and-fixed", "bad-value", "scalar-grid", "outputs-string", "mu_cloud-0",
+             "mu_cloud-negative", "mu_eff-0", "mu_eff-negative", "rho-0", "rho-1", "rho-above-1"],
     )
     def test_faults_raise_config_error_naming_the_key(self, tmp_path, overrides, key):
         # run_scenario validates, so scenarios rebuilt with dataclasses.replace are checked too
@@ -157,16 +171,19 @@ class TestTableRushHour:
         "period_s": 200.0, "horizon_periods": 4, "warmup": 0.1, "scale": 32.0,
     }
 
-    def run(self, tmp_path, seed, replications=2, workers=1):
-        sc = Scenario(
-            name="rush", model="rush_hour", grid={"amplitude": [0.3, 0.8]}, fixed=self.FIXED,
+    def scenario(self, seed, replications, amplitudes):
+        return Scenario(
+            name="rush", model="rush_hour", grid={"amplitude": list(amplitudes)}, fixed=self.FIXED,
             replications=replications, seed=seed,
         )
+
+    def run(self, tmp_path, seed, replications=2, workers=1, amplitudes=(0.3, 0.8)):
         rows, summary, _ = run_scenario(
-            sc, out_dir=tmp_path / f"w{workers}", deterministic_names=True, workers=workers
+            self.scenario(seed, replications, amplitudes), out_dir=tmp_path / f"w{workers}",
+            deterministic_names=True, workers=workers,
         )
         assert [(r.parameters["amplitude"], r.parameters["scale"]) for r in rows] == [
-            (0.3, 1.0), (0.8, 1.0), (0.3, 32.0), (0.8, 32.0)
+            (a, s) for s in (1.0, 32.0) for a in amplitudes
         ]
         return rows, summary
 
@@ -196,3 +213,27 @@ class TestTableRushHour:
         assert [(r.parameters, r.sim_value, r.sim_ci) for r in one] == [
             (r.parameters, r.sim_value, r.sim_ci) for r in two
         ]
+
+    def test_out_of_range_amplitude_keeps_skipped_rows(self, tmp_path):
+        rows, summary = self.run(tmp_path / "skip", seed=6, replications=1, amplitudes=(0.3, 0.8, 1.5))
+        kept, _ = self.run(tmp_path / "kept", seed=6, replications=1)
+        for row in (rows[2], rows[5]):
+            assert row.status == "skipped: relative amplitude must lie in [0, 1]"
+            assert math.isnan(row.analytic_value) and math.isnan(row.sim_value)
+        # the skipped point is last, so the other points keep their streams
+        assert [repr(vars(r)) for r in rows[:2] + rows[3:5]] == [repr(vars(r)) for r in kept]
+        assert math.isfinite(summary["fluid_scale_invariance_drift"])
+
+    def test_skipped_rows_equal_across_workers(self, tmp_path):
+        one, _ = self.run(tmp_path, seed=6, replications=1, amplitudes=(0.3, 0.8, 1.5))
+        two, _ = self.run(tmp_path, seed=6, replications=1, workers=2, amplitudes=(0.3, 0.8, 1.5))
+        assert [repr(vars(r)) for r in one] == [repr(vars(r)) for r in two]
+
+    def test_validate_writes_skipped_rows_and_exits_0(self, tmp_path):
+        sc = self.scenario(seed=6, replications=1, amplitudes=(0.3, 0.8, 1.5))
+        path = tmp_path / "rush.scenario"
+        path.write_text(json.dumps(dataclasses.asdict(sc)))
+        assert main(["validate", str(path), "--out", str(tmp_path), "--deterministic-names"]) == EXIT_OK
+        assert "skipped: relative amplitude" in (tmp_path / "rush.csv").read_text()
+        rows = json.loads((tmp_path / "rush.json").read_text())["rows"]
+        assert [r["status"] for r in rows] == ["ok", "ok", "skipped: relative amplitude must lie in [0, 1]"] * 2
