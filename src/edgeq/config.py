@@ -2,9 +2,10 @@
 
 A key table maps each key of a JSON object to ``(cast, default)``, or to
 ``(nested table, default)`` for a nested object. Rates go through
-``float``, which reads ``"inf"``; switches go through ``flag``, which
-reads only JSON true and false. Defaults that a dataclass carries are
-read from its fields, so each is written once.
+``float``, which reads ``"inf"``; switches go through ``flag``, counts
+through ``integral``, and a cast wrapped by ``ranged`` checks the key's
+domain, so a bad value fails on load, naming the key. Defaults that a
+dataclass carries are read from its fields, so each is written once.
 """
 from __future__ import annotations
 
@@ -46,7 +47,10 @@ def take(body, table: dict, where: str) -> dict:
             except (TypeError, ValueError) as exc:
                 raise ConfigError(f"{where}.{key}: {exc}") from None
     if "period_s" in out:
-        out["gamma_rad_s"] = angular_frequency(out["gamma_rad_s"], out.pop("period_s"), where)
+        gamma, period = out["gamma_rad_s"], out.pop("period_s")
+        if (gamma is None) == (period is None):
+            raise ConfigError(f"{where}: give exactly one of gamma_rad_s, period_s")
+        out["gamma_rad_s"] = 2.0 * math.pi / period if gamma is None else gamma
     return out
 
 
@@ -64,6 +68,26 @@ def listed(value) -> tuple:
     return tuple(value)
 
 
+def integral(value) -> int:
+    """A whole number; ``int`` would truncate 1.5 to 1 and overflow on inf."""
+    if isinstance(value, bool) or isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"must be an integer, got {value!r}")
+    return int(value)
+
+
+def ranged(cast, test, domain: str):
+    """``cast``, then ``test`` on the value, which fails as "must be <domain>, got <value>"."""
+    def checked(value):
+        if test(value := cast(value)):
+            return value
+        raise ValueError(f"must be {domain}, got {value!r}")
+    return checked
+
+
+positive = ranged(float, lambda x: x > 0, "> 0")
+count = ranged(integral, lambda n: n >= 1, ">= 1")
+
+
 def table_of(cls, **casts) -> dict:
     """A key table over fields of the dataclass ``cls``, with the defaults they carry."""
     defaults = {
@@ -75,23 +99,12 @@ def table_of(cls, **casts) -> dict:
     return {key: (cast, defaults[key]) for key, cast in casts.items()}
 
 
-def angular_frequency(gamma, period, where: str) -> float:
-    """gamma_rad_s, or 2*pi/period_s: exactly one of the two must be set."""
-    if (gamma is None) == (period is None):
-        raise ConfigError(f"{where}: give exactly one of gamma_rad_s, period_s")
-    if gamma is not None:
-        return gamma
-    if not period > 0:
-        raise ConfigError(f"{where}.period_s: must be positive")
-    return 2.0 * math.pi / period
-
-
 # ---------------------------------------------------------------------------
 # ``edgeq simulate`` config sections
 
 _PROFILE = {
     "lambda_bar": (float, REQUIRED), "amplitude": (float, REQUIRED),
-    "gamma_rad_s": (float, None), "period_s": (float, None), "phase": (float, 0.0),
+    "gamma_rad_s": (float, None), "period_s": (positive, None), "phase": (float, 0.0),
 }
 _RENEWAL = table_of(RenewalSpec, mean=float, scv=float, family=str)
 
@@ -100,18 +113,18 @@ _CONFIG = {
     "model": (str, REQUIRED),
     "edge": ({"lambda": (float, REQUIRED), "mu1": (float, REQUIRED), "mu2": (float, REQUIRED),
               "r": (float, 0.0)}, None),
-    "cloud": ({"k": (int, REQUIRED), "mu": (float, REQUIRED), "rho": (float, REQUIRED)}, None),
+    "cloud": ({"k": (integral, REQUIRED), "mu": (float, REQUIRED), "rho": (float, REQUIRED)}, None),
     "network": ({"t_edge_s": (float, 0.0), "t_cloud_s": (float, 0.0)}, None),
     "workload": ({"profile": (_PROFILE, None), "arrivals": (_RENEWAL, None),
                   "service1": (_RENEWAL, None), "service2": (_RENEWAL, None)}, {}),
     "simulation": ({
         **table_of(
-            SimConfig, horizon_requests=int, horizon_s=float, warmup=float, bins_per_period=int,
+            SimConfig, horizon_requests=integral, horizon_s=float, warmup=float, bins_per_period=integral,
             rush_stat=str, two_stage_service=flag, dest_rate=float, dest_home_load=float,
-            allow_unstable=flag, max_in_system=int, event_log=str,
+            allow_unstable=flag, max_in_system=integral, event_log=str,
         ),
-        "seed": (int, None),
-        "reps": (int, 1),
+        "seed": (integral, None),
+        "reps": (count, 1),
     }, {}),
     "output": ({"dir": (str, "."), "deterministic_names": (flag, False), "name": (str, None)}, {}),
 }

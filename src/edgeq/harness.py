@@ -3,8 +3,9 @@
 A scenario names a comparison model, a parameter grid, and replication
 count; running it yields one ComparisonRow per grid point plus optional
 CSV/JSON artifacts. ``_MODELS`` names each model's keys and runner. A
-point that the model's formulas or specs reject keeps its row, marked
-``skipped: <reason>``; a bad fixed value raises ConfigError before any run.
+sweepable key is checked per point, so a point the model rejects keeps its
+row, marked ``skipped: <reason>``, even if the key is set in ``fixed``; the
+cast of every other key checks its domain, naming the key before any run.
 Rows are pure functions of (scenario, seed): re-running writes
 byte-identical files when deterministic names are requested.
 """
@@ -21,7 +22,7 @@ from pathlib import Path
 from typing import Callable, Optional, Sequence
 
 from . import analytic, capacity
-from .config import REQUIRED, listed, table_of, take
+from .config import REQUIRED, count, integral, listed, positive, ranged, table_of, take
 from .desim import SimConfig, replicate
 from .errors import ConfigError, DomainError
 from .specs import CloudSpec, NetworkSpec, QueueSpec, SinusoidProfile
@@ -83,7 +84,9 @@ class ComparisonRow:
         return 0.0 if self.abs_err == 0.0 else math.inf
 
 
-_SCENARIO = table_of(Scenario, name=str, model=str, grid=dict, fixed=dict, replications=int, seed=int, outputs=listed)
+_SCENARIO = table_of(
+    Scenario, name=str, model=str, grid=dict, fixed=dict, replications=integral, seed=integral, outputs=listed
+)
 
 
 def load_scenario(source: str | Path) -> Scenario:
@@ -150,8 +153,6 @@ def _run_mobility_crossover(sc: Scenario, workers: int):
     fx = points[0][1]  # keys that cannot be swept read the same at every point
     mu1, mu2, k = fx["mu1"], fx["mu2"], fx["cloud_k"]
     mu_cloud = mu1 if fx["mu_cloud"] is None else fx["mu_cloud"]
-    if not mu_cloud > 0:
-        raise ConfigError(f"scenario {sc.name!r}: mu_cloud (default mu1) must be positive, got {mu_cloud}")
     net = NetworkSpec(fx["t_edge_s"], fx["t_cloud_s"])
     horizon, warmup = fx["horizon_requests"], fx["warmup"]
 
@@ -293,10 +294,6 @@ def _run_excess_wait(sc: Scenario, workers: int):
     points = sc.points()
     fx = points[0][1]  # keys that cannot be swept read the same at every point
     mu_eff, rho, gamma = fx["mu_eff"], fx["rho"], fx["gamma_rad_s"]
-    if not mu_eff > 0:
-        raise ConfigError(f"scenario {sc.name!r}: mu_eff must be positive, got {mu_eff}")
-    if not 0 < rho < 1:
-        raise ConfigError(f"scenario {sc.name!r}: rho must lie in (0, 1), got {rho}")
     lam_bar = rho * mu_eff
     stationary = rho / (mu_eff * (1.0 - rho))
 
@@ -355,34 +352,36 @@ def _run_packing_sweep(sc: Scenario, workers: int):
 
 
 _WARMUP = table_of(SimConfig, warmup=float)
-_SINUSOID = {"gamma_rad_s": (float, None), "period_s": (float, None)}
+_SINUSOID = {"gamma_rad_s": (positive, None), "period_s": (positive, None)}
+_DELAY = ranged(float, lambda x: x >= 0, ">= 0")
 
 # comparison model -> (keys its grid may sweep, {key: (cast, default)} for
 # every key it reads, runner). A key is set in the grid or in the fixed block, not both.
 _MODELS: dict[str, tuple[tuple[str, ...], dict, Callable]] = {
     "two_phase_wait": (("lam", "r"), {
-        "lam": (float, REQUIRED), "r": (float, 0.0), "mu1": (float, 50.0), "mu2": (float, 50.0),
-        "horizon_requests": (int, 200_000), **_WARMUP,
+        "lam": (float, REQUIRED), "r": (float, 0.0), "mu1": (positive, 50.0), "mu2": (positive, 50.0),
+        "horizon_requests": (count, 200_000), **_WARMUP,
     }, _run_two_phase_wait),
     "mobility_crossover": (("lam", "r"), {
-        "lam": (float, REQUIRED), "r": (float, REQUIRED), "mu1": (float, 50.0), "mu2": (float, 50.0),
-        "cloud_k": (int, 1), "mu_cloud": (float, None),  # None: mu1
-        "t_edge_s": (float, 0.001), "t_cloud_s": (float, 0.028),
-        "horizon_requests": (int, 100_000), **_WARMUP,
+        "lam": (float, REQUIRED), "r": (float, REQUIRED), "mu1": (positive, 50.0), "mu2": (positive, 50.0),
+        "cloud_k": (count, 1), "mu_cloud": (positive, None),  # None: mu1
+        "t_edge_s": (_DELAY, 0.001), "t_cloud_s": (_DELAY, 0.028),
+        "horizon_requests": (count, 100_000), **_WARMUP,
     }, _run_mobility_crossover),
     "rush_hour": (("amplitude",), {
-        "amplitude": (float, REQUIRED), "lambda_bar": (float, REQUIRED), "mu1": (float, REQUIRED),
-        "mu2": (float, REQUIRED), "r": (float, 0.0), **_SINUSOID, "horizon_periods": (float, 10),
-        "scale": (float, 16.0), **table_of(SimConfig, warmup=float, bins_per_period=int, rush_stat=str),
+        "amplitude": (float, REQUIRED), "lambda_bar": (positive, REQUIRED), "mu1": (positive, REQUIRED),
+        "mu2": (positive, REQUIRED), "r": (ranged(float, lambda x: 0 <= x <= 1, "in [0, 1]"), 0.0),
+        **_SINUSOID, "horizon_periods": (positive, 10), "scale": (positive, 16.0),
+        **table_of(SimConfig, warmup=float, bins_per_period=integral, rush_stat=str),
     }, _run_rush_hour),
     "excess_wait": (("amplitude",), {
-        "amplitude": (float, REQUIRED), "rho": (float, REQUIRED), "mu_eff": (float, REQUIRED),
-        **_SINUSOID, "horizon_periods": (float, 12), **_WARMUP,
+        "amplitude": (float, REQUIRED), "rho": (ranged(float, lambda x: 0 < x < 1, "in (0, 1)"), REQUIRED),
+        "mu_eff": (positive, REQUIRED), **_SINUSOID, "horizon_periods": (positive, 12), **_WARMUP,
     }, _run_excess_wait),
     "packing_sweep": (("cores_per_site",), {
-        "cores_per_site": (int, REQUIRED), "k_sites": (int, 16), "q": (float, 2.0),
-        "vm_rate": (float, 16.0), "mean_lifetime_s": (float, 10.0), "horizon_s": (float, 400.0),
-        "policy": (str, "first_fit"),
+        "cores_per_site": (integral, REQUIRED), "k_sites": (count, 16), "q": (positive, 2.0),
+        "vm_rate": (positive, 16.0), "mean_lifetime_s": (positive, 10.0), "horizon_s": (positive, 400.0),
+        "policy": (ranged(str, capacity.POLICIES.__contains__, f"one of {capacity.POLICIES}"), "first_fit"),
     }, _run_packing_sweep),
 }
 COMPARISON_MODELS = tuple(_MODELS)

@@ -364,10 +364,15 @@ RUSH_FIXED = {
         ("validate", {**PACKING_SCENARIO, "fixed": {**PACKING_SCENARIO["fixed"], "k_sites": -2}}, "k_sites"),
         # renewal laws run under two_phase_edge; the old duplicate name is an unknown model
         ("simulate", {**SIM_CONFIGS["two_phase_edge_renewal"], "model": "gg1_edge"}, "gg1_edge"),
+        # int(2.5) is 2, so a count must be a whole number
+        ("simulate", {**SIM_CONFIGS["mmk_cloud"], "cloud": {"k": 2.5, "mu": 10.0, "rho": 0.7}}, "cloud.k"),
+        ("simulate", {**MINIMAL_SIM_CONFIG, "simulation": {**MINIMAL_SIM_CONFIG["simulation"], "reps": 0}},
+         "reps"),
     ],
     ids=["capacity", "formats", "edge-mu1", "cloud-rho", "fixed-typo", "crossover-r",
          "rush-lambda_bar", "period-and-gamma", "rush-grid-mu1", "string-flag", "outputs-string",
-         "mtm1-arrivals", "mmk-service1", "k_sites-0", "k_sites-negative", "gg1-edge"],
+         "mtm1-arrivals", "mmk-service1", "k_sites-0", "k_sites-negative", "gg1-edge",
+         "cloud-k-fraction", "reps-0"],
 )
 def test_config_faults_exit_2_naming_the_key(capsys, tmp_path, command, body, key):
     path = tmp_path / "bad.json"

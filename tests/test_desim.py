@@ -69,13 +69,7 @@ class TestLindleyCore:
             assert got[0] == 0.0
 
     @settings(max_examples=200, deadline=None)
-    @given(queue_inputs)
-    def test_multiserver_reduces_to_lindley_at_k1(self, inputs):
-        t, s = inputs
-        assert np.allclose(multiserver_waits(t, s, 1), lindley_waits(t, s))
-
-    @settings(max_examples=200, deadline=None)
-    @given(queue_inputs, st.integers(2, 8))
+    @given(queue_inputs, st.integers(1, 8))
     def test_multiserver_matches_min_free_server_loop(self, inputs, k):
         t, s = inputs
         free = [0.0] * k  # time each server next becomes free
@@ -85,7 +79,12 @@ class TestLindleyCore:
             wait = max(0.0, free[j] - arrival)
             want.append(wait)
             free[j] = arrival + wait + service
-        np.testing.assert_array_equal(multiserver_waits(t, s, k), np.array(want, dtype=float))
+        got = multiserver_waits(t, s, k)
+        if k == 1:
+            # k = 1 runs lindley_waits, whose reflected-walk form rounds differently from the loop
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-9)
+        else:
+            np.testing.assert_array_equal(got, np.array(want, dtype=float))
 
 
 def sorted_event_time_average(arrivals, departures, t0, t1):

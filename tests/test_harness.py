@@ -4,11 +4,14 @@ import json
 import math
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from edgeq import (
     ComparisonRow, ConfigError, QueueSpec, Scenario, load_scenario, mm1_two_phase_wait, run_scenario,
 )
 from edgeq.cli import EXIT_OK, main
+from edgeq.config import integral
 from edgeq.harness import _grid_points, _sign_change
 
 
@@ -58,6 +61,36 @@ RUSH_FIXED = {"lambda_bar": 16.0, "mu1": 32.0, "mu2": 32.0, "period_s": 200.0, "
 EXCESS_FIXED = {"rho": 0.5, "mu_eff": 10.0, "period_s": 100.0, "horizon_periods": 1}
 CROSSOVER = dict(model="mobility_crossover", grid={"lam": [10.0], "r": [0.1]})
 EXCESS = dict(model="excess_wait", grid={"amplitude": [0.1]})
+# a fixed block per model, small enough that a case the cast let through would still finish quickly
+MODEL_BASES = {
+    "two_phase_wait": dict(fixed={"mu1": 50.0, "mu2": 50.0, "horizon_requests": 2000}),
+    "mobility_crossover": dict(CROSSOVER, fixed={"horizon_requests": 2000}),
+    "rush_hour": dict(model="rush_hour", grid={"amplitude": [0.5]}, fixed=RUSH_FIXED),
+    "excess_wait": dict(EXCESS, fixed=EXCESS_FIXED),
+    "packing_sweep": dict(model="packing_sweep", grid={"cores_per_site": [16]}, fixed={"horizon_s": 50.0}),
+}
+# (model, key, value) for each key a model cannot sweep, set outside its domain or to a non-integral count
+OUT_OF_DOMAIN = [
+    ("two_phase_wait", "mu1", 0.0), ("two_phase_wait", "mu2", -1.0), ("two_phase_wait", "horizon_requests", 0),
+    ("two_phase_wait", "horizon_requests", 1.5), ("two_phase_wait", "horizon_requests", math.inf),
+    ("mobility_crossover", "mu1", 0.0), ("mobility_crossover", "mu2", 0.0), ("mobility_crossover", "cloud_k", 0),
+    ("mobility_crossover", "cloud_k", 1.5), ("mobility_crossover", "t_edge_s", -0.001),
+    ("mobility_crossover", "t_cloud_s", -1.0), ("mobility_crossover", "horizon_requests", 0),
+    ("rush_hour", "lambda_bar", -1.0), ("rush_hour", "mu1", 0.0), ("rush_hour", "mu2", 0.0),
+    ("rush_hour", "r", 1.5), ("rush_hour", "period_s", 0.0), ("rush_hour", "gamma_rad_s", 0.0),
+    ("rush_hour", "horizon_periods", 0), ("rush_hour", "scale", 0.0), ("rush_hour", "bins_per_period", 2.5),
+    ("excess_wait", "period_s", -100.0), ("excess_wait", "gamma_rad_s", -0.1), ("excess_wait", "horizon_periods", 0),
+    ("packing_sweep", "k_sites", 0), ("packing_sweep", "k_sites", 2.5), ("packing_sweep", "q", 0.0),
+    ("packing_sweep", "vm_rate", 0.0), ("packing_sweep", "mean_lifetime_s", 0.0), ("packing_sweep", "horizon_s", 0.0),
+    ("packing_sweep", "policy", "worst_fit"),
+]
+
+
+def out_of_domain(model, key, value):
+    """Scenario overrides that set ``key`` to ``value`` over the model's base fixed block."""
+    base = MODEL_BASES[model]
+    fixed = {k: v for k, v in base["fixed"].items() if (k, key) != ("period_s", "gamma_rad_s")}
+    return dict(base, fixed={**fixed, key: value}), rf"\.{key}: must be"
 
 
 class TestScenarioKeys:
@@ -83,16 +116,34 @@ class TestScenarioKeys:
             (dict(EXCESS, fixed={**EXCESS_FIXED, "rho": 0.0}), "rho"),
             (dict(EXCESS, fixed={**EXCESS_FIXED, "rho": 1.0}), "rho"),
             (dict(EXCESS, fixed={**EXCESS_FIXED, "rho": 1.2}), "rho"),
+            *(out_of_domain(*case) for case in OUT_OF_DOMAIN),
         ],
         ids=["fixed-typo", "crossover-r", "rush-lambda_bar", "period-and-gamma", "rush-grid-mu1",
              "swept-and-fixed", "bad-value", "scalar-grid", "outputs-string", "mu_cloud-0",
-             "mu_cloud-negative", "mu_eff-0", "mu_eff-negative", "rho-0", "rho-1", "rho-above-1"],
+             "mu_cloud-negative", "mu_eff-0", "mu_eff-negative", "rho-0", "rho-1", "rho-above-1",
+             *(f"{model}-{key}-{value}" for model, key, value in OUT_OF_DOMAIN)],
     )
     def test_faults_raise_config_error_naming_the_key(self, tmp_path, overrides, key):
         # run_scenario validates, so scenarios rebuilt with dataclasses.replace are checked too
         with pytest.raises(ConfigError, match=key):
             run_scenario(tiny_two_phase_scenario(**overrides), out_dir=tmp_path)
         assert not list(tmp_path.iterdir())
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(-10**300, 10**300))
+    def test_integral_reads_whole_numbers(self, n):
+        assert integral(n) == integral(str(n)) == n
+        if float(n) == n:
+            assert integral(float(n)) == n
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.floats().filter(lambda x: not x.is_integer()))
+    @example(math.inf)
+    @example(-math.inf)
+    @example(math.nan)
+    def test_integral_refuses_what_int_would_truncate(self, x):
+        with pytest.raises(ValueError):
+            integral(x)
 
     def test_infinite_mu2_in_fixed_block_runs(self, tmp_path):
         sc = tiny_two_phase_scenario(
