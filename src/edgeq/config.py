@@ -2,10 +2,12 @@
 
 A key table maps each key of a JSON object to ``(cast, default)``, or to
 ``(nested table, default)`` for a nested object. Rates go through
-``float``, which reads ``"inf"``; switches go through ``flag``, counts
-through ``integral``, and a cast wrapped by ``ranged`` checks the key's
-domain, so a bad value fails on load, naming the key. Defaults that a
-dataclass carries are read from its fields, so each is written once.
+``float``, which reads ``"inf"``; periods, horizons and frequencies go
+through ``finite_positive``, which refuses it; switches go through
+``flag``, counts through ``integral``, and a cast wrapped by ``ranged``
+checks the key's domain, so a bad value fails on load, naming the key.
+Defaults that a dataclass carries are read from its fields, so each is
+written once.
 """
 from __future__ import annotations
 
@@ -84,7 +86,8 @@ def ranged(cast, test, domain: str):
     return checked
 
 
-positive = ranged(float, lambda x: x > 0, "> 0")
+positive = ranged(float, lambda x: x > 0, "> 0")  # a rate: "inf" is allowed
+finite_positive = ranged(float, lambda x: 0 < x < math.inf, "finite and > 0")  # a span or a frequency
 count = ranged(integral, lambda n: n >= 1, ">= 1")
 
 
@@ -104,7 +107,7 @@ def table_of(cls, **casts) -> dict:
 
 _PROFILE = {
     "lambda_bar": (float, REQUIRED), "amplitude": (float, REQUIRED),
-    "gamma_rad_s": (float, None), "period_s": (positive, None), "phase": (float, 0.0),
+    "gamma_rad_s": (finite_positive, None), "period_s": (finite_positive, None), "phase": (float, 0.0),
 }
 _RENEWAL = table_of(RenewalSpec, mean=float, scv=float, family=str)
 

@@ -14,9 +14,12 @@ Single-server waiting times are computed with the vectorized Lindley
 recursion (reflected random walk), so one run handles millions of
 requests in milliseconds and is bit-reproducible for a fixed stream.
 
-Every runner ends in one metric layer, ``_summarize``. The first
-``int(n * warmup)`` requests are a warm-up and are not counted. The
-window runs from the first counted arrival to the last departure, and
+Every runner ends in one metric layer, ``_summarize``. It computes only
+the ``SimMetrics`` fields that ``SimConfig.metrics`` names (all of them
+by default), and the others read NaN. A run builds its departure and
+sojourn arrays only when a named field, the instability check, the event
+log or the rush statistic reads them. The first ``int(n * warmup)``
+requests are a warm-up and are not counted. The window runs from the first counted arrival to the last departure, and
 ``little_l`` is the time-average number in system over it: each request,
 counted or not, adds its overlap with the window. The tandem model's
 ``mean_wait`` composes the source-queue wait over all requests with the
@@ -44,6 +47,31 @@ MODELS = ("two_phase_edge", "mtm1_sinusoidal", "mmk_cloud")
 RUSH_STATS = ("peak_bin", "arrivals", "served")
 
 
+@dataclass
+class SimMetrics:
+    """Post-warmup summary of one run (or field-wise mean across runs).
+
+    A run fills only the fields its ``SimConfig.metrics`` names; the
+    others read NaN. A run with no requests reads 0 in the named fields.
+    """
+
+    mean_wait: float = 0.0
+    mean_response: float = 0.0
+    p95_response: float = 0.0
+    utilization_observed: float = 0.0
+    count_served: float = 0
+    count_migrated: float = 0
+    little_l: float = 0.0
+    mean_sojourn: float = 0.0
+    mean_wait_conditional: float = 0.0   # mmk_cloud: wait averaged over delayed requests
+    window_duration: float = 0.0
+
+    FIELDS: ClassVar[tuple[str, ...]]  # field names in declaration order, set below
+
+
+SimMetrics.FIELDS = tuple(f.name for f in fields(SimMetrics))
+
+
 @dataclass(frozen=True)
 class SimConfig:
     """One simulation run description; see module docstring for models."""
@@ -67,10 +95,14 @@ class SimConfig:
     allow_unstable: bool = False
     max_in_system: Optional[int] = None        # instability heuristic cap
     event_log: Optional[str] = None
+    metrics: tuple[str, ...] = SimMetrics.FIELDS  # the SimMetrics fields the run computes
 
     def validate(self) -> None:
         if self.model not in MODELS:
             raise ConfigError(f"unknown model {self.model!r}; expected one of {MODELS}")
+        unknown = [name for name in self.metrics if name not in SimMetrics.FIELDS]
+        if isinstance(self.metrics, str) or unknown:
+            raise ConfigError(f"metrics must name fields of {SimMetrics.FIELDS}, got {self.metrics!r}")
         if not 0.0 <= self.warmup < 1.0:
             raise ConfigError("warmup fraction must lie in [0, 1)")
         if self.rush_stat not in RUSH_STATS:
@@ -99,27 +131,6 @@ class SimConfig:
                 raise ConfigError("mmk_cloud requires a CloudSpec")
             if self.horizon_requests is None and self.horizon_s is None:
                 raise ConfigError("set horizon_requests or horizon_s")
-
-
-@dataclass
-class SimMetrics:
-    """Post-warmup summary of one run (or field-wise mean across runs)."""
-
-    mean_wait: float = 0.0
-    mean_response: float = 0.0
-    p95_response: float = 0.0
-    utilization_observed: float = 0.0
-    count_served: float = 0
-    count_migrated: float = 0
-    little_l: float = 0.0
-    mean_sojourn: float = 0.0
-    mean_wait_conditional: float = 0.0   # mmk_cloud: wait averaged over delayed requests
-    window_duration: float = 0.0
-
-    FIELDS: ClassVar[tuple[str, ...]]  # field names in declaration order, set below
-
-
-SimMetrics.FIELDS = tuple(f.name for f in fields(SimMetrics))
 
 
 @dataclass
@@ -216,11 +227,16 @@ def lindley_waits(arrivals: np.ndarray, services: np.ndarray) -> np.ndarray:
     reflected random walk so the whole run vectorizes.
     """
     n = len(arrivals)
+    walk = np.empty(n)
     if n == 0:
-        return np.empty(0)
-    steps = services[:-1] - np.diff(arrivals)
-    walk = np.concatenate(([0.0], np.cumsum(steps)))
-    return walk - np.minimum.accumulate(walk)
+        return walk
+    walk[0] = 0.0
+    steps = walk[1:]  # S_n - (A_{n+1} - A_n), summed in place into the walk
+    np.subtract(arrivals[1:], arrivals[:-1], out=steps)
+    np.subtract(services[:-1], steps, out=steps)
+    np.cumsum(steps, out=steps)
+    walk -= np.minimum.accumulate(walk)
+    return walk
 
 
 def multiserver_waits(arrivals: np.ndarray, services: np.ndarray, k: int) -> np.ndarray:
@@ -248,8 +264,9 @@ def _time_average_in_system(
     """
     if t1 <= t0:
         return 0.0
-    area = float(np.sum(np.clip(departures, t0, t1) - np.clip(arrivals, t0, t1)))
-    return area / (t1 - t0)
+    overlap = np.clip(departures, t0, t1)
+    overlap -= np.clip(arrivals, t0, t1)
+    return float(np.sum(overlap)) / (t1 - t0)
 
 
 def _max_in_system(arrivals: np.ndarray, departures: np.ndarray) -> int:
@@ -282,43 +299,98 @@ def _bin_exposure(t0: float, t1: float, period: float, n_bins: int) -> np.ndarra
     return exposure + lo + hi
 
 
-def _write_event_log(path: str, rows) -> None:
+EVENT_TYPES = ("arrival", "departure", "service_start")  # alphabetical: codes sort as the names do
+
+
+def _write_event_log(path: str, *queues) -> None:
+    """The events of ``(queue_id, ids, arrivals, starts, departures)`` queues as CSV.
+
+    Rows are ordered by time, then event type, request id and queue id,
+    which is the order of sorted (time, type, id, queue) tuples.
+    """
+    names = sorted({queue[0] for queue in queues})
+    times, kinds, ids, queue_codes = [], [], [], []
+    for queue_id, rid, arrivals, starts, departures in queues:
+        for kind, when in enumerate((arrivals, departures, starts)):  # EVENT_TYPES order
+            times.append(when)
+            kinds.append(np.full(len(when), kind, np.intp))
+            ids.append(rid)
+            queue_codes.append(np.full(len(when), names.index(queue_id), np.intp))
+    times, kinds, ids, queue_codes = (np.concatenate(col) for col in (times, kinds, ids, queue_codes))
+    order = np.lexsort((queue_codes, ids, kinds, times))
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["event_time", "event_type", "request_id", "queue_id"])
-        for row in sorted(rows):
-            writer.writerow([f"{row[0]:.9g}", row[1], row[2], row[3]])
+        writer.writerows(zip(
+            [f"{x:.9g}" for x in times[order].tolist()],
+            [EVENT_TYPES[k] for k in kinds[order].tolist()],
+            ids[order].tolist(),
+            [names[q] for q in queue_codes[order].tolist()],
+        ))
 
 
-def _event_rows(queue_id, ids, arrivals, starts, departures):
-    rows = []
-    for i, t, s, d in zip(ids, arrivals, starts, departures):
-        rows.append((float(t), "arrival", int(i), queue_id))
-        rows.append((float(s), "service_start", int(i), queue_id))
-        rows.append((float(d), "departure", int(i), queue_id))
-    return rows
+def _p95(x: np.ndarray) -> float:
+    """``np.percentile(x, 95)`` bit for bit, from one partition of ``x`` in place.
 
-
-def _summarize(t, done, busy, sojourn, cut, rtt, mean_wait, servers=1, **extra) -> SimMetrics:
-    """The metrics of one run from its per-request arrays in arrival order.
-
-    ``done`` holds departures, ``busy`` server-held time and ``sojourn``
-    time in system; requests before ``cut`` are the warm-up. ``extra``
-    passes the model-specific fields.
+    numpy's linear method reads the order statistics at lo and lo + 1
+    around the virtual index (n - 1) * 0.95 and blends them with its
+    ``_lerp`` formula, which this repeats.
     """
-    t0, t_end = float(t[cut]), float(np.max(done))
-    window = t_end - t0
-    return SimMetrics(
-        mean_wait=mean_wait,
-        mean_response=rtt + mean_wait + float(np.mean(busy[cut:])),
-        p95_response=float(np.percentile(rtt + sojourn[cut:], 95)),
-        utilization_observed=float(np.sum(busy[cut:])) / (servers * window) if window > 0 else 0.0,
-        count_served=len(t) - cut,
-        little_l=_time_average_in_system(t, done, t0, t_end),
-        mean_sojourn=float(np.mean(sojourn[cut:])),
-        window_duration=window,
-        **extra,
-    )
+    pos = (len(x) - 1) * 0.95
+    lo = math.floor(pos)
+    if lo >= len(x) - 1:
+        return float(np.max(x))
+    x.partition((lo, lo + 1))
+    a, b, g = float(x[lo]), float(x[lo + 1]), pos - lo
+    return b - (b - a) * (1 - g) if g >= 0.5 else a + (b - a) * g
+
+
+WINDOWED = frozenset({"utilization_observed", "little_l", "window_duration"})  # read departures
+PER_REQUEST = frozenset({"p95_response", "mean_sojourn"})  # read per-request sojourns
+
+
+def _departures_read(config: SimConfig) -> bool:
+    """Whether the instability check or a requested WINDOWED metric reads departures."""
+    return config.max_in_system is not None or not WINDOWED.isdisjoint(config.metrics)
+
+
+def _metrics(config: SimConfig, **values) -> SimMetrics:
+    """SimMetrics with the fields ``config.metrics`` names, from ``values`` or 0; NaN elsewhere."""
+    return SimMetrics(**{
+        f: values.get(f, getattr(SimMetrics, f)) if f in config.metrics else math.nan
+        for f in SimMetrics.FIELDS
+    })
+
+
+def _summarize(config, t, cut, rtt, mean_wait, busy, done=None, sojourn=None, servers=1, **extra) -> SimMetrics:
+    """The requested metrics of one run from its per-request arrays in arrival order.
+
+    ``busy`` holds server-held time, ``done`` departures and ``sojourn``
+    time in system; requests before ``cut`` are the warm-up. ``done`` may
+    be None unless a WINDOWED metric is requested, and ``sojourn`` unless
+    a PER_REQUEST one is; ``sojourn`` is used up as scratch space.
+    ``extra`` passes the model-specific fields.
+    """
+    want = config.metrics
+    values = dict(extra, mean_wait=mean_wait, count_served=len(t) - cut)
+    if "mean_response" in want:
+        values["mean_response"] = rtt + mean_wait + float(np.mean(busy[cut:]))
+    if not WINDOWED.isdisjoint(want):
+        t0, t_end = float(t[cut]), float(np.max(done))
+        window = t_end - t0
+        values["window_duration"] = window
+        if "utilization_observed" in want:
+            values["utilization_observed"] = float(np.sum(busy[cut:])) / (servers * window) if window > 0 else 0.0
+        if "little_l" in want:
+            values["little_l"] = _time_average_in_system(t, done, t0, t_end)
+    if not PER_REQUEST.isdisjoint(want):
+        counted = sojourn[cut:]
+        if "mean_sojourn" in want:
+            values["mean_sojourn"] = float(np.mean(counted))
+        if "p95_response" in want:
+            counted += rtt
+            values["p95_response"] = _p95(counted)
+    return _metrics(config, **values)
 
 
 # ---------------------------------------------------------------------------
@@ -355,7 +427,7 @@ def run_two_phase_sim(config: SimConfig, stream: SeededStream) -> SimMetrics:
     t = _draw_arrivals(config, rng)
     n = len(t)
     if n == 0:
-        return SimMetrics()
+        return _metrics(config)
     migrate = rng.uniform(size=n) < q.r
     x1 = renewal_times(config.service1 or RenewalSpec(1.0 / q.mu1), n, rng)
     if math.isinf(q.mu2):
@@ -365,7 +437,8 @@ def run_two_phase_sim(config: SimConfig, stream: SeededStream) -> SimMetrics:
     s1 = x1 + np.where(migrate, x2, 0.0)
 
     w1 = lindley_waits(t, s1)
-    dep1 = t + w1 + s1
+    dep1 = t + w1
+    dep1 += s1
     if __debug__:
         # tolerance covers float cancellation in the reflected-walk form
         assert np.all(np.diff(dep1) >= -1e-9), "FCFS departures left order"
@@ -390,25 +463,30 @@ def run_two_phase_sim(config: SimConfig, stream: SeededStream) -> SimMetrics:
     w2 = w2_all[from_mig]
     dep2 = dep2_all[from_mig]
 
-    # per-request totals in arrival order
-    sojourn = w1 + s1
-    sojourn[migrate] += w2
-    sojourn[migrate] += s2[from_mig]
-    done = dep1.copy()
-    done[migrate] = dep2
+    # per-request totals in arrival order, built only for what reads them
+    sojourn = done = None
+    if not PER_REQUEST.isdisjoint(config.metrics):
+        sojourn = w1 + s1
+        sojourn[migrate] += w2
+        sojourn[migrate] += s2[from_mig]
+    if _departures_read(config):
+        done = dep1.copy()
+        done[migrate] = dep2
     _check_instability(config, t, done)
 
     if config.event_log:
-        rows = _event_rows("edge", np.arange(n), t, t + w1, dep1)
-        rows += _event_rows("dest", np.flatnonzero(migrate), t_mig, t_mig + w2, dep2)
-        _write_event_log(config.event_log, rows)
+        _write_event_log(
+            config.event_log,
+            ("edge", np.arange(n), t, t + w1, dep1),
+            ("dest", np.flatnonzero(migrate), t_mig, t_mig + w2, dep2),
+        )
 
     cut = int(n * config.warmup)
     w2c = w2[np.count_nonzero(migrate[:cut]):]  # destination waits of counted migrants
     mean_w2 = float(np.mean(w2c)) if len(w2c) else 0.0
     rtt = config.network.t_edge if config.network is not None else 0.0
     return _summarize(
-        t, done, s1, sojourn, cut, rtt, float(np.mean(w1[cut:])) + mean_w2, count_migrated=len(w2c)
+        config, t, cut, rtt, float(np.mean(w1[cut:])) + mean_w2, s1, done, sojourn, count_migrated=len(w2c)
     )
 
 
@@ -431,29 +509,38 @@ def run_mtm1_sim(config: SimConfig, stream: SeededStream) -> tuple[SimMetrics, T
         empty = TimeSeriesMetrics(
             period, np.zeros(n_bins), np.zeros(n_bins), np.zeros(n_bins), window, config.rush_stat
         )
-        return SimMetrics(), empty
+        return _metrics(config), empty
 
-    migrate = np.zeros(n, bool)
+    migrate = None
     if config.two_stage_service:
         migrate = rng.uniform(size=n) < q.r
         s = rng.exponential(1.0 / q.mu1, n)
         if not math.isinf(q.mu2):
-            s = s + np.where(migrate, rng.exponential(1.0 / q.mu2, n), 0.0)
+            s += np.where(migrate, rng.exponential(1.0 / q.mu2, n), 0.0)
     else:
         s = rng.exponential(1.0 / mu_eff, n)
     w = lindley_waits(t, s)
-    dep = t + w + s
+    rush = window is not None and config.rush_stat != "peak_bin"
+    dep = None
+    if _departures_read(config) or config.event_log or rush and config.rush_stat == "served":
+        dep = t + w
+        dep += s
     _check_instability(config, t, dep)
 
     cut = int(n * config.warmup)
-    tc, wc, depc = t[cut:], w[cut:], dep[cut:]
+    tc, wc = t[cut:], w[cut:]
 
-    phase = np.mod(tc, period)
-    idx = np.minimum((phase / period * n_bins).astype(int), n_bins - 1)
+    # cycle phase as a bin index; fmod equals mod here because t >= 0
+    idx = np.fmod(tc, period)
+    idx /= period
+    idx *= n_bins
+    idx = idx.astype(np.intp)
+    np.minimum(idx, n_bins - 1, out=idx)
     rush_sum, rush_count = 0.0, 0
-    if window is not None and config.rush_stat != "peak_bin":
+    if rush:
         t1, t2 = window
-        inside = np.mod((tc if config.rush_stat == "arrivals" else depc) - t1, period) <= t2 - t1
+        # the window may wrap the cycle, so tc - t1 can be negative: keep mod
+        inside = np.mod((tc if config.rush_stat == "arrivals" else dep[cut:]) - t1, period) <= t2 - t1
         rush_sum, rush_count = float(np.sum(wc[inside])), int(np.count_nonzero(inside))
     ts = TimeSeriesMetrics(
         period,
@@ -467,11 +554,13 @@ def run_mtm1_sim(config: SimConfig, stream: SeededStream) -> tuple[SimMetrics, T
     )
 
     if config.event_log:
-        _write_event_log(config.event_log, _event_rows("edge", np.arange(n), t, t + w, dep))
+        _write_event_log(config.event_log, ("edge", np.arange(n), t, t + w, dep))
     rtt = config.network.t_edge if config.network is not None else 0.0
-    metrics = _summarize(
-        t, dep, s, w + s, cut, rtt, float(np.mean(wc)), count_migrated=int(np.sum(migrate[cut:]))
-    )
+    extra = {}
+    if migrate is not None and "count_migrated" in config.metrics:
+        extra["count_migrated"] = int(np.sum(migrate[cut:]))
+    sojourn = w + s if not PER_REQUEST.isdisjoint(config.metrics) else None
+    metrics = _summarize(config, t, cut, rtt, float(np.mean(wc)), s, dep, sojourn, **extra)
     return metrics, ts
 
 
@@ -487,29 +576,33 @@ def run_mmk_sim(config: SimConfig, stream: SeededStream) -> SimMetrics:
     rng = stream.generator()
 
     if lam == 0.0:
-        return SimMetrics()
+        return _metrics(config)
     if config.horizon_requests is not None:
         t = np.cumsum(renewal_times(RenewalSpec(1.0 / lam), int(config.horizon_requests), rng))
     else:
         t = poisson_arrivals(lam, config.horizon_s, rng)
     n = len(t)
     if n == 0:
-        return SimMetrics()
+        return _metrics(config)
     s = rng.exponential(1.0 / cloud.mu_cloud, n)
     w = multiserver_waits(t, s, cloud.k)
-    dep = t + w + s
+    dep = None
+    if _departures_read(config) or config.event_log:
+        dep = t + w
+        dep += s
     _check_instability(config, t, dep)
     if config.event_log:
-        _write_event_log(config.event_log, _event_rows("cloud", np.arange(n), t, t + w, dep))
+        _write_event_log(config.event_log, ("cloud", np.arange(n), t, t + w, dep))
 
     cut = int(n * config.warmup)
     wc = w[cut:]
-    delayed = wc[wc > 0.0]
+    extra = {}
+    if "mean_wait_conditional" in config.metrics:
+        delayed = wc[wc > 0.0]
+        extra["mean_wait_conditional"] = float(np.mean(delayed)) if len(delayed) else 0.0
+    sojourn = w + s if not PER_REQUEST.isdisjoint(config.metrics) else None
     rtt = config.network.t_cloud if config.network is not None else 0.0
-    return _summarize(
-        t, dep, s, w + s, cut, rtt, float(np.mean(wc)), servers=cloud.k,
-        mean_wait_conditional=float(np.mean(delayed)) if len(delayed) else 0.0,
-    )
+    return _summarize(config, t, cut, rtt, float(np.mean(wc)), s, dep, sojourn, servers=cloud.k, **extra)
 
 
 def run_model(config: SimConfig, stream: SeededStream):
@@ -527,7 +620,7 @@ def run_model(config: SimConfig, stream: SeededStream):
 
 @dataclass
 class Aggregate:
-    """Across-run mean, standard error and normal 95% CI per metric."""
+    """Across-run mean, standard error and normal 95% CI per requested metric."""
 
     n_runs: int
     mean: SimMetrics
@@ -541,11 +634,13 @@ def replicate(config: SimConfig, n_runs: int, base_stream: SeededStream) -> Aggr
 
     Aggregation uses compensated summation in run order, so a fixed base
     stream reproduces the aggregate bit for bit. With a single run the
-    stderr and CI are reported as 0.
+    stderr and CI are reported as 0. Only the fields ``config.metrics``
+    names are aggregated; the mean reads NaN in the others, and
+    ``stderr``/``ci95`` hold only the named keys.
     """
     if n_runs < 1:
         raise ConfigError("n_runs must be >= 1")
-    values: dict[str, list[float]] = {f: [] for f in SimMetrics.FIELDS}
+    values: dict[str, list[float]] = {f: [] for f in SimMetrics.FIELDS if f in config.metrics}
     ts_pool: Optional[TimeSeriesMetrics] = None
     for i in range(n_runs):
         result = run_model(config, base_stream.child(i))
@@ -554,8 +649,8 @@ def replicate(config: SimConfig, n_runs: int, base_stream: SeededStream) -> Aggr
             ts_pool = ts if ts_pool is None else ts_pool.pooled_with(ts)
         else:
             metrics = result
-        for f in SimMetrics.FIELDS:
-            values[f].append(float(getattr(metrics, f)))
+        for f, vals in values.items():
+            vals.append(float(getattr(metrics, f)))
 
     means, stderr, ci95 = {}, {}, {}
     for f, vals in values.items():
@@ -567,4 +662,4 @@ def replicate(config: SimConfig, n_runs: int, base_stream: SeededStream) -> Aggr
         else:
             stderr[f] = 0.0
         ci95[f] = 1.96 * stderr[f]
-    return Aggregate(n_runs, SimMetrics(**means), stderr, ci95, ts_pool)
+    return Aggregate(n_runs, _metrics(config, **means), stderr, ci95, ts_pool)

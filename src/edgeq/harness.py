@@ -6,6 +6,9 @@ CSV/JSON artifacts. ``_MODELS`` names each model's keys and runner. A
 sweepable key is checked per point, so a point the model rejects keeps its
 row, marked ``skipped: <reason>``, even if the key is set in ``fixed``; the
 cast of every other key checks its domain, naming the key before any run.
+Each runner asks its simulations for the ``SimMetrics`` fields its rows
+read, plus ``count_served``, which costs nothing and tells a profiler how
+many requests each run counted.
 Rows are pure functions of (scenario, seed): re-running writes
 byte-identical files when deterministic names are requested.
 """
@@ -22,7 +25,7 @@ from pathlib import Path
 from typing import Callable, Optional, Sequence
 
 from . import analytic, capacity
-from .config import REQUIRED, count, integral, listed, positive, ranged, table_of, take
+from .config import REQUIRED, count, finite_positive, integral, listed, positive, ranged, table_of, take
 from .desim import SimConfig, replicate
 from .errors import ConfigError, DomainError
 from .specs import CloudSpec, NetworkSpec, QueueSpec, SinusoidProfile
@@ -140,7 +143,8 @@ def _run_two_phase_wait(sc: Scenario, workers: int):
         spec = QueueSpec(v["lam"], v["mu1"], v["mu2"], v["r"])
         want = analytic.mm1_two_phase_wait(spec)
         config = SimConfig(
-            model="two_phase_edge", queue=spec, horizon_requests=v["horizon_requests"], warmup=v["warmup"]
+            model="two_phase_edge", queue=spec, horizon_requests=v["horizon_requests"], warmup=v["warmup"],
+            metrics=("mean_wait", "count_served"),
         )
         agg = replicate(config, sc.replications, _point_stream(seed, idx))
         return ComparisonRow(params, want, agg.mean.mean_wait, agg.ci95["mean_wait"])
@@ -164,11 +168,11 @@ def _run_mobility_crossover(sc: Scenario, workers: int):
         bound = analytic.delta_t_bound_mmk(edge_spec, cloud_spec)
         edge_cfg = SimConfig(
             model="two_phase_edge", queue=edge_spec, horizon_requests=horizon,
-            warmup=warmup, network=net,
+            warmup=warmup, network=net, metrics=("mean_wait", "mean_response", "count_served"),
         )
         cloud_cfg = SimConfig(
             model="mmk_cloud", cloud=cloud_spec, horizon_requests=horizon,
-            warmup=warmup, network=net,
+            warmup=warmup, network=net, metrics=("mean_wait_conditional", "count_served"),
         )
         edge = replicate(edge_cfg, sc.replications, _point_stream(seed, 2 * idx))
         cloud = replicate(cloud_cfg, sc.replications, _point_stream(seed, 2 * idx + 1))
@@ -271,6 +275,7 @@ def _run_rush_hour(sc: Scenario, workers: int):
             warmup=v["warmup"],
             bins_per_period=v["bins_per_period"],
             rush_stat=v["rush_stat"],
+            metrics=("mean_wait", "count_served"),
         )
         agg = replicate(config, sc.replications, _point_stream(seed, idx))
         rush = agg.timeseries.rush_window()
@@ -307,6 +312,7 @@ def _run_excess_wait(sc: Scenario, workers: int):
             profile=profile,
             horizon_s=v["horizon_periods"] * profile.period,
             warmup=v["warmup"],
+            metrics=("mean_wait", "count_served"),
         )
         agg = replicate(config, sc.replications, _point_stream(seed, idx))
         excess = agg.mean.mean_wait - stationary
@@ -352,7 +358,7 @@ def _run_packing_sweep(sc: Scenario, workers: int):
 
 
 _WARMUP = table_of(SimConfig, warmup=float)
-_SINUSOID = {"gamma_rad_s": (positive, None), "period_s": (positive, None)}
+_SINUSOID = {"gamma_rad_s": (finite_positive, None), "period_s": (finite_positive, None)}
 _DELAY = ranged(float, lambda x: x >= 0, ">= 0")
 
 # comparison model -> (keys its grid may sweep, {key: (cast, default)} for
@@ -371,16 +377,16 @@ _MODELS: dict[str, tuple[tuple[str, ...], dict, Callable]] = {
     "rush_hour": (("amplitude",), {
         "amplitude": (float, REQUIRED), "lambda_bar": (positive, REQUIRED), "mu1": (positive, REQUIRED),
         "mu2": (positive, REQUIRED), "r": (ranged(float, lambda x: 0 <= x <= 1, "in [0, 1]"), 0.0),
-        **_SINUSOID, "horizon_periods": (positive, 10), "scale": (positive, 16.0),
+        **_SINUSOID, "horizon_periods": (finite_positive, 10), "scale": (positive, 16.0),
         **table_of(SimConfig, warmup=float, bins_per_period=integral, rush_stat=str),
     }, _run_rush_hour),
     "excess_wait": (("amplitude",), {
         "amplitude": (float, REQUIRED), "rho": (ranged(float, lambda x: 0 < x < 1, "in (0, 1)"), REQUIRED),
-        "mu_eff": (positive, REQUIRED), **_SINUSOID, "horizon_periods": (positive, 12), **_WARMUP,
+        "mu_eff": (positive, REQUIRED), **_SINUSOID, "horizon_periods": (finite_positive, 12), **_WARMUP,
     }, _run_excess_wait),
     "packing_sweep": (("cores_per_site",), {
         "cores_per_site": (integral, REQUIRED), "k_sites": (count, 16), "q": (positive, 2.0),
-        "vm_rate": (positive, 16.0), "mean_lifetime_s": (positive, 10.0), "horizon_s": (positive, 400.0),
+        "vm_rate": (positive, 16.0), "mean_lifetime_s": (positive, 10.0), "horizon_s": (finite_positive, 400.0),
         "policy": (ranged(str, capacity.POLICIES.__contains__, f"one of {capacity.POLICIES}"), "first_fit"),
     }, _run_packing_sweep),
 }

@@ -125,7 +125,9 @@ def poisson_arrivals(lam: float, horizon: float, rng: np.random.Generator) -> np
     if horizon == 0:
         return np.empty(0)
     n = rng.poisson(lam * horizon)
-    return np.sort(rng.uniform(0.0, horizon, n))
+    t = rng.uniform(0.0, horizon, n)
+    t.sort()
+    return t
 
 
 def nhpp_sinusoidal(profile: SinusoidProfile, horizon: float, rng: np.random.Generator) -> np.ndarray:
@@ -133,9 +135,20 @@ def nhpp_sinusoidal(profile: SinusoidProfile, horizon: float, rng: np.random.Gen
 
     Candidates are drawn at the constant envelope lambda_bar*(1+A) and
     kept with probability lam(t)/envelope, which is exact for any phase.
+    The rate is built in one buffer in the operation order of
+    ``SinusoidProfile.rate``, so every accept decision matches
+    ``u * peak < profile.rate(t)`` bit for bit.
     """
     t = poisson_arrivals(profile.peak_rate, horizon, rng)
-    return t[rng.uniform(0.0, 1.0, len(t)) * profile.peak_rate < profile.rate(t)]
+    u = rng.uniform(0.0, 1.0, len(t))
+    u *= profile.peak_rate
+    rate = np.multiply(profile.gamma, t)
+    rate += profile.phase
+    np.sin(rate, out=rate)
+    rate *= profile.amplitude
+    rate += 1.0
+    rate *= profile.lambda_bar
+    return t[u < rate]
 
 
 def phase_shifted_sites(

@@ -368,11 +368,14 @@ RUSH_FIXED = {
         ("simulate", {**SIM_CONFIGS["mmk_cloud"], "cloud": {"k": 2.5, "mu": 10.0, "rho": 0.7}}, "cloud.k"),
         ("simulate", {**MINIMAL_SIM_CONFIG, "simulation": {**MINIMAL_SIM_CONFIG["simulation"], "reps": 0}},
          "reps"),
+        # an infinite period used to set gamma to 0 and run on
+        ("simulate", {**SIM_CONFIGS["mtm1_sinusoidal"], "workload": {"profile": {
+            **SIM_CONFIGS["mtm1_sinusoidal"]["workload"]["profile"], "period_s": math.inf}}}, "profile.period_s"),
     ],
     ids=["capacity", "formats", "edge-mu1", "cloud-rho", "fixed-typo", "crossover-r",
          "rush-lambda_bar", "period-and-gamma", "rush-grid-mu1", "string-flag", "outputs-string",
          "mtm1-arrivals", "mmk-service1", "k_sites-0", "k_sites-negative", "gg1-edge",
-         "cloud-k-fraction", "reps-0"],
+         "cloud-k-fraction", "reps-0", "profile-period-inf"],
 )
 def test_config_faults_exit_2_naming_the_key(capsys, tmp_path, command, body, key):
     path = tmp_path / "bad.json"

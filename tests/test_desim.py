@@ -1,5 +1,6 @@
 """Simulator tests: analytic oracles, conservation, and reproducibility."""
 import csv
+import dataclasses
 import math
 
 import numpy as np
@@ -32,7 +33,8 @@ from edgeq import (
     run_two_phase_sim,
 )
 from edgeq.analytic import effective_service_rate
-from edgeq.desim import _time_average_in_system, lindley_waits, multiserver_waits
+from edgeq import desim
+from edgeq.desim import SimMetrics, _p95, _time_average_in_system, lindley_waits, multiserver_waits
 
 
 def two_phase_config(lam, r, n=200_000, **kw):
@@ -69,6 +71,16 @@ class TestLindleyCore:
             assert got[0] == 0.0
 
     @settings(max_examples=200, deadline=None)
+    @given(queue_inputs)
+    def test_in_place_walk_equals_the_concatenated_expression(self, inputs):
+        t, s = inputs
+        want = np.empty(0)
+        if len(t):
+            walk = np.concatenate(([0.0], np.cumsum(s[:-1] - np.diff(t))))
+            want = walk - np.minimum.accumulate(walk)
+        np.testing.assert_array_equal(lindley_waits(t, s), want)
+
+    @settings(max_examples=200, deadline=None)
     @given(queue_inputs, st.integers(1, 8))
     def test_multiserver_matches_min_free_server_loop(self, inputs, k):
         t, s = inputs
@@ -85,6 +97,24 @@ class TestLindleyCore:
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-9)
         else:
             np.testing.assert_array_equal(got, np.array(want, dtype=float))
+
+
+class TestP95:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(
+        st.one_of(st.floats(0.0, 1e3, allow_subnormal=False), st.sampled_from([0.0, 0.5, 1.0, 7.25])),
+        min_size=1, max_size=2000,
+    ))
+    def test_partition_matches_percentile_bitwise(self, xs):
+        x = np.array(xs)
+        want = float(np.percentile(x, 95))
+        got = _p95(x.copy())
+        assert got == want, (len(xs), got, want)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 20, 21, 41, 1999, 2000])
+    def test_every_order_statistic_pair_with_ties(self, n):
+        x = np.random.default_rng(n).integers(0, 5, n).astype(float)
+        assert _p95(x.copy()) == float(np.percentile(x, 95))
 
 
 def sorted_event_time_average(arrivals, departures, t0, t1):
@@ -224,6 +254,36 @@ class TestTwoPhaseSim:
         assert times == sorted(times)
         kinds = {r[1] for r in rows[1:]}
         assert kinds == {"arrival", "service_start", "departure"}
+
+    @pytest.mark.parametrize("dest_rate", [40.0, math.inf])
+    def test_event_log_matches_tuple_sort_writer(self, tmp_path, monkeypatch, dest_rate):
+        # an infinite destination rate makes a migrant's two departures coincide, so the queue id breaks ties
+        written, write = [], desim._write_event_log
+
+        def recording(path, *queues):
+            written.append(queues)
+            return write(path, *queues)
+
+        monkeypatch.setattr(desim, "_write_event_log", recording)
+        log = tmp_path / "events.csv"
+        cfg = two_phase_config(20.0, 0.5, n=3000, dest_rate=dest_rate, event_log=str(log))
+        run_two_phase_sim(cfg, SeededStream(113))
+
+        rows = []  # the tuple-sort writer the vectorised one replaced, as the oracle
+        for queue_id, ids, arrivals, starts, departures in written[0]:
+            for i, t, s, d in zip(ids, arrivals, starts, departures):
+                rows.append((float(t), "arrival", int(i), queue_id))
+                rows.append((float(s), "service_start", int(i), queue_id))
+                rows.append((float(d), "departure", int(i), queue_id))
+        oracle = tmp_path / "oracle.csv"
+        with open(oracle, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["event_time", "event_type", "request_id", "queue_id"])
+            for row in sorted(rows):
+                writer.writerow([f"{row[0]:.9g}", row[1], row[2], row[3]])
+        migrants = {row[2] for row in rows if row[3] == "dest"}
+        assert len(migrants) > 1000
+        assert log.read_bytes() == oracle.read_bytes()
 
     def test_home_load_slows_destination(self):
         quiet = replicate(two_phase_config(10.0, 0.3, n=50_000), 3, SeededStream(112))
@@ -417,6 +477,56 @@ class TestPooledWith:
             a.pooled_with(b)
         with pytest.raises(ConfigError, match="rush windows"):
             b.pooled_with(a)
+
+
+def subset_configs():
+    """(runner, config) per model, each small and reading every array it can."""
+    net = NetworkSpec(0.002, 0.03)
+    return {
+        "two_phase_edge": (run_two_phase_sim, two_phase_config(20.0, 0.4, n=3000, network=net, dest_home_load=4.0)),
+        "mtm1_sinusoidal": (lambda c, s: run_mtm1_sim(c, s)[0], mtm1_config(
+            0.8, horizon_s=300.0, network=net, two_stage_service=True, rush_stat="served")),
+        "mmk_cloud": (run_mmk_sim, SimConfig(
+            model="mmk_cloud", cloud=CloudSpec(3, 10.0, 0.8), horizon_requests=3000, network=net)),
+    }
+
+
+class TestRequestedMetrics:
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(list(desim.MODELS)), st.sets(st.sampled_from(SimMetrics.FIELDS)),
+           st.integers(0, 2**32 - 1))
+    def test_subset_equals_full_run_and_nan_elsewhere(self, model, subset, seed):
+        run, cfg = subset_configs()[model]
+        full = run(cfg, SeededStream(seed))
+        part = run(dataclasses.replace(cfg, metrics=tuple(subset)), SeededStream(seed))
+        for f in SimMetrics.FIELDS:
+            got = getattr(part, f)
+            if f in subset:
+                assert got == getattr(full, f), f
+            else:
+                assert math.isnan(got), f
+
+    @pytest.mark.parametrize("model", desim.MODELS)
+    def test_replicate_aggregates_only_the_named_fields(self, model):
+        _, cfg = subset_configs()[model]
+        full = replicate(cfg, 3, SeededStream(160))
+        part = replicate(dataclasses.replace(cfg, metrics=("mean_wait", "p95_response")), 3, SeededStream(160))
+        assert set(part.stderr) == set(part.ci95) == {"mean_wait", "p95_response"}
+        assert (part.mean.mean_wait, part.ci95["mean_wait"]) == (full.mean.mean_wait, full.ci95["mean_wait"])
+        assert part.mean.p95_response == full.mean.p95_response
+        assert math.isnan(part.mean.little_l) and math.isnan(part.mean.count_served)
+
+    def test_zero_requests_read_zero_in_the_named_fields(self):
+        cfg = two_phase_config(10.0, 0.1, n=0, metrics=("mean_wait", "count_served"))
+        m = run_two_phase_sim(cfg, SeededStream(161))
+        assert (m.mean_wait, m.count_served) == (0.0, 0) and math.isnan(m.p95_response)
+
+    @pytest.mark.parametrize("metrics", [("mean_wait", "p99_response"), ("waits",), "mean_wait"])
+    @pytest.mark.parametrize("model", desim.MODELS)
+    def test_unknown_field_rejected(self, model, metrics):
+        run, cfg = subset_configs()[model]
+        with pytest.raises(ConfigError, match="metrics"):
+            run(dataclasses.replace(cfg, metrics=metrics), SeededStream(162))
 
 
 class TestReplicate:

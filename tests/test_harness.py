@@ -83,6 +83,10 @@ OUT_OF_DOMAIN = [
     ("packing_sweep", "k_sites", 0), ("packing_sweep", "k_sites", 2.5), ("packing_sweep", "q", 0.0),
     ("packing_sweep", "vm_rate", 0.0), ("packing_sweep", "mean_lifetime_s", 0.0), ("packing_sweep", "horizon_s", 0.0),
     ("packing_sweep", "policy", "worst_fit"),
+    # spans and frequencies must be finite: an infinite one used to give skipped or zero rows
+    ("rush_hour", "period_s", math.inf), ("rush_hour", "horizon_periods", math.inf),
+    ("excess_wait", "period_s", math.inf), ("excess_wait", "gamma_rad_s", math.inf),
+    ("excess_wait", "horizon_periods", math.inf), ("packing_sweep", "horizon_s", math.inf),
 ]
 
 

@@ -126,6 +126,28 @@ class TestNhppSinusoidal:
         candidates = poisson_arrivals(prof.peak_rate, horizon, stream.generator())
         assert np.isin(kept, candidates).all()
 
+    @settings(max_examples=80, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        lambda_bar=st.floats(0.1, 100.0),
+        amplitude=st.floats(0.0, 1.0),
+        gamma=st.floats(1e-3, 10.0),
+        phase=st.floats(1e-6, 2 * math.pi),
+        horizon=st.floats(0.0, 1000.0),
+    )
+    def test_in_place_thinning_equals_the_plain_expression(
+        self, seed, lambda_bar, amplitude, gamma, phase, horizon
+    ):
+        # bitwise: the one-buffer rate and the in-place sort keep every candidate and every decision
+        prof = SinusoidProfile(lambda_bar, amplitude, gamma, phase)
+        got = nhpp_sinusoidal(prof, horizon, SeededStream(seed).generator())
+        rng = SeededStream(seed).generator()
+        t = np.empty(0)
+        if horizon > 0:
+            t = np.sort(rng.uniform(0.0, horizon, rng.poisson(prof.peak_rate * horizon)))
+        u = rng.uniform(0.0, 1.0, len(t))
+        np.testing.assert_array_equal(got, t[u * prof.peak_rate < prof.rate(t)])
+
     def test_flat_profile_matches_poisson_statistics(self):
         prof = SinusoidProfile(50.0, 0.0, 1.0)
         t = nhpp_sinusoidal(prof, 2000.0, SeededStream(20).generator())
