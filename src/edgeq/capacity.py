@@ -4,12 +4,18 @@ The closed forms relate the server capacity a distributed edge needs to
 match a centralized pool handling the same geographically pinned VM
 workload. The packing sweep measures the over-provisioning; peaks where
 nothing queues come from a sorted +/-cores sweep; saturated sites are replayed.
+
+The replay is one event loop over a trace in arrival order. Releases due by
+an arrival time run before that time's arrival batch and never inside it.
+Each site keeps a FIFO of the VMs that fit nowhere, and its head blocks the
+VMs behind it.
 """
 from __future__ import annotations
 
 import csv
 import heapq
 import math
+from collections import deque
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -87,8 +93,10 @@ class VmRequest:
     site_hint: Optional[int] = None
 
     def __post_init__(self):
-        if self.lifetime <= 0:
-            raise DomainError(f"VM {self.id}: lifetime must be positive")
+        if not -math.inf < self.arrival < math.inf:
+            raise DomainError(f"VM {self.id}: arrival must be finite, got {self.arrival!r}")
+        if not 0 < self.lifetime < math.inf:
+            raise DomainError(f"VM {self.id}: lifetime must be finite and positive, got {self.lifetime!r}")
         if self.cores < 1 or int(self.cores) != self.cores:
             raise DomainError(f"VM {self.id}: cores must be an integer >= 1")
 
@@ -171,10 +179,10 @@ def synthetic_vm_trace(
     n = len(arrivals)
     lifetimes = rng.exponential(mean_lifetime, n)
     cores = rng.choice(VM_SIZES, size=n, p=VM_SIZE_PROBS)
-    hints = [None] * n if k_sites is None else rng.integers(0, k_sites, n)
+    hints = [None] * n if k_sites is None else rng.integers(0, k_sites, n).tolist()
     return [
-        VmRequest(f"vm{i}", float(a), float(lf), int(c), None if h is None else int(h))
-        for i, (a, lf, c, h) in enumerate(zip(arrivals, lifetimes, cores, hints))
+        VmRequest(f"vm{i}", a, lf, c, h)
+        for i, (a, lf, c, h) in enumerate(zip(arrivals.tolist(), lifetimes.tolist(), cores.tolist(), hints))
     ]
 
 
@@ -214,62 +222,6 @@ class PackingReport:
     completed: int
 
 
-class _Site:
-    __slots__ = ("cap", "max_servers", "free", "queue", "busy", "used", "peak_busy", "peak_used")
-
-    def __init__(self, cap: int, max_servers: int):
-        self.cap = cap
-        self.max_servers = max_servers
-        self.free: list[int] = []     # residual cores of opened servers
-        self.queue: list[tuple[float, int]] = []  # FIFO of (lifetime, cores)
-        self.busy = 0
-        self.used = 0
-        self.peak_busy = 0
-        self.peak_used = 0
-
-    def try_place(self, cores: int, policy: str) -> Optional[int]:
-        """Return the server index the VM lands on, or None when full."""
-        if policy == "best_fit":
-            best, best_res = None, None
-            for i, f in enumerate(self.free):
-                if f >= cores and (best_res is None or f < best_res):
-                    best, best_res = i, f
-            if best is not None:
-                self._occupy(best, cores)
-                return best
-        else:  # first_fit and the batch variant place the same way
-            for i, f in enumerate(self.free):
-                if f >= cores:
-                    self._occupy(i, cores)
-                    return i
-        if len(self.free) < self.max_servers:
-            self.free.append(self.cap - cores)
-            self.busy += 1
-            self.used += cores
-            self._bump()
-            return len(self.free) - 1
-        return None
-
-    def _occupy(self, idx: int, cores: int) -> None:
-        if self.free[idx] == self.cap:
-            self.busy += 1
-        self.free[idx] -= cores
-        self.used += cores
-        self._bump()
-
-    def release(self, idx: int, cores: int) -> None:
-        self.free[idx] += cores
-        self.used -= cores
-        if self.free[idx] == self.cap:
-            self.busy -= 1
-
-    def _bump(self) -> None:
-        if self.busy > self.peak_busy:
-            self.peak_busy = self.busy
-        if self.used > self.peak_used:
-            self.peak_used = self.used
-
-
 def simulate_packing(
     trace: Sequence[VmRequest],
     topology: Topology,
@@ -277,12 +229,18 @@ def simulate_packing(
     site_assign: str = "uniform",
     stream: Optional[SeededStream] = None,
 ) -> PackingReport:
-    """Replay a VM trace against a topology.
+    """Replay a VM trace, in arrival order, against a topology.
 
     Each VM is pinned to its site (uniform draw or the trace's hint; edge
-    sites never borrow from each other). A VM that fits nowhere on its
-    site waits in FIFO order until releases free enough cores. Verifies
-    conservation and never oversubscribes a server.
+    sites never borrow from each other) and lands on the first opened
+    server with room (best_fit: the tightest), else on a new server while
+    the site has one left. A VM that fits nowhere waits in its site's FIFO,
+    and the head blocks the VMs behind it until releases free enough cores.
+    Releases due by an arrival time run before that time's arrival batch,
+    never inside it, so a VM whose end rounds to its arrival holds its cores
+    through its batch; first_fit_decreasing_batch places each batch largest
+    first, ties in trace order. Verifies conservation and never
+    oversubscribes a server.
     """
     if policy not in POLICIES:
         raise DomainError(f"unknown policy {policy!r}")
@@ -296,98 +254,108 @@ def simulate_packing(
         raise OversizedVm(
             f"VM {oversized.id} wants {oversized.cores} cores > server size {cap}"
         )
+    times = [r.arrival for r in trace]
+    if times != sorted(times):
+        early = next(r for prev, r in zip(trace, trace[1:]) if r.arrival < prev.arrival)
+        raise DomainError(f"VM {early.id} arrives before the VM ahead of it; sort the trace by arrival")
 
+    n = len(trace)
     n_sites = topology.k_sites if topology.mode == "edge" else 1
     if topology.mode == "cloud":
-        site_of = np.zeros(len(trace), dtype=int)
+        site_of = [0] * n
     elif site_assign == "hint":
         if any(r.site_hint is None for r in trace):
             raise DomainError("site_assign='hint' requires every VM to carry a hint")
-        site_of = np.array([r.site_hint % n_sites for r in trace])
+        site_of = [r.site_hint % n_sites for r in trace]
     else:
         if stream is None:
             raise DomainError("site_assign='uniform' requires a SeededStream")
-        site_of = stream.generator().integers(0, n_sites, len(trace))
+        site_of = stream.generator().integers(0, n_sites, n).tolist()
 
-    sites = [_Site(cap, topology.servers_per_site) for _ in range(n_sites)]
-    releases: list[tuple[float, int, int, int]] = []  # (time, site, server, cores)
-    placed = completed = 0
-    queued_now = 0
-    peak_queue = 0
-    busy_total = 0
-    peak_busy_total = 0
-
-    def place(site_idx: int, cores: int) -> Optional[int]:
-        nonlocal busy_total, peak_busy_total
-        site = sites[site_idx]
-        before = site.busy
-        idx = site.try_place(cores, policy)
-        if idx is not None:
-            busy_total += site.busy - before
-            if busy_total > peak_busy_total:
-                peak_busy_total = busy_total
-        return idx
-
-    def drain(site_idx: int, now: float) -> None:
-        nonlocal placed, queued_now
-        site = sites[site_idx]
-        while site.queue:
-            lifetime, cores = site.queue[0]
-            idx = place(site_idx, cores)
-            if idx is None:
-                return
-            site.queue.pop(0)
+    order = range(n)
+    if policy == "first_fit_decreasing_batch":
+        order = sorted(order, key=lambda i: (times[i], -trace[i].cores))  # stable: ties keep trace order
+    best_fit = policy == "best_fit"
+    max_servers = topology.servers_per_site
+    free: list[list[int]] = [[] for _ in range(n_sites)]  # residual cores of each opened server
+    queue = [deque() for _ in range(n_sites)]  # FIFO of (lifetime, cores)
+    busy, used = [0] * n_sites, [0] * n_sites
+    peak_busy, peak_used = [0] * n_sites, [0] * n_sites
+    releases: list[tuple[float, int, int, int]] = []  # heap of (time, site, server, cores)
+    push, pop = heapq.heappush, heapq.heappop
+    placed = completed = queued_now = peak_queue = busy_total = peak_busy_total = 0
+    k, batch_time, next_time = 0, -math.inf, times[0]
+    while k < n or releases:
+        # the backlog the previous event left, so an arrival placed at once never counts as queued
+        if queued_now > peak_queue:
+            peak_queue = queued_now
+        if releases and releases[0][0] <= next_time and next_time != batch_time:
+            now, s, idx, cores = pop(releases)
+            fr = free[s]
+            fr[idx] += cores
+            used[s] -= cores
+            if fr[idx] == cap:
+                busy[s] -= 1
+                busy_total -= 1
+            completed += 1
+            waiting = queue[s]
+            # the head fitted nowhere before this release, so it can only fit where it freed cores
+            if not waiting or waiting[0][1] > fr[idx]:
+                continue
+        else:  # an arrival; inside a batch, releases wait for its end
+            i = order[k]
+            k += 1
+            r, s, now = trace[i], site_of[i], next_time
+            batch_time, next_time = now, times[order[k]] if k < n else math.inf
+            waiting = queue[s]
+            waiting.append((r.lifetime, r.cores))
+            queued_now += 1
+            if len(waiting) > 1:  # FIFO: wait behind the site's backlog
+                continue
+        # place the site's backlog head by head until one does not fit
+        fr = free[s]
+        while waiting:
+            lifetime, cores = waiting[0]
+            if best_fit:
+                idx, room = -1, cap + 1
+                for j, f in enumerate(fr):
+                    if cores <= f < room:
+                        idx, room = j, f
+            else:
+                for idx, f in enumerate(fr):
+                    if f >= cores:
+                        break
+                else:
+                    idx = -1
+            if idx < 0:
+                if len(fr) == max_servers:
+                    break
+                idx = len(fr)
+                fr.append(cap)
+            if fr[idx] == cap:
+                busy[s] += 1
+                busy_total += 1
+                if busy[s] > peak_busy[s]:
+                    peak_busy[s] = busy[s]
+                if busy_total > peak_busy_total:
+                    peak_busy_total = busy_total
+            fr[idx] -= cores
+            used[s] += cores
+            if used[s] > peak_used[s]:
+                peak_used[s] = used[s]
+            push(releases, (now + lifetime, s, idx, cores))
+            waiting.popleft()
             queued_now -= 1
             placed += 1
-            heapq.heappush(releases, (now + lifetime, site_idx, idx, cores))
-
-    def release_until(now: float) -> None:
-        nonlocal completed, busy_total
-        while releases and releases[0][0] <= now:
-            rt, s_idx, srv, cores = heapq.heappop(releases)
-            site = sites[s_idx]
-            before = site.busy
-            site.release(srv, cores)
-            busy_total += site.busy - before
-            completed += 1
-            drain(s_idx, rt)
-
-    i = 0
-    n = len(trace)
-    while i < n:
-        # same-timestamp batch; the decreasing variant packs big VMs first
-        j = i + 1
-        while j < n and trace[j].arrival == trace[i].arrival:
-            j += 1
-        batch = list(range(i, j))
-        if policy == "first_fit_decreasing_batch" and len(batch) > 1:
-            batch.sort(key=lambda b: -trace[b].cores)
-        release_until(trace[i].arrival)
-        for b in batch:
-            req = trace[b]
-            site = sites[site_of[b]]
-            if site.queue:
-                idx = None  # preserve FIFO order behind waiting requests
-            else:
-                idx = place(int(site_of[b]), req.cores)
-            if idx is None:
-                site.queue.append((req.lifetime, req.cores))
-                queued_now += 1
-                peak_queue = max(peak_queue, queued_now)
-            else:
-                placed += 1
-                heapq.heappush(releases, (req.arrival + req.lifetime, int(site_of[b]), idx, req.cores))
-        i = j
-    release_until(math.inf)
 
     assert placed == n and completed == n, "conservation violated"
-    assert all(min(s.free, default=cap) >= 0 for s in sites), "server oversubscribed"
+    assert all(min(fr, default=cap) >= 0 for fr in free), "server oversubscribed"
     assert queued_now == 0
 
     return PackingReport(
         peak_servers_used=peak_busy_total,
-        peak_servers_per_site=[s.peak_busy for s in sites],
-        site_capacity_cores=sum(s.peak_used for s in sites),
+        peak_servers_per_site=peak_busy,
+        site_capacity_cores=sum(peak_used),
         rejected_or_queued=peak_queue,
         placed=placed,
         completed=completed,

@@ -122,9 +122,10 @@ _CONFIG = {
                   "service1": (_RENEWAL, None), "service2": (_RENEWAL, None)}, {}),
     "simulation": ({
         **table_of(
-            SimConfig, horizon_requests=integral, horizon_s=float, warmup=float, bins_per_period=integral,
-            rush_stat=str, two_stage_service=flag, dest_rate=float, dest_home_load=float,
-            allow_unstable=flag, max_in_system=integral, event_log=str,
+            SimConfig, horizon_requests=integral,
+            horizon_s=ranged(float, lambda x: 0 <= x < math.inf, "finite and >= 0"),
+            warmup=float, bins_per_period=integral, rush_stat=str, two_stage_service=flag,
+            dest_rate=float, dest_home_load=float, allow_unstable=flag, max_in_system=integral, event_log=str,
         ),
         "seed": (integral, None),
         "reps": (count, 1),

@@ -377,16 +377,16 @@ _MODELS: dict[str, tuple[tuple[str, ...], dict, Callable]] = {
     "rush_hour": (("amplitude",), {
         "amplitude": (float, REQUIRED), "lambda_bar": (positive, REQUIRED), "mu1": (positive, REQUIRED),
         "mu2": (positive, REQUIRED), "r": (ranged(float, lambda x: 0 <= x <= 1, "in [0, 1]"), 0.0),
-        **_SINUSOID, "horizon_periods": (finite_positive, 10), "scale": (positive, 16.0),
+        **_SINUSOID, "horizon_periods": (finite_positive, 10), "scale": (finite_positive, 16.0),
         **table_of(SimConfig, warmup=float, bins_per_period=integral, rush_stat=str),
     }, _run_rush_hour),
     "excess_wait": (("amplitude",), {
         "amplitude": (float, REQUIRED), "rho": (ranged(float, lambda x: 0 < x < 1, "in (0, 1)"), REQUIRED),
-        "mu_eff": (positive, REQUIRED), **_SINUSOID, "horizon_periods": (finite_positive, 12), **_WARMUP,
+        "mu_eff": (finite_positive, REQUIRED), **_SINUSOID, "horizon_periods": (finite_positive, 12), **_WARMUP,
     }, _run_excess_wait),
     "packing_sweep": (("cores_per_site",), {
         "cores_per_site": (integral, REQUIRED), "k_sites": (count, 16), "q": (positive, 2.0),
-        "vm_rate": (positive, 16.0), "mean_lifetime_s": (positive, 10.0), "horizon_s": (finite_positive, 400.0),
+        "vm_rate": (finite_positive, 16.0), "mean_lifetime_s": (finite_positive, 10.0), "horizon_s": (finite_positive, 400.0),
         "policy": (ranged(str, capacity.POLICIES.__contains__, f"one of {capacity.POLICIES}"), "first_fit"),
     }, _run_packing_sweep),
 }

@@ -1,4 +1,5 @@
 """Capacity formula and packing simulator tests."""
+import heapq
 import math
 
 import numpy as np
@@ -25,6 +26,8 @@ from edgeq import (
 )
 import edgeq.capacity
 from edgeq.capacity import (
+    POLICIES,
+    PackingReport,
     SweepPoint,
     capacity_sweep,
     packing_relative_error,
@@ -111,9 +114,11 @@ class TestTraceIo:
         back = load_vm_trace(str(path))
         assert [r.id for r in back] == ["y", "x"]
 
-    def test_malformed_row_names_line(self, tmp_path):
+    # a NaN lifetime used to pass ``lifetime <= 0`` and end the replay in a failed assert
+    @pytest.mark.parametrize("row", ["bad,0,oops,2", "bad,0,nan,2", "bad,0,inf,2", "bad,nan,1,2", "bad,-inf,1,2"])
+    def test_malformed_row_names_line(self, tmp_path, row):
         path = tmp_path / "t.csv"
-        path.write_text("vm_id,arrival_s,lifetime_s,cores\nok,0,1,2\nbad,0,oops,2\n")
+        path.write_text(f"vm_id,arrival_s,lifetime_s,cores\nok,0,1,2\n{row}\n")
         with pytest.raises(ParseError, match=":3"):
             load_vm_trace(str(path))
 
@@ -227,6 +232,20 @@ class TestPackingSimulator:
         assert plain.peak_servers_used == 4   # 4+4 | 4+6 | 6 | 6
         assert ffd.peak_servers_used == 3     # 6+4 on each
 
+    def test_trace_out_of_arrival_order_rejected(self):
+        # replayed as given, this trace reported a backlog of 1 (sorted: 0)
+        trace = [
+            VmRequest("a", 10.0, 5.0, 4, site_hint=0),
+            VmRequest("b", 0.0, 5.0, 4, site_hint=0),
+            VmRequest("c", 1.0, 5.0, 4, site_hint=0),
+        ]
+        with pytest.raises(DomainError, match="VM b arrives before"):
+            simulate_packing(trace, Topology("edge", 1, 1, 8), site_assign="hint")
+        with pytest.raises(DomainError, match="VM b arrives before"):
+            capacity_sweep(trace, 1, [8, 4], 2.0)
+        assert simulate_packing(sorted(trace, key=lambda r: r.arrival), Topology("edge", 1, 1, 8),
+                                site_assign="hint").rejected_or_queued == 0
+
     def test_uniform_assignment_needs_stream(self):
         with pytest.raises(DomainError):
             simulate_packing(toy_trace(), Topology("edge", 2, 2, 10), site_assign="uniform")
@@ -252,6 +271,181 @@ class TestCapacitySweep:
             capacity_sweep(trace, k_sites, [32], 2.0)
         with pytest.raises(DomainError, match="k_sites"):
             synthetic_vm_trace(8.0, 10.0, 50.0, SeededStream(54), k_sites=k_sites)
+
+
+class _RefSite:
+    __slots__ = ("cap", "max_servers", "free", "queue", "busy", "used", "peak_busy", "peak_used")
+
+    def __init__(self, cap, max_servers):
+        self.cap = cap
+        self.max_servers = max_servers
+        self.free = []     # residual cores of opened servers
+        self.queue = []    # FIFO of (lifetime, cores)
+        self.busy = 0
+        self.used = 0
+        self.peak_busy = 0
+        self.peak_used = 0
+
+    def try_place(self, cores, policy):
+        """Return the server index the VM lands on, or None when full."""
+        if policy == "best_fit":
+            best, best_res = None, None
+            for i, f in enumerate(self.free):
+                if f >= cores and (best_res is None or f < best_res):
+                    best, best_res = i, f
+            if best is not None:
+                self._occupy(best, cores)
+                return best
+        else:  # first_fit and the batch variant place the same way
+            for i, f in enumerate(self.free):
+                if f >= cores:
+                    self._occupy(i, cores)
+                    return i
+        if len(self.free) < self.max_servers:
+            self.free.append(self.cap - cores)
+            self.busy += 1
+            self.used += cores
+            self._bump()
+            return len(self.free) - 1
+        return None
+
+    def _occupy(self, idx, cores):
+        if self.free[idx] == self.cap:
+            self.busy += 1
+        self.free[idx] -= cores
+        self.used += cores
+        self._bump()
+
+    def release(self, idx, cores):
+        self.free[idx] += cores
+        self.used -= cores
+        if self.free[idx] == self.cap:
+            self.busy -= 1
+
+    def _bump(self):
+        if self.busy > self.peak_busy:
+            self.peak_busy = self.busy
+        if self.used > self.peak_used:
+            self.peak_used = self.used
+
+
+def reference_packing(trace, topology, policy, site_assign, stream):
+    """simulate_packing as per-site objects and release/drain closures, the replay the event loop must equal."""
+    n_sites = topology.k_sites if topology.mode == "edge" else 1
+    if topology.mode == "cloud":
+        site_of = np.zeros(len(trace), dtype=int)
+    elif site_assign == "hint":
+        site_of = np.array([r.site_hint % n_sites for r in trace])
+    else:
+        site_of = stream.generator().integers(0, n_sites, len(trace))
+
+    sites = [_RefSite(topology.cores_per_server, topology.servers_per_site) for _ in range(n_sites)]
+    releases = []  # (time, site, server, cores)
+    placed = completed = 0
+    queued_now = 0
+    peak_queue = 0
+    busy_total = 0
+    peak_busy_total = 0
+
+    def place(site_idx, cores):
+        nonlocal busy_total, peak_busy_total
+        site = sites[site_idx]
+        before = site.busy
+        idx = site.try_place(cores, policy)
+        if idx is not None:
+            busy_total += site.busy - before
+            if busy_total > peak_busy_total:
+                peak_busy_total = busy_total
+        return idx
+
+    def drain(site_idx, now):
+        nonlocal placed, queued_now
+        site = sites[site_idx]
+        while site.queue:
+            lifetime, cores = site.queue[0]
+            idx = place(site_idx, cores)
+            if idx is None:
+                return
+            site.queue.pop(0)
+            queued_now -= 1
+            placed += 1
+            heapq.heappush(releases, (now + lifetime, site_idx, idx, cores))
+
+    def release_until(now):
+        nonlocal completed, busy_total
+        while releases and releases[0][0] <= now:
+            rt, s_idx, srv, cores = heapq.heappop(releases)
+            site = sites[s_idx]
+            before = site.busy
+            site.release(srv, cores)
+            busy_total += site.busy - before
+            completed += 1
+            drain(s_idx, rt)
+
+    i = 0
+    n = len(trace)
+    while i < n:
+        # same-timestamp batch; the decreasing variant packs big VMs first
+        j = i + 1
+        while j < n and trace[j].arrival == trace[i].arrival:
+            j += 1
+        batch = list(range(i, j))
+        if policy == "first_fit_decreasing_batch" and len(batch) > 1:
+            batch.sort(key=lambda b: -trace[b].cores)
+        release_until(trace[i].arrival)
+        for b in batch:
+            req = trace[b]
+            site = sites[site_of[b]]
+            if site.queue:
+                idx = None  # preserve FIFO order behind waiting requests
+            else:
+                idx = place(int(site_of[b]), req.cores)
+            if idx is None:
+                site.queue.append((req.lifetime, req.cores))
+                queued_now += 1
+                peak_queue = max(peak_queue, queued_now)
+            else:
+                placed += 1
+                heapq.heappush(releases, (req.arrival + req.lifetime, int(site_of[b]), idx, req.cores))
+        i = j
+    release_until(math.inf)
+
+    return PackingReport(
+        peak_servers_used=peak_busy_total,
+        peak_servers_per_site=[s.peak_busy for s in sites],
+        site_capacity_cores=sum(s.peak_used for s in sites),
+        rejected_or_queued=peak_queue,
+        placed=placed,
+        completed=completed,
+    )
+
+
+@st.composite
+def packing_cases(draw):
+    """A sorted trace on a 64 s grid with lifetimes in half steps, so arrivals tie and VMs leave as
+    others arrive; at 1e17, 1e17 + 1.0 == 1e17, so a 1 s VM ends at its own arrival."""
+    base = draw(st.sampled_from([0.0, 1e17]))
+    rows = draw(st.lists(
+        st.tuples(st.integers(0, 12), st.integers(0, 12), st.sampled_from([1, 2, 3, 4, 6, 8]),
+                  st.integers(0, 7)),
+        min_size=8, max_size=60,
+    ))
+    rows.sort(key=lambda row: row[0])
+    trace = [VmRequest(f"v{i}", base + a * 64.0, life * 32.0 or 1.0, c, site_hint=h)
+             for i, (a, life, c, h) in enumerate(rows)]
+    mode = draw(st.sampled_from(["edge", "cloud"]))
+    k_sites = draw(st.integers(1, 4)) if mode == "edge" else 1
+    topology = Topology(mode, k_sites, draw(st.integers(1, 4)), draw(st.integers(8, 12)))
+    return trace, topology, draw(st.sampled_from(["hint", "uniform"])), SeededStream(draw(st.integers(0, 99)))
+
+
+class TestReplayMatchesReference:
+    @settings(max_examples=300, deadline=None)
+    @given(packing_cases(), st.sampled_from(POLICIES))
+    def test_equals_reference(self, case, policy):
+        trace, topology, site_assign, stream = case
+        got = simulate_packing(trace, topology, policy=policy, site_assign=site_assign, stream=stream)
+        assert repr(got) == repr(reference_packing(trace, topology, policy, site_assign, stream))
 
 
 def replayed_sweep(trace, k_sites, core_grid, q, policy):

@@ -96,6 +96,16 @@ class TestCapacityCommands:
         assert code == EXIT_OK
         assert json.loads(out)["peak_servers_used"] == 2
 
+    @pytest.mark.parametrize("row", ["v,0,nan,2", "v,0,inf,2", "v,inf,1,2"])
+    def test_pack_non_finite_value_exit_2(self, capsys, tmp_path, row):
+        trace = tmp_path / "t.csv"
+        trace.write_text(f"vm_id,arrival_s,lifetime_s,cores\nok,0,1,2\n{row}\n")
+        code, _, err = run_cli(
+            capsys, "capacity", "pack", "--trace", str(trace), "--topology", "cloud:cores=8,servers=2"
+        )
+        assert code == EXIT_CONFIG
+        assert "t.csv:3" in err and "finite" in err
+
     def test_pack_bad_topology_exit_2(self, capsys, tmp_path):
         trace = tmp_path / "t.csv"
         trace.write_text("vm_id,arrival_s,lifetime_s,cores\nv,0,1,2\n")
@@ -371,11 +381,15 @@ RUSH_FIXED = {
         # an infinite period used to set gamma to 0 and run on
         ("simulate", {**SIM_CONFIGS["mtm1_sinusoidal"], "workload": {"profile": {
             **SIM_CONFIGS["mtm1_sinusoidal"]["workload"]["profile"], "period_s": math.inf}}}, "profile.period_s"),
+        # an infinite horizon used to fail in numpy's Poisson draw, naming no key
+        *(("simulate", {**SIM_CONFIGS["mtm1_sinusoidal"], "simulation": {
+            **SIM_CONFIGS["mtm1_sinusoidal"]["simulation"], "horizon_s": value}}, "simulation.horizon_s")
+          for value in (math.inf, math.nan)),
     ],
     ids=["capacity", "formats", "edge-mu1", "cloud-rho", "fixed-typo", "crossover-r",
          "rush-lambda_bar", "period-and-gamma", "rush-grid-mu1", "string-flag", "outputs-string",
          "mtm1-arrivals", "mmk-service1", "k_sites-0", "k_sites-negative", "gg1-edge",
-         "cloud-k-fraction", "reps-0", "profile-period-inf"],
+         "cloud-k-fraction", "reps-0", "profile-period-inf", "horizon_s-inf", "horizon_s-nan"],
 )
 def test_config_faults_exit_2_naming_the_key(capsys, tmp_path, command, body, key):
     path = tmp_path / "bad.json"

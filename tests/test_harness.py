@@ -87,6 +87,9 @@ OUT_OF_DOMAIN = [
     ("rush_hour", "period_s", math.inf), ("rush_hour", "horizon_periods", math.inf),
     ("excess_wait", "period_s", math.inf), ("excess_wait", "gamma_rad_s", math.inf),
     ("excess_wait", "horizon_periods", math.inf), ("packing_sweep", "horizon_s", math.inf),
+    # as are scales and the rates a run divides by or draws with
+    ("rush_hour", "scale", math.inf), ("excess_wait", "mu_eff", math.inf),
+    ("packing_sweep", "vm_rate", math.inf), ("packing_sweep", "mean_lifetime_s", math.inf),
 ]
 
 
