@@ -74,4 +74,4 @@ from .workload import (
     renewal_times,
 )
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"  # also the stream-format version: seeded draws are fixed within it

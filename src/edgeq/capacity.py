@@ -102,10 +102,11 @@ class VmRequest:
 
 
 TRACE_HEADER = ["vm_id", "arrival_s", "lifetime_s", "cores"]
+HINT_COLUMN = "site_hint"
 
 
 def load_vm_trace(path: str) -> list[VmRequest]:
-    """Read a `vm_id,arrival_s,lifetime_s,cores` CSV, sorted by arrival."""
+    """Read a `vm_id,arrival_s,lifetime_s,cores[,site_hint]` CSV, sorted by arrival."""
     requests = []
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -113,16 +114,18 @@ def load_vm_trace(path: str) -> list[VmRequest]:
             header = next(reader)
         except StopIteration:
             raise EmptyTrace(f"{path}: file is empty") from None
-        if [h.strip() for h in header] != TRACE_HEADER:
-            raise ParseError(f"{path}:1: header must be {','.join(TRACE_HEADER)}")
+        header = [h.strip() for h in header]
+        if header not in (TRACE_HEADER, TRACE_HEADER + [HINT_COLUMN]):
+            raise ParseError(f"{path}:1: header must be {','.join(TRACE_HEADER)}[,{HINT_COLUMN}]")
         for lineno, row in enumerate(reader, start=2):
             if not row or (len(row) == 1 and not row[0].strip()):
                 continue
-            if len(row) != 4:
-                raise ParseError(f"{path}:{lineno}: expected 4 fields, got {len(row)}")
+            if len(row) != len(header):
+                raise ParseError(f"{path}:{lineno}: expected {len(header)} fields, got {len(row)}")
             try:
+                hint = int(row[4]) if len(row) > 4 else None
                 requests.append(
-                    VmRequest(row[0].strip(), float(row[1]), float(row[2]), int(row[3]))
+                    VmRequest(row[0].strip(), float(row[1]), float(row[2]), int(row[3]), hint)
                 )
             except (ValueError, DomainError) as exc:
                 raise ParseError(f"{path}:{lineno}: {exc}") from None
@@ -132,11 +135,14 @@ def load_vm_trace(path: str) -> list[VmRequest]:
 
 
 def save_vm_trace(path: str, requests: Sequence[VmRequest]) -> None:
+    """Write the trace CSV; the site_hint column is written when every VM carries a hint."""
+    hinted = all(r.site_hint is not None for r in requests)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(TRACE_HEADER)
+        writer.writerow(TRACE_HEADER + [HINT_COLUMN] if hinted else TRACE_HEADER)
         for r in requests:
-            writer.writerow([r.id, f"{r.arrival:.9g}", f"{r.lifetime:.9g}", r.cores])
+            row = [r.id, f"{r.arrival:.9g}", f"{r.lifetime:.9g}", r.cores]
+            writer.writerow(row + [r.site_hint] if hinted else row)
 
 
 def trace_summary(requests: Sequence[VmRequest]) -> dict[str, float]:
@@ -265,7 +271,7 @@ def simulate_packing(
         site_of = [0] * n
     elif site_assign == "hint":
         if any(r.site_hint is None for r in trace):
-            raise DomainError("site_assign='hint' requires every VM to carry a hint")
+            raise DomainError(f"site_assign='hint' requires every VM to carry a hint (trace column {HINT_COLUMN})")
         site_of = [r.site_hint % n_sites for r in trace]
     else:
         if stream is None:

@@ -349,7 +349,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_rule.set_defaults(func=_cmd_capacity_rule)
 
     p_pack = cap_sub.add_parser("pack", help="replay a VM trace against a topology")
-    p_pack.add_argument("--trace", required=True, help="CSV: vm_id,arrival_s,lifetime_s,cores")
+    p_pack.add_argument("--trace", required=True, help="CSV: vm_id,arrival_s,lifetime_s,cores[,site_hint]")
     p_pack.add_argument("--topology", required=True, help="edge:k=4,cores=96[,servers=1] or cloud:cores=64")
     p_pack.add_argument("--policy", default="first_fit", choices=capacity.POLICIES)
     p_pack.add_argument("--site-assign", dest="site_assign", default="uniform",

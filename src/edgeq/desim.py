@@ -428,13 +428,10 @@ def run_two_phase_sim(config: SimConfig, stream: SeededStream) -> SimMetrics:
     n = len(t)
     if n == 0:
         return _metrics(config)
-    migrate = rng.uniform(size=n) < q.r
-    x1 = renewal_times(config.service1 or RenewalSpec(1.0 / q.mu1), n, rng)
-    if math.isinf(q.mu2):
-        x2 = np.zeros(n)
-    else:
-        x2 = renewal_times(config.service2 or RenewalSpec(1.0 / q.mu2), n, rng)
-    s1 = x1 + np.where(migrate, x2, 0.0)
+    mig = np.flatnonzero(rng.random(n) < q.r)  # migrants in arrival order
+    s1 = renewal_times(config.service1 or RenewalSpec(1.0 / q.mu1), n, rng)
+    if not math.isinf(q.mu2):
+        s1[mig] += renewal_times(config.service2 or RenewalSpec(1.0 / q.mu2), len(mig), rng)
 
     w1 = lindley_waits(t, s1)
     dep1 = t + w1
@@ -445,7 +442,7 @@ def run_two_phase_sim(config: SimConfig, stream: SeededStream) -> SimMetrics:
 
     # destination queue: migrated stream, optionally plus a home load
     dest_rate = config.dest_rate if config.dest_rate is not None else q.mu2
-    t_mig = dep1[migrate]
+    t_mig = dep1[mig]
     if config.dest_home_load > 0 and len(dep1):
         home = poisson_arrivals(config.dest_home_load, float(dep1[-1]), rng)
         q2_t = np.concatenate([t_mig, home])
@@ -467,22 +464,22 @@ def run_two_phase_sim(config: SimConfig, stream: SeededStream) -> SimMetrics:
     sojourn = done = None
     if not PER_REQUEST.isdisjoint(config.metrics):
         sojourn = w1 + s1
-        sojourn[migrate] += w2
-        sojourn[migrate] += s2[from_mig]
+        sojourn[mig] += w2
+        sojourn[mig] += s2[from_mig]
     if _departures_read(config):
         done = dep1.copy()
-        done[migrate] = dep2
+        done[mig] = dep2
     _check_instability(config, t, done)
 
     if config.event_log:
         _write_event_log(
             config.event_log,
             ("edge", np.arange(n), t, t + w1, dep1),
-            ("dest", np.flatnonzero(migrate), t_mig, t_mig + w2, dep2),
+            ("dest", mig, t_mig, t_mig + w2, dep2),
         )
 
     cut = int(n * config.warmup)
-    w2c = w2[np.count_nonzero(migrate[:cut]):]  # destination waits of counted migrants
+    w2c = w2[np.searchsorted(mig, cut):]  # destination waits of counted migrants
     mean_w2 = float(np.mean(w2c)) if len(w2c) else 0.0
     rtt = config.network.t_edge if config.network is not None else 0.0
     return _summarize(
@@ -511,12 +508,12 @@ def run_mtm1_sim(config: SimConfig, stream: SeededStream) -> tuple[SimMetrics, T
         )
         return _metrics(config), empty
 
-    migrate = None
+    mig = None
     if config.two_stage_service:
-        migrate = rng.uniform(size=n) < q.r
+        mig = np.flatnonzero(rng.random(n) < q.r)
         s = rng.exponential(1.0 / q.mu1, n)
         if not math.isinf(q.mu2):
-            s += np.where(migrate, rng.exponential(1.0 / q.mu2, n), 0.0)
+            s[mig] += rng.exponential(1.0 / q.mu2, len(mig))
     else:
         s = rng.exponential(1.0 / mu_eff, n)
     w = lindley_waits(t, s)
@@ -557,8 +554,8 @@ def run_mtm1_sim(config: SimConfig, stream: SeededStream) -> tuple[SimMetrics, T
         _write_event_log(config.event_log, ("edge", np.arange(n), t, t + w, dep))
     rtt = config.network.t_edge if config.network is not None else 0.0
     extra = {}
-    if migrate is not None and "count_migrated" in config.metrics:
-        extra["count_migrated"] = int(np.sum(migrate[cut:]))
+    if mig is not None and "count_migrated" in config.metrics:
+        extra["count_migrated"] = len(mig) - int(np.searchsorted(mig, cut))
     sojourn = w + s if not PER_REQUEST.isdisjoint(config.metrics) else None
     metrics = _summarize(config, t, cut, rtt, float(np.mean(wc)), s, dep, sojourn, **extra)
     return metrics, ts

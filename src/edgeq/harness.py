@@ -115,18 +115,23 @@ def _grid_points(grid: dict[str, list]) -> list[dict]:
     return points
 
 
-def _point_stream(seed: int, index: int) -> SeededStream:
-    # wide spacing leaves room for replicate() to take child streams
-    return SeededStream(seed, (index + 1) * 1_000_000)
+def _jobs(seed: int, points: list[tuple[dict, dict]], *model: int) -> list[tuple]:
+    """``(stream, params, values)`` per grid point, the stream keyed ``(point index, *model)``.
+
+    Every run's key is (point, model, rep): ``model`` tells apart the runs
+    made at one point (the edge and cloud sides of mobility_crossover,
+    rush_hour's scale-1 and scaled rows), and ``replicate`` appends rep.
+    """
+    return [(SeededStream(seed, (idx, *model)), p, v) for idx, (p, v) in enumerate(points)]
 
 
 def _map_points(one: Callable, jobs: list[tuple], workers: int) -> list[ComparisonRow]:
-    """``one(seed, idx, params, values)`` per job, in order; a DomainError gives the job a skipped row."""
+    """``one(stream, params, values)`` per job, in order; a DomainError gives the job a skipped row."""
     def guarded(job):
         try:
             return one(*job)
         except DomainError as exc:
-            return ComparisonRow(job[2], math.nan, math.nan, math.nan, f"skipped: {exc}")
+            return ComparisonRow(job[1], math.nan, math.nan, math.nan, f"skipped: {exc}")
 
     return _map_ordered(guarded, jobs, workers)
 
@@ -139,17 +144,17 @@ def _map_ordered(fn, items, workers: int):
 
 
 def _run_two_phase_wait(sc: Scenario, workers: int):
-    def one(seed, idx, params, v):
+    def one(stream, params, v):
         spec = QueueSpec(v["lam"], v["mu1"], v["mu2"], v["r"])
         want = analytic.mm1_two_phase_wait(spec)
         config = SimConfig(
             model="two_phase_edge", queue=spec, horizon_requests=v["horizon_requests"], warmup=v["warmup"],
             metrics=("mean_wait", "count_served"),
         )
-        agg = replicate(config, sc.replications, _point_stream(seed, idx))
+        agg = replicate(config, sc.replications, stream)
         return ComparisonRow(params, want, agg.mean.mean_wait, agg.ci95["mean_wait"])
 
-    return _map_points(one, [(sc.seed, idx, p, v) for idx, (p, v) in enumerate(sc.points())], workers), {}
+    return _map_points(one, _jobs(sc.seed, sc.points(), 0), workers), {}
 
 
 def _run_mobility_crossover(sc: Scenario, workers: int):
@@ -160,7 +165,7 @@ def _run_mobility_crossover(sc: Scenario, workers: int):
     net = NetworkSpec(fx["t_edge_s"], fx["t_cloud_s"])
     horizon, warmup = fx["horizon_requests"], fx["warmup"]
 
-    def one(seed, idx, params, v):
+    def one(stream, params, v):
         lam, r = v["lam"], v["r"]
         edge_spec = QueueSpec(lam, mu1, mu2, r)
         # one cloud server per edge site at the same per-server load
@@ -174,8 +179,8 @@ def _run_mobility_crossover(sc: Scenario, workers: int):
             model="mmk_cloud", cloud=cloud_spec, horizon_requests=horizon,
             warmup=warmup, network=net, metrics=("mean_wait_conditional", "count_served"),
         )
-        edge = replicate(edge_cfg, sc.replications, _point_stream(seed, 2 * idx))
-        cloud = replicate(cloud_cfg, sc.replications, _point_stream(seed, 2 * idx + 1))
+        edge = replicate(edge_cfg, sc.replications, stream.child(0))  # models: 0 edge, 1 cloud
+        cloud = replicate(cloud_cfg, sc.replications, stream.child(1))
         # cloud response uses the wait conditioned on queueing, mirroring the
         # conservative multiserver form inside the analytic bound
         edge_resp = edge.mean.mean_response
@@ -190,7 +195,7 @@ def _run_mobility_crossover(sc: Scenario, workers: int):
         )
         return ComparisonRow(params, bound, sim_bound, edge.ci95["mean_wait"])
 
-    rows = _map_points(one, [(sc.seed, idx, p, v) for idx, (p, v) in enumerate(points)], workers)
+    rows = _map_points(one, _jobs(sc.seed, points), workers)
     summary = {"delta_t": net.delta_t, "crossovers": {}}
     for r in sorted({v["r"] for _, v in points}):
         ok = sorted((v["lam"], i) for i, (_, v) in enumerate(points) if rows[i].status == "ok" and v["r"] == r)
@@ -256,13 +261,11 @@ def _run_rush_hour(sc: Scenario, workers: int):
     """
     points = sc.points()
     scale = points[0][1]["scale"]
-    jobs = [
-        (seed, idx, {"amplitude": v["amplitude"], "scale": s}, v)
-        for s, seed in ((1.0, sc.seed), (scale, sc.seed + 1))
-        for idx, (_, v) in enumerate(points)
-    ]
+    jobs = []
+    for si, s in enumerate((1.0, scale)):  # the scale index is the model part of the key
+        jobs += _jobs(sc.seed, [({"amplitude": v["amplitude"], "scale": s}, v) for _, v in points], si)
 
-    def one(seed, idx, params, v):
+    def one(stream, params, v):
         s = params["scale"]
         lam_bar, mu1, mu2 = v["lambda_bar"] * s, v["mu1"] * s, v["mu2"] * s
         profile = SinusoidProfile(lam_bar, v["amplitude"], v["gamma_rad_s"])
@@ -277,7 +280,7 @@ def _run_rush_hour(sc: Scenario, workers: int):
             rush_stat=v["rush_stat"],
             metrics=("mean_wait", "count_served"),
         )
-        agg = replicate(config, sc.replications, _point_stream(seed, idx))
+        agg = replicate(config, sc.replications, stream)
         rush = agg.timeseries.rush_window()
         sim_rush = rush[2] if rush is not None else 0.0
         params = {
@@ -302,7 +305,7 @@ def _run_excess_wait(sc: Scenario, workers: int):
     lam_bar = rho * mu_eff
     stationary = rho / (mu_eff * (1.0 - rho))
 
-    def one(seed, idx, params, v):
+    def one(stream, params, v):
         amp = v["amplitude"]
         want = analytic.excess_wait_sinusoidal(rho, amp, gamma, mu_eff)
         profile = SinusoidProfile(lam_bar, amp, gamma)
@@ -314,12 +317,12 @@ def _run_excess_wait(sc: Scenario, workers: int):
             warmup=v["warmup"],
             metrics=("mean_wait", "count_served"),
         )
-        agg = replicate(config, sc.replications, _point_stream(seed, idx))
+        agg = replicate(config, sc.replications, stream)
         excess = agg.mean.mean_wait - stationary
         params = dict(params, mean_wait=agg.mean.mean_wait, stationary_wait=stationary)
         return ComparisonRow(params, want, excess, agg.ci95["mean_wait"])
 
-    rows = _map_points(one, [(sc.seed, idx, p, v) for idx, (p, v) in enumerate(points)], workers)
+    rows = _map_points(one, _jobs(sc.seed, points, 0), workers)
     return rows, {"stationary_wait": stationary}
 
 

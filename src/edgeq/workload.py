@@ -6,15 +6,17 @@ takes a ``np.random.Generator`` and draws from it in a fixed order, so a
 run builds one generator and threads it through every sampler it calls.
 ``SeededStream`` appears only where a run starts (the ``desim`` runners,
 ``replicate``, the harness, the CLI and the capacity trace and packing
-entry points); identical (seed, stream_id) pairs reproduce identical
-draws bit for bit. Substreams are built on numpy's Philox counter-based
-generator keyed through SeedSequence(seed, spawn_key=(stream_id,)),
-which guarantees statistically independent streams for distinct stream
-ids.
+entry points). A stream is a seed and a spawn-key tuple; its generator
+is numpy's SFC64 seeded from ``SeedSequence(seed, spawn_key=key)``, so
+distinct keys give independent streams and identical (seed, key) pairs
+reproduce identical draws bit for bit within one stream-format version
+(see ``edgeq.__version__``). ``child`` appends to the key: the harness
+keys a run by (grid point, model, replication).
 """
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass
 from typing import Sequence
@@ -29,18 +31,22 @@ RENEWAL_FAMILIES = ("exponential", "hyperexponential2", "erlang", "deterministic
 
 @dataclass(frozen=True)
 class SeededStream:
-    """Independent random substream selector: (seed, stream_id)."""
+    """One independent random stream: a seed and a spawn-key tuple (an int key is its 1-tuple)."""
 
     seed: int
-    stream_id: int = 0
+    key: tuple[int, ...] = ()
+
+    def __post_init__(self):
+        key = (self.key,) if isinstance(self.key, numbers.Integral) else self.key
+        object.__setattr__(self, "key", tuple(int(part) for part in key))
 
     def generator(self) -> np.random.Generator:
-        ss = np.random.SeedSequence(self.seed, spawn_key=(self.stream_id,))
-        return np.random.Generator(np.random.Philox(ss))
+        ss = np.random.SeedSequence(self.seed, spawn_key=self.key)
+        return np.random.Generator(np.random.SFC64(ss))
 
-    def child(self, offset: int) -> "SeededStream":
-        """Stream with the id shifted by offset; used for replications."""
-        return SeededStream(self.seed, self.stream_id + offset)
+    def child(self, *parts: int) -> "SeededStream":
+        """The stream whose key is this key with ``parts`` appended; used for replications."""
+        return SeededStream(self.seed, self.key + parts)
 
 
 @dataclass(frozen=True)
@@ -116,16 +122,22 @@ def renewal_times(spec: RenewalSpec, count: int, rng: np.random.Generator) -> np
     return rng.lognormal(math.log(spec.mean) - 0.5 * sigma2, math.sqrt(sigma2), count)
 
 
-def poisson_arrivals(lam: float, horizon: float, rng: np.random.Generator) -> np.ndarray:
-    """Poisson arrival instants on [0, horizon), sorted ascending."""
+def _poisson_candidates(lam: float, horizon: float, rng: np.random.Generator) -> np.ndarray:
+    """Poisson points on [0, horizon), unsorted: a Poisson count, then that many uniforms."""
     if lam <= 0:
         raise DomainError("rate must be positive")
     if horizon < 0:
         raise DomainError("horizon must be non-negative")
     if horizon == 0:
         return np.empty(0)
-    n = rng.poisson(lam * horizon)
-    t = rng.uniform(0.0, horizon, n)
+    t = rng.random(rng.poisson(lam * horizon))
+    t *= horizon  # the bits of rng.uniform(0.0, horizon, n), scaled in place
+    return t
+
+
+def poisson_arrivals(lam: float, horizon: float, rng: np.random.Generator) -> np.ndarray:
+    """Poisson arrival instants on [0, horizon), sorted ascending."""
+    t = _poisson_candidates(lam, horizon, rng)
     t.sort()
     return t
 
@@ -135,12 +147,13 @@ def nhpp_sinusoidal(profile: SinusoidProfile, horizon: float, rng: np.random.Gen
 
     Candidates are drawn at the constant envelope lambda_bar*(1+A) and
     kept with probability lam(t)/envelope, which is exact for any phase.
+    The unsorted candidates are thinned and only the kept points sorted.
     The rate is built in one buffer in the operation order of
     ``SinusoidProfile.rate``, so every accept decision matches
     ``u * peak < profile.rate(t)`` bit for bit.
     """
-    t = poisson_arrivals(profile.peak_rate, horizon, rng)
-    u = rng.uniform(0.0, 1.0, len(t))
+    t = _poisson_candidates(profile.peak_rate, horizon, rng)
+    u = rng.random(len(t))
     u *= profile.peak_rate
     rate = np.multiply(profile.gamma, t)
     rate += profile.phase
@@ -148,7 +161,9 @@ def nhpp_sinusoidal(profile: SinusoidProfile, horizon: float, rng: np.random.Gen
     rate *= profile.amplitude
     rate += 1.0
     rate *= profile.lambda_bar
-    return t[u < rate]
+    kept = t[u < rate]
+    kept.sort()
+    return kept
 
 
 def phase_shifted_sites(

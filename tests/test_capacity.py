@@ -107,6 +107,20 @@ class TestTraceIo:
         back = load_vm_trace(str(path))
         assert [r.id for r in back] == ["a", "b", "c"]
         assert back[0].cores == 4 and back[1].lifetime == 2.0
+        assert all(r.site_hint is None for r in back)
+
+    def test_hinted_round_trip(self, tmp_path):
+        trace = synthetic_vm_trace(8.0, 10.0, 50.0, SeededStream(55), k_sites=4)
+        path = tmp_path / "trace.csv"
+        save_vm_trace(path, trace)
+        assert path.read_text().splitlines()[0] == "vm_id,arrival_s,lifetime_s,cores,site_hint"
+        assert [r.site_hint for r in load_vm_trace(str(path))] == [r.site_hint for r in trace]
+
+    def test_hint_row_with_missing_field_names_line(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text("vm_id,arrival_s,lifetime_s,cores,site_hint\nok,0,1,2,0\nbad,1,1,2\n")
+        with pytest.raises(ParseError, match=":3"):
+            load_vm_trace(str(path))
 
     def test_sorted_by_arrival(self, tmp_path):
         path = tmp_path / "t.csv"

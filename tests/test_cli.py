@@ -115,6 +115,29 @@ class TestCapacityCommands:
         assert code == EXIT_CONFIG
         assert "topology" in err
 
+    def test_pack_hinted_trace_with_site_assign_hint(self, capsys, tmp_path):
+        trace = tmp_path / "t.csv"
+        trace.write_text(
+            "vm_id,arrival_s,lifetime_s,cores,site_hint\n"
+            "v1,0,100,8,0\nv2,1,100,8,0\nv3,2,100,2,1\nv4,3,100,2,1\n"
+        )
+        code, out, _ = run_cli(
+            capsys, "capacity", "pack", "--trace", str(trace),
+            "--topology", "edge:k=2,cores=10,servers=4", "--site-assign", "hint",
+        )
+        assert code == EXIT_OK
+        assert json.loads(out)["peak_servers_per_site"] == [2, 1]
+
+    def test_pack_site_assign_hint_without_hint_column_exit_2(self, capsys, tmp_path):
+        trace = tmp_path / "t.csv"
+        trace.write_text("vm_id,arrival_s,lifetime_s,cores\nv1,0,100,8\nv2,1,100,2\n")
+        code, _, err = run_cli(
+            capsys, "capacity", "pack", "--trace", str(trace),
+            "--topology", "edge:k=2,cores=10,servers=4", "--site-assign", "hint",
+        )
+        assert code == EXIT_CONFIG
+        assert "site_hint" in err
+
 
 class TestSimulateCommand:
     def test_minimal_config_runs_and_writes_metrics(self, capsys, tmp_path):

@@ -2,6 +2,7 @@
 import csv
 import dataclasses
 import math
+import statistics
 
 import numpy as np
 import pytest
@@ -285,6 +286,37 @@ class TestTwoPhaseSim:
         assert len(migrants) > 1000
         assert log.read_bytes() == oracle.read_bytes()
 
+    @pytest.mark.parametrize("model", ["two_phase_edge", "mtm1_sinusoidal"])
+    def test_phase_two_drawn_only_for_migrants(self, monkeypatch, model):
+        # bitwise oracle: a boolean mask, full-length zeros and a plain sum
+        services, lindley = [], desim.lindley_waits
+
+        def recording(arrivals, s):
+            services.append(s.copy())
+            return lindley(arrivals, s)
+
+        monkeypatch.setattr(desim, "lindley_waits", recording)
+        stream = SeededStream(170)
+        rng = stream.generator()  # the run's draws, in its order
+        if model == "two_phase_edge":
+            cfg = two_phase_config(20.0, 0.3, n=200_000)
+            run_two_phase_sim(cfg, stream)
+            n = cfg.horizon_requests
+            rng.exponential(1.0 / cfg.queue.lam, n)
+        else:
+            cfg = mtm1_config(0.5, horizon_s=20_000.0, two_stage_service=True)
+            run_mtm1_sim(cfg, stream)
+            n = len(nhpp_sinusoidal(cfg.profile, cfg.horizon_s, rng))
+        q = cfg.queue
+        migrate = rng.random(n) < q.r
+        x1 = rng.exponential(1.0 / q.mu1, n)
+        x2 = np.zeros(n)
+        x2[migrate] = rng.exponential(1.0 / q.mu2, np.count_nonzero(migrate))
+        np.testing.assert_array_equal(services[0], x1 + x2)
+        # E[s1] = 1/mu1 + r/mu2, within three standard errors
+        s1 = services[0]
+        assert abs(s1.mean() - (1.0 / q.mu1 + q.r / q.mu2)) <= 3 * s1.std(ddof=1) / math.sqrt(n)
+
     def test_home_load_slows_destination(self):
         quiet = replicate(two_phase_config(10.0, 0.3, n=50_000), 3, SeededStream(112))
         busy = replicate(
@@ -544,10 +576,16 @@ class TestReplicate:
         assert a.mean == b.mean and a.ci95 == b.ci95
 
     def test_ci_width_shrinks_like_sqrt_n(self):
+        # exact: ci95 = 1.96 s / sqrt(n) over the runs on child(0..n-1), so the
+        # 30 -> 120 width ratio is sqrt(30/120) times the ratio of the sample sds
         cfg = two_phase_config(10.0, 0.1, n=20_000)
-        w30 = replicate(cfg, 30, SeededStream(152)).ci95["mean_wait"]
-        w120 = replicate(cfg, 120, SeededStream(152)).ci95["mean_wait"]
-        assert w120 / w30 == pytest.approx(0.5, abs=0.1)
+        base = SeededStream(152)
+        runs = [desim.run_model(cfg, base.child(i)).mean_wait for i in range(120)]
+        sd = {n: statistics.stdev(runs[:n]) for n in (30, 120)}
+        ci = {n: replicate(cfg, n, base).ci95["mean_wait"] for n in (30, 120)}
+        for n in (30, 120):
+            assert ci[n] == pytest.approx(1.96 * sd[n] / math.sqrt(n), rel=1e-12)
+        assert ci[120] / ci[30] == pytest.approx(math.sqrt(30 / 120) * sd[120] / sd[30], rel=1e-12)
 
     def test_conservation_all_requests_accounted(self):
         cfg = two_phase_config(10.0, 0.3, n=40_000, warmup=0.0)

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from edgeq import (
     ComparisonRow, ConfigError, QueueSpec, Scenario, load_scenario, mm1_two_phase_wait, run_scenario,
 )
+from edgeq import harness
 from edgeq.cli import EXIT_OK, main
 from edgeq.config import integral
 from edgeq.harness import _grid_points, _sign_change
@@ -271,6 +272,21 @@ class TestTableRushHour:
         assert [(r.parameters, r.sim_value, r.sim_ci) for r in one] == [
             (r.parameters, r.sim_value, r.sim_ci) for r in two
         ]
+
+    def test_scaled_rows_do_not_share_streams_with_the_next_seed(self, tmp_path, monkeypatch):
+        # the scaled rows once ran on seed + 1: the streams of the next seed's scale-1 rows
+        first_draws, replicate = [], harness.replicate
+
+        def recording(config, n_runs, stream):
+            first_draws.append(tuple(stream.child(0).generator().random(4).tolist()))
+            return replicate(config, n_runs, stream)
+
+        monkeypatch.setattr(harness, "replicate", recording)
+        self.run(tmp_path, seed=3, replications=1)
+        scaled = set(first_draws[2:])
+        first_draws.clear()
+        self.run(tmp_path, seed=4, replications=1)
+        assert len(scaled) == 2 and not scaled & set(first_draws[:2])
 
     def test_out_of_range_amplitude_keeps_skipped_rows(self, tmp_path):
         rows, summary = self.run(tmp_path / "skip", seed=6, replications=1, amplitudes=(0.3, 0.8, 1.5))

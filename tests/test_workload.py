@@ -1,5 +1,7 @@
 """Generator tests: statistical targets, seeding, and thinning correctness."""
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+import edgeq
 from edgeq import (
     DomainError,
     RenewalSpec,
@@ -31,8 +34,36 @@ class TestSeededStream:
         b = SeededStream(12345, 1).generator().uniform(size=100)
         assert not np.array_equal(a, b)
 
-    def test_child_offsets(self):
-        assert SeededStream(1, 5).child(3) == SeededStream(1, 8)
+    def test_child_appends_to_the_key(self):
+        assert SeededStream(1, 5) == SeededStream(1, (5,))
+        assert SeededStream(1, 5).child(3) == SeededStream(1, (5, 3))
+        assert SeededStream(1).child(2, 7).key == (2, 7)
+
+    def test_format_is_sfc64_with_pinned_first_draws(self):
+        # the 0.2.0 stream format: a change here changes every seeded output
+        rng = SeededStream(12345, (3, 1, 7)).generator()
+        assert type(rng.bit_generator) is np.random.SFC64
+        assert rng.bit_generator.random_raw(3).tolist() == [
+            8854896125364655695, 9819564654115547345, 14561371257609136723,
+        ]
+        assert SeededStream(12345, (3, 1, 7)).generator().random(2).tolist() == [
+            float.fromhex("0x1.eb8ba4716d5f4p-2"), float.fromhex("0x1.108c340da313dp-1"),
+        ]
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        keys=st.lists(st.tuples(st.integers(0, 40), st.integers(0, 3), st.integers(0, 200)),
+                      min_size=2, max_size=2, unique=True),
+    )
+    def test_distinct_point_model_rep_keys_give_distinct_streams(self, seed, keys):
+        a, b = (SeededStream(seed, key).generator().bit_generator.random_raw(4).tolist() for key in keys)
+        assert a != b
+
+
+def test_package_version_matches_pyproject():
+    pyproject = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+    assert re.search(r'^version = "([^"]+)"$', pyproject, re.M).group(1) == edgeq.__version__
 
 
 class TestPoissonArrivals:
@@ -138,15 +169,16 @@ class TestNhppSinusoidal:
     def test_in_place_thinning_equals_the_plain_expression(
         self, seed, lambda_bar, amplitude, gamma, phase, horizon
     ):
-        # bitwise: the one-buffer rate and the in-place sort keep every candidate and every decision
+        # bitwise: the one-buffer rate, the in-place scaling and the sort of the kept
+        # points keep every candidate and every decision of thin-then-sort
         prof = SinusoidProfile(lambda_bar, amplitude, gamma, phase)
         got = nhpp_sinusoidal(prof, horizon, SeededStream(seed).generator())
         rng = SeededStream(seed).generator()
         t = np.empty(0)
         if horizon > 0:
-            t = np.sort(rng.uniform(0.0, horizon, rng.poisson(prof.peak_rate * horizon)))
+            t = rng.uniform(0.0, horizon, rng.poisson(prof.peak_rate * horizon))
         u = rng.uniform(0.0, 1.0, len(t))
-        np.testing.assert_array_equal(got, t[u * prof.peak_rate < prof.rate(t)])
+        np.testing.assert_array_equal(got, np.sort(t[u * prof.peak_rate < prof.rate(t)]))
 
     def test_flat_profile_matches_poisson_statistics(self):
         prof = SinusoidProfile(50.0, 0.0, 1.0)
