@@ -3,20 +3,25 @@
 The closed forms relate the server capacity a distributed edge needs to
 match a centralized pool handling the same geographically pinned VM
 workload. The packing sweep measures the over-provisioning; peaks where
-nothing queues come from a sorted +/-cores sweep; saturated sites are replayed.
+nothing queues come from a sorted +/-cores sweep. A saturated site is one
+server, so the sweep replays it as one FIFO pool of cores, where first and
+best fit place alike.
 
-The replay is one event loop over a trace in arrival order. Releases due by
-an arrival time run before that time's arrival batch and never inside it.
-Each site keeps a FIFO of the VMs that fit nowhere, and its head blocks the
-VMs behind it.
+The general replay, `simulate_packing`, is one event loop over a trace in
+arrival order; it serves `edgeq capacity pack` and is the oracle the sweep
+is tested against. Releases due by an arrival time run before that time's
+arrival batch and never inside it. Each site keeps a FIFO of the VMs that
+fit nowhere, and its head blocks the VMs behind it.
 """
 from __future__ import annotations
 
 import csv
 import heapq
 import math
+import numbers
 from collections import deque
 from dataclasses import dataclass
+from itertools import chain
 from typing import Optional, Sequence
 
 import numpy as np
@@ -84,7 +89,7 @@ def dtrp_response_time(spec: DtrpSpec, lam: float, cloud: bool = False) -> float
 # Traces
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class VmRequest:
     id: str
     arrival: float
@@ -396,9 +401,14 @@ def capacity_sweep(
     Returns the per-size points, the cloud peak used cores, and the
     model-predicted edge size cloud_peak*(1+1/q)/k_sites. Peaks are occupied
     cores (summed per site for the edge) over a hinted trace in arrival order.
-    The cloud and each site whose peak fits never queue, so one sorted
-    +/-cores sweep gives their exact peaks. The VMs of the saturated sites are
-    replayed together, so the backlog is system-wide.
+    The trace is read once into columns. The cloud and each site whose peak
+    fits never queue, so one sorted +/-cores sweep gives their exact peaks.
+    The VMs of the saturated sites are replayed together, so the backlog is
+    system-wide. Each such site is one FIFO pool of `size` cores, where first
+    and best fit place alike (`_pool_replay`); `simulate_packing` stays the
+    general replay and the oracle the tests compare this one with. The first
+    size that replays raises what `simulate_packing` would: a size below 1,
+    a VM larger than the size, a replayed VM out of arrival order.
     """
     if not trace:
         raise EmptyTrace("trace contains no VM requests")
@@ -406,30 +416,119 @@ def capacity_sweep(
         raise DomainError(f"unknown policy {policy!r}")
     if k_sites < 1:
         raise DomainError(f"k_sites must be >= 1, got {k_sites}")
-    if any(r.site_hint is None for r in trace):
-        raise DomainError("capacity_sweep requires every VM to carry a site hint")
-    start = np.array([r.arrival for r in trace])
-    # a VM that ends at its own arrival time still holds its cores through its arrival batch
-    end = np.maximum(start + [r.lifetime for r in trace], np.nextafter(start, np.inf))
-    cores = np.array([r.cores for r in trace], dtype=np.int64)
-    site = np.array([r.site_hint % k_sites for r in trace])
-    # events sort by (site, time, departures first), as the replay releases before it
-    # places; each site's events sum to zero, so the running total restarts per site
-    times, delta = np.concatenate([end, start]), np.concatenate([-cores, cores])
-    sites = np.concatenate([site, site])
-    is_arrival = np.arange(len(times)) >= len(trace)
-    order = np.lexsort((is_arrival, times, sites))
-    peaks = np.zeros(k_sites, dtype=np.int64)
-    np.maximum.at(peaks, sites[order], np.cumsum(delta[order]))
-    cloud_peak = int(np.cumsum(delta[np.lexsort((is_arrival, times))]).max())
+    sizes = []
+    for value in core_grid:
+        if isinstance(value, bool) or not isinstance(value, numbers.Real) or not float(value).is_integer():
+            raise DomainError(f"site size must be a whole number of cores, got {value!r}")
+        sizes.append(int(value))
+    try:
+        site_of = [r.site_hint % k_sites for r in trace]
+    except TypeError:
+        raise DomainError("capacity_sweep requires every VM to carry a site hint") from None
+    times = [r.arrival for r in trace]
+    lifetimes = [r.lifetime for r in trace]
+    cores = [r.cores for r in trace]
+    cloud_peak, peaks = _unqueued_peaks(times, lifetimes, cores, site_of, k_sites)
     model_size = cloud_peak * edge_overprovision_factor(q) / k_sites
+    largest, least_peak = max(cores), min(p for p in peaks if p)
+    in_order = times == sorted(times)
     points = []
-    for size in map(int, core_grid):
-        saturated = peaks > size
-        capacity, queue = int(peaks[~saturated].sum()), 0
-        if saturated.any():
-            replayed = [trace[i] for i in np.flatnonzero(saturated[site])]
-            rep = simulate_packing(replayed, Topology("edge", k_sites, 1, size), policy=policy, site_assign="hint")
-            capacity, queue = capacity + rep.site_capacity_cores, rep.rejected_or_queued
+    for size in sizes:
+        saturated = [p > size for p in peaks]
+        capacity = sum(p for p, full in zip(peaks, saturated) if not full)
+        queue = 0
+        if any(saturated):
+            Topology("edge", k_sites, 1, size)  # refuses a size below 1
+            if size < largest:
+                vm = next(r for r in trace if r.cores > size)
+                raise OversizedVm(f"VM {vm.id} wants {vm.cores} cores > server size {size}")
+            if size < least_peak:  # every site saturates: replay the columns themselves
+                keep, columns = range(len(trace)), (times, lifetimes, cores, site_of)
+            else:
+                keep = [i for i, s in enumerate(site_of) if saturated[s]]
+                columns = tuple([col[i] for i in keep] for col in (times, lifetimes, cores, site_of))
+            if not in_order:
+                t = columns[0]
+                early = next((j for j in range(1, len(t)) if t[j] < t[j - 1]), None)
+                if early is not None:
+                    raise DomainError(
+                        f"VM {trace[keep[early]].id} arrives before the VM ahead of it; sort the trace by arrival"
+                    )
+            used, queue = _pool_replay(*columns, k_sites, size, policy)
+            capacity += used
         points.append(SweepPoint(size, capacity, packing_relative_error(capacity, cloud_peak, q), queue))
     return points, cloud_peak, model_size
+
+
+def _unqueued_peaks(times, lifetimes, cores, site_of, k_sites) -> tuple[int, list[int]]:
+    """The cloud's and each site's peak occupied cores, were no VM ever to queue."""
+    start = np.array(times)
+    # a VM that ends at its own arrival time still holds its cores through its arrival batch
+    end = np.maximum(start + np.array(lifetimes), np.nextafter(start, np.inf))
+    size = np.array(cores, dtype=np.int64)
+    # departures come first in the events, so a stable sort by time releases before it places
+    order = np.argsort(np.concatenate([end, start]), kind="stable")
+    delta = np.concatenate([-size, size])[order]
+    cloud_peak = int(np.cumsum(delta).max())
+    # then stably by site; each site's events sum to zero, so the running total restarts per site
+    site = np.array(site_of, dtype=np.min_scalar_type(k_sites - 1))
+    sites = np.concatenate([site, site])[order]
+    by_site = np.argsort(sites, kind="stable")
+    peaks = np.zeros(k_sites, dtype=np.int64)
+    np.maximum.at(peaks, sites[by_site], np.cumsum(delta[by_site]))
+    return cloud_peak, peaks.tolist()
+
+
+def _pool_replay(times, lifetimes, sizes, site_of, n_sites, size, policy) -> tuple[int, int]:
+    """`simulate_packing` on one server of `size` cores per site, as FIFO core pools.
+
+    A single server per site makes first and best fit the same placement,
+    and first_fit_decreasing_batch changes only the arrival order, so no
+    placement search is needed. The event order is the replay's: releases
+    come off one (time, site, cores) heap and run only before a
+    same-timestamp arrival batch; each site's FIFO head blocks the VMs behind
+    it. Returns the sum of per-site peak occupied cores and the peak
+    system-wide backlog, which only an arrival can raise.
+    """
+    rows = zip(times, lifetimes, sizes, site_of)
+    if policy == "first_fit_decreasing_batch":
+        rows = sorted(rows, key=lambda row: (row[0], -row[2]))  # stable: ties keep trace order
+    free = [size] * n_sites
+    low = [size] * n_sites  # the least free cores each pool has had
+    queue = [deque() for _ in range(n_sites)]  # FIFO of (lifetime, cores)
+    releases: list[tuple[float, int, int]] = []  # heap of (time, site, cores)
+    push, pop = heapq.heappush, heapq.heappop
+    queued_now = peak_queue = 0
+    batch_time = None
+    # a last row at infinity runs every release left
+    for now, lifetime, cores, site in chain(rows, [(math.inf, 0, 0, 0)]):
+        if now != batch_time:
+            batch_time = now
+            while releases and releases[0][0] <= now:
+                done, at, freed = pop(releases)
+                f = free[at] + freed
+                waiting = queue[at]
+                while waiting and waiting[0][1] <= f:  # drain the FIFO head by head
+                    life, need = waiting.popleft()
+                    f -= need
+                    push(releases, (done + life, at, need))
+                    queued_now -= 1
+                    if f < low[at]:
+                        low[at] = f
+                free[at] = f
+            if now == math.inf:
+                break
+        waiting = queue[site]
+        if not waiting and free[site] >= cores:
+            f = free[site] = free[site] - cores
+            if f < low[site]:
+                low[site] = f
+            push(releases, (now + lifetime, site, cores))
+        else:
+            waiting.append((lifetime, cores))
+            queued_now += 1
+            if queued_now > peak_queue:
+                peak_queue = queued_now
+
+    assert not any(queue) and free == [size] * n_sites, "conservation violated"
+    return n_sites * size - sum(low), peak_queue

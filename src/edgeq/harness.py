@@ -327,8 +327,8 @@ def _run_excess_wait(sc: Scenario, workers: int):
 
 
 def _run_packing_sweep(sc: Scenario, workers: int):
-    values = [v for _, v in sc.points()]
-    fx = values[0]  # keys that cannot be swept read the same at every point
+    points = sc.points()
+    fx = points[0][1]  # keys that cannot be swept read the same at every point
     k_sites, q = fx["k_sites"], fx["q"]
     trace = capacity.synthetic_vm_trace(
         rate=fx["vm_rate"],
@@ -337,24 +337,33 @@ def _run_packing_sweep(sc: Scenario, workers: int):
         stream=SeededStream(sc.seed, 777),
         k_sites=k_sites,
     )
-    grid = [v["cores_per_site"] for v in values]
-    points, cloud_peak, model_size = capacity.capacity_sweep(trace, k_sites, grid, q, policy=fx["policy"])
+    # a site smaller than the largest VM cannot place it: that size keeps a skipped row
+    largest = max(r.cores for r in trace)
+    sizes = [v["cores_per_site"] for _, v in points]
+    swept, cloud_peak, model_size = capacity.capacity_sweep(
+        trace, k_sites, [size for size in sizes if size >= largest], q, policy=fx["policy"]
+    )
     target = cloud_peak * capacity.edge_overprovision_factor(q)
-    rows = [
-        ComparisonRow(
+    ok = iter(swept)
+    rows = []
+    for (p, _), size in zip(points, sizes):
+        if size < largest:
+            reason = f"cores_per_site must be >= {largest}, the largest VM's cores, got {size}"
+            rows.append(ComparisonRow(p, math.nan, math.nan, math.nan, f"skipped: {reason}"))
+            continue
+        pt = next(ok)
+        rows.append(ComparisonRow(
             {"cores_per_site": pt.cores_per_site, "peak_queue": pt.peak_queue},
             float(target),
             float(pt.edge_capacity),
             0.0,
-        )
-        for pt in points
-    ]
-    best = min(points, key=lambda pt: pt.relative_error)
+        ))
+    best = min(swept, key=lambda pt: pt.relative_error, default=None)
     summary = {
         "cloud_peak_cores": cloud_peak,
         "target_edge_cores": target,
         "model_cores_per_site": model_size,
-        "argmin_cores_per_site": best.cores_per_site,
+        "argmin_cores_per_site": None if best is None else best.cores_per_site,
         "n_vms": len(trace),
     }
     return rows, summary

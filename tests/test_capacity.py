@@ -477,13 +477,15 @@ def replayed_sweep(trace, k_sites, core_grid, q, policy):
 
 
 def site_peaks(trace, k_sites):
-    """Occupied cores per site after each arrival batch, maximised; nothing waits."""
+    """Occupied cores per site after each arrival batch, maximised; nothing waits.
+    A VM holds its cores through its own arrival batch, even if its end rounds to its arrival."""
     peaks = [0] * k_sites
     for r in trace:
         site = r.site_hint % k_sites
         used = sum(
             v.cores for v in trace
-            if v.site_hint % k_sites == site and v.arrival <= r.arrival < v.arrival + v.lifetime
+            if v.site_hint % k_sites == site
+            and (v.arrival == r.arrival or v.arrival < r.arrival < v.arrival + v.lifetime)
         )
         peaks[site] = max(peaks[site], used)
     return peaks
@@ -491,7 +493,9 @@ def site_peaks(trace, k_sites):
 
 @st.composite
 def hinted_sweeps(draw):
-    """A sorted hinted trace on a coarse time grid, so arrivals tie and VMs leave as others arrive."""
+    """A sorted hinted trace on a coarse time grid, so arrivals tie and VMs leave as others arrive;
+    at 1e17 every lifetime rounds away, so each VM ends at its own arrival time."""
+    base = draw(st.sampled_from([0.0, 1e17]))
     k_sites = draw(st.integers(1, 4))
     rows = draw(st.lists(
         st.tuples(st.integers(0, 40), st.integers(1, 12), st.sampled_from([1, 2, 4, 6, 8]),
@@ -499,11 +503,22 @@ def hinted_sweeps(draw):
         min_size=1, max_size=60,
     ))
     rows.sort(key=lambda row: row[0])
-    trace = [VmRequest(f"v{i}", a * 0.5, life * 0.5, c, site_hint=h) for i, (a, life, c, h) in enumerate(rows)]
+    trace = [VmRequest(f"v{i}", base + a * 0.5, life * 0.5, c, site_hint=h)
+             for i, (a, life, c, h) in enumerate(rows)]
     largest = max(r.cores for r in trace)
-    sizes = {largest} | {s for p in site_peaks(trace, k_sites) for s in (p - 1, p, p + 1) if s >= largest}
+    # 0 and largest - 1 cannot hold every VM, so the sweep must raise what the replay raises;
+    # every size from largest up to one past the highest site peak saturates some sites or none
+    sizes = {0, largest - 1, *range(largest, max(site_peaks(trace, k_sites)) + 2)}
     grid = draw(st.lists(st.sampled_from(sorted(sizes)), min_size=1, max_size=5))
     return trace, k_sites, grid
+
+
+def outcome(sweep, *args):
+    """The repr of what the sweep returns, or the type and message of what it raises."""
+    try:
+        return repr(sweep(*args))
+    except Exception as exc:
+        return f"{type(exc).__name__}: {exc}"
 
 
 class TestSweepMatchesReplay:
@@ -512,8 +527,8 @@ class TestSweepMatchesReplay:
            st.sampled_from(["first_fit", "best_fit", "first_fit_decreasing_batch"]))
     def test_equals_full_replay(self, sweep, q, policy):
         trace, k_sites, grid = sweep
-        got = capacity_sweep(trace, k_sites, grid, q, policy=policy)
-        assert repr(got) == repr(replayed_sweep(trace, k_sites, grid, q, policy))
+        args = trace, k_sites, grid, q, policy
+        assert outcome(capacity_sweep, *args) == outcome(replayed_sweep, *args)
 
     def test_vm_ending_at_its_arrival_time_holds_its_cores_through_the_batch(self):
         # 1e17 + 1.0 == 1e17: the first VM's release time equals its arrival
@@ -528,22 +543,35 @@ class TestSweepMatchesReplay:
 
     def test_replays_only_saturated_sites(self, monkeypatch):
         calls = []
-        replay = edgeq.capacity.simulate_packing
+        replay = edgeq.capacity._pool_replay
 
-        def recording(trace, topology, **kw):
-            calls.append([r.id for r in trace])
-            return replay(trace, topology, **kw)
+        def recording(times, *rest):
+            calls.append(list(times))
+            return replay(times, *rest)
 
-        monkeypatch.setattr(edgeq.capacity, "simulate_packing", recording)
+        monkeypatch.setattr(edgeq.capacity, "_pool_replay", recording)
         trace = [
             VmRequest("a", 0.0, 10.0, 4, site_hint=0),
             VmRequest("b", 1.0, 10.0, 4, site_hint=0),
             VmRequest("c", 2.0, 10.0, 4, site_hint=1),
         ]
         points, cloud_peak, _ = capacity_sweep(trace, 3, [8, 4], 2.0)
-        assert calls == [["a", "b"]]
+        assert calls == [[0.0, 1.0]]  # the arrivals of a and b
         assert cloud_peak == 12
         assert [(p.edge_capacity, p.peak_queue) for p in points] == [(12, 0), (8, 1)]
+
+    def test_arrival_order_checked_over_the_replayed_vms(self):
+        # c arrives before b, but at 4 cores only site 0 saturates, and its VMs a and b are in order
+        trace = [
+            VmRequest("a", 1.0, 10.0, 4, site_hint=0),
+            VmRequest("b", 2.0, 10.0, 4, site_hint=0),
+            VmRequest("c", 0.0, 10.0, 4, site_hint=1),
+        ]
+        points, _, _ = capacity_sweep(trace, 2, [4, 8], 2.0)
+        assert [(p.edge_capacity, p.peak_queue) for p in points] == [(8, 1), (12, 0)]
+        trace.append(VmRequest("d", 0.5, 10.0, 4, site_hint=0))
+        with pytest.raises(DomainError, match="VM d arrives before"):
+            capacity_sweep(trace, 2, [16, 4], 2.0)
 
     def test_grid_below_largest_vm_names_the_same_vm(self):
         trace = [
@@ -556,6 +584,16 @@ class TestSweepMatchesReplay:
         with pytest.raises(OversizedVm, match="VM big wants 8") as got:
             capacity_sweep(trace, 2, [32, 4], 2.0)
         assert str(got.value) == str(ref.value)
+
+    @pytest.mark.parametrize("size", [64.9, 40.5, True, math.inf, math.nan, "64"])
+    def test_size_that_is_not_a_whole_number_rejected(self, size):
+        trace = [VmRequest("a", 0.0, 5.0, 2, site_hint=0)]
+        with pytest.raises(DomainError, match=f"whole number of cores, got {size!r}"):
+            capacity_sweep(trace, 1, [64, size], 2.0)
+
+    def test_whole_float_size_reads_as_int(self):
+        trace = [VmRequest("a", 0.0, 5.0, 2, site_hint=0), VmRequest("b", 1.0, 5.0, 2, site_hint=0)]
+        assert repr(capacity_sweep(trace, 1, [2.0, np.int64(4)], 2.0)) == repr(capacity_sweep(trace, 1, [2, 4], 2.0))
 
     def test_vm_without_hint_rejected(self):
         trace = [VmRequest("a", 0.0, 5.0, 2, site_hint=0), VmRequest("b", 1.0, 5.0, 2)]

@@ -311,3 +311,43 @@ class TestTableRushHour:
         assert "skipped: relative amplitude" in (tmp_path / "rush.csv").read_text()
         rows = json.loads((tmp_path / "rush.json").read_text())["rows"]
         assert [r["status"] for r in rows] == ["ok", "ok", "skipped: relative amplitude must lie in [0, 1]"] * 2
+
+
+class TestPackingSweep:
+    """A site size below the largest VM keeps a skipped row; the other sizes sweep as if alone."""
+
+    def scenario(self, sizes):
+        return Scenario(
+            name="pack", model="packing_sweep", grid={"cores_per_site": list(sizes)},
+            fixed={"horizon_s": 50.0}, replications=1, seed=8,
+        )
+
+    def run(self, tmp_path, sizes):
+        rows, summary, _ = run_scenario(self.scenario(sizes), out_dir=tmp_path, deterministic_names=True)
+        assert [r.parameters["cores_per_site"] for r in rows] == list(sizes)
+        return rows, summary
+
+    @pytest.mark.parametrize("sizes", [[0, 64], [4, 64], [96, -2, 4, 64]])
+    def test_undersized_sites_keep_skipped_rows(self, tmp_path, sizes):
+        # every VM size is at most 20 cores, and the trace's largest is above 4
+        rows, summary = self.run(tmp_path / "skip", sizes)
+        kept, kept_summary = self.run(tmp_path / "kept", [s for s in sizes if s >= 20])
+        for row, size in zip(rows, sizes):
+            if size < 20:
+                assert row.status.startswith("skipped: cores_per_site must be >= ")
+                assert row.status.endswith(f", the largest VM's cores, got {size}")
+                assert math.isnan(row.analytic_value) and math.isnan(row.sim_value)
+        assert [repr(vars(r)) for r in rows if r.status == "ok"] == [repr(vars(r)) for r in kept]
+        assert summary == kept_summary
+
+    def test_argmin_is_null_without_ok_rows(self, tmp_path):
+        rows, summary = self.run(tmp_path, [0, 4])
+        assert all(r.status.startswith("skipped: ") for r in rows)
+        assert summary["argmin_cores_per_site"] is None and summary["cloud_peak_cores"] > 0
+
+    def test_validate_writes_skipped_rows_and_exits_0(self, tmp_path):
+        path = tmp_path / "pack.scenario"
+        path.write_text(json.dumps(dataclasses.asdict(self.scenario([0, 64]))))
+        assert main(["validate", str(path), "--out", str(tmp_path), "--deterministic-names"]) == EXIT_OK
+        rows = json.loads((tmp_path / "pack.json").read_text())["rows"]
+        assert [r["status"].split(":")[0] for r in rows] == ["skipped", "ok"]
