@@ -1,17 +1,22 @@
 """Deterministic discrete-event simulation of the validation queues.
 
-Three models:
+Three models, two runners:
 
-* ``two_phase_edge`` -- tandem pair: a source queue whose single server
-  performs the mandatory phase and, for migrating requests, the migration
-  phase back to back, feeding a destination queue that serves only the
-  migrated stream; renewal inter-arrival and service laws are optional.
-* ``mtm1_sinusoidal`` -- single server driven by a sinusoidal
-  nonhomogeneous Poisson process.
-* ``mmk_cloud`` -- one FCFS queue in front of k identical servers.
+* ``two_phase_edge`` (``run_two_phase_sim``) -- tandem pair: a source
+  queue whose single server performs the mandatory phase and, for
+  migrating requests, the migration phase back to back, feeding a
+  destination queue that serves only the migrated stream; renewal
+  inter-arrival and service laws are optional.
+* ``mtm1_sinusoidal`` and ``mmk_cloud`` (``run_station_sim``) -- one FCFS
+  station: the edge's single server under a sinusoidal nonhomogeneous
+  Poisson process, with per-cycle bins and the rush window, or the
+  cloud's k identical servers, with the wait of the delayed requests.
 
-Single-server waiting times are computed with the vectorized Lindley
-recursion (reflected random walk), so one run handles millions of
+``MODEL_FIELDS`` names the ``SimConfig`` fields each model requires and
+reads; ``validate`` refuses any other field set off its default, and a
+config without exactly one horizon. Single-server waits come from the
+vectorized Lindley recursion (reflected random walk), which
+``multiserver_waits`` runs at k = 1, so one run handles millions of
 requests in milliseconds and is bit-reproducible for a fixed stream.
 
 Every runner ends in one metric layer, ``_summarize``. It computes only
@@ -19,7 +24,8 @@ the ``SimMetrics`` fields that ``SimConfig.metrics`` names (all of them
 by default), and the others read NaN. A run builds its departure and
 sojourn arrays only when a named field, the instability check, the event
 log or the rush statistic reads them. The first ``int(n * warmup)``
-requests are a warm-up and are not counted. The window runs from the first counted arrival to the last departure, and
+requests are a warm-up and are not counted. The window runs from the
+first counted arrival to the last departure, and
 ``little_l`` is the time-average number in system over it: each request,
 counted or not, adds its overlap with the window. The tandem model's
 ``mean_wait`` composes the source-queue wait over all requests with the
@@ -43,8 +49,23 @@ from .errors import ConfigError, InstabilityDetected
 from .specs import CloudSpec, NetworkSpec, QueueSpec, SinusoidProfile
 from .workload import RenewalSpec, SeededStream, nhpp_sinusoidal, poisson_arrivals, renewal_times
 
-MODELS = ("two_phase_edge", "mtm1_sinusoidal", "mmk_cloud")
 RUSH_STATS = ("peak_bin", "arrivals", "served")
+
+# model -> (the SimConfig fields it requires, the others it reads besides
+# READ_BY_ALL). Any other field must keep its default: no setting is dropped unread.
+READ_BY_ALL = ("model", "warmup", "network", "max_in_system", "event_log", "metrics")
+MODEL_FIELDS = {
+    "two_phase_edge": (("queue",), ("arrivals", "service1", "service2", "horizon_requests", "horizon_s",
+                                    "dest_rate", "dest_home_load", "allow_unstable")),
+    "mtm1_sinusoidal": (("queue", "profile", "horizon_s"), ("two_stage_service", "bins_per_period", "rush_stat")),
+    "mmk_cloud": (("cloud",), ("horizon_requests", "horizon_s", "allow_unstable")),
+}
+MODELS = tuple(MODEL_FIELDS)
+# the ``edgeq simulate`` config key of each field outside its ``simulation`` section
+CONFIG_KEYS = {
+    "queue": "edge", "cloud": "cloud", "network": "network", "profile": "workload.profile",
+    "arrivals": "workload.arrivals", "service1": "workload.service1", "service2": "workload.service2",
+}
 
 
 @dataclass
@@ -80,16 +101,16 @@ class SimConfig:
     queue: Optional[QueueSpec] = None
     cloud: Optional[CloudSpec] = None
     profile: Optional[SinusoidProfile] = None
-    arrivals: Optional[RenewalSpec] = None     # two_phase_edge: inter-arrival law
-    service1: Optional[RenewalSpec] = None     # two_phase_edge: phase-1 law
-    service2: Optional[RenewalSpec] = None     # two_phase_edge: phase-2 law
+    arrivals: Optional[RenewalSpec] = None     # inter-arrival law
+    service1: Optional[RenewalSpec] = None     # phase-1 law
+    service2: Optional[RenewalSpec] = None     # phase-2 law
     horizon_requests: Optional[int] = None
     horizon_s: Optional[float] = None
     warmup: float = 0.1
     network: Optional[NetworkSpec] = None
     dest_rate: Optional[float] = None          # destination service rate, default mu2
     dest_home_load: float = 0.0                # extra Poisson rate offered to queue 2
-    two_stage_service: bool = False            # mtm1: explicit phase-1 + phase-2 stages
+    two_stage_service: bool = False            # explicit phase-1 + phase-2 stages
     bins_per_period: int = 100
     rush_stat: str = "peak_bin"
     allow_unstable: bool = False
@@ -98,39 +119,30 @@ class SimConfig:
     metrics: tuple[str, ...] = SimMetrics.FIELDS  # the SimMetrics fields the run computes
 
     def validate(self) -> None:
-        if self.model not in MODELS:
+        if self.model not in MODEL_FIELDS:
             raise ConfigError(f"unknown model {self.model!r}; expected one of {MODELS}")
         unknown = [name for name in self.metrics if name not in SimMetrics.FIELDS]
         if isinstance(self.metrics, str) or unknown:
             raise ConfigError(f"metrics must name fields of {SimMetrics.FIELDS}, got {self.metrics!r}")
+        required, read = MODEL_FIELDS[self.model]
+        for f in fields(self):
+            value = getattr(self, f.name)
+            missing = value is None and f.name in required
+            if missing or value != f.default and f.name not in required + read + READ_BY_ALL:
+                key = f"{CONFIG_KEYS.get(f.name, 'simulation.' + f.name)} (SimConfig.{f.name})"
+                raise ConfigError(f"{self.model} requires {key}" if missing else f"{self.model} does not read {key}")
+        if (self.horizon_requests or 0) < 0 or (self.horizon_s or 0) < 0:
+            raise ConfigError("horizons must be non-negative")
+        if (self.horizon_requests is None) == (self.horizon_s is None):
+            raise ConfigError("set exactly one of simulation.horizon_requests, simulation.horizon_s")
         if not 0.0 <= self.warmup < 1.0:
             raise ConfigError("warmup fraction must lie in [0, 1)")
         if self.rush_stat not in RUSH_STATS:
             raise ConfigError(f"rush_stat must be one of {RUSH_STATS}")
+        if self.bins_per_period < 1:
+            raise ConfigError("bins_per_period must be >= 1")
         if self.dest_rate is not None and not self.dest_rate > 0:
             raise ConfigError("dest_rate must be positive")
-        if (self.horizon_requests or 0) < 0 or (self.horizon_s or 0) < 0:
-            raise ConfigError("horizons must be non-negative")
-        laws = [key for key in ("arrivals", "service1", "service2") if getattr(self, key) is not None]
-        if laws and self.model != "two_phase_edge":
-            raise ConfigError(f"{self.model} takes no renewal laws; drop {laws}")
-        if self.model == "two_phase_edge":
-            if self.queue is None:
-                raise ConfigError(f"{self.model} requires a QueueSpec")
-            if self.horizon_requests is None and self.horizon_s is None:
-                raise ConfigError("set horizon_requests or horizon_s")
-        elif self.model == "mtm1_sinusoidal":
-            if self.profile is None or self.queue is None:
-                raise ConfigError("mtm1_sinusoidal requires a SinusoidProfile and a QueueSpec")
-            if self.horizon_s is None:
-                raise ConfigError("mtm1_sinusoidal requires horizon_s")
-            if self.bins_per_period < 1:
-                raise ConfigError("bins_per_period must be >= 1")
-        elif self.model == "mmk_cloud":
-            if self.cloud is None:
-                raise ConfigError("mmk_cloud requires a CloudSpec")
-            if self.horizon_requests is None and self.horizon_s is None:
-                raise ConfigError("set horizon_requests or horizon_s")
 
 
 @dataclass
@@ -397,12 +409,21 @@ def _summarize(config, t, cut, rtt, mean_wait, busy, done=None, sojourn=None, se
 # Model runners
 
 
-def _draw_arrivals(config: SimConfig, rng) -> np.ndarray:
-    spec = config.arrivals or RenewalSpec(1.0 / config.queue.lam)
+def _draw_arrivals(config: SimConfig, rng, rate: float, law: Optional[RenewalSpec] = None) -> np.ndarray:
+    """Arrival instants, in order, over the horizon that is set.
+
+    The NHPP of ``config.profile`` if set; else renewals of ``law`` or,
+    without one, Poisson arrivals at ``rate`` (none at rate 0).
+    """
+    if config.profile is not None:
+        return nhpp_sinusoidal(config.profile, config.horizon_s, rng)
+    if law is None and rate == 0.0:
+        return np.empty(0)
+    spec = law or RenewalSpec(1.0 / rate)
     if config.horizon_requests is not None:
-        n = int(config.horizon_requests)
-        return np.cumsum(renewal_times(spec, n, rng))
-    # horizon in seconds: draw in chunks until past the horizon
+        return np.cumsum(renewal_times(spec, int(config.horizon_requests), rng))
+    if law is None:
+        return poisson_arrivals(rate, config.horizon_s, rng)
     out = []
     total = 0.0
     chunk = max(1024, int(config.horizon_s / spec.mean * 1.2))
@@ -412,6 +433,16 @@ def _draw_arrivals(config: SimConfig, rng) -> np.ndarray:
         total = float(t[-1])
     t = np.concatenate(out) if out else np.empty(0)
     return t[t < config.horizon_s]
+
+
+def _phase_services(config: SimConfig, n: int, rng) -> tuple[np.ndarray, np.ndarray]:
+    """(migrants in arrival order, service times): phase 1 for all, plus phase 2 for migrants."""
+    q = config.queue
+    mig = np.flatnonzero(rng.random(n) < q.r)
+    s = renewal_times(config.service1 or RenewalSpec(1.0 / q.mu1), n, rng)
+    if not math.isinf(q.mu2):
+        s[mig] += renewal_times(config.service2 or RenewalSpec(1.0 / q.mu2), len(mig), rng)
+    return mig, s
 
 
 def run_two_phase_sim(config: SimConfig, stream: SeededStream) -> SimMetrics:
@@ -424,14 +455,11 @@ def run_two_phase_sim(config: SimConfig, stream: SeededStream) -> SimMetrics:
         q.check_stable()
     rng = stream.generator()
 
-    t = _draw_arrivals(config, rng)
+    t = _draw_arrivals(config, rng, q.lam, config.arrivals or RenewalSpec(1.0 / q.lam))
     n = len(t)
     if n == 0:
         return _metrics(config)
-    mig = np.flatnonzero(rng.random(n) < q.r)  # migrants in arrival order
-    s1 = renewal_times(config.service1 or RenewalSpec(1.0 / q.mu1), n, rng)
-    if not math.isinf(q.mu2):
-        s1[mig] += renewal_times(config.service2 or RenewalSpec(1.0 / q.mu2), len(mig), rng)
+    mig, s1 = _phase_services(config, n, rng)
 
     w1 = lindley_waits(t, s1)
     dep1 = t + w1
@@ -487,128 +515,95 @@ def run_two_phase_sim(config: SimConfig, stream: SeededStream) -> SimMetrics:
     )
 
 
-def run_mtm1_sim(config: SimConfig, stream: SeededStream) -> tuple[SimMetrics, TimeSeriesMetrics]:
-    """Sinusoidally driven single-server run with per-cycle binned waits."""
+def run_station_sim(config: SimConfig, stream: SeededStream) -> tuple[SimMetrics, Optional[TimeSeriesMetrics]]:
+    """One FCFS station: the sinusoidal edge M(t)/M/1 or the cloud M/M/k pool.
+
+    Returns the metrics and, with a profile, the per-cycle bins and the
+    rush window (else None). The pool also reports the wait conditioned
+    on being delayed.
+    """
     config.validate()
-    if config.model != "mtm1_sinusoidal":
-        raise ConfigError(f"run_mtm1_sim cannot run model {config.model!r}")
-    prof, q = config.profile, config.queue
-    mu_eff = effective_service_rate(q.mu1, q.mu2, q.r)
+    if config.model == "two_phase_edge":
+        raise ConfigError("run_station_sim cannot run the tandem two_phase_edge; use run_two_phase_sim")
+    pool, prof, net = config.cloud, config.profile, config.network
+    if pool is not None:
+        if not config.allow_unstable:
+            pool.check_stable()
+        k, mu, rate, queue_id = pool.k, pool.mu_cloud, pool.arrival_rate, "cloud"
+    else:
+        q = config.queue
+        k, mu, rate, queue_id = 1, effective_service_rate(q.mu1, q.mu2, q.r), q.lam, "edge"
+    rtt = 0.0 if net is None else net.t_cloud if pool is not None else net.t_edge
+    ts = None
+    if prof is not None:
+        win = overload_window(prof, mu)
+        n_bins = config.bins_per_period
+        ts = TimeSeriesMetrics(
+            prof.period, np.zeros(n_bins), np.zeros(n_bins), np.zeros(n_bins),
+            (win.t1, win.t2) if win is not None else None, config.rush_stat,
+        )
     rng = stream.generator()
 
-    t = nhpp_sinusoidal(prof, config.horizon_s, rng)
+    t = _draw_arrivals(config, rng, rate)
     n = len(t)
-    period = prof.period
-    n_bins = config.bins_per_period
-    win = overload_window(prof, mu_eff)
-    window = (win.t1, win.t2) if win is not None else None
     if n == 0:
-        empty = TimeSeriesMetrics(
-            period, np.zeros(n_bins), np.zeros(n_bins), np.zeros(n_bins), window, config.rush_stat
-        )
-        return _metrics(config), empty
-
+        return _metrics(config), ts
     mig = None
     if config.two_stage_service:
-        mig = np.flatnonzero(rng.random(n) < q.r)
-        s = rng.exponential(1.0 / q.mu1, n)
-        if not math.isinf(q.mu2):
-            s[mig] += rng.exponential(1.0 / q.mu2, len(mig))
+        mig, s = _phase_services(config, n, rng)
     else:
-        s = rng.exponential(1.0 / mu_eff, n)
-    w = lindley_waits(t, s)
-    rush = window is not None and config.rush_stat != "peak_bin"
+        s = rng.exponential(1.0 / mu, n)
+    w = multiserver_waits(t, s, k)
+    served = ts is not None and ts.window is not None and config.rush_stat == "served"  # rush reads departures
     dep = None
-    if _departures_read(config) or config.event_log or rush and config.rush_stat == "served":
+    if _departures_read(config) or config.event_log or served:
         dep = t + w
         dep += s
     _check_instability(config, t, dep)
+    if config.event_log:
+        _write_event_log(config.event_log, (queue_id, np.arange(n), t, t + w, dep))
 
     cut = int(n * config.warmup)
-    tc, wc = t[cut:], w[cut:]
+    wc = w[cut:]
+    if ts is not None:
+        _observe_cycle(ts, t[cut:], wc, dep[cut:] if served else None)
+    extra = {}
+    if mig is not None and "count_migrated" in config.metrics:
+        extra["count_migrated"] = len(mig) - int(np.searchsorted(mig, cut))
+    if pool is not None and "mean_wait_conditional" in config.metrics:
+        delayed = wc[wc > 0.0]
+        extra["mean_wait_conditional"] = float(np.mean(delayed)) if len(delayed) else 0.0
+    sojourn = w + s if not PER_REQUEST.isdisjoint(config.metrics) else None
+    return _summarize(config, t, cut, rtt, float(np.mean(wc)), s, dep, sojourn, servers=k, **extra), ts
 
+
+def _observe_cycle(ts: TimeSeriesMetrics, tc: np.ndarray, wc: np.ndarray, depc: Optional[np.ndarray]) -> None:
+    """Bin the counted waits by cycle phase into ``ts``, and sum those in its rush window.
+
+    ``depc`` holds the counted departures when the rush statistic is ``served``.
+    """
+    period, n_bins = ts.period, ts.n_bins
     # cycle phase as a bin index; fmod equals mod here because t >= 0
     idx = np.fmod(tc, period)
     idx /= period
     idx *= n_bins
     idx = idx.astype(np.intp)
     np.minimum(idx, n_bins - 1, out=idx)
-    rush_sum, rush_count = 0.0, 0
-    if rush:
-        t1, t2 = window
+    ts.bin_wait_sum = np.bincount(idx, weights=wc, minlength=n_bins)
+    ts.bin_count = np.bincount(idx, minlength=n_bins).astype(float)
+    ts.bin_exposure = _bin_exposure(float(tc[0]), float(tc[-1]), period, n_bins)
+    if ts.window is not None and ts.rush_stat != "peak_bin":
+        t1, t2 = ts.window
         # the window may wrap the cycle, so tc - t1 can be negative: keep mod
-        inside = np.mod((tc if config.rush_stat == "arrivals" else dep[cut:]) - t1, period) <= t2 - t1
-        rush_sum, rush_count = float(np.sum(wc[inside])), int(np.count_nonzero(inside))
-    ts = TimeSeriesMetrics(
-        period,
-        np.bincount(idx, weights=wc, minlength=n_bins),
-        np.bincount(idx, minlength=n_bins).astype(float),
-        _bin_exposure(float(tc[0]), float(tc[-1]), period, n_bins),
-        window,
-        config.rush_stat,
-        rush_sum,
-        rush_count,
-    )
-
-    if config.event_log:
-        _write_event_log(config.event_log, ("edge", np.arange(n), t, t + w, dep))
-    rtt = config.network.t_edge if config.network is not None else 0.0
-    extra = {}
-    if mig is not None and "count_migrated" in config.metrics:
-        extra["count_migrated"] = len(mig) - int(np.searchsorted(mig, cut))
-    sojourn = w + s if not PER_REQUEST.isdisjoint(config.metrics) else None
-    metrics = _summarize(config, t, cut, rtt, float(np.mean(wc)), s, dep, sojourn, **extra)
-    return metrics, ts
+        inside = np.mod((tc if depc is None else depc) - t1, period) <= t2 - t1
+        ts.rush_sum, ts.rush_count = float(np.sum(wc[inside])), int(np.count_nonzero(inside))
 
 
-def run_mmk_sim(config: SimConfig, stream: SeededStream) -> SimMetrics:
-    """M/M/k pool run; also reports the wait conditioned on being delayed."""
-    config.validate()
-    if config.model != "mmk_cloud":
-        raise ConfigError(f"run_mmk_sim cannot run model {config.model!r}")
-    cloud = config.cloud
-    if not config.allow_unstable:
-        cloud.check_stable()
-    lam = cloud.arrival_rate
-    rng = stream.generator()
-
-    if lam == 0.0:
-        return _metrics(config)
-    if config.horizon_requests is not None:
-        t = np.cumsum(renewal_times(RenewalSpec(1.0 / lam), int(config.horizon_requests), rng))
-    else:
-        t = poisson_arrivals(lam, config.horizon_s, rng)
-    n = len(t)
-    if n == 0:
-        return _metrics(config)
-    s = rng.exponential(1.0 / cloud.mu_cloud, n)
-    w = multiserver_waits(t, s, cloud.k)
-    dep = None
-    if _departures_read(config) or config.event_log:
-        dep = t + w
-        dep += s
-    _check_instability(config, t, dep)
-    if config.event_log:
-        _write_event_log(config.event_log, ("cloud", np.arange(n), t, t + w, dep))
-
-    cut = int(n * config.warmup)
-    wc = w[cut:]
-    extra = {}
-    if "mean_wait_conditional" in config.metrics:
-        delayed = wc[wc > 0.0]
-        extra["mean_wait_conditional"] = float(np.mean(delayed)) if len(delayed) else 0.0
-    sojourn = w + s if not PER_REQUEST.isdisjoint(config.metrics) else None
-    rtt = config.network.t_cloud if config.network is not None else 0.0
-    return _summarize(config, t, cut, rtt, float(np.mean(wc)), s, dep, sojourn, servers=cloud.k, **extra)
-
-
-def run_model(config: SimConfig, stream: SeededStream):
-    """Dispatch on config.model; mtm1 returns (SimMetrics, TimeSeriesMetrics)."""
+def run_model(config: SimConfig, stream: SeededStream) -> tuple[SimMetrics, Optional[TimeSeriesMetrics]]:
+    """One run of ``config.model``: (metrics, time series or None)."""
     if config.model == "two_phase_edge":
-        return run_two_phase_sim(config, stream)
-    if config.model == "mtm1_sinusoidal":
-        return run_mtm1_sim(config, stream)
-    return run_mmk_sim(config, stream)
+        return run_two_phase_sim(config, stream), None
+    return run_station_sim(config, stream)
 
 
 # ---------------------------------------------------------------------------
@@ -640,12 +635,9 @@ def replicate(config: SimConfig, n_runs: int, base_stream: SeededStream) -> Aggr
     values: dict[str, list[float]] = {f: [] for f in SimMetrics.FIELDS if f in config.metrics}
     ts_pool: Optional[TimeSeriesMetrics] = None
     for i in range(n_runs):
-        result = run_model(config, base_stream.child(i))
-        if isinstance(result, tuple):
-            metrics, ts = result
+        metrics, ts = run_model(config, base_stream.child(i))
+        if ts is not None:
             ts_pool = ts if ts_pool is None else ts_pool.pooled_with(ts)
-        else:
-            metrics = result
         for f, vals in values.items():
             vals.append(float(getattr(metrics, f)))
 

@@ -51,7 +51,7 @@ class Scenario:
             if not isinstance(values, list) or not values:
                 raise ConfigError(f"scenario {self.name!r}: grid.{key} must be a non-empty list")
         if self.replications < 1:
-            raise ConfigError("replication count must be >= 1")
+            raise ConfigError(f"scenario {self.name!r}: replications must be >= 1, got {self.replications}")
         if not isinstance(self.outputs, (list, tuple)) or not set(self.outputs) <= {"csv", "json"}:
             raise ConfigError(f"scenario {self.name!r}: outputs must be a list of 'csv' and 'json', got {self.outputs!r}")
         unsweepable = set(self.grid) - set(_MODELS[self.model][0])
@@ -61,6 +61,8 @@ class Scenario:
         if both:
             raise ConfigError(f"scenario {self.name!r}: keys both swept and fixed {sorted(both)}")
         self.points()
+        if self.model == "packing_sweep" and self.replications != 1:  # one trace, one sweep: nothing to replicate
+            raise ConfigError(f"scenario {self.name!r}: packing_sweep needs replications 1, got {self.replications}")
 
     def points(self) -> list[tuple[dict, dict]]:
         """(grid point, resolved values of the point over the fixed block) per grid point."""

@@ -366,6 +366,28 @@ RUSH_FIXED = {
 }
 
 
+def with_keys(body: dict, section: str, keys: dict) -> dict:
+    """``body`` with ``keys`` merged into its ``section``."""
+    return {**body, section: {**body.get(section, {}), **keys}}
+
+
+PROFILE = SIM_CONFIGS["mtm1_sinusoidal"]["workload"]["profile"]
+# (model, section, keys set there, the key stderr must name) for keys the model does not read
+UNREAD = [
+    ("mmk_cloud", "workload", {"profile": PROFILE}, "workload.profile"),
+    ("mmk_cloud", "simulation", {"two_stage_service": True}, "simulation.two_stage_service"),
+    ("mmk_cloud", "simulation", {"dest_rate": 40.0}, "simulation.dest_rate"),
+    ("mmk_cloud", "simulation", {"bins_per_period": 0}, "simulation.bins_per_period"),
+    ("mmk_cloud", "edge", SIM_CONFIGS["mtm1_sinusoidal"]["edge"], "does not read edge"),
+    ("mtm1_sinusoidal", "cloud", SIM_CONFIGS["mmk_cloud"]["cloud"], "does not read cloud"),
+    ("mtm1_sinusoidal", "simulation", {"horizon_requests": 1000}, "simulation.horizon_requests"),
+    ("mtm1_sinusoidal", "simulation", {"dest_home_load": 3.0}, "simulation.dest_home_load"),
+    ("mtm1_sinusoidal", "simulation", {"allow_unstable": True}, "simulation.allow_unstable"),
+    ("two_phase_edge", "workload", {"profile": PROFILE}, "workload.profile"),
+    ("two_phase_edge", "simulation", {"horizon_s": 10.0}, "simulation.horizon_s"),
+]
+
+
 @pytest.mark.parametrize(
     "command, body, key",
     [
@@ -408,11 +430,14 @@ RUSH_FIXED = {
         *(("simulate", {**SIM_CONFIGS["mtm1_sinusoidal"], "simulation": {
             **SIM_CONFIGS["mtm1_sinusoidal"]["simulation"], "horizon_s": value}}, "simulation.horizon_s")
           for value in (math.inf, math.nan)),
+        # a key the model does not read used to be dropped silently, exit 0
+        *(("simulate", with_keys(SIM_CONFIGS[model], section, keys), key) for model, section, keys, key in UNREAD),
     ],
     ids=["capacity", "formats", "edge-mu1", "cloud-rho", "fixed-typo", "crossover-r",
          "rush-lambda_bar", "period-and-gamma", "rush-grid-mu1", "string-flag", "outputs-string",
          "mtm1-arrivals", "mmk-service1", "k_sites-0", "k_sites-negative", "gg1-edge",
-         "cloud-k-fraction", "reps-0", "profile-period-inf", "horizon_s-inf", "horizon_s-nan"],
+         "cloud-k-fraction", "reps-0", "profile-period-inf", "horizon_s-inf", "horizon_s-nan",
+         *(f"{model}-unread-{key.split()[-1]}" for model, _, _, key in UNREAD)],
 )
 def test_config_faults_exit_2_naming_the_key(capsys, tmp_path, command, body, key):
     path = tmp_path / "bad.json"

@@ -29,8 +29,7 @@ from edgeq import (
     overload_window,
     renewal_times,
     replicate,
-    run_mmk_sim,
-    run_mtm1_sim,
+    run_station_sim,
     run_two_phase_sim,
 )
 from edgeq.analytic import effective_service_rate
@@ -209,9 +208,9 @@ class TestTwoPhaseSim:
             m = run_two_phase_sim(two_phase_config(20.0, 0.0, n=1_000_000), SeededStream(106))
         elif model == "mmk_cloud":
             cfg = SimConfig(model="mmk_cloud", cloud=CloudSpec(4, 50.0, 0.8), horizon_requests=400_000)
-            m = run_mmk_sim(cfg, SeededStream(106))
+            m, _ = run_station_sim(cfg, SeededStream(106))
         else:
-            m, _ = run_mtm1_sim(mtm1_config(0.5, horizon_s=20_000.0), SeededStream(106))
+            m, _ = run_station_sim(mtm1_config(0.5, horizon_s=20_000.0), SeededStream(106))
         lam_hat = m.count_served / m.window_duration
         assert m.little_l == pytest.approx(lam_hat * m.mean_sojourn, rel=0.02)
 
@@ -305,7 +304,7 @@ class TestTwoPhaseSim:
             rng.exponential(1.0 / cfg.queue.lam, n)
         else:
             cfg = mtm1_config(0.5, horizon_s=20_000.0, two_stage_service=True)
-            run_mtm1_sim(cfg, stream)
+            run_station_sim(cfg, stream)
             n = len(nhpp_sinusoidal(cfg.profile, cfg.horizon_s, rng))
         q = cfg.queue
         migrate = rng.random(n) < q.r
@@ -378,13 +377,13 @@ class TestMmkSim:
 
     def test_zero_arrival_rate_gives_zero_metrics(self):
         cfg = SimConfig(model="mmk_cloud", cloud=CloudSpec(4, 50.0, 0.0), horizon_s=100.0)
-        m = run_mmk_sim(cfg, SeededStream(132))
+        m, _ = run_station_sim(cfg, SeededStream(132))
         assert m.count_served == 0
 
     def test_unstable_pool_rejected(self):
         cfg = SimConfig(model="mmk_cloud", cloud=CloudSpec(4, 50.0, 1.2), horizon_requests=100)
         with pytest.raises(UnstableQueue):
-            run_mmk_sim(cfg, SeededStream(133))
+            run_station_sim(cfg, SeededStream(133))
 
 
 class TestMtm1Sim:
@@ -395,14 +394,14 @@ class TestMtm1Sim:
         assert agg.mean.mean_wait == pytest.approx(rho / (mu_eff * (1 - rho)), rel=0.05)
 
     def test_rush_window_populated_only_under_overload(self):
-        _, ts_low = run_mtm1_sim(mtm1_config(0.3), SeededStream(141))
+        _, ts_low = run_station_sim(mtm1_config(0.3), SeededStream(141))
         assert ts_low.rush_window() is None
-        _, ts_high = run_mtm1_sim(mtm1_config(0.8), SeededStream(141))
+        _, ts_high = run_station_sim(mtm1_config(0.8), SeededStream(141))
         t1, t2, wait = ts_high.rush_window()
         assert 0 <= t1 < t2 and wait > 0
 
     def test_bins_cover_one_period(self):
-        _, ts = run_mtm1_sim(mtm1_config(0.5, bins_per_period=50), SeededStream(142))
+        _, ts = run_station_sim(mtm1_config(0.5, bins_per_period=50), SeededStream(142))
         bins = ts.bins
         assert len(bins) == 50
         centers = [b[0] for b in bins]
@@ -414,7 +413,7 @@ class TestMtm1Sim:
     @pytest.mark.parametrize("stat", ["peak_bin", "arrivals", "served"])
     def test_rush_window_matches_recomputed_statistic(self, stat):
         cfg = mtm1_config(0.8, horizon_s=1000.0, bins_per_period=40, rush_stat=stat)
-        _, ts = run_mtm1_sim(cfg, SeededStream(145))
+        _, ts = run_station_sim(cfg, SeededStream(145))
         # the run's own draws, in its order: arrivals, then service times
         rng = SeededStream(145).generator()
         t = nhpp_sinusoidal(cfg.profile, cfg.horizon_s, rng)
@@ -441,16 +440,16 @@ class TestMtm1Sim:
 
     def test_rush_stats_variants_ordered(self):
         cfg = mtm1_config(0.8)
-        _, ts = run_mtm1_sim(cfg, SeededStream(143))
+        _, ts = run_station_sim(cfg, SeededStream(143))
         peak = ts.rush_window()[2]
         for stat in ("arrivals", "served"):
-            _, other = run_mtm1_sim(
+            _, other = run_station_sim(
                 mtm1_config(0.8, rush_stat=stat), SeededStream(143)
             )
             assert other.rush_window()[2] <= peak
 
     def test_two_stage_service_counts_migrants(self):
-        m, _ = run_mtm1_sim(mtm1_config(0.2, two_stage_service=True), SeededStream(144))
+        m, _ = run_station_sim(mtm1_config(0.2, two_stage_service=True), SeededStream(144))
         frac = m.count_migrated / m.count_served
         assert frac == pytest.approx(0.3, abs=0.02)
 
@@ -514,11 +513,15 @@ class TestPooledWith:
 def subset_configs():
     """(runner, config) per model, each small and reading every array it can."""
     net = NetworkSpec(0.002, 0.03)
+
+    def station(config, stream):
+        return run_station_sim(config, stream)[0]
+
     return {
         "two_phase_edge": (run_two_phase_sim, two_phase_config(20.0, 0.4, n=3000, network=net, dest_home_load=4.0)),
-        "mtm1_sinusoidal": (lambda c, s: run_mtm1_sim(c, s)[0], mtm1_config(
+        "mtm1_sinusoidal": (station, mtm1_config(
             0.8, horizon_s=300.0, network=net, two_stage_service=True, rush_stat="served")),
-        "mmk_cloud": (run_mmk_sim, SimConfig(
+        "mmk_cloud": (station, SimConfig(
             model="mmk_cloud", cloud=CloudSpec(3, 10.0, 0.8), horizon_requests=3000, network=net)),
     }
 
@@ -580,7 +583,7 @@ class TestReplicate:
         # 30 -> 120 width ratio is sqrt(30/120) times the ratio of the sample sds
         cfg = two_phase_config(10.0, 0.1, n=20_000)
         base = SeededStream(152)
-        runs = [desim.run_model(cfg, base.child(i)).mean_wait for i in range(120)]
+        runs = [desim.run_model(cfg, base.child(i))[0].mean_wait for i in range(120)]
         sd = {n: statistics.stdev(runs[:n]) for n in (30, 120)}
         ci = {n: replicate(cfg, n, base).ci95["mean_wait"] for n in (30, 120)}
         for n in (30, 120):

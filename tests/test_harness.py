@@ -11,7 +11,7 @@ from edgeq import (
     ComparisonRow, ConfigError, QueueSpec, Scenario, load_scenario, mm1_two_phase_wait, run_scenario,
 )
 from edgeq import harness
-from edgeq.cli import EXIT_OK, main
+from edgeq.cli import EXIT_CONFIG, EXIT_OK, main
 from edgeq.config import integral
 from edgeq.harness import _grid_points, _sign_change
 
@@ -351,3 +351,16 @@ class TestPackingSweep:
         assert main(["validate", str(path), "--out", str(tmp_path), "--deterministic-names"]) == EXIT_OK
         rows = json.loads((tmp_path / "pack.json").read_text())["rows"]
         assert [r["status"].split(":")[0] for r in rows] == ["skipped", "ok"]
+
+    @pytest.mark.parametrize("replications", [0, 2, 30, None])
+    def test_replications_other_than_one_refused(self, tmp_path, capsys, replications):
+        # one trace and one sweep: 30 used to write the rows of 1 and record 30; None takes the default, 30
+        body = dict(dataclasses.asdict(self.scenario([64])), replications=replications)
+        path = tmp_path / "pack.scenario"
+        path.write_text(json.dumps(body))
+        assert main(["validate", str(path), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+        assert "replications" in capsys.readouterr().err
+        if replications is not None:
+            with pytest.raises(ConfigError, match="replications"):
+                run_scenario(dataclasses.replace(self.scenario([64]), replications=replications), out_dir=tmp_path / "out")
+        assert not (tmp_path / "out").exists()
