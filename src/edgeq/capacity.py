@@ -113,7 +113,11 @@ HINT_COLUMN = "site_hint"
 def load_vm_trace(path: str) -> list[VmRequest]:
     """Read a `vm_id,arrival_s,lifetime_s,cores[,site_hint]` CSV, sorted by arrival."""
     requests = []
-    with open(path, newline="", encoding="utf-8") as fh:
+    try:
+        fh = open(path, newline="", encoding="utf-8")
+    except FileNotFoundError:
+        raise ParseError(f"trace file not found: {path}") from None
+    with fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)

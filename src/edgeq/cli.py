@@ -14,7 +14,8 @@ and is stored as rad/s.
 
 ``simulate`` configs and scenario files both go through the key tables
 of ``edgeq.config``: an unknown key, a missing required key or a value
-that does not convert exits 2 and names the key. The ``config`` block of
+outside its key's domain exits 2 and names the key, as do a bad
+``--reps`` and ``EDGEQ_SEED``. The ``config`` block of
 ``*.metrics.json`` lists every resolved value, defaults included.
 """
 from __future__ import annotations
@@ -28,8 +29,8 @@ from dataclasses import replace
 from pathlib import Path
 
 from . import analytic, capacity
-from .config import load_sim_config
-from .desim import replicate
+from .config import count, read
+from .desim import load_sim_config, replicate
 from .errors import EdgeqError, InstabilityDetected
 from .harness import load_scenario, output_stem, run_scenario
 from .specs import CloudSpec, QueueSpec, VariabilitySpec
@@ -47,7 +48,7 @@ def _g(x: float) -> str:
 def _default_seed(value) -> int:
     if value is not None:
         return int(value)
-    return int(os.environ.get("EDGEQ_SEED", "0"))
+    return read("EDGEQ_SEED", int, os.environ.get("EDGEQ_SEED", "0"))
 
 
 # ---------------------------------------------------------------------------
@@ -125,7 +126,7 @@ def _cmd_simulate(args) -> int:
     config, cfg = load_sim_config(raw)
     sim = cfg["simulation"]
     seed = _default_seed(args.seed if args.seed is not None else sim["seed"])
-    reps = args.reps if args.reps is not None else sim["reps"]
+    reps = sim["reps"] if args.reps is None else read("--reps", count, args.reps)
 
     agg = replicate(config, reps, SeededStream(seed))
 

@@ -1,4 +1,4 @@
-"""One config loader for ``edgeq simulate`` configs and scenario files.
+"""Key tables and casts shared by ``edgeq simulate`` configs and scenario files.
 
 A key table maps each key of a JSON object to ``(cast, default)``, or to
 ``(nested table, default)`` for a nested object. Rates go through
@@ -6,20 +6,28 @@ A key table maps each key of a JSON object to ``(cast, default)``, or to
 through ``finite_positive``, which refuses it; switches go through
 ``flag``, counts through ``integral``, and a cast wrapped by ``ranged``
 checks the key's domain, so a bad value fails on load, naming the key.
-Defaults that a dataclass carries are read from its fields, so each is
-written once.
+
+A dataclass field declared ``checked(default, cast)`` carries its domain:
+``table_of`` puts its cast and default in a key table, and ``check``
+applies the cast to an instance built in Python. Each file format lives
+beside its dataclass, in ``edgeq.desim`` and ``edgeq.harness``.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import MISSING, fields
+from dataclasses import field, fields
 
-from .desim import SimConfig
 from .errors import ConfigError
-from .specs import CloudSpec, NetworkSpec, QueueSpec, SinusoidProfile
-from .workload import RenewalSpec
 
 REQUIRED = object()  # marks a key that has no default
+
+
+def read(key: str, cast, value):
+    """``cast(value)``; a value the cast rejects raises ConfigError naming ``key``."""
+    try:
+        return cast(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{key}: {exc}") from None
 
 
 def take(body, table: dict, where: str) -> dict:
@@ -44,10 +52,7 @@ def take(body, table: dict, where: str) -> dict:
         elif isinstance(cast, dict):
             out[key] = take(value, cast, f"{where}.{key}")
         else:
-            try:
-                out[key] = cast(value)
-            except (TypeError, ValueError) as exc:
-                raise ConfigError(f"{where}.{key}: {exc}") from None
+            out[key] = read(f"{where}.{key}", cast, value)
     if "period_s" in out:
         gamma, period = out["gamma_rad_s"], out.pop("period_s")
         if (gamma is None) == (period is None):
@@ -79,80 +84,39 @@ def integral(value) -> int:
 
 def ranged(cast, test, domain: str):
     """``cast``, then ``test`` on the value, which fails as "must be <domain>, got <value>"."""
-    def checked(value):
+    def within(value):
         if test(value := cast(value)):
             return value
         raise ValueError(f"must be {domain}, got {value!r}")
-    return checked
+    return within
 
 
 positive = ranged(float, lambda x: x > 0, "> 0")  # a rate: "inf" is allowed
 finite_positive = ranged(float, lambda x: 0 < x < math.inf, "finite and > 0")  # a span or a frequency
+finite_nonnegative = ranged(float, lambda x: 0 <= x < math.inf, "finite and >= 0")
 count = ranged(integral, lambda n: n >= 1, ">= 1")
+whole = ranged(integral, lambda n: n >= 0, ">= 0")
 
 
-def table_of(cls, **casts) -> dict:
-    """A key table over fields of the dataclass ``cls``, with the defaults they carry."""
-    defaults = {
-        f.name: f.default if f.default is not MISSING
-        else f.default_factory() if f.default_factory is not MISSING
-        else REQUIRED
-        for f in fields(cls)
-    }
-    return {key: (cast, defaults[key]) for key, cast in casts.items()}
+def checked(default, cast):
+    """A dataclass field that keeps ``default`` (REQUIRED for none; a dict is copied) and ``cast``."""
+    meta = {"default": default, "cast": cast}
+    if default is REQUIRED:
+        return field(metadata=meta)
+    if isinstance(default, dict):
+        return field(default_factory=default.copy, metadata=meta)
+    return field(default=default, metadata=meta)
 
 
-# ---------------------------------------------------------------------------
-# ``edgeq simulate`` config sections
-
-_PROFILE = {
-    "lambda_bar": (float, REQUIRED), "amplitude": (float, REQUIRED),
-    "gamma_rad_s": (finite_positive, None), "period_s": (finite_positive, None), "phase": (float, 0.0),
-}
-_RENEWAL = table_of(RenewalSpec, mean=float, scv=float, family=str)
+def check(obj, name) -> None:
+    """Apply each ``checked`` field's cast to its value in ``obj``, unless None; ConfigError names ``name(field)``."""
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        if value is not None and "cast" in f.metadata:
+            read(name(f.name), f.metadata["cast"], value)
 
 
-_CONFIG = {
-    "model": (str, REQUIRED),
-    "edge": ({"lambda": (float, REQUIRED), "mu1": (float, REQUIRED), "mu2": (float, REQUIRED),
-              "r": (float, 0.0)}, None),
-    "cloud": ({"k": (integral, REQUIRED), "mu": (float, REQUIRED), "rho": (float, REQUIRED)}, None),
-    "network": ({"t_edge_s": (float, 0.0), "t_cloud_s": (float, 0.0)}, None),
-    "workload": ({"profile": (_PROFILE, None), "arrivals": (_RENEWAL, None),
-                  "service1": (_RENEWAL, None), "service2": (_RENEWAL, None)}, {}),
-    "simulation": ({
-        **table_of(
-            SimConfig, horizon_requests=integral,
-            horizon_s=ranged(float, lambda x: 0 <= x < math.inf, "finite and >= 0"),
-            warmup=float, bins_per_period=integral, rush_stat=str, two_stage_service=flag,
-            dest_rate=float, dest_home_load=float, allow_unstable=flag, max_in_system=integral, event_log=str,
-        ),
-        "seed": (integral, None),
-        "reps": (count, 1),
-    }, {}),
-    "output": ({"dir": (str, "."), "deterministic_names": (flag, False), "name": (str, None)}, {}),
-}
-
-
-def load_sim_config(raw) -> tuple[SimConfig, dict]:
-    """Check a ``simulate`` config; returns (SimConfig, resolved config).
-
-    The resolved config lists every value the run uses, defaults
-    included; loading it again gives the same pair.
-    """
-    cfg = take(raw, _CONFIG, "config")
-    edge, cloud, net, wl = cfg["edge"], cfg["cloud"], cfg["network"], cfg["workload"]
-    profile = wl["profile"]
-    config = SimConfig(
-        model=cfg["model"],
-        queue=edge and QueueSpec(edge["lambda"], edge["mu1"], edge["mu2"], edge["r"]),
-        cloud=cloud and CloudSpec(cloud["k"], cloud["mu"], cloud["rho"]),
-        network=net and NetworkSpec(net["t_edge_s"], net["t_cloud_s"]),
-        profile=profile and SinusoidProfile(
-            profile["lambda_bar"], profile["amplitude"], profile["gamma_rad_s"], profile["phase"]
-        ),
-        **{key: wl[key] and RenewalSpec(**wl[key]) for key in ("arrivals", "service1", "service2")},
-        **{key: value for key, value in cfg["simulation"].items() if key not in ("seed", "reps")},
-    )
-    config.validate()
-    return config, cfg
+def table_of(cls, *names: str) -> dict:
+    """A key table over the ``checked`` fields ``names`` of the dataclass ``cls``."""
+    declared = {f.name: f.metadata for f in fields(cls)}
+    return {name: (declared[name]["cast"], declared[name]["default"]) for name in names}

@@ -12,12 +12,17 @@ Three models, two runners:
   Poisson process, with per-cycle bins and the rush window, or the
   cloud's k identical servers, with the wait of the delayed requests.
 
-``MODEL_FIELDS`` names the ``SimConfig`` fields each model requires and
-reads; ``validate`` refuses any other field set off its default, and a
-config without exactly one horizon. Single-server waits come from the
-vectorized Lindley recursion (reflected random walk), which
-``multiserver_waits`` runs at k = 1, so one run handles millions of
-requests in milliseconds and is bit-reproducible for a fixed stream.
+``load_sim_config`` reads an ``edgeq simulate`` file into a ``SimConfig``.
+A field declared ``checked`` carries its domain: the loader casts the
+field's key with it, and ``validate`` applies it again to a config built
+in Python, naming the key. ``MODEL_FIELDS`` names the ``SimConfig``
+fields each model requires and reads; ``validate`` refuses any other
+field set off its default, and a config without exactly one horizon.
+
+Single-server waits come from the vectorized Lindley recursion
+(reflected random walk), which ``multiserver_waits`` runs at k = 1, so
+one run handles millions of requests in milliseconds and is
+bit-reproducible for a fixed stream.
 
 Every runner ends in one metric layer, ``_summarize``. It computes only
 the ``SimMetrics`` fields that ``SimConfig.metrics`` names (all of them
@@ -45,6 +50,10 @@ from typing import ClassVar, Optional
 import numpy as np
 
 from .analytic import effective_service_rate, overload_window
+from .config import (
+    REQUIRED, check, checked, count, finite_nonnegative, finite_positive, flag, integral, listed, positive, ranged,
+    read, table_of, take, whole,
+)
 from .errors import ConfigError, InstabilityDetected
 from .specs import CloudSpec, NetworkSpec, QueueSpec, SinusoidProfile
 from .workload import RenewalSpec, SeededStream, nhpp_sinusoidal, poisson_arrivals, renewal_times
@@ -63,7 +72,7 @@ MODEL_FIELDS = {
 MODELS = tuple(MODEL_FIELDS)
 # the ``edgeq simulate`` config key of each field outside its ``simulation`` section
 CONFIG_KEYS = {
-    "queue": "edge", "cloud": "cloud", "network": "network", "profile": "workload.profile",
+    "model": "model", "queue": "edge", "cloud": "cloud", "network": "network", "profile": "workload.profile",
     "arrivals": "workload.arrivals", "service1": "workload.service1", "service2": "workload.service2",
 }
 
@@ -93,56 +102,107 @@ class SimMetrics:
 SimMetrics.FIELDS = tuple(f.name for f in fields(SimMetrics))
 
 
+def _key(name: str) -> str:
+    """How an error names the SimConfig field ``name``: its ``simulate`` config key, then the field."""
+    if name == "metrics":  # set from Python only: no config file has the key
+        return "SimConfig.metrics"
+    return f"{CONFIG_KEYS.get(name, 'simulation.' + name)} (SimConfig.{name})"
+
+
 @dataclass(frozen=True)
 class SimConfig:
-    """One simulation run description; see module docstring for models."""
+    """One simulation run description; see module docstring for models and ``checked`` fields."""
 
-    model: str
+    model: str = checked(REQUIRED, ranged(str, MODELS.__contains__, f"one of {MODELS}"))
     queue: Optional[QueueSpec] = None
     cloud: Optional[CloudSpec] = None
     profile: Optional[SinusoidProfile] = None
     arrivals: Optional[RenewalSpec] = None     # inter-arrival law
     service1: Optional[RenewalSpec] = None     # phase-1 law
     service2: Optional[RenewalSpec] = None     # phase-2 law
-    horizon_requests: Optional[int] = None
-    horizon_s: Optional[float] = None
-    warmup: float = 0.1
+    horizon_requests: Optional[int] = checked(None, whole)
+    horizon_s: Optional[float] = checked(None, finite_nonnegative)
+    warmup: float = checked(0.1, ranged(float, lambda x: 0 <= x < 1, "in [0, 1)"))
     network: Optional[NetworkSpec] = None
-    dest_rate: Optional[float] = None          # destination service rate, default mu2
-    dest_home_load: float = 0.0                # extra Poisson rate offered to queue 2
-    two_stage_service: bool = False            # explicit phase-1 + phase-2 stages
-    bins_per_period: int = 100
-    rush_stat: str = "peak_bin"
-    allow_unstable: bool = False
-    max_in_system: Optional[int] = None        # instability heuristic cap
-    event_log: Optional[str] = None
-    metrics: tuple[str, ...] = SimMetrics.FIELDS  # the SimMetrics fields the run computes
+    dest_rate: Optional[float] = checked(None, positive)  # destination service rate, default mu2
+    dest_home_load: float = checked(0.0, finite_nonnegative)  # extra Poisson rate offered to queue 2
+    two_stage_service: bool = checked(False, flag)  # explicit phase-1 + phase-2 stages
+    bins_per_period: int = checked(100, count)
+    rush_stat: str = checked("peak_bin", ranged(str, RUSH_STATS.__contains__, f"one of {RUSH_STATS}"))
+    allow_unstable: bool = checked(False, flag)
+    max_in_system: Optional[int] = checked(None, whole)  # instability heuristic cap
+    event_log: Optional[str] = checked(None, str)
+    metrics: tuple[str, ...] = checked(SimMetrics.FIELDS, ranged(  # the SimMetrics fields the run computes
+        listed, lambda names: set(names) <= set(SimMetrics.FIELDS), f"fields of {SimMetrics.FIELDS}"
+    ))
 
     def validate(self) -> None:
-        if self.model not in MODEL_FIELDS:
-            raise ConfigError(f"unknown model {self.model!r}; expected one of {MODELS}")
-        unknown = [name for name in self.metrics if name not in SimMetrics.FIELDS]
-        if isinstance(self.metrics, str) or unknown:
-            raise ConfigError(f"metrics must name fields of {SimMetrics.FIELDS}, got {self.metrics!r}")
-        required, read = MODEL_FIELDS[self.model]
+        check(self, _key)
+        required, reads = MODEL_FIELDS[self.model]
         for f in fields(self):
             value = getattr(self, f.name)
             missing = value is None and f.name in required
-            if missing or value != f.default and f.name not in required + read + READ_BY_ALL:
-                key = f"{CONFIG_KEYS.get(f.name, 'simulation.' + f.name)} (SimConfig.{f.name})"
+            if missing or value != f.default and f.name not in required + reads + READ_BY_ALL:
+                key = _key(f.name)
                 raise ConfigError(f"{self.model} requires {key}" if missing else f"{self.model} does not read {key}")
-        if (self.horizon_requests or 0) < 0 or (self.horizon_s or 0) < 0:
-            raise ConfigError("horizons must be non-negative")
         if (self.horizon_requests is None) == (self.horizon_s is None):
             raise ConfigError("set exactly one of simulation.horizon_requests, simulation.horizon_s")
-        if not 0.0 <= self.warmup < 1.0:
-            raise ConfigError("warmup fraction must lie in [0, 1)")
-        if self.rush_stat not in RUSH_STATS:
-            raise ConfigError(f"rush_stat must be one of {RUSH_STATS}")
-        if self.bins_per_period < 1:
-            raise ConfigError("bins_per_period must be >= 1")
-        if self.dest_rate is not None and not self.dest_rate > 0:
-            raise ConfigError("dest_rate must be positive")
+
+
+# ---------------------------------------------------------------------------
+# ``edgeq simulate`` config files
+
+_PROFILE = {
+    "lambda_bar": (float, REQUIRED), "amplitude": (float, REQUIRED),
+    "gamma_rad_s": (finite_positive, None), "period_s": (finite_positive, None), "phase": (float, 0.0),
+}
+_RENEWAL = {"mean": (float, REQUIRED), "scv": (float, RenewalSpec.scv), "family": (str, RenewalSpec.family)}
+
+
+_CONFIG = {
+    **table_of(SimConfig, "model"),
+    "edge": ({"lambda": (float, REQUIRED), "mu1": (float, REQUIRED), "mu2": (float, REQUIRED),
+              "r": (float, 0.0)}, None),
+    "cloud": ({"k": (integral, REQUIRED), "mu": (float, REQUIRED), "rho": (float, REQUIRED)}, None),
+    "network": ({"t_edge_s": (float, 0.0), "t_cloud_s": (float, 0.0)}, None),
+    "workload": ({"profile": (_PROFILE, None), "arrivals": (_RENEWAL, None),
+                  "service1": (_RENEWAL, None), "service2": (_RENEWAL, None)}, {}),
+    "simulation": ({
+        **table_of(
+            SimConfig, "horizon_requests", "horizon_s", "warmup", "bins_per_period", "rush_stat", "two_stage_service",
+            "dest_rate", "dest_home_load", "allow_unstable", "max_in_system", "event_log",
+        ),
+        "seed": (integral, None),
+        "reps": (count, 1),
+    }, {}),
+    "output": ({"dir": (str, "."), "deterministic_names": (flag, False), "name": (str, None)}, {}),
+}
+
+
+def load_sim_config(raw) -> tuple[SimConfig, dict]:
+    """Check a ``simulate`` config; returns (SimConfig, resolved config).
+
+    The resolved config lists every value the run uses, defaults
+    included; loading it again gives the same pair. A spec that refuses
+    its section's values raises ConfigError naming the section.
+    """
+    cfg = take(raw, _CONFIG, "config")
+    edge, cloud, net, wl = cfg["edge"], cfg["cloud"], cfg["network"], cfg["workload"]
+    profile = wl["profile"]
+    config = SimConfig(
+        model=cfg["model"],
+        queue=edge and read("config.edge", lambda e: QueueSpec(e["lambda"], e["mu1"], e["mu2"], e["r"]), edge),
+        cloud=cloud and read("config.cloud", lambda c: CloudSpec(c["k"], c["mu"], c["rho"]), cloud),
+        network=net and read("config.network", lambda n: NetworkSpec(n["t_edge_s"], n["t_cloud_s"]), net),
+        profile=profile and read("config.workload.profile", lambda p: SinusoidProfile(
+            p["lambda_bar"], p["amplitude"], p["gamma_rad_s"], p["phase"]
+        ), profile),
+        **{key: wl[key] and read(f"config.workload.{key}", lambda law: RenewalSpec(**law), wl[key])
+           for key in ("arrivals", "service1", "service2")},
+        **{key: value for key, value in cfg["simulation"].items() if key not in ("seed", "reps")},
+    )
+    config.validate()
+    return config, cfg
 
 
 @dataclass

@@ -19,55 +19,17 @@ import json
 import math
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 from typing import Callable, Optional, Sequence
 
 from . import analytic, capacity
-from .config import REQUIRED, count, finite_positive, integral, listed, positive, ranged, table_of, take
+from .config import REQUIRED, check, checked, count, finite_positive, integral, listed, positive, ranged, table_of, take
 from .desim import SimConfig, replicate
 from .errors import ConfigError, DomainError
 from .specs import CloudSpec, NetworkSpec, QueueSpec, SinusoidProfile
 from .workload import SeededStream
-
-
-@dataclass(frozen=True)
-class Scenario:
-    name: str
-    model: str
-    grid: dict[str, list]
-    fixed: dict[str, object] = field(default_factory=dict)
-    replications: int = 30
-    seed: int = 0
-    outputs: tuple[str, ...] = ("csv", "json")
-
-    def validate(self) -> None:
-        if self.model not in COMPARISON_MODELS:
-            raise ConfigError(f"unknown comparison model {self.model!r}")
-        if not self.grid:
-            raise ConfigError("parameter grid must be non-empty")
-        for key, values in self.grid.items():
-            if not isinstance(values, list) or not values:
-                raise ConfigError(f"scenario {self.name!r}: grid.{key} must be a non-empty list")
-        if self.replications < 1:
-            raise ConfigError(f"scenario {self.name!r}: replications must be >= 1, got {self.replications}")
-        if not isinstance(self.outputs, (list, tuple)) or not set(self.outputs) <= {"csv", "json"}:
-            raise ConfigError(f"scenario {self.name!r}: outputs must be a list of 'csv' and 'json', got {self.outputs!r}")
-        unsweepable = set(self.grid) - set(_MODELS[self.model][0])
-        if unsweepable:
-            raise ConfigError(f"scenario {self.name!r}: {self.model} cannot sweep {sorted(unsweepable)}")
-        both = set(self.grid) & set(self.fixed)
-        if both:
-            raise ConfigError(f"scenario {self.name!r}: keys both swept and fixed {sorted(both)}")
-        self.points()
-        if self.model == "packing_sweep" and self.replications != 1:  # one trace, one sweep: nothing to replicate
-            raise ConfigError(f"scenario {self.name!r}: packing_sweep needs replications 1, got {self.replications}")
-
-    def points(self) -> list[tuple[dict, dict]]:
-        """(grid point, resolved values of the point over the fixed block) per grid point."""
-        table, where = _MODELS[self.model][1], f"scenario {self.name!r}"
-        return [(p, take({**self.fixed, **p}, table, where)) for p in _grid_points(self.grid)]
 
 
 @dataclass
@@ -87,23 +49,6 @@ class ComparisonRow:
         if self.analytic_value != 0.0:
             return self.abs_err / abs(self.analytic_value)
         return 0.0 if self.abs_err == 0.0 else math.inf
-
-
-_SCENARIO = table_of(
-    Scenario, name=str, model=str, grid=dict, fixed=dict, replications=integral, seed=integral, outputs=listed
-)
-
-
-def load_scenario(source: str | Path) -> Scenario:
-    """Load a scenario JSON file; bare names resolve to bundled scenarios."""
-    path = Path(source)
-    if not path.exists():
-        path = resources.files("edgeq.scenarios").joinpath(str(source))
-        if not path.is_file():
-            raise ConfigError(f"scenario file not found: {source}")
-    sc = Scenario(**take(json.loads(path.read_text()), _SCENARIO, str(source)))
-    sc.validate()
-    return sc
 
 
 # ---------------------------------------------------------------------------
@@ -371,7 +316,7 @@ def _run_packing_sweep(sc: Scenario, workers: int):
     return rows, summary
 
 
-_WARMUP = table_of(SimConfig, warmup=float)
+_WARMUP = table_of(SimConfig, "warmup")
 _SINUSOID = {"gamma_rad_s": (finite_positive, None), "period_s": (finite_positive, None)}
 _DELAY = ranged(float, lambda x: x >= 0, ">= 0")
 
@@ -392,7 +337,7 @@ _MODELS: dict[str, tuple[tuple[str, ...], dict, Callable]] = {
         "amplitude": (float, REQUIRED), "lambda_bar": (positive, REQUIRED), "mu1": (positive, REQUIRED),
         "mu2": (positive, REQUIRED), "r": (ranged(float, lambda x: 0 <= x <= 1, "in [0, 1]"), 0.0),
         **_SINUSOID, "horizon_periods": (finite_positive, 10), "scale": (finite_positive, 16.0),
-        **table_of(SimConfig, warmup=float, bins_per_period=integral, rush_stat=str),
+        **table_of(SimConfig, "warmup", "bins_per_period", "rush_stat"),
     }, _run_rush_hour),
     "excess_wait": (("amplitude",), {
         "amplitude": (float, REQUIRED), "rho": (ranged(float, lambda x: 0 < x < 1, "in (0, 1)"), REQUIRED),
@@ -405,6 +350,57 @@ _MODELS: dict[str, tuple[tuple[str, ...], dict, Callable]] = {
     }, _run_packing_sweep),
 }
 COMPARISON_MODELS = tuple(_MODELS)
+
+
+@dataclass(frozen=True)
+class Scenario:
+    """A comparison sweep; each field declared ``checked`` carries its domain, applied on load and by ``validate``."""
+
+    name: str = checked(REQUIRED, str)
+    model: str = checked(REQUIRED, ranged(str, COMPARISON_MODELS.__contains__, f"one of {COMPARISON_MODELS}"))
+    grid: dict[str, list] = checked(REQUIRED, ranged(dict, bool, "a non-empty object"))
+    fixed: dict[str, object] = checked({}, dict)
+    replications: int = checked(30, count)
+    seed: int = checked(0, integral)
+    outputs: tuple[str, ...] = checked(
+        ("csv", "json"), ranged(listed, lambda names: set(names) <= {"csv", "json"}, "a list of 'csv' and 'json'")
+    )
+
+    def validate(self) -> None:
+        where = f"scenario {self.name!r}"
+        check(self, lambda key: f"{where}.{key}")
+        for key, values in self.grid.items():
+            if not isinstance(values, list) or not values:
+                raise ConfigError(f"{where}: grid.{key} must be a non-empty list")
+        unsweepable = set(self.grid) - set(_MODELS[self.model][0])
+        if unsweepable:
+            raise ConfigError(f"{where}: {self.model} cannot sweep {sorted(unsweepable)}")
+        both = set(self.grid) & set(self.fixed)
+        if both:
+            raise ConfigError(f"{where}: keys both swept and fixed {sorted(both)}")
+        self.points()
+        if self.model == "packing_sweep" and self.replications != 1:  # one trace, one sweep: nothing to replicate
+            raise ConfigError(f"{where}: packing_sweep needs replications 1, got {self.replications}")
+
+    def points(self) -> list[tuple[dict, dict]]:
+        """(grid point, resolved values of the point over the fixed block) per grid point."""
+        table, where = _MODELS[self.model][1], f"scenario {self.name!r}"
+        return [(p, take({**self.fixed, **p}, table, where)) for p in _grid_points(self.grid)]
+
+
+_SCENARIO = table_of(Scenario, "name", "model", "grid", "fixed", "replications", "seed", "outputs")
+
+
+def load_scenario(source: str | Path) -> Scenario:
+    """Load a scenario JSON file; bare names resolve to bundled scenarios."""
+    path = Path(source)
+    if not path.exists():
+        path = resources.files("edgeq.scenarios").joinpath(str(source))
+        if not path.is_file():
+            raise ConfigError(f"scenario file not found: {source}")
+    sc = Scenario(**take(json.loads(path.read_text()), _SCENARIO, str(source)))
+    sc.validate()
+    return sc
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ import pytest
 
 from edgeq import ConfigError, SimConfig
 from edgeq.cli import EXIT_CONFIG, EXIT_OK, EXIT_UNSTABLE, main
-from edgeq.config import load_sim_config
+from edgeq.desim import load_sim_config
 
 
 def run_cli(capsys, *argv):
@@ -106,6 +106,12 @@ class TestCapacityCommands:
         assert code == EXIT_CONFIG
         assert "t.csv:3" in err and "finite" in err
 
+    def test_pack_missing_trace_exit_2(self, capsys, tmp_path):
+        trace = tmp_path / "absent.csv"
+        code, _, err = run_cli(capsys, "capacity", "pack", "--trace", str(trace), "--topology", "cloud:cores=8")
+        assert code == EXIT_CONFIG
+        assert f"trace file not found: {trace}" in err
+
     def test_pack_bad_topology_exit_2(self, capsys, tmp_path):
         trace = tmp_path / "t.csv"
         trace.write_text("vm_id,arrival_s,lifetime_s,cores\nv,0,1,2\n")
@@ -203,7 +209,7 @@ class TestSimulateCommand:
     @pytest.mark.parametrize(
         "key, expected_code, err_fragment",
         [
-            ("dest_rate", EXIT_CONFIG, "dest_rate must be positive"),
+            ("dest_rate", EXIT_CONFIG, "simulation.dest_rate: must be > 0"),
             ("max_in_system", EXIT_UNSTABLE, "> cap 0"),
             ("horizon_requests", EXIT_OK, ""),
             ("horizon_s", EXIT_OK, ""),
@@ -247,6 +253,21 @@ class TestSimulateCommand:
         assert run_cli(capsys, "simulate", str(cfg), "--out", str(out_a), "--seed", "55")[0] == EXIT_OK
         assert run_cli(capsys, "simulate", str(cfg), "--out", str(out_b), "--seed", "55")[0] == EXIT_OK
         assert (out_a / "mm1.metrics.json").read_bytes() == (out_b / "mm1.metrics.json").read_bytes()
+
+    def test_reps_override_below_1_exit_2(self, capsys, tmp_path):
+        cfg = tmp_path / "mm1.json"
+        cfg.write_text(json.dumps(MINIMAL_SIM_CONFIG))
+        code, _, err = run_cli(capsys, "simulate", str(cfg), "--out", str(tmp_path), "--reps", "0")
+        assert code == EXIT_CONFIG
+        assert "--reps: must be >= 1" in err
+
+    def test_env_seed_not_an_integer_exit_2(self, capsys, tmp_path, monkeypatch):
+        cfg = tmp_path / "mm1.json"
+        cfg.write_text(json.dumps({**MINIMAL_SIM_CONFIG, "simulation": {"horizon_requests": 2000}}))
+        monkeypatch.setenv("EDGEQ_SEED", "abc")
+        code, _, err = run_cli(capsys, "simulate", str(cfg), "--out", str(tmp_path))
+        assert code == EXIT_CONFIG
+        assert "EDGEQ_SEED" in err
 
     def test_env_seed_default(self, capsys, tmp_path, monkeypatch):
         config = {
@@ -387,6 +408,22 @@ UNREAD = [
     ("two_phase_edge", "simulation", {"horizon_s": 10.0}, "simulation.horizon_s"),
 ]
 
+# (model, simulation key, a value outside the key's domain) for keys the model reads
+SIM_DOMAIN = [
+    ("two_phase_edge", "warmup", 1.5), ("two_phase_edge", "warmup", math.nan),
+    ("two_phase_edge", "dest_home_load", -5.0), ("two_phase_edge", "max_in_system", -1),
+    ("two_phase_edge", "dest_rate", -1.0), ("two_phase_edge", "horizon_requests", -3),
+    ("mtm1_sinusoidal", "bins_per_period", 0), ("mtm1_sinusoidal", "rush_stat", "bogus"),
+]
+# (model, section, keys set there, the config key stderr must name) for values a spec refuses
+SPEC_DOMAIN = [
+    ("two_phase_edge", "edge", {"lambda": -10.0}, "config.edge"),
+    ("mmk_cloud", "cloud", {"rho": -0.5}, "config.cloud"),
+    ("two_phase_edge", "network", {"t_edge_s": -0.001}, "config.network"),
+    ("mtm1_sinusoidal", "workload", {"profile": {**PROFILE, "amplitude": 1.5}}, "config.workload.profile"),
+    ("two_phase_edge_renewal", "workload", {"arrivals": {"mean": -0.1}}, "config.workload.arrivals"),
+]
+
 
 @pytest.mark.parametrize(
     "command, body, key",
@@ -430,6 +467,12 @@ UNREAD = [
         *(("simulate", {**SIM_CONFIGS["mtm1_sinusoidal"], "simulation": {
             **SIM_CONFIGS["mtm1_sinusoidal"]["simulation"], "horizon_s": value}}, "simulation.horizon_s")
           for value in (math.inf, math.nan)),
+        # a value outside its field's domain used to fail naming no key, run on (a negative
+        # home load ran as 0) or exit 3 (a negative in-system cap)
+        *(("simulate", with_keys(SIM_CONFIGS[model], "simulation", {key: value}), f"simulation.{key}")
+          for model, key, value in SIM_DOMAIN),
+        # a spec that refuses its section used to name no key
+        *(("simulate", with_keys(SIM_CONFIGS[model], section, keys), key) for model, section, keys, key in SPEC_DOMAIN),
         # a key the model does not read used to be dropped silently, exit 0
         *(("simulate", with_keys(SIM_CONFIGS[model], section, keys), key) for model, section, keys, key in UNREAD),
     ],
@@ -437,6 +480,8 @@ UNREAD = [
          "rush-lambda_bar", "period-and-gamma", "rush-grid-mu1", "string-flag", "outputs-string",
          "mtm1-arrivals", "mmk-service1", "k_sites-0", "k_sites-negative", "gg1-edge",
          "cloud-k-fraction", "reps-0", "profile-period-inf", "horizon_s-inf", "horizon_s-nan",
+         *(f"{key}-{value}" for _, key, value in SIM_DOMAIN),
+         *(f"spec-{key}" for _, _, _, key in SPEC_DOMAIN),
          *(f"{model}-unread-{key.split()[-1]}" for model, _, _, key in UNREAD)],
 )
 def test_config_faults_exit_2_naming_the_key(capsys, tmp_path, command, body, key):

@@ -180,7 +180,8 @@ class TestTwoPhaseSim:
     @pytest.mark.parametrize("horizon", [{"horizon_requests": -1}, {"horizon_s": -1.0}])
     def test_negative_horizon_rejected(self, horizon):
         cfg = SimConfig(model="two_phase_edge", queue=QueueSpec(10.0, 50.0, 50.0, 0.1), **horizon)
-        with pytest.raises(ConfigError, match="horizons"):
+        (key,) = horizon
+        with pytest.raises(ConfigError, match=rf"simulation\.{key} \(SimConfig\.{key}\): must be"):
             run_two_phase_sim(cfg, SeededStream(102))
 
     def test_zero_requests_give_zero_metrics(self):

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from edgeq import (
     ComparisonRow, ConfigError, QueueSpec, Scenario, load_scenario, mm1_two_phase_wait, run_scenario,
 )
-from edgeq import harness
+from edgeq import SimConfig, desim, harness
 from edgeq.cli import EXIT_CONFIG, EXIT_OK, main
 from edgeq.config import integral
 from edgeq.harness import _grid_points, _sign_change
@@ -91,6 +91,9 @@ OUT_OF_DOMAIN = [
     # as are scales and the rates a run divides by or draws with
     ("rush_hour", "scale", math.inf), ("excess_wait", "mu_eff", math.inf),
     ("packing_sweep", "vm_rate", math.inf), ("packing_sweep", "mean_lifetime_s", math.inf),
+    # keys cast by their SimConfig field used to pass the load and fail inside the first run
+    ("two_phase_wait", "warmup", 1.0), ("mobility_crossover", "warmup", -0.1), ("excess_wait", "warmup", math.nan),
+    ("rush_hour", "bins_per_period", 0), ("rush_hour", "rush_stat", "bogus"),
 ]
 
 
@@ -115,7 +118,7 @@ class TestScenarioKeys:
             (dict(grid={"lam": [10.0], "r": [0.1]}, fixed={"r": 0.2}), "'r'"),
             (dict(fixed={"mu1": "fast"}), "mu1"),
             (dict(grid={"lam": 5}), "grid.lam"),
-            (dict(outputs="csv"), "outputs must be a list"),
+            (dict(outputs="csv"), r"\.outputs: must be a list"),
             # fixed values outside a model's domain fail before any point runs
             (dict(CROSSOVER, fixed={"mu_cloud": 0.0}), "mu_cloud"),
             (dict(CROSSOVER, fixed={"mu_cloud": -5.0}), "mu_cloud"),
@@ -161,6 +164,18 @@ class TestScenarioKeys:
         rows, _, _ = run_scenario(sc, out_dir=tmp_path, deterministic_names=True)
         assert rows[0].status == "ok"
         assert rows[0].analytic_value == mm1_two_phase_wait(QueueSpec(10.0, 50.0, math.inf, 0.3))
+
+
+def test_sim_config_keys_are_cast_by_the_field_declaration():
+    """A table key named after a SimConfig field goes through the field's own ``checked`` cast."""
+    declared = {f.name: f.metadata.get("cast") for f in dataclasses.fields(SimConfig)}
+    own = {"horizon_requests", "horizon_s"}  # scenario keys: a run length >= 1, packing_sweep's trace span
+    tables = [{"model": desim._CONFIG["model"]}, desim._CONFIG["simulation"][0]]
+    tables += [{k: v for k, v in table.items() if k not in own} for _, table, _ in harness._MODELS.values()]
+    shared = [(key, cast) for table in tables for key, (cast, _) in table.items() if key in declared]
+    assert len(shared) > len(desim._CONFIG["simulation"][0]) - 2  # every simulation key but seed and reps
+    for key, cast in shared:
+        assert cast is not None and cast is declared[key], key
 
 
 class TestGridHelpers:
