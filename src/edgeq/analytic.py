@@ -62,8 +62,8 @@ def destination_wait(lam: float, mu1: float, r: float) -> float:
     """
     if not 0.0 <= r <= 1.0:
         raise DomainError("migration probability must lie in [0, 1]")
-    if mu1 <= 0:
-        raise DomainError("mu1 must be positive")
+    if not (lam > 0 and mu1 > 0):
+        raise DomainError("lam and mu1 must be positive")
     if r * lam >= mu1 * STABILITY_GUARD:
         raise UnstableQueue(f"destination load r*lam = {r * lam:.6g} >= mu1 = {mu1:.6g}")
     return r * lam / (mu1 * (mu1 - r * lam))
@@ -82,7 +82,7 @@ def migration_service_time(r: float, mu2: float) -> float:
     """Expected migration work per request, averaged over all requests: r/mu2."""
     if not 0.0 <= r <= 1.0:
         raise DomainError("migration probability must lie in [0, 1]")
-    if mu2 <= 0:
+    if not mu2 > 0:
         raise DomainError("mu2 must be positive (math.inf allowed)")
     return 0.0 if math.isinf(mu2) else r / mu2
 
@@ -223,7 +223,7 @@ def max_edge_arrival_scv(
 
 def effective_service_rate(mu1: float, mu2: float, r: float) -> float:
     """Single-rate equivalent of the two-phase server: (1/mu1 + r/mu2)^-1."""
-    if mu1 <= 0 or mu2 <= 0:
+    if not (mu1 > 0 and mu2 > 0):
         raise DomainError("service rates must be positive")
     if not 0.0 <= r <= 1.0:
         raise DomainError("migration probability must lie in [0, 1]")
@@ -239,7 +239,7 @@ def sinusoidal_offered_load(t, profile: SinusoidProfile, mu_eff: float):
     form; it tracks instantaneous utilization well whenever m(t) < 1.
     Accepts scalar or array t.
     """
-    if mu_eff <= 0:
+    if not mu_eff > 0:
         raise DomainError("mu_eff must be positive")
     beta = profile.gamma / mu_eff
     x = profile.gamma * np.asarray(t, dtype=float) + profile.phase
@@ -250,7 +250,7 @@ def sinusoidal_offered_load(t, profile: SinusoidProfile, mu_eff: float):
 
 def offered_load_lag(gamma: float) -> float:
     """Time by which the offered load trails the driving rate: arccot(1/gamma)/gamma."""
-    if gamma <= 0:
+    if not gamma > 0:
         raise DomainError("gamma must be positive")
     return math.atan(gamma) / gamma
 
@@ -276,9 +276,9 @@ def excess_wait_sinusoidal(rho: float, amplitude: float, gamma: float, mu_eff: f
     """
     if not 0.0 <= amplitude <= 1.0:
         raise DomainError("amplitude must lie in [0, 1]")
-    if mu_eff <= 0 or gamma <= 0:
+    if not (mu_eff > 0 and gamma > 0):
         raise DomainError("mu_eff and gamma must be positive")
-    if rho >= STABILITY_GUARD or rho < 0:
+    if not 0.0 <= rho < STABILITY_GUARD:
         raise UnstableQueue(f"rho = {rho:.6g} must lie in [0, 1)")
     beta = gamma / mu_eff
     return rho**2 * amplitude**2 / (2.0 * mu_eff * (1.0 - rho) ** 3 * (1.0 + beta**2))
@@ -307,14 +307,12 @@ def overload_window(profile: SinusoidProfile, mu_eff: float) -> Optional[Overloa
     window extends past the half-cycle; that analytic extension is
     provided but should be considered experimental.
     """
-    if mu_eff <= 0:
+    if not mu_eff > 0:
         raise DomainError("mu_eff must be positive")
     if profile.peak_rate <= mu_eff:
         return None
-    arg = mu_eff / profile.lambda_bar - 1.0
-    if not -1.0 <= arg <= 1.0:
-        raise DomainError(f"mu_eff/lambda_bar - 1 = {arg:.6g} outside [-1, 1]")
-    theta = math.asin(arg)
+    # 0 < mu_eff < peak_rate <= 2 * lambda_bar puts the argument in (-1, 1)
+    theta = math.asin(mu_eff / profile.lambda_bar - 1.0)
     period = profile.period
     t1 = ((theta - profile.phase) / profile.gamma) % period
     t2 = ((math.pi - theta - profile.phase) / profile.gamma) % period
@@ -358,10 +356,10 @@ def psa_cloud_wait(rho_t: float, cloud: CloudSpec) -> float:
     form, 1/(sqrt(k)*mu*(1-rho(t))); an upper bound on the true
     time-average delay since a real queue cannot re-equilibrate instantly.
     """
+    if not rho_t >= 0:
+        raise DomainError("rho(t) must be non-negative")
     if rho_t >= STABILITY_GUARD:
         raise OverloadedInstant(f"instantaneous utilization {rho_t:.6g} >= 1")
-    if rho_t < 0:
-        raise DomainError("rho(t) must be non-negative")
     return 1.0 / (math.sqrt(cloud.k) * cloud.mu_cloud * (1.0 - rho_t))
 
 
@@ -414,9 +412,9 @@ def empirical_rule_capacities(lambda_site: float, k: int) -> tuple[float, float]
     Pooling k independent Poisson sites shrinks the fluctuation term, so
     C_cloud < C_edge for every k >= 2 and they agree at k = 1.
     """
-    if lambda_site <= 0:
+    if not lambda_site > 0:
         raise DomainError("arrival rate must be positive")
-    if k < 1 or int(k) != k:
+    if not (k >= 1 and float(k).is_integer()):
         raise DomainError("site count k must be an integer >= 1")
     c_edge = k * (lambda_site + 2.0 * math.sqrt(lambda_site))
     c_cloud = k * lambda_site + 2.0 * math.sqrt(k * lambda_site)

@@ -1,23 +1,26 @@
 """Key tables and casts shared by ``edgeq simulate`` configs and scenario files.
 
 A key table maps each key of a JSON object to ``(cast, default)``, or to
-``(nested table, default)`` for a nested object. Rates go through
-``float``, which reads ``"inf"``; periods, horizons and frequencies go
-through ``finite_positive``, which refuses it; switches go through
-``flag``, counts through ``integral``, and a cast wrapped by ``ranged``
-checks the key's domain, so a bad value fails on load, naming the key.
+``(nested table, default)`` for a nested object. A cast wrapped by
+``ranged`` checks the key's domain, so a bad value fails on load, naming
+the key: ``positive`` reads ``"inf"`` (a rate that may be infinite),
+``finite_positive`` and ``finite_nonnegative`` refuse it and NaN;
+switches go through ``flag`` and counts through ``integral``.
 
 A dataclass field declared ``checked(default, cast)`` carries its domain:
-``table_of`` puts its cast and default in a key table, and ``check``
-applies the cast to an instance built in Python. Each file format lives
-beside its dataclass, in ``edgeq.desim`` and ``edgeq.harness``.
+``table_of`` puts its cast and default in a key table, ``check`` applies
+the cast to an instance built in Python, and a ``Checked`` dataclass
+applies it on construction. Each file format lives beside its dataclass,
+in ``edgeq.desim`` and ``edgeq.harness``; the spec records of
+``edgeq.specs`` and ``edgeq.workload`` declare the domains both formats read.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import field, fields
+from functools import cache
 
-from .errors import ConfigError
+from .errors import ConfigError, DomainError
 
 REQUIRED = object()  # marks a key that has no default
 
@@ -91,7 +94,9 @@ def ranged(cast, test, domain: str):
     return within
 
 
-positive = ranged(float, lambda x: x > 0, "> 0")  # a rate: "inf" is allowed
+positive = ranged(float, lambda x: x > 0, "> 0")  # a rate that may be infinite
+finite = ranged(float, math.isfinite, "finite")
+unit = ranged(float, lambda x: 0 <= x <= 1, "in [0, 1]")  # a probability or a relative amplitude
 finite_positive = ranged(float, lambda x: 0 < x < math.inf, "finite and > 0")  # a span or a frequency
 finite_nonnegative = ranged(float, lambda x: 0 <= x < math.inf, "finite and >= 0")
 count = ranged(integral, lambda n: n >= 1, ">= 1")
@@ -108,15 +113,47 @@ def checked(default, cast):
     return field(default=default, metadata=meta)
 
 
+@cache
+def _casts(cls) -> tuple:
+    """``(name, cast)`` of each ``checked`` field of the dataclass ``cls``."""
+    return tuple((f.name, f.metadata["cast"]) for f in fields(cls) if "cast" in f.metadata)
+
+
 def check(obj, name) -> None:
     """Apply each ``checked`` field's cast to its value in ``obj``, unless None; ConfigError names ``name(field)``."""
-    for f in fields(obj):
-        value = getattr(obj, f.name)
-        if value is not None and "cast" in f.metadata:
-            read(name(f.name), f.metadata["cast"], value)
+    for key, cast in _casts(type(obj)):
+        value = getattr(obj, key)
+        if value is not None:
+            read(name(key), cast, value)
 
 
-def table_of(cls, *names: str) -> dict:
-    """A key table over the ``checked`` fields ``names`` of the dataclass ``cls``."""
+class Checked:
+    """Base of a frozen dataclass whose ``checked`` fields are cast on construction.
+
+    Each field keeps its cast value (``CloudSpec(2.0, ...)`` stores k = 2);
+    a value outside its field's domain raises DomainError naming
+    ``Class.field``. A subclass's own ``__post_init__`` adds only the
+    rules that span fields, after calling this one.
+    """
+
+    def __post_init__(self):  # the spec records are built on hot paths: no per-field name until a value fails
+        for key, cast in _casts(type(self)):
+            value = getattr(self, key)
+            try:
+                cast_value = cast(value)
+            except (TypeError, ValueError) as exc:
+                raise DomainError(f"{type(self).__name__}.{key}: {exc}") from None
+            if cast_value is not value:
+                object.__setattr__(self, key, cast_value)
+
+
+def table_of(cls, *names, **defaults) -> dict:
+    """A key table over the ``checked`` fields ``names`` of the dataclass ``cls``.
+
+    A name is a field, or a ``(key, field)`` pair where the file key
+    differs from the field; ``defaults`` maps a file key to its file
+    default where that differs from the field's.
+    """
     declared = {f.name: f.metadata for f in fields(cls)}
-    return {name: (declared[name]["cast"], declared[name]["default"]) for name in names}
+    pairs = [(name, name) if isinstance(name, str) else name for name in names]
+    return {key: (declared[name]["cast"], defaults.get(key, declared[name]["default"])) for key, name in pairs}

@@ -15,7 +15,9 @@ Three models, two runners:
 ``load_sim_config`` reads an ``edgeq simulate`` file into a ``SimConfig``.
 A field declared ``checked`` carries its domain: the loader casts the
 field's key with it, and ``validate`` applies it again to a config built
-in Python, naming the key. ``MODEL_FIELDS`` names the ``SimConfig``
+in Python, naming the key. The ``edge``, ``cloud``, ``network`` and
+``workload`` sections are cast the same way by the fields of the spec
+records they build. ``MODEL_FIELDS`` names the ``SimConfig``
 fields each model requires and reads; ``validate`` refuses any other
 field set off its default, and a config without exactly one horizon.
 
@@ -152,19 +154,19 @@ class SimConfig:
 # ---------------------------------------------------------------------------
 # ``edgeq simulate`` config files
 
-_PROFILE = {
-    "lambda_bar": (float, REQUIRED), "amplitude": (float, REQUIRED),
-    "gamma_rad_s": (finite_positive, None), "period_s": (finite_positive, None), "phase": (float, 0.0),
+# a sinusoid's frequency: ``gamma_rad_s`` or ``period_s``, from which ``config.take`` derives it
+FREQUENCY = {
+    **table_of(SinusoidProfile, ("gamma_rad_s", "gamma"), gamma_rad_s=None), "period_s": (finite_positive, None),
 }
-_RENEWAL = {"mean": (float, REQUIRED), "scv": (float, RenewalSpec.scv), "family": (str, RenewalSpec.family)}
+_PROFILE = {**table_of(SinusoidProfile, "lambda_bar", "amplitude", "phase"), **FREQUENCY}
+_RENEWAL = table_of(RenewalSpec, "mean", "scv", "family")
 
 
 _CONFIG = {
     **table_of(SimConfig, "model"),
-    "edge": ({"lambda": (float, REQUIRED), "mu1": (float, REQUIRED), "mu2": (float, REQUIRED),
-              "r": (float, 0.0)}, None),
-    "cloud": ({"k": (integral, REQUIRED), "mu": (float, REQUIRED), "rho": (float, REQUIRED)}, None),
-    "network": ({"t_edge_s": (float, 0.0), "t_cloud_s": (float, 0.0)}, None),
+    "edge": (table_of(QueueSpec, ("lambda", "lam"), "mu1", "mu2", "r"), None),
+    "cloud": (table_of(CloudSpec, "k", ("mu", "mu_cloud"), ("rho", "rho_cloud")), None),
+    "network": (table_of(NetworkSpec, ("t_edge_s", "t_edge"), ("t_cloud_s", "t_cloud")), None),
     "workload": ({"profile": (_PROFILE, None), "arrivals": (_RENEWAL, None),
                   "service1": (_RENEWAL, None), "service2": (_RENEWAL, None)}, {}),
     "simulation": ({
@@ -183,20 +185,21 @@ def load_sim_config(raw) -> tuple[SimConfig, dict]:
     """Check a ``simulate`` config; returns (SimConfig, resolved config).
 
     The resolved config lists every value the run uses, defaults
-    included; loading it again gives the same pair. A spec that refuses
-    its section's values raises ConfigError naming the section.
+    included; loading it again gives the same pair. A key outside its
+    spec field's domain raises ConfigError naming the key, and a renewal
+    law whose family cannot reach its scv names the law.
     """
     cfg = take(raw, _CONFIG, "config")
     edge, cloud, net, wl = cfg["edge"], cfg["cloud"], cfg["network"], cfg["workload"]
     profile = wl["profile"]
     config = SimConfig(
         model=cfg["model"],
-        queue=edge and read("config.edge", lambda e: QueueSpec(e["lambda"], e["mu1"], e["mu2"], e["r"]), edge),
-        cloud=cloud and read("config.cloud", lambda c: CloudSpec(c["k"], c["mu"], c["rho"]), cloud),
-        network=net and read("config.network", lambda n: NetworkSpec(n["t_edge_s"], n["t_cloud_s"]), net),
-        profile=profile and read("config.workload.profile", lambda p: SinusoidProfile(
-            p["lambda_bar"], p["amplitude"], p["gamma_rad_s"], p["phase"]
-        ), profile),
+        queue=edge and QueueSpec(edge["lambda"], edge["mu1"], edge["mu2"], edge["r"]),
+        cloud=cloud and CloudSpec(cloud["k"], cloud["mu"], cloud["rho"]),
+        network=net and NetworkSpec(net["t_edge_s"], net["t_cloud_s"]),
+        profile=profile and SinusoidProfile(
+            profile["lambda_bar"], profile["amplitude"], profile["gamma_rad_s"], profile["phase"]
+        ),
         **{key: wl[key] and read(f"config.workload.{key}", lambda law: RenewalSpec(**law), wl[key])
            for key in ("arrivals", "service1", "service2")},
         **{key: value for key, value in cfg["simulation"].items() if key not in ("seed", "reps")},

@@ -26,7 +26,7 @@ from typing import Callable, Optional, Sequence
 
 from . import analytic, capacity
 from .config import REQUIRED, check, checked, count, finite_positive, integral, listed, positive, ranged, table_of, take
-from .desim import SimConfig, replicate
+from .desim import FREQUENCY, SimConfig, replicate
 from .errors import ConfigError, DomainError
 from .specs import CloudSpec, NetworkSpec, QueueSpec, SinusoidProfile
 from .workload import SeededStream
@@ -317,31 +317,32 @@ def _run_packing_sweep(sc: Scenario, workers: int):
 
 
 _WARMUP = table_of(SimConfig, "warmup")
-_SINUSOID = {"gamma_rad_s": (finite_positive, None), "period_s": (finite_positive, None)}
-_DELAY = ranged(float, lambda x: x >= 0, ">= 0")
+_RATES = table_of(QueueSpec, "mu1", "mu2", mu1=50.0, mu2=50.0)
 
 # comparison model -> (keys its grid may sweep, {key: (cast, default)} for
 # every key it reads, runner). A key is set in the grid or in the fixed block, not both.
+# A key that sets a spec field takes the field's cast; a sweepable one is a plain
+# float, so a point outside the spec's domain keeps its skipped row.
 _MODELS: dict[str, tuple[tuple[str, ...], dict, Callable]] = {
     "two_phase_wait": (("lam", "r"), {
-        "lam": (float, REQUIRED), "r": (float, 0.0), "mu1": (positive, 50.0), "mu2": (positive, 50.0),
+        "lam": (float, REQUIRED), "r": (float, 0.0), **_RATES,
         "horizon_requests": (count, 200_000), **_WARMUP,
     }, _run_two_phase_wait),
     "mobility_crossover": (("lam", "r"), {
-        "lam": (float, REQUIRED), "r": (float, REQUIRED), "mu1": (positive, 50.0), "mu2": (positive, 50.0),
-        "cloud_k": (count, 1), "mu_cloud": (positive, None),  # None: mu1
-        "t_edge_s": (_DELAY, 0.001), "t_cloud_s": (_DELAY, 0.028),
+        "lam": (float, REQUIRED), "r": (float, REQUIRED), **_RATES,
+        **table_of(CloudSpec, ("cloud_k", "k"), "mu_cloud", cloud_k=1, mu_cloud=None),  # None: mu1
+        **table_of(NetworkSpec, ("t_edge_s", "t_edge"), ("t_cloud_s", "t_cloud"), t_edge_s=0.001, t_cloud_s=0.028),
         "horizon_requests": (count, 100_000), **_WARMUP,
     }, _run_mobility_crossover),
     "rush_hour": (("amplitude",), {
-        "amplitude": (float, REQUIRED), "lambda_bar": (positive, REQUIRED), "mu1": (positive, REQUIRED),
-        "mu2": (positive, REQUIRED), "r": (ranged(float, lambda x: 0 <= x <= 1, "in [0, 1]"), 0.0),
-        **_SINUSOID, "horizon_periods": (finite_positive, 10), "scale": (finite_positive, 16.0),
+        "amplitude": (float, REQUIRED), **table_of(SinusoidProfile, "lambda_bar"),
+        **table_of(QueueSpec, "mu1", "mu2", "r"), **FREQUENCY,
+        "horizon_periods": (finite_positive, 10), "scale": (finite_positive, 16.0),
         **table_of(SimConfig, "warmup", "bins_per_period", "rush_stat"),
     }, _run_rush_hour),
     "excess_wait": (("amplitude",), {
         "amplitude": (float, REQUIRED), "rho": (ranged(float, lambda x: 0 < x < 1, "in (0, 1)"), REQUIRED),
-        "mu_eff": (finite_positive, REQUIRED), **_SINUSOID, "horizon_periods": (finite_positive, 12), **_WARMUP,
+        "mu_eff": (finite_positive, REQUIRED), **FREQUENCY, "horizon_periods": (finite_positive, 12), **_WARMUP,
     }, _run_excess_wait),
     "packing_sweep": (("cores_per_site",), {
         "cores_per_site": (integral, REQUIRED), "k_sites": (count, 16), "q": (positive, 2.0),

@@ -2,27 +2,27 @@
 
 All rates are per second, times in seconds, angles in radians. ``mu2`` may
 be ``math.inf``, meaning the migration phase is instantaneous; every
-formula then evaluates its analytic limit (``r/mu2 -> 0``).
+formula then evaluates its analytic limit (``r/mu2 -> 0``). Every other
+rate, time and moment is finite. Each field declares its domain with
+``config.checked``, which construction applies (raising DomainError
+naming the field) and from which the ``simulate`` and scenario key
+tables take the casts of the keys that set it.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .errors import DomainError, UnstableQueue
+from .config import REQUIRED, Checked, checked, count, finite, finite_nonnegative, finite_positive, positive, unit
+from .errors import UnstableQueue
 
 # Utilization at or above this is treated as unstable to keep clear of the
 # (1-rho)^-1 singularities.
 STABILITY_GUARD = 1.0 - 1e-9
 
 
-def _require(cond: bool, msg: str) -> None:
-    if not cond:
-        raise DomainError(msg)
-
-
 @dataclass(frozen=True)
-class QueueSpec:
+class QueueSpec(Checked):
     """Edge queue with a mandatory service phase and an optional migration phase.
 
     lam:  arrival rate
@@ -31,16 +31,10 @@ class QueueSpec:
     r:    probability an accepted request migrates after phase 1
     """
 
-    lam: float
-    mu1: float
-    mu2: float
-    r: float = 0.0
-
-    def __post_init__(self):
-        _require(self.lam > 0, "arrival rate must be positive")
-        _require(self.mu1 > 0, "mu1 must be positive")
-        _require(self.mu2 > 0, "mu2 must be positive (math.inf allowed)")
-        _require(0.0 <= self.r <= 1.0, "migration probability must lie in [0, 1]")
+    lam: float = checked(REQUIRED, finite_positive)
+    mu1: float = checked(REQUIRED, finite_positive)
+    mu2: float = checked(REQUIRED, positive)
+    r: float = checked(0.0, unit)
 
     @property
     def inv_mu2(self) -> float:
@@ -66,17 +60,12 @@ class QueueSpec:
 
 
 @dataclass(frozen=True)
-class CloudSpec:
+class CloudSpec(Checked):
     """Centralized pool of k identical servers at utilization rho."""
 
-    k: int
-    mu_cloud: float
-    rho_cloud: float
-
-    def __post_init__(self):
-        _require(self.k >= 1 and int(self.k) == self.k, "server count k must be an integer >= 1")
-        _require(self.mu_cloud > 0, "mu_cloud must be positive")
-        _require(0.0 <= self.rho_cloud, "rho_cloud must be non-negative")
+    k: int = checked(REQUIRED, count)
+    mu_cloud: float = checked(REQUIRED, finite_positive)
+    rho_cloud: float = checked(REQUIRED, finite_nonnegative)
 
     @property
     def arrival_rate(self) -> float:
@@ -88,14 +77,11 @@ class CloudSpec:
 
 
 @dataclass(frozen=True)
-class NetworkSpec:
+class NetworkSpec(Checked):
     """Round-trip times to the edge and to the cloud; delta_t = t_cloud - t_edge."""
 
-    t_edge: float = 0.0
-    t_cloud: float = 0.0
-
-    def __post_init__(self):
-        _require(self.t_edge >= 0 and self.t_cloud >= 0, "round-trip times must be non-negative")
+    t_edge: float = checked(0.0, finite_nonnegative)
+    t_cloud: float = checked(0.0, finite_nonnegative)
 
     @property
     def delta_t(self) -> float:
@@ -103,18 +89,11 @@ class NetworkSpec:
 
 
 @dataclass(frozen=True)
-class VariabilitySpec:
+class VariabilitySpec(Checked):
     """Squared coefficients of variation of inter-arrival and service times."""
 
-    ca2: float = 1.0
-    cs2: float = 1.0
-
-    def __post_init__(self):
-        _require(
-            math.isfinite(self.ca2) and math.isfinite(self.cs2)
-            and self.ca2 >= 0 and self.cs2 >= 0,
-            "squared CoVs must be finite and non-negative",
-        )
+    ca2: float = checked(1.0, finite_nonnegative)
+    cs2: float = checked(1.0, finite_nonnegative)
 
     @property
     def correction(self) -> float:
@@ -123,19 +102,14 @@ class VariabilitySpec:
 
 
 @dataclass(frozen=True)
-class PhaseMoments:
+class PhaseMoments(Checked):
     """First two moments of the two service phases plus the branch probability."""
 
-    mean1: float
-    var1: float
-    mean2: float
-    var2: float
-    r: float
-
-    def __post_init__(self):
-        _require(self.mean1 > 0 and self.mean2 > 0, "phase means must be positive")
-        _require(self.var1 >= 0 and self.var2 >= 0, "phase variances must be non-negative")
-        _require(0.0 <= self.r <= 1.0, "r must lie in [0, 1]")
+    mean1: float = checked(REQUIRED, finite_positive)
+    var1: float = checked(REQUIRED, finite_nonnegative)
+    mean2: float = checked(REQUIRED, finite_positive)
+    var2: float = checked(REQUIRED, finite_nonnegative)
+    r: float = checked(REQUIRED, unit)
 
     @classmethod
     def exponential(cls, mu1: float, mu2: float, r: float) -> "PhaseMoments":
@@ -144,18 +118,13 @@ class PhaseMoments:
 
 
 @dataclass(frozen=True)
-class SinusoidProfile:
+class SinusoidProfile(Checked):
     """Arrival rate lam(t) = lambda_bar * (1 + amplitude * sin(gamma*t + phase))."""
 
-    lambda_bar: float
-    amplitude: float
-    gamma: float
-    phase: float = 0.0
-
-    def __post_init__(self):
-        _require(self.lambda_bar > 0, "mean rate must be positive")
-        _require(0.0 <= self.amplitude <= 1.0, "relative amplitude must lie in [0, 1]")
-        _require(self.gamma > 0, "angular frequency must be positive")
+    lambda_bar: float = checked(REQUIRED, finite_positive)
+    amplitude: float = checked(REQUIRED, unit)
+    gamma: float = checked(REQUIRED, finite_positive)
+    phase: float = checked(0.0, finite)
 
     @property
     def period(self) -> float:
@@ -177,7 +146,7 @@ class SinusoidProfile:
 
 
 @dataclass(frozen=True)
-class DtrpSpec:
+class DtrpSpec(Checked):
     """Parameters of the spatial (traveling-repairman) capacity model.
 
     ``gos`` is that model's grade-of-service constant and ``area`` the
@@ -185,22 +154,17 @@ class DtrpSpec:
     frequency despite the symbol overlap in common notation.
     """
 
-    capacity: float
-    rho: float
-    tau: float
-    q: float
-    area: float = 1.0
-    velocity: float = 1.0
-    gos: float = 1.0
+    capacity: float = checked(REQUIRED, finite_positive)
+    rho: float = checked(REQUIRED, finite_nonnegative)
+    tau: float = checked(REQUIRED, finite_nonnegative)
+    q: float = checked(REQUIRED, positive)
+    area: float = checked(1.0, finite_positive)
+    velocity: float = checked(1.0, finite_positive)
+    gos: float = checked(1.0, finite_positive)
 
     def __post_init__(self):
-        _require(self.capacity > 0, "capacity must be positive")
-        _require(self.q > 0, "packing factor q must be positive")
-        _require(self.tau >= 0, "upload time tau must be non-negative")
-        _require(self.area > 0 and self.velocity > 0 and self.gos > 0,
-                 "area, velocity and gos must be positive")
+        super().__post_init__()
         slack = self.rho + self.tau / self.capacity
-        _require(0.0 <= self.rho, "rho must be non-negative")
         if slack >= 1.0:
             raise UnstableQueue(
                 f"rho + tau/C = {slack:.6g} >= 1; finite response time requires slack"

@@ -23,6 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .config import REQUIRED, Checked, checked, finite_nonnegative, finite_positive, ranged
 from .errors import DomainError, UnreachableScv
 from .specs import SinusoidProfile
 
@@ -50,20 +51,15 @@ class SeededStream:
 
 
 @dataclass(frozen=True)
-class RenewalSpec:
+class RenewalSpec(Checked):
     """Inter-arrival or service time distribution with a target squared CoV."""
 
-    mean: float
-    scv: float = 1.0
-    family: str = "exponential"
+    mean: float = checked(REQUIRED, finite_positive)
+    scv: float = checked(1.0, finite_nonnegative)
+    family: str = checked("exponential", ranged(str, RENEWAL_FAMILIES.__contains__, f"one of {RENEWAL_FAMILIES}"))
 
     def __post_init__(self):
-        if self.mean <= 0:
-            raise DomainError("mean must be positive")
-        if self.scv < 0 or not math.isfinite(self.scv):
-            raise DomainError("scv must be finite and non-negative")
-        if self.family not in RENEWAL_FAMILIES:
-            raise DomainError(f"unknown family {self.family!r}; use one of {RENEWAL_FAMILIES}")
+        super().__post_init__()
         if self.family == "exponential" and abs(self.scv - 1.0) > 1e-9:
             raise UnreachableScv("exponential fixes scv = 1")
         if self.family == "deterministic" and self.scv > 1e-9:

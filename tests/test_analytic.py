@@ -1,9 +1,10 @@
 """Closed-form formula tests: worked examples, reductions, and properties."""
+import inspect
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.optimize import minimize_scalar
@@ -12,11 +13,15 @@ from edgeq import (
     AggregateProfile,
     CloudSpec,
     DomainError,
+    DtrpSpec,
     IncompatiblePeriods,
+    NetworkSpec,
     OverloadedInstant,
     PhaseMoments,
     QueueSpec,
+    RenewalSpec,
     SinusoidProfile,
+    UnreachableScv,
     UnstableQueue,
     VariabilitySpec,
     delta_t_bound_ggk,
@@ -515,6 +520,56 @@ class TestMonotoneInLoad:
         assert lo <= hi
 
 
+def _positive(x):
+    return 0 < x < math.inf
+
+
+def _nonnegative(x):
+    return 0 <= x < math.inf
+
+
+def _unit(x):
+    return 0 <= x <= 1
+
+
+# spec record -> (the arguments of a valid instance, {numeric field: a test of its domain})
+SPEC_DOMAINS = {
+    QueueSpec: (dict(lam=10.0, mu1=50.0, mu2=50.0, r=0.1),
+                dict(lam=_positive, mu1=_positive, mu2=lambda x: x > 0, r=_unit)),
+    CloudSpec: (dict(k=4, mu_cloud=10.0, rho_cloud=0.5),
+                dict(k=lambda x: x >= 1 and float(x).is_integer(), mu_cloud=_positive, rho_cloud=_nonnegative)),
+    NetworkSpec: (dict(t_edge=0.001, t_cloud=0.028), dict(t_edge=_nonnegative, t_cloud=_nonnegative)),
+    SinusoidProfile: (dict(lambda_bar=16.0, amplitude=0.5, gamma=0.1),
+                      dict(lambda_bar=_positive, amplitude=_unit, gamma=_positive, phase=math.isfinite)),
+    VariabilitySpec: (dict(ca2=1.0, cs2=1.0), dict(ca2=_nonnegative, cs2=_nonnegative)),
+    PhaseMoments: (dict(mean1=0.02, var1=4e-4, mean2=0.02, var2=4e-4, r=0.1),
+                   dict(mean1=_positive, var1=_nonnegative, mean2=_positive, var2=_nonnegative, r=_unit)),
+    DtrpSpec: (dict(capacity=96.0, rho=0.5, tau=0.0, q=2.0),
+               dict(capacity=_positive, rho=_nonnegative, tau=_nonnegative, q=lambda x: x > 0,
+                    area=_positive, velocity=_positive, gos=_positive)),
+    RenewalSpec: (dict(mean=0.1, scv=2.0, family="hyperexponential2"), dict(mean=_positive, scv=_nonnegative)),
+}
+# the rules that span fields, which a value inside its own field's domain may still break
+CROSS_FIELD = {DtrpSpec: UnstableQueue, RenewalSpec: UnreachableScv}
+
+PROFILE = SinusoidProfile(8.0, 0.5, 0.1)
+# (function, in-domain arguments) for each function that checks its own float arguments;
+# the query times of sinusoidal_offered_load are an array, mapped elementwise like numpy
+BARE_FLOAT_CALLS = [
+    (destination_wait, (10.0, 50.0, 0.1)),
+    (migration_service_time, (0.1, 50.0)),
+    (effective_service_rate, (50.0, 50.0, 0.1)),
+    (excess_wait_sinusoidal, (0.5, 0.3, 0.1, 10.0)),
+    (sinusoidal_offered_load, (np.linspace(0.0, 60.0, 7), PROFILE, 10.0)),
+    (offered_load_lag, (0.1,)),
+    (overload_window, (PROFILE, 10.0)),
+    (psa_cloud_wait, (0.5, CloudSpec(4, 10.0, 0.5))),
+    (empirical_rule_capacities, (10.0, 4)),
+]
+# (function, arguments, the index of the float argument set to NaN)
+NAN_CASES = [(fn, args, i) for fn, args in BARE_FLOAT_CALLS for i, a in enumerate(args) if isinstance(a, (int, float))]
+
+
 class TestDomainErrors:
     def test_bad_parameters_rejected(self):
         with pytest.raises(DomainError):
@@ -523,3 +578,41 @@ class TestDomainErrors:
             QueueSpec(10, 50, 50, 1.5)
         with pytest.raises(DomainError):
             effective_service_rate(0.0, 50, 0.1)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.floats(1e-3, 1e3), st.floats(0.0, 1.0), st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+    def test_overload_window_exists_whenever_the_peak_exceeds_mu(self, lambda_bar, amplitude, share):
+        profile = SinusoidProfile(lambda_bar, amplitude, 1.0)
+        mu_eff = share * profile.peak_rate
+        assume(0.0 < mu_eff < profile.peak_rate)
+        assert -math.pi / 2 <= overload_window(profile, mu_eff).theta <= math.pi / 2
+
+    @pytest.mark.parametrize("spec_field", [(cls, name) for cls, (_, domain) in SPEC_DOMAINS.items() for name in domain],
+                             ids=lambda f: f"{f[0].__name__}.{f[1]}")
+    @settings(max_examples=40, deadline=None)
+    @given(value=st.one_of(st.floats(), st.integers(-10, 10**6)))
+    @example(value=math.nan)
+    @example(value=math.inf)
+    @example(value=-math.inf)
+    @example(value=0.0)
+    def test_spec_records_refuse_exactly_their_domain(self, spec_field, value):
+        cls, name = spec_field
+        valid, domain = SPEC_DOMAINS[cls]
+        try:
+            cls(**{**valid, name: value})
+        except DomainError as exc:
+            if domain[name](value):  # in domain: only a rule that spans fields may refuse it
+                assert isinstance(exc, CROSS_FIELD.get(cls, ())), exc
+            else:
+                assert type(exc) is DomainError and str(exc).startswith(f"{cls.__name__}.{name}: must be "), exc
+        else:
+            assert domain[name](value)
+
+    @pytest.mark.parametrize(
+        "fn, args, i", NAN_CASES, ids=[f"{fn.__name__}-{list(inspect.signature(fn).parameters)[i]}" for fn, _, i in NAN_CASES]
+    )
+    def test_nan_float_argument_raises(self, fn, args, i):
+        fn(*args)
+        with pytest.raises(DomainError):
+            fn(*args[:i], math.nan, *args[i + 1:])
+

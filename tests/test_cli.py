@@ -69,6 +69,20 @@ class TestAnalyticCommands:
         assert code == EXIT_OK
         assert "overprovision_factor 1.5" in out
 
+    # an infinite arrival, phase-1 or cloud rate used to print a limit and exit 0
+    @pytest.mark.parametrize("argv, field", [
+        (("wait", "--lambda", "10", "--mu1", "inf", "--mu2", "50"), "QueueSpec.mu1"),
+        (("wait", "--lambda", "inf", "--mu1", "50", "--mu2", "50"), "QueueSpec.lam"),
+        (("deltat", "--lambda", "10", "--mu1", "inf", "--mu2", "50", "--k", "2", "--mu-cloud", "10",
+          "--rho-cloud", "0.5"), "QueueSpec.mu1"),
+        (("deltat", "--lambda", "10", "--mu1", "50", "--mu2", "50", "--k", "2", "--mu-cloud", "inf",
+          "--rho-cloud", "0.5"), "CloudSpec.mu_cloud"),
+    ])
+    def test_infinite_rate_exits_2_naming_the_field(self, capsys, argv, field):
+        code, _, err = run_cli(capsys, "analytic", *argv)
+        assert code == EXIT_CONFIG
+        assert f"{field}: must be finite and > 0, got inf" in err
+
 
 class TestCapacityCommands:
     def test_equivalent_96_to_64(self, capsys):
@@ -82,6 +96,11 @@ class TestCapacityCommands:
         code, out, _ = run_cli(capsys, "capacity", "rule", "--lambda", "100", "--k", "4")
         assert code == EXIT_OK
         assert "c_edge 480" in out and "c_cloud 440" in out
+
+    def test_rule_nan_rate_exit_2(self, capsys):
+        code, _, err = run_cli(capsys, "capacity", "rule", "--lambda", "nan", "--k", "4")
+        assert code == EXIT_CONFIG
+        assert "arrival rate must be positive" in err
 
     def test_pack(self, capsys, tmp_path):
         trace = tmp_path / "t.csv"
@@ -392,6 +411,12 @@ def with_keys(body: dict, section: str, keys: dict) -> dict:
     return {**body, section: {**body.get(section, {}), **keys}}
 
 
+def with_value(body: dict, dotted: str, value) -> dict:
+    """``body`` with the key at the dotted path ``dotted`` set to ``value``."""
+    head, _, rest = dotted.partition(".")
+    return {**body, head: with_value(body.get(head, {}), rest, value) if rest else value}
+
+
 PROFILE = SIM_CONFIGS["mtm1_sinusoidal"]["workload"]["profile"]
 # (model, section, keys set there, the key stderr must name) for keys the model does not read
 UNREAD = [
@@ -415,13 +440,17 @@ SIM_DOMAIN = [
     ("two_phase_edge", "dest_rate", -1.0), ("two_phase_edge", "horizon_requests", -3),
     ("mtm1_sinusoidal", "bins_per_period", 0), ("mtm1_sinusoidal", "rush_stat", "bogus"),
 ]
-# (model, section, keys set there, the config key stderr must name) for values a spec refuses
+# (model, config key, a value outside the domain of the spec field the key sets)
 SPEC_DOMAIN = [
-    ("two_phase_edge", "edge", {"lambda": -10.0}, "config.edge"),
-    ("mmk_cloud", "cloud", {"rho": -0.5}, "config.cloud"),
-    ("two_phase_edge", "network", {"t_edge_s": -0.001}, "config.network"),
-    ("mtm1_sinusoidal", "workload", {"profile": {**PROFILE, "amplitude": 1.5}}, "config.workload.profile"),
-    ("two_phase_edge_renewal", "workload", {"arrivals": {"mean": -0.1}}, "config.workload.arrivals"),
+    ("two_phase_edge", "edge.lambda", -10.0), ("mmk_cloud", "cloud.rho", -0.5),
+    ("two_phase_edge", "network.t_edge_s", -0.001), ("mtm1_sinusoidal", "workload.profile.amplitude", 1.5),
+    ("two_phase_edge_renewal", "workload.arrivals.mean", -0.1),
+    # NaN and infinity used to run on (exit 0), fail naming no key, or crash
+    ("mtm1_sinusoidal", "workload.profile.phase", "nan"), ("two_phase_edge", "edge.lambda", "inf"),
+    ("two_phase_edge", "edge.mu1", "inf"), ("mmk_cloud", "cloud.mu", "inf"),
+    ("mtm1_sinusoidal", "workload.profile.lambda_bar", "inf"), ("two_phase_edge_renewal", "workload.arrivals.mean", "inf"),
+    ("two_phase_edge_renewal", "workload.service1.mean", "inf"), ("two_phase_edge", "network.t_edge_s", "inf"),
+    ("two_phase_edge", "network.t_cloud_s", "inf"),
 ]
 
 
@@ -471,8 +500,8 @@ SPEC_DOMAIN = [
         # home load ran as 0) or exit 3 (a negative in-system cap)
         *(("simulate", with_keys(SIM_CONFIGS[model], "simulation", {key: value}), f"simulation.{key}")
           for model, key, value in SIM_DOMAIN),
-        # a spec that refuses its section used to name no key
-        *(("simulate", with_keys(SIM_CONFIGS[model], section, keys), key) for model, section, keys, key in SPEC_DOMAIN),
+        # a value its spec field refuses used to name only the section, or no key
+        *(("simulate", with_value(SIM_CONFIGS[model], key, value), f"config.{key}:") for model, key, value in SPEC_DOMAIN),
         # a key the model does not read used to be dropped silently, exit 0
         *(("simulate", with_keys(SIM_CONFIGS[model], section, keys), key) for model, section, keys, key in UNREAD),
     ],
@@ -481,7 +510,7 @@ SPEC_DOMAIN = [
          "mtm1-arrivals", "mmk-service1", "k_sites-0", "k_sites-negative", "gg1-edge",
          "cloud-k-fraction", "reps-0", "profile-period-inf", "horizon_s-inf", "horizon_s-nan",
          *(f"{key}-{value}" for _, key, value in SIM_DOMAIN),
-         *(f"spec-{key}" for _, _, _, key in SPEC_DOMAIN),
+         *(f"spec-{key}-{value}" for _, key, value in SPEC_DOMAIN),
          *(f"{model}-unread-{key.split()[-1]}" for model, _, _, key in UNREAD)],
 )
 def test_config_faults_exit_2_naming_the_key(capsys, tmp_path, command, body, key):

@@ -8,7 +8,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from edgeq import (
-    ComparisonRow, ConfigError, QueueSpec, Scenario, load_scenario, mm1_two_phase_wait, run_scenario,
+    CloudSpec, ComparisonRow, ConfigError, NetworkSpec, QueueSpec, RenewalSpec, Scenario, SinusoidProfile,
+    load_scenario, mm1_two_phase_wait, run_scenario,
 )
 from edgeq import SimConfig, desim, harness
 from edgeq.cli import EXIT_CONFIG, EXIT_OK, main
@@ -94,6 +95,11 @@ OUT_OF_DOMAIN = [
     # keys cast by their SimConfig field used to pass the load and fail inside the first run
     ("two_phase_wait", "warmup", 1.0), ("mobility_crossover", "warmup", -0.1), ("excess_wait", "warmup", math.nan),
     ("rush_hour", "bins_per_period", 0), ("rush_hour", "rush_stat", "bogus"),
+    # keys cast by their spec field: rates other than mu2, and delays, must be finite; infinite
+    # ones used to give skipped rows, run on, or crash
+    ("two_phase_wait", "mu1", math.inf), ("mobility_crossover", "mu1", math.inf),
+    ("mobility_crossover", "mu_cloud", math.inf), ("mobility_crossover", "t_edge_s", math.inf),
+    ("mobility_crossover", "t_cloud_s", math.inf), ("rush_hour", "lambda_bar", math.inf), ("rush_hour", "mu1", math.inf),
 ]
 
 
@@ -166,8 +172,35 @@ class TestScenarioKeys:
         assert rows[0].analytic_value == mm1_two_phase_wait(QueueSpec(10.0, 50.0, math.inf, 0.3))
 
 
+def _cast(cls, name):
+    return {f.name: f.metadata.get("cast") for f in dataclasses.fields(cls)}[name]
+
+
+# ``simulate`` section -> {key: (spec record, the field the key sets)}
+SIM_SPEC_KEYS = {
+    "edge": {"lambda": (QueueSpec, "lam"), "mu1": (QueueSpec, "mu1"), "mu2": (QueueSpec, "mu2"), "r": (QueueSpec, "r")},
+    "cloud": {"k": (CloudSpec, "k"), "mu": (CloudSpec, "mu_cloud"), "rho": (CloudSpec, "rho_cloud")},
+    "network": {"t_edge_s": (NetworkSpec, "t_edge"), "t_cloud_s": (NetworkSpec, "t_cloud")},
+    "profile": {"lambda_bar": (SinusoidProfile, "lambda_bar"), "amplitude": (SinusoidProfile, "amplitude"),
+                "gamma_rad_s": (SinusoidProfile, "gamma"), "period_s": (SinusoidProfile, "gamma"),  # gamma = 2 pi / period
+                "phase": (SinusoidProfile, "phase")},
+    "renewal": {"mean": (RenewalSpec, "mean"), "scv": (RenewalSpec, "scv"), "family": (RenewalSpec, "family")},
+}
+# scenario key -> (spec record, the field the key sets)
+SCENARIO_SPEC_KEYS = {
+    "lam": (QueueSpec, "lam"), "mu1": (QueueSpec, "mu1"), "mu2": (QueueSpec, "mu2"), "r": (QueueSpec, "r"),
+    "lambda_bar": (SinusoidProfile, "lambda_bar"), "amplitude": (SinusoidProfile, "amplitude"),
+    "gamma_rad_s": (SinusoidProfile, "gamma"), "period_s": (SinusoidProfile, "gamma"),
+    "cloud_k": (CloudSpec, "k"), "mu_cloud": (CloudSpec, "mu_cloud"),
+    "t_edge_s": (NetworkSpec, "t_edge"), "t_cloud_s": (NetworkSpec, "t_cloud"),
+}
+# sweepable keys stay plain floats: the spec checks them per point, so a point outside
+# the domain keeps its skipped row
+SWEPT_FLOATS = {"lam", "r", "amplitude"}
+
+
 def test_sim_config_keys_are_cast_by_the_field_declaration():
-    """A table key named after a SimConfig field goes through the field's own ``checked`` cast."""
+    """A table key that sets a SimConfig or spec field goes through the field's own ``checked`` cast."""
     declared = {f.name: f.metadata.get("cast") for f in dataclasses.fields(SimConfig)}
     own = {"horizon_requests", "horizon_s"}  # scenario keys: a run length >= 1, packing_sweep's trace span
     tables = [{"model": desim._CONFIG["model"]}, desim._CONFIG["simulation"][0]]
@@ -176,6 +209,24 @@ def test_sim_config_keys_are_cast_by_the_field_declaration():
     assert len(shared) > len(desim._CONFIG["simulation"][0]) - 2  # every simulation key but seed and reps
     for key, cast in shared:
         assert cast is not None and cast is declared[key], key
+
+    workload = desim._CONFIG["workload"][0]
+    sections = {name: desim._CONFIG[name][0] for name in ("edge", "cloud", "network")}
+    sections.update(profile=workload["profile"][0], **{law: workload[law][0] for law in ("arrivals", "service1", "service2")})
+    for name, table in sections.items():
+        keys = SIM_SPEC_KEYS.get(name, SIM_SPEC_KEYS["renewal"])
+        assert set(table) == set(keys), name  # every key of a spec section sets a field
+        for key, (cast, _) in table.items():
+            assert cast is _cast(*keys[key]), f"{name}.{key}"
+    checked = 0
+    for model, (sweep, table, _) in harness._MODELS.items():
+        for key in set(table) & set(SCENARIO_SPEC_KEYS):
+            if key in sweep:
+                assert key in SWEPT_FLOATS and table[key][0] is float, f"{model}.{key}"
+            else:
+                assert table[key][0] is _cast(*SCENARIO_SPEC_KEYS[key]), f"{model}.{key}"
+                checked += 1
+    assert checked == 16  # two_phase_wait 2, mobility_crossover 6, rush_hour 6, excess_wait 2
 
 
 class TestGridHelpers:
@@ -244,6 +295,7 @@ class TestTableRushHour:
         "lambda_bar": 16.0, "mu1": 32.0, "mu2": 32.0, "r": 0.3,
         "period_s": 200.0, "horizon_periods": 4, "warmup": 0.1, "scale": 32.0,
     }
+    SKIPPED = "skipped: SinusoidProfile.amplitude: must be in [0, 1], got 1.5"  # the row of amplitude 1.5
 
     def scenario(self, seed, replications, amplitudes):
         return Scenario(
@@ -307,7 +359,7 @@ class TestTableRushHour:
         rows, summary = self.run(tmp_path / "skip", seed=6, replications=1, amplitudes=(0.3, 0.8, 1.5))
         kept, _ = self.run(tmp_path / "kept", seed=6, replications=1)
         for row in (rows[2], rows[5]):
-            assert row.status == "skipped: relative amplitude must lie in [0, 1]"
+            assert row.status == self.SKIPPED
             assert math.isnan(row.analytic_value) and math.isnan(row.sim_value)
         # the skipped point is last, so the other points keep their streams
         assert [repr(vars(r)) for r in rows[:2] + rows[3:5]] == [repr(vars(r)) for r in kept]
@@ -323,9 +375,9 @@ class TestTableRushHour:
         path = tmp_path / "rush.scenario"
         path.write_text(json.dumps(dataclasses.asdict(sc)))
         assert main(["validate", str(path), "--out", str(tmp_path), "--deterministic-names"]) == EXIT_OK
-        assert "skipped: relative amplitude" in (tmp_path / "rush.csv").read_text()
+        assert self.SKIPPED in (tmp_path / "rush.csv").read_text()
         rows = json.loads((tmp_path / "rush.json").read_text())["rows"]
-        assert [r["status"] for r in rows] == ["ok", "ok", "skipped: relative amplitude must lie in [0, 1]"] * 2
+        assert [r["status"] for r in rows] == ["ok", "ok", self.SKIPPED] * 2
 
 
 class TestPackingSweep:
