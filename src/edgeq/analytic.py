@@ -316,7 +316,7 @@ def overload_window(profile: SinusoidProfile, mu_eff: float) -> Optional[Overloa
     period = profile.period
     t1 = ((theta - profile.phase) / profile.gamma) % period
     t2 = ((math.pi - theta - profile.phase) / profile.gamma) % period
-    if t2 < t1:
+    if t2 <= t1:  # the ends fold together only at theta = -pi/2: overloaded all cycle
         t2 += period
     return OverloadWindow(t1, t2, theta)
 

@@ -29,7 +29,7 @@ def read(key: str, cast, value):
     """``cast(value)``; a value the cast rejects raises ConfigError naming ``key``."""
     try:
         return cast(value)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"{key}: {exc}") from None
 
 
@@ -141,7 +141,7 @@ class Checked:
             value = getattr(self, key)
             try:
                 cast_value = cast(value)
-            except (TypeError, ValueError) as exc:
+            except (TypeError, ValueError, OverflowError) as exc:
                 raise DomainError(f"{type(self).__name__}.{key}: {exc}") from None
             if cast_value is not value:
                 object.__setattr__(self, key, cast_value)

@@ -138,28 +138,71 @@ def poisson_arrivals(lam: float, horizon: float, rng: np.random.Generator) -> np
     return t
 
 
+_BLOCK = 32768  # candidates per thinning block: its buffers (under 1 MiB) stay in L2
+
+
 def nhpp_sinusoidal(profile: SinusoidProfile, horizon: float, rng: np.random.Generator) -> np.ndarray:
     """Nonhomogeneous Poisson arrivals for a sinusoidal rate, by thinning.
 
     Candidates are drawn at the constant envelope lambda_bar*(1+A) and
-    kept with probability lam(t)/envelope, which is exact for any phase.
-    The unsorted candidates are thinned and only the kept points sorted.
-    The rate is built in one buffer in the operation order of
-    ``SinusoidProfile.rate``, so every accept decision matches
-    ``u * peak < profile.rate(t)`` bit for bit.
+    kept with probability lam(t)/envelope, which is exact for any phase
+    (Lewis and Shedler 1979). The draws are a Poisson count, then that
+    many uniforms for the instants, then as many for the accept test;
+    the unsorted candidates are thinned and only the kept points sorted.
+
+    Every accept decision equals ``u * peak < profile.rate(t)`` bit for
+    bit, but most are settled by a float32 sine, which numpy vectorizes
+    while its float64 sine calls scalar libm (about 1 against 25-30 ns
+    per element on a 2-vCPU Xeon with numpy 2.4).
+
+    - Error bound: with theta = gamma*t + phase in float64, the float32
+      sine of float32(theta) is within 2**-24 * (1 + |theta|) of
+      sin(theta) (measured over |theta| <= 2**23).
+    - Margin: delta = 2**-18 * (1 + gamma*horizon + |phase|) bounds that
+      error 64 times over on the whole horizon; the margin delta*peak
+      also covers the rounding of both rate expressions. The rate rises
+      with the sine, so a gap ``u * peak`` minus the float32 rate below
+      -margin is a sure accept and above +margin a sure reject.
+    - Fallback: the candidates in between (a share of about 2*delta) are
+      decided by ``profile.rate`` itself. Where delta >= 1 the float32
+      sine settles nothing and every candidate takes that exact path.
+
+    The filter runs over blocks of ``_BLOCK`` candidates with buffers
+    reused from block to block, writing one boolean mask.
     """
     t = _poisson_candidates(profile.peak_rate, horizon, rng)
     u = rng.random(len(t))
     u *= profile.peak_rate
-    rate = np.multiply(profile.gamma, t)
-    rate += profile.phase
-    np.sin(rate, out=rate)
-    rate *= profile.amplitude
-    rate += 1.0
-    rate *= profile.lambda_bar
-    kept = t[u < rate]
+    kept = t[_accepted(profile, horizon, t, u)]
     kept.sort()
     return kept
+
+
+def _accepted(profile: SinusoidProfile, horizon: float, t: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """The mask ``u < profile.rate(t)`` for candidates ``t`` in [0, horizon), block by block."""
+    accept = np.empty(len(t), dtype=bool)
+    delta = 2.0**-18 * (1.0 + profile.gamma * horizon + abs(profile.phase))
+    fast = delta < 1.0
+    if fast:
+        margin = delta * profile.peak_rate
+        slope = np.float64(-profile.lambda_bar * profile.amplitude)
+        size = min(len(t), _BLOCK)
+        work, sine = np.empty(size), np.empty(size, np.float32)
+    for lo in range(0, len(t), _BLOCK):
+        tb, ub, ab = t[lo:lo + _BLOCK], u[lo:lo + _BLOCK], accept[lo:lo + _BLOCK]
+        exact = slice(None)
+        if fast:
+            gap, s32 = work[:len(tb)], sine[:len(tb)]
+            np.multiply(tb, profile.gamma, out=gap)
+            np.add(gap, profile.phase, out=s32, casting="same_kind")  # theta, rounded once to float32
+            np.sin(s32, out=s32)
+            np.multiply(s32, slope, out=gap)
+            gap += ub
+            gap -= profile.lambda_bar  # u - lambda_bar * (1 + A * s32)
+            np.less(gap, -margin, out=ab)
+            exact = np.flatnonzero(np.abs(gap, out=gap) <= margin)
+        ab[exact] = ub[exact] < profile.rate(tb[exact])
+    return accept
 
 
 def phase_shifted_sites(

@@ -579,13 +579,20 @@ class TestDomainErrors:
         with pytest.raises(DomainError):
             effective_service_rate(0.0, 50, 0.1)
 
+    def test_a_float_overflow_is_a_domain_error_naming_the_field(self):
+        with pytest.raises(DomainError, match=r"^QueueSpec\.lam: "):
+            QueueSpec(10**400, 50.0, 50.0)
+
     @settings(max_examples=300, deadline=None)
     @given(st.floats(1e-3, 1e3), st.floats(0.0, 1.0), st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+    @example(1.0, 0.5, 1e-17 / 1.5)  # theta = -pi/2: the two ends fold together
     def test_overload_window_exists_whenever_the_peak_exceeds_mu(self, lambda_bar, amplitude, share):
         profile = SinusoidProfile(lambda_bar, amplitude, 1.0)
         mu_eff = share * profile.peak_rate
         assume(0.0 < mu_eff < profile.peak_rate)
-        assert -math.pi / 2 <= overload_window(profile, mu_eff).theta <= math.pi / 2
+        win = overload_window(profile, mu_eff)
+        assert -math.pi / 2 <= win.theta <= math.pi / 2
+        assert 0 < win.t2 - win.t1 <= profile.period
 
     @pytest.mark.parametrize("spec_field", [(cls, name) for cls, (_, domain) in SPEC_DOMAINS.items() for name in domain],
                              ids=lambda f: f"{f[0].__name__}.{f[1]}")

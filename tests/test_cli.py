@@ -454,6 +454,14 @@ SPEC_DOMAIN = [
 ]
 
 
+def test_an_int_too_large_for_a_float_exits_2_naming_the_key(capsys, tmp_path):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(with_value(SIM_CONFIGS["two_phase_edge"], "edge.lambda", 10**400)))
+    code, _, err = run_cli(capsys, "simulate", str(path), "--out", str(tmp_path))
+    assert code == EXIT_CONFIG
+    assert "config.edge.lambda:" in err
+
+
 @pytest.mark.parametrize(
     "command, body, key",
     [

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
@@ -21,6 +21,7 @@ from edgeq import (
     poisson_arrivals,
     renewal_times,
 )
+from edgeq.workload import _BLOCK
 
 
 class TestSeededStream:
@@ -138,6 +139,20 @@ class TestRenewalTimes:
             RenewalSpec(1.0, 1.0, "weird")
 
 
+class _PlacedDraws:
+    """Stands in for a Generator: ``count`` from ``poisson``, then the given uniforms in turn from ``random``."""
+
+    def __init__(self, count, *uniforms):
+        self.count, self.uniforms = count, list(uniforms)
+
+    def poisson(self, lam):
+        return self.count
+
+    def random(self, size):
+        assert size == self.count
+        return self.uniforms.pop(0).copy()
+
+
 class TestNhppSinusoidal:
     @settings(max_examples=60, deadline=None)
     @given(
@@ -162,14 +177,18 @@ class TestNhppSinusoidal:
         seed=st.integers(0, 2**32 - 1),
         lambda_bar=st.floats(0.1, 100.0),
         amplitude=st.floats(0.0, 1.0),
-        gamma=st.floats(1e-3, 10.0),
-        phase=st.floats(1e-6, 2 * math.pi),
+        gamma=st.floats(-3.0, 4.0).map(lambda e: 10.0**e),
+        phase=st.floats(-1e3, 1e3),
         horizon=st.floats(0.0, 1000.0),
     )
+    @example(seed=1, lambda_bar=100.0, amplitude=0.0, gamma=0.5, phase=0.0, horizon=1000.0)
+    @example(seed=2, lambda_bar=100.0, amplitude=1.0, gamma=0.5, phase=-3.0, horizon=1000.0)
+    @example(seed=3, lambda_bar=10.0, amplitude=0.5, gamma=1e4, phase=-1e3, horizon=1000.0)  # theta to 1e7
     def test_in_place_thinning_equals_the_plain_expression(
         self, seed, lambda_bar, amplitude, gamma, phase, horizon
     ):
-        # bitwise: the one-buffer rate, the in-place scaling and the sort of the kept
+        # bitwise: the float32 filter with its float64 fallback (the whole array where
+        # theta reaches 2**18), the blocks, the in-place scaling and the sort of the kept
         # points keep every candidate and every decision of thin-then-sort
         prof = SinusoidProfile(lambda_bar, amplitude, gamma, phase)
         got = nhpp_sinusoidal(prof, horizon, SeededStream(seed).generator())
@@ -179,6 +198,34 @@ class TestNhppSinusoidal:
             t = rng.uniform(0.0, horizon, rng.poisson(prof.peak_rate * horizon))
         u = rng.uniform(0.0, 1.0, len(t))
         np.testing.assert_array_equal(got, np.sort(t[u * prof.peak_rate < prof.rate(t)]))
+
+    @pytest.mark.parametrize(
+        "prof",
+        [
+            SinusoidProfile(4.0, 1.0, 0.05),  # A = 1: the float32 filter, margin about 2e-4
+            SinusoidProfile(8.0, 0.0, 0.05),  # A = 0: a flat rate equal to the peak
+            SinusoidProfile(4.0, 1.0, 3.0, -2.5),  # a negative phase
+            SinusoidProfile(4.0, 1.0, 100.0, -2.5),  # theta to 1e5: the float32 filter, margin 0.38
+            SinusoidProfile(4.0, 1.0, 1e4, -2.5),  # theta to 1e7: delta >= 1, the exact path only
+        ],
+        ids=["amplitude-1", "amplitude-0", "negative-phase", "theta-1e5", "theta-1e7"],
+    )
+    def test_decisions_at_the_rate_and_one_ulp_either_side(self, prof):
+        # u * peak lands on rate(t), one ulp below or one ulp above, over several
+        # blocks: only the ulp below is kept, whichever path decides; each candidate
+        # takes each place once
+        horizon = 1000.0
+        assert math.frexp(prof.peak_rate)[0] == 0.5  # a power of two, so u * peak is exact
+        n = 3 * _BLOCK + 123
+        frac_t = np.random.default_rng(0).random(n)
+        t = frac_t * horizon
+        rate = prof.rate(t)
+        places = [np.nextafter(rate, -np.inf), rate, np.nextafter(rate, np.inf)]
+        for shift in range(3):
+            side = (np.arange(n) + shift) % 3
+            at = np.choose(side, places)
+            kept = nhpp_sinusoidal(prof, horizon, _PlacedDraws(n, frac_t, at / prof.peak_rate))
+            np.testing.assert_array_equal(kept, np.sort(t[side == 0]))
 
     def test_flat_profile_matches_poisson_statistics(self):
         prof = SinusoidProfile(50.0, 0.0, 1.0)
