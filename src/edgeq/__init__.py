@@ -41,7 +41,7 @@ from .capacity import (
     simulate_packing,
     synthetic_vm_trace,
 )
-from .desim import SimConfig, SimMetrics, TimeSeriesMetrics, replicate, run_station_sim, run_two_phase_sim
+from .desim import SimConfig, SimMetrics, TimeSeriesMetrics, replicate, run_model
 from .errors import (
     ConfigError,
     DomainError,

@@ -1,16 +1,16 @@
 """Deterministic discrete-event simulation of the validation queues.
 
-Three models, two runners:
+Three models, each one FCFS station pass of the one runner, ``run_model``:
 
-* ``two_phase_edge`` (``run_two_phase_sim``) -- tandem pair: a source
-  queue whose single server performs the mandatory phase and, for
-  migrating requests, the migration phase back to back, feeding a
-  destination queue that serves only the migrated stream; renewal
-  inter-arrival and service laws are optional.
-* ``mtm1_sinusoidal`` and ``mmk_cloud`` (``run_station_sim``) -- one FCFS
-  station: the edge's single server under a sinusoidal nonhomogeneous
-  Poisson process, with per-cycle bins and the rush window, or the
-  cloud's k identical servers, with the wait of the delayed requests.
+* ``two_phase_edge`` -- tandem pair: the edge's single server performs
+  the mandatory phase and, for migrating requests, the migration phase
+  back to back; the migrants then queue at a destination site, an edge
+  server at ``mu1`` unless ``dest_rate`` is set; renewal inter-arrival
+  and service laws are optional.
+* ``mtm1_sinusoidal`` -- the edge's single server under a sinusoidal
+  nonhomogeneous Poisson process, with per-cycle bins and the rush window.
+* ``mmk_cloud`` -- the cloud's k identical servers, with the wait of the
+  delayed requests.
 
 ``load_sim_config`` reads an ``edgeq simulate`` file into a ``SimConfig``.
 A field declared ``checked`` carries its domain: the loader casts the
@@ -26,13 +26,13 @@ Single-server waits come from the vectorized Lindley recursion
 one run handles millions of requests in milliseconds and is
 bit-reproducible for a fixed stream.
 
-Every runner ends in one metric layer, ``_summarize``. It computes only
+The runner ends in one metric layer, ``_summarize``. It computes only
 the ``SimMetrics`` fields that ``SimConfig.metrics`` names (all of them
 by default), and the others read NaN. A run builds its departure and
 sojourn arrays only when a named field, the instability check, the event
-log or the rush statistic reads them. The first ``int(n * warmup)``
-requests are a warm-up and are not counted. The window runs from the
-first counted arrival to the last departure, and
+log, the rush statistic or the destination reads them. The first
+``int(n * warmup)`` requests are a warm-up and are not counted. The
+window runs from the first counted arrival to the last departure, and
 ``little_l`` is the time-average number in system over it: each request,
 counted or not, adds its overlap with the window. The tandem model's
 ``mean_wait`` composes the source-queue wait over all requests with the
@@ -126,7 +126,7 @@ class SimConfig:
     horizon_s: Optional[float] = checked(None, finite_nonnegative)
     warmup: float = checked(0.1, ranged(float, lambda x: 0 <= x < 1, "in [0, 1)"))
     network: Optional[NetworkSpec] = None
-    dest_rate: Optional[float] = checked(None, positive)  # destination service rate, default mu2
+    dest_rate: Optional[float] = checked(None, positive)  # destination service rate, default mu1
     dest_home_load: float = checked(0.0, finite_nonnegative)  # extra Poisson rate offered to queue 2
     two_stage_service: bool = checked(False, flag)  # explicit phase-1 + phase-2 stages
     bins_per_period: int = checked(100, count)
@@ -469,7 +469,7 @@ def _summarize(config, t, cut, rtt, mean_wait, busy, done=None, sojourn=None, se
 
 
 # ---------------------------------------------------------------------------
-# Model runners
+# The runner
 
 
 def _draw_arrivals(config: SimConfig, rng, rate: float, law: Optional[RenewalSpec] = None) -> np.ndarray:
@@ -508,93 +508,44 @@ def _phase_services(config: SimConfig, n: int, rng) -> tuple[np.ndarray, np.ndar
     return mig, s
 
 
-def run_two_phase_sim(config: SimConfig, stream: SeededStream) -> SimMetrics:
-    """Tandem edge simulation; see module docstring for the metric contract."""
-    config.validate()
-    if config.model != "two_phase_edge":
-        raise ConfigError(f"run_two_phase_sim cannot run model {config.model!r}")
-    q = config.queue
-    if not config.allow_unstable:
-        q.check_stable()
-    rng = stream.generator()
+def _destination(config: SimConfig, rng, t_mig: np.ndarray, horizon: float):
+    """The migrants' (waits, services, departures) at the destination site.
 
-    t = _draw_arrivals(config, rng, q.lam, config.arrivals or RenewalSpec(1.0 / q.lam))
-    n = len(t)
-    if n == 0:
-        return _metrics(config)
-    mig, s1 = _phase_services(config, n, rng)
-
-    w1 = lindley_waits(t, s1)
-    dep1 = t + w1
-    dep1 += s1
+    One FCFS server at ``dest_rate`` takes the migrants, arriving in order
+    at ``t_mig``, and a Poisson home load of ``dest_home_load`` over
+    [0, horizon). Unset, ``dest_rate`` is ``mu1``: the destination is an
+    ordinary edge site, as in ``analytic.destination_wait``.
+    """
     if __debug__:
         # tolerance covers float cancellation in the reflected-walk form
-        assert np.all(np.diff(dep1) >= -1e-9), "FCFS departures left order"
-
-    # destination queue: migrated stream, optionally plus a home load
-    dest_rate = config.dest_rate if config.dest_rate is not None else q.mu2
-    t_mig = dep1[mig]
-    if config.dest_home_load > 0 and len(dep1):
-        home = poisson_arrivals(config.dest_home_load, float(dep1[-1]), rng)
-        q2_t = np.concatenate([t_mig, home])
-        from_mig = np.concatenate([np.ones(len(t_mig), bool), np.zeros(len(home), bool)])
-        order = np.argsort(q2_t, kind="stable")
-        q2_t, from_mig = q2_t[order], from_mig[order]
-    else:
-        q2_t, from_mig = t_mig, np.ones(len(t_mig), bool)
-    if math.isinf(dest_rate):
-        s2 = np.zeros(len(q2_t))
-    else:
-        s2 = rng.exponential(1.0 / dest_rate, len(q2_t))
-    w2_all = lindley_waits(q2_t, s2)
-    dep2_all = q2_t + w2_all + s2
-    w2 = w2_all[from_mig]
-    dep2 = dep2_all[from_mig]
-
-    # per-request totals in arrival order, built only for what reads them
-    sojourn = done = None
-    if not PER_REQUEST.isdisjoint(config.metrics):
-        sojourn = w1 + s1
-        sojourn[mig] += w2
-        sojourn[mig] += s2[from_mig]
-    if _departures_read(config):
-        done = dep1.copy()
-        done[mig] = dep2
-    _check_instability(config, t, done)
-
-    if config.event_log:
-        _write_event_log(
-            config.event_log,
-            ("edge", np.arange(n), t, t + w1, dep1),
-            ("dest", mig, t_mig, t_mig + w2, dep2),
-        )
-
-    cut = int(n * config.warmup)
-    w2c = w2[np.searchsorted(mig, cut):]  # destination waits of counted migrants
-    mean_w2 = float(np.mean(w2c)) if len(w2c) else 0.0
-    rtt = config.network.t_edge if config.network is not None else 0.0
-    return _summarize(
-        config, t, cut, rtt, float(np.mean(w1[cut:])) + mean_w2, s1, done, sojourn, count_migrated=len(w2c)
-    )
+        assert np.all(np.diff(t_mig) >= -1e-9), "FCFS departures left order"
+    t, mine = t_mig, slice(None)
+    if config.dest_home_load > 0:
+        t = np.concatenate([t_mig, poisson_arrivals(config.dest_home_load, horizon, rng)])
+        order = np.argsort(t, kind="stable")
+        t, mine = t[order], order < len(t_mig)
+    rate = config.queue.mu1 if config.dest_rate is None else config.dest_rate
+    s = np.zeros(len(t)) if math.isinf(rate) else rng.exponential(1.0 / rate, len(t))
+    w = lindley_waits(t, s)
+    return w[mine], s[mine], (t + w + s)[mine]
 
 
-def run_station_sim(config: SimConfig, stream: SeededStream) -> tuple[SimMetrics, Optional[TimeSeriesMetrics]]:
-    """One FCFS station: the sinusoidal edge M(t)/M/1 or the cloud M/M/k pool.
+def run_model(config: SimConfig, stream: SeededStream) -> tuple[SimMetrics, Optional[TimeSeriesMetrics]]:
+    """One run of ``config.model``: (metrics, time series or None).
 
-    Returns the metrics and, with a profile, the per-cycle bins and the
-    rush window (else None). The pool also reports the wait conditioned
-    on being delayed.
+    One FCFS station pass: the edge's single server or the cloud's k-server
+    pool. The tandem then sends its migrants through ``_destination``. A
+    profile returns the per-cycle bins and the rush window; the pool also
+    reports the wait conditioned on being delayed.
     """
     config.validate()
-    if config.model == "two_phase_edge":
-        raise ConfigError("run_station_sim cannot run the tandem two_phase_edge; use run_two_phase_sim")
-    pool, prof, net = config.cloud, config.profile, config.network
+    q, pool, prof, net = config.queue, config.cloud, config.profile, config.network
+    tandem = config.model == "two_phase_edge"
+    if prof is None and not config.allow_unstable:  # a sinusoid may overload the edge for part of each cycle
+        (q if pool is None else pool).check_stable()
     if pool is not None:
-        if not config.allow_unstable:
-            pool.check_stable()
         k, mu, rate, queue_id = pool.k, pool.mu_cloud, pool.arrival_rate, "cloud"
     else:
-        q = config.queue
         k, mu, rate, queue_id = 1, effective_service_rate(q.mu1, q.mu2, q.r), q.lam, "edge"
     rtt = 0.0 if net is None else net.t_cloud if pool is not None else net.t_edge
     ts = None
@@ -607,37 +558,56 @@ def run_station_sim(config: SimConfig, stream: SeededStream) -> tuple[SimMetrics
         )
     rng = stream.generator()
 
-    t = _draw_arrivals(config, rng, rate)
+    # The tandem always passes a renewal law, so over horizon_s it draws exponential
+    # renewals, not poisson_arrivals: that draw order is fixed by stream format 0.2.0.
+    t = _draw_arrivals(config, rng, rate, (config.arrivals or RenewalSpec(1.0 / q.lam)) if tandem else None)
     n = len(t)
     if n == 0:
         return _metrics(config), ts
     mig = None
-    if config.two_stage_service:
+    if tandem or config.two_stage_service:
         mig, s = _phase_services(config, n, rng)
     else:
         s = rng.exponential(1.0 / mu, n)
     w = multiserver_waits(t, s, k)
     served = ts is not None and ts.window is not None and config.rush_stat == "served"  # rush reads departures
     dep = None
-    if _departures_read(config) or config.event_log or served:
+    if tandem or _departures_read(config) or config.event_log or served:
         dep = t + w
         dep += s
-    _check_instability(config, t, dep)
+    done = dep
+    if tandem:
+        t_mig = dep[mig]
+        w2, s2, dep2 = _destination(config, rng, t_mig, float(dep[-1]))
+        if _departures_read(config):
+            done = dep.copy()
+            done[mig] = dep2
+    _check_instability(config, t, done)
     if config.event_log:
-        _write_event_log(config.event_log, (queue_id, np.arange(n), t, t + w, dep))
+        dest = [("dest", mig, t_mig, t_mig + w2, dep2)] if tandem else []
+        _write_event_log(config.event_log, (queue_id, np.arange(n), t, t + w, dep), *dest)
 
     cut = int(n * config.warmup)
     wc = w[cut:]
+    mean_wait = float(np.mean(wc))
+    extra = {}
+    if mig is not None:
+        first = int(np.searchsorted(mig, cut))  # the first counted migrant
+        extra["count_migrated"] = len(mig) - first
+        if tandem and first < len(mig):
+            mean_wait += float(np.mean(w2[first:]))  # the destination wait per counted migrant
     if ts is not None:
         _observe_cycle(ts, t[cut:], wc, dep[cut:] if served else None)
-    extra = {}
-    if mig is not None and "count_migrated" in config.metrics:
-        extra["count_migrated"] = len(mig) - int(np.searchsorted(mig, cut))
     if pool is not None and "mean_wait_conditional" in config.metrics:
         delayed = wc[wc > 0.0]
         extra["mean_wait_conditional"] = float(np.mean(delayed)) if len(delayed) else 0.0
-    sojourn = w + s if not PER_REQUEST.isdisjoint(config.metrics) else None
-    return _summarize(config, t, cut, rtt, float(np.mean(wc)), s, dep, sojourn, servers=k, **extra), ts
+    sojourn = None
+    if not PER_REQUEST.isdisjoint(config.metrics):
+        sojourn = w + s
+        if tandem:
+            sojourn[mig] += w2
+            sojourn[mig] += s2
+    return _summarize(config, t, cut, rtt, mean_wait, s, done, sojourn, servers=k, **extra), ts
 
 
 def _observe_cycle(ts: TimeSeriesMetrics, tc: np.ndarray, wc: np.ndarray, depc: Optional[np.ndarray]) -> None:
@@ -660,13 +630,6 @@ def _observe_cycle(ts: TimeSeriesMetrics, tc: np.ndarray, wc: np.ndarray, depc: 
         # the window may wrap the cycle, so tc - t1 can be negative: keep mod
         inside = np.mod((tc if depc is None else depc) - t1, period) <= t2 - t1
         ts.rush_sum, ts.rush_count = float(np.sum(wc[inside])), int(np.count_nonzero(inside))
-
-
-def run_model(config: SimConfig, stream: SeededStream) -> tuple[SimMetrics, Optional[TimeSeriesMetrics]]:
-    """One run of ``config.model``: (metrics, time series or None)."""
-    if config.model == "two_phase_edge":
-        return run_two_phase_sim(config, stream), None
-    return run_station_sim(config, stream)
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ This module is the only sampling layer: the simulators draw every
 arrival process and service law through the samplers below. Each sampler
 takes a ``np.random.Generator`` and draws from it in a fixed order, so a
 run builds one generator and threads it through every sampler it calls.
-``SeededStream`` appears only where a run starts (the ``desim`` runners,
+``SeededStream`` appears only where a run starts (``desim.run_model``,
 ``replicate``, the harness, the CLI and the capacity trace and packing
 entry points). A stream is a seed and a spawn-key tuple; its generator
 is numpy's SFC64 seeded from ``SeedSequence(seed, spawn_key=key)``, so

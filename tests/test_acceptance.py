@@ -36,7 +36,7 @@ from edgeq import (
     simulate_packing,
 )
 from edgeq.capacity import Topology
-from edgeq.desim import replicate, run_two_phase_sim
+from edgeq.desim import replicate, run_model
 from edgeq.harness import load_scenario, run_scenario
 from edgeq.specs import PhaseMoments
 from edgeq.workload import nhpp_sinusoidal
@@ -356,7 +356,7 @@ def test_criterion_8_statistical_hygiene():
         model="two_phase_edge", queue=QueueSpec(20.0, 50.0, 50.0, 0.0),
         horizon_requests=1_000_000, warmup=0.1,
     )
-    m = run_two_phase_sim(config, SeededStream(3001))
+    m = run_model(config, SeededStream(3001))[0]
     lam_hat = m.count_served / m.window_duration
     little_gap = abs(m.little_l - lam_hat * m.mean_sojourn) / m.little_l
     ok_little = little_gap <= 0.02
@@ -391,7 +391,7 @@ def test_criterion_8_statistical_hygiene():
         model="two_phase_edge", queue=QueueSpec(20.0, 50.0, 50.0, 0.3),
         horizon_requests=1_000_000, warmup=0.1,
     )
-    mm = run_two_phase_sim(config_mig, SeededStream(3003))
+    mm = run_model(config_mig, SeededStream(3003))[0]
     frac = mm.count_migrated / mm.count_served
     mig_gap = abs(frac - 0.3)
     ok_mig = mig_gap <= 3 * math.sqrt(0.3 * 0.7 / mm.count_served)

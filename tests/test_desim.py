@@ -1,6 +1,7 @@
 """Simulator tests: analytic oracles, conservation, and reproducibility."""
 import csv
 import dataclasses
+import hashlib
 import math
 import statistics
 
@@ -29,8 +30,7 @@ from edgeq import (
     overload_window,
     renewal_times,
     replicate,
-    run_station_sim,
-    run_two_phase_sim,
+    run_model,
 )
 from edgeq.analytic import effective_service_rate
 from edgeq import desim
@@ -174,7 +174,7 @@ class TestTwoPhaseSim:
         with pytest.warns(UserWarning) as direct:
             renewal_times(spec, 1, SeededStream(0).generator())
         with pytest.warns(UserWarning) as simulated:
-            run_two_phase_sim(two_phase_config(10.0, 0.1, n=1000, service1=spec), SeededStream(102))
+            run_model(two_phase_config(10.0, 0.1, n=1000, service1=spec), SeededStream(102))
         assert [str(w.message) for w in simulated] == [str(w.message) for w in direct]
 
     @pytest.mark.parametrize("horizon", [{"horizon_requests": -1}, {"horizon_s": -1.0}])
@@ -182,56 +182,49 @@ class TestTwoPhaseSim:
         cfg = SimConfig(model="two_phase_edge", queue=QueueSpec(10.0, 50.0, 50.0, 0.1), **horizon)
         (key,) = horizon
         with pytest.raises(ConfigError, match=rf"simulation\.{key} \(SimConfig\.{key}\): must be"):
-            run_two_phase_sim(cfg, SeededStream(102))
+            run_model(cfg, SeededStream(102))
 
     def test_zero_requests_give_zero_metrics(self):
-        m = run_two_phase_sim(two_phase_config(10.0, 0.1, n=0), SeededStream(102))
+        m = run_model(two_phase_config(10.0, 0.1, n=0), SeededStream(102))[0]
         assert m.count_served == 0 and m.mean_wait == 0.0
 
     def test_deterministic_for_fixed_stream(self):
-        a = run_two_phase_sim(two_phase_config(20.0, 0.3, n=50_000), SeededStream(103, 4))
-        b = run_two_phase_sim(two_phase_config(20.0, 0.3, n=50_000), SeededStream(103, 4))
+        a = run_model(two_phase_config(20.0, 0.3, n=50_000), SeededStream(103, 4))[0]
+        b = run_model(two_phase_config(20.0, 0.3, n=50_000), SeededStream(103, 4))[0]
         assert a == b
 
     def test_migration_fraction_within_three_sigma(self):
-        m = run_two_phase_sim(two_phase_config(20.0, 0.3, n=200_000), SeededStream(104))
+        m = run_model(two_phase_config(20.0, 0.3, n=200_000), SeededStream(104))[0]
         n = m.count_served
         assert abs(m.count_migrated / n - 0.3) <= 3 * math.sqrt(0.3 * 0.7 / n)
 
     def test_observed_utilization_tracks_offered_load(self):
-        m = run_two_phase_sim(two_phase_config(20.0, 0.3, n=1_000_000), SeededStream(105))
+        m = run_model(two_phase_config(20.0, 0.3, n=1_000_000), SeededStream(105))[0]
         assert m.utilization_observed == pytest.approx(20 / 50 + 0.3 * 20 / 50, rel=0.01)
 
     @pytest.mark.parametrize("model", ["two_phase_edge", "mmk_cloud", "mtm1_sinusoidal"])
     def test_littles_law(self, model):
         # M/M/4 departures leave arrival order; the sinusoid's load changes over the window
         if model == "two_phase_edge":
-            m = run_two_phase_sim(two_phase_config(20.0, 0.0, n=1_000_000), SeededStream(106))
+            m = run_model(two_phase_config(20.0, 0.0, n=1_000_000), SeededStream(106))[0]
         elif model == "mmk_cloud":
             cfg = SimConfig(model="mmk_cloud", cloud=CloudSpec(4, 50.0, 0.8), horizon_requests=400_000)
-            m, _ = run_station_sim(cfg, SeededStream(106))
+            m, _ = run_model(cfg, SeededStream(106))
         else:
-            m, _ = run_station_sim(mtm1_config(0.5, horizon_s=20_000.0), SeededStream(106))
+            m, _ = run_model(mtm1_config(0.5, horizon_s=20_000.0), SeededStream(106))
         lam_hat = m.count_served / m.window_duration
         assert m.little_l == pytest.approx(lam_hat * m.mean_sojourn, rel=0.02)
 
     def test_rtt_added_to_response(self):
         net = NetworkSpec(t_edge=0.005, t_cloud=0.028)
-        base = run_two_phase_sim(two_phase_config(10.0, 0.1, n=20_000), SeededStream(107))
-        with_net = run_two_phase_sim(
-            two_phase_config(10.0, 0.1, n=20_000, network=net), SeededStream(107)
-        )
+        base = run_model(two_phase_config(10.0, 0.1, n=20_000), SeededStream(107))[0]
+        with_net = run_model(two_phase_config(10.0, 0.1, n=20_000, network=net), SeededStream(107))[0]
         assert with_net.mean_response == pytest.approx(base.mean_response + 0.005, rel=1e-9)
         assert with_net.mean_wait == pytest.approx(base.mean_wait, rel=1e-12)
 
     def test_unstable_config_rejected(self):
         with pytest.raises(UnstableQueue):
-            run_two_phase_sim(two_phase_config(40.0, 0.3), SeededStream(108))
-
-    def test_wrong_model_rejected(self):
-        cfg = SimConfig(model="mmk_cloud", cloud=CloudSpec(1, 50, 0.5), horizon_requests=10)
-        with pytest.raises(ConfigError):
-            run_two_phase_sim(cfg, SeededStream(109))
+            run_model(two_phase_config(40.0, 0.3), SeededStream(108))
 
     def test_instability_heuristic_trips(self):
         cfg = SimConfig(
@@ -242,12 +235,12 @@ class TestTwoPhaseSim:
             max_in_system=500,
         )
         with pytest.raises(InstabilityDetected):
-            run_two_phase_sim(cfg, SeededStream(110))
+            run_model(cfg, SeededStream(110))
 
     def test_event_log_schema(self, tmp_path):
         log = tmp_path / "events.csv"
         cfg = two_phase_config(10.0, 0.5, n=200, event_log=str(log))
-        run_two_phase_sim(cfg, SeededStream(111))
+        run_model(cfg, SeededStream(111))
         with open(log) as fh:
             rows = list(csv.reader(fh))
         assert rows[0] == ["event_time", "event_type", "request_id", "queue_id"]
@@ -268,7 +261,7 @@ class TestTwoPhaseSim:
         monkeypatch.setattr(desim, "_write_event_log", recording)
         log = tmp_path / "events.csv"
         cfg = two_phase_config(20.0, 0.5, n=3000, dest_rate=dest_rate, event_log=str(log))
-        run_two_phase_sim(cfg, SeededStream(113))
+        run_model(cfg, SeededStream(113))
 
         rows = []  # the tuple-sort writer the vectorised one replaced, as the oracle
         for queue_id, ids, arrivals, starts, departures in written[0]:
@@ -300,12 +293,12 @@ class TestTwoPhaseSim:
         rng = stream.generator()  # the run's draws, in its order
         if model == "two_phase_edge":
             cfg = two_phase_config(20.0, 0.3, n=200_000)
-            run_two_phase_sim(cfg, stream)
+            run_model(cfg, stream)
             n = cfg.horizon_requests
             rng.exponential(1.0 / cfg.queue.lam, n)
         else:
             cfg = mtm1_config(0.5, horizon_s=20_000.0, two_stage_service=True)
-            run_station_sim(cfg, stream)
+            run_model(cfg, stream)
             n = len(nhpp_sinusoidal(cfg.profile, cfg.horizon_s, rng))
         q = cfg.queue
         migrate = rng.random(n) < q.r
@@ -316,6 +309,13 @@ class TestTwoPhaseSim:
         # E[s1] = 1/mu1 + r/mu2, within three standard errors
         s1 = services[0]
         assert abs(s1.mean() - (1.0 / q.mu1 + q.r / q.mu2)) <= 3 * s1.std(ddof=1) / math.sqrt(n)
+
+    @pytest.mark.parametrize("mu1, mu2", [(50.0, 20.0), (20.0, 50.0)])
+    def test_destination_serves_at_mu1_by_default(self, mu1, mu2):
+        # the destination is an ordinary edge site, as in analytic.destination_wait
+        spec = QueueSpec(10.0, mu1, mu2, 0.3)
+        agg = replicate(SimConfig(model="two_phase_edge", queue=spec, horizon_requests=200_000), 10, SeededStream(114))
+        assert agg.mean.mean_wait == pytest.approx(mm1_two_phase_wait(spec), rel=0.05)
 
     def test_home_load_slows_destination(self):
         quiet = replicate(two_phase_config(10.0, 0.3, n=50_000), 3, SeededStream(112))
@@ -378,13 +378,13 @@ class TestMmkSim:
 
     def test_zero_arrival_rate_gives_zero_metrics(self):
         cfg = SimConfig(model="mmk_cloud", cloud=CloudSpec(4, 50.0, 0.0), horizon_s=100.0)
-        m, _ = run_station_sim(cfg, SeededStream(132))
+        m, _ = run_model(cfg, SeededStream(132))
         assert m.count_served == 0
 
     def test_unstable_pool_rejected(self):
         cfg = SimConfig(model="mmk_cloud", cloud=CloudSpec(4, 50.0, 1.2), horizon_requests=100)
         with pytest.raises(UnstableQueue):
-            run_station_sim(cfg, SeededStream(133))
+            run_model(cfg, SeededStream(133))
 
 
 class TestMtm1Sim:
@@ -395,14 +395,14 @@ class TestMtm1Sim:
         assert agg.mean.mean_wait == pytest.approx(rho / (mu_eff * (1 - rho)), rel=0.05)
 
     def test_rush_window_populated_only_under_overload(self):
-        _, ts_low = run_station_sim(mtm1_config(0.3), SeededStream(141))
+        _, ts_low = run_model(mtm1_config(0.3), SeededStream(141))
         assert ts_low.rush_window() is None
-        _, ts_high = run_station_sim(mtm1_config(0.8), SeededStream(141))
+        _, ts_high = run_model(mtm1_config(0.8), SeededStream(141))
         t1, t2, wait = ts_high.rush_window()
         assert 0 <= t1 < t2 and wait > 0
 
     def test_bins_cover_one_period(self):
-        _, ts = run_station_sim(mtm1_config(0.5, bins_per_period=50), SeededStream(142))
+        _, ts = run_model(mtm1_config(0.5, bins_per_period=50), SeededStream(142))
         bins = ts.bins
         assert len(bins) == 50
         centers = [b[0] for b in bins]
@@ -414,7 +414,7 @@ class TestMtm1Sim:
     @pytest.mark.parametrize("stat", ["peak_bin", "arrivals", "served"])
     def test_rush_window_matches_recomputed_statistic(self, stat):
         cfg = mtm1_config(0.8, horizon_s=1000.0, bins_per_period=40, rush_stat=stat)
-        _, ts = run_station_sim(cfg, SeededStream(145))
+        _, ts = run_model(cfg, SeededStream(145))
         # the run's own draws, in its order: arrivals, then service times
         rng = SeededStream(145).generator()
         t = nhpp_sinusoidal(cfg.profile, cfg.horizon_s, rng)
@@ -441,16 +441,16 @@ class TestMtm1Sim:
 
     def test_rush_stats_variants_ordered(self):
         cfg = mtm1_config(0.8)
-        _, ts = run_station_sim(cfg, SeededStream(143))
+        _, ts = run_model(cfg, SeededStream(143))
         peak = ts.rush_window()[2]
         for stat in ("arrivals", "served"):
-            _, other = run_station_sim(
+            _, other = run_model(
                 mtm1_config(0.8, rush_stat=stat), SeededStream(143)
             )
             assert other.rush_window()[2] <= peak
 
     def test_two_stage_service_counts_migrants(self):
-        m, _ = run_station_sim(mtm1_config(0.2, two_stage_service=True), SeededStream(144))
+        m, _ = run_model(mtm1_config(0.2, two_stage_service=True), SeededStream(144))
         frac = m.count_migrated / m.count_served
         assert frac == pytest.approx(0.3, abs=0.02)
 
@@ -512,18 +512,12 @@ class TestPooledWith:
 
 
 def subset_configs():
-    """(runner, config) per model, each small and reading every array it can."""
+    """One config per model, each small and reading every array it can."""
     net = NetworkSpec(0.002, 0.03)
-
-    def station(config, stream):
-        return run_station_sim(config, stream)[0]
-
     return {
-        "two_phase_edge": (run_two_phase_sim, two_phase_config(20.0, 0.4, n=3000, network=net, dest_home_load=4.0)),
-        "mtm1_sinusoidal": (station, mtm1_config(
-            0.8, horizon_s=300.0, network=net, two_stage_service=True, rush_stat="served")),
-        "mmk_cloud": (station, SimConfig(
-            model="mmk_cloud", cloud=CloudSpec(3, 10.0, 0.8), horizon_requests=3000, network=net)),
+        "two_phase_edge": two_phase_config(20.0, 0.4, n=3000, network=net, dest_home_load=4.0),
+        "mtm1_sinusoidal": mtm1_config(0.8, horizon_s=300.0, network=net, two_stage_service=True, rush_stat="served"),
+        "mmk_cloud": SimConfig(model="mmk_cloud", cloud=CloudSpec(3, 10.0, 0.8), horizon_requests=3000, network=net),
     }
 
 
@@ -532,9 +526,9 @@ class TestRequestedMetrics:
     @given(st.sampled_from(list(desim.MODELS)), st.sets(st.sampled_from(SimMetrics.FIELDS)),
            st.integers(0, 2**32 - 1))
     def test_subset_equals_full_run_and_nan_elsewhere(self, model, subset, seed):
-        run, cfg = subset_configs()[model]
-        full = run(cfg, SeededStream(seed))
-        part = run(dataclasses.replace(cfg, metrics=tuple(subset)), SeededStream(seed))
+        cfg = subset_configs()[model]
+        full = run_model(cfg, SeededStream(seed))[0]
+        part = run_model(dataclasses.replace(cfg, metrics=tuple(subset)), SeededStream(seed))[0]
         for f in SimMetrics.FIELDS:
             got = getattr(part, f)
             if f in subset:
@@ -544,7 +538,7 @@ class TestRequestedMetrics:
 
     @pytest.mark.parametrize("model", desim.MODELS)
     def test_replicate_aggregates_only_the_named_fields(self, model):
-        _, cfg = subset_configs()[model]
+        cfg = subset_configs()[model]
         full = replicate(cfg, 3, SeededStream(160))
         part = replicate(dataclasses.replace(cfg, metrics=("mean_wait", "p95_response")), 3, SeededStream(160))
         assert set(part.stderr) == set(part.ci95) == {"mean_wait", "p95_response"}
@@ -554,22 +548,63 @@ class TestRequestedMetrics:
 
     def test_zero_requests_read_zero_in_the_named_fields(self):
         cfg = two_phase_config(10.0, 0.1, n=0, metrics=("mean_wait", "count_served"))
-        m = run_two_phase_sim(cfg, SeededStream(161))
+        m = run_model(cfg, SeededStream(161))[0]
         assert (m.mean_wait, m.count_served) == (0.0, 0) and math.isnan(m.p95_response)
 
     @pytest.mark.parametrize("metrics", [("mean_wait", "p99_response"), ("waits",), "mean_wait"])
     @pytest.mark.parametrize("model", desim.MODELS)
     def test_unknown_field_rejected(self, model, metrics):
-        run, cfg = subset_configs()[model]
+        cfg = subset_configs()[model]
         with pytest.raises(ConfigError, match="metrics"):
-            run(dataclasses.replace(cfg, metrics=metrics), SeededStream(162))
+            run_model(dataclasses.replace(cfg, metrics=metrics), SeededStream(162))
+
+
+def pinned_configs(event_log):
+    """One small config per model, reaching every draw and array its model has."""
+    return {
+        "two_phase_edge": SimConfig(
+            model="two_phase_edge", queue=QueueSpec(10.0, 50.0, 40.0, 0.3), horizon_requests=2000,
+            arrivals=RenewalSpec(0.1, 2.0, "hyperexponential2"), service1=RenewalSpec(0.02, 0.5, "erlang"),
+            service2=RenewalSpec(0.025, 1.5, "lognormal"), dest_rate=45.0, dest_home_load=4.0,
+            network=NetworkSpec(0.002, 0.03), event_log=event_log,
+        ),
+        "mtm1_sinusoidal": mtm1_config(0.8, horizon_s=400.0, two_stage_service=True, rush_stat="served"),
+        "mmk_cloud": SimConfig(model="mmk_cloud", cloud=CloudSpec(3, 10.0, 0.8), horizon_requests=3000),
+    }
+
+
+# sha256 of repr(SimMetrics), the bin arrays, the rush sums and the event-log bytes of one seeded run
+PINNED = {
+    "two_phase_edge": "8a7baa9bfc98e479ed4d7158cc020a82530a255f1d3ee8abb06dac409d59720b",
+    "mtm1_sinusoidal": "172503fdc8d96a237634a6cc730d311a7203e350896bf1297e6a15246d690dc6",
+    "mmk_cloud": "02cf63120993a6d6fddd78ebb3856c1b498f01ea380a3f29817433f631b86ad7",
+}
+
+
+class TestPinnedStreams:
+    @pytest.mark.parametrize("model", desim.MODELS)
+    def test_seeded_outputs_match_their_pins(self, tmp_path, model):
+        log = tmp_path / "events.csv"
+        cfg = pinned_configs(str(log))[model]
+        m, ts = run_model(cfg, SeededStream(180))
+        digest = hashlib.sha256(repr(m).encode())
+        if ts is not None:
+            for values in (ts.bin_wait_sum, ts.bin_count, ts.bin_exposure):
+                digest.update(values.tobytes())
+            digest.update(repr((ts.rush_sum, ts.rush_count)).encode())
+        if cfg.event_log is not None:
+            digest.update(log.read_bytes())
+        assert digest.hexdigest() == PINNED[model], (
+            f"{model}: a seeded output moved. The pins hold for stream format 0.2.0 (recorded on numpy 2.4); "
+            "change one only with a stream-format version bump"
+        )
 
 
 class TestReplicate:
     def test_single_run_equals_child_zero(self):
         cfg = two_phase_config(10.0, 0.1, n=20_000)
         agg = replicate(cfg, 1, SeededStream(150))
-        single = run_two_phase_sim(cfg, SeededStream(150).child(0))
+        single = run_model(cfg, SeededStream(150).child(0))[0]
         assert agg.mean.mean_wait == single.mean_wait
         assert agg.stderr["mean_wait"] == 0.0 and agg.ci95["mean_wait"] == 0.0
 
@@ -584,7 +619,7 @@ class TestReplicate:
         # 30 -> 120 width ratio is sqrt(30/120) times the ratio of the sample sds
         cfg = two_phase_config(10.0, 0.1, n=20_000)
         base = SeededStream(152)
-        runs = [desim.run_model(cfg, base.child(i))[0].mean_wait for i in range(120)]
+        runs = [run_model(cfg, base.child(i))[0].mean_wait for i in range(120)]
         sd = {n: statistics.stdev(runs[:n]) for n in (30, 120)}
         ci = {n: replicate(cfg, n, base).ci95["mean_wait"] for n in (30, 120)}
         for n in (30, 120):
@@ -593,6 +628,6 @@ class TestReplicate:
 
     def test_conservation_all_requests_accounted(self):
         cfg = two_phase_config(10.0, 0.3, n=40_000, warmup=0.0)
-        m = run_two_phase_sim(cfg, SeededStream(153))
+        m = run_model(cfg, SeededStream(153))[0]
         assert m.count_served == 40_000
         assert m.count_migrated <= m.count_served
