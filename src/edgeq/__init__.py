@@ -34,6 +34,7 @@ from .capacity import (
     PackingReport,
     Topology,
     VmRequest,
+    VmTrace,
     cloud_capacity_equivalent,
     dtrp_response_time,
     edge_overprovision_factor,

@@ -7,7 +7,8 @@ nothing queues come from a sorted +/-cores sweep. A saturated site is one
 server, so the sweep replays it as one FIFO pool of cores, where first and
 best fit place alike.
 
-The general replay, `simulate_packing`, is one event loop over a trace in
+A trace is a `VmTrace` of columns (`VmRequest` is one row of it). The
+general replay, `simulate_packing`, is one event loop over a trace in
 arrival order; it serves `edgeq capacity pack` and is the oracle the sweep
 is tested against. Releases due by an arrival time run before that time's
 arrival batch and never inside it. Each site keeps a FIFO of the VMs that
@@ -26,6 +27,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from .config import REQUIRED, Checked, checked, count, finite_positive, ranged, read
 from .errors import DomainError, EmptyTrace, OversizedVm, ParseError, UnstableQueue
 from .specs import DtrpSpec
 from .workload import SeededStream, poisson_arrivals
@@ -89,8 +91,26 @@ def dtrp_response_time(spec: DtrpSpec, lam: float, cloud: bool = False) -> float
 # Traces
 
 
+# Each VM field's rule, in field order (arrival, lifetime, cores), as (test, complaint);
+# a test reads one number or a numpy column alike, so a row and a whole trace share it.
+_VM_RULES = (
+    (lambda a: (a > -math.inf) & (a < math.inf), "arrival must be finite, got {!r}"),
+    (lambda x: (x > 0) & (x < math.inf), "lifetime must be finite and positive, got {!r}"),
+    (lambda c: (c >= 1) & (c % 1 == 0), "cores must be an integer >= 1"),
+)
+
+
+def _check_vm(vm_id, arrival, lifetime, cores) -> None:
+    """Raise DomainError naming the VM at the first of its values that breaks its rule."""
+    for (test, complaint), value in zip(_VM_RULES, (arrival, lifetime, cores)):
+        if not test(value):
+            raise DomainError(f"VM {vm_id}: {complaint.format(value)}")
+
+
 @dataclass(frozen=True, slots=True)
 class VmRequest:
+    """One VM of a trace; `VmTrace` holds a whole trace as columns."""
+
     id: str
     arrival: float
     lifetime: float
@@ -98,21 +118,86 @@ class VmRequest:
     site_hint: Optional[int] = None
 
     def __post_init__(self):
-        if not -math.inf < self.arrival < math.inf:
-            raise DomainError(f"VM {self.id}: arrival must be finite, got {self.arrival!r}")
-        if not 0 < self.lifetime < math.inf:
-            raise DomainError(f"VM {self.id}: lifetime must be finite and positive, got {self.lifetime!r}")
-        if self.cores < 1 or int(self.cores) != self.cores:
-            raise DomainError(f"VM {self.id}: cores must be an integer >= 1")
+        _check_vm(self.id, self.arrival, self.lifetime, self.cores)
+
+
+class VmTrace:
+    """A VM trace as columns, in trace order.
+
+    ``arrival`` and ``lifetime`` are float64 and ``cores`` int64;
+    ``site_hint`` is int64, or None unless every VM carries a hint. ``ids``
+    is a list of names, or None to name VM i ``vm{i}`` (`vm_id`). Each row
+    is checked by the `VmRequest` rules on construction, all at once; the
+    first bad row raises the DomainError its `VmRequest` would. ``trace[i]``
+    is row i as a `VmRequest` (so iterating yields the rows), and
+    `VmTrace.of` reads a sequence of them.
+    """
+
+    __slots__ = ("arrival", "lifetime", "cores", "site_hint", "ids")
+
+    def __init__(self, arrival, lifetime, cores, site_hint=None, ids=None):
+        self.arrival = np.asarray(arrival, dtype=np.float64)
+        self.lifetime = np.asarray(lifetime, dtype=np.float64)
+        cores = np.asarray(cores)
+        hints = None if site_hint is None else np.asarray(site_hint)
+        self.ids = ids
+        columns = (self.arrival, self.lifetime, cores)
+        shape = self.arrival.shape
+        others = (self.lifetime, cores, hints, ids)
+        if len(shape) != 1 or any(np.shape(col) != shape for col in others if col is not None):
+            raise DomainError("trace columns must be 1-D and of one length")
+        ok = np.logical_and.reduce([test(col) for col, (test, _) in zip(columns, _VM_RULES)])
+        if not ok.all():
+            i = int(ok.argmin())
+            _check_vm(self.vm_id(i), *(col.tolist()[i] for col in columns))
+        self.cores = self._int64(cores, "cores")
+        self.site_hint = None if hints is None else self._int64(hints, "site_hint")
+
+    def _int64(self, column: np.ndarray, field: str) -> np.ndarray:
+        """``column`` as int64; the first VM whose value is no int64 raises DomainError."""
+        fits = (column % 1 == 0) & (column >= -(2**63)) & (column < 2**63)
+        if not fits.all():
+            i = int(fits.argmin())
+            raise DomainError(f"VM {self.vm_id(i)}: {field} must be a 64-bit integer, got {column.tolist()[i]!r}")
+        return column.astype(np.int64)
+
+    @classmethod
+    def of(cls, trace) -> "VmTrace":
+        """``trace`` itself if it is a VmTrace, else its `VmRequest` rows read once into columns."""
+        if isinstance(trace, VmTrace):
+            return trace
+        rows = list(trace)
+        hints = [r.site_hint for r in rows]
+        return cls(
+            [r.arrival for r in rows], [r.lifetime for r in rows], [r.cores for r in rows],
+            None if None in hints else hints, [r.id for r in rows],
+        )
+
+    def vm_id(self, i) -> str:
+        return f"vm{i}" if self.ids is None else self.ids[i]
+
+    def __len__(self) -> int:
+        return len(self.arrival)
+
+    def __getitem__(self, i) -> VmRequest:
+        i = range(len(self))[i]  # an int index; negative counts from the end
+        hint = None if self.site_hint is None else int(self.site_hint[i])
+        return VmRequest(
+            self.vm_id(i), float(self.arrival[i]), float(self.lifetime[i]), int(self.cores[i]), hint
+        )
 
 
 TRACE_HEADER = ["vm_id", "arrival_s", "lifetime_s", "cores"]
 HINT_COLUMN = "site_hint"
 
 
-def load_vm_trace(path: str) -> list[VmRequest]:
-    """Read a `vm_id,arrival_s,lifetime_s,cores[,site_hint]` CSV, sorted by arrival."""
-    requests = []
+def load_vm_trace(path: str) -> VmTrace:
+    """Read a `vm_id,arrival_s,lifetime_s,cores[,site_hint]` CSV, sorted by arrival.
+
+    Each line is checked as it is read, so an error names the first bad
+    line in file order. The sort is stable: tied arrivals keep file order.
+    """
+    rows, hints = [], []
     try:
         fh = open(path, newline="", encoding="utf-8")
     except FileNotFoundError:
@@ -133,35 +218,50 @@ def load_vm_trace(path: str) -> list[VmRequest]:
                 raise ParseError(f"{path}:{lineno}: expected {len(header)} fields, got {len(row)}")
             try:
                 hint = int(row[4]) if len(row) > 4 else None
-                requests.append(
-                    VmRequest(row[0].strip(), float(row[1]), float(row[2]), int(row[3]), hint)
-                )
+                vm = (row[0].strip(), float(row[1]), float(row[2]), int(row[3]))
+                _check_vm(*vm)
             except (ValueError, DomainError) as exc:
                 raise ParseError(f"{path}:{lineno}: {exc}") from None
-    if not requests:
+            rows.append(vm)
+            hints.append(hint)
+    if not rows:
         raise EmptyTrace(f"{path}: no VM requests")
-    return sorted(requests, key=lambda r: r.arrival)
+    ids, arrival, lifetime, cores = zip(*rows)
+    order = np.argsort(arrival, kind="stable")
+    hinted = len(header) > len(TRACE_HEADER)
+    return VmTrace(
+        np.array(arrival)[order], np.array(lifetime)[order], np.array(cores)[order],
+        np.array(hints)[order] if hinted else None, [ids[i] for i in order.tolist()],
+    )
 
 
-def save_vm_trace(path: str, requests: Sequence[VmRequest]) -> None:
+def save_vm_trace(path: str, requests: VmTrace | Sequence[VmRequest]) -> None:
     """Write the trace CSV; the site_hint column is written when every VM carries a hint."""
-    hinted = all(r.site_hint is not None for r in requests)
+    trace = VmTrace.of(requests)
+    columns = [
+        map(trace.vm_id, range(len(trace))),
+        (f"{a:.9g}" for a in trace.arrival.tolist()),
+        (f"{x:.9g}" for x in trace.lifetime.tolist()),
+        trace.cores.tolist(),
+    ]
+    header = TRACE_HEADER
+    if trace.site_hint is not None:
+        header = TRACE_HEADER + [HINT_COLUMN]
+        columns.append(trace.site_hint.tolist())
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(TRACE_HEADER + [HINT_COLUMN] if hinted else TRACE_HEADER)
-        for r in requests:
-            row = [r.id, f"{r.arrival:.9g}", f"{r.lifetime:.9g}", r.cores]
-            writer.writerow(row + [r.site_hint] if hinted else row)
+        writer.writerow(header)
+        writer.writerows(zip(*columns))
 
 
-def trace_summary(requests: Sequence[VmRequest]) -> dict[str, float]:
-    cores = np.array([r.cores for r in requests])
+def trace_summary(requests: VmTrace | Sequence[VmRequest]) -> dict[str, float]:
+    trace = VmTrace.of(requests)
     return {
-        "count": len(requests),
-        "mean_cores": float(cores.mean()),
-        "min_cores": int(cores.min()),
-        "max_cores": int(cores.max()),
-        "span_s": float(requests[-1].arrival - requests[0].arrival),
+        "count": len(trace),
+        "mean_cores": float(trace.cores.mean()),
+        "min_cores": int(trace.cores.min()),
+        "max_cores": int(trace.cores.max()),
+        "span_s": float(trace.arrival[-1] - trace.arrival[0]),
     }
 
 
@@ -179,26 +279,24 @@ def synthetic_vm_trace(
     horizon: float,
     stream: SeededStream,
     k_sites: Optional[int] = None,
-) -> list[VmRequest]:
+) -> VmTrace:
     """Poisson VM arrivals with exponential lifetimes and Azure-like sizes.
 
     When k_sites is given, each VM carries a uniform site hint so edge and
     cloud runs see the identical assignment.
     """
-    if rate <= 0 or mean_lifetime <= 0 or horizon <= 0:
-        raise DomainError("rate, mean_lifetime and horizon must be positive")
-    if k_sites is not None and k_sites < 1:
-        raise DomainError(f"k_sites must be >= 1, got {k_sites}")
+    rate = read("rate", finite_positive, rate, DomainError)
+    mean_lifetime = read("mean_lifetime", finite_positive, mean_lifetime, DomainError)
+    horizon = read("horizon", finite_positive, horizon, DomainError)
+    if k_sites is not None:
+        k_sites = read("k_sites", count, k_sites, DomainError)
     rng = stream.generator()
     arrivals = poisson_arrivals(rate, horizon, rng)
     n = len(arrivals)
     lifetimes = rng.exponential(mean_lifetime, n)
     cores = rng.choice(VM_SIZES, size=n, p=VM_SIZE_PROBS)
-    hints = [None] * n if k_sites is None else rng.integers(0, k_sites, n).tolist()
-    return [
-        VmRequest(f"vm{i}", a, lf, c, h)
-        for i, (a, lf, c, h) in enumerate(zip(arrivals.tolist(), lifetimes.tolist(), cores.tolist(), hints))
-    ]
+    hints = None if k_sites is None else rng.integers(0, k_sites, n)
+    return VmTrace(arrivals, lifetimes, cores, hints)
 
 
 # ---------------------------------------------------------------------------
@@ -208,21 +306,18 @@ POLICIES = ("first_fit", "best_fit", "first_fit_decreasing_batch")
 
 
 @dataclass(frozen=True)
-class Topology:
+class Topology(Checked):
     """Server layout: cloud mode is a single pooled site."""
 
-    mode: str
-    k_sites: int
-    servers_per_site: int
-    cores_per_server: int
+    mode: str = checked(REQUIRED, ranged(str, lambda m: m in ("edge", "cloud"), "'edge' or 'cloud'"))
+    k_sites: int = checked(REQUIRED, count)
+    servers_per_site: int = checked(REQUIRED, count)
+    cores_per_server: int = checked(REQUIRED, count)
 
     def __post_init__(self):
-        if self.mode not in ("edge", "cloud"):
-            raise DomainError("mode must be 'edge' or 'cloud'")
+        super().__post_init__()
         if self.mode == "cloud" and self.k_sites != 1:
             raise DomainError("cloud mode pools everything into one site")
-        if min(self.k_sites, self.servers_per_site, self.cores_per_server) < 1:
-            raise DomainError("all topology counts must be >= 1")
 
 
 @dataclass
@@ -238,7 +333,7 @@ class PackingReport:
 
 
 def simulate_packing(
-    trace: Sequence[VmRequest],
+    trace: VmTrace | Sequence[VmRequest],
     topology: Topology,
     policy: str = "first_fit",
     site_assign: str = "uniform",
@@ -257,39 +352,34 @@ def simulate_packing(
     first, ties in trace order. Verifies conservation and never
     oversubscribes a server.
     """
+    trace = VmTrace.of(trace)
     if policy not in POLICIES:
         raise DomainError(f"unknown policy {policy!r}")
     if site_assign not in ("uniform", "hint"):
         raise DomainError(f"unknown site_assign {site_assign!r}")
-    if not trace:
+    n = len(trace)
+    if not n:
         raise EmptyTrace("trace contains no VM requests")
     cap = topology.cores_per_server
-    oversized = next((r for r in trace if r.cores > cap), None)
-    if oversized is not None:
-        raise OversizedVm(
-            f"VM {oversized.id} wants {oversized.cores} cores > server size {cap}"
-        )
-    times = [r.arrival for r in trace]
-    if times != sorted(times):
-        early = next(r for prev, r in zip(trace, trace[1:]) if r.arrival < prev.arrival)
-        raise DomainError(f"VM {early.id} arrives before the VM ahead of it; sort the trace by arrival")
+    _refuse_oversized(trace, cap)
+    _refuse_out_of_order(trace)
 
-    n = len(trace)
     n_sites = topology.k_sites if topology.mode == "edge" else 1
     if topology.mode == "cloud":
         site_of = [0] * n
     elif site_assign == "hint":
-        if any(r.site_hint is None for r in trace):
+        if trace.site_hint is None:
             raise DomainError(f"site_assign='hint' requires every VM to carry a hint (trace column {HINT_COLUMN})")
-        site_of = [r.site_hint % n_sites for r in trace]
+        site_of = (trace.site_hint % n_sites).tolist()
     else:
         if stream is None:
             raise DomainError("site_assign='uniform' requires a SeededStream")
         site_of = stream.generator().integers(0, n_sites, n).tolist()
 
+    times, lifetimes, sizes = trace.arrival.tolist(), trace.lifetime.tolist(), trace.cores.tolist()
     order = range(n)
     if policy == "first_fit_decreasing_batch":
-        order = sorted(order, key=lambda i: (times[i], -trace[i].cores))  # stable: ties keep trace order
+        order = sorted(order, key=lambda i: (times[i], -sizes[i]))  # stable: ties keep trace order
     best_fit = policy == "best_fit"
     max_servers = topology.servers_per_site
     free: list[list[int]] = [[] for _ in range(n_sites)]  # residual cores of each opened server
@@ -320,10 +410,10 @@ def simulate_packing(
         else:  # an arrival; inside a batch, releases wait for its end
             i = order[k]
             k += 1
-            r, s, now = trace[i], site_of[i], next_time
+            s, now = site_of[i], next_time
             batch_time, next_time = now, times[order[k]] if k < n else math.inf
             waiting = queue[s]
-            waiting.append((r.lifetime, r.cores))
+            waiting.append((lifetimes[i], sizes[i]))
             queued_now += 1
             if len(waiting) > 1:  # FIFO: wait behind the site's backlog
                 continue
@@ -394,7 +484,7 @@ class SweepPoint:
 
 
 def capacity_sweep(
-    trace: Sequence[VmRequest],
+    trace: VmTrace | Sequence[VmRequest],
     k_sites: int,
     core_grid: Sequence[int],
     q: float,
@@ -405,7 +495,8 @@ def capacity_sweep(
     Returns the per-size points, the cloud peak used cores, and the
     model-predicted edge size cloud_peak*(1+1/q)/k_sites. Peaks are occupied
     cores (summed per site for the edge) over a hinted trace in arrival order.
-    The trace is read once into columns. The cloud and each site whose peak
+    A list of `VmRequest` rows is read once into a `VmTrace`; every step
+    reads its columns. The cloud and each site whose peak
     fits never queue, so one sorted +/-cores sweep gives their exact peaks.
     The VMs of the saturated sites are replayed together, so the backlog is
     system-wide. Each such site is one FIFO pool of `size` cores, where first
@@ -414,28 +505,24 @@ def capacity_sweep(
     size that replays raises what `simulate_packing` would: a size below 1,
     a VM larger than the size, a replayed VM out of arrival order.
     """
-    if not trace:
+    trace = VmTrace.of(trace)
+    if not len(trace):
         raise EmptyTrace("trace contains no VM requests")
     if policy not in POLICIES:
         raise DomainError(f"unknown policy {policy!r}")
-    if k_sites < 1:
-        raise DomainError(f"k_sites must be >= 1, got {k_sites}")
+    k_sites = read("k_sites", count, k_sites, DomainError)
     sizes = []
     for value in core_grid:
         if isinstance(value, bool) or not isinstance(value, numbers.Real) or not float(value).is_integer():
             raise DomainError(f"site size must be a whole number of cores, got {value!r}")
         sizes.append(int(value))
-    try:
-        site_of = [r.site_hint % k_sites for r in trace]
-    except TypeError:
-        raise DomainError("capacity_sweep requires every VM to carry a site hint") from None
-    times = [r.arrival for r in trace]
-    lifetimes = [r.lifetime for r in trace]
-    cores = [r.cores for r in trace]
-    cloud_peak, peaks = _unqueued_peaks(times, lifetimes, cores, site_of, k_sites)
+    if trace.site_hint is None:
+        raise DomainError("capacity_sweep requires every VM to carry a site hint")
+    site_of = trace.site_hint % k_sites
+    columns = (trace.arrival, trace.lifetime, trace.cores, site_of)
+    cloud_peak, peaks = _unqueued_peaks(*columns, k_sites)
     model_size = cloud_peak * edge_overprovision_factor(q) / k_sites
-    largest, least_peak = max(cores), min(p for p in peaks if p)
-    in_order = times == sorted(times)
+    least_peak = min(p for p in peaks if p)
     points = []
     for size in sizes:
         saturated = [p > size for p in peaks]
@@ -443,39 +530,44 @@ def capacity_sweep(
         queue = 0
         if any(saturated):
             Topology("edge", k_sites, 1, size)  # refuses a size below 1
-            if size < largest:
-                vm = next(r for r in trace if r.cores > size)
-                raise OversizedVm(f"VM {vm.id} wants {vm.cores} cores > server size {size}")
-            if size < least_peak:  # every site saturates: replay the columns themselves
-                keep, columns = range(len(trace)), (times, lifetimes, cores, site_of)
-            else:
-                keep = [i for i, s in enumerate(site_of) if saturated[s]]
-                columns = tuple([col[i] for i in keep] for col in (times, lifetimes, cores, site_of))
-            if not in_order:
-                t = columns[0]
-                early = next((j for j in range(1, len(t)) if t[j] < t[j - 1]), None)
-                if early is not None:
-                    raise DomainError(
-                        f"VM {trace[keep[early]].id} arrives before the VM ahead of it; sort the trace by arrival"
-                    )
-            used, queue = _pool_replay(*columns, k_sites, size, policy)
+            _refuse_oversized(trace, size)
+            # below the least site peak every site saturates: replay the columns themselves
+            keep = None if size < least_peak else np.flatnonzero(np.array(saturated)[site_of])
+            _refuse_out_of_order(trace, keep)
+            replayed = columns if keep is None else (col[keep] for col in columns)
+            used, queue = _pool_replay(*(col.tolist() for col in replayed), k_sites, size, policy)
             capacity += used
         points.append(SweepPoint(size, capacity, packing_relative_error(capacity, cloud_peak, q), queue))
     return points, cloud_peak, model_size
 
 
-def _unqueued_peaks(times, lifetimes, cores, site_of, k_sites) -> tuple[int, list[int]]:
+def _refuse_oversized(trace: VmTrace, size: int) -> None:
+    """Raise OversizedVm naming the first VM that wants more than ``size`` cores."""
+    over = trace.cores > size
+    if over.any():
+        i = int(over.argmax())
+        raise OversizedVm(f"VM {trace.vm_id(i)} wants {trace.cores[i]} cores > server size {size}")
+
+
+def _refuse_out_of_order(trace: VmTrace, keep=None) -> None:
+    """Raise DomainError naming the first VM, of the rows ``keep`` (default all), that arrives early."""
+    times = trace.arrival if keep is None else trace.arrival[keep]
+    early = np.flatnonzero(times[1:] < times[:-1])
+    if len(early):
+        i = early[0] + 1 if keep is None else keep[early[0] + 1]
+        raise DomainError(f"VM {trace.vm_id(i)} arrives before the VM ahead of it; sort the trace by arrival")
+
+
+def _unqueued_peaks(start, lifetime, size, site_of, k_sites) -> tuple[int, list[int]]:
     """The cloud's and each site's peak occupied cores, were no VM ever to queue."""
-    start = np.array(times)
     # a VM that ends at its own arrival time still holds its cores through its arrival batch
-    end = np.maximum(start + np.array(lifetimes), np.nextafter(start, np.inf))
-    size = np.array(cores, dtype=np.int64)
+    end = np.maximum(start + lifetime, np.nextafter(start, np.inf))
     # departures come first in the events, so a stable sort by time releases before it places
     order = np.argsort(np.concatenate([end, start]), kind="stable")
     delta = np.concatenate([-size, size])[order]
     cloud_peak = int(np.cumsum(delta).max())
     # then stably by site; each site's events sum to zero, so the running total restarts per site
-    site = np.array(site_of, dtype=np.min_scalar_type(k_sites - 1))
+    site = site_of.astype(np.min_scalar_type(k_sites - 1))
     sites = np.concatenate([site, site])[order]
     by_site = np.argsort(sites, kind="stable")
     peaks = np.zeros(k_sites, dtype=np.int64)

@@ -25,12 +25,12 @@ from .errors import ConfigError, DomainError
 REQUIRED = object()  # marks a key that has no default
 
 
-def read(key: str, cast, value):
-    """``cast(value)``; a value the cast rejects raises ConfigError naming ``key``."""
+def read(key: str, cast, value, error=ConfigError):
+    """``cast(value)``; a value the cast rejects raises ``error`` naming ``key``."""
     try:
         return cast(value)
     except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"{key}: {exc}") from None
+        raise error(f"{key}: {exc}") from None
 
 
 def take(body, table: dict, where: str) -> dict:

@@ -318,15 +318,15 @@ def multiserver_waits(arrivals: np.ndarray, services: np.ndarray, k: int) -> np.
     """FCFS waits in front of k identical servers (next-free-server discipline)."""
     if k == 1:
         return lindley_waits(arrivals, services)
-    free = [0.0] * k  # earliest availability per server
-    heapq.heapify(free)
-    waits = np.empty(len(arrivals))
-    for i, (t, s) in enumerate(zip(arrivals, services)):
+    free = [0.0] * k  # earliest availability per server, a heap
+    waits = []
+    append, replace = waits.append, heapq.heapreplace
+    for t, s in zip(arrivals.tolist(), services.tolist()):  # Python floats: no numpy scalar per step
         soonest = free[0]
         w = soonest - t if soonest > t else 0.0
-        waits[i] = w
-        heapq.heapreplace(free, t + w + s)
-    return waits
+        append(w)
+        replace(free, t + w + s)
+    return np.array(waits)
 
 
 def _time_average_in_system(

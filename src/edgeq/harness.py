@@ -285,7 +285,7 @@ def _run_packing_sweep(sc: Scenario, workers: int):
         k_sites=k_sites,
     )
     # a site smaller than the largest VM cannot place it: that size keeps a skipped row
-    largest = max(r.cores for r in trace)
+    largest = int(trace.cores.max())
     sizes = [v["cores_per_site"] for _, v in points]
     swept, cloud_peak, model_size = capacity.capacity_sweep(
         trace, k_sites, [size for size in sizes if size >= largest], q, policy=fx["policy"]

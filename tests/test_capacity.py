@@ -1,4 +1,5 @@
 """Capacity formula and packing simulator tests."""
+import hashlib
 import heapq
 import math
 
@@ -17,6 +18,7 @@ from edgeq import (
     Topology,
     UnstableQueue,
     VmRequest,
+    VmTrace,
     cloud_capacity_equivalent,
     dtrp_response_time,
     edge_overprovision_factor,
@@ -608,3 +610,157 @@ class TestSweepMatchesReplay:
         trace = [VmRequest("a", 0.0, 5.0, 2, site_hint=0)]
         with pytest.raises(DomainError, match="policy"):
             capacity_sweep(trace, 1, [64], 2.0, policy="worst_fit")
+
+
+def _rows(trace):
+    return [VmRequest(r.id, r.arrival, r.lifetime, r.cores, r.site_hint) for r in trace]
+
+
+# sha256 of the arrival, lifetime, cores and site_hint columns (float64, float64, int64, int64)
+# of synthetic_vm_trace(64, 10, 2000, SeededStream(seed, 777), k_sites=16), recorded when the
+# trace was still a list of VmRequest rows
+TRACE_PINS = {
+    1: "f25cc094b68372ba7d3798bc7d457e99de74f451edaa1393bfb8350d035f2992",
+    2: "e2381e64466aea04bc553c3502d644b232c825b455be95ee0c84b0fdcf6ef575",
+    3: "cf4d67311d65a8422e2a4b376e0a6e8351cacbc482536d270943465740eed1ab",
+}
+
+
+class TestVmTrace:
+    @pytest.mark.parametrize("seed", sorted(TRACE_PINS))
+    def test_synthetic_columns_match_their_pins(self, seed):
+        trace = synthetic_vm_trace(64, 10, 2000, SeededStream(seed, 777), k_sites=16)
+        columns = (trace.arrival, trace.lifetime, trace.cores, trace.site_hint)
+        assert [col.dtype for col in columns] == [np.float64, np.float64, np.int64, np.int64]
+        digest = hashlib.sha256(b"".join(col.tobytes() for col in columns)).hexdigest()
+        assert digest == TRACE_PINS[seed]
+
+    @settings(max_examples=100, deadline=None)
+    @given(packing_cases())
+    def test_rows_read_back_as_given(self, case):
+        rows = case[0]
+        trace = VmTrace.of(rows)
+        assert len(trace) == len(rows)
+        assert all(trace[i] == rows[i] for i in range(len(rows)))
+        assert list(trace) == rows and trace[-1] == rows[-1]
+        assert VmTrace.of(trace) is trace
+
+    def test_rows_without_every_hint_have_no_hint_column(self):
+        rows = [VmRequest("a", 0.0, 1.0, 2, site_hint=3), VmRequest("b", 1.0, 1.0, 2)]
+        trace = VmTrace.of(rows)
+        assert trace.site_hint is None and trace[0].site_hint is None
+
+    def test_float_cores_become_int64(self):
+        trace = VmTrace.of([VmRequest("a", 0.0, 1.0, 4.0), VmRequest("b", 1.0, 1.0, 2)])
+        assert trace.cores.dtype == np.int64 and trace[0].cores == 4 and type(trace[0].cores) is int
+        assert trace_summary(trace)["max_cores"] == 4
+
+    @settings(max_examples=150, deadline=None)
+    @given(packing_cases(), st.sampled_from(POLICIES))
+    def test_replay_of_columns_equals_replay_of_rows(self, case, policy):
+        rows, topology, site_assign, stream = case
+        seed = stream.seed
+        got = simulate_packing(VmTrace.of(rows), topology, policy, site_assign, SeededStream(seed))
+        assert repr(got) == repr(simulate_packing(rows, topology, policy, site_assign, SeededStream(seed)))
+
+    @settings(max_examples=100, deadline=None)
+    @given(hinted_sweeps(), st.sampled_from(POLICIES))
+    def test_sweep_of_columns_equals_sweep_of_rows(self, sweep, policy):
+        rows, k_sites, grid = sweep
+        got = outcome(capacity_sweep, VmTrace.of(rows), k_sites, grid, 2.0, policy)
+        assert got == outcome(capacity_sweep, rows, k_sites, grid, 2.0, policy)
+
+    @pytest.mark.parametrize("k_sites", [None, 4])
+    def test_csv_survives_save_load_save(self, tmp_path, k_sites):
+        trace = synthetic_vm_trace(8.0, 10.0, 50.0, SeededStream(56), k_sites=k_sites)
+        first, second = tmp_path / "first.csv", tmp_path / "second.csv"
+        save_vm_trace(first, trace)
+        save_vm_trace(second, load_vm_trace(str(first)))
+        assert second.read_bytes() == first.read_bytes()
+
+    def test_tied_arrivals_keep_file_order(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text("vm_id,arrival_s,lifetime_s,cores\nx,5,1,2\nb,1,1,2\na,1,1,2\nz,-0.0,1,2\ny,0,1,2\n")
+        assert [r.id for r in load_vm_trace(str(path))] == ["z", "y", "b", "a", "x"]
+
+    def test_first_bad_line_in_file_order_is_named(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text("vm_id,arrival_s,lifetime_s,cores\nok,9,1,2\nlate,5,nan,2\nearly,0,1,0\n")
+        with pytest.raises(ParseError) as err:
+            load_vm_trace(str(path))
+        assert str(err.value) == f"{path}:3: VM late: lifetime must be finite and positive, got nan"
+
+    @pytest.mark.parametrize("field, value", [
+        ("arrival", math.nan), ("arrival", math.inf), ("arrival", -math.inf),
+        ("lifetime", 0.0), ("lifetime", -1.0), ("lifetime", math.inf), ("lifetime", math.nan),
+        ("cores", 0), ("cores", 2.5),
+    ])
+    def test_constructor_names_the_first_bad_vm(self, field, value):
+        columns = {"arrival": [0.0, 1.0, 2.0, 3.0], "lifetime": [1.0] * 4, "cores": [2] * 4}
+        columns[field][1] = columns[field][3] = value
+        with pytest.raises(DomainError) as want:
+            VmRequest("vm1", *(columns[name][1] for name in ("arrival", "lifetime", "cores")))
+        with pytest.raises(DomainError) as got:
+            VmTrace(columns["arrival"], columns["lifetime"], columns["cores"])
+        assert str(got.value) == str(want.value)
+        with pytest.raises(DomainError, match="^VM b: "):
+            VmTrace(columns["arrival"], columns["lifetime"], columns["cores"], ids=["a", "b", "c", "d"])
+
+    @pytest.mark.parametrize("column, value", [("cores", 2**70), ("site_hint", 2**70), ("site_hint", 1.5)])
+    def test_an_int_column_value_outside_int64_names_its_vm(self, column, value):
+        values = {"cores": [2, 2], "site_hint": [0, 0]}
+        values[column][1] = value
+        with pytest.raises(DomainError, match=f"^VM vm1: {column} must be a 64-bit integer"):
+            VmTrace([0.0, 1.0], [1.0, 1.0], values["cores"], values["site_hint"])
+
+    def test_columns_of_different_lengths_rejected(self):
+        with pytest.raises(DomainError, match="one length"):
+            VmTrace([0.0, 1.0], [1.0], [2, 2])
+
+
+class TestArgumentDomains:
+    @pytest.mark.parametrize("args, name", [
+        ((math.nan, 10.0, 50.0), "rate"),
+        ((8.0, math.nan, 50.0), "mean_lifetime"),
+        ((8.0, 10.0, math.inf), "horizon"),
+        ((0.0, 10.0, 50.0), "rate"),
+        ((8.0, -1.0, 50.0), "mean_lifetime"),
+    ])
+    def test_synthetic_trace_names_a_bad_argument(self, args, name):
+        with pytest.raises(DomainError, match=f"^{name}: must be finite and > 0"):
+            synthetic_vm_trace(*args, SeededStream(1))
+
+    @pytest.mark.parametrize("k_sites", [2.5, True])
+    def test_site_count_must_be_whole(self, k_sites):
+        trace = synthetic_vm_trace(8.0, 10.0, 50.0, SeededStream(54), k_sites=4)
+        with pytest.raises(DomainError, match="^k_sites: must be an integer"):
+            synthetic_vm_trace(8.0, 10.0, 50.0, SeededStream(54), k_sites=k_sites)
+        with pytest.raises(DomainError, match="^k_sites: must be an integer"):
+            capacity_sweep(trace, k_sites, [32], 2.0)
+
+    def test_whole_float_site_count_reads_as_int(self):
+        trace = synthetic_vm_trace(8.0, 10.0, 50.0, SeededStream(54), k_sites=4)
+        assert repr(capacity_sweep(trace, 4.0, [20, 40], 2.0)) == repr(capacity_sweep(trace, 4, [20, 40], 2.0))
+        again = synthetic_vm_trace(8.0, 10.0, 50.0, SeededStream(54), k_sites=4.0)
+        assert again.site_hint.tobytes() == trace.site_hint.tobytes()
+
+    @pytest.mark.parametrize("args, field", [
+        (("edge", 2.5, 1, 8), "k_sites"),
+        (("edge", True, 1, 8), "k_sites"),
+        (("edge", 2, 0, 8), "servers_per_site"),
+        (("edge", 2, 1, 8.5), "cores_per_server"),
+        (("fog", 2, 1, 8), "mode"),
+    ])
+    def test_topology_names_a_bad_field(self, args, field):
+        with pytest.raises(DomainError, match=f"^Topology.{field}: must be"):
+            Topology(*args)
+
+    def test_topology_keeps_the_cloud_rule_and_casts_whole_floats(self):
+        with pytest.raises(DomainError, match="cloud mode pools everything"):
+            Topology("cloud", 2, 1, 8)
+        assert Topology("edge", 2.0, 1, 8.0) == Topology("edge", 2, 1, 8)
+
+    def test_fractional_server_size_refused_before_replay(self):
+        trace = [VmRequest("a", 0.0, 1.0, 4, site_hint=0), VmRequest("b", 0.5, 1.0, 20, site_hint=0)]
+        with pytest.raises(DomainError, match="^Topology.cores_per_server"):
+            simulate_packing(trace, Topology("edge", 1, 1, 20.5), site_assign="hint")

@@ -55,6 +55,14 @@ queue_inputs = st.lists(
 ))
 
 
+def _uniform_queue(seed_and_n):
+    rng = np.random.default_rng(seed_and_n[0])
+    return np.cumsum(rng.random(seed_and_n[1])), rng.random(seed_and_n[1])
+
+
+seeded_queue_inputs = st.tuples(st.integers(0, 2**32 - 1), st.integers(100, 200)).map(_uniform_queue)
+
+
 class TestLindleyCore:
     @settings(max_examples=200, deadline=None)
     @given(queue_inputs)
@@ -80,10 +88,14 @@ class TestLindleyCore:
             want = walk - np.minimum.accumulate(walk)
         np.testing.assert_array_equal(lindley_waits(t, s), want)
 
+    # on a clock 1000 times faster, arrivals start at small t, far below the departures they
+    # wait for, where ``soonest - t`` rounds and only ``t + w + s`` matches the loop; the
+    # seeded uniform draws have full mantissas, which Hypothesis's own floats seldom give
     @settings(max_examples=200, deadline=None)
-    @given(queue_inputs, st.integers(1, 8))
-    def test_multiserver_matches_min_free_server_loop(self, inputs, k):
+    @given(st.one_of(queue_inputs, seeded_queue_inputs), st.integers(1, 8), st.sampled_from([1.0, 1e-3]))
+    def test_multiserver_matches_min_free_server_loop(self, inputs, k, clock):
         t, s = inputs
+        t = t * clock
         free = [0.0] * k  # time each server next becomes free
         want = []
         for arrival, service in zip(t, s):
