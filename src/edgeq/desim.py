@@ -58,7 +58,7 @@ from .config import (
 )
 from .errors import ConfigError, InstabilityDetected
 from .specs import CloudSpec, NetworkSpec, QueueSpec, SinusoidProfile
-from .workload import RenewalSpec, SeededStream, nhpp_sinusoidal, poisson_arrivals, renewal_times
+from .workload import BLOCK, RenewalSpec, SeededStream, nhpp_sinusoidal, poisson_arrivals, renewal_times
 
 RUSH_STATS = ("peak_bin", "arrivals", "served")
 
@@ -299,7 +299,9 @@ def lindley_waits(arrivals: np.ndarray, services: np.ndarray) -> np.ndarray:
     """FCFS single-server waits, starting empty.
 
     W_1 = 0 and W_{n+1} = max(0, W_n + S_n - A_{n+1}), evaluated as the
-    reflected random walk so the whole run vectorizes.
+    reflected random walk so the whole run vectorizes. The walk's running
+    minimum is taken one ``BLOCK`` at a time, carried from block to block,
+    so no temporary is as long as the run.
     """
     n = len(arrivals)
     walk = np.empty(n)
@@ -310,7 +312,14 @@ def lindley_waits(arrivals: np.ndarray, services: np.ndarray) -> np.ndarray:
     np.subtract(arrivals[1:], arrivals[:-1], out=steps)
     np.subtract(services[:-1], steps, out=steps)
     np.cumsum(steps, out=steps)
-    walk -= np.minimum.accumulate(walk)
+    low, least = 0.0, np.empty(min(n, BLOCK))  # the minimum so far, and one block's running minimum
+    for lo in range(0, n, BLOCK):
+        block = walk[lo:lo + BLOCK]
+        running = least[:len(block)]
+        np.minimum.accumulate(block, out=running)
+        np.minimum(running, low, out=running)
+        low = running[-1]
+        block -= running
     return walk
 
 
@@ -613,23 +622,36 @@ def run_model(config: SimConfig, stream: SeededStream) -> tuple[SimMetrics, Opti
 def _observe_cycle(ts: TimeSeriesMetrics, tc: np.ndarray, wc: np.ndarray, depc: Optional[np.ndarray]) -> None:
     """Bin the counted waits by cycle phase into ``ts``, and sum those in its rush window.
 
-    ``depc`` holds the counted departures when the rush statistic is ``served``.
+    ``depc`` holds the counted departures when the rush statistic is
+    ``served``. The bins are taken one ``BLOCK`` of requests at a time,
+    so no bin index is as long as the run: ``np.add.at`` adds each
+    block's waits in request order, which is the order ``np.bincount``
+    adds them in, so the sums equal one ``bincount`` over the run bit for
+    bit.
     """
     period, n_bins = ts.period, ts.n_bins
-    # cycle phase as a bin index; fmod equals mod here because t >= 0
-    idx = np.fmod(tc, period)
-    idx /= period
-    idx *= n_bins
-    idx = idx.astype(np.intp)
-    np.minimum(idx, n_bins - 1, out=idx)
-    ts.bin_wait_sum = np.bincount(idx, weights=wc, minlength=n_bins)
-    ts.bin_count = np.bincount(idx, minlength=n_bins).astype(float)
+    ts.bin_wait_sum = np.zeros(n_bins)
+    counts = np.zeros(n_bins, dtype=np.intp)
+    for lo in range(0, len(tc), BLOCK):
+        idx = _phase_bin(tc[lo:lo + BLOCK], period, n_bins)
+        np.add.at(ts.bin_wait_sum, idx, wc[lo:lo + BLOCK])
+        counts += np.bincount(idx, minlength=n_bins)
+    ts.bin_count = counts.astype(float)
     ts.bin_exposure = _bin_exposure(float(tc[0]), float(tc[-1]), period, n_bins)
     if ts.window is not None and ts.rush_stat != "peak_bin":
         t1, t2 = ts.window
         # the window may wrap the cycle, so tc - t1 can be negative: keep mod
         inside = np.mod((tc if depc is None else depc) - t1, period) <= t2 - t1
         ts.rush_sum, ts.rush_count = float(np.sum(wc[inside])), int(np.count_nonzero(inside))
+
+
+def _phase_bin(t: np.ndarray, period: float, n_bins: int) -> np.ndarray:
+    """The cycle-phase bin of each instant ``t >= 0``; fmod equals mod there."""
+    idx = np.fmod(t, period)
+    idx /= period
+    idx *= n_bins
+    idx = idx.astype(np.intp)
+    return np.minimum(idx, n_bins - 1, out=idx)
 
 
 # ---------------------------------------------------------------------------

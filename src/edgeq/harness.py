@@ -140,7 +140,9 @@ def _run_mobility_crossover(sc: Scenario, workers: int):
             edge_wait=edge.mean.mean_wait,
             cloud_wait_conditional=cloud.mean.mean_wait_conditional,
         )
-        return ComparisonRow(params, bound, sim_bound, edge.ci95["mean_wait"])
+        # the edge and cloud runs draw from independent streams, so their CIs add in quadrature
+        sim_ci = math.hypot(edge.ci95["mean_response"], cloud.ci95["mean_wait_conditional"])
+        return ComparisonRow(params, bound, sim_bound, sim_ci)
 
     rows = _map_points(one, _jobs(sc.seed, points), workers)
     summary = {"delta_t": net.delta_t, "crossovers": {}}

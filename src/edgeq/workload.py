@@ -138,7 +138,11 @@ def poisson_arrivals(lam: float, horizon: float, rng: np.random.Generator) -> np
     return t
 
 
-_BLOCK = 32768  # candidates per thinning block: its buffers (under 1 MiB) stay in L2
+# Elements per block wherever a run streams through arrays of its own length:
+# the accept draws of ``nhpp_sinusoidal``, and in desim the phase binning and
+# the running minimum of ``lindley_waits``. A block's float64 buffers (256 KiB
+# each) stay in L2, and no temporary grows with the run.
+BLOCK = 32768
 
 
 def nhpp_sinusoidal(profile: SinusoidProfile, horizon: float, rng: np.random.Generator) -> np.ndarray:
@@ -147,8 +151,14 @@ def nhpp_sinusoidal(profile: SinusoidProfile, horizon: float, rng: np.random.Gen
     Candidates are drawn at the constant envelope lambda_bar*(1+A) and
     kept with probability lam(t)/envelope, which is exact for any phase
     (Lewis and Shedler 1979). The draws are a Poisson count, then that
-    many uniforms for the instants, then as many for the accept test;
-    the unsorted candidates are thinned and only the kept points sorted.
+    many uniforms for the instants, then as many for the accept test.
+
+    The accept uniforms are drawn one block of ``BLOCK`` at a time into
+    a reused buffer (``rng.random(out=...)``), which consumes the stream
+    exactly as one draw of them all would. Each block's kept candidates
+    are moved to the front of the candidate array, which then shrinks in
+    place to the kept count and is sorted, so a run holds one array of
+    its candidates and buffers of one block besides.
 
     Every accept decision equals ``u * peak < profile.rate(t)`` bit for
     bit, but most are settled by a float32 sine, which numpy vectorizes
@@ -166,30 +176,30 @@ def nhpp_sinusoidal(profile: SinusoidProfile, horizon: float, rng: np.random.Gen
     - Fallback: the candidates in between (a share of about 2*delta) are
       decided by ``profile.rate`` itself. Where delta >= 1 the float32
       sine settles nothing and every candidate takes that exact path.
-
-    The filter runs over blocks of ``_BLOCK`` candidates with buffers
-    reused from block to block, writing one boolean mask.
     """
     t = _poisson_candidates(profile.peak_rate, horizon, rng)
-    u = rng.random(len(t))
-    u *= profile.peak_rate
-    kept = t[_accepted(profile, horizon, t, u)]
-    kept.sort()
-    return kept
+    # no view of t outlives _thin; a profiler's reference to the bound method would fail the refcheck
+    t.resize(_thin(profile, horizon, t, rng), refcheck=False)
+    t.sort()
+    return t
 
 
-def _accepted(profile: SinusoidProfile, horizon: float, t: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """The mask ``u < profile.rate(t)`` for candidates ``t`` in [0, horizon), block by block."""
-    accept = np.empty(len(t), dtype=bool)
+def _thin(profile: SinusoidProfile, horizon: float, t: np.ndarray, rng: np.random.Generator) -> int:
+    """Keep the candidates ``t`` with ``u * peak < profile.rate(t)``, in order, at the front of ``t``; their count."""
     delta = 2.0**-18 * (1.0 + profile.gamma * horizon + abs(profile.phase))
     fast = delta < 1.0
+    size = min(len(t), BLOCK)
+    u, accept = np.empty(size), np.empty(size, dtype=bool)
     if fast:
         margin = delta * profile.peak_rate
         slope = np.float64(-profile.lambda_bar * profile.amplitude)
-        size = min(len(t), _BLOCK)
         work, sine = np.empty(size), np.empty(size, np.float32)
-    for lo in range(0, len(t), _BLOCK):
-        tb, ub, ab = t[lo:lo + _BLOCK], u[lo:lo + _BLOCK], accept[lo:lo + _BLOCK]
+    kept = 0
+    for lo in range(0, len(t), BLOCK):
+        tb = t[lo:lo + BLOCK]
+        ub, ab = u[:len(tb)], accept[:len(tb)]
+        rng.random(out=ub)
+        ub *= profile.peak_rate
         exact = slice(None)
         if fast:
             gap, s32 = work[:len(tb)], sine[:len(tb)]
@@ -202,7 +212,10 @@ def _accepted(profile: SinusoidProfile, horizon: float, t: np.ndarray, u: np.nda
             np.less(gap, -margin, out=ab)
             exact = np.flatnonzero(np.abs(gap, out=gap) <= margin)
         ab[exact] = ub[exact] < profile.rate(tb[exact])
-    return accept
+        block = tb[ab]  # a copy, so the move below may overlap its source
+        t[kept:kept + len(block)] = block
+        kept += len(block)
+    return kept
 
 
 def phase_shifted_sites(

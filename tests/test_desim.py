@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import math
 import statistics
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -35,6 +36,7 @@ from edgeq import (
 from edgeq.analytic import effective_service_rate
 from edgeq import desim
 from edgeq.desim import SimMetrics, _p95, _time_average_in_system, lindley_waits, multiserver_waits
+from edgeq.workload import BLOCK
 
 
 def two_phase_config(lam, r, n=200_000, **kw):
@@ -87,6 +89,20 @@ class TestLindleyCore:
             walk = np.concatenate(([0.0], np.cumsum(s[:-1] - np.diff(t))))
             want = walk - np.minimum.accumulate(walk)
         np.testing.assert_array_equal(lindley_waits(t, s), want)
+
+    @pytest.mark.parametrize("load", [0.9, 1.1])
+    @pytest.mark.parametrize("n", [0, 1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 7])
+    def test_blocked_running_minimum_is_bitwise_the_whole_one(self, n, load):
+        # below load 1 the walk keeps setting new minima in later blocks; above it the
+        # early minimum must be carried through every block
+        rng = np.random.default_rng(n)
+        t = np.cumsum(rng.exponential(1.0, n))
+        s = rng.exponential(load, n)
+        want = np.empty(0)
+        if n:
+            walk = np.concatenate(([0.0], np.cumsum(s[:-1] - np.diff(t))))
+            want = walk - np.minimum.accumulate(walk)
+        assert lindley_waits(t, s).tobytes() == want.tobytes()
 
     # on a clock 1000 times faster, arrivals start at small t, far below the departures they
     # wait for, where ``soonest - t`` rounds and only ``t + w + s`` matches the loop; the
@@ -465,6 +481,84 @@ class TestMtm1Sim:
         m, _ = run_model(mtm1_config(0.2, two_stage_service=True), SeededStream(144))
         frac = m.count_migrated / m.count_served
         assert frac == pytest.approx(0.3, abs=0.02)
+
+
+def _bincount_bins(tc, wc, period, n_bins):
+    """The per-bin wait sums and counts by one bincount over the fmod bin of each arrival."""
+    idx = np.minimum((np.fmod(tc, period) / period * n_bins).astype(np.intp), n_bins - 1)
+    return np.bincount(idx, weights=wc, minlength=n_bins), np.bincount(idx, minlength=n_bins).astype(float)
+
+
+def _assert_bins_equal_bincount(tc, wc, period, n_bins):
+    ts = TimeSeriesMetrics(period, np.zeros(n_bins), np.zeros(n_bins), np.zeros(n_bins))
+    desim._observe_cycle(ts, tc, wc, None)
+    sums, counts = _bincount_bins(tc, wc, period, n_bins)
+    assert ts.bin_wait_sum.tobytes() == sums.tobytes()
+    assert ts.bin_count.tobytes() == counts.tobytes()
+    exposure = desim._bin_exposure(float(tc[0]), float(tc[-1]), period, n_bins)
+    assert ts.bin_exposure.tobytes() == exposure.tobytes()
+
+
+@st.composite
+def sorted_arrivals_on_edges(draw):
+    """(period, n_bins, counted arrivals, waits): seeded uniform instants over whole cycles, plus
+    instants on rounded bin edges and cycle starts and one ulp either side, some repeated, then a
+    warm-up cut at any index, so the counted arrivals may start mid-bin."""
+    period = draw(st.sampled_from([200.0, 1.0, 0.1, 2 * math.pi / 3]))
+    n_bins = draw(st.sampled_from([1, 3, 7, 10, 100]))
+    cycles = draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    t = [rng.random(draw(st.integers(1, 3000))) * (cycles * period)]
+    placed = st.tuples(st.integers(0, cycles), st.integers(0, n_bins - 1), st.sampled_from([-1, 0, 1]),
+                       st.integers(1, 8))
+    for c, b, side, copies in draw(st.lists(placed, max_size=30)):
+        for edge in (c * period + b * (period / n_bins), (c + b / n_bins) * period):
+            t.append(np.full(copies, np.nextafter(edge, side * np.inf) if side else edge))
+    t = np.sort(np.concatenate(t))
+    t = t[t >= 0.0]
+    cut = draw(st.integers(0, len(t) - 1))
+    return period, n_bins, t[cut:], rng.random(len(t) - cut) * 7.0
+
+
+class TestCycleBinning:
+    @settings(max_examples=300, deadline=None)
+    @given(sorted_arrivals_on_edges())
+    def test_blocked_binning_equals_bincount_bit_for_bit(self, case):
+        period, n_bins, tc, wc = case
+        _assert_bins_equal_bincount(tc, wc, period, n_bins)
+
+    def test_a_seeded_run_bins_as_bincount(self):
+        # table1's binning: 100 bins over 10 periods of 200 s, a warm-up cut of 0.1, about 4 blocks
+        t = nhpp_sinusoidal(SinusoidProfile(64.0, 1.0, 2 * math.pi / 200), 2000.0, SeededStream(191).generator())
+        tc = t[int(len(t) * 0.1):]
+        _assert_bins_equal_bincount(tc, np.random.default_rng(1).random(len(tc)), 200.0, 100)
+
+    @pytest.mark.parametrize("n", [1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 7])
+    def test_block_boundaries_bin_as_bincount(self, n):
+        rng = np.random.default_rng(n)
+        _assert_bins_equal_bincount(np.sort(rng.random(n)) * 600.0, rng.random(n), 200.0, 100)
+
+
+class TestWorkingSet:
+    @pytest.mark.parametrize("period_s", [200.0, 2000.0], ids=["ten_cycles", "one_cycle"])
+    def test_sinusoidal_run_holds_three_arrays_of_its_arrivals(self, period_s):
+        # table1's scaled run at A = 1: twice as many candidates as arrivals while thinning,
+        # then the arrivals, services and waits; everything else is a block buffer or smaller,
+        # whether the run spans ten cycles or one. Drawing n first also makes the run's one-time
+        # lazy imports before the trace starts.
+        cfg = SimConfig(
+            model="mtm1_sinusoidal", queue=QueueSpec(256.0, 512.0, 512.0, 0.3),
+            profile=SinusoidProfile(256.0, 1.0, 2 * math.pi / period_s), horizon_s=2000.0,
+            metrics=("mean_wait", "count_served"),
+        )
+        n = len(nhpp_sinusoidal(cfg.profile, cfg.horizon_s, SeededStream(192).generator()))
+        tracemalloc.start()
+        try:
+            run_model(cfg, SeededStream(192))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * 8 * n + 4 * 8 * BLOCK
 
 
 @st.composite

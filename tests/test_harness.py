@@ -290,6 +290,30 @@ class TestRunScenario:
         ]
 
 
+class TestMobilityCrossover:
+    @pytest.mark.parametrize("replications", [1, 3])
+    def test_interval_adds_the_edge_and_cloud_intervals_in_quadrature(self, tmp_path, monkeypatch, replications):
+        # sim_value is the edge response minus the cloud response; the two sides run on
+        # independent streams, so their half-widths add in quadrature, and one run has none
+        aggregates, replicate = [], harness.replicate
+
+        def recording(config, n_runs, stream):
+            aggregates.append(replicate(config, n_runs, stream))
+            return aggregates[-1]
+
+        monkeypatch.setattr(harness, "replicate", recording)
+        sc = Scenario(
+            name="cross", **CROSSOVER, fixed={"horizon_requests": 5000}, replications=replications, seed=12,
+        )
+        (row,), _, _ = run_scenario(sc, out_dir=tmp_path, deterministic_names=True)
+        edge, cloud = (agg.ci95 for agg in aggregates)
+        assert row.sim_ci == math.hypot(edge["mean_response"], cloud["mean_wait_conditional"])
+        if replications == 1:
+            assert row.sim_ci == 0.0
+        else:
+            assert row.sim_ci > max(edge["mean_response"], cloud["mean_wait_conditional"]) > 0.0
+
+
 class TestTableRushHour:
     FIXED = {
         "lambda_bar": 16.0, "mu1": 32.0, "mu2": 32.0, "r": 0.3,

@@ -1,4 +1,5 @@
 """Generator tests: statistical targets, seeding, and thinning correctness."""
+import cProfile
 import math
 import re
 from pathlib import Path
@@ -21,7 +22,7 @@ from edgeq import (
     poisson_arrivals,
     renewal_times,
 )
-from edgeq.workload import _BLOCK
+from edgeq.workload import BLOCK
 
 
 class TestSeededStream:
@@ -140,17 +141,37 @@ class TestRenewalTimes:
 
 
 class _PlacedDraws:
-    """Stands in for a Generator: ``count`` from ``poisson``, then the given uniforms in turn from ``random``."""
+    """Stands in for a Generator: ``count`` from ``poisson``, then the given uniforms in turn from ``random``.
+
+    ``random(size)`` serves the next array whole; ``random(out=buf)`` fills
+    ``buf`` with the next ``len(buf)`` uniforms of the next array, so block
+    draws must take it in order and never past its end. ``served`` says
+    whether every given uniform has been drawn.
+    """
 
     def __init__(self, count, *uniforms):
-        self.count, self.uniforms = count, list(uniforms)
+        self.count, self.uniforms, self.at = count, list(uniforms), 0
 
     def poisson(self, lam):
         return self.count
 
-    def random(self, size):
-        assert size == self.count
-        return self.uniforms.pop(0).copy()
+    def random(self, size=None, out=None):
+        if out is None:
+            assert size == self.count and self.at == 0
+            return self.uniforms.pop(0).copy()
+        assert size is None and out.dtype == np.float64 and out.flags.c_contiguous
+        head = self.uniforms[0]
+        assert 0 < len(out) <= len(head) - self.at, "a block draw runs past the uniforms given"
+        out[...] = head[self.at:self.at + len(out)]
+        self.at += len(out)
+        if self.at == len(head):
+            self.uniforms.pop(0)
+            self.at = 0
+        return out
+
+    @property
+    def served(self):
+        return not self.uniforms
 
 
 class TestNhppSinusoidal:
@@ -216,7 +237,7 @@ class TestNhppSinusoidal:
         # takes each place once
         horizon = 1000.0
         assert math.frexp(prof.peak_rate)[0] == 0.5  # a power of two, so u * peak is exact
-        n = 3 * _BLOCK + 123
+        n = 3 * BLOCK + 123
         frac_t = np.random.default_rng(0).random(n)
         t = frac_t * horizon
         rate = prof.rate(t)
@@ -224,8 +245,18 @@ class TestNhppSinusoidal:
         for shift in range(3):
             side = (np.arange(n) + shift) % 3
             at = np.choose(side, places)
-            kept = nhpp_sinusoidal(prof, horizon, _PlacedDraws(n, frac_t, at / prof.peak_rate))
+            draws = _PlacedDraws(n, frac_t, at / prof.peak_rate)
+            kept = nhpp_sinusoidal(prof, horizon, draws)
+            assert draws.served
             np.testing.assert_array_equal(kept, np.sort(t[side == 0]))
+
+    def test_profiled_run_draws_the_same_arrivals(self):
+        # a profiler holds an extra reference to the candidate array while it shrinks in place
+        prof = SinusoidProfile(50.0, 1.0, 0.05)
+        want = nhpp_sinusoidal(prof, 2000.0, SeededStream(25).generator())
+        profiler = cProfile.Profile()
+        got = profiler.runcall(nhpp_sinusoidal, prof, 2000.0, SeededStream(25).generator())
+        np.testing.assert_array_equal(got, want)
 
     def test_flat_profile_matches_poisson_statistics(self):
         prof = SinusoidProfile(50.0, 0.0, 1.0)
