@@ -13,7 +13,10 @@ Time-varying arrivals
 Provisioning rules
     empirical_rule_capacities
 
-All functions are pure and re-entrant; none keeps mutable state.
+All functions are pure and re-entrant; none keeps mutable state. A bare
+number argument is read with the ``config`` cast of the spec field it
+stands for, so NaN or a value outside that domain raises DomainError
+naming the argument.
 """
 from __future__ import annotations
 
@@ -23,6 +26,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from .config import count, finite_nonnegative, finite_positive, positive, read, unit
 from .errors import DomainError, IncompatiblePeriods, OverloadedInstant, UnstableQueue
 from .specs import (
     STABILITY_GUARD,
@@ -37,6 +41,14 @@ from .specs import (
 # Steady-state edge and cloud models
 
 
+def _source_terms(spec: QueueSpec) -> tuple[float, float]:
+    """Pollaczek-Khinchine terms of a stable source queue: lam * E[S^2] / 2 and the slack 1 - rho."""
+    spec.check_stable()
+    lam, mu1, inv2 = spec.lam, spec.mu1, spec.inv_mu2
+    num = lam * (1.0 / mu1**2 + spec.r * inv2**2 + spec.r * inv2 / mu1)
+    return num, 1.0 - lam / mu1 - spec.r * lam * inv2
+
+
 def mm1_source_wait(spec: QueueSpec) -> float:
     """Waiting time at the source queue whose server runs both service phases.
 
@@ -44,11 +56,8 @@ def mm1_source_wait(spec: QueueSpec) -> float:
     occupied for Exp(mu1) per request plus, with probability r, Exp(mu2)
     of migration work.
     """
-    spec.check_stable()
-    lam, mu1, inv2 = spec.lam, spec.mu1, spec.inv_mu2
-    num = lam * (1.0 / mu1**2 + spec.r * inv2**2 + spec.r * inv2 / mu1)
-    den = 1.0 - lam / mu1 - spec.r * lam * inv2
-    return num / den
+    num, slack = _source_terms(spec)
+    return num / slack
 
 
 def destination_wait(lam: float, mu1: float, r: float) -> float:
@@ -60,10 +69,9 @@ def destination_wait(lam: float, mu1: float, r: float) -> float:
     of mu1 is a common slip; mu2 is the migration-transfer rate, not the
     destination's processing rate.
     """
-    if not 0.0 <= r <= 1.0:
-        raise DomainError("migration probability must lie in [0, 1]")
-    if not (lam > 0 and mu1 > 0):
-        raise DomainError("lam and mu1 must be positive")
+    r = read("r", unit, r, DomainError)
+    lam = read("lam", finite_positive, lam, DomainError)
+    mu1 = read("mu1", finite_positive, mu1, DomainError)
     if r * lam >= mu1 * STABILITY_GUARD:
         raise UnstableQueue(f"destination load r*lam = {r * lam:.6g} >= mu1 = {mu1:.6g}")
     return r * lam / (mu1 * (mu1 - r * lam))
@@ -80,10 +88,8 @@ def mm1_two_phase_wait(spec: QueueSpec) -> float:
 
 def migration_service_time(r: float, mu2: float) -> float:
     """Expected migration work per request, averaged over all requests: r/mu2."""
-    if not 0.0 <= r <= 1.0:
-        raise DomainError("migration probability must lie in [0, 1]")
-    if not mu2 > 0:
-        raise DomainError("mu2 must be positive (math.inf allowed)")
+    r = read("r", unit, r, DomainError)
+    mu2 = read("mu2", positive, mu2, DomainError)  # math.inf allowed
     return 0.0 if math.isinf(mu2) else r / mu2
 
 
@@ -210,11 +216,8 @@ def max_edge_arrival_scv(
     A negative result means no arrival process keeps the edge competitive
     at these parameters.
     """
-    spec.check_stable()
-    lam, mu1, inv2 = spec.lam, spec.mu1, spec.inv_mu2
-    slack = 1.0 - lam / mu1 - spec.r * lam * inv2
-    denom = lam * (1.0 / mu1**2 + spec.r * inv2**2 + spec.r * inv2 / mu1)
-    return 2.0 * (delta_t - s_mig + w_cloud) * slack / denom - cs2
+    num, slack = _source_terms(spec)
+    return 2.0 * (delta_t - s_mig + w_cloud) * slack / num - cs2
 
 
 # ---------------------------------------------------------------------------
@@ -223,10 +226,9 @@ def max_edge_arrival_scv(
 
 def effective_service_rate(mu1: float, mu2: float, r: float) -> float:
     """Single-rate equivalent of the two-phase server: (1/mu1 + r/mu2)^-1."""
-    if not (mu1 > 0 and mu2 > 0):
-        raise DomainError("service rates must be positive")
-    if not 0.0 <= r <= 1.0:
-        raise DomainError("migration probability must lie in [0, 1]")
+    mu1 = read("mu1", finite_positive, mu1, DomainError)
+    mu2 = read("mu2", positive, mu2, DomainError)  # math.inf allowed
+    r = read("r", unit, r, DomainError)
     inv2 = 0.0 if math.isinf(mu2) else 1.0 / mu2
     return 1.0 / (1.0 / mu1 + r * inv2)
 
@@ -239,8 +241,7 @@ def sinusoidal_offered_load(t, profile: SinusoidProfile, mu_eff: float):
     form; it tracks instantaneous utilization well whenever m(t) < 1.
     Accepts scalar or array t.
     """
-    if not mu_eff > 0:
-        raise DomainError("mu_eff must be positive")
+    mu_eff = read("mu_eff", finite_positive, mu_eff, DomainError)
     beta = profile.gamma / mu_eff
     x = profile.gamma * np.asarray(t, dtype=float) + profile.phase
     f = np.sin(x) - beta * np.cos(x)
@@ -250,8 +251,7 @@ def sinusoidal_offered_load(t, profile: SinusoidProfile, mu_eff: float):
 
 def offered_load_lag(gamma: float) -> float:
     """Time by which the offered load trails the driving rate: arccot(1/gamma)/gamma."""
-    if not gamma > 0:
-        raise DomainError("gamma must be positive")
+    gamma = read("gamma", finite_positive, gamma, DomainError)
     return math.atan(gamma) / gamma
 
 
@@ -274,11 +274,11 @@ def excess_wait_sinusoidal(rho: float, amplitude: float, gamma: float, mu_eff: f
     quadratic term of the expansion, so it under-reads the simulated
     excess, increasingly so once the instantaneous rate nears capacity.
     """
-    if not 0.0 <= amplitude <= 1.0:
-        raise DomainError("amplitude must lie in [0, 1]")
-    if not (mu_eff > 0 and gamma > 0):
-        raise DomainError("mu_eff and gamma must be positive")
-    if not 0.0 <= rho < STABILITY_GUARD:
+    rho = read("rho", finite_nonnegative, rho, DomainError)
+    amplitude = read("amplitude", unit, amplitude, DomainError)
+    gamma = read("gamma", finite_positive, gamma, DomainError)
+    mu_eff = read("mu_eff", finite_positive, mu_eff, DomainError)
+    if rho >= STABILITY_GUARD:
         raise UnstableQueue(f"rho = {rho:.6g} must lie in [0, 1)")
     beta = gamma / mu_eff
     return rho**2 * amplitude**2 / (2.0 * mu_eff * (1.0 - rho) ** 3 * (1.0 + beta**2))
@@ -307,8 +307,7 @@ def overload_window(profile: SinusoidProfile, mu_eff: float) -> Optional[Overloa
     window extends past the half-cycle; that analytic extension is
     provided but should be considered experimental.
     """
-    if not mu_eff > 0:
-        raise DomainError("mu_eff must be positive")
+    mu_eff = read("mu_eff", finite_positive, mu_eff, DomainError)
     if profile.peak_rate <= mu_eff:
         return None
     # 0 < mu_eff < peak_rate <= 2 * lambda_bar puts the argument in (-1, 1)
@@ -356,8 +355,7 @@ def psa_cloud_wait(rho_t: float, cloud: CloudSpec) -> float:
     form, 1/(sqrt(k)*mu*(1-rho(t))); an upper bound on the true
     time-average delay since a real queue cannot re-equilibrate instantly.
     """
-    if not rho_t >= 0:
-        raise DomainError("rho(t) must be non-negative")
+    rho_t = read("rho_t", finite_nonnegative, rho_t, DomainError)
     if rho_t >= STABILITY_GUARD:
         raise OverloadedInstant(f"instantaneous utilization {rho_t:.6g} >= 1")
     return 1.0 / (math.sqrt(cloud.k) * cloud.mu_cloud * (1.0 - rho_t))
@@ -412,10 +410,9 @@ def empirical_rule_capacities(lambda_site: float, k: int) -> tuple[float, float]
     Pooling k independent Poisson sites shrinks the fluctuation term, so
     C_cloud < C_edge for every k >= 2 and they agree at k = 1.
     """
-    if not lambda_site > 0:
+    if not 0 < lambda_site < math.inf:
         raise DomainError("arrival rate must be positive")
-    if not (k >= 1 and float(k).is_integer()):
-        raise DomainError("site count k must be an integer >= 1")
+    k = read("k", count, k, DomainError)
     c_edge = k * (lambda_site + 2.0 * math.sqrt(lambda_site))
     c_cloud = k * lambda_site + 2.0 * math.sqrt(k * lambda_site)
     return c_edge, c_cloud

@@ -27,7 +27,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .config import REQUIRED, Checked, checked, count, finite_positive, ranged, read
+from .config import REQUIRED, Checked, checked, count, finite_nonnegative, finite_positive, positive, ranged, read
 from .errors import DomainError, EmptyTrace, OversizedVm, ParseError, UnstableQueue
 from .specs import DtrpSpec
 from .workload import SeededStream, poisson_arrivals
@@ -38,8 +38,7 @@ from .workload import SeededStream, poisson_arrivals
 
 def edge_overprovision_factor(q: float) -> float:
     """Capacity factor the edge needs over the cloud at equal utilization: 1 + 1/q."""
-    if q <= 0:
-        raise DomainError("packing factor q must be positive")
+    q = read("q", positive, q, DomainError)
     return 1.0 + 1.0 / q
 
 
@@ -51,18 +50,17 @@ def cloud_capacity_equivalent(
     C_cloud = C_edge * (1 - rho_edge - tau_edge/C_edge)
               / ((1 + 1/q) * (1 - rho_cloud)).
     """
-    if c_edge <= 0:
-        raise DomainError("edge capacity must be positive")
-    if q <= 0:
-        raise DomainError("packing factor q must be positive")
-    if tau_edge < 0:
-        raise DomainError("upload time tau must be non-negative")
+    c_edge = read("c_edge", finite_positive, c_edge, DomainError)
+    rho_edge = read("rho_edge", finite_nonnegative, rho_edge, DomainError)
+    tau_edge = read("tau_edge", finite_nonnegative, tau_edge, DomainError)
+    rho_cloud = read("rho_cloud", finite_nonnegative, rho_cloud, DomainError)
+    factor = edge_overprovision_factor(q)
     slack = rho_edge + tau_edge / c_edge
-    if not 0.0 <= slack < 1.0:
+    if slack >= 1.0:
         raise UnstableQueue(f"rho_edge + tau/C = {slack:.6g} must lie in [0, 1)")
-    if not 0.0 <= rho_cloud < 1.0:
+    if rho_cloud >= 1.0:
         raise UnstableQueue(f"rho_cloud = {rho_cloud:.6g} must lie in [0, 1)")
-    return c_edge * (1.0 - slack) / (edge_overprovision_factor(q) * (1.0 - rho_cloud))
+    return c_edge * (1.0 - slack) / (factor * (1.0 - rho_cloud))
 
 
 def dtrp_response_time(spec: DtrpSpec, lam: float, cloud: bool = False) -> float:
@@ -71,8 +69,7 @@ def dtrp_response_time(spec: DtrpSpec, lam: float, cloud: bool = False) -> float
     gos^2 * lam * area * (1 + 1/q)^2 / (C^2 * v^2 * (1 - rho - tau/C)^2).
     In cloud mode the pool is large enough that 1/q and tau/C vanish.
     """
-    if lam <= 0:
-        raise DomainError("arrival rate must be positive")
+    lam = read("lam", finite_positive, lam, DomainError)
     if cloud:
         pack = 1.0
         slack = 1.0 - spec.rho
@@ -303,6 +300,7 @@ def synthetic_vm_trace(
 # Packing simulator
 
 POLICIES = ("first_fit", "best_fit", "first_fit_decreasing_batch")
+packing_policy = ranged(str, POLICIES.__contains__, f"one of {POLICIES}")  # the cast of every policy argument and key
 
 
 @dataclass(frozen=True)
@@ -353,10 +351,9 @@ def simulate_packing(
     oversubscribes a server.
     """
     trace = VmTrace.of(trace)
-    if policy not in POLICIES:
-        raise DomainError(f"unknown policy {policy!r}")
-    if site_assign not in ("uniform", "hint"):
-        raise DomainError(f"unknown site_assign {site_assign!r}")
+    policy = read("policy", packing_policy, policy, DomainError)
+    site_assign = read("site_assign", ranged(str, ("uniform", "hint").__contains__, "'uniform' or 'hint'"),
+                       site_assign, DomainError)
     n = len(trace)
     if not n:
         raise EmptyTrace("trace contains no VM requests")
@@ -469,9 +466,8 @@ def simulate_packing(
 
 def packing_relative_error(edge_capacity: float, cloud_capacity: float, q: float) -> float:
     """|C_edge_peak - C_cloud_peak*(1+1/q)| / (C_cloud_peak*(1+1/q))."""
-    target = cloud_capacity * edge_overprovision_factor(q)
-    if target <= 0:
-        raise DomainError("cloud peak capacity must be positive")
+    edge_capacity = read("edge_capacity", finite_nonnegative, edge_capacity, DomainError)
+    target = read("cloud_capacity", finite_positive, cloud_capacity, DomainError) * edge_overprovision_factor(q)
     return abs(edge_capacity - target) / target
 
 
@@ -508,8 +504,7 @@ def capacity_sweep(
     trace = VmTrace.of(trace)
     if not len(trace):
         raise EmptyTrace("trace contains no VM requests")
-    if policy not in POLICIES:
-        raise DomainError(f"unknown policy {policy!r}")
+    policy = read("policy", packing_policy, policy, DomainError)
     k_sites = read("k_sites", count, k_sites, DomainError)
     sizes = []
     for value in core_grid:

@@ -236,8 +236,6 @@ def _parse_topology(text: str) -> capacity.Topology:
             if key not in fields or not value:
                 raise EdgeqError(f"bad topology element {part!r}; use mode:k=..,cores=..,servers=..")
             fields[key] = int(value)
-    if mode == "cloud":
-        fields["k"] = 1
     return capacity.Topology(mode, fields["k"], fields["servers"], fields["cores"])
 
 

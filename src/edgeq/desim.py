@@ -413,22 +413,6 @@ def _write_event_log(path: str, *queues) -> None:
         ))
 
 
-def _p95(x: np.ndarray) -> float:
-    """``np.percentile(x, 95)`` bit for bit, from one partition of ``x`` in place.
-
-    numpy's linear method reads the order statistics at lo and lo + 1
-    around the virtual index (n - 1) * 0.95 and blends them with its
-    ``_lerp`` formula, which this repeats.
-    """
-    pos = (len(x) - 1) * 0.95
-    lo = math.floor(pos)
-    if lo >= len(x) - 1:
-        return float(np.max(x))
-    x.partition((lo, lo + 1))
-    a, b, g = float(x[lo]), float(x[lo + 1]), pos - lo
-    return b - (b - a) * (1 - g) if g >= 0.5 else a + (b - a) * g
-
-
 WINDOWED = frozenset({"utilization_observed", "little_l", "window_duration"})  # read departures
 PER_REQUEST = frozenset({"p95_response", "mean_sojourn"})  # read per-request sojourns
 
@@ -473,7 +457,7 @@ def _summarize(config, t, cut, rtt, mean_wait, busy, done=None, sojourn=None, se
             values["mean_sojourn"] = float(np.mean(counted))
         if "p95_response" in want:
             counted += rtt
-            values["p95_response"] = _p95(counted)
+            values["p95_response"] = float(np.percentile(counted, 95))
     return _metrics(config, **values)
 
 

@@ -80,14 +80,10 @@ def _map_points(one: Callable, jobs: list[tuple], workers: int) -> list[Comparis
         except DomainError as exc:
             return ComparisonRow(job[1], math.nan, math.nan, math.nan, f"skipped: {exc}")
 
-    return _map_ordered(guarded, jobs, workers)
-
-
-def _map_ordered(fn, items, workers: int):
-    if workers <= 1 or len(items) <= 1:
-        return [fn(it) for it in items]
+    if workers <= 1 or len(jobs) <= 1:
+        return [guarded(job) for job in jobs]
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
+        return list(pool.map(guarded, jobs))
 
 
 def _run_two_phase_wait(sc: Scenario, workers: int):
@@ -349,7 +345,7 @@ _MODELS: dict[str, tuple[tuple[str, ...], dict, Callable]] = {
     "packing_sweep": (("cores_per_site",), {
         "cores_per_site": (integral, REQUIRED), "k_sites": (count, 16), "q": (positive, 2.0),
         "vm_rate": (finite_positive, 16.0), "mean_lifetime_s": (finite_positive, 10.0), "horizon_s": (finite_positive, 400.0),
-        "policy": (ranged(str, capacity.POLICIES.__contains__, f"one of {capacity.POLICIES}"), "first_fit"),
+        "policy": (capacity.packing_policy, "first_fit"),
     }, _run_packing_sweep),
 }
 COMPARISON_MODELS = tuple(_MODELS)

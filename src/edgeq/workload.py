@@ -23,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .config import REQUIRED, Checked, checked, finite_nonnegative, finite_positive, ranged
+from .config import REQUIRED, Checked, checked, count, finite_nonnegative, finite_positive, ranged, read, whole
 from .errors import DomainError, UnreachableScv
 from .specs import SinusoidProfile
 
@@ -95,8 +95,7 @@ class RenewalSpec(Checked):
 
 def renewal_times(spec: RenewalSpec, count: int, rng: np.random.Generator) -> np.ndarray:
     """Draw `count` iid samples with the spec's mean and squared CoV."""
-    if count < 0:
-        raise DomainError("count must be non-negative")
+    count = read("count", whole, count, DomainError)
     if spec.family == "exponential":
         return rng.exponential(spec.mean, count)
     if spec.family == "deterministic":
@@ -120,10 +119,8 @@ def renewal_times(spec: RenewalSpec, count: int, rng: np.random.Generator) -> np
 
 def _poisson_candidates(lam: float, horizon: float, rng: np.random.Generator) -> np.ndarray:
     """Poisson points on [0, horizon), unsorted: a Poisson count, then that many uniforms."""
-    if lam <= 0:
-        raise DomainError("rate must be positive")
-    if horizon < 0:
-        raise DomainError("horizon must be non-negative")
+    lam = read("lam", finite_positive, lam, DomainError)
+    horizon = read("horizon", finite_nonnegative, horizon, DomainError)
     if horizon == 0:
         return np.empty(0)
     t = rng.random(rng.poisson(lam * horizon))
@@ -229,8 +226,7 @@ def phase_shifted_sites(
     phase_law is either "uniform" (iid on [0, 2*pi)) or an explicit list
     of k phases.
     """
-    if k < 1:
-        raise DomainError("site count k must be >= 1")
+    k = read("k", count, k, DomainError)
     if isinstance(phase_law, str):
         if phase_law != "uniform":
             raise DomainError(f"unknown phase law {phase_law!r}")

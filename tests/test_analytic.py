@@ -48,6 +48,8 @@ from edgeq import (
     sinusoidal_wait_profile,
 )
 from edgeq.analytic import ggk_wait_probability
+from edgeq.capacity import cloud_capacity_equivalent, dtrp_response_time, edge_overprovision_factor, packing_relative_error
+from edgeq.workload import poisson_arrivals, renewal_times
 
 MARKOV = VariabilitySpec(1.0, 1.0)
 
@@ -565,9 +567,23 @@ BARE_FLOAT_CALLS = [
     (overload_window, (PROFILE, 10.0)),
     (psa_cloud_wait, (0.5, CloudSpec(4, 10.0, 0.5))),
     (empirical_rule_capacities, (10.0, 4)),
+    (edge_overprovision_factor, (2.0,)),
+    (cloud_capacity_equivalent, (96.0, 0.5, 0.0, 2.0, 0.5)),
+    (dtrp_response_time, (DtrpSpec(96.0, 0.5, 0.0, 2.0), 5.0)),
+    (packing_relative_error, (100.0, 64.0, 2.0)),
+    (poisson_arrivals, (8.0, 10.0, np.random.default_rng(0))),
+    (renewal_times, (RenewalSpec(0.1), 5, np.random.default_rng(0))),
 ]
 # (function, arguments, the index of the float argument set to NaN)
 NAN_CASES = [(fn, args, i) for fn, args in BARE_FLOAT_CALLS for i, a in enumerate(args) if isinstance(a, (int, float))]
+NAN_IDS = [f"{fn.__name__}-{list(inspect.signature(fn).parameters)[i]}" for fn, _, i in NAN_CASES]
+# the arguments whose domain holds +inf: an instantaneous migration, a perfect packing
+INFINITE_OK = {
+    (migration_service_time, "mu2"), (effective_service_rate, "mu2"), (edge_overprovision_factor, "q"),
+    (cloud_capacity_equivalent, "q"), (packing_relative_error, "q"),
+}
+# the one refusal whose wording a CLI test pins, so it does not start with the argument's name
+PINNED = {(empirical_rule_capacities, "lambda_site"): "arrival rate must be positive"}
 
 
 class TestDomainErrors:
@@ -615,11 +631,23 @@ class TestDomainErrors:
         else:
             assert domain[name](value)
 
-    @pytest.mark.parametrize(
-        "fn, args, i", NAN_CASES, ids=[f"{fn.__name__}-{list(inspect.signature(fn).parameters)[i]}" for fn, _, i in NAN_CASES]
-    )
+    @pytest.mark.parametrize("fn, args, i", NAN_CASES, ids=NAN_IDS)
     def test_nan_float_argument_raises(self, fn, args, i):
         fn(*args)
-        with pytest.raises(DomainError):
+        name = list(inspect.signature(fn).parameters)[i]
+        with pytest.raises(DomainError) as exc:
             fn(*args[:i], math.nan, *args[i + 1:])
+        assert str(exc.value).startswith(PINNED.get((fn, name), f"{name}: ")), exc.value
+
+    @pytest.mark.parametrize("fn, args, i", NAN_CASES, ids=NAN_IDS)
+    @pytest.mark.parametrize("value", [math.inf, -math.inf], ids=["inf", "-inf"])
+    def test_infinite_float_argument_raises_unless_its_domain_holds_inf(self, fn, args, i, value):
+        name = list(inspect.signature(fn).parameters)[i]
+        call = lambda: fn(*args[:i], value, *args[i + 1:])  # noqa: E731
+        if value > 0 and (fn, name) in INFINITE_OK:
+            assert math.isfinite(call())
+            return
+        with pytest.raises(DomainError) as exc:
+            call()
+        assert str(exc.value).startswith(PINNED.get((fn, name), f"{name}: ")), exc.value
 

@@ -102,6 +102,17 @@ class TestCapacityCommands:
         assert code == EXIT_CONFIG
         assert "arrival rate must be positive" in err
 
+    # each used to print nan or inf and exit 0
+    @pytest.mark.parametrize("argv, message", [
+        (("analytic", "factor", "--q", "nan"), "q: must be > 0, got nan"),
+        (("capacity", "equivalent", "--c-edge", "inf", "--q", "2"), "c_edge: must be finite and > 0, got inf"),
+        (("capacity", "rule", "--lambda", "inf", "--k", "4"), "arrival rate must be positive"),
+    ])
+    def test_non_finite_argument_exits_2(self, capsys, argv, message):
+        code, _, err = run_cli(capsys, *argv)
+        assert code == EXIT_CONFIG
+        assert message in err
+
     def test_pack(self, capsys, tmp_path):
         trace = tmp_path / "t.csv"
         trace.write_text(
@@ -139,6 +150,15 @@ class TestCapacityCommands:
         )
         assert code == EXIT_CONFIG
         assert "topology" in err
+
+    def test_pack_cloud_with_several_sites_exit_2(self, capsys, tmp_path):
+        trace = tmp_path / "t.csv"
+        trace.write_text("vm_id,arrival_s,lifetime_s,cores\nv,0,1,2\n")
+        code, _, err = run_cli(
+            capsys, "capacity", "pack", "--trace", str(trace), "--topology", "cloud:k=4,cores=8,servers=2"
+        )
+        assert code == EXIT_CONFIG
+        assert "cloud mode pools everything into one site" in err
 
     def test_pack_hinted_trace_with_site_assign_hint(self, capsys, tmp_path):
         trace = tmp_path / "t.csv"

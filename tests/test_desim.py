@@ -35,7 +35,7 @@ from edgeq import (
 )
 from edgeq.analytic import effective_service_rate
 from edgeq import desim
-from edgeq.desim import SimMetrics, _p95, _time_average_in_system, lindley_waits, multiserver_waits
+from edgeq.desim import SimMetrics, _time_average_in_system, lindley_waits, multiserver_waits
 from edgeq.workload import BLOCK
 
 
@@ -125,24 +125,6 @@ class TestLindleyCore:
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-9)
         else:
             np.testing.assert_array_equal(got, np.array(want, dtype=float))
-
-
-class TestP95:
-    @settings(max_examples=300, deadline=None)
-    @given(st.lists(
-        st.one_of(st.floats(0.0, 1e3, allow_subnormal=False), st.sampled_from([0.0, 0.5, 1.0, 7.25])),
-        min_size=1, max_size=2000,
-    ))
-    def test_partition_matches_percentile_bitwise(self, xs):
-        x = np.array(xs)
-        want = float(np.percentile(x, 95))
-        got = _p95(x.copy())
-        assert got == want, (len(xs), got, want)
-
-    @pytest.mark.parametrize("n", [1, 2, 3, 20, 21, 41, 1999, 2000])
-    def test_every_order_statistic_pair_with_ties(self, n):
-        x = np.random.default_rng(n).integers(0, 5, n).astype(float)
-        assert _p95(x.copy()) == float(np.percentile(x, 95))
 
 
 def sorted_event_time_average(arrivals, departures, t0, t1):
