@@ -26,7 +26,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .config import count, finite_nonnegative, finite_positive, positive, read, unit
+from .config import count, finite_nonnegative, finite_positive, fraction, positive, read, unit
 from .errors import DomainError, IncompatiblePeriods, OverloadedInstant, UnstableQueue
 from .specs import (
     STABILITY_GUARD,
@@ -172,8 +172,8 @@ def ggk_wait_probability(k: int, rho: float) -> float:
     (rho^k + rho)/2 in heavy traffic (rho >= 0.7), rho^((k+1)/2) below.
     The boundary itself takes the heavy-traffic branch.
     """
-    if not 0.0 <= rho < 1.0:
-        raise DomainError("rho must lie in [0, 1)")
+    k = read("k", count, k, DomainError)
+    rho = read("rho", fraction, rho, DomainError)
     if rho >= 0.7:
         return 0.5 * (rho**k + rho)
     return rho ** ((k + 1) / 2.0)

@@ -27,9 +27,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .config import REQUIRED, Checked, checked, count, finite_nonnegative, finite_positive, positive, ranged, read
+from .config import REQUIRED, Checked, checked, count, finite_nonnegative, finite_positive, ranged, read
 from .errors import DomainError, EmptyTrace, OversizedVm, ParseError, UnstableQueue
-from .specs import DtrpSpec
+from .specs import DtrpSpec, packing_factor
 from .workload import SeededStream, poisson_arrivals
 
 # ---------------------------------------------------------------------------
@@ -38,7 +38,7 @@ from .workload import SeededStream, poisson_arrivals
 
 def edge_overprovision_factor(q: float) -> float:
     """Capacity factor the edge needs over the cloud at equal utilization: 1 + 1/q."""
-    q = read("q", positive, q, DomainError)
+    q = read("q", packing_factor, q, DomainError)
     return 1.0 + 1.0 / q
 
 

@@ -175,7 +175,7 @@ def _cmd_simulate(args) -> int:
 def _cmd_validate(args) -> int:
     scenario = load_scenario(args.scenario)
     if args.seed is not None:
-        scenario = replace(scenario, seed=int(args.seed))
+        scenario = replace(scenario, seed=args.seed)
     rows, summary, written = run_scenario(
         scenario, out_dir=args.out, deterministic_names=args.deterministic_names,
         workers=args.workers,

@@ -8,9 +8,9 @@ the key: ``positive`` reads ``"inf"`` (a rate that may be infinite),
 switches go through ``flag`` and counts through ``integral``.
 
 A dataclass field declared ``checked(default, cast)`` carries its domain:
-``table_of`` puts its cast and default in a key table, ``check`` applies
-the cast to an instance built in Python, and a ``Checked`` dataclass
-applies it on construction. Each file format lives beside its dataclass,
+``table_of`` puts its cast and default in a key table, and ``check``
+casts the field when its record is built (None passes only as the
+default). Each file format lives beside its dataclass,
 in ``edgeq.desim`` and ``edgeq.harness``; the spec records of
 ``edgeq.specs`` and ``edgeq.workload`` declare the domains both formats read.
 """
@@ -97,6 +97,7 @@ def ranged(cast, test, domain: str):
 positive = ranged(float, lambda x: x > 0, "> 0")  # a rate that may be infinite
 finite = ranged(float, math.isfinite, "finite")
 unit = ranged(float, lambda x: 0 <= x <= 1, "in [0, 1]")  # a probability or a relative amplitude
+fraction = ranged(float, lambda x: 0 <= x < 1, "in [0, 1)")  # a warm-up share or a stable utilization
 finite_positive = ranged(float, lambda x: 0 < x < math.inf, "finite and > 0")  # a span or a frequency
 finite_nonnegative = ranged(float, lambda x: 0 <= x < math.inf, "finite and >= 0")
 count = ranged(integral, lambda n: n >= 1, ">= 1")
@@ -115,16 +116,27 @@ def checked(default, cast):
 
 @cache
 def _casts(cls) -> tuple:
-    """``(name, cast)`` of each ``checked`` field of the dataclass ``cls``."""
-    return tuple((f.name, f.metadata["cast"]) for f in fields(cls) if "cast" in f.metadata)
+    """``(name, cast, whether None passes)`` of each ``checked`` field of the dataclass ``cls``."""
+    return tuple((f.name, f.metadata["cast"], f.metadata["default"] is None) for f in fields(cls) if "cast" in f.metadata)
 
 
-def check(obj, name) -> None:
-    """Apply each ``checked`` field's cast to its value in ``obj``, unless None; ConfigError names ``name(field)``."""
-    for key, cast in _casts(type(obj)):
+def check(obj, name=None, error=DomainError) -> None:
+    """Cast each ``checked`` field of ``obj`` in place, None only if it is the default.
+
+    A value that fails raises ``error`` naming ``name(field)``, or ``Class.field``; no name is built before that.
+    """
+    for key, cast, none_passes in _casts(type(obj)):
         value = getattr(obj, key)
-        if value is not None:
-            read(name(key), cast, value)
+        if value is None and none_passes:
+            continue
+        try:
+            if value is None:
+                raise ValueError("must be set, got None")
+            cast_value = cast(value)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise error(f"{name(key) if name else type(obj).__name__ + '.' + key}: {exc}") from None
+        if cast_value is not value:
+            object.__setattr__(obj, key, cast_value)
 
 
 class Checked:
@@ -136,15 +148,7 @@ class Checked:
     rules that span fields, after calling this one.
     """
 
-    def __post_init__(self):  # the spec records are built on hot paths: no per-field name until a value fails
-        for key, cast in _casts(type(self)):
-            value = getattr(self, key)
-            try:
-                cast_value = cast(value)
-            except (TypeError, ValueError, OverflowError) as exc:
-                raise DomainError(f"{type(self).__name__}.{key}: {exc}") from None
-            if cast_value is not value:
-                object.__setattr__(self, key, cast_value)
+    __post_init__ = check
 
 
 def table_of(cls, *names, **defaults) -> dict:

@@ -14,12 +14,13 @@ Three models, each one FCFS station pass of the one runner, ``run_model``:
 
 ``load_sim_config`` reads an ``edgeq simulate`` file into a ``SimConfig``.
 A field declared ``checked`` carries its domain: the loader casts the
-field's key with it, and ``validate`` applies it again to a config built
-in Python, naming the key. The ``edge``, ``cloud``, ``network`` and
-``workload`` sections are cast the same way by the fields of the spec
-records they build. ``MODEL_FIELDS`` names the ``SimConfig``
-fields each model requires and reads; ``validate`` refuses any other
-field set off its default, and a config without exactly one horizon.
+field's key with it, and building a ``SimConfig`` casts every such field
+again, naming the key, so a config built in Python is checked the same
+way and no invalid config exists. The ``edge``, ``cloud``, ``network``
+and ``workload`` sections are cast the same way by the fields of the
+spec records they build. ``MODEL_FIELDS`` names the ``SimConfig`` fields
+each model requires and reads; a config refuses any other field set off
+its default, and a horizon other than exactly one.
 
 Single-server waits come from the vectorized Lindley recursion
 (reflected random walk), which ``multiserver_waits`` runs at k = 1, so
@@ -53,8 +54,8 @@ import numpy as np
 
 from .analytic import effective_service_rate, overload_window
 from .config import (
-    REQUIRED, check, checked, count, finite_nonnegative, finite_positive, flag, integral, listed, positive, ranged,
-    read, table_of, take, whole,
+    REQUIRED, check, checked, count, finite_nonnegative, finite_positive, flag, fraction, integral, listed, positive,
+    ranged, read, table_of, take, whole,
 )
 from .errors import ConfigError, InstabilityDetected
 from .specs import CloudSpec, NetworkSpec, QueueSpec, SinusoidProfile
@@ -124,7 +125,7 @@ class SimConfig:
     service2: Optional[RenewalSpec] = None     # phase-2 law
     horizon_requests: Optional[int] = checked(None, whole)
     horizon_s: Optional[float] = checked(None, finite_nonnegative)
-    warmup: float = checked(0.1, ranged(float, lambda x: 0 <= x < 1, "in [0, 1)"))
+    warmup: float = checked(0.1, fraction)
     network: Optional[NetworkSpec] = None
     dest_rate: Optional[float] = checked(None, positive)  # destination service rate, default mu1
     dest_home_load: float = checked(0.0, finite_nonnegative)  # extra Poisson rate offered to queue 2
@@ -138,8 +139,8 @@ class SimConfig:
         listed, lambda names: set(names) <= set(SimMetrics.FIELDS), f"fields of {SimMetrics.FIELDS}"
     ))
 
-    def validate(self) -> None:
-        check(self, _key)
+    def __post_init__(self):
+        check(self, _key, ConfigError)
         required, reads = MODEL_FIELDS[self.model]
         for f in fields(self):
             value = getattr(self, f.name)
@@ -204,7 +205,6 @@ def load_sim_config(raw) -> tuple[SimConfig, dict]:
            for key in ("arrivals", "service1", "service2")},
         **{key: value for key, value in cfg["simulation"].items() if key not in ("seed", "reps")},
     )
-    config.validate()
     return config, cfg
 
 
@@ -531,7 +531,6 @@ def run_model(config: SimConfig, stream: SeededStream) -> tuple[SimMetrics, Opti
     profile returns the per-cycle bins and the rush window; the pool also
     reports the wait conditioned on being delayed.
     """
-    config.validate()
     q, pool, prof, net = config.queue, config.cloud, config.profile, config.network
     tandem = config.model == "two_phase_edge"
     if prof is None and not config.allow_unstable:  # a sinusoid may overload the edge for part of each cycle

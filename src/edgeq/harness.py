@@ -5,7 +5,8 @@ count; running it yields one ComparisonRow per grid point plus optional
 CSV/JSON artifacts. ``_MODELS`` names each model's keys and runner. A
 sweepable key is checked per point, so a point the model rejects keeps its
 row, marked ``skipped: <reason>``, even if the key is set in ``fixed``; the
-cast of every other key checks its domain, naming the key before any run.
+cast of every other key checks its domain, naming the key, when the
+``Scenario`` is built.
 Each runner asks its simulations for the ``SimMetrics`` fields its rows
 read, plus ``count_served``, which costs nothing and tells a profiler how
 many requests each run counted.
@@ -25,10 +26,10 @@ from pathlib import Path
 from typing import Callable, Optional, Sequence
 
 from . import analytic, capacity
-from .config import REQUIRED, check, checked, count, finite_positive, integral, listed, positive, ranged, table_of, take
+from .config import REQUIRED, check, checked, count, finite_positive, integral, listed, ranged, table_of, take
 from .desim import FREQUENCY, SimConfig, replicate
 from .errors import ConfigError, DomainError
-from .specs import CloudSpec, NetworkSpec, QueueSpec, SinusoidProfile
+from .specs import CloudSpec, DtrpSpec, NetworkSpec, QueueSpec, SinusoidProfile
 from .workload import SeededStream
 
 
@@ -159,22 +160,16 @@ def _run_mobility_crossover(sc: Scenario, workers: int):
 
 
 def _bound_root(mu1, mu2, r, k, mu_cloud, delta_t, lo, hi) -> Optional[float]:
+    """The rate where the bound meets ``delta_t``, by bisection on [lo, hi], or None if it does not cross there.
+
+    lo and hi are rates of ok rows, and each stability rule is monotone in the rate: the bound is finite between.
+    """
     def f(lam: float) -> float:
-        try:
-            edge = QueueSpec(lam, mu1, mu2, r)
-            cloud = CloudSpec(k, mu_cloud, lam / mu_cloud)
-            return analytic.delta_t_bound_mmk(edge, cloud) - delta_t
-        except DomainError:
-            return math.inf
+        cloud = CloudSpec(k, mu_cloud, lam / mu_cloud)
+        return analytic.delta_t_bound_mmk(QueueSpec(lam, mu1, mu2, r), cloud) - delta_t
 
     a, b = lo, hi
-    # shrink b below the stability edge if needed
-    for _ in range(200):
-        if not math.isinf(f(b)):
-            break
-        b = a + 0.95 * (b - a)
-    fa, fb = f(a), f(b)
-    if math.isinf(fa) or fa > 0 or fb < 0:
+    if f(a) > 0 or f(b) < 0:
         return None
     for _ in range(200):
         mid = 0.5 * (a + b)
@@ -343,7 +338,7 @@ _MODELS: dict[str, tuple[tuple[str, ...], dict, Callable]] = {
         "mu_eff": (finite_positive, REQUIRED), **FREQUENCY, "horizon_periods": (finite_positive, 12), **_WARMUP,
     }, _run_excess_wait),
     "packing_sweep": (("cores_per_site",), {
-        "cores_per_site": (integral, REQUIRED), "k_sites": (count, 16), "q": (positive, 2.0),
+        "cores_per_site": (integral, REQUIRED), "k_sites": (count, 16), **table_of(DtrpSpec, "q", q=2.0),
         "vm_rate": (finite_positive, 16.0), "mean_lifetime_s": (finite_positive, 10.0), "horizon_s": (finite_positive, 400.0),
         "policy": (capacity.packing_policy, "first_fit"),
     }, _run_packing_sweep),
@@ -353,7 +348,7 @@ COMPARISON_MODELS = tuple(_MODELS)
 
 @dataclass(frozen=True)
 class Scenario:
-    """A comparison sweep; each field declared ``checked`` carries its domain, applied on load and by ``validate``."""
+    """A comparison sweep, checked when built: each ``checked`` field's domain, then the grid's points."""
 
     name: str = checked(REQUIRED, str)
     model: str = checked(REQUIRED, ranged(str, COMPARISON_MODELS.__contains__, f"one of {COMPARISON_MODELS}"))
@@ -365,9 +360,9 @@ class Scenario:
         ("csv", "json"), ranged(listed, lambda names: set(names) <= {"csv", "json"}, "a list of 'csv' and 'json'")
     )
 
-    def validate(self) -> None:
+    def __post_init__(self):
         where = f"scenario {self.name!r}"
-        check(self, lambda key: f"{where}.{key}")
+        check(self, lambda key: f"{where}.{key}", ConfigError)
         for key, values in self.grid.items():
             if not isinstance(values, list) or not values:
                 raise ConfigError(f"{where}: grid.{key} must be a non-empty list")
@@ -397,9 +392,7 @@ def load_scenario(source: str | Path) -> Scenario:
         path = resources.files("edgeq.scenarios").joinpath(str(source))
         if not path.is_file():
             raise ConfigError(f"scenario file not found: {source}")
-    sc = Scenario(**take(json.loads(path.read_text()), _SCENARIO, str(source)))
-    sc.validate()
-    return sc
+    return Scenario(**take(json.loads(path.read_text()), _SCENARIO, str(source)))
 
 
 # ---------------------------------------------------------------------------
@@ -413,7 +406,6 @@ def run_scenario(
     workers: int = 1,
 ) -> tuple[list[ComparisonRow], dict, list[Path]]:
     """Run every grid point; returns (rows, summary, written files)."""
-    scenario.validate()
     rows, summary = _MODELS[scenario.model][2](scenario, workers)
     written = write_outputs(scenario, rows, summary, out_dir, deterministic_names)
     return rows, summary, written

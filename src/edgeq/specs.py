@@ -13,12 +13,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .config import REQUIRED, Checked, checked, count, finite, finite_nonnegative, finite_positive, positive, unit
+from .config import REQUIRED, Checked, checked, count, finite, finite_nonnegative, finite_positive, positive, ranged, unit
 from .errors import UnstableQueue
 
 # Utilization at or above this is treated as unstable to keep clear of the
 # (1-rho)^-1 singularities.
 STABILITY_GUARD = 1.0 - 1e-9
+
+packing_factor = ranged(positive, lambda q: 1.0 / q < math.inf, "large enough for a finite 1/q")  # VM packing q
 
 
 @dataclass(frozen=True)
@@ -157,7 +159,7 @@ class DtrpSpec(Checked):
     capacity: float = checked(REQUIRED, finite_positive)
     rho: float = checked(REQUIRED, finite_nonnegative)
     tau: float = checked(REQUIRED, finite_nonnegative)
-    q: float = checked(REQUIRED, positive)
+    q: float = checked(REQUIRED, packing_factor)
     area: float = checked(1.0, finite_positive)
     velocity: float = checked(1.0, finite_positive)
     gos: float = checked(1.0, finite_positive)

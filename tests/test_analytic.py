@@ -244,6 +244,16 @@ class TestGgkCloudWait:
     def test_branch_boundary_uses_heavy_traffic_form(self):
         assert ggk_wait_probability(3, 0.7) == pytest.approx(0.5 * (0.7**3 + 0.7), rel=1e-12)
 
+    # each used to return a number: 0.297, 0.9 and 2.0
+    @pytest.mark.parametrize("k, message", [(2.5, "must be an integer"), (0, "must be >= 1"), (-3, "must be >= 1")])
+    def test_wait_probability_refuses_a_server_count_outside_the_counts(self, k, message):
+        with pytest.raises(DomainError, match=rf"^k: {message}, got {k}$"):
+            ggk_wait_probability(k, 0.5)
+
+    def test_wait_probability_refuses_a_saturated_pool(self):
+        with pytest.raises(DomainError, match=r"^rho: must be in \[0, 1\), got 1.0$"):
+            ggk_wait_probability(4, 1.0)
+
     def test_k1_reduction_over_random_draws(self):
         rng = np.random.default_rng(31)
         for _ in range(1000):
@@ -457,6 +467,10 @@ class TestAggregateProfile:
         sites = [SinusoidProfile(10, 0.7, 1.0, p) for p in rng.uniform(0, 2 * math.pi, 64)]
         assert AggregateProfile(sites).relative_amplitude() < 0.7
 
+    def test_no_sites_rejected(self):
+        with pytest.raises(DomainError, match="site list must be non-empty"):
+            AggregateProfile([])
+
     def test_mixed_frequencies_need_horizon(self):
         sites = [SinusoidProfile(10, 0.5, 1.0), SinusoidProfile(10, 0.5, 2.0)]
         agg = AggregateProfile(sites)
@@ -547,7 +561,7 @@ SPEC_DOMAINS = {
     PhaseMoments: (dict(mean1=0.02, var1=4e-4, mean2=0.02, var2=4e-4, r=0.1),
                    dict(mean1=_positive, var1=_nonnegative, mean2=_positive, var2=_nonnegative, r=_unit)),
     DtrpSpec: (dict(capacity=96.0, rho=0.5, tau=0.0, q=2.0),
-               dict(capacity=_positive, rho=_nonnegative, tau=_nonnegative, q=lambda x: x > 0,
+               dict(capacity=_positive, rho=_nonnegative, tau=_nonnegative, q=lambda x: x > 0 and 1.0 / x < math.inf,
                     area=_positive, velocity=_positive, gos=_positive)),
     RenewalSpec: (dict(mean=0.1, scv=2.0, family="hyperexponential2"), dict(mean=_positive, scv=_nonnegative)),
 }
@@ -567,6 +581,7 @@ BARE_FLOAT_CALLS = [
     (overload_window, (PROFILE, 10.0)),
     (psa_cloud_wait, (0.5, CloudSpec(4, 10.0, 0.5))),
     (empirical_rule_capacities, (10.0, 4)),
+    (ggk_wait_probability, (4, 0.5)),
     (edge_overprovision_factor, (2.0,)),
     (cloud_capacity_equivalent, (96.0, 0.5, 0.0, 2.0, 0.5)),
     (dtrp_response_time, (DtrpSpec(96.0, 0.5, 0.0, 2.0), 5.0)),
@@ -638,6 +653,13 @@ class TestDomainErrors:
         with pytest.raises(DomainError) as exc:
             fn(*args[:i], math.nan, *args[i + 1:])
         assert str(exc.value).startswith(PINNED.get((fn, name), f"{name}: ")), exc.value
+
+    # 1/q overflowed to inf: the factor read inf, the relative error nan and the cloud capacity 0
+    @pytest.mark.parametrize("fn, args, i", [c for c, name in zip(NAN_CASES, NAN_IDS) if name.endswith("-q")],
+                             ids=[name for name in NAN_IDS if name.endswith("-q")])
+    def test_a_packing_factor_whose_reciprocal_overflows_raises(self, fn, args, i):
+        with pytest.raises(DomainError, match=r"^q: must be large enough for a finite 1/q, got 1e-320$"):
+            fn(*args[:i], 1e-320, *args[i + 1:])
 
     @pytest.mark.parametrize("fn, args, i", NAN_CASES, ids=NAN_IDS)
     @pytest.mark.parametrize("value", [math.inf, -math.inf], ids=["inf", "-inf"])

@@ -73,6 +73,8 @@ class TestClosedForms:
     def test_equivalent_rejects_saturation(self):
         with pytest.raises(UnstableQueue):
             cloud_capacity_equivalent(100, 0.9, 20.0, 2.0, 0.5)
+        with pytest.raises(UnstableQueue, match="rho_cloud = 1 must lie in"):
+            cloud_capacity_equivalent(100, 0.5, 0.0, 2.0, 1.0)
 
     def test_dtrp_edge_equals_cloud_at_equivalent_capacity(self):
         edge = DtrpSpec(capacity=96, rho=0.5, tau=0.0, q=2.0)
@@ -147,8 +149,19 @@ class TestTraceIo:
     def test_empty_trace(self, tmp_path):
         path = tmp_path / "t.csv"
         path.write_text("vm_id,arrival_s,lifetime_s,cores\n")
-        with pytest.raises(EmptyTrace):
+        with pytest.raises(EmptyTrace, match="no VM requests"):
             load_vm_trace(str(path))
+
+    def test_empty_file(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text("")
+        with pytest.raises(EmptyTrace, match="file is empty"):
+            load_vm_trace(str(path))
+
+    def test_blank_lines_are_skipped(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text("vm_id,arrival_s,lifetime_s,cores\nx,0,1,2\n\n   \ny,1,1,4\n")
+        assert [(r.id, r.cores) for r in load_vm_trace(str(path))] == [("x", 2), ("y", 4)]
 
     def test_synthetic_trace_calibration(self):
         trace = synthetic_vm_trace(50.0, 10.0, 400.0, SeededStream(42), k_sites=8)
@@ -189,6 +202,10 @@ class TestPackingSimulator:
                 trace, Topology(mode, k, 2, 10), site_assign="uniform", stream=SeededStream(1)
             )
             assert report.peak_servers_used == 1
+
+    def test_empty_trace_rejected(self):
+        with pytest.raises(EmptyTrace, match="trace contains no VM requests"):
+            simulate_packing([], Topology("cloud", 1, 4, 16))
 
     def test_oversized_vm_rejected(self):
         trace = [VmRequest("big", 0.0, 1.0, 32)]

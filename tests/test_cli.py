@@ -69,6 +69,18 @@ class TestAnalyticCommands:
         assert code == EXIT_OK
         assert "overprovision_factor 1.5" in out
 
+    @pytest.mark.parametrize("argv, record", [
+        (("analytic", "factor", "--q", "2"), {"q": 2.0, "overprovision_factor": 1.5}),
+        (("capacity", "equivalent", "--c-edge", "96", "--q", "2", "--rho-equal"),
+         {"c_edge": 96.0, "q": 2.0, "rho_edge": 0.5, "rho_cloud": 0.5, "tau": 0.0, "c_cloud": 64.0}),
+        (("capacity", "rule", "--lambda", "100", "--k", "4"),
+         {"lambda": 100.0, "k": 4, "c_edge": 480.0, "c_cloud": 440.0}),
+    ], ids=["factor", "equivalent", "rule"])
+    def test_json_mode_prints_one_record(self, capsys, argv, record):
+        code, out, _ = run_cli(capsys, *argv, "--json")
+        assert code == EXIT_OK
+        assert json.loads(out) == pytest.approx(record, rel=1e-12)
+
     # an infinite arrival, phase-1 or cloud rate used to print a limit and exit 0
     @pytest.mark.parametrize("argv, field", [
         (("wait", "--lambda", "10", "--mu1", "inf", "--mu2", "50"), "QueueSpec.mu1"),
@@ -105,6 +117,7 @@ class TestCapacityCommands:
     # each used to print nan or inf and exit 0
     @pytest.mark.parametrize("argv, message", [
         (("analytic", "factor", "--q", "nan"), "q: must be > 0, got nan"),
+        (("analytic", "factor", "--q", "1e-320"), "q: must be large enough for a finite 1/q, got 1e-320"),  # 1/q is inf
         (("capacity", "equivalent", "--c-edge", "inf", "--q", "2"), "c_edge: must be finite and > 0, got inf"),
         (("capacity", "rule", "--lambda", "inf", "--k", "4"), "arrival rate must be positive"),
     ])
@@ -135,6 +148,17 @@ class TestCapacityCommands:
         )
         assert code == EXIT_CONFIG
         assert "t.csv:3" in err and "finite" in err
+
+    def test_pack_out_writes_the_printed_record(self, capsys, tmp_path):
+        trace, out_path = tmp_path / "t.csv", tmp_path / "report.json"
+        trace.write_text("vm_id,arrival_s,lifetime_s,cores\nv1,0,100,8\nv2,1,100,2\n")
+        code, out, _ = run_cli(
+            capsys, "capacity", "pack", "--trace", str(trace), "--topology", "cloud:cores=10,servers=4",
+            "--out", str(out_path),
+        )
+        assert code == EXIT_OK
+        assert out == out_path.read_text() + f"wrote {out_path}\n"
+        assert json.loads(out_path.read_text())["peak_servers_used"] == 1
 
     def test_pack_missing_trace_exit_2(self, capsys, tmp_path):
         trace = tmp_path / "absent.csv"
@@ -343,6 +367,16 @@ class TestValidateCommand:
         assert "analytic=0.00656200942" in out
         assert (tmp_path / "tiny.csv").exists()
 
+    def test_seed_option_runs_the_scenario_at_that_seed(self, capsys, tmp_path):
+        path = tmp_path / "tiny.scenario"
+        path.write_text(json.dumps({**TINY_SCENARIO, "seed": 5}))
+        (tmp_path / "at_11.scenario").write_text(json.dumps({**TINY_SCENARIO, "seed": 11}))
+        for out, argv in (("cli", (str(path), "--seed", "11")), ("file", (str(tmp_path / "at_11.scenario"),))):
+            code, _, _ = run_cli(capsys, "validate", *argv, "--out", str(tmp_path / out), "--deterministic-names")
+            assert code == EXIT_OK
+        written = [(tmp_path / out / "tiny.json").read_bytes() for out in ("cli", "file")]
+        assert written[0] == written[1] and json.loads(written[0])["seed"] == 11
+
     def test_missing_scenario_exit_2(self, capsys):
         code, _, err = run_cli(capsys, "validate", "missing.scenario")
         assert code == EXIT_CONFIG
@@ -488,6 +522,7 @@ def test_an_int_too_large_for_a_float_exits_2_naming_the_key(capsys, tmp_path):
         ("simulate", {**MINIMAL_SIM_CONFIG, "capacity": {"q": 2.0}}, "capacity"),
         ("simulate", {**MINIMAL_SIM_CONFIG, "output": {"formats": ["csv"]}}, "formats"),
         ("simulate", {**MINIMAL_SIM_CONFIG, "edge": _without(MINIMAL_SIM_CONFIG["edge"], "mu1")}, "mu1"),
+        ("simulate", {**MINIMAL_SIM_CONFIG, "edge": 10.0}, "config.edge: expected an object, got 10.0"),
         ("simulate", {"model": "mmk_cloud", "cloud": {"k": 2, "mu": 10.0},
                       "simulation": {"horizon_requests": 1000}}, "rho"),
         ("validate", {**TINY_SCENARIO, "fixed": {"mu1": 50.0, "horizon_request": 2000}}, "horizon_request"),
@@ -533,7 +568,7 @@ def test_an_int_too_large_for_a_float_exits_2_naming_the_key(capsys, tmp_path):
         # a key the model does not read used to be dropped silently, exit 0
         *(("simulate", with_keys(SIM_CONFIGS[model], section, keys), key) for model, section, keys, key in UNREAD),
     ],
-    ids=["capacity", "formats", "edge-mu1", "cloud-rho", "fixed-typo", "crossover-r",
+    ids=["capacity", "formats", "edge-mu1", "edge-not-object", "cloud-rho", "fixed-typo", "crossover-r",
          "rush-lambda_bar", "period-and-gamma", "rush-grid-mu1", "string-flag", "outputs-string",
          "mtm1-arrivals", "mmk-service1", "k_sites-0", "k_sites-negative", "gg1-edge",
          "cloud-k-fraction", "reps-0", "profile-period-inf", "horizon_s-inf", "horizon_s-nan",

@@ -189,10 +189,9 @@ class TestTwoPhaseSim:
 
     @pytest.mark.parametrize("horizon", [{"horizon_requests": -1}, {"horizon_s": -1.0}])
     def test_negative_horizon_rejected(self, horizon):
-        cfg = SimConfig(model="two_phase_edge", queue=QueueSpec(10.0, 50.0, 50.0, 0.1), **horizon)
         (key,) = horizon
         with pytest.raises(ConfigError, match=rf"simulation\.{key} \(SimConfig\.{key}\): must be"):
-            run_model(cfg, SeededStream(102))
+            SimConfig(model="two_phase_edge", queue=QueueSpec(10.0, 50.0, 50.0, 0.1), **horizon)
 
     def test_zero_requests_give_zero_metrics(self):
         m = run_model(two_phase_config(10.0, 0.1, n=0), SeededStream(102))[0]
@@ -658,6 +657,14 @@ def pinned_configs(event_log):
         ),
         "mtm1_sinusoidal": mtm1_config(0.8, horizon_s=400.0, two_stage_service=True, rush_stat="served"),
         "mmk_cloud": SimConfig(model="mmk_cloud", cloud=CloudSpec(3, 10.0, 0.8), horizon_requests=3000),
+        # over horizon_s the tandem draws chunks of exponential renewals, the pool Poisson arrivals
+        "two_phase_edge_horizon_s": SimConfig(
+            model="two_phase_edge", queue=QueueSpec(10.0, 50.0, 40.0, 0.3), horizon_s=200.0,
+            network=NetworkSpec(0.002, 0.03), event_log=event_log,
+        ),
+        "mmk_cloud_horizon_s": SimConfig(
+            model="mmk_cloud", cloud=CloudSpec(3, 10.0, 0.8), horizon_s=100.0, event_log=event_log,
+        ),
     }
 
 
@@ -666,11 +673,13 @@ PINNED = {
     "two_phase_edge": "8a7baa9bfc98e479ed4d7158cc020a82530a255f1d3ee8abb06dac409d59720b",
     "mtm1_sinusoidal": "172503fdc8d96a237634a6cc730d311a7203e350896bf1297e6a15246d690dc6",
     "mmk_cloud": "02cf63120993a6d6fddd78ebb3856c1b498f01ea380a3f29817433f631b86ad7",
+    "two_phase_edge_horizon_s": "77f41c41ce23b72a30b7d6c0fc63f82c92060aff8ff3885509b6699aa0f92b0f",
+    "mmk_cloud_horizon_s": "91e5d6444cd3d358449e22f73e8005e2b910f072612c2a64e27f7623af89c6fb",
 }
 
 
 class TestPinnedStreams:
-    @pytest.mark.parametrize("model", desim.MODELS)
+    @pytest.mark.parametrize("model", PINNED)
     def test_seeded_outputs_match_their_pins(self, tmp_path, model):
         log = tmp_path / "events.csv"
         cfg = pinned_configs(str(log))[model]
@@ -687,6 +696,20 @@ class TestPinnedStreams:
             "change one only with a stream-format version bump"
         )
 
+    @pytest.mark.parametrize("model", [name for name, cfg in pinned_configs(None).items() if cfg.horizon_s is not None])
+    def test_horizon_s_runs_draw_every_arrival_inside_the_horizon(self, monkeypatch, model):
+        cfg, drawn = pinned_configs(None)[model], []
+
+        def spy(*args):
+            drawn.append(draw(*args))
+            return drawn[-1]
+
+        draw = desim._draw_arrivals
+        monkeypatch.setattr(desim, "_draw_arrivals", spy)
+        run_model(cfg, SeededStream(180))
+        (t,) = drawn
+        assert len(t) > 0 and np.all(t < cfg.horizon_s)
+
 
 class TestReplicate:
     def test_single_run_equals_child_zero(self):
@@ -695,6 +718,10 @@ class TestReplicate:
         single = run_model(cfg, SeededStream(150).child(0))[0]
         assert agg.mean.mean_wait == single.mean_wait
         assert agg.stderr["mean_wait"] == 0.0 and agg.ci95["mean_wait"] == 0.0
+
+    def test_zero_runs_rejected(self):
+        with pytest.raises(ConfigError, match="n_runs must be >= 1"):
+            replicate(two_phase_config(10.0, 0.1, n=1000), 0, SeededStream(150))
 
     def test_bit_identical_across_invocations(self):
         cfg = two_phase_config(10.0, 0.1, n=20_000)

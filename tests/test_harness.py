@@ -2,14 +2,15 @@
 import dataclasses
 import json
 import math
+import re
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from edgeq import (
-    CloudSpec, ComparisonRow, ConfigError, NetworkSpec, QueueSpec, RenewalSpec, Scenario, SinusoidProfile,
-    load_scenario, mm1_two_phase_wait, run_scenario,
+    CloudSpec, ComparisonRow, ConfigError, DomainError, DtrpSpec, EdgeqError, NetworkSpec, PhaseMoments, QueueSpec,
+    RenewalSpec, Scenario, SinusoidProfile, Topology, VariabilitySpec, load_scenario, mm1_two_phase_wait, run_scenario,
 )
 from edgeq import SimConfig, desim, harness
 from edgeq.cli import EXIT_CONFIG, EXIT_OK, main
@@ -33,18 +34,17 @@ def tiny_two_phase_scenario(**overrides):
 class TestScenarioValidation:
     def test_empty_grid_rejected_before_any_run(self):
         with pytest.raises(ConfigError):
-            tiny_two_phase_scenario(grid={}).validate()
+            tiny_two_phase_scenario(grid={})
         with pytest.raises(ConfigError):
-            tiny_two_phase_scenario(grid={"lam": []}).validate()
+            tiny_two_phase_scenario(grid={"lam": []})
 
     def test_unknown_model_rejected(self):
         with pytest.raises(ConfigError):
-            tiny_two_phase_scenario(model="nonsense").validate()
+            tiny_two_phase_scenario(model="nonsense")
 
     def test_bundled_scenarios_load(self):
         for name in ("fig4.scenario", "table1.scenario", "fig8.scenario"):
-            sc = load_scenario(name)
-            sc.validate()
+            load_scenario(name)
 
     def test_unknown_keys_rejected(self, tmp_path):
         path = tmp_path / "bad.scenario"
@@ -83,6 +83,7 @@ OUT_OF_DOMAIN = [
     ("rush_hour", "horizon_periods", 0), ("rush_hour", "scale", 0.0), ("rush_hour", "bins_per_period", 2.5),
     ("excess_wait", "period_s", -100.0), ("excess_wait", "gamma_rad_s", -0.1), ("excess_wait", "horizon_periods", 0),
     ("packing_sweep", "k_sites", 0), ("packing_sweep", "k_sites", 2.5), ("packing_sweep", "q", 0.0),
+    ("packing_sweep", "q", 1e-320),  # 1/q overflows
     ("packing_sweep", "vm_rate", 0.0), ("packing_sweep", "mean_lifetime_s", 0.0), ("packing_sweep", "horizon_s", 0.0),
     ("packing_sweep", "policy", "worst_fit"),
     # spans and frequencies must be finite: an infinite one used to give skipped or zero rows
@@ -141,7 +142,7 @@ class TestScenarioKeys:
              *(f"{model}-{key}-{value}" for model, key, value in OUT_OF_DOMAIN)],
     )
     def test_faults_raise_config_error_naming_the_key(self, tmp_path, overrides, key):
-        # run_scenario validates, so scenarios rebuilt with dataclasses.replace are checked too
+        # a scenario checks itself when built, so no run starts and no file is written
         with pytest.raises(ConfigError, match=key):
             run_scenario(tiny_two_phase_scenario(**overrides), out_dir=tmp_path)
         assert not list(tmp_path.iterdir())
@@ -192,7 +193,7 @@ SCENARIO_SPEC_KEYS = {
     "lambda_bar": (SinusoidProfile, "lambda_bar"), "amplitude": (SinusoidProfile, "amplitude"),
     "gamma_rad_s": (SinusoidProfile, "gamma"), "period_s": (SinusoidProfile, "gamma"),
     "cloud_k": (CloudSpec, "k"), "mu_cloud": (CloudSpec, "mu_cloud"),
-    "t_edge_s": (NetworkSpec, "t_edge"), "t_cloud_s": (NetworkSpec, "t_cloud"),
+    "t_edge_s": (NetworkSpec, "t_edge"), "t_cloud_s": (NetworkSpec, "t_cloud"), "q": (DtrpSpec, "q"),
 }
 # sweepable keys stay plain floats: the spec checks them per point, so a point outside
 # the domain keeps its skipped row
@@ -226,7 +227,54 @@ def test_sim_config_keys_are_cast_by_the_field_declaration():
             else:
                 assert table[key][0] is _cast(*SCENARIO_SPEC_KEYS[key]), f"{model}.{key}"
                 checked += 1
-    assert checked == 16  # two_phase_wait 2, mobility_crossover 6, rush_hour 6, excess_wait 2
+    assert checked == 17  # two_phase_wait 2, mobility_crossover 6, rush_hour 6, excess_wait 2, packing_sweep 1
+
+
+# record -> the keyword arguments of a valid instance
+RECORDS = {
+    QueueSpec: dict(lam=10.0, mu1=50.0, mu2=50.0, r=0.1),
+    CloudSpec: dict(k=4, mu_cloud=10.0, rho_cloud=0.5),
+    NetworkSpec: dict(t_edge=0.001, t_cloud=0.028),
+    VariabilitySpec: dict(ca2=1.0, cs2=1.0),
+    PhaseMoments: dict(mean1=0.02, var1=4e-4, mean2=0.02, var2=4e-4, r=0.1),
+    SinusoidProfile: dict(lambda_bar=16.0, amplitude=0.5, gamma=0.1),
+    DtrpSpec: dict(capacity=96.0, rho=0.5, tau=0.0, q=2.0),
+    RenewalSpec: dict(mean=0.1, scv=2.0, family="hyperexponential2"),
+    Topology: dict(mode="edge", k_sites=4, servers_per_site=2, cores_per_server=16),
+    SimConfig: dict(model="mmk_cloud", cloud=CloudSpec(2, 10.0, 0.5), horizon_s=100.0),
+    Scenario: dict(name="tiny", model="two_phase_wait", grid={"lam": [10.0]}, fixed={"mu1": 50.0}),
+}
+CHECKED_FIELDS = [(cls, f) for cls in RECORDS for f in dataclasses.fields(cls) if "cast" in f.metadata]
+
+
+def _build(cls, **kwargs):
+    """``cls(**kwargs)``, or the type and message of the error it raises."""
+    try:
+        return cls(**kwargs)
+    except EdgeqError as exc:
+        return type(exc), str(exc)
+
+
+# a None used to run unseeded (seed), run another statistic (rush_stat) or fail inside the run
+@pytest.mark.parametrize("cls, field", CHECKED_FIELDS, ids=[f"{cls.__name__}.{f.name}" for cls, f in CHECKED_FIELDS])
+def test_a_record_refuses_none_naming_the_field_unless_none_is_its_default(cls, field):
+    valid = RECORDS[cls]
+    built = _build(cls, **{**valid, field.name: None})
+    if field.metadata["default"] is None:  # None reads as the field left out
+        assert built == _build(cls, **{k: v for k, v in valid.items() if k != field.name})
+        return
+    error = ConfigError if cls in (SimConfig, Scenario) else DomainError
+    assert isinstance(built, tuple) and built[0] is error, built
+    assert re.search(rf"\.{field.name}\)?: must be set, got None$", built[1]), built[1]
+
+
+def test_a_config_and_a_scenario_keep_their_cast_values():
+    cfg = SimConfig(model="mmk_cloud", cloud=CloudSpec(2, 10.0, 0.5), horizon_requests=1000.0, warmup=0,
+                    metrics=["mean_wait"])
+    assert [(type(v), v) for v in (cfg.horizon_requests, cfg.warmup, cfg.metrics)] == [
+        (int, 1000), (float, 0.0), (tuple, ("mean_wait",))]
+    sc = tiny_two_phase_scenario(seed=3.0, outputs=["csv"])
+    assert (type(sc.seed), sc.seed, sc.outputs) == (int, 3, ("csv",))
 
 
 class TestGridHelpers:

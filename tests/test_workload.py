@@ -134,6 +134,8 @@ class TestRenewalTimes:
             RenewalSpec(1.0, 0.5, "deterministic")
         with pytest.raises(UnreachableScv):
             RenewalSpec(1.0, 1.5, "erlang")
+        with pytest.raises(UnreachableScv, match="lognormal requires scv > 0"):
+            RenewalSpec(1.0, 0.0, "lognormal")
 
     def test_unknown_family_rejected(self):
         with pytest.raises(DomainError):
@@ -330,6 +332,10 @@ class TestPhaseShiftedSites:
         b = phase_shifted_sites(64, base, "uniform", SeededStream(32, 5).generator())
         assert a == b
         assert all(0 <= s.phase < 2 * math.pi for s in a)
+
+    def test_unknown_law_rejected(self):
+        with pytest.raises(DomainError, match="unknown phase law 'gaussian'"):
+            phase_shifted_sites(3, SinusoidProfile(10, 0.5, 1.0), "gaussian", SeededStream(33).generator())
 
     def test_wrong_list_length_rejected(self):
         with pytest.raises(DomainError):
