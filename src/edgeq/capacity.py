@@ -68,20 +68,22 @@ def dtrp_response_time(spec: DtrpSpec, lam: float, cloud: bool = False) -> float
 
     gos^2 * lam * area * (1 + 1/q)^2 / (C^2 * v^2 * (1 - rho - tau/C)^2).
     In cloud mode the pool is large enough that 1/q and tau/C vanish.
+    A time outside the positive floats raises DomainError.
     """
     lam = read("lam", finite_positive, lam, DomainError)
     if cloud:
         pack = 1.0
         slack = 1.0 - spec.rho
     else:
-        pack = edge_overprovision_factor(spec.q) ** 2
+        pack = edge_overprovision_factor(spec.q)
         slack = 1.0 - spec.rho - spec.tau / spec.capacity
-    if slack <= 0:
-        raise UnstableQueue("no spare capacity; response time diverges")
-    return (
-        spec.gos**2 * lam * spec.area * pack
-        / (spec.capacity**2 * spec.velocity**2 * slack**2)
-    )
+    try:
+        time = spec.gos**2 * lam * spec.area * pack**2 / (spec.capacity**2 * spec.velocity**2 * slack**2)
+    except (OverflowError, ZeroDivisionError):  # a power overflowed, or the divisor underflowed to 0
+        time = math.inf
+    if not 0.0 < time < math.inf:
+        raise DomainError(f"response time out of float range, got {time!r}")
+    return time
 
 
 # ---------------------------------------------------------------------------

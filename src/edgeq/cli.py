@@ -15,7 +15,7 @@ and is stored as rad/s.
 ``simulate`` configs and scenario files both go through the key tables
 of ``edgeq.config``: an unknown key, a missing required key or a value
 outside its key's domain exits 2 and names the key, as do a bad
-``--reps`` and ``EDGEQ_SEED``. The ``config`` block of
+``--reps``, ``--workers`` and ``EDGEQ_SEED``. The ``config`` block of
 ``*.metrics.json`` lists every resolved value, defaults included.
 """
 from __future__ import annotations
@@ -178,7 +178,7 @@ def _cmd_validate(args) -> int:
         scenario = replace(scenario, seed=args.seed)
     rows, summary, written = run_scenario(
         scenario, out_dir=args.out, deterministic_names=args.deterministic_names,
-        workers=args.workers,
+        workers=read("--workers", count, args.workers),
     )
     for row in rows:
         pieces = [f"{k}={_g(v) if isinstance(v, float) else v}" for k, v in row.parameters.items()]

@@ -8,7 +8,8 @@ Three models, each one FCFS station pass of the one runner, ``run_model``:
   server at ``mu1`` unless ``dest_rate`` is set; renewal inter-arrival
   and service laws are optional.
 * ``mtm1_sinusoidal`` -- the edge's single server under a sinusoidal
-  nonhomogeneous Poisson process, with per-cycle bins and the rush window.
+  nonhomogeneous Poisson process, with per-cycle bins and the rush window,
+  whose statistic is the peak binned wait inside it.
 * ``mmk_cloud`` -- the cloud's k identical servers, with the wait of the
   delayed requests.
 
@@ -31,7 +32,7 @@ The runner ends in one metric layer, ``_summarize``. It computes only
 the ``SimMetrics`` fields that ``SimConfig.metrics`` names (all of them
 by default), and the others read NaN. A run builds its departure and
 sojourn arrays only when a named field, the instability check, the event
-log, the rush statistic or the destination reads them. The first
+log or the destination reads them. The first
 ``int(n * warmup)`` requests are a warm-up and are not counted. The
 window runs from the first counted arrival to the last departure, and
 ``little_l`` is the time-average number in system over it: each request,
@@ -61,15 +62,13 @@ from .errors import ConfigError, InstabilityDetected
 from .specs import CloudSpec, NetworkSpec, QueueSpec, SinusoidProfile
 from .workload import BLOCK, RenewalSpec, SeededStream, nhpp_sinusoidal, poisson_arrivals, renewal_times
 
-RUSH_STATS = ("peak_bin", "arrivals", "served")
-
 # model -> (the SimConfig fields it requires, the others it reads besides
 # READ_BY_ALL). Any other field must keep its default: no setting is dropped unread.
 READ_BY_ALL = ("model", "warmup", "network", "max_in_system", "event_log", "metrics")
 MODEL_FIELDS = {
     "two_phase_edge": (("queue",), ("arrivals", "service1", "service2", "horizon_requests", "horizon_s",
                                     "dest_rate", "dest_home_load", "allow_unstable")),
-    "mtm1_sinusoidal": (("queue", "profile", "horizon_s"), ("two_stage_service", "bins_per_period", "rush_stat")),
+    "mtm1_sinusoidal": (("queue", "profile", "horizon_s"), ("two_stage_service", "bins_per_period")),
     "mmk_cloud": (("cloud",), ("horizon_requests", "horizon_s", "allow_unstable")),
 }
 MODELS = tuple(MODEL_FIELDS)
@@ -131,7 +130,6 @@ class SimConfig:
     dest_home_load: float = checked(0.0, finite_nonnegative)  # extra Poisson rate offered to queue 2
     two_stage_service: bool = checked(False, flag)  # explicit phase-1 + phase-2 stages
     bins_per_period: int = checked(100, count)
-    rush_stat: str = checked("peak_bin", ranged(str, RUSH_STATS.__contains__, f"one of {RUSH_STATS}"))
     allow_unstable: bool = checked(False, flag)
     max_in_system: Optional[int] = checked(None, whole)  # instability heuristic cap
     event_log: Optional[str] = checked(None, str)
@@ -172,7 +170,7 @@ _CONFIG = {
                   "service1": (_RENEWAL, None), "service2": (_RENEWAL, None)}, {}),
     "simulation": ({
         **table_of(
-            SimConfig, "horizon_requests", "horizon_s", "warmup", "bins_per_period", "rush_stat", "two_stage_service",
+            SimConfig, "horizon_requests", "horizon_s", "warmup", "bins_per_period", "two_stage_service",
             "dest_rate", "dest_home_load", "allow_unstable", "max_in_system", "event_log",
         ),
         "seed": (integral, None),
@@ -210,14 +208,12 @@ def load_sim_config(raw) -> tuple[SimConfig, dict]:
 
 @dataclass
 class TimeSeriesMetrics:
-    """Per-cycle binned waits and rates, plus the rush-window statistic.
+    """Per-cycle binned waits and rates, and the rush window read from them.
 
     Accumulators are kept raw (sums and counts) so replications pool
     exactly; ``bins`` and ``rush_window`` expose the spec-level view.
     ``window`` is the analytic overload window (t1, t2), None without
-    overload. ``rush_sum``/``rush_count`` accumulate the waits of the
-    requests arriving (``arrivals``) or finishing (``served``) inside it;
-    ``peak_bin`` reads only the bins and leaves them at zero.
+    overload.
     """
 
     period: float
@@ -225,9 +221,6 @@ class TimeSeriesMetrics:
     bin_count: np.ndarray
     bin_exposure: np.ndarray
     window: Optional[tuple[float, float]] = None
-    rush_stat: str = "peak_bin"
-    rush_sum: float = 0.0
-    rush_count: int = 0
 
     @property
     def n_bins(self) -> int:
@@ -253,31 +246,23 @@ class TimeSeriesMetrics:
         ]
 
     def rush_window(self) -> Optional[tuple[float, float, float]]:
-        """(t1, t2, mean_wait_in_window) under the configured statistic.
+        """(t1, t2, peak_wait): the worst binned mean wait whose bin center falls in the window.
 
-        ``peak_bin`` reports the worst binned mean wait whose bin center
-        falls inside the window -- the congestion peak the fluid drain
-        estimate lower-bounds; ``arrivals``/``served`` average over the
-        requests arriving (resp. finishing) inside the window.
+        That peak bin is the congestion peak the fluid drain estimate
+        lower-bounds; it reads 0 when no request arrived in a window bin.
         """
         if self.window is None:
             return None
         t1, t2 = self.window
-        if self.rush_stat != "peak_bin":
-            val = self.rush_sum / self.rush_count if self.rush_count else 0.0
-        else:
-            inside = np.mod(self.bin_centers - t1, self.period) <= t2 - t1
-            inside &= self.bin_count > 0
-            if not inside.any():
-                val = 0.0
-            else:
-                val = float(np.max(self.bin_wait_sum[inside] / self.bin_count[inside]))
+        inside = np.mod(self.bin_centers - t1, self.period) <= t2 - t1
+        inside &= self.bin_count > 0
+        val = float(np.max(self.bin_wait_sum[inside] / self.bin_count[inside])) if inside.any() else 0.0
         return (t1, t2, val)
 
     def pooled_with(self, other: "TimeSeriesMetrics") -> "TimeSeriesMetrics":
         if self.n_bins != other.n_bins or self.period != other.period:
             raise ConfigError("cannot pool time series with different binning")
-        if (self.window, self.rush_stat) != (other.window, other.rush_stat):
+        if self.window != other.window:
             raise ConfigError("cannot pool time series with different rush windows")
         return TimeSeriesMetrics(
             self.period,
@@ -285,9 +270,6 @@ class TimeSeriesMetrics:
             self.bin_count + other.bin_count,
             self.bin_exposure + other.bin_exposure,
             self.window,
-            self.rush_stat,
-            self.rush_sum + other.rush_sum,
-            self.rush_count + other.rush_count,
         )
 
 
@@ -546,7 +528,7 @@ def run_model(config: SimConfig, stream: SeededStream) -> tuple[SimMetrics, Opti
         n_bins = config.bins_per_period
         ts = TimeSeriesMetrics(
             prof.period, np.zeros(n_bins), np.zeros(n_bins), np.zeros(n_bins),
-            (win.t1, win.t2) if win is not None else None, config.rush_stat,
+            (win.t1, win.t2) if win is not None else None,
         )
     rng = stream.generator()
 
@@ -562,9 +544,8 @@ def run_model(config: SimConfig, stream: SeededStream) -> tuple[SimMetrics, Opti
     else:
         s = rng.exponential(1.0 / mu, n)
     w = multiserver_waits(t, s, k)
-    served = ts is not None and ts.window is not None and config.rush_stat == "served"  # rush reads departures
     dep = None
-    if tandem or _departures_read(config) or config.event_log or served:
+    if tandem or _departures_read(config) or config.event_log:
         dep = t + w
         dep += s
     done = dep
@@ -589,7 +570,7 @@ def run_model(config: SimConfig, stream: SeededStream) -> tuple[SimMetrics, Opti
         if tandem and first < len(mig):
             mean_wait += float(np.mean(w2[first:]))  # the destination wait per counted migrant
     if ts is not None:
-        _observe_cycle(ts, t[cut:], wc, dep[cut:] if served else None)
+        _observe_cycle(ts, t[cut:], wc)
     if pool is not None and "mean_wait_conditional" in config.metrics:
         delayed = wc[wc > 0.0]
         extra["mean_wait_conditional"] = float(np.mean(delayed)) if len(delayed) else 0.0
@@ -602,15 +583,13 @@ def run_model(config: SimConfig, stream: SeededStream) -> tuple[SimMetrics, Opti
     return _summarize(config, t, cut, rtt, mean_wait, s, done, sojourn, servers=k, **extra), ts
 
 
-def _observe_cycle(ts: TimeSeriesMetrics, tc: np.ndarray, wc: np.ndarray, depc: Optional[np.ndarray]) -> None:
-    """Bin the counted waits by cycle phase into ``ts``, and sum those in its rush window.
+def _observe_cycle(ts: TimeSeriesMetrics, tc: np.ndarray, wc: np.ndarray) -> None:
+    """Bin the counted waits by cycle phase into ``ts``.
 
-    ``depc`` holds the counted departures when the rush statistic is
-    ``served``. The bins are taken one ``BLOCK`` of requests at a time,
-    so no bin index is as long as the run: ``np.add.at`` adds each
-    block's waits in request order, which is the order ``np.bincount``
-    adds them in, so the sums equal one ``bincount`` over the run bit for
-    bit.
+    The bins are taken one ``BLOCK`` of requests at a time, so no bin
+    index is as long as the run: ``np.add.at`` adds each block's waits in
+    request order, which is the order ``np.bincount`` adds them in, so the
+    sums equal one ``bincount`` over the run bit for bit.
     """
     period, n_bins = ts.period, ts.n_bins
     ts.bin_wait_sum = np.zeros(n_bins)
@@ -621,11 +600,6 @@ def _observe_cycle(ts: TimeSeriesMetrics, tc: np.ndarray, wc: np.ndarray, depc: 
         counts += np.bincount(idx, minlength=n_bins)
     ts.bin_count = counts.astype(float)
     ts.bin_exposure = _bin_exposure(float(tc[0]), float(tc[-1]), period, n_bins)
-    if ts.window is not None and ts.rush_stat != "peak_bin":
-        t1, t2 = ts.window
-        # the window may wrap the cycle, so tc - t1 can be negative: keep mod
-        inside = np.mod((tc if depc is None else depc) - t1, period) <= t2 - t1
-        ts.rush_sum, ts.rush_count = float(np.sum(wc[inside])), int(np.count_nonzero(inside))
 
 
 def _phase_bin(t: np.ndarray, period: float, n_bins: int) -> np.ndarray:

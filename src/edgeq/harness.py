@@ -217,7 +217,6 @@ def _run_rush_hour(sc: Scenario, workers: int):
             horizon_s=v["horizon_periods"] * profile.period,
             warmup=v["warmup"],
             bins_per_period=v["bins_per_period"],
-            rush_stat=v["rush_stat"],
             metrics=("mean_wait", "count_served"),
         )
         agg = replicate(config, sc.replications, stream)
@@ -331,7 +330,7 @@ _MODELS: dict[str, tuple[tuple[str, ...], dict, Callable]] = {
         "amplitude": (float, REQUIRED), **table_of(SinusoidProfile, "lambda_bar"),
         **table_of(QueueSpec, "mu1", "mu2", "r"), **FREQUENCY,
         "horizon_periods": (finite_positive, 10), "scale": (finite_positive, 16.0),
-        **table_of(SimConfig, "warmup", "bins_per_period", "rush_stat"),
+        **table_of(SimConfig, "warmup", "bins_per_period"),
     }, _run_rush_hour),
     "excess_wait": (("amplitude",), {
         "amplitude": (float, REQUIRED), "rho": (ranged(float, lambda x: 0 < x < 1, "in (0, 1)"), REQUIRED),

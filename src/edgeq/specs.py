@@ -49,15 +49,11 @@ class QueueSpec(Checked):
         return self.lam / self.mu1 + self.r * self.lam * self.inv_mu2
 
     def check_stable(self) -> None:
-        """Raise UnstableQueue unless both source and destination have slack."""
+        """Raise UnstableQueue unless the source has slack; then so does the destination, as r*lam <= lam < mu1."""
         if self.utilization >= STABILITY_GUARD:
             raise UnstableQueue(
                 f"source utilization {self.utilization:.6g} >= 1; "
                 "lam/mu1 + r*lam/mu2 must stay below 1"
-            )
-        if self.r * self.lam >= self.mu1 * STABILITY_GUARD:
-            raise UnstableQueue(
-                f"destination load r*lam = {self.r * self.lam:.6g} >= mu1 = {self.mu1:.6g}"
             )
 
 

@@ -49,6 +49,7 @@ from edgeq import (
 )
 from edgeq.analytic import ggk_wait_probability
 from edgeq.capacity import cloud_capacity_equivalent, dtrp_response_time, edge_overprovision_factor, packing_relative_error
+from edgeq.specs import STABILITY_GUARD
 from edgeq.workload import poisson_arrivals, renewal_times
 
 MARKOV = VariabilitySpec(1.0, 1.0)
@@ -129,6 +130,26 @@ class TestDestinationWait:
     def test_grows_without_bound_near_saturation(self):
         assert destination_wait(10, 50, 0.1) < destination_wait(490, 50, 0.1)
         assert destination_wait(499, 50, 0.1) > 1.0
+
+
+class TestCheckStable:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.floats(1e-3, 1e3),
+        st.one_of(st.floats(1e-6, 2.0), st.floats(1 - 1e-8, 1 + 1e-8)),  # lam/mu1, often near the guard
+        st.one_of(st.just(math.inf), st.floats(1e-3, 1e3)),
+        st.floats(0.0, 1.0),
+    )
+    @example(mu1=50.0, load=1.0, mu2=math.inf, r=1.0)
+    @example(mu1=50.0, load=math.nextafter(STABILITY_GUARD, 0.0), mu2=math.inf, r=1.0)
+    def test_raises_iff_utilization_reaches_the_guard(self, mu1, load, mu2, r):
+        spec = QueueSpec(load * mu1, mu1, mu2, r)
+        if spec.utilization >= STABILITY_GUARD:
+            with pytest.raises(UnstableQueue, match="source utilization"):
+                spec.check_stable()
+        else:
+            spec.check_stable()
+            assert spec.r * spec.lam < spec.mu1  # the destination has slack too
 
 
 class TestMigrationServiceTime:

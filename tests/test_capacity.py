@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from edgeq import (
@@ -36,6 +36,9 @@ from edgeq.capacity import (
     save_vm_trace,
     trace_summary,
 )
+
+# any positive finite float, subnormals included
+POSITIVE = st.floats(0.0, 1e308, exclude_min=True)
 
 
 class TestClosedForms:
@@ -97,6 +100,33 @@ class TestClosedForms:
     def test_dtrp_rejects_no_slack(self):
         with pytest.raises(UnstableQueue):
             DtrpSpec(capacity=10, rho=0.9, tau=2.0, q=2.0)
+
+    @pytest.mark.parametrize("field, value", [("capacity", 1e-200), ("velocity", 1e-200), ("gos", 1e200)])
+    def test_dtrp_time_out_of_float_range_raises_domain_error(self, field, value):
+        # these used to raise ZeroDivisionError or OverflowError
+        spec = DtrpSpec(**{"capacity": 64.0, "rho": 0.5, "tau": 0.0, "q": 2.0, field: value})
+        for cloud in (False, True):
+            with pytest.raises(DomainError, match="response time out of float range"):
+                dtrp_response_time(spec, 10.0, cloud=cloud)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        capacity=POSITIVE, rho=st.floats(0.0, 1.0, exclude_max=True), tau_share=st.floats(0.0, 1.0), q=POSITIVE,
+        area=POSITIVE, velocity=POSITIVE, gos=POSITIVE, lam=POSITIVE, cloud=st.booleans(),
+    )
+    def test_dtrp_time_is_a_positive_float_or_a_domain_error(
+        self, capacity, rho, tau_share, q, area, velocity, gos, lam, cloud
+    ):
+        try:
+            spec = DtrpSpec(capacity, rho, tau_share * (1.0 - rho) * capacity, q, area, velocity, gos)
+        except DomainError:  # rounding left no slack, or 1/q overflowed
+            assume(False)
+        try:
+            time = dtrp_response_time(spec, lam, cloud=cloud)
+        except DomainError as exc:
+            assert "response time out of float range" in str(exc)
+        else:
+            assert 0.0 < time < math.inf
 
 
 class TestTraceIo:

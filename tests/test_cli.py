@@ -232,13 +232,14 @@ class TestSimulateCommand:
         assert "not found" in err
 
     def test_unknown_key_exit_2(self, capsys, tmp_path):
-        bad = dict(MINIMAL_SIM_CONFIG)
-        bad["typo_section"] = {}
-        cfg = tmp_path / "bad.json"
-        cfg.write_text(json.dumps(bad))
-        code, _, err = run_cli(capsys, "simulate", str(cfg))
-        assert code == EXIT_CONFIG
-        assert "typo_section" in err
+        # rush_stat chose among rush-window statistics; the peak bin is now the only one
+        rush_stat = with_keys(SIM_CONFIGS["mtm1_sinusoidal"], "simulation", {"rush_stat": "peak_bin"})
+        for bad, key in (({**MINIMAL_SIM_CONFIG, "typo_section": {}}, "typo_section"), (rush_stat, "rush_stat")):
+            cfg = tmp_path / "bad.json"
+            cfg.write_text(json.dumps(bad))
+            code, _, err = run_cli(capsys, "simulate", str(cfg))
+            assert code == EXIT_CONFIG
+            assert f"unknown keys ['{key}']" in err
 
     def test_instability_exit_3(self, capsys, tmp_path):
         cfg_data = {
@@ -382,6 +383,16 @@ class TestValidateCommand:
         assert code == EXIT_CONFIG
         assert "not found" in err
 
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_workers_below_1_exit_2(self, capsys, tmp_path, workers):
+        # both used to run serially and exit 0
+        scenario = tmp_path / "tiny.scenario"
+        scenario.write_text(json.dumps(TINY_SCENARIO))
+        code, _, err = run_cli(capsys, "validate", str(scenario), "--out", str(tmp_path), "--workers", workers)
+        assert code == EXIT_CONFIG
+        assert f"--workers: must be >= 1, got {workers}" in err
+        assert not list(tmp_path.glob("tiny*.csv"))
+
 
 SIM_CONFIGS = {
     "two_phase_edge": {
@@ -403,7 +414,7 @@ SIM_CONFIGS = {
         "model": "mtm1_sinusoidal",
         "edge": {"lambda": 16.0, "mu1": 32.0, "mu2": 32.0, "r": 0.3},
         "workload": {"profile": {"lambda_bar": 16.0, "amplitude": 0.5, "period_s": 200.0}},
-        "simulation": {"horizon_s": 100.0, "rush_stat": "arrivals"},
+        "simulation": {"horizon_s": 100.0},
     },
     "mmk_cloud": {
         "model": "mmk_cloud",
@@ -492,7 +503,7 @@ SIM_DOMAIN = [
     ("two_phase_edge", "warmup", 1.5), ("two_phase_edge", "warmup", math.nan),
     ("two_phase_edge", "dest_home_load", -5.0), ("two_phase_edge", "max_in_system", -1),
     ("two_phase_edge", "dest_rate", -1.0), ("two_phase_edge", "horizon_requests", -3),
-    ("mtm1_sinusoidal", "bins_per_period", 0), ("mtm1_sinusoidal", "rush_stat", "bogus"),
+    ("mtm1_sinusoidal", "bins_per_period", 0),
 ]
 # (model, config key, a value outside the domain of the spec field the key sets)
 SPEC_DOMAIN = [

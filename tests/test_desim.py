@@ -420,9 +420,8 @@ class TestMtm1Sim:
         rates = np.array([b[2] for b in bins])
         assert rates.max() > 1.3 * max(rates.min(), 1e-9)
 
-    @pytest.mark.parametrize("stat", ["peak_bin", "arrivals", "served"])
-    def test_rush_window_matches_recomputed_statistic(self, stat):
-        cfg = mtm1_config(0.8, horizon_s=1000.0, bins_per_period=40, rush_stat=stat)
+    def test_rush_window_matches_recomputed_statistic(self):
+        cfg = mtm1_config(0.8, horizon_s=1000.0, bins_per_period=40)
         _, ts = run_model(cfg, SeededStream(145))
         # the run's own draws, in its order: arrivals, then service times
         rng = SeededStream(145).generator()
@@ -431,32 +430,16 @@ class TestMtm1Sim:
         s = rng.exponential(1.0 / mu_eff, len(t))
         w = lindley_waits(t, s)
         cut = int(len(t) * cfg.warmup)
-        tc, wc, depc = t[cut:], w[cut:], (t + w + s)[cut:]
+        tc, wc = t[cut:], w[cut:]
         win = overload_window(cfg.profile, mu_eff)
         period, n_bins = cfg.profile.period, cfg.bins_per_period
-        if stat == "peak_bin":
-            idx = np.minimum((np.mod(tc, period) / period * n_bins).astype(int), n_bins - 1)
-            sums = np.bincount(idx, weights=wc, minlength=n_bins)
-            counts = np.bincount(idx, minlength=n_bins).astype(float)
-            centers = (np.arange(n_bins) + 0.5) * (period / n_bins)
-            inside = (np.mod(centers - win.t1, period) <= win.t2 - win.t1) & (counts > 0)
-            want = float(np.max(sums[inside] / counts[inside]))
-            assert (ts.rush_sum, ts.rush_count) == (0.0, 0)
-        else:
-            at = tc if stat == "arrivals" else depc
-            inside = np.mod(at - win.t1, period) <= win.t2 - win.t1
-            want = float(np.sum(wc[inside])) / int(np.count_nonzero(inside))
+        idx = np.minimum((np.mod(tc, period) / period * n_bins).astype(int), n_bins - 1)
+        sums = np.bincount(idx, weights=wc, minlength=n_bins)
+        counts = np.bincount(idx, minlength=n_bins).astype(float)
+        centers = (np.arange(n_bins) + 0.5) * (period / n_bins)
+        inside = (np.mod(centers - win.t1, period) <= win.t2 - win.t1) & (counts > 0)
+        want = float(np.max(sums[inside] / counts[inside]))
         assert ts.rush_window() == (win.t1, win.t2, want)
-
-    def test_rush_stats_variants_ordered(self):
-        cfg = mtm1_config(0.8)
-        _, ts = run_model(cfg, SeededStream(143))
-        peak = ts.rush_window()[2]
-        for stat in ("arrivals", "served"):
-            _, other = run_model(
-                mtm1_config(0.8, rush_stat=stat), SeededStream(143)
-            )
-            assert other.rush_window()[2] <= peak
 
     def test_two_stage_service_counts_migrants(self):
         m, _ = run_model(mtm1_config(0.2, two_stage_service=True), SeededStream(144))
@@ -472,7 +455,7 @@ def _bincount_bins(tc, wc, period, n_bins):
 
 def _assert_bins_equal_bincount(tc, wc, period, n_bins):
     ts = TimeSeriesMetrics(period, np.zeros(n_bins), np.zeros(n_bins), np.zeros(n_bins))
-    desim._observe_cycle(ts, tc, wc, None)
+    desim._observe_cycle(ts, tc, wc)
     sums, counts = _bincount_bins(tc, wc, period, n_bins)
     assert ts.bin_wait_sum.tobytes() == sums.tobytes()
     assert ts.bin_count.tobytes() == counts.tobytes()
@@ -553,9 +536,6 @@ def time_series(draw, n_bins, period, window=None):
         np.array(draw(st.lists(counts, min_size=n_bins, max_size=n_bins)), dtype=float),
         np.array(draw(st.lists(sums, min_size=n_bins, max_size=n_bins))),
         window,
-        "peak_bin" if window is None else "arrivals",
-        draw(sums) if window is not None else 0.0,
-        draw(counts) if window is not None else 0,
     )
 
 
@@ -573,9 +553,7 @@ class TestPooledWith:
         assert np.array_equal(left.bin_count, a.bin_count + b.bin_count + c.bin_count)
         assert left.bin_wait_sum == pytest.approx(right.bin_wait_sum, rel=1e-12, abs=1e-9)
         assert left.bin_exposure == pytest.approx(right.bin_exposure, rel=1e-12, abs=1e-9)
-        assert (left.period, left.window, left.rush_stat) == (right.period, right.window, right.rush_stat)
-        assert left.rush_count == right.rush_count == a.rush_count + b.rush_count + c.rush_count
-        assert left.rush_sum == pytest.approx(right.rush_sum, rel=1e-12, abs=1e-9)
+        assert (left.period, left.window) == (right.period, right.window)
 
     @settings(max_examples=50, deadline=None)
     @given(st.data(), st.integers(1, 8), st.sampled_from([(1, 0.0), (0, 1.0)]))
@@ -603,7 +581,7 @@ def subset_configs():
     net = NetworkSpec(0.002, 0.03)
     return {
         "two_phase_edge": two_phase_config(20.0, 0.4, n=3000, network=net, dest_home_load=4.0),
-        "mtm1_sinusoidal": mtm1_config(0.8, horizon_s=300.0, network=net, two_stage_service=True, rush_stat="served"),
+        "mtm1_sinusoidal": mtm1_config(0.8, horizon_s=300.0, network=net, two_stage_service=True),
         "mmk_cloud": SimConfig(model="mmk_cloud", cloud=CloudSpec(3, 10.0, 0.8), horizon_requests=3000, network=net),
     }
 
@@ -655,7 +633,7 @@ def pinned_configs(event_log):
             service2=RenewalSpec(0.025, 1.5, "lognormal"), dest_rate=45.0, dest_home_load=4.0,
             network=NetworkSpec(0.002, 0.03), event_log=event_log,
         ),
-        "mtm1_sinusoidal": mtm1_config(0.8, horizon_s=400.0, two_stage_service=True, rush_stat="served"),
+        "mtm1_sinusoidal": mtm1_config(0.8, horizon_s=400.0, two_stage_service=True),
         "mmk_cloud": SimConfig(model="mmk_cloud", cloud=CloudSpec(3, 10.0, 0.8), horizon_requests=3000),
         # over horizon_s the tandem draws chunks of exponential renewals, the pool Poisson arrivals
         "two_phase_edge_horizon_s": SimConfig(
@@ -668,10 +646,10 @@ def pinned_configs(event_log):
     }
 
 
-# sha256 of repr(SimMetrics), the bin arrays, the rush sums and the event-log bytes of one seeded run
+# sha256 of repr(SimMetrics), the bin arrays and the event-log bytes of one seeded run
 PINNED = {
     "two_phase_edge": "8a7baa9bfc98e479ed4d7158cc020a82530a255f1d3ee8abb06dac409d59720b",
-    "mtm1_sinusoidal": "172503fdc8d96a237634a6cc730d311a7203e350896bf1297e6a15246d690dc6",
+    "mtm1_sinusoidal": "c533b963d11b2c8a7ba64beeffeff753557960696b80d4c4edba607e148ea9be",
     "mmk_cloud": "02cf63120993a6d6fddd78ebb3856c1b498f01ea380a3f29817433f631b86ad7",
     "two_phase_edge_horizon_s": "77f41c41ce23b72a30b7d6c0fc63f82c92060aff8ff3885509b6699aa0f92b0f",
     "mmk_cloud_horizon_s": "91e5d6444cd3d358449e22f73e8005e2b910f072612c2a64e27f7623af89c6fb",
@@ -688,7 +666,6 @@ class TestPinnedStreams:
         if ts is not None:
             for values in (ts.bin_wait_sum, ts.bin_count, ts.bin_exposure):
                 digest.update(values.tobytes())
-            digest.update(repr((ts.rush_sum, ts.rush_count)).encode())
         if cfg.event_log is not None:
             digest.update(log.read_bytes())
         assert digest.hexdigest() == PINNED[model], (

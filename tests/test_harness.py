@@ -48,11 +48,13 @@ class TestScenarioValidation:
 
     def test_unknown_keys_rejected(self, tmp_path):
         path = tmp_path / "bad.scenario"
-        path.write_text(json.dumps({
-            "name": "x", "model": "two_phase_wait", "grid": {"lam": [1]}, "bogus": 1,
-        }))
-        with pytest.raises(ConfigError, match="bogus"):
-            load_scenario(path)
+        # rush_stat chose among rush-window statistics; the peak bin is now the only one
+        bogus = {"model": "two_phase_wait", "grid": {"lam": [1]}, "bogus": 1}
+        rush_stat = {"model": "rush_hour", "grid": {"amplitude": [0.5]}, "fixed": {**RUSH_FIXED, "rush_stat": "peak_bin"}}
+        for bad, key in ((bogus, "bogus"), (rush_stat, "rush_stat")):
+            path.write_text(json.dumps({"name": "x", **bad}))
+            with pytest.raises(ConfigError, match=rf"unknown keys \['{key}'\]"):
+                load_scenario(path)
 
     def test_missing_file(self):
         with pytest.raises(ConfigError, match="not found"):
@@ -95,7 +97,7 @@ OUT_OF_DOMAIN = [
     ("packing_sweep", "vm_rate", math.inf), ("packing_sweep", "mean_lifetime_s", math.inf),
     # keys cast by their SimConfig field used to pass the load and fail inside the first run
     ("two_phase_wait", "warmup", 1.0), ("mobility_crossover", "warmup", -0.1), ("excess_wait", "warmup", math.nan),
-    ("rush_hour", "bins_per_period", 0), ("rush_hour", "rush_stat", "bogus"),
+    ("rush_hour", "bins_per_period", 0),
     # keys cast by their spec field: rates other than mu2, and delays, must be finite; infinite
     # ones used to give skipped rows, run on, or crash
     ("two_phase_wait", "mu1", math.inf), ("mobility_crossover", "mu1", math.inf),
@@ -255,7 +257,7 @@ def _build(cls, **kwargs):
         return type(exc), str(exc)
 
 
-# a None used to run unseeded (seed), run another statistic (rush_stat) or fail inside the run
+# a None used to run unseeded (seed) or fail inside the run
 @pytest.mark.parametrize("cls, field", CHECKED_FIELDS, ids=[f"{cls.__name__}.{f.name}" for cls, f in CHECKED_FIELDS])
 def test_a_record_refuses_none_naming_the_field_unless_none_is_its_default(cls, field):
     valid = RECORDS[cls]
