@@ -386,12 +386,14 @@ class AggregateProfile:
         Sites with differing frequencies have no single period; pass an
         explicit horizon to average over, otherwise IncompatiblePeriods.
         """
+        n_samples = read("n_samples", count, n_samples, DomainError)
         if horizon is None:
             if self.common_period is None:
                 raise IncompatiblePeriods(
                     "sites use different gamma; supply an explicit horizon"
                 )
             horizon = self.common_period
+        horizon = read("horizon", finite_positive, horizon, DomainError)
         t = np.linspace(0.0, horizon, n_samples, endpoint=False)
         rates = self.rate(t)
         mean = float(np.mean(rates))

@@ -15,8 +15,9 @@ and is stored as rad/s.
 ``simulate`` configs and scenario files both go through the key tables
 of ``edgeq.config``: an unknown key, a missing required key or a value
 outside its key's domain exits 2 and names the key, as do a bad
-``--reps``, ``--workers`` and ``EDGEQ_SEED``. The ``config`` block of
-``*.metrics.json`` lists every resolved value, defaults included.
+``--reps``, ``--workers``, ``--seed``, ``--topology`` element and
+``EDGEQ_SEED``. The ``config`` block of ``*.metrics.json`` lists every
+resolved value, defaults included.
 """
 from __future__ import annotations
 
@@ -29,7 +30,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from . import analytic, capacity
-from .config import count, read
+from .config import count, integral, read, whole
 from .desim import load_sim_config, replicate
 from .errors import EdgeqError, InstabilityDetected
 from .harness import load_scenario, output_stem, run_scenario
@@ -47,8 +48,8 @@ def _g(x: float) -> str:
 
 def _default_seed(value) -> int:
     if value is not None:
-        return int(value)
-    return read("EDGEQ_SEED", int, os.environ.get("EDGEQ_SEED", "0"))
+        return read("--seed", whole, value)
+    return read("EDGEQ_SEED", whole, os.environ.get("EDGEQ_SEED", "0"))
 
 
 # ---------------------------------------------------------------------------
@@ -175,7 +176,7 @@ def _cmd_simulate(args) -> int:
 def _cmd_validate(args) -> int:
     scenario = load_scenario(args.scenario)
     if args.seed is not None:
-        scenario = replace(scenario, seed=args.seed)
+        scenario = replace(scenario, seed=read("--seed", whole, args.seed))
     rows, summary, written = run_scenario(
         scenario, out_dir=args.out, deterministic_names=args.deterministic_names,
         workers=read("--workers", count, args.workers),
@@ -235,7 +236,7 @@ def _parse_topology(text: str) -> capacity.Topology:
             key, _, value = part.partition("=")
             if key not in fields or not value:
                 raise EdgeqError(f"bad topology element {part!r}; use mode:k=..,cores=..,servers=..")
-            fields[key] = int(value)
+            fields[key] = read(f"--topology {key}", integral, value)
     return capacity.Topology(mode, fields["k"], fields["servers"], fields["cores"])
 
 

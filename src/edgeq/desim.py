@@ -6,10 +6,12 @@ Three models, each one FCFS station pass of the one runner, ``run_model``:
   the mandatory phase and, for migrating requests, the migration phase
   back to back; the migrants then queue at a destination site, an edge
   server at ``mu1`` unless ``dest_rate`` is set; renewal inter-arrival
-  and service laws are optional.
+  and service laws are optional and set only a shape (scv and family):
+  their means are 1/lam, 1/mu1 and 1/mu2 of ``queue``.
 * ``mtm1_sinusoidal`` -- the edge's single server under a sinusoidal
   nonhomogeneous Poisson process, with per-cycle bins and the rush window,
-  whose statistic is the peak binned wait inside it.
+  whose statistic is the peak binned wait inside it. The profile's
+  ``lambda_bar`` is the arrival rate, and ``queue.lam`` must equal it.
 * ``mmk_cloud`` -- the cloud's k identical servers, with the wait of the
   delayed requests.
 
@@ -55,7 +57,7 @@ import numpy as np
 
 from .analytic import effective_service_rate, overload_window
 from .config import (
-    REQUIRED, check, checked, count, finite_nonnegative, finite_positive, flag, fraction, integral, listed, positive,
+    REQUIRED, check, checked, count, finite_nonnegative, finite_positive, flag, fraction, listed, positive,
     ranged, read, table_of, take, whole,
 )
 from .errors import ConfigError, InstabilityDetected
@@ -146,6 +148,8 @@ class SimConfig:
             if missing or value != f.default and f.name not in required + reads + READ_BY_ALL:
                 key = _key(f.name)
                 raise ConfigError(f"{self.model} requires {key}" if missing else f"{self.model} does not read {key}")
+        if self.profile is not None and self.queue.lam != self.profile.lambda_bar:
+            raise ConfigError(f"edge.lambda {self.queue.lam!r} != workload.profile.lambda_bar {self.profile.lambda_bar!r}")
         if (self.horizon_requests is None) == (self.horizon_s is None):
             raise ConfigError("set exactly one of simulation.horizon_requests, simulation.horizon_s")
 
@@ -158,7 +162,7 @@ FREQUENCY = {
     **table_of(SinusoidProfile, ("gamma_rad_s", "gamma"), gamma_rad_s=None), "period_s": (finite_positive, None),
 }
 _PROFILE = {**table_of(SinusoidProfile, "lambda_bar", "amplitude", "phase"), **FREQUENCY}
-_RENEWAL = table_of(RenewalSpec, "mean", "scv", "family")
+_RENEWAL = table_of(RenewalSpec, "scv", "family")
 
 
 _CONFIG = {
@@ -173,7 +177,7 @@ _CONFIG = {
             SimConfig, "horizon_requests", "horizon_s", "warmup", "bins_per_period", "two_stage_service",
             "dest_rate", "dest_home_load", "allow_unstable", "max_in_system", "event_log",
         ),
-        "seed": (integral, None),
+        "seed": (whole, None),
         "reps": (count, 1),
     }, {}),
     "output": ({"dir": (str, "."), "deterministic_names": (flag, False), "name": (str, None)}, {}),
@@ -450,23 +454,23 @@ def _summarize(config, t, cut, rtt, mean_wait, busy, done=None, sojourn=None, se
 def _draw_arrivals(config: SimConfig, rng, rate: float, law: Optional[RenewalSpec] = None) -> np.ndarray:
     """Arrival instants, in order, over the horizon that is set.
 
-    The NHPP of ``config.profile`` if set; else renewals of ``law`` or,
-    without one, Poisson arrivals at ``rate`` (none at rate 0).
+    The NHPP of ``config.profile`` if set; else renewals of ``law`` at
+    ``rate`` or, without one, Poisson arrivals at ``rate`` (none at rate 0).
     """
     if config.profile is not None:
         return nhpp_sinusoidal(config.profile, config.horizon_s, rng)
-    if law is None and rate == 0.0:
+    if rate == 0.0:
         return np.empty(0)
-    spec = law or RenewalSpec(1.0 / rate)
+    mean = 1.0 / rate
     if config.horizon_requests is not None:
-        return np.cumsum(renewal_times(spec, int(config.horizon_requests), rng))
+        return np.cumsum(renewal_times(law or RenewalSpec(), mean, int(config.horizon_requests), rng))
     if law is None:
         return poisson_arrivals(rate, config.horizon_s, rng)
     out = []
     total = 0.0
-    chunk = max(1024, int(config.horizon_s / spec.mean * 1.2))
+    chunk = max(1024, int(config.horizon_s / mean * 1.2))
     while total < config.horizon_s:
-        t = total + np.cumsum(renewal_times(spec, chunk, rng))
+        t = total + np.cumsum(renewal_times(law, mean, chunk, rng))
         out.append(t)
         total = float(t[-1])
     t = np.concatenate(out) if out else np.empty(0)
@@ -477,9 +481,9 @@ def _phase_services(config: SimConfig, n: int, rng) -> tuple[np.ndarray, np.ndar
     """(migrants in arrival order, service times): phase 1 for all, plus phase 2 for migrants."""
     q = config.queue
     mig = np.flatnonzero(rng.random(n) < q.r)
-    s = renewal_times(config.service1 or RenewalSpec(1.0 / q.mu1), n, rng)
+    s = renewal_times(config.service1 or RenewalSpec(), 1.0 / q.mu1, n, rng)
     if not math.isinf(q.mu2):
-        s[mig] += renewal_times(config.service2 or RenewalSpec(1.0 / q.mu2), len(mig), rng)
+        s[mig] += renewal_times(config.service2 or RenewalSpec(), 1.0 / q.mu2, len(mig), rng)
     return mig, s
 
 
@@ -534,7 +538,7 @@ def run_model(config: SimConfig, stream: SeededStream) -> tuple[SimMetrics, Opti
 
     # The tandem always passes a renewal law, so over horizon_s it draws exponential
     # renewals, not poisson_arrivals: that draw order is fixed by stream format 0.2.0.
-    t = _draw_arrivals(config, rng, rate, (config.arrivals or RenewalSpec(1.0 / q.lam)) if tandem else None)
+    t = _draw_arrivals(config, rng, rate, (config.arrivals or RenewalSpec()) if tandem else None)
     n = len(t)
     if n == 0:
         return _metrics(config), ts
@@ -635,8 +639,7 @@ def replicate(config: SimConfig, n_runs: int, base_stream: SeededStream) -> Aggr
     names are aggregated; the mean reads NaN in the others, and
     ``stderr``/``ci95`` hold only the named keys.
     """
-    if n_runs < 1:
-        raise ConfigError("n_runs must be >= 1")
+    n_runs = read("n_runs", count, n_runs)
     values: dict[str, list[float]] = {f: [] for f in SimMetrics.FIELDS if f in config.metrics}
     ts_pool: Optional[TimeSeriesMetrics] = None
     for i in range(n_runs):

@@ -26,7 +26,7 @@ from pathlib import Path
 from typing import Callable, Optional, Sequence
 
 from . import analytic, capacity
-from .config import REQUIRED, check, checked, count, finite_positive, integral, listed, ranged, table_of, take
+from .config import REQUIRED, check, checked, count, finite_positive, integral, listed, ranged, table_of, take, whole
 from .desim import FREQUENCY, SimConfig, replicate
 from .errors import ConfigError, DomainError
 from .specs import CloudSpec, DtrpSpec, NetworkSpec, QueueSpec, SinusoidProfile
@@ -354,7 +354,7 @@ class Scenario:
     grid: dict[str, list] = checked(REQUIRED, ranged(dict, bool, "a non-empty object"))
     fixed: dict[str, object] = checked({}, dict)
     replications: int = checked(30, count)
-    seed: int = checked(0, integral)
+    seed: int = checked(0, whole)
     outputs: tuple[str, ...] = checked(
         ("csv", "json"), ranged(listed, lambda names: set(names) <= {"csv", "json"}, "a list of 'csv' and 'json'")
     )

@@ -1,7 +1,9 @@
 """Seeded arrival- and service-process samplers.
 
 This module is the only sampling layer: the simulators draw every
-arrival process and service law through the samplers below. Each sampler
+arrival process and service law through the samplers below. A renewal
+law is a shape only; its sampler takes the mean, so the rate of every
+simulated station comes from its queue spec. Each sampler
 takes a ``np.random.Generator`` and draws from it in a fixed order, so a
 run builds one generator and threads it through every sampler it calls.
 ``SeededStream`` appears only where a run starts (``desim.run_model``,
@@ -23,7 +25,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .config import REQUIRED, Checked, checked, count, finite_nonnegative, finite_positive, ranged, read, whole
+from .config import Checked, checked, count, finite_nonnegative, finite_positive, ranged, read, whole
 from .errors import DomainError, UnreachableScv
 from .specs import SinusoidProfile
 
@@ -52,9 +54,8 @@ class SeededStream:
 
 @dataclass(frozen=True)
 class RenewalSpec(Checked):
-    """Inter-arrival or service time distribution with a target squared CoV."""
+    """The shape of an inter-arrival or service law, a target squared CoV; its sampler takes the mean."""
 
-    mean: float = checked(REQUIRED, finite_positive)
     scv: float = checked(1.0, finite_nonnegative)
     family: str = checked("exponential", ranged(str, RENEWAL_FAMILIES.__contains__, f"one of {RENEWAL_FAMILIES}"))
 
@@ -85,36 +86,36 @@ class RenewalSpec(Checked):
             return 1.0 / self.erlang_stages
         return 1.0 if self.family == "exponential" else self.scv
 
-    @property
-    def hyper2_params(self) -> tuple[float, float, float]:
-        """Balanced-means fit: branch probability p and the two branch rates."""
+    def hyper2_params(self, mean: float) -> tuple[float, float, float]:
+        """Balanced-means fit at ``mean``: branch probability p and the two branch rates."""
         c2 = self.scv
         p = 0.5 * (1.0 + math.sqrt((c2 - 1.0) / (c2 + 1.0)))
-        return p, 2.0 * p / self.mean, 2.0 * (1.0 - p) / self.mean
+        return p, 2.0 * p / mean, 2.0 * (1.0 - p) / mean
 
 
-def renewal_times(spec: RenewalSpec, count: int, rng: np.random.Generator) -> np.ndarray:
-    """Draw `count` iid samples with the spec's mean and squared CoV."""
+def renewal_times(law: RenewalSpec, mean: float, count: int, rng: np.random.Generator) -> np.ndarray:
+    """Draw `count` iid samples with mean `mean` and the law's squared CoV."""
+    mean = read("mean", finite_positive, mean, DomainError)
     count = read("count", whole, count, DomainError)
-    if spec.family == "exponential":
-        return rng.exponential(spec.mean, count)
-    if spec.family == "deterministic":
-        return np.full(count, spec.mean)
-    if spec.family == "hyperexponential2":
-        p, r1, r2 = spec.hyper2_params
+    if law.family == "exponential":
+        return rng.exponential(mean, count)
+    if law.family == "deterministic":
+        return np.full(count, mean)
+    if law.family == "hyperexponential2":
+        p, r1, r2 = law.hyper2_params(mean)
         branch = rng.uniform(size=count) < p
         return np.where(branch, rng.exponential(1.0 / r1, count), rng.exponential(1.0 / r2, count))
-    if spec.family == "erlang":
-        n = spec.erlang_stages
-        if abs(1.0 / n - spec.scv) > 1e-9:
+    if law.family == "erlang":
+        n = law.erlang_stages
+        if abs(1.0 / n - law.scv) > 1e-9:
             warnings.warn(
-                f"erlang cannot hit scv = {spec.scv:.6g}; using n = {n} stages (scv = {1.0 / n:.6g})",
+                f"erlang cannot hit scv = {law.scv:.6g}; using n = {n} stages (scv = {1.0 / n:.6g})",
                 stacklevel=2,
             )
-        return rng.gamma(n, spec.mean / n, count)
+        return rng.gamma(n, mean / n, count)
     # lognormal: sigma^2 = ln(1 + c^2), mu = ln(mean) - sigma^2/2
-    sigma2 = math.log1p(spec.scv)
-    return rng.lognormal(math.log(spec.mean) - 0.5 * sigma2, math.sqrt(sigma2), count)
+    sigma2 = math.log1p(law.scv)
+    return rng.lognormal(math.log(mean) - 0.5 * sigma2, math.sqrt(sigma2), count)
 
 
 def _poisson_candidates(lam: float, horizon: float, rng: np.random.Generator) -> np.ndarray:

@@ -499,6 +499,17 @@ class TestAggregateProfile:
             agg.relative_amplitude()
         assert agg.relative_amplitude(horizon=2 * math.pi) > 0.0
 
+    # a negative horizon returned 0.298, a NaN one nan, and no samples raised numpy's ValueError
+    @pytest.mark.parametrize("kwargs, message", [
+        (dict(horizon=-1.0), "horizon: must be finite and > 0, got -1.0"),
+        (dict(horizon=math.nan), "horizon: must be finite and > 0, got nan"),
+        (dict(n_samples=0), "n_samples: must be >= 1, got 0"),
+        (dict(n_samples=2.5), "n_samples: must be an integer, got 2.5"),
+    ], ids=["horizon-negative", "horizon-nan", "n_samples-0", "n_samples-fraction"])
+    def test_relative_amplitude_checks_its_arguments(self, kwargs, message):
+        with pytest.raises(DomainError, match=f"^{message}$"):
+            AggregateProfile([SinusoidProfile(10, 0.5, 1.0)]).relative_amplitude(**kwargs)
+
 
 class TestEmpiricalRule:
     def test_single_site_equality(self):
@@ -584,7 +595,7 @@ SPEC_DOMAINS = {
     DtrpSpec: (dict(capacity=96.0, rho=0.5, tau=0.0, q=2.0),
                dict(capacity=_positive, rho=_nonnegative, tau=_nonnegative, q=lambda x: x > 0 and 1.0 / x < math.inf,
                     area=_positive, velocity=_positive, gos=_positive)),
-    RenewalSpec: (dict(mean=0.1, scv=2.0, family="hyperexponential2"), dict(mean=_positive, scv=_nonnegative)),
+    RenewalSpec: (dict(scv=2.0, family="hyperexponential2"), dict(scv=_nonnegative)),
 }
 # the rules that span fields, which a value inside its own field's domain may still break
 CROSS_FIELD = {DtrpSpec: UnstableQueue, RenewalSpec: UnreachableScv}
@@ -608,7 +619,7 @@ BARE_FLOAT_CALLS = [
     (dtrp_response_time, (DtrpSpec(96.0, 0.5, 0.0, 2.0), 5.0)),
     (packing_relative_error, (100.0, 64.0, 2.0)),
     (poisson_arrivals, (8.0, 10.0, np.random.default_rng(0))),
-    (renewal_times, (RenewalSpec(0.1), 5, np.random.default_rng(0))),
+    (renewal_times, (RenewalSpec(), 0.1, 5, np.random.default_rng(0))),
 ]
 # (function, arguments, the index of the float argument set to NaN)
 NAN_CASES = [(fn, args, i) for fn, args in BARE_FLOAT_CALLS for i, a in enumerate(args) if isinstance(a, (int, float))]

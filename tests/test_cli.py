@@ -175,6 +175,14 @@ class TestCapacityCommands:
         assert code == EXIT_CONFIG
         assert "topology" in err
 
+    def test_pack_fractional_topology_count_exit_2_naming_the_element(self, capsys, tmp_path):
+        # int("4.5") failed with "invalid literal for int()", naming no element
+        trace = tmp_path / "t.csv"
+        trace.write_text("vm_id,arrival_s,lifetime_s,cores\nv,0,1,2\n")
+        code, _, err = run_cli(capsys, "capacity", "pack", "--trace", str(trace), "--topology", "edge:k=4.5")
+        assert code == EXIT_CONFIG
+        assert "--topology k: " in err
+
     def test_pack_cloud_with_several_sites_exit_2(self, capsys, tmp_path):
         trace = tmp_path / "t.csv"
         trace.write_text("vm_id,arrival_s,lifetime_s,cores\nv,0,1,2\n")
@@ -234,12 +242,34 @@ class TestSimulateCommand:
     def test_unknown_key_exit_2(self, capsys, tmp_path):
         # rush_stat chose among rush-window statistics; the peak bin is now the only one
         rush_stat = with_keys(SIM_CONFIGS["mtm1_sinusoidal"], "simulation", {"rush_stat": "peak_bin"})
-        for bad, key in (({**MINIMAL_SIM_CONFIG, "typo_section": {}}, "typo_section"), (rush_stat, "rush_stat")):
+        # a law's mean restated a rate of edge, and the two could disagree
+        means = [with_value(SIM_CONFIGS["two_phase_edge_renewal"], f"workload.{law}.mean", 0.02)
+                 for law in ("arrivals", "service1", "service2")]
+        cases = [({**MINIMAL_SIM_CONFIG, "typo_section": {}}, "typo_section"), (rush_stat, "rush_stat")]
+        for bad, key in cases + [(body, "mean") for body in means]:
             cfg = tmp_path / "bad.json"
             cfg.write_text(json.dumps(bad))
             code, _, err = run_cli(capsys, "simulate", str(cfg))
             assert code == EXIT_CONFIG
             assert f"unknown keys ['{key}']" in err
+
+    # the stability check read edge.lambda while a law's mean set the simulated arrival rate
+    @pytest.mark.parametrize("lam", [50.0, 80.0])
+    def test_renewal_tandem_at_or_above_capacity_exit_2(self, capsys, tmp_path, lam):
+        cfg = tmp_path / "renewal.json"
+        cfg.write_text(json.dumps(with_value(SIM_CONFIGS["two_phase_edge_renewal"], "edge.lambda", lam)))
+        code, _, err = run_cli(capsys, "simulate", str(cfg), "--out", str(tmp_path))
+        assert code == EXIT_CONFIG
+        assert f"source utilization {lam / 50:g} >= 1" in err
+        assert not list(tmp_path.glob("*.metrics.json"))
+
+    def test_sinusoid_edge_lambda_unequal_to_lambda_bar_exit_2_naming_both(self, capsys, tmp_path):
+        # edge.lambda used to be dropped unread: 1, 16 and 1000 gave bit-identical metrics
+        cfg = tmp_path / "sin.json"
+        cfg.write_text(json.dumps(with_value(SIM_CONFIGS["mtm1_sinusoidal"], "edge.lambda", 1000.0)))
+        code, _, err = run_cli(capsys, "simulate", str(cfg), "--out", str(tmp_path))
+        assert code == EXIT_CONFIG
+        assert "edge.lambda 1000.0 != workload.profile.lambda_bar 16.0" in err
 
     def test_instability_exit_3(self, capsys, tmp_path):
         cfg_data = {
@@ -405,8 +435,8 @@ SIM_CONFIGS = {
         "model": "two_phase_edge",
         "edge": {"lambda": 10.0, "mu1": 50.0, "mu2": 50.0},
         "workload": {
-            "arrivals": {"mean": 0.1, "scv": 0.25, "family": "erlang"},
-            "service1": {"mean": 0.02, "scv": 2.0, "family": "hyperexponential2"},
+            "arrivals": {"scv": 0.25, "family": "erlang"},
+            "service1": {"scv": 2.0, "family": "hyperexponential2"},
         },
         "simulation": {"horizon_s": 100.0},
     },
@@ -509,12 +539,10 @@ SIM_DOMAIN = [
 SPEC_DOMAIN = [
     ("two_phase_edge", "edge.lambda", -10.0), ("mmk_cloud", "cloud.rho", -0.5),
     ("two_phase_edge", "network.t_edge_s", -0.001), ("mtm1_sinusoidal", "workload.profile.amplitude", 1.5),
-    ("two_phase_edge_renewal", "workload.arrivals.mean", -0.1),
     # NaN and infinity used to run on (exit 0), fail naming no key, or crash
     ("mtm1_sinusoidal", "workload.profile.phase", "nan"), ("two_phase_edge", "edge.lambda", "inf"),
     ("two_phase_edge", "edge.mu1", "inf"), ("mmk_cloud", "cloud.mu", "inf"),
-    ("mtm1_sinusoidal", "workload.profile.lambda_bar", "inf"), ("two_phase_edge_renewal", "workload.arrivals.mean", "inf"),
-    ("two_phase_edge_renewal", "workload.service1.mean", "inf"), ("two_phase_edge", "network.t_edge_s", "inf"),
+    ("mtm1_sinusoidal", "workload.profile.lambda_bar", "inf"), ("two_phase_edge", "network.t_edge_s", "inf"),
     ("two_phase_edge", "network.t_cloud_s", "inf"),
 ]
 
@@ -553,8 +581,8 @@ def test_an_int_too_large_for_a_float_exits_2_naming_the_key(capsys, tmp_path):
         ("validate", {**TINY_SCENARIO, "outputs": "csv"}, "outputs"),
         # only the tandem models draw from renewal laws; the others must not ignore one
         ("simulate", {**SIM_CONFIGS["mtm1_sinusoidal"], "workload": {
-            **SIM_CONFIGS["mtm1_sinusoidal"]["workload"], "arrivals": {"mean": 0.0625}}}, "arrivals"),
-        ("simulate", {**SIM_CONFIGS["mmk_cloud"], "workload": {"service1": {"mean": 0.1}}}, "service1"),
+            **SIM_CONFIGS["mtm1_sinusoidal"]["workload"], "arrivals": {"scv": 1.0}}}, "arrivals"),
+        ("simulate", {**SIM_CONFIGS["mmk_cloud"], "workload": {"service1": {"scv": 1.0}}}, "service1"),
         ("validate", {**PACKING_SCENARIO, "fixed": {**PACKING_SCENARIO["fixed"], "k_sites": 0}}, "k_sites"),
         ("validate", {**PACKING_SCENARIO, "fixed": {**PACKING_SCENARIO["fixed"], "k_sites": -2}}, "k_sites"),
         # renewal laws run under two_phase_edge; the old duplicate name is an unknown model
@@ -593,3 +621,33 @@ def test_config_faults_exit_2_naming_the_key(capsys, tmp_path, command, body, ke
     code, _, err = run_cli(capsys, command, str(path), "--out", str(tmp_path))
     assert code == EXIT_CONFIG
     assert key in err
+
+
+SIM_NO_SEED = {**MINIMAL_SIM_CONFIG, "simulation": {"horizon_requests": 2000, "reps": 1}}
+# (route, file name, its body, argv, EDGEQ_SEED, the message stderr must hold) for a seed of -1
+SEED_ROUTES = [
+    ("simulation.seed", "sim.json", with_keys(SIM_NO_SEED, "simulation", {"seed": -1}), "simulate {file} --out {out}",
+     None, "config.simulation.seed: must be >= 0, got -1"),
+    ("simulate--seed", "sim.json", SIM_NO_SEED, "simulate {file} --out {out} --seed -1", None, "--seed: must be >= 0, got -1"),
+    ("EDGEQ_SEED", "sim.json", SIM_NO_SEED, "simulate {file} --out {out}", "-1", "EDGEQ_SEED: must be >= 0, got -1"),
+    ("scenario-seed", "tiny.scenario", {**TINY_SCENARIO, "seed": -1}, "validate {file} --out {out}",
+     None, "tiny.scenario.seed: must be >= 0, got -1"),
+    ("validate--seed", "tiny.scenario", TINY_SCENARIO, "validate {file} --out {out} --seed -1",
+     None, "--seed: must be >= 0, got -1"),
+    ("pack--seed", "t.csv", "vm_id,arrival_s,lifetime_s,cores\nv,0,1,2\n",
+     "capacity pack --trace {file} --topology cloud:cores=8 --seed -1", None, "--seed: must be >= 0, got -1"),
+]
+
+
+# a negative seed used to load, then fail mid-run with numpy's bare "expected non-negative integer"
+@pytest.mark.parametrize("name, body, argv, env, message", [route[1:] for route in SEED_ROUTES],
+                         ids=[route[0] for route in SEED_ROUTES])
+def test_a_negative_seed_exits_2_naming_its_key(capsys, tmp_path, monkeypatch, name, body, argv, env, message):
+    path, out = tmp_path / name, tmp_path / "out"
+    path.write_text(body if isinstance(body, str) else json.dumps(body))
+    if env is not None:
+        monkeypatch.setenv("EDGEQ_SEED", env)
+    code, _, err = run_cli(capsys, *argv.format(file=path, out=out).split())
+    assert code == EXIT_CONFIG
+    assert message in err
+    assert not out.exists()

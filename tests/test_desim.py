@@ -180,9 +180,9 @@ class TestTwoPhaseSim:
         assert agg.mean.mean_wait == pytest.approx(0.00656201, rel=0.05)
 
     def test_erlang_service_warns_like_renewal_times(self):
-        spec = RenewalSpec(0.02, 0.3, "erlang")
+        spec = RenewalSpec(0.3, "erlang")
         with pytest.warns(UserWarning) as direct:
-            renewal_times(spec, 1, SeededStream(0).generator())
+            renewal_times(spec, 0.02, 1, SeededStream(0).generator())
         with pytest.warns(UserWarning) as simulated:
             run_model(two_phase_config(10.0, 0.1, n=1000, service1=spec), SeededStream(102))
         assert [str(w.message) for w in simulated] == [str(w.message) for w in direct]
@@ -339,7 +339,7 @@ class TestGg1EdgeSim:
         cfg = SimConfig(
             model="two_phase_edge",
             queue=QueueSpec(10.0, 50.0, 50.0, 0.1),
-            arrivals=RenewalSpec(0.1, 1.0, "exponential"),
+            arrivals=RenewalSpec(1.0, "exponential"),
             horizon_requests=200_000,
         )
         agg = replicate(cfg, 5, SeededStream(120))
@@ -352,7 +352,7 @@ class TestGg1EdgeSim:
         cfg = SimConfig(
             model="two_phase_edge",
             queue=spec,
-            service1=RenewalSpec(0.02, 0.5, "erlang"),
+            service1=RenewalSpec(0.5, "erlang"),
             horizon_requests=200_000,
         )
         agg = replicate(cfg, 5, SeededStream(121))
@@ -364,11 +364,20 @@ class TestGg1EdgeSim:
         cfg = SimConfig(
             model="two_phase_edge",
             queue=spec,
-            arrivals=RenewalSpec(0.05, 4.0, "hyperexponential2"),
+            arrivals=RenewalSpec(4.0, "hyperexponential2"),
             horizon_requests=200_000,
         )
         agg = replicate(cfg, 5, SeededStream(122))
         assert agg.mean.mean_wait > 1.5 * mm1_two_phase_wait(spec)
+
+    # a law is a shape: the queue spec sets every rate, so exponential laws are the default draws
+    @settings(max_examples=30, deadline=None)
+    @given(st.sampled_from([{"horizon_requests": 800}, {"horizon_s": 40.0}]), st.floats(1.0, 20.0),
+           st.floats(0.0, 1.0), st.integers(0, 2**32 - 1))
+    def test_explicit_exponential_laws_equal_no_laws(self, horizon, lam, r, seed):
+        bare = SimConfig(model="two_phase_edge", queue=QueueSpec(lam, 50.0, 40.0, r), **horizon)
+        laws = dataclasses.replace(bare, arrivals=RenewalSpec(), service1=RenewalSpec(), service2=RenewalSpec())
+        assert repr(run_model(laws, SeededStream(seed))) == repr(run_model(bare, SeededStream(seed)))
 
 
 class TestMmkSim:
@@ -629,8 +638,8 @@ def pinned_configs(event_log):
     return {
         "two_phase_edge": SimConfig(
             model="two_phase_edge", queue=QueueSpec(10.0, 50.0, 40.0, 0.3), horizon_requests=2000,
-            arrivals=RenewalSpec(0.1, 2.0, "hyperexponential2"), service1=RenewalSpec(0.02, 0.5, "erlang"),
-            service2=RenewalSpec(0.025, 1.5, "lognormal"), dest_rate=45.0, dest_home_load=4.0,
+            arrivals=RenewalSpec(2.0, "hyperexponential2"), service1=RenewalSpec(0.5, "erlang"),
+            service2=RenewalSpec(1.5, "lognormal"), dest_rate=45.0, dest_home_load=4.0,
             network=NetworkSpec(0.002, 0.03), event_log=event_log,
         ),
         "mtm1_sinusoidal": mtm1_config(0.8, horizon_s=400.0, two_stage_service=True),
@@ -696,9 +705,14 @@ class TestReplicate:
         assert agg.mean.mean_wait == single.mean_wait
         assert agg.stderr["mean_wait"] == 0.0 and agg.ci95["mean_wait"] == 0.0
 
-    def test_zero_runs_rejected(self):
-        with pytest.raises(ConfigError, match="n_runs must be >= 1"):
-            replicate(two_phase_config(10.0, 0.1, n=1000), 0, SeededStream(150))
+    # 2.5 raised a bare TypeError, and True ran one replication reporting n_runs = True
+    @pytest.mark.parametrize("n_runs, message", [
+        (0, "must be >= 1, got 0"), (-1, "must be >= 1, got -1"),
+        (2.5, "must be an integer, got 2.5"), (True, "must be an integer, got True"),
+    ], ids=["0", "-1", "2.5", "True"])
+    def test_n_runs_outside_its_domain_rejected(self, n_runs, message):
+        with pytest.raises(ConfigError, match=f"^n_runs: {message}$"):
+            replicate(two_phase_config(10.0, 0.1, n=1000), n_runs, SeededStream(150))
 
     def test_bit_identical_across_invocations(self):
         cfg = two_phase_config(10.0, 0.1, n=20_000)

@@ -187,7 +187,7 @@ SIM_SPEC_KEYS = {
     "profile": {"lambda_bar": (SinusoidProfile, "lambda_bar"), "amplitude": (SinusoidProfile, "amplitude"),
                 "gamma_rad_s": (SinusoidProfile, "gamma"), "period_s": (SinusoidProfile, "gamma"),  # gamma = 2 pi / period
                 "phase": (SinusoidProfile, "phase")},
-    "renewal": {"mean": (RenewalSpec, "mean"), "scv": (RenewalSpec, "scv"), "family": (RenewalSpec, "family")},
+    "renewal": {"scv": (RenewalSpec, "scv"), "family": (RenewalSpec, "family")},
 }
 # scenario key -> (spec record, the field the key sets)
 SCENARIO_SPEC_KEYS = {
@@ -241,7 +241,7 @@ RECORDS = {
     PhaseMoments: dict(mean1=0.02, var1=4e-4, mean2=0.02, var2=4e-4, r=0.1),
     SinusoidProfile: dict(lambda_bar=16.0, amplitude=0.5, gamma=0.1),
     DtrpSpec: dict(capacity=96.0, rho=0.5, tau=0.0, q=2.0),
-    RenewalSpec: dict(mean=0.1, scv=2.0, family="hyperexponential2"),
+    RenewalSpec: dict(scv=2.0, family="hyperexponential2"),
     Topology: dict(mode="edge", k_sites=4, servers_per_site=2, cores_per_server=16),
     SimConfig: dict(model="mmk_cloud", cloud=CloudSpec(2, 10.0, 0.5), horizon_s=100.0),
     Scenario: dict(name="tiny", model="two_phase_wait", grid={"lam": [10.0]}, fixed={"mu1": 50.0}),

@@ -93,53 +93,54 @@ class TestPoissonArrivals:
 
 class TestRenewalTimes:
     @pytest.mark.parametrize(
-        "spec",
+        "spec",  # (law, mean)
         [
-            RenewalSpec(0.02, 1.0, "exponential"),
-            RenewalSpec(1.0, 0.0, "deterministic"),
-            RenewalSpec(0.5, 4.0, "hyperexponential2"),
-            RenewalSpec(2.0, 0.25, "erlang"),
-            RenewalSpec(1.0, 2.0, "lognormal"),
+            (RenewalSpec(1.0, "exponential"), 0.02),
+            (RenewalSpec(0.0, "deterministic"), 1.0),
+            (RenewalSpec(4.0, "hyperexponential2"), 0.5),
+            (RenewalSpec(0.25, "erlang"), 2.0),
+            (RenewalSpec(2.0, "lognormal"), 1.0),
         ],
     )
     def test_mean_and_scv_converge(self, spec):
-        x = renewal_times(spec, 1_000_000, SeededStream(10).generator())
-        sigma = spec.mean * math.sqrt(max(spec.effective_scv, 1e-12) / len(x))
-        assert abs(x.mean() - spec.mean) <= 4 * sigma + 1e-12
+        law, mean = spec
+        x = renewal_times(law, mean, 1_000_000, SeededStream(10).generator())
+        sigma = mean * math.sqrt(max(law.effective_scv, 1e-12) / len(x))
+        assert abs(x.mean() - mean) <= 4 * sigma + 1e-12
         got_scv = x.var() / x.mean() ** 2
-        assert got_scv == pytest.approx(spec.effective_scv, abs=0.05 * max(spec.effective_scv, 0.02))
+        assert got_scv == pytest.approx(law.effective_scv, abs=0.05 * max(law.effective_scv, 0.02))
 
     def test_balanced_means_fit(self):
-        p, r1, r2 = RenewalSpec(1.0, 4.0, "hyperexponential2").hyper2_params
+        p, r1, r2 = RenewalSpec(4.0, "hyperexponential2").hyper2_params(1.0)
         assert p == pytest.approx(0.5 * (1 + math.sqrt(0.6)), rel=1e-12)
         assert r1 == pytest.approx(2 * p, rel=1e-12)
         assert r2 == pytest.approx(2 * (1 - p), rel=1e-12)
 
     def test_deterministic_samples_constant(self):
-        x = renewal_times(RenewalSpec(1.0, 0.0, "deterministic"), 100, SeededStream(11).generator())
+        x = renewal_times(RenewalSpec(0.0, "deterministic"), 1.0, 100, SeededStream(11).generator())
         assert np.all(x == 1.0)
 
     def test_erlang_snaps_to_nearest_stage_count_with_warning(self):
-        spec = RenewalSpec(1.0, 0.3, "erlang")  # 1/0.3 = 3.33 -> n = 3
+        spec = RenewalSpec(0.3, "erlang")  # 1/0.3 = 3.33 -> n = 3
         assert spec.erlang_stages == 3
         with pytest.warns(UserWarning, match="erlang"):
-            renewal_times(spec, 10, SeededStream(12).generator())
+            renewal_times(spec, 1.0, 10, SeededStream(12).generator())
 
     def test_unreachable_scv_rejected(self):
         with pytest.raises(UnreachableScv):
-            RenewalSpec(1.0, 2.0, "exponential")
+            RenewalSpec(2.0, "exponential")
         with pytest.raises(UnreachableScv):
-            RenewalSpec(1.0, 0.5, "hyperexponential2")
+            RenewalSpec(0.5, "hyperexponential2")
         with pytest.raises(UnreachableScv):
-            RenewalSpec(1.0, 0.5, "deterministic")
+            RenewalSpec(0.5, "deterministic")
         with pytest.raises(UnreachableScv):
-            RenewalSpec(1.0, 1.5, "erlang")
+            RenewalSpec(1.5, "erlang")
         with pytest.raises(UnreachableScv, match="lognormal requires scv > 0"):
-            RenewalSpec(1.0, 0.0, "lognormal")
+            RenewalSpec(0.0, "lognormal")
 
     def test_unknown_family_rejected(self):
         with pytest.raises(DomainError):
-            RenewalSpec(1.0, 1.0, "weird")
+            RenewalSpec(1.0, "weird")
 
 
 class _PlacedDraws:
