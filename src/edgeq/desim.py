@@ -28,13 +28,17 @@ its default, and a horizon other than exactly one.
 Single-server waits come from the vectorized Lindley recursion
 (reflected random walk), which ``multiserver_waits`` runs at k = 1, so
 one run handles millions of requests in milliseconds and is
-bit-reproducible for a fixed stream.
+bit-reproducible for a fixed stream. The walk streams through its run
+one ``BLOCK`` at a time, and a single exponential server whose services
+nothing else reads (the sinusoidal edge in one stage, the pool at k = 1)
+has them drawn block by block inside the walk, with the bits and stream
+use of one draw of them all.
 
 The runner ends in one metric layer, ``_summarize``. It computes only
 the ``SimMetrics`` fields that ``SimConfig.metrics`` names (all of them
-by default), and the others read NaN. A run builds its departure and
-sojourn arrays only when a named field, the instability check, the event
-log or the destination reads them. The first
+by default), and the others read NaN. A run builds its service,
+departure and sojourn arrays only when a named field, the instability
+check, the event log or the destination reads them. The first
 ``int(n * warmup)`` requests are a warm-up and are not counted. The
 window runs from the first counted arrival to the last departure, and
 ``little_l`` is the time-average number in system over it: each request,
@@ -62,7 +66,9 @@ from .config import (
 )
 from .errors import ConfigError, InstabilityDetected
 from .specs import CloudSpec, NetworkSpec, QueueSpec, SinusoidProfile
-from .workload import BLOCK, RenewalSpec, SeededStream, nhpp_sinusoidal, poisson_arrivals, renewal_times
+from .workload import (
+    BLOCK, RenewalSpec, SeededStream, exponential_fill, nhpp_sinusoidal, poisson_arrivals, renewal_times,
+)
 
 # model -> (the SimConfig fields it requires, the others it reads besides
 # READ_BY_ALL). Any other field must keep its default: no setting is dropped unread.
@@ -281,31 +287,51 @@ class TimeSeriesMetrics:
 # Queue cores
 
 
-def lindley_waits(arrivals: np.ndarray, services: np.ndarray) -> np.ndarray:
+def lindley_waits(arrivals: np.ndarray, services) -> np.ndarray:
     """FCFS single-server waits, starting empty.
 
     W_1 = 0 and W_{n+1} = max(0, W_n + S_n - A_{n+1}), evaluated as the
-    reflected random walk so the whole run vectorizes. The walk's running
-    minimum is taken one ``BLOCK`` at a time, carried from block to block,
-    so no temporary is as long as the run.
+    reflected random walk so the whole run vectorizes. ``services`` is the
+    array of service times in arrival order, or a function that fills a
+    float64 buffer with the next ones (``workload.exponential_fill``).
+
+    The walk is built one ``BLOCK`` of requests at a time: each block's
+    steps are summed by ``cumsum`` in place after the previous block's
+    last walk value is added to its first step, and reflected by the
+    running minimum carried from block to block. Both equal one pass over
+    the run bit for bit, so a block stays in L2 from its steps to its
+    waits, and a drawn run holds no services array as long as itself.
     """
     n = len(arrivals)
     walk = np.empty(n)
     if n == 0:
         return walk
     walk[0] = 0.0
-    steps = walk[1:]  # S_n - (A_{n+1} - A_n), summed in place into the walk
-    np.subtract(arrivals[1:], arrivals[:-1], out=steps)
-    np.subtract(services[:-1], steps, out=steps)
-    np.cumsum(steps, out=steps)
-    low, least = 0.0, np.empty(min(n, BLOCK))  # the minimum so far, and one block's running minimum
+    least = np.empty(min(n, BLOCK))  # one block's running minimum
+    drawn = np.empty_like(least) if callable(services) else None
+    low = total = 0.0  # the walk's minimum so far (walk[0] included) and its last unreflected value
     for lo in range(0, n, BLOCK):
-        block = walk[lo:lo + BLOCK]
-        running = least[:len(block)]
-        np.minimum.accumulate(block, out=running)
+        hi = min(lo + BLOCK, n)
+        if drawn is None:
+            block = services[lo:hi]
+        else:
+            block = drawn[:hi - lo]
+            services(block)  # the last request's service is drawn too, as one draw of all n would
+        steps = walk[lo + 1:hi + 1]  # S_j - (A_{j+1} - A_j) for the block's requests j, summed in place
+        m = len(steps)
+        if m == 0:
+            break
+        np.subtract(arrivals[lo + 1:lo + 1 + m], arrivals[lo:lo + m], out=steps)
+        np.subtract(block[:m], steps, out=steps)
+        if lo:
+            steps[0] += total
+        np.cumsum(steps, out=steps)
+        total = steps[-1]
+        running = least[:m]
+        np.minimum.accumulate(steps, out=running)
         np.minimum(running, low, out=running)
         low = running[-1]
-        block -= running
+        steps -= running
     return walk
 
 
@@ -408,6 +434,12 @@ def _departures_read(config: SimConfig) -> bool:
     return config.max_in_system is not None or not WINDOWED.isdisjoint(config.metrics)
 
 
+def _services_read(config: SimConfig) -> bool:
+    """Whether anything past the walk reads the per-request services: departures, the event log or a metric."""
+    read_by = PER_REQUEST | {"mean_response"}
+    return _departures_read(config) or bool(config.event_log) or not read_by.isdisjoint(config.metrics)
+
+
 def _metrics(config: SimConfig, **values) -> SimMetrics:
     """SimMetrics with the fields ``config.metrics`` names, from ``values`` or 0; NaN elsewhere."""
     return SimMetrics(**{
@@ -420,9 +452,10 @@ def _summarize(config, t, cut, rtt, mean_wait, busy, done=None, sojourn=None, se
     """The requested metrics of one run from its per-request arrays in arrival order.
 
     ``busy`` holds server-held time, ``done`` departures and ``sojourn``
-    time in system; requests before ``cut`` are the warm-up. ``done`` may
-    be None unless a WINDOWED metric is requested, and ``sojourn`` unless
-    a PER_REQUEST one is; ``sojourn`` is used up as scratch space.
+    time in system; requests before ``cut`` are the warm-up. ``busy`` may
+    be None unless ``mean_response`` or a WINDOWED metric is requested,
+    ``done`` unless a WINDOWED one is, and ``sojourn`` unless a
+    PER_REQUEST one is; ``sojourn`` is used up as scratch space.
     ``extra`` passes the model-specific fields.
     """
     want = config.metrics
@@ -474,7 +507,7 @@ def _draw_arrivals(config: SimConfig, rng, rate: float, law: Optional[RenewalSpe
         out.append(t)
         total = float(t[-1])
     t = np.concatenate(out) if out else np.empty(0)
-    return t[t < config.horizon_s]
+    return t[:np.searchsorted(t, config.horizon_s)]
 
 
 def _phase_services(config: SimConfig, n: int, rng) -> tuple[np.ndarray, np.ndarray]:
@@ -545,9 +578,11 @@ def run_model(config: SimConfig, stream: SeededStream) -> tuple[SimMetrics, Opti
     mig = None
     if tandem or config.two_stage_service:
         mig, s = _phase_services(config, n, rng)
+    elif k == 1 and not _services_read(config):
+        s = None  # drawn one block at a time inside the walk
     else:
         s = rng.exponential(1.0 / mu, n)
-    w = multiserver_waits(t, s, k)
+    w = lindley_waits(t, exponential_fill(1.0 / mu, rng)) if s is None else multiserver_waits(t, s, k)
     dep = None
     if tandem or _departures_read(config) or config.event_log:
         dep = t + w
@@ -576,7 +611,7 @@ def run_model(config: SimConfig, stream: SeededStream) -> tuple[SimMetrics, Opti
     if ts is not None:
         _observe_cycle(ts, t[cut:], wc)
     if pool is not None and "mean_wait_conditional" in config.metrics:
-        delayed = wc[wc > 0.0]
+        delayed = np.compress(wc > 0.0, wc)
         extra["mean_wait_conditional"] = float(np.mean(delayed)) if len(delayed) else 0.0
     sojourn = None
     if not PER_REQUEST.isdisjoint(config.metrics):
@@ -588,21 +623,30 @@ def run_model(config: SimConfig, stream: SeededStream) -> tuple[SimMetrics, Opti
 
 
 def _observe_cycle(ts: TimeSeriesMetrics, tc: np.ndarray, wc: np.ndarray) -> None:
-    """Bin the counted waits by cycle phase into ``ts``.
+    """Bin the counted waits, in arrival order, by cycle phase into ``ts``.
 
     The bins are taken one ``BLOCK`` of requests at a time, so no bin
-    index is as long as the run: ``np.add.at`` adds each block's waits in
-    request order, which is the order ``np.bincount`` adds them in, so the
-    sums equal one ``bincount`` over the run bit for bit.
+    index is as long as the run. A block's index repeats the bin of each
+    of its runs (``_phase_runs``), whose lengths also give the counts;
+    where the runs do not settle, it is ``_phase_bin`` of each request.
+    ``np.add.at`` adds each block's waits in request order, which is the
+    order ``np.bincount`` adds them in, so the sums equal one
+    ``bincount`` over the run bit for bit.
     """
     period, n_bins = ts.period, ts.n_bins
     ts.bin_wait_sum = np.zeros(n_bins)
-    counts = np.zeros(n_bins, dtype=np.intp)
-    for lo in range(0, len(tc), BLOCK):
-        idx = _phase_bin(tc[lo:lo + BLOCK], period, n_bins)
+    runs = _phase_runs(tc, period, n_bins)
+    counts = np.zeros(n_bins)
+    for block, lo in enumerate(range(0, len(tc), BLOCK)):
+        if runs is None:
+            idx = _phase_bin(tc[lo:lo + BLOCK], period, n_bins)
+            counts += np.bincount(idx, minlength=n_bins)
+        else:
+            bins, sizes, first = runs
+            mine = slice(first[block], first[block + 1])
+            idx = np.repeat(bins[mine], sizes[mine])
         np.add.at(ts.bin_wait_sum, idx, wc[lo:lo + BLOCK])
-        counts += np.bincount(idx, minlength=n_bins)
-    ts.bin_count = counts.astype(float)
+    ts.bin_count = counts if runs is None else np.bincount(runs[0], weights=runs[1], minlength=n_bins)
     ts.bin_exposure = _bin_exposure(float(tc[0]), float(tc[-1]), period, n_bins)
 
 
@@ -613,6 +657,46 @@ def _phase_bin(t: np.ndarray, period: float, n_bins: int) -> np.ndarray:
     idx *= n_bins
     idx = idx.astype(np.intp)
     return np.minimum(idx, n_bins - 1, out=idx)
+
+
+def _cycle_key(t: np.ndarray, period: float, n_bins: int) -> np.ndarray:
+    """cycle * n_bins + ``_phase_bin`` of each instant, as floats: the cycle ``t // period`` goes with the bin's fmod."""
+    key = np.floor_divide(t, period)
+    key *= n_bins
+    key += _phase_bin(t, period, n_bins)
+    return key
+
+
+def _phase_runs(tc: np.ndarray, period: float, n_bins: int):
+    """The sorted instants ``tc`` as runs of one bin, each cut where a ``BLOCK`` ends, or None.
+
+    Returns (the bin of each run, its length, the index of each block's
+    first run and one past the last). ``_cycle_key`` never falls as t
+    grows, so each key holds one run of ``tc``, which starts where a
+    search puts the rounded edge of its key. A run whose first and last
+    instants have its key holds only that key. Where one does not settle
+    so, where the keys outnumber the instants or a block, or where the
+    cycle is too large for an exact float quotient, the result is None
+    and the caller bins each instant. Counting the keys against a block
+    keeps every array here a block long, plus one entry per block.
+    """
+    first, last = _cycle_key(tc[[0, -1]], period, n_bins)
+    if not (last - first < min(len(tc), BLOCK) and last < 2.0**50):  # also false for an infinite quotient
+        return None
+    keys = np.arange(int(first), int(last) + 1)
+    starts = np.searchsorted(tc, keys * (period / n_bins))
+    starts[0] = 0
+    cuts = np.arange(BLOCK, len(tc), BLOCK)
+    keys = np.concatenate([keys, keys[np.searchsorted(starts, cuts, "right") - 1]])  # the run each cut splits
+    starts = np.concatenate([starts, cuts])
+    order = np.argsort(starts, kind="stable")
+    keys, starts = keys[order], starts[order]
+    sizes = np.diff(starts, append=len(tc))
+    held = np.flatnonzero(sizes)
+    for at in (starts[held], starts[held] + sizes[held] - 1):  # each run's first and last instant
+        if not np.array_equal(_cycle_key(tc[at], period, n_bins), keys[held]):
+            return None
+    return keys % n_bins, sizes, np.concatenate([[0], np.searchsorted(starts, cuts), [len(keys)]])
 
 
 # ---------------------------------------------------------------------------

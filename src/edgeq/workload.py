@@ -136,10 +136,27 @@ def poisson_arrivals(lam: float, horizon: float, rng: np.random.Generator) -> np
     return t
 
 
+def exponential_fill(scale: float, rng: np.random.Generator):
+    """A function that fills its float64 buffer argument with the next exponential draws of mean ``scale``.
+
+    ``rng.standard_exponential(out=buf)`` scaled in place gives the bits
+    of ``rng.exponential(scale, len(buf))`` and consumes the stream the
+    same way, so consecutive fills equal one draw of them all.
+    """
+    scale = read("scale", finite_positive, scale, DomainError)
+
+    def fill(out: np.ndarray) -> None:
+        rng.standard_exponential(out=out)
+        out *= scale
+
+    return fill
+
+
 # Elements per block wherever a run streams through arrays of its own length:
-# the accept draws of ``nhpp_sinusoidal``, and in desim the phase binning and
-# the running minimum of ``lindley_waits``. A block's float64 buffers (256 KiB
-# each) stay in L2, and no temporary grows with the run.
+# the accept draws of ``nhpp_sinusoidal``, and in desim the walk of
+# ``lindley_waits`` (with the services it draws) and the phase binning. A
+# block's float64 buffers (256 KiB each) stay in L2, and no temporary grows
+# with the run.
 BLOCK = 32768
 
 
@@ -154,9 +171,11 @@ def nhpp_sinusoidal(profile: SinusoidProfile, horizon: float, rng: np.random.Gen
     The accept uniforms are drawn one block of ``BLOCK`` at a time into
     a reused buffer (``rng.random(out=...)``), which consumes the stream
     exactly as one draw of them all would. Each block's kept candidates
-    are moved to the front of the candidate array, which then shrinks in
-    place to the kept count and is sorted, so a run holds one array of
-    its candidates and buffers of one block besides.
+    are compacted with ``np.compress``, which gives the bytes of boolean
+    indexing without its per-element branch, and moved to the front of
+    the candidate array, which then shrinks in place to the kept count
+    and is sorted, so a run holds one array of its candidates and
+    buffers of one block besides.
 
     Every accept decision equals ``u * peak < profile.rate(t)`` bit for
     bit, but most are settled by a float32 sine, which numpy vectorizes
@@ -210,7 +229,7 @@ def _thin(profile: SinusoidProfile, horizon: float, t: np.ndarray, rng: np.rando
             np.less(gap, -margin, out=ab)
             exact = np.flatnonzero(np.abs(gap, out=gap) <= margin)
         ab[exact] = ub[exact] < profile.rate(tb[exact])
-        block = tb[ab]  # a copy, so the move below may overlap its source
+        block = np.compress(ab, tb)  # a copy, so the move below may overlap its source
         t[kept:kept + len(block)] = block
         kept += len(block)
     return kept

@@ -50,7 +50,7 @@ from edgeq import (
 from edgeq.analytic import ggk_wait_probability
 from edgeq.capacity import cloud_capacity_equivalent, dtrp_response_time, edge_overprovision_factor, packing_relative_error
 from edgeq.specs import STABILITY_GUARD
-from edgeq.workload import poisson_arrivals, renewal_times
+from edgeq.workload import exponential_fill, poisson_arrivals, renewal_times
 
 MARKOV = VariabilitySpec(1.0, 1.0)
 
@@ -620,6 +620,7 @@ BARE_FLOAT_CALLS = [
     (packing_relative_error, (100.0, 64.0, 2.0)),
     (poisson_arrivals, (8.0, 10.0, np.random.default_rng(0))),
     (renewal_times, (RenewalSpec(), 0.1, 5, np.random.default_rng(0))),
+    (exponential_fill, (0.1, np.random.default_rng(0))),
 ]
 # (function, arguments, the index of the float argument set to NaN)
 NAN_CASES = [(fn, args, i) for fn, args in BARE_FLOAT_CALLS for i, a in enumerate(args) if isinstance(a, (int, float))]

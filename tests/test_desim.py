@@ -36,7 +36,7 @@ from edgeq import (
 from edgeq.analytic import effective_service_rate
 from edgeq import desim
 from edgeq.desim import SimMetrics, _time_average_in_system, lindley_waits, multiserver_waits
-from edgeq.workload import BLOCK
+from edgeq.workload import BLOCK, exponential_fill
 
 
 def two_phase_config(lam, r, n=200_000, **kw):
@@ -89,6 +89,14 @@ class TestLindleyCore:
             walk = np.concatenate(([0.0], np.cumsum(s[:-1] - np.diff(t))))
             want = walk - np.minimum.accumulate(walk)
         np.testing.assert_array_equal(lindley_waits(t, s), want)
+
+    @pytest.mark.parametrize("n", [0, 1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 7])
+    def test_services_drawn_in_the_walk_equal_the_drawn_array(self, n):
+        t = np.cumsum(np.random.default_rng(n).exponential(1.0, n))
+        inside, ahead = SeededStream(n).generator(), SeededStream(n).generator()
+        got = lindley_waits(t, exponential_fill(0.9, inside))
+        assert got.tobytes() == lindley_waits(t, ahead.exponential(0.9, n)).tobytes()
+        assert inside.random(4).tobytes() == ahead.random(4).tobytes()  # the stream is left in the same state
 
     @pytest.mark.parametrize("load", [0.9, 1.1])
     @pytest.mark.parametrize("n", [0, 1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 7])
@@ -504,21 +512,42 @@ class TestCycleBinning:
         # table1's binning: 100 bins over 10 periods of 200 s, a warm-up cut of 0.1, about 4 blocks
         t = nhpp_sinusoidal(SinusoidProfile(64.0, 1.0, 2 * math.pi / 200), 2000.0, SeededStream(191).generator())
         tc = t[int(len(t) * 0.1):]
+        assert desim._phase_runs(tc, 200.0, 100) is not None  # its runs settle
         _assert_bins_equal_bincount(tc, np.random.default_rng(1).random(len(tc)), 200.0, 100)
+
+    @pytest.mark.parametrize("tc", [
+        np.array([0.5, 3.5, 7.25]),  # more keys than requests
+        np.sort(np.random.default_rng(2).random(2 * BLOCK)) * 400.0,  # more keys than a block
+    ], ids=["keys_over_requests", "keys_over_a_block"])
+    def test_too_many_keys_fall_back_to_the_bin_of_each_instant(self, tc):
+        assert desim._phase_runs(tc, 1.0, 100) is None
+        _assert_bins_equal_bincount(tc, np.random.default_rng(3).random(len(tc)), 1.0, 100)
+
+    def test_an_unsettled_run_falls_back_to_the_bin_of_each_instant(self):
+        # 9 keys over 30 instants settle; the rounded edge of key 4 is an instant whose bin, by fmod,
+        # is still 3's, so adding it unsettles a run
+        tc = np.linspace(0.0, 0.29, 30)
+        assert desim._phase_runs(tc, 0.1, 3) is not None
+        tc = np.sort(np.append(tc, 4 * (0.1 / 3)))
+        assert desim._phase_runs(tc, 0.1, 3) is None
+        _assert_bins_equal_bincount(tc, np.random.default_rng(4).random(len(tc)), 0.1, 3)
 
     @pytest.mark.parametrize("n", [1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 7])
     def test_block_boundaries_bin_as_bincount(self, n):
         rng = np.random.default_rng(n)
-        _assert_bins_equal_bincount(np.sort(rng.random(n)) * 600.0, rng.random(n), 200.0, 100)
+        tc = np.sort(rng.random(n)) * 600.0
+        assert desim._phase_runs(tc, 200.0, 100) is not None  # its runs, cut where each block ends, settle
+        _assert_bins_equal_bincount(tc, rng.random(n), 200.0, 100)
 
 
 class TestWorkingSet:
     @pytest.mark.parametrize("period_s", [200.0, 2000.0], ids=["ten_cycles", "one_cycle"])
-    def test_sinusoidal_run_holds_three_arrays_of_its_arrivals(self, period_s):
+    def test_sinusoidal_run_holds_two_arrays_of_its_arrivals(self, period_s):
         # table1's scaled run at A = 1: twice as many candidates as arrivals while thinning,
-        # then the arrivals, services and waits; everything else is a block buffer or smaller,
-        # whether the run spans ten cycles or one. Drawing n first also makes the run's one-time
-        # lazy imports before the trace starts.
+        # then the arrivals and waits, as the services are drawn inside the walk. Everything else
+        # is a block buffer or smaller (thinning's draws, gap, float32 sine, mask and compacted
+        # block read about 4.2 blocks), whether the run spans ten cycles or one. Drawing n first
+        # also makes the run's one-time lazy imports before the trace starts.
         cfg = SimConfig(
             model="mtm1_sinusoidal", queue=QueueSpec(256.0, 512.0, 512.0, 0.3),
             profile=SinusoidProfile(256.0, 1.0, 2 * math.pi / period_s), horizon_s=2000.0,
@@ -531,7 +560,7 @@ class TestWorkingSet:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 3 * 8 * n + 4 * 8 * BLOCK
+        assert peak <= 2 * 8 * n + 5 * 8 * BLOCK
 
 
 @st.composite
@@ -644,6 +673,16 @@ def pinned_configs(event_log):
         ),
         "mtm1_sinusoidal": mtm1_config(0.8, horizon_s=400.0, two_stage_service=True),
         "mmk_cloud": SimConfig(model="mmk_cloud", cloud=CloudSpec(3, 10.0, 0.8), horizon_requests=3000),
+        # the single-server station with no per-request services read: its services are drawn
+        # inside the walk, and its counted arrivals span more than three blocks of binning
+        "mtm1_sinusoidal_single_stage": mtm1_config(
+            0.8, queue=QueueSpec(64.0, 128.0, 128.0, 0.3), profile=SinusoidProfile(64.0, 0.8, 2 * math.pi / 200),
+            metrics=("mean_wait", "count_served"),
+        ),
+        "mmk_cloud_k1": SimConfig(
+            model="mmk_cloud", cloud=CloudSpec(1, 10.0, 0.8), horizon_requests=3 * BLOCK + 7,
+            metrics=("mean_wait_conditional", "count_served"),
+        ),
         # over horizon_s the tandem draws chunks of exponential renewals, the pool Poisson arrivals
         "two_phase_edge_horizon_s": SimConfig(
             model="two_phase_edge", queue=QueueSpec(10.0, 50.0, 40.0, 0.3), horizon_s=200.0,
@@ -660,6 +699,8 @@ PINNED = {
     "two_phase_edge": "8a7baa9bfc98e479ed4d7158cc020a82530a255f1d3ee8abb06dac409d59720b",
     "mtm1_sinusoidal": "c533b963d11b2c8a7ba64beeffeff753557960696b80d4c4edba607e148ea9be",
     "mmk_cloud": "02cf63120993a6d6fddd78ebb3856c1b498f01ea380a3f29817433f631b86ad7",
+    "mtm1_sinusoidal_single_stage": "1aebf88e8ed5df459984b4c9ceed3c64269191478f3d852d246beabd0226fe92",
+    "mmk_cloud_k1": "a0d5dafc4a453791efea3f0459a5f2f8258b22a98770469c571dc8cf0733241c",
     "two_phase_edge_horizon_s": "77f41c41ce23b72a30b7d6c0fc63f82c92060aff8ff3885509b6699aa0f92b0f",
     "mmk_cloud_horizon_s": "91e5d6444cd3d358449e22f73e8005e2b910f072612c2a64e27f7623af89c6fb",
 }
