@@ -33,7 +33,6 @@ from .analytic import (
 from .capacity import (
     PackingReport,
     Topology,
-    VmRequest,
     VmTrace,
     cloud_capacity_equivalent,
     dtrp_response_time,

@@ -7,7 +7,7 @@ nothing queues come from a sorted +/-cores sweep. A saturated site is one
 server, so the sweep replays it as one FIFO pool of cores, where first and
 best fit place alike.
 
-A trace is a `VmTrace` of columns (`VmRequest` is one row of it). The
+A trace is a `VmTrace` of columns. The
 general replay, `simulate_packing`, is one event loop over a trace in
 arrival order; it serves `edgeq capacity pack` and is the oracle the sweep
 is tested against. Releases due by an arrival time run before that time's
@@ -30,7 +30,7 @@ import numpy as np
 from .config import REQUIRED, Checked, checked, count, finite_nonnegative, finite_positive, ranged, read
 from .errors import DomainError, EmptyTrace, OversizedVm, ParseError, UnstableQueue
 from .specs import DtrpSpec, packing_factor
-from .workload import SeededStream, poisson_arrivals
+from .workload import RenewalSpec, SeededStream, poisson_arrivals, renewal_times
 
 # ---------------------------------------------------------------------------
 # Closed forms
@@ -91,7 +91,7 @@ def dtrp_response_time(spec: DtrpSpec, lam: float, cloud: bool = False) -> float
 
 
 # Each VM field's rule, in field order (arrival, lifetime, cores), as (test, complaint);
-# a test reads one number or a numpy column alike, so a row and a whole trace share it.
+# a test reads one number or a numpy column alike, so a file line and a whole trace share it.
 _VM_RULES = (
     (lambda a: (a > -math.inf) & (a < math.inf), "arrival must be finite, got {!r}"),
     (lambda x: (x > 0) & (x < math.inf), "lifetime must be finite and positive, got {!r}"),
@@ -106,30 +106,15 @@ def _check_vm(vm_id, arrival, lifetime, cores) -> None:
             raise DomainError(f"VM {vm_id}: {complaint.format(value)}")
 
 
-@dataclass(frozen=True, slots=True)
-class VmRequest:
-    """One VM of a trace; `VmTrace` holds a whole trace as columns."""
-
-    id: str
-    arrival: float
-    lifetime: float
-    cores: int
-    site_hint: Optional[int] = None
-
-    def __post_init__(self):
-        _check_vm(self.id, self.arrival, self.lifetime, self.cores)
-
-
 class VmTrace:
     """A VM trace as columns, in trace order.
 
     ``arrival`` and ``lifetime`` are float64 and ``cores`` int64;
     ``site_hint`` is int64, or None unless every VM carries a hint. ``ids``
-    is a list of names, or None to name VM i ``vm{i}`` (`vm_id`). Each row
-    is checked by the `VmRequest` rules on construction, all at once; the
-    first bad row raises the DomainError its `VmRequest` would. ``trace[i]``
-    is row i as a `VmRequest` (so iterating yields the rows), and
-    `VmTrace.of` reads a sequence of them.
+    is a list of names, or None to name VM i ``vm{i}`` (`vm_id`). Every row
+    is checked by the `_VM_RULES` on construction, all at once, and the
+    first bad row raises the DomainError `_check_vm` gives it, naming the
+    VM, as `load_vm_trace` does for each line of a file.
     """
 
     __slots__ = ("arrival", "lifetime", "cores", "site_hint", "ids")
@@ -160,30 +145,11 @@ class VmTrace:
             raise DomainError(f"VM {self.vm_id(i)}: {field} must be a 64-bit integer, got {column.tolist()[i]!r}")
         return column.astype(np.int64)
 
-    @classmethod
-    def of(cls, trace) -> "VmTrace":
-        """``trace`` itself if it is a VmTrace, else its `VmRequest` rows read once into columns."""
-        if isinstance(trace, VmTrace):
-            return trace
-        rows = list(trace)
-        hints = [r.site_hint for r in rows]
-        return cls(
-            [r.arrival for r in rows], [r.lifetime for r in rows], [r.cores for r in rows],
-            None if None in hints else hints, [r.id for r in rows],
-        )
-
     def vm_id(self, i) -> str:
         return f"vm{i}" if self.ids is None else self.ids[i]
 
     def __len__(self) -> int:
         return len(self.arrival)
-
-    def __getitem__(self, i) -> VmRequest:
-        i = range(len(self))[i]  # an int index; negative counts from the end
-        hint = None if self.site_hint is None else int(self.site_hint[i])
-        return VmRequest(
-            self.vm_id(i), float(self.arrival[i]), float(self.lifetime[i]), int(self.cores[i]), hint
-        )
 
 
 TRACE_HEADER = ["vm_id", "arrival_s", "lifetime_s", "cores"]
@@ -234,9 +200,8 @@ def load_vm_trace(path: str) -> VmTrace:
     )
 
 
-def save_vm_trace(path: str, requests: VmTrace | Sequence[VmRequest]) -> None:
+def save_vm_trace(path: str, trace: VmTrace) -> None:
     """Write the trace CSV; the site_hint column is written when every VM carries a hint."""
-    trace = VmTrace.of(requests)
     columns = [
         map(trace.vm_id, range(len(trace))),
         (f"{a:.9g}" for a in trace.arrival.tolist()),
@@ -253,8 +218,7 @@ def save_vm_trace(path: str, requests: VmTrace | Sequence[VmRequest]) -> None:
         writer.writerows(zip(*columns))
 
 
-def trace_summary(requests: VmTrace | Sequence[VmRequest]) -> dict[str, float]:
-    trace = VmTrace.of(requests)
+def trace_summary(trace: VmTrace) -> dict[str, float]:
     return {
         "count": len(trace),
         "mean_cores": float(trace.cores.mean()),
@@ -292,7 +256,7 @@ def synthetic_vm_trace(
     rng = stream.generator()
     arrivals = poisson_arrivals(rate, horizon, rng)
     n = len(arrivals)
-    lifetimes = rng.exponential(mean_lifetime, n)
+    lifetimes = renewal_times(RenewalSpec(), mean_lifetime, n, rng)
     cores = rng.choice(VM_SIZES, size=n, p=VM_SIZE_PROBS)
     hints = None if k_sites is None else rng.integers(0, k_sites, n)
     return VmTrace(arrivals, lifetimes, cores, hints)
@@ -333,7 +297,7 @@ class PackingReport:
 
 
 def simulate_packing(
-    trace: VmTrace | Sequence[VmRequest],
+    trace: VmTrace,
     topology: Topology,
     policy: str = "first_fit",
     site_assign: str = "uniform",
@@ -352,7 +316,6 @@ def simulate_packing(
     first, ties in trace order. Verifies conservation and never
     oversubscribes a server.
     """
-    trace = VmTrace.of(trace)
     policy = read("policy", packing_policy, policy, DomainError)
     site_assign = read("site_assign", ranged(str, ("uniform", "hint").__contains__, "'uniform' or 'hint'"),
                        site_assign, DomainError)
@@ -482,7 +445,7 @@ class SweepPoint:
 
 
 def capacity_sweep(
-    trace: VmTrace | Sequence[VmRequest],
+    trace: VmTrace,
     k_sites: int,
     core_grid: Sequence[int],
     q: float,
@@ -493,8 +456,7 @@ def capacity_sweep(
     Returns the per-size points, the cloud peak used cores, and the
     model-predicted edge size cloud_peak*(1+1/q)/k_sites. Peaks are occupied
     cores (summed per site for the edge) over a hinted trace in arrival order.
-    A list of `VmRequest` rows is read once into a `VmTrace`; every step
-    reads its columns. The cloud and each site whose peak
+    The cloud and each site whose peak
     fits never queue, so one sorted +/-cores sweep gives their exact peaks.
     The VMs of the saturated sites are replayed together, so the backlog is
     system-wide. Each such site is one FIFO pool of `size` cores, where first
@@ -503,7 +465,6 @@ def capacity_sweep(
     size that replays raises what `simulate_packing` would: a size below 1,
     a VM larger than the size, a replayed VM out of arrival order.
     """
-    trace = VmTrace.of(trace)
     if not len(trace):
         raise EmptyTrace("trace contains no VM requests")
     policy = read("policy", packing_policy, policy, DomainError)

@@ -201,17 +201,13 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_capacity_equivalent(args) -> int:
-    if args.rho_equal:
-        rho_edge = rho_cloud = args.rho
-    else:
-        rho_edge, rho_cloud = args.rho_edge, args.rho_cloud
-    c = capacity.cloud_capacity_equivalent(args.c_edge, rho_edge, args.tau, args.q, rho_cloud)
+    c = capacity.cloud_capacity_equivalent(args.c_edge, args.rho_edge, args.tau, args.q, args.rho_cloud)
     if args.json:
-        print(json.dumps({"c_edge": args.c_edge, "q": args.q, "rho_edge": rho_edge,
-                          "rho_cloud": rho_cloud, "tau": args.tau, "c_cloud": c}, sort_keys=True))
+        print(json.dumps({"c_edge": args.c_edge, "q": args.q, "rho_edge": args.rho_edge,
+                          "rho_cloud": args.rho_cloud, "tau": args.tau, "c_cloud": c}, sort_keys=True))
     else:
-        print(f"c_edge={_g(args.c_edge)} q={_g(args.q)} rho_edge={_g(rho_edge)} "
-              f"rho_cloud={_g(rho_cloud)} tau={_g(args.tau)}")
+        print(f"c_edge={_g(args.c_edge)} q={_g(args.q)} rho_edge={_g(args.rho_edge)} "
+              f"rho_cloud={_g(args.rho_cloud)} tau={_g(args.tau)}")
         print(f"c_cloud {_g(c)}")
     return EXIT_OK
 
@@ -333,9 +329,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_eq = cap_sub.add_parser("equivalent", help="cloud capacity equivalent to an edge build")
     p_eq.add_argument("--c-edge", dest="c_edge", type=float, required=True)
     p_eq.add_argument("--q", type=float, required=True)
-    p_eq.add_argument("--rho-equal", dest="rho_equal", action="store_true",
-                      help="use the same utilization on both sides")
-    p_eq.add_argument("--rho", type=float, default=0.5, help="shared utilization for --rho-equal")
     p_eq.add_argument("--rho-edge", dest="rho_edge", type=float, default=0.5)
     p_eq.add_argument("--rho-cloud", dest="rho_cloud", type=float, default=0.5)
     p_eq.add_argument("--tau", type=float, default=0.0, help="total expected upload time")

@@ -11,7 +11,8 @@ Three models, each one FCFS station pass of the one runner, ``run_model``:
 * ``mtm1_sinusoidal`` -- the edge's single server under a sinusoidal
   nonhomogeneous Poisson process, with per-cycle bins and the rush window,
   whose statistic is the peak binned wait inside it. The profile's
-  ``lambda_bar`` is the arrival rate, and ``queue.lam`` must equal it.
+  ``lambda_bar`` is the arrival rate, and ``queue.lam`` must equal it;
+  a config file states it once, as ``edge.lambda``.
 * ``mmk_cloud`` -- the cloud's k identical servers, with the wait of the
   delayed requests.
 
@@ -67,7 +68,8 @@ from .config import (
 from .errors import ConfigError, InstabilityDetected
 from .specs import CloudSpec, NetworkSpec, QueueSpec, SinusoidProfile
 from .workload import (
-    BLOCK, RenewalSpec, SeededStream, exponential_fill, nhpp_sinusoidal, poisson_arrivals, renewal_times,
+    BLOCK, RenewalSpec, SeededStream, coin_flips, exponential_fill, nhpp_sinusoidal, poisson_arrivals,
+    renewal_arrivals, renewal_times,
 )
 
 # model -> (the SimConfig fields it requires, the others it reads besides
@@ -155,7 +157,7 @@ class SimConfig:
                 key = _key(f.name)
                 raise ConfigError(f"{self.model} requires {key}" if missing else f"{self.model} does not read {key}")
         if self.profile is not None and self.queue.lam != self.profile.lambda_bar:
-            raise ConfigError(f"edge.lambda {self.queue.lam!r} != workload.profile.lambda_bar {self.profile.lambda_bar!r}")
+            raise ConfigError(f"SimConfig.queue.lam {self.queue.lam!r} != SimConfig.profile.lambda_bar {self.profile.lambda_bar!r}")
         if (self.horizon_requests is None) == (self.horizon_s is None):
             raise ConfigError("set exactly one of simulation.horizon_requests, simulation.horizon_s")
 
@@ -167,7 +169,7 @@ class SimConfig:
 FREQUENCY = {
     **table_of(SinusoidProfile, ("gamma_rad_s", "gamma"), gamma_rad_s=None), "period_s": (finite_positive, None),
 }
-_PROFILE = {**table_of(SinusoidProfile, "lambda_bar", "amplitude", "phase"), **FREQUENCY}
+_PROFILE = {**table_of(SinusoidProfile, "amplitude", "phase"), **FREQUENCY}  # its mean rate is edge.lambda
 _RENEWAL = table_of(RenewalSpec, "scv", "family")
 
 
@@ -196,18 +198,21 @@ def load_sim_config(raw) -> tuple[SimConfig, dict]:
     The resolved config lists every value the run uses, defaults
     included; loading it again gives the same pair. A key outside its
     spec field's domain raises ConfigError naming the key, and a renewal
-    law whose family cannot reach its scv names the law.
+    law whose family cannot reach its scv names the law. The profile's
+    mean rate is ``edge.lambda``, so a profile needs the ``edge`` section.
     """
     cfg = take(raw, _CONFIG, "config")
     edge, cloud, net, wl = cfg["edge"], cfg["cloud"], cfg["network"], cfg["workload"]
     profile = wl["profile"]
+    if profile and not edge:
+        raise ConfigError("config.workload.profile: its mean rate is edge.lambda, and edge is not set")
     config = SimConfig(
         model=cfg["model"],
         queue=edge and QueueSpec(edge["lambda"], edge["mu1"], edge["mu2"], edge["r"]),
         cloud=cloud and CloudSpec(cloud["k"], cloud["mu"], cloud["rho"]),
         network=net and NetworkSpec(net["t_edge_s"], net["t_cloud_s"]),
         profile=profile and SinusoidProfile(
-            profile["lambda_bar"], profile["amplitude"], profile["gamma_rad_s"], profile["phase"]
+            edge["lambda"], profile["amplitude"], profile["gamma_rad_s"], profile["phase"]
         ),
         **{key: wl[key] and read(f"config.workload.{key}", lambda law: RenewalSpec(**law), wl[key])
            for key in ("arrivals", "service1", "service2")},
@@ -499,21 +504,13 @@ def _draw_arrivals(config: SimConfig, rng, rate: float, law: Optional[RenewalSpe
         return np.cumsum(renewal_times(law or RenewalSpec(), mean, int(config.horizon_requests), rng))
     if law is None:
         return poisson_arrivals(rate, config.horizon_s, rng)
-    out = []
-    total = 0.0
-    chunk = max(1024, int(config.horizon_s / mean * 1.2))
-    while total < config.horizon_s:
-        t = total + np.cumsum(renewal_times(law, mean, chunk, rng))
-        out.append(t)
-        total = float(t[-1])
-    t = np.concatenate(out) if out else np.empty(0)
-    return t[:np.searchsorted(t, config.horizon_s)]
+    return renewal_arrivals(law, mean, config.horizon_s, rng)
 
 
 def _phase_services(config: SimConfig, n: int, rng) -> tuple[np.ndarray, np.ndarray]:
     """(migrants in arrival order, service times): phase 1 for all, plus phase 2 for migrants."""
     q = config.queue
-    mig = np.flatnonzero(rng.random(n) < q.r)
+    mig = np.flatnonzero(coin_flips(q.r, n, rng))
     s = renewal_times(config.service1 or RenewalSpec(), 1.0 / q.mu1, n, rng)
     if not math.isinf(q.mu2):
         s[mig] += renewal_times(config.service2 or RenewalSpec(), 1.0 / q.mu2, len(mig), rng)
@@ -537,7 +534,7 @@ def _destination(config: SimConfig, rng, t_mig: np.ndarray, horizon: float):
         order = np.argsort(t, kind="stable")
         t, mine = t[order], order < len(t_mig)
     rate = config.queue.mu1 if config.dest_rate is None else config.dest_rate
-    s = np.zeros(len(t)) if math.isinf(rate) else rng.exponential(1.0 / rate, len(t))
+    s = np.zeros(len(t)) if math.isinf(rate) else renewal_times(RenewalSpec(), 1.0 / rate, len(t), rng)
     w = lindley_waits(t, s)
     return w[mine], s[mine], (t + w + s)[mine]
 
@@ -581,7 +578,7 @@ def run_model(config: SimConfig, stream: SeededStream) -> tuple[SimMetrics, Opti
     elif k == 1 and not _services_read(config):
         s = None  # drawn one block at a time inside the walk
     else:
-        s = rng.exponential(1.0 / mu, n)
+        s = renewal_times(RenewalSpec(), 1.0 / mu, n, rng)
     w = lindley_waits(t, exponential_fill(1.0 / mu, rng)) if s is None else multiserver_waits(t, s, k)
     dep = None
     if tandem or _departures_read(config) or config.event_log:

@@ -1,7 +1,20 @@
 """Seeded arrival- and service-process samplers.
 
-This module is the only sampling layer: the simulators draw every
-arrival process and service law through the samplers below. A renewal
+This module is the only sampling layer of the queue simulators: they
+draw every arrival process, service law and migration mark through
+these samplers:
+
+* ``renewal_times`` -- iid draws of a renewal law at a given mean;
+* ``renewal_arrivals`` -- renewal arrival instants over a horizon;
+* ``poisson_arrivals`` -- Poisson arrival instants over a horizon;
+* ``nhpp_sinusoidal`` -- sinusoidal NHPP arrival instants, by thinning;
+* ``exponential_fill`` -- exponential draws into a reused buffer;
+* ``coin_flips`` -- Bernoulli marks, such as which requests migrate;
+* ``phase_shifted_sites`` -- site profiles with drawn phases.
+
+The VM sizes, site hints and uniform site draws of ``edgeq.capacity``
+are categorical marks of the packing model and are drawn there; its
+lifetimes and arrivals come from the samplers above. A renewal
 law is a shape only; its sampler takes the mean, so the rate of every
 simulated station comes from its queue spec. Each sampler
 takes a ``np.random.Generator`` and draws from it in a fixed order, so a
@@ -25,7 +38,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .config import Checked, checked, count, finite_nonnegative, finite_positive, ranged, read, whole
+from .config import Checked, checked, count, finite_nonnegative, finite_positive, ranged, read, unit, whole
 from .errors import DomainError, UnreachableScv
 from .specs import SinusoidProfile
 
@@ -134,6 +147,33 @@ def poisson_arrivals(lam: float, horizon: float, rng: np.random.Generator) -> np
     t = _poisson_candidates(lam, horizon, rng)
     t.sort()
     return t
+
+
+def renewal_arrivals(law: RenewalSpec, mean: float, horizon: float, rng: np.random.Generator) -> np.ndarray:
+    """Renewal arrival instants of ``law`` at mean gap ``mean`` on [0, horizon), ascending.
+
+    The gaps are drawn in chunks of about 1.2 horizons' worth (at least
+    1024) until the running sum passes the horizon; the instants at or
+    past it are cut off.
+    """
+    mean = read("mean", finite_positive, mean, DomainError)
+    horizon = read("horizon", finite_nonnegative, horizon, DomainError)
+    out = []
+    total = 0.0
+    chunk = max(1024, int(horizon / mean * 1.2))
+    while total < horizon:
+        t = total + np.cumsum(renewal_times(law, mean, chunk, rng))
+        out.append(t)
+        total = float(t[-1])
+    t = np.concatenate(out) if out else np.empty(0)
+    return t[:np.searchsorted(t, horizon)]
+
+
+def coin_flips(p: float, count: int, rng: np.random.Generator) -> np.ndarray:
+    """``count`` independent marks, each True with probability ``p``: ``rng.random(count) < p``."""
+    p = read("p", unit, p, DomainError)
+    count = read("count", whole, count, DomainError)
+    return rng.random(count) < p
 
 
 def exponential_fill(scale: float, rng: np.random.Generator):

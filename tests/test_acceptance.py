@@ -22,7 +22,6 @@ from edgeq import (
     SinusoidProfile,
     UnstableQueue,
     VariabilitySpec,
-    VmRequest,
     cloud_capacity_equivalent,
     edge_overprovision_factor,
     fluid_backlog,
@@ -35,7 +34,7 @@ from edgeq import (
     service_scv,
     simulate_packing,
 )
-from edgeq.capacity import Topology
+from edgeq.capacity import Topology, VmTrace
 from edgeq.desim import replicate, run_model
 from edgeq.harness import load_scenario, run_scenario
 from edgeq.specs import PhaseMoments
@@ -309,12 +308,7 @@ def test_criterion_6_capacity_formulas():
 def test_criterion_7_packing(tmp_path_factory):
     t0 = time.time()
     # worked toy example: 0.8/0.8/0.2/0.2 on unit servers (x10 in cores)
-    toy = [
-        VmRequest("v1", 0.0, 100.0, 8, site_hint=0),
-        VmRequest("v2", 1.0, 100.0, 8, site_hint=0),
-        VmRequest("v3", 2.0, 100.0, 2, site_hint=1),
-        VmRequest("v4", 3.0, 100.0, 2, site_hint=1),
-    ]
+    toy = VmTrace([0.0, 1.0, 2.0, 3.0], [100.0] * 4, [8, 8, 2, 2], [0, 0, 1, 1])
     cloud = simulate_packing(toy, Topology("cloud", 1, 4, 10), site_assign="hint")
     edge = simulate_packing(toy, Topology("edge", 2, 4, 10), site_assign="hint")
     ok_toy = cloud.peak_servers_used == 2 and edge.peak_servers_used == 3

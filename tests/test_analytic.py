@@ -1,6 +1,9 @@
 """Closed-form formula tests: worked examples, reductions, and properties."""
+import ast
+import functools
 import inspect
 import math
+import pathlib
 
 import numpy as np
 import pytest
@@ -47,10 +50,11 @@ from edgeq import (
     sinusoidal_offered_load,
     sinusoidal_wait_profile,
 )
+import edgeq
 from edgeq.analytic import ggk_wait_probability
 from edgeq.capacity import cloud_capacity_equivalent, dtrp_response_time, edge_overprovision_factor, packing_relative_error
 from edgeq.specs import STABILITY_GUARD
-from edgeq.workload import exponential_fill, poisson_arrivals, renewal_times
+from edgeq.workload import coin_flips, exponential_fill, poisson_arrivals, renewal_arrivals, renewal_times
 
 MARKOV = VariabilitySpec(1.0, 1.0)
 
@@ -621,6 +625,8 @@ BARE_FLOAT_CALLS = [
     (poisson_arrivals, (8.0, 10.0, np.random.default_rng(0))),
     (renewal_times, (RenewalSpec(), 0.1, 5, np.random.default_rng(0))),
     (exponential_fill, (0.1, np.random.default_rng(0))),
+    (renewal_arrivals, (RenewalSpec(), 0.1, 5.0, np.random.default_rng(0))),
+    (coin_flips, (0.3, 5, np.random.default_rng(0))),
 ]
 # (function, arguments, the index of the float argument set to NaN)
 NAN_CASES = [(fn, args, i) for fn, args in BARE_FLOAT_CALLS for i, a in enumerate(args) if isinstance(a, (int, float))]
@@ -706,3 +712,106 @@ class TestDomainErrors:
             call()
         assert str(exc.value).startswith(PINNED.get((fn, name), f"{name}: ")), exc.value
 
+
+
+# Every closed form ``edgeq`` exports, mapped to one scenario runner, CLI command or calling
+# form in ``src/edgeq`` that reads it (others may read it too) ...
+FORM_READERS = {
+    "cloud_capacity_equivalent": "cli._cmd_capacity_equivalent",
+    "delta_t_bound_ggk": "cli._cmd_analytic_deltat",
+    "delta_t_bound_mmk": "harness._run_mobility_crossover",
+    "destination_wait": "cli._cmd_analytic_wait",
+    "edge_overprovision_factor": "capacity.capacity_sweep",
+    "effective_service_rate": "harness._run_rush_hour",
+    "empirical_rule_capacities": "cli._cmd_capacity_rule",
+    "excess_wait_sinusoidal": "harness._run_excess_wait",
+    "fluid_backlog": "analytic.rush_hour_wait",
+    "gg1_two_phase_wait": "analytic.delta_t_bound_ggk",
+    "ggk_cloud_wait": "analytic.delta_t_bound_ggk",
+    "migration_service_time": "analytic.delta_t_bound_mmk",
+    "mm1_source_wait": "cli._cmd_analytic_wait",
+    "mm1_two_phase_wait": "harness._run_two_phase_wait",
+    "mmk_qed_wait": "analytic.delta_t_bound_mmk",
+    "overload_window": "desim.run_model",
+    "rush_hour_wait": "harness._run_rush_hour",
+    "sinusoidal_offered_load": "analytic.sinusoidal_wait_profile",  # itself unread
+}
+# ... or to the ROADMAP item expected to give it a reader, while nothing reads it
+UNREAD_FORMS = {
+    "erlang_c_wait": "item 2, the cloud's tail",
+    "psa_cloud_wait": "item 7, cloud_aggregation",
+    "AggregateProfile": "item 7, cloud_aggregation",
+    "phase_shifted_sites": "item 7, cloud_aggregation",
+    "max_edge_arrival_scv": "item 7, variability_crossover",
+    "service_scv": "item 7, variability_crossover",
+    "PhaseMoments": "item 7, variability_crossover, with service_scv",
+    "sinusoidal_wait_profile": "item 3, psa_sinusoidal_wait",
+    "offered_load_lag": "item 3, the offered load at beta != 0",
+    "dtrp_response_time": "item 8, a ratio check against cloud_capacity_equivalent, or deletion",
+}
+# the other exports: records, errors, simulators, samplers and the packing and scenario calls
+NOT_FORMS = {
+    "CloudSpec", "DtrpSpec", "NetworkSpec", "QueueSpec", "SinusoidProfile", "VariabilitySpec", "RenewalSpec",
+    "SeededStream", "SimConfig", "SimMetrics", "TimeSeriesMetrics", "Scenario", "ComparisonRow", "PackingReport",
+    "Topology", "VmTrace", "ConfigError", "DomainError", "EdgeqError", "EmptyTrace", "IncompatiblePeriods",
+    "InstabilityDetected", "OversizedVm", "OverloadedInstant", "ParseError", "UnreachableScv", "UnstableQueue",
+    "replicate", "run_model", "load_scenario", "run_scenario", "load_vm_trace", "simulate_packing",
+    "synthetic_vm_trace", "nhpp_sinusoidal", "poisson_arrivals", "renewal_times",
+}
+
+
+def _names_read(node) -> set[str]:
+    """The names and attributes that ``node`` loads, outside annotations."""
+    names, stack = set(), [node]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        skip = set()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            skip.add(id(node.returns))
+        elif isinstance(node, ast.arg):
+            skip.add(id(node.annotation))
+        elif isinstance(node, ast.AnnAssign):
+            skip.add(id(node.annotation))
+        stack.extend(child for child in ast.iter_child_nodes(node) if id(child) not in skip)
+    return names
+
+
+@functools.cache
+def _readers() -> dict[str, set[str]]:
+    """For each name, the top-level definitions (``module.name``, or ``module.<module>``) of src/edgeq that read it."""
+    readers = {}
+    for path in pathlib.Path(edgeq.__file__).parent.glob("*.py"):
+        module = path.stem
+        if module == "__init__":
+            continue
+        for stmt in ast.parse(path.read_text()).body:
+            if isinstance(stmt, (ast.Import, ast.ImportFrom)):
+                continue
+            name = getattr(stmt, "name", "<module>")
+            for read in _names_read(stmt) - {name}:
+                readers.setdefault(read, set()).add(f"{module}.{name}")
+    return readers
+
+
+class TestEveryFormHasAReader:
+    """ROADMAP item 8: each exported closed form is read by a comparison model, or the list names its item."""
+
+    def test_every_export_is_classified_once(self):
+        exported = {name for name, value in vars(edgeq).items() if not name.startswith("_") and not inspect.ismodule(value)}
+        lists = (set(FORM_READERS), set(UNREAD_FORMS), NOT_FORMS)
+        assert sum(map(len, lists)) == len(set().union(*lists)) and set().union(*lists) == exported
+        from_analytic = {name for name in exported if getattr(vars(edgeq)[name], "__module__", "") == "edgeq.analytic"}
+        assert from_analytic <= set(FORM_READERS) | set(UNREAD_FORMS)
+
+    @pytest.mark.parametrize("form", sorted(FORM_READERS))
+    def test_a_read_form_keeps_its_reader(self, form):
+        assert FORM_READERS[form] in _readers().get(form, set())
+
+    @pytest.mark.parametrize("form", sorted(UNREAD_FORMS))
+    def test_an_unread_form_gains_a_reader_only_with_a_list_edit(self, form):
+        # a new reader: move the form to FORM_READERS, and drop it from ROADMAP item 8's list
+        assert _readers().get(form, set()) == set()

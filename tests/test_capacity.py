@@ -2,6 +2,7 @@
 import hashlib
 import heapq
 import math
+from typing import NamedTuple, Optional
 
 import numpy as np
 import pytest
@@ -17,7 +18,6 @@ from edgeq import (
     SeededStream,
     Topology,
     UnstableQueue,
-    VmRequest,
     VmTrace,
     cloud_capacity_equivalent,
     dtrp_response_time,
@@ -39,6 +39,23 @@ from edgeq.capacity import (
 
 # any positive finite float, subnormals included
 POSITIVE = st.floats(0.0, 1e308, exclude_min=True)
+
+
+class Vm(NamedTuple):
+    """One VM of a trace, as the row-by-row reference replays read it."""
+
+    id: str
+    arrival: float
+    lifetime: float
+    cores: int
+    site_hint: Optional[int] = None
+
+
+def vm_trace(rows) -> VmTrace:
+    """The rows as the columns of a VmTrace, with a hint column only when every row carries a hint."""
+    hints = [r.site_hint for r in rows]
+    return VmTrace([r.arrival for r in rows], [r.lifetime for r in rows], [r.cores for r in rows],
+                   None if None in hints else hints, [r.id for r in rows])
 
 
 class TestClosedForms:
@@ -131,24 +148,24 @@ class TestClosedForms:
 
 class TestTraceIo:
     def test_round_trip(self, tmp_path):
-        reqs = [
-            VmRequest("a", 0.0, 5.0, 4),
-            VmRequest("b", 1.5, 2.0, 2),
-            VmRequest("c", 2.0, 1.0, 8),
-        ]
+        reqs = vm_trace([
+            Vm("a", 0.0, 5.0, 4),
+            Vm("b", 1.5, 2.0, 2),
+            Vm("c", 2.0, 1.0, 8),
+        ])
         path = tmp_path / "trace.csv"
         save_vm_trace(path, reqs)
         back = load_vm_trace(str(path))
-        assert [r.id for r in back] == ["a", "b", "c"]
-        assert back[0].cores == 4 and back[1].lifetime == 2.0
-        assert all(r.site_hint is None for r in back)
+        assert back.ids == ["a", "b", "c"]
+        assert back.cores[0] == 4 and back.lifetime[1] == 2.0
+        assert back.site_hint is None
 
     def test_hinted_round_trip(self, tmp_path):
         trace = synthetic_vm_trace(8.0, 10.0, 50.0, SeededStream(55), k_sites=4)
         path = tmp_path / "trace.csv"
         save_vm_trace(path, trace)
         assert path.read_text().splitlines()[0] == "vm_id,arrival_s,lifetime_s,cores,site_hint"
-        assert [r.site_hint for r in load_vm_trace(str(path))] == [r.site_hint for r in trace]
+        assert load_vm_trace(str(path)).site_hint.tolist() == trace.site_hint.tolist()
 
     def test_hint_row_with_missing_field_names_line(self, tmp_path):
         path = tmp_path / "t.csv"
@@ -159,8 +176,7 @@ class TestTraceIo:
     def test_sorted_by_arrival(self, tmp_path):
         path = tmp_path / "t.csv"
         path.write_text("vm_id,arrival_s,lifetime_s,cores\nx,5,1,2\ny,1,1,2\n")
-        back = load_vm_trace(str(path))
-        assert [r.id for r in back] == ["y", "x"]
+        assert load_vm_trace(str(path)).ids == ["y", "x"]
 
     # a NaN lifetime used to pass ``lifetime <= 0`` and end the replay in a failed assert
     @pytest.mark.parametrize("row", ["bad,0,oops,2", "bad,0,nan,2", "bad,0,inf,2", "bad,nan,1,2", "bad,-inf,1,2"])
@@ -191,24 +207,25 @@ class TestTraceIo:
     def test_blank_lines_are_skipped(self, tmp_path):
         path = tmp_path / "t.csv"
         path.write_text("vm_id,arrival_s,lifetime_s,cores\nx,0,1,2\n\n   \ny,1,1,4\n")
-        assert [(r.id, r.cores) for r in load_vm_trace(str(path))] == [("x", 2), ("y", 4)]
+        back = load_vm_trace(str(path))
+        assert (back.ids, back.cores.tolist()) == (["x", "y"], [2, 4])
 
     def test_synthetic_trace_calibration(self):
         trace = synthetic_vm_trace(50.0, 10.0, 400.0, SeededStream(42), k_sites=8)
         stats = trace_summary(trace)
         assert stats["mean_cores"] == pytest.approx(4.75, abs=0.1)
         assert stats["min_cores"] == 2 and stats["max_cores"] == 20
-        assert all(r.site_hint is not None and 0 <= r.site_hint < 8 for r in trace)
+        assert trace.site_hint.min() >= 0 and trace.site_hint.max() < 8
 
 
 def toy_trace():
     # unit-size servers scaled by 10: two big (0.8) and two small (0.2) VMs
-    return [
-        VmRequest("v1", 0.0, 100.0, 8, site_hint=0),
-        VmRequest("v2", 1.0, 100.0, 8, site_hint=0),
-        VmRequest("v3", 2.0, 100.0, 2, site_hint=1),
-        VmRequest("v4", 3.0, 100.0, 2, site_hint=1),
-    ]
+    return vm_trace([
+        Vm("v1", 0.0, 100.0, 8, site_hint=0),
+        Vm("v2", 1.0, 100.0, 8, site_hint=0),
+        Vm("v3", 2.0, 100.0, 2, site_hint=1),
+        Vm("v4", 3.0, 100.0, 2, site_hint=1),
+    ])
 
 
 class TestPackingSimulator:
@@ -226,7 +243,7 @@ class TestPackingSimulator:
         assert report.peak_servers_per_site == [2, 1]
 
     def test_single_vm_single_server(self):
-        trace = [VmRequest("v", 0.0, 1.0, 4)]
+        trace = vm_trace([Vm("v", 0.0, 1.0, 4)])
         for mode, k in (("cloud", 1), ("edge", 3)):
             report = simulate_packing(
                 trace, Topology(mode, k, 2, 10), site_assign="uniform", stream=SeededStream(1)
@@ -235,15 +252,15 @@ class TestPackingSimulator:
 
     def test_empty_trace_rejected(self):
         with pytest.raises(EmptyTrace, match="trace contains no VM requests"):
-            simulate_packing([], Topology("cloud", 1, 4, 16))
+            simulate_packing(vm_trace([]), Topology("cloud", 1, 4, 16))
 
     def test_oversized_vm_rejected(self):
-        trace = [VmRequest("big", 0.0, 1.0, 32)]
+        trace = vm_trace([Vm("big", 0.0, 1.0, 32)])
         with pytest.raises(OversizedVm):
             simulate_packing(trace, Topology("cloud", 1, 4, 16), site_assign="hint")
 
     def test_site_affinity_respected(self):
-        trace = [VmRequest(f"v{i}", float(i), 50.0, 4, site_hint=0) for i in range(10)]
+        trace = vm_trace([Vm(f"v{i}", float(i), 50.0, 4, site_hint=0) for i in range(10)])
         report = simulate_packing(trace, Topology("edge", 4, 8, 8), site_assign="hint")
         assert report.peak_servers_per_site[1:] == [0, 0, 0]
 
@@ -253,11 +270,11 @@ class TestPackingSimulator:
         assert report.placed == report.completed == len(trace)
 
     def test_full_site_queues_fifo(self):
-        trace = [
-            VmRequest("a", 0.0, 10.0, 8, site_hint=0),
-            VmRequest("b", 1.0, 10.0, 8, site_hint=0),   # must wait for a
-            VmRequest("c", 2.0, 10.0, 2, site_hint=0),   # waits behind b (FIFO)
-        ]
+        trace = vm_trace([
+            Vm("a", 0.0, 10.0, 8, site_hint=0),
+            Vm("b", 1.0, 10.0, 8, site_hint=0),   # must wait for a
+            Vm("c", 2.0, 10.0, 2, site_hint=0),   # waits behind b (FIFO)
+        ])
         report = simulate_packing(trace, Topology("edge", 1, 1, 10), site_assign="hint")
         assert report.rejected_or_queued == 2
         assert report.completed == 3
@@ -272,12 +289,12 @@ class TestPackingSimulator:
 
     def test_best_fit_beats_first_fit_on_crafted_trace(self):
         # best-fit drops the 3 into the exact residual, keeping room for the 6
-        trace = [
-            VmRequest("a", 0.0, 10.0, 4, site_hint=0),
-            VmRequest("b", 0.1, 10.0, 7, site_hint=0),
-            VmRequest("c", 0.2, 10.0, 3, site_hint=0),
-            VmRequest("d", 0.3, 10.0, 6, site_hint=0),
-        ]
+        trace = vm_trace([
+            Vm("a", 0.0, 10.0, 4, site_hint=0),
+            Vm("b", 0.1, 10.0, 7, site_hint=0),
+            Vm("c", 0.2, 10.0, 3, site_hint=0),
+            Vm("d", 0.3, 10.0, 6, site_hint=0),
+        ])
         top = Topology("edge", 1, 4, 10)
         ff = simulate_packing(trace, top, policy="first_fit", site_assign="hint")
         bf = simulate_packing(trace, top, policy="best_fit", site_assign="hint")
@@ -285,10 +302,10 @@ class TestPackingSimulator:
         assert bf.peak_servers_used == 2
 
     def test_decreasing_batch_sorts_simultaneous_arrivals(self):
-        trace = [
-            VmRequest(f"v{i}", 0.0, 10.0, cores, site_hint=0)
+        trace = vm_trace([
+            Vm(f"v{i}", 0.0, 10.0, cores, site_hint=0)
             for i, cores in enumerate([4, 4, 4, 6, 6, 6])
-        ]
+        ])
         top = Topology("edge", 1, 6, 10)
         plain = simulate_packing(trace, top, policy="first_fit", site_assign="hint")
         ffd = simulate_packing(trace, top, policy="first_fit_decreasing_batch", site_assign="hint")
@@ -297,16 +314,16 @@ class TestPackingSimulator:
 
     def test_trace_out_of_arrival_order_rejected(self):
         # replayed as given, this trace reported a backlog of 1 (sorted: 0)
-        trace = [
-            VmRequest("a", 10.0, 5.0, 4, site_hint=0),
-            VmRequest("b", 0.0, 5.0, 4, site_hint=0),
-            VmRequest("c", 1.0, 5.0, 4, site_hint=0),
+        rows = [
+            Vm("a", 10.0, 5.0, 4, site_hint=0),
+            Vm("b", 0.0, 5.0, 4, site_hint=0),
+            Vm("c", 1.0, 5.0, 4, site_hint=0),
         ]
         with pytest.raises(DomainError, match="VM b arrives before"):
-            simulate_packing(trace, Topology("edge", 1, 1, 8), site_assign="hint")
+            simulate_packing(vm_trace(rows), Topology("edge", 1, 1, 8), site_assign="hint")
         with pytest.raises(DomainError, match="VM b arrives before"):
-            capacity_sweep(trace, 1, [8, 4], 2.0)
-        assert simulate_packing(sorted(trace, key=lambda r: r.arrival), Topology("edge", 1, 1, 8),
+            capacity_sweep(vm_trace(rows), 1, [8, 4], 2.0)
+        assert simulate_packing(vm_trace(sorted(rows, key=lambda r: r.arrival)), Topology("edge", 1, 1, 8),
                                 site_assign="hint").rejected_or_queued == 0
 
     def test_uniform_assignment_needs_stream(self):
@@ -494,7 +511,7 @@ def packing_cases(draw):
         min_size=8, max_size=60,
     ))
     rows.sort(key=lambda row: row[0])
-    trace = [VmRequest(f"v{i}", base + a * 64.0, life * 32.0 or 1.0, c, site_hint=h)
+    trace = [Vm(f"v{i}", base + a * 64.0, life * 32.0 or 1.0, c, site_hint=h)
              for i, (a, life, c, h) in enumerate(rows)]
     mode = draw(st.sampled_from(["edge", "cloud"]))
     k_sites = draw(st.integers(1, 4)) if mode == "edge" else 1
@@ -507,14 +524,14 @@ class TestReplayMatchesReference:
     @given(packing_cases(), st.sampled_from(POLICIES))
     def test_equals_reference(self, case, policy):
         trace, topology, site_assign, stream = case
-        got = simulate_packing(trace, topology, policy=policy, site_assign=site_assign, stream=stream)
+        got = simulate_packing(vm_trace(trace), topology, policy=policy, site_assign=site_assign, stream=stream)
         assert repr(got) == repr(reference_packing(trace, topology, policy, site_assign, stream))
 
 
 def replayed_sweep(trace, k_sites, core_grid, q, policy):
     """capacity_sweep by full replays: the cloud on one server per VM, every edge size in full."""
     cloud = simulate_packing(
-        trace, Topology("cloud", 1, len(trace), max(r.cores for r in trace)), site_assign="hint"
+        trace, Topology("cloud", 1, len(trace), int(trace.cores.max())), site_assign="hint"
     )
     cloud_peak = cloud.site_capacity_cores
     points = []
@@ -552,7 +569,7 @@ def hinted_sweeps(draw):
         min_size=1, max_size=60,
     ))
     rows.sort(key=lambda row: row[0])
-    trace = [VmRequest(f"v{i}", base + a * 0.5, life * 0.5, c, site_hint=h)
+    trace = [Vm(f"v{i}", base + a * 0.5, life * 0.5, c, site_hint=h)
              for i, (a, life, c, h) in enumerate(rows)]
     largest = max(r.cores for r in trace)
     # 0 and largest - 1 cannot hold every VM, so the sweep must raise what the replay raises;
@@ -576,16 +593,16 @@ class TestSweepMatchesReplay:
            st.sampled_from(["first_fit", "best_fit", "first_fit_decreasing_batch"]))
     def test_equals_full_replay(self, sweep, q, policy):
         trace, k_sites, grid = sweep
-        args = trace, k_sites, grid, q, policy
+        args = vm_trace(trace), k_sites, grid, q, policy
         assert outcome(capacity_sweep, *args) == outcome(replayed_sweep, *args)
 
     def test_vm_ending_at_its_arrival_time_holds_its_cores_through_the_batch(self):
         # 1e17 + 1.0 == 1e17: the first VM's release time equals its arrival
-        trace = [
-            VmRequest("a", 1e17, 1.0, 4, site_hint=0),
-            VmRequest("b", 1e17, 1e3, 4, site_hint=0),
-            VmRequest("c", 2e17, 1e3, 2, site_hint=1),
-        ]
+        trace = vm_trace([
+            Vm("a", 1e17, 1.0, 4, site_hint=0),
+            Vm("b", 1e17, 1e3, 4, site_hint=0),
+            Vm("c", 2e17, 1e3, 2, site_hint=1),
+        ])
         got = capacity_sweep(trace, 2, [4, 8], 2.0)
         assert got[1] == 8
         assert repr(got) == repr(replayed_sweep(trace, 2, [4, 8], 2.0, "first_fit"))
@@ -599,11 +616,11 @@ class TestSweepMatchesReplay:
             return replay(times, *rest)
 
         monkeypatch.setattr(edgeq.capacity, "_pool_replay", recording)
-        trace = [
-            VmRequest("a", 0.0, 10.0, 4, site_hint=0),
-            VmRequest("b", 1.0, 10.0, 4, site_hint=0),
-            VmRequest("c", 2.0, 10.0, 4, site_hint=1),
-        ]
+        trace = vm_trace([
+            Vm("a", 0.0, 10.0, 4, site_hint=0),
+            Vm("b", 1.0, 10.0, 4, site_hint=0),
+            Vm("c", 2.0, 10.0, 4, site_hint=1),
+        ])
         points, cloud_peak, _ = capacity_sweep(trace, 3, [8, 4], 2.0)
         assert calls == [[0.0, 1.0]]  # the arrivals of a and b
         assert cloud_peak == 12
@@ -611,23 +628,23 @@ class TestSweepMatchesReplay:
 
     def test_arrival_order_checked_over_the_replayed_vms(self):
         # c arrives before b, but at 4 cores only site 0 saturates, and its VMs a and b are in order
-        trace = [
-            VmRequest("a", 1.0, 10.0, 4, site_hint=0),
-            VmRequest("b", 2.0, 10.0, 4, site_hint=0),
-            VmRequest("c", 0.0, 10.0, 4, site_hint=1),
+        rows = [
+            Vm("a", 1.0, 10.0, 4, site_hint=0),
+            Vm("b", 2.0, 10.0, 4, site_hint=0),
+            Vm("c", 0.0, 10.0, 4, site_hint=1),
         ]
-        points, _, _ = capacity_sweep(trace, 2, [4, 8], 2.0)
+        points, _, _ = capacity_sweep(vm_trace(rows), 2, [4, 8], 2.0)
         assert [(p.edge_capacity, p.peak_queue) for p in points] == [(8, 1), (12, 0)]
-        trace.append(VmRequest("d", 0.5, 10.0, 4, site_hint=0))
+        rows.append(Vm("d", 0.5, 10.0, 4, site_hint=0))
         with pytest.raises(DomainError, match="VM d arrives before"):
-            capacity_sweep(trace, 2, [16, 4], 2.0)
+            capacity_sweep(vm_trace(rows), 2, [16, 4], 2.0)
 
     def test_grid_below_largest_vm_names_the_same_vm(self):
-        trace = [
-            VmRequest("small", 0.0, 5.0, 2, site_hint=0),
-            VmRequest("big", 1.0, 5.0, 8, site_hint=1),
-            VmRequest("bigger", 2.0, 5.0, 16, site_hint=0),
-        ]
+        trace = vm_trace([
+            Vm("small", 0.0, 5.0, 2, site_hint=0),
+            Vm("big", 1.0, 5.0, 8, site_hint=1),
+            Vm("bigger", 2.0, 5.0, 16, site_hint=0),
+        ])
         with pytest.raises(OversizedVm) as ref:
             replayed_sweep(trace, 2, [32, 4], 2.0, "first_fit")
         with pytest.raises(OversizedVm, match="VM big wants 8") as got:
@@ -636,36 +653,32 @@ class TestSweepMatchesReplay:
 
     @pytest.mark.parametrize("size", [64.9, 40.5, True, math.inf, math.nan, "64"])
     def test_size_that_is_not_a_whole_number_rejected(self, size):
-        trace = [VmRequest("a", 0.0, 5.0, 2, site_hint=0)]
+        trace = vm_trace([Vm("a", 0.0, 5.0, 2, site_hint=0)])
         with pytest.raises(DomainError, match=f"whole number of cores, got {size!r}"):
             capacity_sweep(trace, 1, [64, size], 2.0)
 
     def test_whole_float_size_reads_as_int(self):
-        trace = [VmRequest("a", 0.0, 5.0, 2, site_hint=0), VmRequest("b", 1.0, 5.0, 2, site_hint=0)]
+        trace = vm_trace([Vm("a", 0.0, 5.0, 2, site_hint=0), Vm("b", 1.0, 5.0, 2, site_hint=0)])
         assert repr(capacity_sweep(trace, 1, [2.0, np.int64(4)], 2.0)) == repr(capacity_sweep(trace, 1, [2, 4], 2.0))
 
     def test_vm_without_hint_rejected(self):
-        trace = [VmRequest("a", 0.0, 5.0, 2, site_hint=0), VmRequest("b", 1.0, 5.0, 2)]
+        trace = vm_trace([Vm("a", 0.0, 5.0, 2, site_hint=0), Vm("b", 1.0, 5.0, 2)])
         with pytest.raises(DomainError, match="hint"):
             capacity_sweep(trace, 2, [8], 2.0)
 
     def test_empty_trace_rejected(self):
         with pytest.raises(EmptyTrace):
-            capacity_sweep([], 2, [8], 2.0)
+            capacity_sweep(vm_trace([]), 2, [8], 2.0)
 
     def test_unknown_policy_rejected_where_nothing_saturates(self):
-        trace = [VmRequest("a", 0.0, 5.0, 2, site_hint=0)]
+        trace = vm_trace([Vm("a", 0.0, 5.0, 2, site_hint=0)])
         with pytest.raises(DomainError, match="policy"):
             capacity_sweep(trace, 1, [64], 2.0, policy="worst_fit")
 
 
-def _rows(trace):
-    return [VmRequest(r.id, r.arrival, r.lifetime, r.cores, r.site_hint) for r in trace]
-
-
 # sha256 of the arrival, lifetime, cores and site_hint columns (float64, float64, int64, int64)
 # of synthetic_vm_trace(64, 10, 2000, SeededStream(seed, 777), k_sites=16), recorded when the
-# trace was still a list of VmRequest rows
+# trace was still a list of rows
 TRACE_PINS = {
     1: "f25cc094b68372ba7d3798bc7d457e99de74f451edaa1393bfb8350d035f2992",
     2: "e2381e64466aea04bc553c3502d644b232c825b455be95ee0c84b0fdcf6ef575",
@@ -682,40 +695,10 @@ class TestVmTrace:
         digest = hashlib.sha256(b"".join(col.tobytes() for col in columns)).hexdigest()
         assert digest == TRACE_PINS[seed]
 
-    @settings(max_examples=100, deadline=None)
-    @given(packing_cases())
-    def test_rows_read_back_as_given(self, case):
-        rows = case[0]
-        trace = VmTrace.of(rows)
-        assert len(trace) == len(rows)
-        assert all(trace[i] == rows[i] for i in range(len(rows)))
-        assert list(trace) == rows and trace[-1] == rows[-1]
-        assert VmTrace.of(trace) is trace
-
-    def test_rows_without_every_hint_have_no_hint_column(self):
-        rows = [VmRequest("a", 0.0, 1.0, 2, site_hint=3), VmRequest("b", 1.0, 1.0, 2)]
-        trace = VmTrace.of(rows)
-        assert trace.site_hint is None and trace[0].site_hint is None
-
     def test_float_cores_become_int64(self):
-        trace = VmTrace.of([VmRequest("a", 0.0, 1.0, 4.0), VmRequest("b", 1.0, 1.0, 2)])
-        assert trace.cores.dtype == np.int64 and trace[0].cores == 4 and type(trace[0].cores) is int
-        assert trace_summary(trace)["max_cores"] == 4
-
-    @settings(max_examples=150, deadline=None)
-    @given(packing_cases(), st.sampled_from(POLICIES))
-    def test_replay_of_columns_equals_replay_of_rows(self, case, policy):
-        rows, topology, site_assign, stream = case
-        seed = stream.seed
-        got = simulate_packing(VmTrace.of(rows), topology, policy, site_assign, SeededStream(seed))
-        assert repr(got) == repr(simulate_packing(rows, topology, policy, site_assign, SeededStream(seed)))
-
-    @settings(max_examples=100, deadline=None)
-    @given(hinted_sweeps(), st.sampled_from(POLICIES))
-    def test_sweep_of_columns_equals_sweep_of_rows(self, sweep, policy):
-        rows, k_sites, grid = sweep
-        got = outcome(capacity_sweep, VmTrace.of(rows), k_sites, grid, 2.0, policy)
-        assert got == outcome(capacity_sweep, rows, k_sites, grid, 2.0, policy)
+        trace = VmTrace([0.0, 1.0], [1.0, 1.0], [4.0, 2])
+        assert trace.cores.dtype == np.int64 and trace.cores.tolist() == [4, 2]
+        assert trace_summary(trace)["max_cores"] == 4 and type(trace_summary(trace)["max_cores"]) is int
 
     @pytest.mark.parametrize("k_sites", [None, 4])
     def test_csv_survives_save_load_save(self, tmp_path, k_sites):
@@ -728,7 +711,7 @@ class TestVmTrace:
     def test_tied_arrivals_keep_file_order(self, tmp_path):
         path = tmp_path / "t.csv"
         path.write_text("vm_id,arrival_s,lifetime_s,cores\nx,5,1,2\nb,1,1,2\na,1,1,2\nz,-0.0,1,2\ny,0,1,2\n")
-        assert [r.id for r in load_vm_trace(str(path))] == ["z", "y", "b", "a", "x"]
+        assert load_vm_trace(str(path)).ids == ["z", "y", "b", "a", "x"]
 
     def test_first_bad_line_in_file_order_is_named(self, tmp_path):
         path = tmp_path / "t.csv"
@@ -746,7 +729,7 @@ class TestVmTrace:
         columns = {"arrival": [0.0, 1.0, 2.0, 3.0], "lifetime": [1.0] * 4, "cores": [2] * 4}
         columns[field][1] = columns[field][3] = value
         with pytest.raises(DomainError) as want:
-            VmRequest("vm1", *(columns[name][1] for name in ("arrival", "lifetime", "cores")))
+            edgeq.capacity._check_vm("vm1", *(columns[name][1] for name in ("arrival", "lifetime", "cores")))
         with pytest.raises(DomainError) as got:
             VmTrace(columns["arrival"], columns["lifetime"], columns["cores"])
         assert str(got.value) == str(want.value)
@@ -808,6 +791,6 @@ class TestArgumentDomains:
         assert Topology("edge", 2.0, 1, 8.0) == Topology("edge", 2, 1, 8)
 
     def test_fractional_server_size_refused_before_replay(self):
-        trace = [VmRequest("a", 0.0, 1.0, 4, site_hint=0), VmRequest("b", 0.5, 1.0, 20, site_hint=0)]
+        trace = vm_trace([Vm("a", 0.0, 1.0, 4, site_hint=0), Vm("b", 0.5, 1.0, 20, site_hint=0)])
         with pytest.raises(DomainError, match="^Topology.cores_per_server"):
             simulate_packing(trace, Topology("edge", 1, 1, 20.5), site_assign="hint")

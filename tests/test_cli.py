@@ -71,7 +71,7 @@ class TestAnalyticCommands:
 
     @pytest.mark.parametrize("argv, record", [
         (("analytic", "factor", "--q", "2"), {"q": 2.0, "overprovision_factor": 1.5}),
-        (("capacity", "equivalent", "--c-edge", "96", "--q", "2", "--rho-equal"),
+        (("capacity", "equivalent", "--c-edge", "96", "--q", "2"),
          {"c_edge": 96.0, "q": 2.0, "rho_edge": 0.5, "rho_cloud": 0.5, "tau": 0.0, "c_cloud": 64.0}),
         (("capacity", "rule", "--lambda", "100", "--k", "4"),
          {"lambda": 100.0, "k": 4, "c_edge": 480.0, "c_cloud": 440.0}),
@@ -99,7 +99,7 @@ class TestAnalyticCommands:
 class TestCapacityCommands:
     def test_equivalent_96_to_64(self, capsys):
         code, out, _ = run_cli(
-            capsys, "capacity", "equivalent", "--c-edge", "96", "--q", "2", "--rho-equal"
+            capsys, "capacity", "equivalent", "--c-edge", "96", "--q", "2"
         )
         assert code == EXIT_OK
         assert "c_cloud 64" in out
@@ -245,7 +245,10 @@ class TestSimulateCommand:
         # a law's mean restated a rate of edge, and the two could disagree
         means = [with_value(SIM_CONFIGS["two_phase_edge_renewal"], f"workload.{law}.mean", 0.02)
                  for law in ("arrivals", "service1", "service2")]
-        cases = [({**MINIMAL_SIM_CONFIG, "typo_section": {}}, "typo_section"), (rush_stat, "rush_stat")]
+        # the profile's mean restated edge.lambda, and unequal values exited 2
+        lambda_bar = with_value(SIM_CONFIGS["mtm1_sinusoidal"], "workload.profile.lambda_bar", 16.0)
+        cases = [({**MINIMAL_SIM_CONFIG, "typo_section": {}}, "typo_section"), (rush_stat, "rush_stat"),
+                 (lambda_bar, "lambda_bar")]
         for bad, key in cases + [(body, "mean") for body in means]:
             cfg = tmp_path / "bad.json"
             cfg.write_text(json.dumps(bad))
@@ -262,14 +265,6 @@ class TestSimulateCommand:
         assert code == EXIT_CONFIG
         assert f"source utilization {lam / 50:g} >= 1" in err
         assert not list(tmp_path.glob("*.metrics.json"))
-
-    def test_sinusoid_edge_lambda_unequal_to_lambda_bar_exit_2_naming_both(self, capsys, tmp_path):
-        # edge.lambda used to be dropped unread: 1, 16 and 1000 gave bit-identical metrics
-        cfg = tmp_path / "sin.json"
-        cfg.write_text(json.dumps(with_value(SIM_CONFIGS["mtm1_sinusoidal"], "edge.lambda", 1000.0)))
-        code, _, err = run_cli(capsys, "simulate", str(cfg), "--out", str(tmp_path))
-        assert code == EXIT_CONFIG
-        assert "edge.lambda 1000.0 != workload.profile.lambda_bar 16.0" in err
 
     def test_instability_exit_3(self, capsys, tmp_path):
         cfg_data = {
@@ -291,7 +286,7 @@ class TestSimulateCommand:
         cfg_data = {
             "model": "mtm1_sinusoidal",
             "edge": {"lambda": 16.0, "mu1": 32.0, "mu2": 32.0, "r": 0.3},
-            "workload": {"profile": {"lambda_bar": 16.0, "amplitude": 0.8, "period_s": 200.0}},
+            "workload": {"profile": {"amplitude": 0.8, "period_s": 200.0}},
             "simulation": {"horizon_s": 400.0, "seed": 3, "reps": 1, "max_in_system": 0},
         }
         cfg = tmp_path / "sin.json"
@@ -327,7 +322,7 @@ class TestSimulateCommand:
             "model": "mtm1_sinusoidal",
             "edge": {"lambda": 16.0, "mu1": 32.0, "mu2": 32.0, "r": 0.3},
             "workload": {
-                "profile": {"lambda_bar": 16.0, "amplitude": 0.8, "period_s": 200.0}
+                "profile": {"amplitude": 0.8, "period_s": 200.0}
             },
             "simulation": {"horizon_s": 400.0, "seed": 3, "reps": 2},
             "output": {"deterministic_names": True},
@@ -443,7 +438,7 @@ SIM_CONFIGS = {
     "mtm1_sinusoidal": {
         "model": "mtm1_sinusoidal",
         "edge": {"lambda": 16.0, "mu1": 32.0, "mu2": 32.0, "r": 0.3},
-        "workload": {"profile": {"lambda_bar": 16.0, "amplitude": 0.5, "period_s": 200.0}},
+        "workload": {"profile": {"amplitude": 0.5, "period_s": 200.0}},
         "simulation": {"horizon_s": 100.0},
     },
     "mmk_cloud": {
@@ -471,12 +466,17 @@ class TestConfigNormalization:
         assert "period_s" not in resolved["workload"]["profile"]
         assert config.profile.gamma == resolved["workload"]["profile"]["gamma_rad_s"]
 
+    def test_profile_takes_its_mean_rate_from_edge_lambda(self):
+        config, resolved = load_sim_config(with_value(SIM_CONFIGS["mtm1_sinusoidal"], "edge.lambda", 20.0))
+        assert config.profile.lambda_bar == config.queue.lam == 20.0
+        assert "lambda_bar" not in resolved["workload"]["profile"]
+
     def test_gamma_and_period_mutually_exclusive(self):
         raw = {
             "model": "mtm1_sinusoidal",
             "edge": {"lambda": 1.0, "mu1": 2.0, "mu2": 2.0, "r": 0.0},
             "workload": {"profile": {
-                "lambda_bar": 1.0, "amplitude": 0.5, "period_s": 10.0, "gamma_rad_s": 0.1,
+                "amplitude": 0.5, "period_s": 10.0, "gamma_rad_s": 0.1,
             }},
             "simulation": {"horizon_s": 10.0},
         }
@@ -542,7 +542,7 @@ SPEC_DOMAIN = [
     # NaN and infinity used to run on (exit 0), fail naming no key, or crash
     ("mtm1_sinusoidal", "workload.profile.phase", "nan"), ("two_phase_edge", "edge.lambda", "inf"),
     ("two_phase_edge", "edge.mu1", "inf"), ("mmk_cloud", "cloud.mu", "inf"),
-    ("mtm1_sinusoidal", "workload.profile.lambda_bar", "inf"), ("two_phase_edge", "network.t_edge_s", "inf"),
+    ("two_phase_edge", "network.t_edge_s", "inf"),
     ("two_phase_edge", "network.t_cloud_s", "inf"),
 ]
 
@@ -594,6 +594,9 @@ def test_an_int_too_large_for_a_float_exits_2_naming_the_key(capsys, tmp_path):
         # an infinite period used to set gamma to 0 and run on
         ("simulate", {**SIM_CONFIGS["mtm1_sinusoidal"], "workload": {"profile": {
             **SIM_CONFIGS["mtm1_sinusoidal"]["workload"]["profile"], "period_s": math.inf}}}, "profile.period_s"),
+        # a profile's mean rate is edge.lambda
+        ("simulate", _without(SIM_CONFIGS["mtm1_sinusoidal"], "edge"),
+         "config.workload.profile: its mean rate is edge.lambda, and edge is not set"),
         # an infinite horizon used to fail in numpy's Poisson draw, naming no key
         *(("simulate", {**SIM_CONFIGS["mtm1_sinusoidal"], "simulation": {
             **SIM_CONFIGS["mtm1_sinusoidal"]["simulation"], "horizon_s": value}}, "simulation.horizon_s")
@@ -610,7 +613,7 @@ def test_an_int_too_large_for_a_float_exits_2_naming_the_key(capsys, tmp_path):
     ids=["capacity", "formats", "edge-mu1", "edge-not-object", "cloud-rho", "fixed-typo", "crossover-r",
          "rush-lambda_bar", "period-and-gamma", "rush-grid-mu1", "string-flag", "outputs-string",
          "mtm1-arrivals", "mmk-service1", "k_sites-0", "k_sites-negative", "gg1-edge",
-         "cloud-k-fraction", "reps-0", "profile-period-inf", "horizon_s-inf", "horizon_s-nan",
+         "cloud-k-fraction", "reps-0", "profile-period-inf", "profile-without-edge", "horizon_s-inf", "horizon_s-nan",
          *(f"{key}-{value}" for _, key, value in SIM_DOMAIN),
          *(f"spec-{key}-{value}" for _, key, value in SPEC_DOMAIN),
          *(f"{model}-unread-{key.split()[-1]}" for model, _, _, key in UNREAD)],

@@ -1,7 +1,9 @@
 """Simulator tests: analytic oracles, conservation, and reproducibility."""
+import ast
 import csv
 import dataclasses
 import hashlib
+import inspect
 import math
 import statistics
 import tracemalloc
@@ -458,6 +460,10 @@ class TestMtm1Sim:
         want = float(np.max(sums[inside] / counts[inside]))
         assert ts.rush_window() == (win.t1, win.t2, want)
 
+    def test_queue_rate_unequal_to_profile_rate_rejected_naming_both(self):
+        with pytest.raises(ConfigError, match=r"^SimConfig\.queue\.lam 20\.0 != SimConfig\.profile\.lambda_bar 16\.0$"):
+            mtm1_config(0.5, queue=QueueSpec(20.0, 32.0, 32.0, 0.3))
+
     def test_two_stage_service_counts_migrants(self):
         m, _ = run_model(mtm1_config(0.2, two_stage_service=True), SeededStream(144))
         frac = m.count_migrated / m.count_served
@@ -736,6 +742,16 @@ class TestPinnedStreams:
         run_model(cfg, SeededStream(180))
         (t,) = drawn
         assert len(t) > 0 and np.all(t < cfg.horizon_s)
+
+
+def test_desim_calls_no_generator_method():
+    """Every draw goes through a ``workload`` sampler, which keeps the stream order in one module."""
+    methods = {name for name in dir(np.random.Generator) if not name.startswith("_")}
+    calls = [node for node in ast.walk(ast.parse(inspect.getsource(desim)))
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)]
+    drawn = [f"line {call.lineno}: .{call.func.attr}(" for call in calls if call.func.attr in methods
+             and not (isinstance(call.func.value, ast.Name) and call.func.value.id == "np")]  # np.power is no draw
+    assert not drawn
 
 
 class TestReplicate:

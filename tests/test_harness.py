@@ -184,7 +184,7 @@ SIM_SPEC_KEYS = {
     "edge": {"lambda": (QueueSpec, "lam"), "mu1": (QueueSpec, "mu1"), "mu2": (QueueSpec, "mu2"), "r": (QueueSpec, "r")},
     "cloud": {"k": (CloudSpec, "k"), "mu": (CloudSpec, "mu_cloud"), "rho": (CloudSpec, "rho_cloud")},
     "network": {"t_edge_s": (NetworkSpec, "t_edge"), "t_cloud_s": (NetworkSpec, "t_cloud")},
-    "profile": {"lambda_bar": (SinusoidProfile, "lambda_bar"), "amplitude": (SinusoidProfile, "amplitude"),
+    "profile": {"amplitude": (SinusoidProfile, "amplitude"),
                 "gamma_rad_s": (SinusoidProfile, "gamma"), "period_s": (SinusoidProfile, "gamma"),  # gamma = 2 pi / period
                 "phase": (SinusoidProfile, "phase")},
     "renewal": {"scv": (RenewalSpec, "scv"), "family": (RenewalSpec, "family")},
@@ -362,6 +362,20 @@ class TestMobilityCrossover:
             assert row.sim_ci == 0.0
         else:
             assert row.sim_ci > max(edge["mean_response"], cloud["mean_wait_conditional"]) > 0.0
+
+
+    def test_an_r_with_no_stable_point_has_no_crossover(self, tmp_path):
+        # at r = 0.9 the source is unstable above lam = 26.3 (mu1 = mu2 = 50), so both points skip
+        sc = Scenario(name="cross", model="mobility_crossover", grid={"lam": [30.0, 45.0], "r": [0.1, 0.9]},
+                      fixed={"horizon_requests": 2000}, replications=1, seed=12)
+        path = tmp_path / "cross.scenario"
+        path.write_text(json.dumps(dataclasses.asdict(sc)))
+        assert main(["validate", str(path), "--out", str(tmp_path), "--deterministic-names"]) == EXIT_OK
+        payload = json.loads((tmp_path / "cross.json").read_text())
+        status = {(row["parameters"]["lam"], row["parameters"]["r"]): row["status"] for row in payload["rows"]}
+        assert [status[lam, 0.1] for lam in (30.0, 45.0)] == ["ok", "ok"]
+        assert all(status[lam, 0.9].startswith("skipped: ") for lam in (30.0, 45.0))
+        assert list(payload["summary"]["crossovers"]) == ["r=0.1"]
 
 
 class TestTableRushHour:
