@@ -17,18 +17,13 @@ from .analytic import (
     fluid_backlog,
     gg1_two_phase_wait,
     ggk_cloud_wait,
-    max_edge_arrival_scv,
     migration_service_time,
     mm1_source_wait,
     mm1_two_phase_wait,
     mmk_qed_wait,
-    offered_load_lag,
     overload_window,
-    psa_cloud_wait,
     rush_hour_wait,
     service_scv,
-    sinusoidal_offered_load,
-    sinusoidal_wait_profile,
 )
 from .capacity import (
     PackingReport,
@@ -47,10 +42,8 @@ from .errors import (
     DomainError,
     EdgeqError,
     EmptyTrace,
-    IncompatiblePeriods,
     InstabilityDetected,
     OversizedVm,
-    OverloadedInstant,
     ParseError,
     UnreachableScv,
     UnstableQueue,

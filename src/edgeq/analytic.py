@@ -4,12 +4,10 @@ Steady-state models
     mm1_two_phase_wait, destination_wait, migration_service_time,
     mmk_qed_wait, erlang_c_wait, delta_t_bound_mmk
 GI/G approximations
-    service_scv, gg1_two_phase_wait, ggk_cloud_wait, delta_t_bound_ggk,
-    max_edge_arrival_scv
+    service_scv, gg1_two_phase_wait, ggk_cloud_wait, delta_t_bound_ggk
 Time-varying arrivals
-    effective_service_rate, sinusoidal_offered_load, offered_load_lag,
-    sinusoidal_wait_profile, excess_wait_sinusoidal, overload_window,
-    fluid_backlog, rush_hour_wait, psa_cloud_wait, AggregateProfile
+    effective_service_rate, excess_wait_sinusoidal, overload_window,
+    fluid_backlog, rush_hour_wait, AggregateProfile
 Provisioning rules
     empirical_rule_capacities
 
@@ -27,7 +25,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .config import count, finite_nonnegative, finite_positive, fraction, positive, read, unit
-from .errors import DomainError, IncompatiblePeriods, OverloadedInstant, UnstableQueue
+from .errors import DomainError, UnstableQueue
 from .specs import (
     STABILITY_GUARD,
     CloudSpec,
@@ -41,14 +39,6 @@ from .specs import (
 # Steady-state edge and cloud models
 
 
-def _source_terms(spec: QueueSpec) -> tuple[float, float]:
-    """Pollaczek-Khinchine terms of a stable source queue: lam * E[S^2] / 2 and the slack 1 - rho."""
-    spec.check_stable()
-    lam, mu1, inv2 = spec.lam, spec.mu1, spec.inv_mu2
-    num = lam * (1.0 / mu1**2 + spec.r * inv2**2 + spec.r * inv2 / mu1)
-    return num, 1.0 - lam / mu1 - spec.r * lam * inv2
-
-
 def mm1_source_wait(spec: QueueSpec) -> float:
     """Waiting time at the source queue whose server runs both service phases.
 
@@ -56,8 +46,10 @@ def mm1_source_wait(spec: QueueSpec) -> float:
     occupied for Exp(mu1) per request plus, with probability r, Exp(mu2)
     of migration work.
     """
-    num, slack = _source_terms(spec)
-    return num / slack
+    spec.check_stable()
+    lam, mu1, inv2 = spec.lam, spec.mu1, spec.inv_mu2
+    num = lam * (1.0 / mu1**2 + spec.r * inv2**2 + spec.r * inv2 / mu1)
+    return num / (1.0 - lam / mu1 - spec.r * lam * inv2)
 
 
 def destination_wait(lam: float, mu1: float, r: float) -> float:
@@ -200,26 +192,6 @@ def delta_t_bound_ggk(
     )
 
 
-def max_edge_arrival_scv(
-    delta_t: float,
-    spec: QueueSpec,
-    s_mig: float,
-    w_cloud: float,
-    cs2: float,
-) -> float:
-    """Largest arrival-variability ca2 the edge can carry and still win.
-
-    Returns
-        2*(delta_t - s_mig + w_cloud)*(1 - lam/mu1 - r*lam/mu2)
-          / (lam*(1/mu1^2 + r/mu2^2 + r/(mu1*mu2)))  -  cs2.
-
-    A negative result means no arrival process keeps the edge competitive
-    at these parameters.
-    """
-    num, slack = _source_terms(spec)
-    return 2.0 * (delta_t - s_mig + w_cloud) * slack / num - cs2
-
-
 # ---------------------------------------------------------------------------
 # Time-varying (sinusoidal) arrivals
 
@@ -231,40 +203,6 @@ def effective_service_rate(mu1: float, mu2: float, r: float) -> float:
     r = read("r", unit, r, DomainError)
     inv2 = 0.0 if math.isinf(mu2) else 1.0 / mu2
     return 1.0 / (1.0 / mu1 + r * inv2)
-
-
-def sinusoidal_offered_load(t, profile: SinusoidProfile, mu_eff: float):
-    """Mean offered load m(t) of a sinusoidally driven server.
-
-    m(t) = (lambda_bar/mu_eff) * [1 + A/(1+beta^2) * (sin(g*t+phi)
-           - beta*cos(g*t+phi))], beta = gamma/mu_eff. The infinite-server
-    form; it tracks instantaneous utilization well whenever m(t) < 1.
-    Accepts scalar or array t.
-    """
-    mu_eff = read("mu_eff", finite_positive, mu_eff, DomainError)
-    beta = profile.gamma / mu_eff
-    x = profile.gamma * np.asarray(t, dtype=float) + profile.phase
-    f = np.sin(x) - beta * np.cos(x)
-    m = (profile.lambda_bar / mu_eff) * (1.0 + profile.amplitude / (1.0 + beta**2) * f)
-    return m if m.ndim else float(m)
-
-
-def offered_load_lag(gamma: float) -> float:
-    """Time by which the offered load trails the driving rate: arccot(1/gamma)/gamma."""
-    gamma = read("gamma", finite_positive, gamma, DomainError)
-    return math.atan(gamma) / gamma
-
-
-def sinusoidal_wait_profile(t, profile: SinusoidProfile, mu_eff: float):
-    """Instantaneous wait w(t) = m(t) / (mu_eff * (1 - m(t))).
-
-    Raises OverloadedInstant if m(t) >= 1 anywhere in t.
-    """
-    m = np.asarray(sinusoidal_offered_load(t, profile, mu_eff))
-    if np.any(m >= 1.0):
-        raise OverloadedInstant("offered load m(t) >= 1 at the queried time")
-    w = m / (mu_eff * (1.0 - m))
-    return w if w.ndim else float(w)
 
 
 def excess_wait_sinusoidal(rho: float, amplitude: float, gamma: float, mu_eff: float) -> float:
@@ -348,29 +286,17 @@ def rush_hour_wait(profile: SinusoidProfile, mu_eff: float) -> float:
     return max(fluid_backlog(profile, mu_eff), 0.0) / mu_eff
 
 
-def psa_cloud_wait(rho_t: float, cloud: CloudSpec) -> float:
-    """Pointwise-stationary wait at instantaneous utilization rho(t).
-
-    Freezes the pool at rho(t) and applies the conditional multiserver
-    form, 1/(sqrt(k)*mu*(1-rho(t))); an upper bound on the true
-    time-average delay since a real queue cannot re-equilibrate instantly.
-    """
-    rho_t = read("rho_t", finite_nonnegative, rho_t, DomainError)
-    if rho_t >= STABILITY_GUARD:
-        raise OverloadedInstant(f"instantaneous utilization {rho_t:.6g} >= 1")
-    return 1.0 / (math.sqrt(cloud.k) * cloud.mu_cloud * (1.0 - rho_t))
-
-
 class AggregateProfile:
-    """Aggregate arrival profile a cloud sees from many sinusoidal edge sites."""
+    """Aggregate arrival profile a cloud sees from sinusoidal edge sites of one frequency."""
 
     def __init__(self, sites: Sequence[SinusoidProfile]):
-        if not sites:
-            raise DomainError("site list must be non-empty")
         self.sites = tuple(sites)
-        self.mean = sum(p.lambda_bar for p in self.sites)
+        if not self.sites:
+            raise DomainError("site list must be non-empty")
         gammas = {p.gamma for p in self.sites}
-        self.common_period = self.sites[0].period if len(gammas) == 1 else None
+        if len(gammas) > 1:
+            raise DomainError(f"sites must share one gamma, got {sorted(gammas)}")
+        self.mean = sum(p.lambda_bar for p in self.sites)
 
     def rate(self, t):
         """Aggregate arrival rate; accepts scalar or array t."""
@@ -380,25 +306,11 @@ class AggregateProfile:
             total = total + p.rate(t)
         return total if total.ndim else float(total)
 
-    def relative_amplitude(self, n_samples: int = 4096, horizon: Optional[float] = None) -> float:
-        """Empirical (max - mean)/mean of the aggregate over one common period.
-
-        Sites with differing frequencies have no single period; pass an
-        explicit horizon to average over, otherwise IncompatiblePeriods.
-        """
-        n_samples = read("n_samples", count, n_samples, DomainError)
-        if horizon is None:
-            if self.common_period is None:
-                raise IncompatiblePeriods(
-                    "sites use different gamma; supply an explicit horizon"
-                )
-            horizon = self.common_period
-        horizon = read("horizon", finite_positive, horizon, DomainError)
-        t = np.linspace(0.0, horizon, n_samples, endpoint=False)
-        rates = self.rate(t)
+    def relative_amplitude(self) -> float:
+        """Empirical (max - mean)/mean of the aggregate, sampled 4096 times over its period."""
+        rates = self.rate(np.linspace(0.0, self.sites[0].period, 4096, endpoint=False))
         mean = float(np.mean(rates))
         return (float(np.max(rates)) - mean) / mean
-
 
 
 # ---------------------------------------------------------------------------
@@ -412,8 +324,7 @@ def empirical_rule_capacities(lambda_site: float, k: int) -> tuple[float, float]
     Pooling k independent Poisson sites shrinks the fluctuation term, so
     C_cloud < C_edge for every k >= 2 and they agree at k = 1.
     """
-    if not 0 < lambda_site < math.inf:
-        raise DomainError("arrival rate must be positive")
+    lambda_site = read("lambda_site", finite_positive, lambda_site, DomainError)
     k = read("k", count, k, DomainError)
     c_edge = k * (lambda_site + 2.0 * math.sqrt(lambda_site))
     c_cloud = k * lambda_site + 2.0 * math.sqrt(k * lambda_site)

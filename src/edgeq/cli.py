@@ -5,7 +5,8 @@ discrete-event models from a JSON config), ``validate`` (scenario sweeps
 pairing formulas with simulation), and ``capacity`` (planning formulas
 and the trace-driven packing simulator).
 
-Exit codes: 0 success, 2 validation/config error, 3 runtime instability.
+Exit codes: 0 success, 2 validation/config or file error, 3 runtime
+instability.
 ``EDGEQ_SEED`` provides the default seed when none is given. All numbers
 print with 9 significant digits so regression files stay stable. Rates
 are per second, times in seconds; ``mu2`` may be ``inf``; sinusoid
@@ -362,7 +363,7 @@ def main(argv=None) -> int:
     except InstabilityDetected as exc:
         print(f"instability: {exc}", file=sys.stderr)
         return EXIT_UNSTABLE
-    except (EdgeqError, ValueError, json.JSONDecodeError) as exc:
+    except (EdgeqError, ValueError, OSError) as exc:  # OSError: a path that is a directory, or in none
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

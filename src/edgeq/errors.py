@@ -13,17 +13,9 @@ class UnstableQueue(DomainError):
     """Offered load leaves no spare capacity; the waiting time diverges."""
 
 
-class OverloadedInstant(DomainError):
-    """Instantaneous utilization is at or above one at the queried time."""
-
-
 class UnreachableScv(DomainError):
     """The requested squared coefficient of variation cannot be produced
     by the chosen distribution family."""
-
-
-class IncompatiblePeriods(EdgeqError):
-    """Profiles with different angular frequencies share no common period."""
 
 
 class ConfigError(EdgeqError):

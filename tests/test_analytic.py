@@ -10,16 +10,13 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
-from scipy.optimize import minimize_scalar
 
 from edgeq import (
     AggregateProfile,
     CloudSpec,
     DomainError,
     DtrpSpec,
-    IncompatiblePeriods,
     NetworkSpec,
-    OverloadedInstant,
     PhaseMoments,
     QueueSpec,
     RenewalSpec,
@@ -37,18 +34,13 @@ from edgeq import (
     fluid_backlog,
     gg1_two_phase_wait,
     ggk_cloud_wait,
-    max_edge_arrival_scv,
     migration_service_time,
     mm1_source_wait,
     mm1_two_phase_wait,
     mmk_qed_wait,
-    offered_load_lag,
     overload_window,
-    psa_cloud_wait,
     rush_hour_wait,
     service_scv,
-    sinusoidal_offered_load,
-    sinusoidal_wait_profile,
 )
 import edgeq
 from edgeq.analytic import ggk_wait_probability
@@ -309,67 +301,11 @@ class TestDeltaTBoundGgk:
         assert shifted - base == pytest.approx(want, rel=1e-12)
 
 
-class TestMaxEdgeArrivalScv:
-    def test_worked_example(self):
-        got = max_edge_arrival_scv(0.027, QueueSpec(10, 50, 50, 0.1), 0.002, 0.001, 1.0)
-        assert got == pytest.approx(2 * 0.026 * 0.78 / 0.0048 - 1, rel=1e-9)
-
-    def test_zero_numerator_leaves_minus_cs2(self):
-        got = max_edge_arrival_scv(0.002, QueueSpec(10, 50, 50, 0.1), 0.003, 0.001, 1.0)
-        assert got == pytest.approx(-1.0, rel=1e-12)
-
-    def test_saturated_edge_leaves_minus_cs2(self):
-        spec = QueueSpec(45.45, 50, 50, 0.1)  # utilization 0.9999
-        got = max_edge_arrival_scv(0.027, spec, 0.002, 0.001, 1.0)
-        assert got == pytest.approx(-1.0, abs=0.02)
-
-
 class TestEffectiveServiceRate:
     def test_values(self):
         assert effective_service_rate(50, 50, 0.0) == pytest.approx(50.0, rel=1e-12)
         assert effective_service_rate(50, 50, 0.1) == pytest.approx(2500 / 55, rel=1e-12)
         assert effective_service_rate(32, 32, 1.0) == pytest.approx(16.0, rel=1e-12)
-
-
-class TestSinusoidalOfferedLoad:
-    def test_constant_when_flat(self):
-        prof = SinusoidProfile(80, 0.0, 0.1)
-        for t in (0.0, 3.7, 100.0):
-            assert sinusoidal_offered_load(t, prof, 100.0) == pytest.approx(0.8, rel=1e-12)
-
-    def test_worked_example_at_origin(self):
-        prof = SinusoidProfile(80, 0.5, 2 * math.pi / 100)
-        assert sinusoidal_offered_load(0.0, prof, 100.0) == pytest.approx(0.799748672686933, rel=1e-12)
-
-    def test_slow_oscillation_limit_tracks_rate(self):
-        prof = SinusoidProfile(80, 0.5, 1e-7)
-        t = 0.25 * 2 * math.pi / 1e-7  # quarter period: sin = 1
-        got = sinusoidal_offered_load(t, prof, 100.0)
-        assert got == pytest.approx(0.8 * 1.5, rel=1e-5)
-
-    def test_lag_accessor(self):
-        assert offered_load_lag(1.0) == pytest.approx(math.pi / 4, rel=1e-12)
-        assert offered_load_lag(0.01) == pytest.approx(math.atan(0.01) / 0.01, rel=1e-12)
-
-
-class TestSinusoidalWaitProfile:
-    def test_mm1_form(self):
-        prof = SinusoidProfile(10.0, 0.0, 1.0)
-        assert sinusoidal_wait_profile(0.0, prof, 20.0) == pytest.approx(0.05, rel=1e-12)
-
-    def test_peak_value_frozen_regression(self):
-        prof = SinusoidProfile(10.0, 0.7, 2 * math.pi / 100)
-        res = minimize_scalar(
-            lambda t: -sinusoidal_offered_load(t, prof, 20.0),
-            bounds=(0.0, 100.0), method="bounded", options={"xatol": 1e-12},
-        )
-        peak = sinusoidal_wait_profile(res.x, prof, 20.0)
-        assert peak == pytest.approx(0.2833294952264483, rel=1e-9)
-
-    def test_overload_raises(self):
-        prof = SinusoidProfile(18.0, 0.5, 2 * math.pi / 100)
-        with pytest.raises(OverloadedInstant):
-            sinusoidal_wait_profile(25.0, prof, 20.0)
 
 
 class TestExcessWait:
@@ -453,16 +389,6 @@ class TestRushHourWait:
         assert rush_hour_wait(SinusoidProfile(16, 0.3, 1.0), 24.0) == 0.0
 
 
-class TestPsaCloudWait:
-    def test_values(self):
-        assert psa_cloud_wait(0.5, CloudSpec(1, 1.0, 0.5)) == pytest.approx(2.0, rel=1e-12)
-        assert psa_cloud_wait(0.8, CloudSpec(16, 50.0, 0.8)) == pytest.approx(0.025, rel=1e-12)
-
-    def test_rejects_instantaneous_overload(self):
-        with pytest.raises(OverloadedInstant):
-            psa_cloud_wait(1.0, CloudSpec(16, 50.0, 0.8))
-
-
 class TestAggregateProfile:
     def test_identical_in_phase_sites(self):
         sites = [SinusoidProfile(10, 0.5, 1.0)] * 4
@@ -496,23 +422,9 @@ class TestAggregateProfile:
         with pytest.raises(DomainError, match="site list must be non-empty"):
             AggregateProfile([])
 
-    def test_mixed_frequencies_need_horizon(self):
-        sites = [SinusoidProfile(10, 0.5, 1.0), SinusoidProfile(10, 0.5, 2.0)]
-        agg = AggregateProfile(sites)
-        with pytest.raises(IncompatiblePeriods):
-            agg.relative_amplitude()
-        assert agg.relative_amplitude(horizon=2 * math.pi) > 0.0
-
-    # a negative horizon returned 0.298, a NaN one nan, and no samples raised numpy's ValueError
-    @pytest.mark.parametrize("kwargs, message", [
-        (dict(horizon=-1.0), "horizon: must be finite and > 0, got -1.0"),
-        (dict(horizon=math.nan), "horizon: must be finite and > 0, got nan"),
-        (dict(n_samples=0), "n_samples: must be >= 1, got 0"),
-        (dict(n_samples=2.5), "n_samples: must be an integer, got 2.5"),
-    ], ids=["horizon-negative", "horizon-nan", "n_samples-0", "n_samples-fraction"])
-    def test_relative_amplitude_checks_its_arguments(self, kwargs, message):
-        with pytest.raises(DomainError, match=f"^{message}$"):
-            AggregateProfile([SinusoidProfile(10, 0.5, 1.0)]).relative_amplitude(**kwargs)
+    def test_mixed_frequencies_rejected(self):
+        with pytest.raises(DomainError, match=r"^sites must share one gamma, got \[1.0, 2.0\]$"):
+            AggregateProfile([SinusoidProfile(10, 0.5, 1.0), SinusoidProfile(10, 0.5, 2.0)])
 
 
 class TestEmpiricalRule:
@@ -605,17 +517,13 @@ SPEC_DOMAINS = {
 CROSS_FIELD = {DtrpSpec: UnstableQueue, RenewalSpec: UnreachableScv}
 
 PROFILE = SinusoidProfile(8.0, 0.5, 0.1)
-# (function, in-domain arguments) for each function that checks its own float arguments;
-# the query times of sinusoidal_offered_load are an array, mapped elementwise like numpy
+# (function, in-domain arguments) for each function that checks its own float arguments
 BARE_FLOAT_CALLS = [
     (destination_wait, (10.0, 50.0, 0.1)),
     (migration_service_time, (0.1, 50.0)),
     (effective_service_rate, (50.0, 50.0, 0.1)),
     (excess_wait_sinusoidal, (0.5, 0.3, 0.1, 10.0)),
-    (sinusoidal_offered_load, (np.linspace(0.0, 60.0, 7), PROFILE, 10.0)),
-    (offered_load_lag, (0.1,)),
     (overload_window, (PROFILE, 10.0)),
-    (psa_cloud_wait, (0.5, CloudSpec(4, 10.0, 0.5))),
     (empirical_rule_capacities, (10.0, 4)),
     (ggk_wait_probability, (4, 0.5)),
     (edge_overprovision_factor, (2.0,)),
@@ -636,8 +544,6 @@ INFINITE_OK = {
     (migration_service_time, "mu2"), (effective_service_rate, "mu2"), (edge_overprovision_factor, "q"),
     (cloud_capacity_equivalent, "q"), (packing_relative_error, "q"),
 }
-# the one refusal whose wording a CLI test pins, so it does not start with the argument's name
-PINNED = {(empirical_rule_capacities, "lambda_site"): "arrival rate must be positive"}
 
 
 class TestDomainErrors:
@@ -691,7 +597,7 @@ class TestDomainErrors:
         name = list(inspect.signature(fn).parameters)[i]
         with pytest.raises(DomainError) as exc:
             fn(*args[:i], math.nan, *args[i + 1:])
-        assert str(exc.value).startswith(PINNED.get((fn, name), f"{name}: ")), exc.value
+        assert str(exc.value).startswith(f"{name}: "), exc.value
 
     # 1/q overflowed to inf: the factor read inf, the relative error nan and the cloud capacity 0
     @pytest.mark.parametrize("fn, args, i", [c for c, name in zip(NAN_CASES, NAN_IDS) if name.endswith("-q")],
@@ -710,7 +616,7 @@ class TestDomainErrors:
             return
         with pytest.raises(DomainError) as exc:
             call()
-        assert str(exc.value).startswith(PINNED.get((fn, name), f"{name}: ")), exc.value
+        assert str(exc.value).startswith(f"{name}: "), exc.value
 
 
 
@@ -734,27 +640,23 @@ FORM_READERS = {
     "mmk_qed_wait": "analytic.delta_t_bound_mmk",
     "overload_window": "desim.run_model",
     "rush_hour_wait": "harness._run_rush_hour",
-    "sinusoidal_offered_load": "analytic.sinusoidal_wait_profile",  # itself unread
 }
-# ... or to the ROADMAP item expected to give it a reader, while nothing reads it
-UNREAD_FORMS = {
-    "erlang_c_wait": "item 2, the cloud's tail",
-    "psa_cloud_wait": "item 7, cloud_aggregation",
-    "AggregateProfile": "item 7, cloud_aggregation",
-    "phase_shifted_sites": "item 7, cloud_aggregation",
-    "max_edge_arrival_scv": "item 7, variability_crossover",
-    "service_scv": "item 7, variability_crossover",
-    "PhaseMoments": "item 7, variability_crossover, with service_scv",
-    "sinusoidal_wait_profile": "item 3, psa_sinusoidal_wait",
-    "offered_load_lag": "item 3, the offered load at beta != 0",
-    "dtrp_response_time": "item 8, a ratio check against cloud_capacity_equivalent, or deletion",
+# ... or, while nothing in src reads it, to the test node that checks it against an independent
+# computation: a simulation, a Monte Carlo draw, or another closed form of the same model
+CHECKED_FORMS = {
+    "AggregateProfile": "tests/test_acceptance.py::test_criterion_9_phase_shift_smoothing",
+    "PhaseMoments": "tests/test_acceptance.py::test_criterion_8_statistical_hygiene",
+    "dtrp_response_time": "tests/test_capacity.py::TestClosedForms::test_dtrp_edge_equals_cloud_at_equivalent_capacity",
+    "erlang_c_wait": "tests/test_desim.py::TestMmkSim::test_k16_matches_erlang_c_and_exact_conditional",
+    "phase_shifted_sites": "tests/test_acceptance.py::test_criterion_9_phase_shift_smoothing",
+    "service_scv": "tests/test_acceptance.py::test_criterion_8_statistical_hygiene",
 }
 # the other exports: records, errors, simulators, samplers and the packing and scenario calls
 NOT_FORMS = {
     "CloudSpec", "DtrpSpec", "NetworkSpec", "QueueSpec", "SinusoidProfile", "VariabilitySpec", "RenewalSpec",
     "SeededStream", "SimConfig", "SimMetrics", "TimeSeriesMetrics", "Scenario", "ComparisonRow", "PackingReport",
-    "Topology", "VmTrace", "ConfigError", "DomainError", "EdgeqError", "EmptyTrace", "IncompatiblePeriods",
-    "InstabilityDetected", "OversizedVm", "OverloadedInstant", "ParseError", "UnreachableScv", "UnstableQueue",
+    "Topology", "VmTrace", "ConfigError", "DomainError", "EdgeqError", "EmptyTrace", "InstabilityDetected",
+    "OversizedVm", "ParseError", "UnreachableScv", "UnstableQueue",
     "replicate", "run_model", "load_scenario", "run_scenario", "load_vm_trace", "simulate_packing",
     "synthetic_vm_trace", "nhpp_sinusoidal", "poisson_arrivals", "renewal_times",
 }
@@ -797,21 +699,57 @@ def _readers() -> dict[str, set[str]]:
     return readers
 
 
+def _test_node(node_id: str):
+    """The definition that a pytest node id ``tests/<file>.py::[<class>::]<test>`` names, or None."""
+    path, *names = node_id.split("::")
+    file = pathlib.Path(__file__).parents[1] / path
+    node = ast.parse(file.read_text()) if file.is_file() else None
+    for name in names:
+        node = next((child for child in getattr(node, "body", ()) if getattr(child, "name", None) == name), None)
+    return node
+
+
 class TestEveryFormHasAReader:
-    """ROADMAP item 8: each exported closed form is read by a comparison model, or the list names its item."""
+    """Each exported closed form is read by a comparison model in src, or by the test that checks it."""
 
     def test_every_export_is_classified_once(self):
         exported = {name for name, value in vars(edgeq).items() if not name.startswith("_") and not inspect.ismodule(value)}
-        lists = (set(FORM_READERS), set(UNREAD_FORMS), NOT_FORMS)
+        lists = (set(FORM_READERS), set(CHECKED_FORMS), NOT_FORMS)
         assert sum(map(len, lists)) == len(set().union(*lists)) and set().union(*lists) == exported
         from_analytic = {name for name in exported if getattr(vars(edgeq)[name], "__module__", "") == "edgeq.analytic"}
-        assert from_analytic <= set(FORM_READERS) | set(UNREAD_FORMS)
+        assert from_analytic <= set(FORM_READERS) | set(CHECKED_FORMS)
 
     @pytest.mark.parametrize("form", sorted(FORM_READERS))
     def test_a_read_form_keeps_its_reader(self, form):
         assert FORM_READERS[form] in _readers().get(form, set())
 
-    @pytest.mark.parametrize("form", sorted(UNREAD_FORMS))
+    @pytest.mark.parametrize("form", sorted(CHECKED_FORMS))
+    def test_a_checked_form_keeps_its_test(self, form):
+        node = _test_node(CHECKED_FORMS[form])
+        assert isinstance(node, ast.FunctionDef), f"{CHECKED_FORMS[form]} is not a test"
+        assert form in _names_read(node)
+
+    @pytest.mark.parametrize("form", sorted(CHECKED_FORMS))
     def test_an_unread_form_gains_a_reader_only_with_a_list_edit(self, form):
-        # a new reader: move the form to FORM_READERS, and drop it from ROADMAP item 8's list
+        # a new reader: move the form to FORM_READERS
         assert _readers().get(form, set()) == set()
+
+
+def _unread_imports(path: pathlib.Path) -> set[str]:
+    """The names a module imports, outside ``from __future__``, that it never loads."""
+    tree = ast.parse(path.read_text())
+    imports = [node for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))]
+    bound = {
+        (alias.asname or alias.name).split(".")[0]
+        for node in imports if getattr(node, "module", None) != "__future__" for alias in node.names
+    }
+    return bound - {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+
+
+# __init__ imports to export, so it has no reads to check
+SRC_MODULES = sorted(path for path in pathlib.Path(edgeq.__file__).parent.glob("*.py") if path.stem != "__init__")
+
+
+@pytest.mark.parametrize("path", SRC_MODULES, ids=lambda path: path.stem)
+def test_a_module_reads_every_name_it_imports(path):
+    assert _unread_imports(path) == set()

@@ -6,7 +6,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from edgeq import (
@@ -96,12 +96,18 @@ class TestClosedForms:
         with pytest.raises(UnstableQueue, match="rho_cloud = 1 must lie in"):
             cloud_capacity_equivalent(100, 0.5, 0.0, 2.0, 1.0)
 
-    def test_dtrp_edge_equals_cloud_at_equivalent_capacity(self):
-        edge = DtrpSpec(capacity=96, rho=0.5, tau=0.0, q=2.0)
-        cloud = DtrpSpec(capacity=64, rho=0.5, tau=0.0, q=2.0)
-        t_edge = dtrp_response_time(edge, 10.0)
-        t_cloud = dtrp_response_time(cloud, 10.0, cloud=True)
-        assert t_edge == pytest.approx(t_cloud, rel=1e-12)
+    @settings(max_examples=300, deadline=None)
+    @given(
+        c_edge=st.floats(1.0, 1e4), rho_edge=st.floats(0.0, 0.95), tau_share=st.floats(0.0, 0.9),
+        q=st.floats(0.1, 50.0), rho_cloud=st.floats(0.0, 0.95), lam=st.floats(0.1, 1e3),
+    )
+    @example(c_edge=96.0, rho_edge=0.5, tau_share=0.0, q=2.0, rho_cloud=0.5, lam=10.0)  # C_cloud = 64
+    def test_dtrp_edge_equals_cloud_at_equivalent_capacity(self, c_edge, rho_edge, tau_share, q, rho_cloud, lam):
+        tau = tau_share * (1.0 - rho_edge) * c_edge
+        c_cloud = cloud_capacity_equivalent(c_edge, rho_edge, tau, q, rho_cloud)
+        t_edge = dtrp_response_time(DtrpSpec(c_edge, rho_edge, tau, q), lam)
+        t_cloud = dtrp_response_time(DtrpSpec(c_cloud, rho_cloud, 0.0, q), lam, cloud=True)
+        assert t_edge == pytest.approx(t_cloud, rel=1e-9)
 
     def test_dtrp_huge_packing_factor_matches_cloud_mode(self):
         spec = DtrpSpec(capacity=64, rho=0.5, tau=0.0, q=1e12)

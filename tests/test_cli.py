@@ -112,14 +112,14 @@ class TestCapacityCommands:
     def test_rule_nan_rate_exit_2(self, capsys):
         code, _, err = run_cli(capsys, "capacity", "rule", "--lambda", "nan", "--k", "4")
         assert code == EXIT_CONFIG
-        assert "arrival rate must be positive" in err
+        assert "lambda_site: must be finite and > 0, got nan" in err
 
     # each used to print nan or inf and exit 0
     @pytest.mark.parametrize("argv, message", [
         (("analytic", "factor", "--q", "nan"), "q: must be > 0, got nan"),
         (("analytic", "factor", "--q", "1e-320"), "q: must be large enough for a finite 1/q, got 1e-320"),  # 1/q is inf
         (("capacity", "equivalent", "--c-edge", "inf", "--q", "2"), "c_edge: must be finite and > 0, got inf"),
-        (("capacity", "rule", "--lambda", "inf", "--k", "4"), "arrival rate must be positive"),
+        (("capacity", "rule", "--lambda", "inf", "--k", "4"), "lambda_site: must be finite and > 0, got inf"),
     ])
     def test_non_finite_argument_exits_2(self, capsys, argv, message):
         code, _, err = run_cli(capsys, *argv)
@@ -654,3 +654,18 @@ def test_a_negative_seed_exits_2_naming_its_key(capsys, tmp_path, monkeypatch, n
     assert code == EXIT_CONFIG
     assert message in err
     assert not out.exists()
+
+
+# each used to end in an uncaught IsADirectoryError or FileNotFoundError traceback, exit 1
+@pytest.mark.parametrize("argv, message", [
+    ("simulate {dir}", "Is a directory"),
+    ("validate {dir}", "Is a directory"),
+    ("capacity pack --trace {dir} --topology cloud:cores=64", "Is a directory"),
+    ("simulate {dir}/log.json --out {dir}", "No such file or directory"),  # an event log in no directory
+], ids=["simulate-dir", "validate-dir", "pack-trace-dir", "event-log-dir-missing"])
+def test_a_file_error_exits_2_without_a_traceback(capsys, tmp_path, argv, message):
+    body = with_keys(MINIMAL_SIM_CONFIG, "simulation", {"event_log": str(tmp_path / "absent" / "events.csv")})
+    (tmp_path / "log.json").write_text(json.dumps(body))
+    code, _, err = run_cli(capsys, *argv.format(dir=tmp_path).split())
+    assert code == EXIT_CONFIG
+    assert err.startswith("error: ") and message in err
