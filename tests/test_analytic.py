@@ -46,7 +46,14 @@ import edgeq
 from edgeq.analytic import ggk_wait_probability
 from edgeq.capacity import cloud_capacity_equivalent, dtrp_response_time, edge_overprovision_factor, packing_relative_error
 from edgeq.specs import STABILITY_GUARD
-from edgeq.workload import coin_flips, exponential_fill, poisson_arrivals, renewal_arrivals, renewal_times
+from edgeq.workload import (
+    coin_flips,
+    exponential_fill,
+    phase_shifted_sites,
+    poisson_arrivals,
+    renewal_arrivals,
+    renewal_times,
+)
 
 MARKOV = VariabilitySpec(1.0, 1.0)
 
@@ -300,6 +307,34 @@ class TestDeltaTBoundGgk:
         want = gg1_two_phase_wait(edge, VariabilitySpec(3.0, 1.0)) - gg1_two_phase_wait(edge, MARKOV)
         assert shifted - base == pytest.approx(want, rel=1e-12)
 
+    # lambda 10, mu1 = mu2 = 50, r 0.1 against a Markovian k = 4 cloud at
+    # mu 50, rho 0.7 with cs2 = 1: the deleted max_edge_arrival_scv
+    # returned ca2 = 9.671 for a 0.027 s target, the true inverse 9.00735.
+    @pytest.mark.parametrize(
+        "ca2, want", [(9.671, 0.02918), (9.00735, 0.02700)], ids=["source-term-inverse", "true-inverse"]
+    )
+    def test_worked_inverse_figures(self, ca2, want):
+        edge = QueueSpec(10, 50, 50, 0.1)
+        cloud = CloudSpec(4, 50, 0.7)
+        assert delta_t_bound_ggk(edge, VariabilitySpec(ca2, 1.0), cloud, MARKOV) == pytest.approx(want, abs=5e-6)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.floats(0.05, 0.95), st.floats(1.0, 200.0), st.floats(1.0, 200.0), st.floats(0.0, 1.0),
+        st.integers(1, 64), st.floats(1.0, 200.0), st.floats(0.05, 0.95),
+        st.floats(0.0, 20.0), st.floats(0.0, 20.0), st.floats(0.0, 20.0), st.floats(0.0, 20.0),
+    )
+    def test_closed_inverse_recovers_the_edge_ca2(self, f, mu1, mu2, r, k, mu, rho, ca2, cs2, cloud_ca2, cloud_cs2):
+        # The bound is linear in the edge ca2 with slope mm1_two_phase_wait/2,
+        # so ca2 = 2 (dt - r/mu2 + w_cloud) / mm1_two_phase_wait - cs2.
+        edge = QueueSpec(f / (1.0 / mu1 + r / mu2), mu1, mu2, r)
+        cloud, cloud_var = CloudSpec(k, mu, rho), VariabilitySpec(cloud_ca2, cloud_cs2)
+        dt = delta_t_bound_ggk(edge, VariabilitySpec(ca2, cs2), cloud, cloud_var)
+        w_edge, w_cloud = mm1_two_phase_wait(edge), ggk_cloud_wait(cloud, cloud_var)
+        got = 2.0 * (dt - r / mu2 + w_cloud) / w_edge - cs2
+        # rounding in dt and w_cloud is amplified by 2/w_edge
+        assert got == pytest.approx(ca2, rel=1e-12, abs=1e-12 * (abs(dt) + r / mu2 + w_cloud) / w_edge)
+
 
 class TestEffectiveServiceRate:
     def test_values(self):
@@ -425,6 +460,29 @@ class TestAggregateProfile:
     def test_mixed_frequencies_rejected(self):
         with pytest.raises(DomainError, match=r"^sites must share one gamma, got \[1.0, 2.0\]$"):
             AggregateProfile([SinusoidProfile(10, 0.5, 1.0), SinusoidProfile(10, 0.5, 2.0)])
+
+    @pytest.mark.parametrize("n_sites", [1, 2, 3, 5, 16, 64])
+    def test_relative_amplitude_is_the_phasor_sum(self, n_sites):
+        # Sites of one gamma add to M + R sin(gamma t + theta), with
+        # R = |sum lam_i A_i exp(i phi_i)|; 4096 samples of one period
+        # read the peak to within R (1 - cos(pi/4096)) ~ 2.9e-7 R.
+        rng = np.random.default_rng(n_sites)
+        gamma = rng.uniform(1e-3, 10.0)
+        sites = [
+            SinusoidProfile(rng.uniform(1, 50), rng.uniform(0, 1), gamma, rng.uniform(0, 2 * math.pi))
+            for _ in range(n_sites)
+        ]
+        phasor = sum(p.lambda_bar * p.amplitude * complex(math.cos(p.phase), math.sin(p.phase)) for p in sites)
+        want = abs(phasor) / sum(p.lambda_bar for p in sites)
+        assert AggregateProfile(sites).relative_amplitude() == pytest.approx(want, rel=3e-7, abs=1e-12)
+
+    @pytest.mark.parametrize("k", [2, 3, 4, 8])
+    def test_evenly_spaced_phases_cancel(self, k):
+        phases = [2 * math.pi * j / k for j in range(k)]
+        sites = phase_shifted_sites(k, SinusoidProfile(10, 0.7, 1.0), phases, np.random.default_rng(k))
+        agg = AggregateProfile(sites)
+        assert agg.mean == pytest.approx(10.0 * k, rel=1e-12)
+        assert agg.relative_amplitude() == pytest.approx(0.0, abs=1e-9)
 
 
 class TestEmpiricalRule:
