@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import takewhile
 from typing import Optional, Sequence
 
 import numpy as np
@@ -105,11 +106,21 @@ def erlang_c_delay_probability(cloud: CloudSpec) -> float:
     if rho == 0.0:
         return 0.0
     a = k * rho  # offered load in Erlangs
-    # sum a^n/n! for n<k, plus the boosted k-th term, in log space for big k
-    log_terms = [n * math.log(a) - math.lgamma(n + 1) for n in range(k)]
-    log_top = k * math.log(a) - math.lgamma(k + 1) - math.log(1.0 - rho)
-    m = max(max(log_terms), log_top)
-    denom = sum(math.exp(t - m) for t in log_terms) + math.exp(log_top - m)
+    log_a = math.log(a)
+    # sum a^n/n! for n<k, plus the boosted k-th term, in log space for big k. The log-terms
+    # are unimodal in n with their peak at floor(a); a term more than 800 below the peak
+    # adds exactly 0.0 (exp underflows below -745), so only the terms around it are summed
+    peak = min(int(a), k - 1)
+    floor = peak * log_a - math.lgamma(peak + 1) - 800.0
+
+    def walk(ns):
+        """The log-terms along ``ns`` up to the first below the floor."""
+        return list(takewhile(floor.__le__, (n * log_a - math.lgamma(n + 1) for n in ns)))
+
+    window = walk(range(peak, -1, -1))[::-1] + walk(range(peak + 1, k))
+    log_top = k * log_a - math.lgamma(k + 1) - math.log(1.0 - rho)
+    m = max(max(window), log_top)
+    denom = sum(math.exp(t - m) for t in window) + math.exp(log_top - m)
     return math.exp(log_top - m) / denom
 
 

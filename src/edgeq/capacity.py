@@ -4,8 +4,9 @@ The closed forms relate the server capacity a distributed edge needs to
 match a centralized pool handling the same geographically pinned VM
 workload. The packing sweep measures the over-provisioning; peaks where
 nothing queues come from a sorted +/-cores sweep. A saturated site is one
-server, so the sweep replays it as one FIFO pool of cores, where first and
-best fit place alike.
+server, so the sweep replays it on its own as one FIFO pool of cores, where
+first and best fit place alike, and merges the sites' waits into the
+system-wide backlog afterwards.
 
 A trace is a `VmTrace` of columns. The
 general replay, `simulate_packing`, is one event loop over a trace in
@@ -20,6 +21,7 @@ import csv
 import heapq
 import math
 import numbers
+from array import array
 from collections import deque
 from dataclasses import dataclass
 from itertools import chain
@@ -324,7 +326,7 @@ def simulate_packing(
         raise EmptyTrace("trace contains no VM requests")
     cap = topology.cores_per_server
     _refuse_oversized(trace, cap)
-    _refuse_out_of_order(trace)
+    _arrival_clock(trace)
 
     n_sites = topology.k_sites if topology.mode == "edge" else 1
     if topology.mode == "cloud":
@@ -458,12 +460,14 @@ def capacity_sweep(
     cores (summed per site for the edge) over a hinted trace in arrival order.
     The cloud and each site whose peak
     fits never queue, so one sorted +/-cores sweep gives their exact peaks.
-    The VMs of the saturated sites are replayed together, so the backlog is
-    system-wide. Each such site is one FIFO pool of `size` cores, where first
-    and best fit place alike (`_pool_replay`); `simulate_packing` stays the
-    general replay and the oracle the tests compare this one with. The first
-    size that replays raises what `simulate_packing` would: a size below 1,
-    a VM larger than the size, a replayed VM out of arrival order.
+    Each saturated site is one FIFO pool of `size` cores, where first and
+    best fit place alike. The trace is split by site once per sweep, each
+    saturated site is replayed on its own (`_site_replay`), and
+    `_pool_replay` merges their waits into the system-wide backlog.
+    `simulate_packing` stays the general replay and the oracle the tests
+    compare this one with. The first size that replays raises what
+    `simulate_packing` would: a size below 1, a VM larger than the size, a
+    replayed VM out of arrival order.
     """
     if not len(trace):
         raise EmptyTrace("trace contains no VM requests")
@@ -476,11 +480,10 @@ def capacity_sweep(
         sizes.append(int(value))
     if trace.site_hint is None:
         raise DomainError("capacity_sweep requires every VM to carry a site hint")
-    site_of = trace.site_hint % k_sites
-    columns = (trace.arrival, trace.lifetime, trace.cores, site_of)
-    cloud_peak, peaks = _unqueued_peaks(*columns, k_sites)
+    site_of = (trace.site_hint % k_sites).astype(np.min_scalar_type(k_sites - 1))
+    cloud_peak, peaks = _unqueued_peaks(trace.arrival, trace.lifetime, trace.cores, site_of, k_sites)
     model_size = cloud_peak * edge_overprovision_factor(q) / k_sites
-    least_peak = min(p for p in peaks if p)
+    sites = None  # each site's rows in replay order, split at the first size that replays
     points = []
     for size in sizes:
         saturated = [p > size for p in peaks]
@@ -489,11 +492,10 @@ def capacity_sweep(
         if any(saturated):
             Topology("edge", k_sites, 1, size)  # refuses a size below 1
             _refuse_oversized(trace, size)
-            # below the least site peak every site saturates: replay the columns themselves
-            keep = None if size < least_peak else np.flatnonzero(np.array(saturated)[site_of])
-            _refuse_out_of_order(trace, keep)
-            replayed = columns if keep is None else (col[keep] for col in columns)
-            used, queue = _pool_replay(*(col.tolist() for col in replayed), k_sites, size, policy)
+            clock = _arrival_clock(trace, np.array(saturated)[site_of])
+            if sites is None:
+                sites = _site_rows(trace, site_of, k_sites, policy)
+            used, queue = _pool_replay([rows for rows, full in zip(sites, saturated) if full], clock, size)
             capacity += used
         points.append(SweepPoint(size, capacity, packing_relative_error(capacity, cloud_peak, q), queue))
     return points, cloud_peak, model_size
@@ -507,13 +509,21 @@ def _refuse_oversized(trace: VmTrace, size: int) -> None:
         raise OversizedVm(f"VM {trace.vm_id(i)} wants {trace.cores[i]} cores > server size {size}")
 
 
-def _refuse_out_of_order(trace: VmTrace, keep=None) -> None:
-    """Raise DomainError naming the first VM, of the rows ``keep`` (default all), that arrives early."""
-    times = trace.arrival if keep is None else trace.arrival[keep]
-    early = np.flatnonzero(times[1:] < times[:-1])
+def _arrival_clock(trace: VmTrace, replayed=None) -> np.ndarray:
+    """The latest arrival of the ``replayed`` rows (a mask, default all) up to each row of the trace.
+
+    Raises DomainError naming the first of those VMs that arrives before
+    the one ahead of it. Over rows in arrival order the clock is sorted, and
+    searching it for a time finds the first replayed row at or after it.
+    """
+    times = trace.arrival if replayed is None else np.where(replayed, trace.arrival, -np.inf)
+    clock = np.maximum.accumulate(times)
+    early = np.flatnonzero(times[1:] < clock[:-1])
+    if replayed is not None:
+        early = early[replayed[early + 1]]
     if len(early):
-        i = early[0] + 1 if keep is None else keep[early[0] + 1]
-        raise DomainError(f"VM {trace.vm_id(i)} arrives before the VM ahead of it; sort the trace by arrival")
+        raise DomainError(f"VM {trace.vm_id(early[0] + 1)} arrives before the VM ahead of it; sort the trace by arrival")
+    return clock
 
 
 def _unqueued_peaks(start, lifetime, size, site_of, k_sites) -> tuple[int, list[int]]:
@@ -525,64 +535,125 @@ def _unqueued_peaks(start, lifetime, size, site_of, k_sites) -> tuple[int, list[
     delta = np.concatenate([-size, size])[order]
     cloud_peak = int(np.cumsum(delta).max())
     # then stably by site; each site's events sum to zero, so the running total restarts per site
-    site = site_of.astype(np.min_scalar_type(k_sites - 1))
-    sites = np.concatenate([site, site])[order]
+    sites = np.concatenate([site_of, site_of])[order]
     by_site = np.argsort(sites, kind="stable")
     peaks = np.zeros(k_sites, dtype=np.int64)
     np.maximum.at(peaks, sites[by_site], np.cumsum(delta[by_site]))
     return cloud_peak, peaks.tolist()
 
 
-def _pool_replay(times, lifetimes, sizes, site_of, n_sites, size, policy) -> tuple[int, int]:
-    """`simulate_packing` on one server of `size` cores per site, as FIFO core pools.
+def _site_rows(trace: VmTrace, site_of: np.ndarray, k_sites: int, policy: str) -> list[tuple]:
+    """Each site's rows in replay order, as (trace positions, arrivals, lifetimes, cores).
 
-    A single server per site makes first and best fit the same placement,
-    and first_fit_decreasing_batch changes only the arrival order, so no
-    placement search is needed. The event order is the replay's: releases
-    come off one (time, site, cores) heap and run only before a
-    same-timestamp arrival batch; each site's FIFO head blocks the VMs behind
-    it. Returns the sum of per-site peak occupied cores and the peak
-    system-wide backlog, which only an arrival can raise.
+    first_fit_decreasing_batch replays each arrival batch largest first, ties
+    in trace order. The positions are a numpy array; the times are float
+    arrays (`array`), 8 bytes a VM against 32 in a list of floats, and the
+    cores, small cached ints, a list.
     """
-    rows = zip(times, lifetimes, sizes, site_of)
     if policy == "first_fit_decreasing_batch":
-        rows = sorted(rows, key=lambda row: (row[0], -row[2]))  # stable: ties keep trace order
-    free = [size] * n_sites
-    low = [size] * n_sites  # the least free cores each pool has had
-    queue = [deque() for _ in range(n_sites)]  # FIFO of (lifetime, cores)
-    releases: list[tuple[float, int, int]] = []  # heap of (time, site, cores)
-    push, pop = heapq.heappush, heapq.heappop
-    queued_now = peak_queue = 0
-    batch_time = None
-    # a last row at infinity runs every release left
-    for now, lifetime, cores, site in chain(rows, [(math.inf, 0, 0, 0)]):
-        if now != batch_time:
-            batch_time = now
-            while releases and releases[0][0] <= now:
-                done, at, freed = pop(releases)
-                f = free[at] + freed
-                waiting = queue[at]
-                while waiting and waiting[0][1] <= f:  # drain the FIFO head by head
-                    life, need = waiting.popleft()
-                    f -= need
-                    push(releases, (done + life, at, need))
-                    queued_now -= 1
-                    if f < low[at]:
-                        low[at] = f
-                free[at] = f
-            if now == math.inf:
-                break
-        waiting = queue[site]
-        if not waiting and free[site] >= cores:
-            f = free[site] = free[site] - cores
-            if f < low[site]:
-                low[site] = f
-            push(releases, (now + lifetime, site, cores))
-        else:
-            waiting.append((lifetime, cores))
-            queued_now += 1
-            if queued_now > peak_queue:
-                peak_queue = queued_now
+        order = np.lexsort((-trace.cores, trace.arrival, site_of))
+    else:
+        order = np.argsort(site_of, kind="stable")
+    cuts = np.cumsum(np.bincount(site_of, minlength=k_sites))[:-1]
+    return [
+        (rows, array("d", trace.arrival[rows].tobytes()), array("d", trace.lifetime[rows].tobytes()),
+         trace.cores[rows].tolist())
+        for rows in np.split(order, cuts)
+    ]
 
-    assert not any(queue) and free == [size] * n_sites, "conservation violated"
-    return n_sites * size - sum(low), peak_queue
+
+def _pool_replay(sites: list[tuple], clock: np.ndarray, size: int) -> tuple[int, int]:
+    """`simulate_packing` on one server of `size` cores at each of the ``sites``.
+
+    Returns the sum of the sites' peak occupied cores and the peak
+    system-wide backlog. Each site is replayed on its own (`_site_replay`);
+    the backlog is merged afterwards. A VM that waits adds 1 at its trace
+    position and takes it off at the first replayed row whose release pass
+    starts it, which ``clock`` (`_arrival_clock`) locates; the backlog peaks
+    where a VM joins it, since only an arrival raises it.
+    """
+    stop = math.nextafter(clock[-1], math.inf)  # the first time after the last arrival
+    used, joined, starts, roots = 0, [], array("d"), array("d")
+    for rows, *columns in sites:
+        low, waited, started, rooted = _site_replay(*columns, size, stop)
+        used += size - low
+        joined.append(rows[np.frombuffer(waited, dtype=np.int64)])
+        starts += started
+        roots += rooted
+    joined = np.concatenate(joined)
+    if not len(joined):
+        return used, 0
+    # a release pass runs before the first arrival batch at or after the release time, and
+    # after the batch its release chain grew from: a start at that root arrival, where every
+    # lifetime of the chain rounded away, leaves the backlog before the batch after the root
+    starts = np.frombuffer(starts)
+    left = np.searchsorted(clock, starts, "left")
+    tied = starts == np.frombuffer(roots)
+    left[tied] = np.searchsorted(clock, starts[tied], "right")
+    slots = len(clock) + 1
+    backlog = np.bincount(joined, minlength=slots)
+    backlog -= np.bincount(left, minlength=slots)
+    return used, int(np.cumsum(backlog, out=backlog)[joined].max())
+
+
+def _site_replay(times, lifetimes, sizes, size, stop) -> tuple[int, array, array, array]:
+    """One site's rows replayed as a FIFO pool of `size` cores, in the order of `simulate_packing`.
+
+    One server makes first and best fit the same placement, and
+    first_fit_decreasing_batch changes only the row order (`_site_rows`).
+    Releases due by an arrival time run before that time's arrival batch,
+    least (time, cores) first, and each starts the FIFO's head VMs while they
+    fit. Under head-of-line blocking, once a VM waits every later one waits
+    too until the FIFO empties, so the FIFO is the row range [head, j).
+    After the site's last arrival the releases due by ``stop`` still run,
+    since they may shorten the backlog that later arrivals at other sites
+    see; then a pool that has already had no core free stops, as further
+    releases can neither raise the backlog nor lower the least free cores.
+
+    Returns the least free cores the pool had, the rows that waited, and,
+    in the order they started, the start time of each of those that started
+    and the arrival at the root of the release chain that started it.
+    """
+    n = len(times)
+    free = low = size
+    head = 0
+    running = []  # heap of (release time, cores, arrival at the root of its release chain)
+    waited, starts, roots = array("q"), array("d"), array("d")
+    wait, push, pop = waited.append, heapq.heappush, heapq.heappop
+    batch = None
+    # after the rows, two release passes with every row arrived: by ``stop``, then to the end
+    for j, now in zip(chain(range(n), (n, n)), chain(times, (stop, math.inf))):
+        if now != batch:
+            batch = now
+            while running and running[0][0] <= now:
+                done, freed, root = pop(running)
+                free += freed
+                while head < j and sizes[head] <= free:  # start the FIFO head by head
+                    cores = sizes[head]
+                    free -= cores
+                    push(running, (done + lifetimes[head], cores, root))
+                    starts.append(done)
+                    roots.append(root)
+                    head += 1
+                if free < low:
+                    low = free
+            if j == n:  # past the last arrival
+                if low and now != math.inf:
+                    continue
+                break
+        cores = sizes[j]
+        if head == j and cores <= free:
+            free -= cores
+            if free < low:
+                low = free
+            push(running, (now + lifetimes[j], cores, now))
+            head += 1
+        else:
+            wait(j)
+
+    held = sum(cores for _, cores, _ in running)
+    # conservation at either exit: every VM started or waits, and each core is free or held;
+    # a pool that ran every release has nothing waiting
+    assert free + held == size and len(waited) - len(starts) == n - head and (running or head == n), \
+        "conservation violated"
+    return low, waited, starts, roots

@@ -5,6 +5,7 @@ import inspect
 import math
 import pathlib
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
@@ -43,7 +44,7 @@ from edgeq import (
     service_scv,
 )
 import edgeq
-from edgeq.analytic import ggk_wait_probability
+from edgeq.analytic import erlang_c_delay_probability, ggk_wait_probability
 from edgeq.capacity import cloud_capacity_equivalent, dtrp_response_time, edge_overprovision_factor, packing_relative_error
 from edgeq.specs import STABILITY_GUARD
 from edgeq.workload import (
@@ -179,6 +180,16 @@ class TestMmkQedWait:
             mmk_qed_wait(CloudSpec(4, 1.0, 1.0))
 
 
+def erlang_c_over_every_term(k: int, rho: float) -> float:
+    """The delay probability with all k log-terms summed, in order: the bit-for-bit reference."""
+    a = k * rho
+    log_terms = [n * math.log(a) - math.lgamma(n + 1) for n in range(k)]
+    log_top = k * math.log(a) - math.lgamma(k + 1) - math.log(1.0 - rho)
+    m = max(max(log_terms), log_top)
+    denom = sum(math.exp(t - m) for t in log_terms) + math.exp(log_top - m)
+    return math.exp(log_top - m) / denom
+
+
 class TestErlangC:
     def test_k1_matches_mm1(self):
         assert erlang_c_wait(CloudSpec(1, 50.0, 0.4)) == pytest.approx(0.4 / (50 * 0.6), rel=1e-12)
@@ -186,6 +197,27 @@ class TestErlangC:
     def test_below_conditional_form(self):
         cloud = CloudSpec(16, 50.0, 0.8)
         assert erlang_c_wait(cloud) < mmk_qed_wait(cloud)
+
+    @pytest.mark.parametrize("k, rho", [(2, 0.3), (16, 0.8), (100, 0.95), (1000, 0.5), (5000, 0.99)])
+    def test_matches_the_sum_at_50_digits(self, k, rho):
+        with mpmath.workdps(50):
+            a = k * mpmath.mpf(rho)
+            term, below = mpmath.mpf(1), mpmath.mpf(0)  # a^n/n!, and the sum of those with n < k
+            for n in range(k):
+                below += term
+                term *= a / (n + 1)
+            top = term / (1 - mpmath.mpf(rho))
+            want = float(top / (below + top))
+        assert erlang_c_delay_probability(CloudSpec(k, 50.0, rho)) == pytest.approx(want, rel=1e-10)
+
+    @pytest.mark.parametrize("k", [1, 2, 7, 64, 1000, 20000])
+    @pytest.mark.parametrize("rho", [0.0005, 0.1, 0.5, 0.8, 0.99, 0.9995])
+    def test_window_equals_the_sum_of_every_term(self, k, rho):
+        assert erlang_c_delay_probability(CloudSpec(k, 50.0, rho)) == erlang_c_over_every_term(k, rho)
+
+    def test_huge_pool_underflows_to_zero(self):
+        # 1e8 log-terms would take gigabytes as a list; the window holds about 80 sqrt(k rho) of them
+        assert erlang_c_delay_probability(CloudSpec(10**8, 50.0, 0.8)) == 0.0
 
 
 class TestDeltaTBoundMmk:

@@ -615,13 +615,13 @@ class TestSweepMatchesReplay:
 
     def test_replays_only_saturated_sites(self, monkeypatch):
         calls = []
-        replay = edgeq.capacity._pool_replay
+        replay = edgeq.capacity._site_replay
 
         def recording(times, *rest):
             calls.append(list(times))
             return replay(times, *rest)
 
-        monkeypatch.setattr(edgeq.capacity, "_pool_replay", recording)
+        monkeypatch.setattr(edgeq.capacity, "_site_replay", recording)
         trace = vm_trace([
             Vm("a", 0.0, 10.0, 4, site_hint=0),
             Vm("b", 1.0, 10.0, 4, site_hint=0),
@@ -631,6 +631,52 @@ class TestSweepMatchesReplay:
         assert calls == [[0.0, 1.0]]  # the arrivals of a and b
         assert cloud_peak == 12
         assert [(p.edge_capacity, p.peak_queue) for p in points] == [(12, 0), (8, 1)]
+
+    @pytest.mark.parametrize("policy", POLICIES)
+    @pytest.mark.parametrize("batched", [False, True], ids=["poisson", "whole_seconds"])
+    def test_equals_full_replay_at_scale(self, policy, batched):
+        # ~4k VMs on 4 sites offering ~95 cores each; whole-second arrivals make batches to sort
+        trace = synthetic_vm_trace(8.0, 10.0, 500.0, SeededStream(30, 777), k_sites=4)
+        if batched:
+            trace = VmTrace(np.floor(trace.arrival), trace.lifetime, trace.cores, trace.site_hint)
+        grid = [64, 96, 256]  # overloaded, near critical, unsaturated
+        got = capacity_sweep(trace, 4, grid, 2.0, policy)
+        assert repr(got) == repr(replayed_sweep(trace, 4, grid, 2.0, policy))
+        overloaded, critical, unsaturated = (p.peak_queue for p in got[0])
+        assert overloaded > 1000 and 0 < critical < 1000 and unsaturated == 0
+
+    def test_pool_that_filled_stops_with_its_backlog_waiting(self, monkeypatch):
+        replays = []
+        replay = edgeq.capacity._site_replay
+
+        def recording(*args):
+            low, waited, starts, _ = result = replay(*args)
+            replays.append((low, list(waited), len(starts)))
+            return result
+
+        monkeypatch.setattr(edgeq.capacity, "_site_replay", recording)
+        trace = vm_trace([
+            Vm("a", 0.0, 2.5, 8, site_hint=0),  # fills site 0 at once
+            Vm("b", 1.0, 100.0, 8, site_hint=0),
+            Vm("c", 2.0, 10.0, 4, site_hint=0),
+            Vm("d", 3.0, 1.0, 8, site_hint=1),
+            Vm("e", 3.5, 10.0, 8, site_hint=1),
+            Vm("f", 3.5, 10.0, 2, site_hint=1),
+        ])
+        got = capacity_sweep(trace, 2, [8], 2.0)
+        # a leaves at 2.5, after site 0's last arrival, and b starts before d's batch; c still
+        # waits at e's, so the backlog peaks at c, e and f
+        assert [(p.edge_capacity, p.peak_queue) for p in got[0]] == [(16, 3)]
+        assert repr(got) == repr(replayed_sweep(trace, 2, [8], 2.0, "first_fit"))
+        # site 0 had no core free before its last arrival, so it stops with c waiting (c would start at 101)
+        assert replays[0] == (0, [1, 2], 1)
+
+    def test_pool_with_cores_free_at_the_last_arrival_drains_to_the_end(self):
+        trace = vm_trace([Vm("a", 0.0, 10.0, 6, site_hint=0), Vm("b", 1.0, 10.0, 8, site_hint=0)])
+        # two cores stay free until a leaves at 10 and b, which waited, takes all 8
+        got = capacity_sweep(trace, 1, [8], 2.0)
+        assert [(p.edge_capacity, p.peak_queue) for p in got[0]] == [(8, 1)]
+        assert repr(got) == repr(replayed_sweep(trace, 1, [8], 2.0, "first_fit"))
 
     def test_arrival_order_checked_over_the_replayed_vms(self):
         # c arrives before b, but at 4 cores only site 0 saturates, and its VMs a and b are in order
