@@ -21,6 +21,7 @@ import csv
 import heapq
 import math
 import numbers
+import threading
 from array import array
 from collections import deque
 from dataclasses import dataclass
@@ -446,6 +447,61 @@ class SweepPoint:
     peak_queue: int
 
 
+class PackingSweep:
+    """Edge sites of one size per call against the pooled-cloud baseline, over one hinted trace.
+
+    The per-trace state is built once: each VM's site, the cloud peak and
+    each site's peak of occupied cores were no VM ever to queue (one sorted
+    +/-cores sweep, `_unqueued_peaks`, exact where nothing queues), and the
+    model's edge cores ``target`` = cloud_peak*(1+1/q) and site size
+    ``model_size`` = target/k_sites.
+
+    Each saturated site is one FIFO pool of `size` cores, where first and
+    best fit place alike. The trace is split by site at the first size that
+    replays, each saturated site is replayed on its own (`_site_replay`),
+    and `_pool_replay` merges their waits into the system-wide backlog.
+    `simulate_packing` stays the general replay and the oracle the tests
+    compare this one with. A size that replays raises what that replay
+    would: a size below 1, a VM larger than the size, a replayed VM out of
+    arrival order.
+    """
+
+    def __init__(self, trace: VmTrace, k_sites: int, q: float, policy: str = "first_fit"):
+        if not len(trace):
+            raise EmptyTrace("trace contains no VM requests")
+        self.policy = read("policy", packing_policy, policy, DomainError)
+        self.k_sites = read("k_sites", count, k_sites, DomainError)
+        if trace.site_hint is None:
+            raise DomainError("capacity_sweep requires every VM to carry a site hint")
+        self.trace = trace
+        self.site_of = site_of = (trace.site_hint % self.k_sites).astype(np.min_scalar_type(self.k_sites - 1))
+        self.cloud_peak, self.peaks = _unqueued_peaks(trace.arrival, trace.lifetime, trace.cores, site_of, self.k_sites)
+        self.q = q
+        self.target = self.cloud_peak * edge_overprovision_factor(q)  # the edge's cores the model predicts
+        self.model_size = self.target / self.k_sites
+        self._sites = None  # each site's rows in replay order, split at the first size that replays
+        self._split = threading.Lock()  # worker threads share the sweep; one of them splits
+
+    def point(self, size) -> SweepPoint:
+        """The edge capacity and peak backlog at sites of ``size`` cores, a whole number."""
+        if isinstance(size, bool) or not isinstance(size, numbers.Real) or not float(size).is_integer():
+            raise DomainError(f"site size must be a whole number of cores, got {size!r}")
+        size = int(size)
+        saturated = [p > size for p in self.peaks]
+        capacity = sum(p for p, full in zip(self.peaks, saturated) if not full)
+        queue = 0
+        if any(saturated):
+            Topology("edge", self.k_sites, 1, size)  # refuses a size below 1
+            _refuse_oversized(self.trace, size)
+            clock = _arrival_clock(self.trace, np.array(saturated)[self.site_of])
+            with self._split:
+                if self._sites is None:
+                    self._sites = _site_rows(self.trace, self.site_of, self.k_sites, self.policy)
+            used, queue = _pool_replay([rows for rows, full in zip(self._sites, saturated) if full], clock, size)
+            capacity += used
+        return SweepPoint(size, capacity, packing_relative_error(capacity, self.cloud_peak, self.q), queue)
+
+
 def capacity_sweep(
     trace: VmTrace,
     k_sites: int,
@@ -453,56 +509,13 @@ def capacity_sweep(
     q: float,
     policy: str = "first_fit",
 ) -> tuple[list[SweepPoint], int, float]:
-    """Edge-site-size sweep against the pooled-cloud baseline.
-
-    Returns the per-size points, the cloud peak used cores, and the
-    model-predicted edge size cloud_peak*(1+1/q)/k_sites. Peaks are occupied
-    cores (summed per site for the edge) over a hinted trace in arrival order.
-    The cloud and each site whose peak
-    fits never queue, so one sorted +/-cores sweep gives their exact peaks.
-    Each saturated site is one FIFO pool of `size` cores, where first and
-    best fit place alike. The trace is split by site once per sweep, each
-    saturated site is replayed on its own (`_site_replay`), and
-    `_pool_replay` merges their waits into the system-wide backlog.
-    `simulate_packing` stays the general replay and the oracle the tests
-    compare this one with. The first size that replays raises what
-    `simulate_packing` would: a size below 1, a VM larger than the size, a
-    replayed VM out of arrival order.
-    """
-    if not len(trace):
-        raise EmptyTrace("trace contains no VM requests")
-    policy = read("policy", packing_policy, policy, DomainError)
-    k_sites = read("k_sites", count, k_sites, DomainError)
-    sizes = []
-    for value in core_grid:
-        if isinstance(value, bool) or not isinstance(value, numbers.Real) or not float(value).is_integer():
-            raise DomainError(f"site size must be a whole number of cores, got {value!r}")
-        sizes.append(int(value))
-    if trace.site_hint is None:
-        raise DomainError("capacity_sweep requires every VM to carry a site hint")
-    site_of = (trace.site_hint % k_sites).astype(np.min_scalar_type(k_sites - 1))
-    cloud_peak, peaks = _unqueued_peaks(trace.arrival, trace.lifetime, trace.cores, site_of, k_sites)
-    model_size = cloud_peak * edge_overprovision_factor(q) / k_sites
-    sites = None  # each site's rows in replay order, split at the first size that replays
-    points = []
-    for size in sizes:
-        saturated = [p > size for p in peaks]
-        capacity = sum(p for p, full in zip(peaks, saturated) if not full)
-        queue = 0
-        if any(saturated):
-            Topology("edge", k_sites, 1, size)  # refuses a size below 1
-            _refuse_oversized(trace, size)
-            clock = _arrival_clock(trace, np.array(saturated)[site_of])
-            if sites is None:
-                sites = _site_rows(trace, site_of, k_sites, policy)
-            used, queue = _pool_replay([rows for rows, full in zip(sites, saturated) if full], clock, size)
-            capacity += used
-        points.append(SweepPoint(size, capacity, packing_relative_error(capacity, cloud_peak, q), queue))
-    return points, cloud_peak, model_size
+    """`PackingSweep` at each size of ``core_grid``: (the points, the cloud peak used cores, the model size)."""
+    sweep = PackingSweep(trace, k_sites, q, policy)
+    return [sweep.point(size) for size in core_grid], sweep.cloud_peak, sweep.model_size
 
 
 def _refuse_oversized(trace: VmTrace, size: int) -> None:
-    """Raise OversizedVm naming the first VM that wants more than ``size`` cores."""
+    """Raise OversizedVm (a DomainError) naming the first VM wanting more than ``size`` cores."""
     over = trace.cores > size
     if over.any():
         i = int(over.argmax())
@@ -527,18 +540,33 @@ def _arrival_clock(trace: VmTrace, replayed=None) -> np.ndarray:
 
 
 def _unqueued_peaks(start, lifetime, size, site_of, k_sites) -> tuple[int, list[int]]:
-    """The cloud's and each site's peak occupied cores, were no VM ever to queue."""
+    """The cloud's and each site's peak occupied cores, were no VM ever to queue.
+
+    The events are the n departures, then the n arrivals. No more than
+    three 2n-event temporaries are held at once: each is dropped once read
+    and each cumsum runs in place.
+    """
+    n = len(start)
+    times = np.empty(2 * n)
     # a VM that ends at its own arrival time still holds its cores through its arrival batch
-    end = np.maximum(start + lifetime, np.nextafter(start, np.inf))
+    end = np.add(start, lifetime, out=times[:n])
+    np.maximum(end, np.nextafter(start, np.inf), out=end)
+    times[n:] = start
     # departures come first in the events, so a stable sort by time releases before it places
-    order = np.argsort(np.concatenate([end, start]), kind="stable")
-    delta = np.concatenate([-size, size])[order]
-    cloud_peak = int(np.cumsum(delta).max())
-    # then stably by site; each site's events sum to zero, so the running total restarts per site
+    order = np.argsort(times, kind="stable")
+    del times, end
     sites = np.concatenate([site_of, site_of])[order]
+    delta = np.concatenate([-size, size])[order]
+    del order
+    # then stably by site; each site's events sum to zero, so the running total restarts per site
     by_site = np.argsort(sites, kind="stable")
+    site_delta = delta[by_site]
+    sites = sites[by_site]
+    del by_site
+    cloud_peak = int(np.cumsum(delta, out=delta).max())
+    del delta
     peaks = np.zeros(k_sites, dtype=np.int64)
-    np.maximum.at(peaks, sites[by_site], np.cumsum(delta[by_site]))
+    np.maximum.at(peaks, sites, np.cumsum(site_delta, out=site_delta))
     return cloud_peak, peaks.tolist()
 
 

@@ -27,7 +27,7 @@ import csv
 import json
 import os
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 from . import analytic, capacity
@@ -53,6 +53,18 @@ def _default_seed(value) -> int:
     return read("EDGEQ_SEED", whole, os.environ.get("EDGEQ_SEED", "0"))
 
 
+def _report(args, inputs: dict, outputs: dict, pad: int = 0) -> int:
+    """Print one calculator record: sorted JSON of ``inputs`` and ``outputs``, or an echo
+    line of the inputs, then one ``key value`` line per output with the key padded to ``pad``."""
+    if args.json:
+        print(json.dumps({**inputs, **outputs}, sort_keys=True))
+    else:
+        print(" ".join(f"{key}={_g(value) if isinstance(value, float) else value}" for key, value in inputs.items()))
+        for key, value in outputs.items():
+            print(f"{key:<{pad}} {_g(value)}")
+    return EXIT_OK
+
+
 # ---------------------------------------------------------------------------
 # analytic subcommand
 
@@ -61,27 +73,19 @@ def _cmd_analytic_wait(args) -> int:
     spec = QueueSpec(args.lam, args.mu1, args.mu2, args.r)
     source = analytic.mm1_source_wait(spec)
     dest = analytic.destination_wait(args.lam, args.mu1, args.r)
-    total = source + dest
-    s_mig = analytic.migration_service_time(args.r, args.mu2)
-    record = {
-        "lambda": args.lam, "mu1": args.mu1, "mu2": args.mu2, "r": args.r,
-        "source_wait_s": source, "destination_wait_s": dest,
-        "total_wait_s": total, "migration_service_s": s_mig,
-    }
-    if args.json:
-        print(json.dumps(record, sort_keys=True))
-    else:
-        print(f"lambda={_g(args.lam)} mu1={_g(args.mu1)} mu2={_g(args.mu2)} r={_g(args.r)}")
-        print(f"source_wait_s      {_g(source)}")
-        print(f"destination_wait_s {_g(dest)}")
-        print(f"total_wait_s       {_g(total)}")
-        print(f"migration_service_s {_g(s_mig)}")
-    return EXIT_OK
+    return _report(args, {"lambda": args.lam, "mu1": args.mu1, "mu2": args.mu2, "r": args.r}, {
+        "source_wait_s": source, "destination_wait_s": dest, "total_wait_s": source + dest,
+        "migration_service_s": analytic.migration_service_time(args.r, args.mu2),
+    }, pad=18)
 
 
 def _cmd_analytic_deltat(args) -> int:
     edge = QueueSpec(args.lam, args.mu1, args.mu2, args.r)
     cloud = CloudSpec(args.k, args.mu_cloud, args.rho_cloud)
+    inputs = {
+        "mode": args.mode, "lambda": args.lam, "mu1": args.mu1, "mu2": args.mu2,
+        "r": args.r, "k": args.k, "mu_cloud": args.mu_cloud, "rho_cloud": args.rho_cloud,
+    }
     if args.mode == "mmk":
         bound = analytic.delta_t_bound_mmk(edge, cloud)
     else:
@@ -89,30 +93,12 @@ def _cmd_analytic_deltat(args) -> int:
             edge, VariabilitySpec(args.ca2, args.cs2),
             cloud, VariabilitySpec(args.ca2_cloud, args.cs2_cloud),
         )
-    record = {
-        "mode": args.mode, "lambda": args.lam, "mu1": args.mu1, "mu2": args.mu2,
-        "r": args.r, "k": args.k, "mu_cloud": args.mu_cloud, "rho_cloud": args.rho_cloud,
-        "delta_t_bound_s": bound,
-    }
-    if args.mode == "ggk":
-        record.update(ca2=args.ca2, cs2=args.cs2, ca2_cloud=args.ca2_cloud, cs2_cloud=args.cs2_cloud)
-    if args.json:
-        print(json.dumps(record, sort_keys=True))
-    else:
-        echo = " ".join(f"{k}={_g(v) if isinstance(v, float) else v}" for k, v in record.items() if k != "delta_t_bound_s")
-        print(echo)
-        print(f"delta_t_bound_s {_g(bound)}")
-    return EXIT_OK
+        inputs.update(ca2=args.ca2, cs2=args.cs2, ca2_cloud=args.ca2_cloud, cs2_cloud=args.cs2_cloud)
+    return _report(args, inputs, {"delta_t_bound_s": bound})
 
 
 def _cmd_analytic_factor(args) -> int:
-    f = capacity.edge_overprovision_factor(args.q)
-    if args.json:
-        print(json.dumps({"q": args.q, "overprovision_factor": f}, sort_keys=True))
-    else:
-        print(f"q={_g(args.q)}")
-        print(f"overprovision_factor {_g(f)}")
-    return EXIT_OK
+    return _report(args, {"q": args.q}, {"overprovision_factor": capacity.edge_overprovision_factor(args.q)})
 
 
 # ---------------------------------------------------------------------------
@@ -203,26 +189,13 @@ def _cmd_validate(args) -> int:
 
 def _cmd_capacity_equivalent(args) -> int:
     c = capacity.cloud_capacity_equivalent(args.c_edge, args.rho_edge, args.tau, args.q, args.rho_cloud)
-    if args.json:
-        print(json.dumps({"c_edge": args.c_edge, "q": args.q, "rho_edge": args.rho_edge,
-                          "rho_cloud": args.rho_cloud, "tau": args.tau, "c_cloud": c}, sort_keys=True))
-    else:
-        print(f"c_edge={_g(args.c_edge)} q={_g(args.q)} rho_edge={_g(args.rho_edge)} "
-              f"rho_cloud={_g(args.rho_cloud)} tau={_g(args.tau)}")
-        print(f"c_cloud {_g(c)}")
-    return EXIT_OK
+    return _report(args, {"c_edge": args.c_edge, "q": args.q, "rho_edge": args.rho_edge,
+                          "rho_cloud": args.rho_cloud, "tau": args.tau}, {"c_cloud": c})
 
 
 def _cmd_capacity_rule(args) -> int:
     c_edge, c_cloud = analytic.empirical_rule_capacities(args.lam, args.k)
-    if args.json:
-        print(json.dumps({"lambda": args.lam, "k": args.k, "c_edge": c_edge,
-                          "c_cloud": c_cloud}, sort_keys=True))
-    else:
-        print(f"lambda={_g(args.lam)} k={args.k}")
-        print(f"c_edge {_g(c_edge)}")
-        print(f"c_cloud {_g(c_cloud)}")
-    return EXIT_OK
+    return _report(args, {"lambda": args.lam, "k": args.k}, {"c_edge": c_edge, "c_cloud": c_cloud})
 
 
 def _parse_topology(text: str) -> capacity.Topology:
@@ -244,18 +217,9 @@ def _cmd_capacity_pack(args) -> int:
         trace, topology, policy=args.policy, site_assign=args.site_assign,
         stream=SeededStream(_default_seed(args.seed)),
     )
-    summary = capacity.trace_summary(trace)
     record = {
-        "trace": args.trace,
-        "topology": args.topology,
-        "policy": args.policy,
-        "trace_summary": summary,
-        "peak_servers_used": report.peak_servers_used,
-        "peak_servers_per_site": report.peak_servers_per_site,
-        "site_capacity_cores": report.site_capacity_cores,
-        "rejected_or_queued": report.rejected_or_queued,
-        "placed": report.placed,
-        "completed": report.completed,
+        "trace": args.trace, "topology": args.topology, "policy": args.policy,
+        "trace_summary": capacity.trace_summary(trace), **asdict(report),
     }
     text = json.dumps(record, indent=2, sort_keys=True)
     print(text)

@@ -5,7 +5,8 @@ A key table maps each key of a JSON object to ``(cast, default)``, or to
 ``ranged`` checks the key's domain, so a bad value fails on load, naming
 the key: ``positive`` reads ``"inf"`` (a rate that may be infinite),
 ``finite_positive`` and ``finite_nonnegative`` refuse it and NaN;
-switches go through ``flag`` and counts through ``integral``.
+numbers go through ``real``, which refuses a boolean, switches through
+``flag``, counts through ``integral`` and free text through ``text``.
 
 A dataclass field declared ``checked(default, cast)`` carries its domain:
 ``table_of`` puts its cast and default in a key table, and ``check``
@@ -71,6 +72,20 @@ def flag(value) -> bool:
     return value
 
 
+def real(value) -> float:
+    """A JSON number, or a numeric string such as "inf", as a float; ``float`` would read true as 1.0."""
+    if isinstance(value, bool):
+        raise ValueError(f"must be a number, got {value!r}")
+    return float(value)
+
+
+def text(value) -> str:
+    """A JSON string; ``str`` would name a file "False"."""
+    if not isinstance(value, str):
+        raise ValueError(f"must be a string, got {value!r}")
+    return value
+
+
 def listed(value) -> tuple:
     """A JSON list (or the tuple default) as a tuple; ``tuple`` would split "csv" into letters."""
     if not isinstance(value, (list, tuple)):
@@ -94,12 +109,12 @@ def ranged(cast, test, domain: str):
     return within
 
 
-positive = ranged(float, lambda x: x > 0, "> 0")  # a rate that may be infinite
-finite = ranged(float, math.isfinite, "finite")
-unit = ranged(float, lambda x: 0 <= x <= 1, "in [0, 1]")  # a probability or a relative amplitude
-fraction = ranged(float, lambda x: 0 <= x < 1, "in [0, 1)")  # a warm-up share or a stable utilization
-finite_positive = ranged(float, lambda x: 0 < x < math.inf, "finite and > 0")  # a span or a frequency
-finite_nonnegative = ranged(float, lambda x: 0 <= x < math.inf, "finite and >= 0")
+positive = ranged(real, lambda x: x > 0, "> 0")  # a rate that may be infinite
+finite = ranged(real, math.isfinite, "finite")
+unit = ranged(real, lambda x: 0 <= x <= 1, "in [0, 1]")  # a probability or a relative amplitude
+fraction = ranged(real, lambda x: 0 <= x < 1, "in [0, 1)")  # a warm-up share or a stable utilization
+finite_positive = ranged(real, lambda x: 0 < x < math.inf, "finite and > 0")  # a span or a frequency
+finite_nonnegative = ranged(real, lambda x: 0 <= x < math.inf, "finite and >= 0")
 count = ranged(integral, lambda n: n >= 1, ">= 1")
 whole = ranged(integral, lambda n: n >= 0, ">= 0")
 

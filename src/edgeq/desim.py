@@ -55,7 +55,7 @@ from __future__ import annotations
 import csv
 import heapq
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from typing import ClassVar, Optional
 
 import numpy as np
@@ -63,7 +63,7 @@ import numpy as np
 from .analytic import effective_service_rate, overload_window
 from .config import (
     REQUIRED, check, checked, count, finite_nonnegative, finite_positive, flag, fraction, listed, positive,
-    ranged, read, table_of, take, whole,
+    ranged, read, table_of, take, text, whole,
 )
 from .errors import ConfigError, InstabilityDetected
 from .specs import CloudSpec, NetworkSpec, QueueSpec, SinusoidProfile
@@ -142,7 +142,7 @@ class SimConfig:
     bins_per_period: int = checked(100, count)
     allow_unstable: bool = checked(False, flag)
     max_in_system: Optional[int] = checked(None, whole)  # instability heuristic cap
-    event_log: Optional[str] = checked(None, str)
+    event_log: Optional[str] = checked(None, text)
     metrics: tuple[str, ...] = checked(SimMetrics.FIELDS, ranged(  # the SimMetrics fields the run computes
         listed, lambda names: set(names) <= set(SimMetrics.FIELDS), f"fields of {SimMetrics.FIELDS}"
     ))
@@ -188,7 +188,7 @@ _CONFIG = {
         "seed": (whole, None),
         "reps": (count, 1),
     }, {}),
-    "output": ({"dir": (str, "."), "deterministic_names": (flag, False), "name": (str, None)}, {}),
+    "output": ({"dir": (text, "."), "deterministic_names": (flag, False), "name": (text, None)}, {}),
 }
 
 
@@ -718,13 +718,15 @@ def replicate(config: SimConfig, n_runs: int, base_stream: SeededStream) -> Aggr
     stream reproduces the aggregate bit for bit. With a single run the
     stderr and CI are reported as 0. Only the fields ``config.metrics``
     names are aggregated; the mean reads NaN in the others, and
-    ``stderr``/``ci95`` hold only the named keys.
+    ``stderr``/``ci95`` hold only the named keys. Only replication 0
+    writes the event log, the log of a one-run replicate on that stream.
     """
     n_runs = read("n_runs", count, n_runs)
     values: dict[str, list[float]] = {f: [] for f in SimMetrics.FIELDS if f in config.metrics}
     ts_pool: Optional[TimeSeriesMetrics] = None
+    unlogged = replace(config, event_log=None)
     for i in range(n_runs):
-        metrics, ts = run_model(config, base_stream.child(i))
+        metrics, ts = run_model(unlogged if i else config, base_stream.child(i))
         if ts is not None:
             ts_pool = ts if ts_pool is None else ts_pool.pooled_with(ts)
         for f, vals in values.items():

@@ -30,7 +30,7 @@ class EmptyTrace(ParseError):
     """A trace file contained no VM requests."""
 
 
-class OversizedVm(EdgeqError):
+class OversizedVm(DomainError):
     """A VM requests more cores than a single server provides."""
 
 

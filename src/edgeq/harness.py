@@ -26,7 +26,9 @@ from pathlib import Path
 from typing import Callable, Optional, Sequence
 
 from . import analytic, capacity
-from .config import REQUIRED, check, checked, count, finite_positive, integral, listed, ranged, table_of, take, whole
+from .config import (
+    REQUIRED, check, checked, count, finite_positive, integral, listed, ranged, real, table_of, take, text, whole,
+)
 from .desim import FREQUENCY, SimConfig, replicate
 from .errors import ConfigError, DomainError
 from .specs import CloudSpec, DtrpSpec, NetworkSpec, QueueSpec, SinusoidProfile
@@ -268,41 +270,28 @@ def _run_excess_wait(sc: Scenario, workers: int):
 def _run_packing_sweep(sc: Scenario, workers: int):
     points = sc.points()
     fx = points[0][1]  # keys that cannot be swept read the same at every point
-    k_sites, q = fx["k_sites"], fx["q"]
     trace = capacity.synthetic_vm_trace(
         rate=fx["vm_rate"],
         mean_lifetime=fx["mean_lifetime_s"],
         horizon=fx["horizon_s"],
         stream=SeededStream(sc.seed, 777),
-        k_sites=k_sites,
+        k_sites=fx["k_sites"],
     )
-    # a site smaller than the largest VM cannot place it: that size keeps a skipped row
-    largest = int(trace.cores.max())
-    sizes = [v["cores_per_site"] for _, v in points]
-    swept, cloud_peak, model_size = capacity.capacity_sweep(
-        trace, k_sites, [size for size in sizes if size >= largest], q, policy=fx["policy"]
-    )
-    target = cloud_peak * capacity.edge_overprovision_factor(q)
-    ok = iter(swept)
-    rows = []
-    for (p, _), size in zip(points, sizes):
-        if size < largest:
-            reason = f"cores_per_site must be >= {largest}, the largest VM's cores, got {size}"
-            rows.append(ComparisonRow(p, math.nan, math.nan, math.nan, f"skipped: {reason}"))
-            continue
-        pt = next(ok)
-        rows.append(ComparisonRow(
-            {"cores_per_site": pt.cores_per_site, "peak_queue": pt.peak_queue},
-            float(target),
-            float(pt.edge_capacity),
-            0.0,
-        ))
-    best = min(swept, key=lambda pt: pt.relative_error, default=None)
+    sweep = capacity.PackingSweep(trace, fx["k_sites"], fx["q"], fx["policy"])
+
+    def one(stream, params, v):
+        pt = sweep.point(v["cores_per_site"])
+        params = {"cores_per_site": pt.cores_per_site, "peak_queue": pt.peak_queue}
+        return ComparisonRow(params, sweep.target, float(pt.edge_capacity), 0.0)
+
+    rows = _map_points(one, _jobs(sc.seed, points), workers)
+    # rel_err is the point's relative_error: |target - capacity| / target
+    best = min((r for r in rows if r.status == "ok"), key=lambda r: r.rel_err, default=None)
     summary = {
-        "cloud_peak_cores": cloud_peak,
-        "target_edge_cores": target,
-        "model_cores_per_site": model_size,
-        "argmin_cores_per_site": None if best is None else best.cores_per_site,
+        "cloud_peak_cores": sweep.cloud_peak,
+        "target_edge_cores": sweep.target,
+        "model_cores_per_site": sweep.model_size,
+        "argmin_cores_per_site": None if best is None else best.parameters["cores_per_site"],
         "n_vms": len(trace),
     }
     return rows, summary
@@ -314,26 +303,26 @@ _RATES = table_of(QueueSpec, "mu1", "mu2", mu1=50.0, mu2=50.0)
 # comparison model -> (keys its grid may sweep, {key: (cast, default)} for
 # every key it reads, runner). A key is set in the grid or in the fixed block, not both.
 # A key that sets a spec field takes the field's cast; a sweepable one is a plain
-# float, so a point outside the spec's domain keeps its skipped row.
+# number (`real`), so a point outside the spec's domain keeps its skipped row.
 _MODELS: dict[str, tuple[tuple[str, ...], dict, Callable]] = {
     "two_phase_wait": (("lam", "r"), {
-        "lam": (float, REQUIRED), "r": (float, 0.0), **_RATES,
+        "lam": (real, REQUIRED), "r": (real, 0.0), **_RATES,
         "horizon_requests": (count, 200_000), **_WARMUP,
     }, _run_two_phase_wait),
     "mobility_crossover": (("lam", "r"), {
-        "lam": (float, REQUIRED), "r": (float, REQUIRED), **_RATES,
+        "lam": (real, REQUIRED), "r": (real, REQUIRED), **_RATES,
         **table_of(CloudSpec, ("cloud_k", "k"), "mu_cloud", cloud_k=1, mu_cloud=None),  # None: mu1
         **table_of(NetworkSpec, ("t_edge_s", "t_edge"), ("t_cloud_s", "t_cloud"), t_edge_s=0.001, t_cloud_s=0.028),
         "horizon_requests": (count, 100_000), **_WARMUP,
     }, _run_mobility_crossover),
     "rush_hour": (("amplitude",), {
-        "amplitude": (float, REQUIRED), **table_of(SinusoidProfile, "lambda_bar"),
+        "amplitude": (real, REQUIRED), **table_of(SinusoidProfile, "lambda_bar"),
         **table_of(QueueSpec, "mu1", "mu2", "r"), **FREQUENCY,
         "horizon_periods": (finite_positive, 10), "scale": (finite_positive, 16.0),
         **table_of(SimConfig, "warmup", "bins_per_period"),
     }, _run_rush_hour),
     "excess_wait": (("amplitude",), {
-        "amplitude": (float, REQUIRED), "rho": (ranged(float, lambda x: 0 < x < 1, "in (0, 1)"), REQUIRED),
+        "amplitude": (real, REQUIRED), "rho": (ranged(real, lambda x: 0 < x < 1, "in (0, 1)"), REQUIRED),
         "mu_eff": (finite_positive, REQUIRED), **FREQUENCY, "horizon_periods": (finite_positive, 12), **_WARMUP,
     }, _run_excess_wait),
     "packing_sweep": (("cores_per_site",), {
@@ -349,7 +338,7 @@ COMPARISON_MODELS = tuple(_MODELS)
 class Scenario:
     """A comparison sweep, checked when built: each ``checked`` field's domain, then the grid's points."""
 
-    name: str = checked(REQUIRED, str)
+    name: str = checked(REQUIRED, text)
     model: str = checked(REQUIRED, ranged(str, COMPARISON_MODELS.__contains__, f"one of {COMPARISON_MODELS}"))
     grid: dict[str, list] = checked(REQUIRED, ranged(dict, bool, "a non-empty object"))
     fixed: dict[str, object] = checked({}, dict)

@@ -717,7 +717,7 @@ FORM_READERS = {
     "delta_t_bound_ggk": "cli._cmd_analytic_deltat",
     "delta_t_bound_mmk": "harness._run_mobility_crossover",
     "destination_wait": "cli._cmd_analytic_wait",
-    "edge_overprovision_factor": "capacity.capacity_sweep",
+    "edge_overprovision_factor": "capacity.PackingSweep",
     "effective_service_rate": "harness._run_rush_hour",
     "empirical_rule_capacities": "cli._cmd_capacity_rule",
     "excess_wait_sinusoidal": "harness._run_excess_wait",

@@ -534,6 +534,8 @@ SIM_DOMAIN = [
     ("two_phase_edge", "dest_home_load", -5.0), ("two_phase_edge", "max_in_system", -1),
     ("two_phase_edge", "dest_rate", -1.0), ("two_phase_edge", "horizon_requests", -3),
     ("mtm1_sinusoidal", "bins_per_period", 0),
+    # float(True) is 1.0, and an event log of false wrote a file named False
+    ("two_phase_edge", "dest_home_load", True), ("two_phase_edge", "event_log", False),
 ]
 # (model, config key, a value outside the domain of the spec field the key sets)
 SPEC_DOMAIN = [
@@ -544,6 +546,8 @@ SPEC_DOMAIN = [
     ("two_phase_edge", "edge.mu1", "inf"), ("mmk_cloud", "cloud.mu", "inf"),
     ("two_phase_edge", "network.t_edge_s", "inf"),
     ("two_phase_edge", "network.t_cloud_s", "inf"),
+    # float(True) is 1.0, so a boolean rate ran at 1/s
+    ("two_phase_edge", "edge.lambda", True), ("two_phase_edge", "edge.r", True),
 ]
 
 
@@ -601,6 +605,9 @@ def test_an_int_too_large_for_a_float_exits_2_naming_the_key(capsys, tmp_path):
         *(("simulate", {**SIM_CONFIGS["mtm1_sinusoidal"], "simulation": {
             **SIM_CONFIGS["mtm1_sinusoidal"]["simulation"], "horizon_s": value}}, "simulation.horizon_s")
           for value in (math.inf, math.nan)),
+        # str(5) is "5": a directory or file name must be a JSON string
+        ("simulate", with_keys(MINIMAL_SIM_CONFIG, "output", {"dir": 5}), "config.output.dir: must be a string"),
+        ("simulate", with_keys(MINIMAL_SIM_CONFIG, "output", {"name": True}), "config.output.name: must be a string"),
         # a value outside its field's domain used to fail naming no key, run on (a negative
         # home load ran as 0) or exit 3 (a negative in-system cap)
         *(("simulate", with_keys(SIM_CONFIGS[model], "simulation", {key: value}), f"simulation.{key}")
@@ -614,6 +621,7 @@ def test_an_int_too_large_for_a_float_exits_2_naming_the_key(capsys, tmp_path):
          "rush-lambda_bar", "period-and-gamma", "rush-grid-mu1", "string-flag", "outputs-string",
          "mtm1-arrivals", "mmk-service1", "k_sites-0", "k_sites-negative", "gg1-edge",
          "cloud-k-fraction", "reps-0", "profile-period-inf", "profile-without-edge", "horizon_s-inf", "horizon_s-nan",
+         "output-dir-number", "output-name-true",
          *(f"{key}-{value}" for _, key, value in SIM_DOMAIN),
          *(f"spec-{key}-{value}" for _, key, value in SPEC_DOMAIN),
          *(f"{model}-unread-{key.split()[-1]}" for model, _, _, key in UNREAD)],

@@ -771,6 +771,17 @@ class TestReplicate:
         with pytest.raises(ConfigError, match=f"^n_runs: {message}$"):
             replicate(two_phase_config(10.0, 0.1, n=1000), n_runs, SeededStream(150))
 
+    @pytest.mark.parametrize("model", PINNED)
+    def test_event_log_is_replication_0_and_leaves_the_metrics_unchanged(self, tmp_path, model):
+        # each replication used to rewrite the log, which kept the last one's events
+        cfg = pinned_configs(None)[model]
+        logs = {reps: tmp_path / f"reps{reps}.csv" for reps in (1, 3)}
+        logged = {reps: replicate(dataclasses.replace(cfg, event_log=str(log)), reps, SeededStream(181))
+                  for reps, log in logs.items()}
+        assert logs[3].read_bytes() == logs[1].read_bytes()
+        plain = replicate(cfg, 3, SeededStream(181))
+        assert repr((logged[3].mean, logged[3].stderr, logged[3].ci95)) == repr((plain.mean, plain.stderr, plain.ci95))
+
     def test_bit_identical_across_invocations(self):
         cfg = two_phase_config(10.0, 0.1, n=20_000)
         a = replicate(cfg, 8, SeededStream(151))

@@ -9,12 +9,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from edgeq import (
-    CloudSpec, ComparisonRow, ConfigError, DomainError, DtrpSpec, EdgeqError, NetworkSpec, PhaseMoments, QueueSpec,
+    CloudSpec, ComparisonRow, ConfigError, DomainError, DtrpSpec, EdgeqError, EmptyTrace, NetworkSpec, PhaseMoments, QueueSpec,
     RenewalSpec, Scenario, SinusoidProfile, Topology, VariabilitySpec, load_scenario, mm1_two_phase_wait, run_scenario,
 )
 from edgeq import SimConfig, desim, harness
 from edgeq.cli import EXIT_CONFIG, EXIT_OK, main
-from edgeq.config import integral
+from edgeq.config import integral, real
 from edgeq.harness import _grid_points, _sign_change
 
 
@@ -136,11 +136,16 @@ class TestScenarioKeys:
             (dict(EXCESS, fixed={**EXCESS_FIXED, "rho": 0.0}), "rho"),
             (dict(EXCESS, fixed={**EXCESS_FIXED, "rho": 1.0}), "rho"),
             (dict(EXCESS, fixed={**EXCESS_FIXED, "rho": 1.2}), "rho"),
+            # float(True) is 1.0 and str(5) is "5": a number must not be a boolean, nor a name a number
+            (dict(grid={"lam": [True]}), r"\.lam: must be a number, got True"),
+            (dict(fixed={"mu1": True}), r"\.mu1: must be a number, got True"),
+            (dict(name=5), r"\.name: must be a string, got 5"),
             *(out_of_domain(*case) for case in OUT_OF_DOMAIN),
         ],
         ids=["fixed-typo", "crossover-r", "rush-lambda_bar", "period-and-gamma", "rush-grid-mu1",
              "swept-and-fixed", "bad-value", "scalar-grid", "outputs-string", "mu_cloud-0",
              "mu_cloud-negative", "mu_eff-0", "mu_eff-negative", "rho-0", "rho-1", "rho-above-1",
+             "lam-true", "mu1-true", "name-number",
              *(f"{model}-{key}-{value}" for model, key, value in OUT_OF_DOMAIN)],
     )
     def test_faults_raise_config_error_naming_the_key(self, tmp_path, overrides, key):
@@ -197,8 +202,8 @@ SCENARIO_SPEC_KEYS = {
     "cloud_k": (CloudSpec, "k"), "mu_cloud": (CloudSpec, "mu_cloud"),
     "t_edge_s": (NetworkSpec, "t_edge"), "t_cloud_s": (NetworkSpec, "t_cloud"), "q": (DtrpSpec, "q"),
 }
-# sweepable keys stay plain floats: the spec checks them per point, so a point outside
-# the domain keeps its skipped row
+# sweepable keys stay plain numbers (`real`): the spec checks them per point, so a point
+# outside the domain keeps its skipped row
 SWEPT_FLOATS = {"lam", "r", "amplitude"}
 
 
@@ -225,7 +230,7 @@ def test_sim_config_keys_are_cast_by_the_field_declaration():
     for model, (sweep, table, _) in harness._MODELS.items():
         for key in set(table) & set(SCENARIO_SPEC_KEYS):
             if key in sweep:
-                assert key in SWEPT_FLOATS and table[key][0] is float, f"{model}.{key}"
+                assert key in SWEPT_FLOATS and table[key][0] is real, f"{model}.{key}"
             else:
                 assert table[key][0] is _cast(*SCENARIO_SPEC_KEYS[key]), f"{model}.{key}"
                 checked += 1
@@ -488,12 +493,34 @@ class TestPackingSweep:
         rows, summary = self.run(tmp_path / "skip", sizes)
         kept, kept_summary = self.run(tmp_path / "kept", [s for s in sizes if s >= 20])
         for row, size in zip(rows, sizes):
+            if size < 1:
+                assert row.status == f"skipped: Topology.cores_per_server: must be >= 1, got {size}"
+            elif size < 20:
+                wants = re.fullmatch(rf"skipped: VM vm\d+ wants (\d+) cores > server size {size}", row.status)
+                assert wants and int(wants[1]) > size, row.status
             if size < 20:
-                assert row.status.startswith("skipped: cores_per_site must be >= ")
-                assert row.status.endswith(f", the largest VM's cores, got {size}")
                 assert math.isnan(row.analytic_value) and math.isnan(row.sim_value)
         assert [repr(vars(r)) for r in rows if r.status == "ok"] == [repr(vars(r)) for r in kept]
         assert summary == kept_summary
+
+    def test_rows_equal_across_workers(self, tmp_path):
+        sc = self.scenario([96, 4, 32, 64, 0, 128])
+        one, one_summary, _ = run_scenario(sc, out_dir=tmp_path / "w1", deterministic_names=True)
+        two, two_summary, _ = run_scenario(sc, out_dir=tmp_path / "w2", deterministic_names=True, workers=2)
+        assert [repr(vars(r)) for r in one] == [repr(vars(r)) for r in two]
+        assert one_summary == two_summary
+        assert [r.status.split(":")[0] for r in one] == ["ok", "skipped", "ok", "ok", "skipped", "ok"]
+
+    def test_trace_without_vms_raises_empty_trace(self, tmp_path, capsys):
+        # numpy's max of an empty column used to raise its own ValueError, naming no trace
+        sc = dataclasses.replace(self.scenario([64]), fixed={"vm_rate": 0.001, "horizon_s": 1.0})
+        with pytest.raises(EmptyTrace, match="no VM requests"):
+            run_scenario(sc, out_dir=tmp_path / "out")
+        path = tmp_path / "empty.scenario"
+        path.write_text(json.dumps(dataclasses.asdict(sc)))
+        assert main(["validate", str(path), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+        assert "no VM requests" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_argmin_is_null_without_ok_rows(self, tmp_path):
         rows, summary = self.run(tmp_path, [0, 4])
