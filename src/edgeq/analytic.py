@@ -11,10 +11,13 @@ Time-varying arrivals
 Provisioning rules
     empirical_rule_capacities
 
-All functions are pure and re-entrant; none keeps mutable state. A bare
-number argument is read with the ``config`` cast of the spec field it
-stands for, so NaN or a value outside that domain raises DomainError
-naming the argument.
+All functions are pure and re-entrant; none keeps mutable state. A form
+whose parameters are fields of spec records takes those records, which
+checked each field once when they were built. A form with an input that
+no record holds (``excess_wait_sinusoidal``'s ``rho``, a ``mu_eff``,
+``empirical_rule_capacities``' site rate and count) takes bare numbers,
+each read with the ``config`` cast of its domain, so NaN or a value
+outside that domain raises DomainError naming the argument.
 """
 from __future__ import annotations
 
@@ -25,7 +28,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .config import count, finite_nonnegative, finite_positive, fraction, positive, read, unit
+from .config import count, finite_nonnegative, finite_positive, read, unit
 from .errors import DomainError, UnstableQueue
 from .specs import (
     STABILITY_GUARD,
@@ -53,7 +56,7 @@ def mm1_source_wait(spec: QueueSpec) -> float:
     return num / (1.0 - lam / mu1 - spec.r * lam * inv2)
 
 
-def destination_wait(lam: float, mu1: float, r: float) -> float:
+def destination_wait(spec: QueueSpec) -> float:
     """Queueing delay a migrated request sees at its destination site.
 
     The destination is an ordinary edge site: an M/M/1 serving at mu1,
@@ -62,9 +65,7 @@ def destination_wait(lam: float, mu1: float, r: float) -> float:
     of mu1 is a common slip; mu2 is the migration-transfer rate, not the
     destination's processing rate.
     """
-    r = read("r", unit, r, DomainError)
-    lam = read("lam", finite_positive, lam, DomainError)
-    mu1 = read("mu1", finite_positive, mu1, DomainError)
+    lam, mu1, r = spec.lam, spec.mu1, spec.r
     if r * lam >= mu1 * STABILITY_GUARD:
         raise UnstableQueue(f"destination load r*lam = {r * lam:.6g} >= mu1 = {mu1:.6g}")
     return r * lam / (mu1 * (mu1 - r * lam))
@@ -76,14 +77,12 @@ def mm1_two_phase_wait(spec: QueueSpec) -> float:
     The destination term is the per-migrant queueing delay; the total is
     the waiting a request accumulates along its path through the system.
     """
-    return mm1_source_wait(spec) + destination_wait(spec.lam, spec.mu1, spec.r)
+    return mm1_source_wait(spec) + destination_wait(spec)
 
 
-def migration_service_time(r: float, mu2: float) -> float:
+def migration_service_time(spec: QueueSpec) -> float:
     """Expected migration work per request, averaged over all requests: r/mu2."""
-    r = read("r", unit, r, DomainError)
-    mu2 = read("mu2", positive, mu2, DomainError)  # math.inf allowed
-    return 0.0 if math.isinf(mu2) else r / mu2
+    return 0.0 if math.isinf(spec.mu2) else spec.r / spec.mu2
 
 
 def mmk_qed_wait(cloud: CloudSpec) -> float:
@@ -138,7 +137,7 @@ def delta_t_bound_mmk(edge: QueueSpec, cloud: CloudSpec) -> float:
     """
     return (
         mm1_two_phase_wait(edge)
-        + migration_service_time(edge.r, edge.mu2)
+        + migration_service_time(edge)
         - mmk_qed_wait(cloud)
     )
 
@@ -169,24 +168,17 @@ def gg1_two_phase_wait(spec: QueueSpec, var: VariabilitySpec) -> float:
     return mm1_two_phase_wait(spec) * var.correction
 
 
-def ggk_wait_probability(k: int, rho: float) -> float:
-    """Approximate probability of waiting in a k-server pool.
-
-    (rho^k + rho)/2 in heavy traffic (rho >= 0.7), rho^((k+1)/2) below.
-    The boundary itself takes the heavy-traffic branch.
-    """
-    k = read("k", count, k, DomainError)
-    rho = read("rho", fraction, rho, DomainError)
-    if rho >= 0.7:
-        return 0.5 * (rho**k + rho)
-    return rho ** ((k + 1) / 2.0)
-
-
 def ggk_cloud_wait(cloud: CloudSpec, var: VariabilitySpec) -> float:
-    """Approximate GI/G/k cloud wait: P_w/(mu*(1-rho)) * (ca2+cs2)/(2k)."""
+    """Approximate GI/G/k cloud wait: P_w/(mu*(1-rho)) * (ca2+cs2)/(2k).
+
+    The probability of waiting P_w is (rho^k + rho)/2 in heavy traffic
+    (rho >= 0.7) and rho^((k+1)/2) below; the boundary itself takes the
+    heavy-traffic branch.
+    """
     cloud.check_stable()
-    pw = ggk_wait_probability(cloud.k, cloud.rho_cloud)
-    return pw / (cloud.mu_cloud * (1.0 - cloud.rho_cloud)) * (var.ca2 + var.cs2) / (2.0 * cloud.k)
+    k, rho = cloud.k, cloud.rho_cloud
+    pw = 0.5 * (rho**k + rho) if rho >= 0.7 else rho ** ((k + 1) / 2.0)
+    return pw / (cloud.mu_cloud * (1.0 - rho)) * (var.ca2 + var.cs2) / (2.0 * k)
 
 
 def delta_t_bound_ggk(
@@ -198,7 +190,7 @@ def delta_t_bound_ggk(
     """RTT-difference threshold for the edge to win under general variability."""
     return (
         gg1_two_phase_wait(edge, edge_var)
-        + migration_service_time(edge.r, edge.mu2)
+        + migration_service_time(edge)
         - ggk_cloud_wait(cloud, cloud_var)
     )
 
@@ -207,13 +199,9 @@ def delta_t_bound_ggk(
 # Time-varying (sinusoidal) arrivals
 
 
-def effective_service_rate(mu1: float, mu2: float, r: float) -> float:
+def effective_service_rate(spec: QueueSpec) -> float:
     """Single-rate equivalent of the two-phase server: (1/mu1 + r/mu2)^-1."""
-    mu1 = read("mu1", finite_positive, mu1, DomainError)
-    mu2 = read("mu2", positive, mu2, DomainError)  # math.inf allowed
-    r = read("r", unit, r, DomainError)
-    inv2 = 0.0 if math.isinf(mu2) else 1.0 / mu2
-    return 1.0 / (1.0 / mu1 + r * inv2)
+    return 1.0 / (1.0 / spec.mu1 + spec.r * spec.inv_mu2)
 
 
 def excess_wait_sinusoidal(rho: float, amplitude: float, gamma: float, mu_eff: float) -> float:

@@ -21,7 +21,6 @@ import csv
 import heapq
 import math
 import numbers
-import threading
 from array import array
 from collections import deque
 from dataclasses import dataclass
@@ -45,25 +44,17 @@ def edge_overprovision_factor(q: float) -> float:
     return 1.0 + 1.0 / q
 
 
-def cloud_capacity_equivalent(
-    c_edge: float, rho_edge: float, tau_edge: float, q: float, rho_cloud: float
-) -> float:
-    """Cloud capacity delivering the same packing response time as C_edge.
+def cloud_capacity_equivalent(edge: DtrpSpec, rho_cloud: float) -> float:
+    """Cloud capacity delivering the same packing response time as the edge's C.
 
-    C_cloud = C_edge * (1 - rho_edge - tau_edge/C_edge)
-              / ((1 + 1/q) * (1 - rho_cloud)).
+    C_cloud = C * (1 - rho - tau/C) / ((1 + 1/q) * (1 - rho_cloud)), with
+    C, rho, tau and q the edge's; ``edge`` already refuses rho + tau/C >= 1.
     """
-    c_edge = read("c_edge", finite_positive, c_edge, DomainError)
-    rho_edge = read("rho_edge", finite_nonnegative, rho_edge, DomainError)
-    tau_edge = read("tau_edge", finite_nonnegative, tau_edge, DomainError)
     rho_cloud = read("rho_cloud", finite_nonnegative, rho_cloud, DomainError)
-    factor = edge_overprovision_factor(q)
-    slack = rho_edge + tau_edge / c_edge
-    if slack >= 1.0:
-        raise UnstableQueue(f"rho_edge + tau/C = {slack:.6g} must lie in [0, 1)")
     if rho_cloud >= 1.0:
         raise UnstableQueue(f"rho_cloud = {rho_cloud:.6g} must lie in [0, 1)")
-    return c_edge * (1.0 - slack) / (factor * (1.0 - rho_cloud))
+    slack = edge.rho + edge.tau / edge.capacity
+    return edge.capacity * (1.0 - slack) / ((1.0 + 1.0 / edge.q) * (1.0 - rho_cloud))
 
 
 def dtrp_response_time(spec: DtrpSpec, lam: float, cloud: bool = False) -> float:
@@ -432,13 +423,6 @@ def simulate_packing(
     )
 
 
-def packing_relative_error(edge_capacity: float, cloud_capacity: float, q: float) -> float:
-    """|C_edge_peak - C_cloud_peak*(1+1/q)| / (C_cloud_peak*(1+1/q))."""
-    edge_capacity = read("edge_capacity", finite_nonnegative, edge_capacity, DomainError)
-    target = read("cloud_capacity", finite_positive, cloud_capacity, DomainError) * edge_overprovision_factor(q)
-    return abs(edge_capacity - target) / target
-
-
 @dataclass
 class SweepPoint:
     cores_per_site: int
@@ -454,12 +438,13 @@ class PackingSweep:
     each site's peak of occupied cores were no VM ever to queue (one sorted
     +/-cores sweep, `_unqueued_peaks`, exact where nothing queues), and the
     model's edge cores ``target`` = cloud_peak*(1+1/q) and site size
-    ``model_size`` = target/k_sites.
+    ``model_size`` = target/k_sites. Then the trace is split by site
+    (`_site_rows`), so ``point`` only reads state that worker threads share.
 
     Each saturated site is one FIFO pool of `size` cores, where first and
-    best fit place alike. The trace is split by site at the first size that
-    replays, each saturated site is replayed on its own (`_site_replay`),
-    and `_pool_replay` merges their waits into the system-wide backlog.
+    best fit place alike. Each saturated site is replayed on its own
+    (`_site_replay`), and `_pool_replay` merges their waits into the
+    system-wide backlog.
     `simulate_packing` stays the general replay and the oracle the tests
     compare this one with. A size that replays raises what that replay
     would: a size below 1, a VM larger than the size, a replayed VM out of
@@ -476,11 +461,9 @@ class PackingSweep:
         self.trace = trace
         self.site_of = site_of = (trace.site_hint % self.k_sites).astype(np.min_scalar_type(self.k_sites - 1))
         self.cloud_peak, self.peaks = _unqueued_peaks(trace.arrival, trace.lifetime, trace.cores, site_of, self.k_sites)
-        self.q = q
         self.target = self.cloud_peak * edge_overprovision_factor(q)  # the edge's cores the model predicts
         self.model_size = self.target / self.k_sites
-        self._sites = None  # each site's rows in replay order, split at the first size that replays
-        self._split = threading.Lock()  # worker threads share the sweep; one of them splits
+        self.sites = _site_rows(trace, site_of, self.k_sites, self.policy)  # each site's rows in replay order
 
     def point(self, size) -> SweepPoint:
         """The edge capacity and peak backlog at sites of ``size`` cores, a whole number."""
@@ -494,12 +477,9 @@ class PackingSweep:
             Topology("edge", self.k_sites, 1, size)  # refuses a size below 1
             _refuse_oversized(self.trace, size)
             clock = _arrival_clock(self.trace, np.array(saturated)[self.site_of])
-            with self._split:
-                if self._sites is None:
-                    self._sites = _site_rows(self.trace, self.site_of, self.k_sites, self.policy)
-            used, queue = _pool_replay([rows for rows, full in zip(self._sites, saturated) if full], clock, size)
+            used, queue = _pool_replay([rows for rows, full in zip(self.sites, saturated) if full], clock, size)
             capacity += used
-        return SweepPoint(size, capacity, packing_relative_error(capacity, self.cloud_peak, self.q), queue)
+        return SweepPoint(size, capacity, abs(capacity - self.target) / self.target, queue)
 
 
 def capacity_sweep(

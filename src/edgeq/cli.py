@@ -35,7 +35,7 @@ from .config import count, integral, read, whole
 from .desim import load_sim_config, replicate
 from .errors import EdgeqError, InstabilityDetected
 from .harness import load_scenario, output_stem, run_scenario
-from .specs import CloudSpec, QueueSpec, VariabilitySpec
+from .specs import CloudSpec, DtrpSpec, QueueSpec, VariabilitySpec
 from .workload import SeededStream
 
 EXIT_OK = 0
@@ -72,10 +72,10 @@ def _report(args, inputs: dict, outputs: dict, pad: int = 0) -> int:
 def _cmd_analytic_wait(args) -> int:
     spec = QueueSpec(args.lam, args.mu1, args.mu2, args.r)
     source = analytic.mm1_source_wait(spec)
-    dest = analytic.destination_wait(args.lam, args.mu1, args.r)
+    dest = analytic.destination_wait(spec)
     return _report(args, {"lambda": args.lam, "mu1": args.mu1, "mu2": args.mu2, "r": args.r}, {
         "source_wait_s": source, "destination_wait_s": dest, "total_wait_s": source + dest,
-        "migration_service_s": analytic.migration_service_time(args.r, args.mu2),
+        "migration_service_s": analytic.migration_service_time(spec),
     }, pad=18)
 
 
@@ -188,7 +188,7 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_capacity_equivalent(args) -> int:
-    c = capacity.cloud_capacity_equivalent(args.c_edge, args.rho_edge, args.tau, args.q, args.rho_cloud)
+    c = capacity.cloud_capacity_equivalent(DtrpSpec(args.c_edge, args.rho_edge, args.tau, args.q), args.rho_cloud)
     return _report(args, {"c_edge": args.c_edge, "q": args.q, "rho_edge": args.rho_edge,
                           "rho_cloud": args.rho_cloud, "tau": args.tau}, {"c_cloud": c})
 

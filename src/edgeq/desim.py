@@ -24,7 +24,9 @@ way and no invalid config exists. The ``edge``, ``cloud``, ``network``
 and ``workload`` sections are cast the same way by the fields of the
 spec records they build. ``MODEL_FIELDS`` names the ``SimConfig`` fields
 each model requires and reads; a config refuses any other field set off
-its default, and a horizon other than exactly one.
+its default, a horizon other than exactly one, and a pool with no
+arrivals (``cloud.rho`` 0, or so small that rho*k*mu rounds to 0),
+which would run no request.
 
 Single-server waits come from the vectorized Lindley recursion
 (reflected random walk), which ``multiserver_waits`` runs at k = 1, so
@@ -160,6 +162,11 @@ class SimConfig:
             raise ConfigError(f"SimConfig.queue.lam {self.queue.lam!r} != SimConfig.profile.lambda_bar {self.profile.lambda_bar!r}")
         if (self.horizon_requests is None) == (self.horizon_s is None):
             raise ConfigError("set exactly one of simulation.horizon_requests, simulation.horizon_s")
+        if self.cloud is not None and self.cloud.arrival_rate == 0.0:  # a pool with no arrivals would run nothing
+            raise ConfigError(
+                f"cloud.rho (SimConfig.cloud): the arrival rate rho*k*mu must be > 0, got {self.cloud.arrival_rate!r}"
+                f" at rho {self.cloud.rho_cloud!r}"
+            )
 
 
 # ---------------------------------------------------------------------------
@@ -493,12 +500,10 @@ def _draw_arrivals(config: SimConfig, rng, rate: float, law: Optional[RenewalSpe
     """Arrival instants, in order, over the horizon that is set.
 
     The NHPP of ``config.profile`` if set; else renewals of ``law`` at
-    ``rate`` or, without one, Poisson arrivals at ``rate`` (none at rate 0).
+    ``rate`` or, without one, Poisson arrivals at ``rate``.
     """
     if config.profile is not None:
         return nhpp_sinusoidal(config.profile, config.horizon_s, rng)
-    if rate == 0.0:
-        return np.empty(0)
     mean = 1.0 / rate
     if config.horizon_requests is not None:
         return np.cumsum(renewal_times(law or RenewalSpec(), mean, int(config.horizon_requests), rng))
@@ -554,7 +559,7 @@ def run_model(config: SimConfig, stream: SeededStream) -> tuple[SimMetrics, Opti
     if pool is not None:
         k, mu, rate, queue_id = pool.k, pool.mu_cloud, pool.arrival_rate, "cloud"
     else:
-        k, mu, rate, queue_id = 1, effective_service_rate(q.mu1, q.mu2, q.r), q.lam, "edge"
+        k, mu, rate, queue_id = 1, effective_service_rate(q), q.lam, "edge"
     rtt = 0.0 if net is None else net.t_cloud if pool is not None else net.t_edge
     ts = None
     if prof is not None:

@@ -210,11 +210,12 @@ def _run_rush_hour(sc: Scenario, workers: int):
     def one(stream, params, v):
         s = params["scale"]
         lam_bar, mu1, mu2 = v["lambda_bar"] * s, v["mu1"] * s, v["mu2"] * s
-        profile = SinusoidProfile(lam_bar, v["amplitude"], v["gamma_rad_s"])
-        fluid = analytic.rush_hour_wait(profile, analytic.effective_service_rate(mu1, mu2, v["r"]))
+        profile = SinusoidProfile(lam_bar, v["amplitude"], v["gamma_rad_s"])  # the swept amplitude fails first
+        queue = QueueSpec(lam_bar, mu1, mu2, v["r"])
+        fluid = analytic.rush_hour_wait(profile, analytic.effective_service_rate(queue))
         config = SimConfig(
             model="mtm1_sinusoidal",
-            queue=QueueSpec(lam_bar, mu1, mu2, v["r"]),
+            queue=queue,
             profile=profile,
             horizon_s=v["horizon_periods"] * profile.period,
             warmup=v["warmup"],

@@ -15,6 +15,7 @@ from scipy.integrate import quad
 from edgeq import (
     AggregateProfile,
     CloudSpec,
+    DtrpSpec,
     QueueSpec,
     Scenario,
     SeededStream,
@@ -289,8 +290,8 @@ def test_criterion_5_fluid_rush_hour(table1_results):
 def test_criterion_6_capacity_formulas():
     t0 = time.time()
     ok = edge_overprovision_factor(2.0) == 1.5
-    ok &= abs(cloud_capacity_equivalent(96, 0.5, 0.0, 2.0, 0.5) - 64.0) < 1e-9
-    ok &= abs(cloud_capacity_equivalent(160, 0.5, 0.0, 4.0, 0.5) - 128.0) < 1e-9
+    ok &= abs(cloud_capacity_equivalent(DtrpSpec(96, 0.5, 0.0, 2.0), 0.5) - 64.0) < 1e-9
+    ok &= abs(cloud_capacity_equivalent(DtrpSpec(160, 0.5, 0.0, 4.0), 0.5) - 128.0) < 1e-9
     rng = np.random.default_rng(1006)
     for _ in range(10_000):
         c_edge = rng.uniform(1.0, 1e5)
@@ -298,7 +299,7 @@ def test_criterion_6_capacity_formulas():
         tau = rng.uniform(0.0, 0.9 * (1 - rho_e)) * c_edge
         q = rng.uniform(0.05, 100.0)
         rho_c = rng.uniform(0.0, rho_e) if rho_e > 0 else 0.0
-        ok &= cloud_capacity_equivalent(c_edge, rho_e, tau, q, rho_c) < c_edge
+        ok &= cloud_capacity_equivalent(DtrpSpec(c_edge, rho_e, tau, q), rho_c) < c_edge
     elapsed = time.time() - t0
     ok &= elapsed < 1.0
     report("6", ok, f"factor(2)=1.5, 96->64, 160->128, 10^4 draws C_cloud<C_edge; {elapsed:.2f}s")

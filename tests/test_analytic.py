@@ -1,9 +1,11 @@
 """Closed-form formula tests: worked examples, reductions, and properties."""
 import ast
+import dataclasses
 import functools
 import inspect
 import math
 import pathlib
+import re
 
 import mpmath
 import numpy as np
@@ -44,8 +46,8 @@ from edgeq import (
     service_scv,
 )
 import edgeq
-from edgeq.analytic import erlang_c_delay_probability, ggk_wait_probability
-from edgeq.capacity import cloud_capacity_equivalent, dtrp_response_time, edge_overprovision_factor, packing_relative_error
+from edgeq.analytic import erlang_c_delay_probability
+from edgeq.capacity import cloud_capacity_equivalent, dtrp_response_time, edge_overprovision_factor
 from edgeq.specs import STABILITY_GUARD
 from edgeq.workload import (
     coin_flips,
@@ -87,7 +89,7 @@ class TestTwoPhaseWait:
 
     def test_source_and_destination_retrievable_separately(self):
         spec = QueueSpec(10, 50, 50, 0.1)
-        total = mm1_source_wait(spec) + destination_wait(10, 50, 0.1)
+        total = mm1_source_wait(spec) + destination_wait(spec)
         assert total == mm1_two_phase_wait(spec)
 
     def test_mm1_reduction_over_random_specs(self):
@@ -97,7 +99,7 @@ class TestTwoPhaseWait:
 
     def test_infinite_mu2_is_mm1_plus_destination(self):
         spec = QueueSpec(10, 50, math.inf, 0.3)
-        want = 10 / (50 * 40) + destination_wait(10, 50, 0.3)
+        want = 10 / (50 * 40) + destination_wait(spec)
         assert mm1_two_phase_wait(spec) == pytest.approx(want, rel=1e-12)
 
     def test_rejects_unstable_load(self):
@@ -120,20 +122,25 @@ class TestTwoPhaseWait:
                 assert mm1_two_phase_wait(faster_mig) < w
 
 
+def _destination(lam, mu1, r):
+    """destination_wait at these rates; it does not read mu2."""
+    return destination_wait(QueueSpec(lam, mu1, math.inf, r))
+
+
 class TestDestinationWait:
     def test_zero_when_no_migrations(self):
-        assert destination_wait(10, 50, 0.0) == 0.0
+        assert _destination(10, 50, 0.0) == 0.0
 
     def test_worked_example(self):
-        assert destination_wait(10, 50, 0.1) == pytest.approx(1 / 2450, rel=1e-12)
+        assert _destination(10, 50, 0.1) == pytest.approx(1 / 2450, rel=1e-12)
 
     def test_rejects_saturated_destination(self):
         with pytest.raises(UnstableQueue):
-            destination_wait(100, 50, 0.5)
+            _destination(100, 50, 0.5)
 
     def test_grows_without_bound_near_saturation(self):
-        assert destination_wait(10, 50, 0.1) < destination_wait(490, 50, 0.1)
-        assert destination_wait(499, 50, 0.1) > 1.0
+        assert _destination(10, 50, 0.1) < _destination(490, 50, 0.1)
+        assert _destination(499, 50, 0.1) > 1.0
 
 
 class TestCheckStable:
@@ -158,9 +165,9 @@ class TestCheckStable:
 
 class TestMigrationServiceTime:
     def test_values(self):
-        assert migration_service_time(0.0, 50) == 0.0
-        assert migration_service_time(0.1, 50) == pytest.approx(0.002, rel=1e-12)
-        assert migration_service_time(1.0, math.inf) == 0.0
+        assert migration_service_time(QueueSpec(10, 50, 50, 0.0)) == 0.0
+        assert migration_service_time(QueueSpec(10, 50, 50, 0.1)) == pytest.approx(0.002, rel=1e-12)
+        assert migration_service_time(QueueSpec(10, 50, math.inf, 1.0)) == 0.0
 
 
 class TestMmkQedWait:
@@ -235,7 +242,7 @@ class TestDeltaTBoundMmk:
     def test_large_k_leaves_only_edge_terms(self):
         edge = QueueSpec(10, 50, 50, 0.1)
         big = delta_t_bound_mmk(edge, CloudSpec(10**8, 50, 0.8))
-        want = mm1_two_phase_wait(edge) + migration_service_time(0.1, 50)
+        want = mm1_two_phase_wait(edge) + migration_service_time(edge)
         assert big == pytest.approx(want, abs=1e-5)
 
 
@@ -298,17 +305,12 @@ class TestGgkCloudWait:
         assert ggk_cloud_wait(CloudSpec(4, 1.0, 0.5), MARKOV) == pytest.approx(want, rel=1e-12)
 
     def test_branch_boundary_uses_heavy_traffic_form(self):
-        assert ggk_wait_probability(3, 0.7) == pytest.approx(0.5 * (0.7**3 + 0.7), rel=1e-12)
+        want = 0.5 * (0.7**3 + 0.7) / 0.3 * 2 / 6
+        assert ggk_cloud_wait(CloudSpec(3, 1.0, 0.7), MARKOV) == pytest.approx(want, rel=1e-12)
 
-    # each used to return a number: 0.297, 0.9 and 2.0
-    @pytest.mark.parametrize("k, message", [(2.5, "must be an integer"), (0, "must be >= 1"), (-3, "must be >= 1")])
-    def test_wait_probability_refuses_a_server_count_outside_the_counts(self, k, message):
-        with pytest.raises(DomainError, match=rf"^k: {message}, got {k}$"):
-            ggk_wait_probability(k, 0.5)
-
-    def test_wait_probability_refuses_a_saturated_pool(self):
-        with pytest.raises(DomainError, match=r"^rho: must be in \[0, 1\), got 1.0$"):
-            ggk_wait_probability(4, 1.0)
+    def test_refuses_a_saturated_pool(self):
+        with pytest.raises(UnstableQueue, match=r"^cloud utilization 1 >= 1$"):
+            ggk_cloud_wait(CloudSpec(4, 1.0, 1.0), MARKOV)
 
     def test_k1_reduction_over_random_draws(self):
         rng = np.random.default_rng(31)
@@ -370,9 +372,10 @@ class TestDeltaTBoundGgk:
 
 class TestEffectiveServiceRate:
     def test_values(self):
-        assert effective_service_rate(50, 50, 0.0) == pytest.approx(50.0, rel=1e-12)
-        assert effective_service_rate(50, 50, 0.1) == pytest.approx(2500 / 55, rel=1e-12)
-        assert effective_service_rate(32, 32, 1.0) == pytest.approx(16.0, rel=1e-12)
+        assert effective_service_rate(QueueSpec(10, 50, 50, 0.0)) == pytest.approx(50.0, rel=1e-12)
+        assert effective_service_rate(QueueSpec(10, 50, 50, 0.1)) == pytest.approx(2500 / 55, rel=1e-12)
+        assert effective_service_rate(QueueSpec(10, 32, 32, 1.0)) == pytest.approx(16.0, rel=1e-12)
+        assert effective_service_rate(QueueSpec(10, 32, math.inf, 1.0)) == 32.0
 
 
 class TestExcessWait:
@@ -607,33 +610,60 @@ SPEC_DOMAINS = {
 CROSS_FIELD = {DtrpSpec: UnstableQueue, RenewalSpec: UnreachableScv}
 
 PROFILE = SinusoidProfile(8.0, 0.5, 0.1)
-# (function, in-domain arguments) for each function that checks its own float arguments
+# (function, in-domain arguments) for each function that checks its own float arguments: those
+# that no spec record holds, as a form whose inputs a record holds takes the record
 BARE_FLOAT_CALLS = [
-    (destination_wait, (10.0, 50.0, 0.1)),
-    (migration_service_time, (0.1, 50.0)),
-    (effective_service_rate, (50.0, 50.0, 0.1)),
     (excess_wait_sinusoidal, (0.5, 0.3, 0.1, 10.0)),
     (overload_window, (PROFILE, 10.0)),
     (empirical_rule_capacities, (10.0, 4)),
-    (ggk_wait_probability, (4, 0.5)),
     (edge_overprovision_factor, (2.0,)),
-    (cloud_capacity_equivalent, (96.0, 0.5, 0.0, 2.0, 0.5)),
+    (cloud_capacity_equivalent, (DtrpSpec(96.0, 0.5, 0.0, 2.0), 0.5)),
     (dtrp_response_time, (DtrpSpec(96.0, 0.5, 0.0, 2.0), 5.0)),
-    (packing_relative_error, (100.0, 64.0, 2.0)),
     (poisson_arrivals, (8.0, 10.0, np.random.default_rng(0))),
     (renewal_times, (RenewalSpec(), 0.1, 5, np.random.default_rng(0))),
     (exponential_fill, (0.1, np.random.default_rng(0))),
     (renewal_arrivals, (RenewalSpec(), 0.1, 5.0, np.random.default_rng(0))),
     (coin_flips, (0.3, 5, np.random.default_rng(0))),
 ]
-# (function, arguments, the index of the float argument set to NaN)
-NAN_CASES = [(fn, args, i) for fn, args in BARE_FLOAT_CALLS for i, a in enumerate(args) if isinstance(a, (int, float))]
-NAN_IDS = [f"{fn.__name__}-{list(inspect.signature(fn).parameters)[i]}" for fn, _, i in NAN_CASES]
-# the arguments whose domain holds +inf: an instantaneous migration, a perfect packing
-INFINITE_OK = {
-    (migration_service_time, "mu2"), (effective_service_rate, "mu2"), (edge_overprovision_factor, "q"),
-    (cloud_capacity_equivalent, "q"), (packing_relative_error, "q"),
-}
+# the arguments whose domain holds +inf: a perfect packing
+INFINITE_OK = {(edge_overprovision_factor, "q")}
+# (function, in-domain arguments, {input of its formula: (the argument's index, the record field holding it)})
+# for each form whose inputs a record holds: the record refuses a bad input once, when it is built
+RECORD_INPUT_CALLS = [
+    (destination_wait, (QueueSpec(10.0, 50.0, 50.0, 0.1),), dict(lam=(0, "lam"), mu1=(0, "mu1"), r=(0, "r"))),
+    (migration_service_time, (QueueSpec(10.0, 50.0, 50.0, 0.1),), dict(r=(0, "r"), mu2=(0, "mu2"))),
+    (effective_service_rate, (QueueSpec(10.0, 50.0, 50.0, 0.1),), dict(mu1=(0, "mu1"), mu2=(0, "mu2"), r=(0, "r"))),
+    (ggk_cloud_wait, (CloudSpec(4, 10.0, 0.5), VariabilitySpec(1.0, 2.0)),
+     dict(k=(0, "k"), mu=(0, "mu_cloud"), rho=(0, "rho_cloud"), ca2=(1, "ca2"), cs2=(1, "cs2"))),
+    (cloud_capacity_equivalent, (DtrpSpec(96.0, 0.5, 0.0, 2.0), 0.5),
+     dict(c_edge=(0, "capacity"), rho_edge=(0, "rho"), tau_edge=(0, "tau"), q=(0, "q"))),
+]
+
+
+def _bare_input(fn, args, i):
+    """(the form called with argument i set to a value, its in-domain value, the refusal's prefix, +inf in domain)."""
+    name = list(inspect.signature(fn).parameters)[i]
+    return lambda v: fn(*args[:i], v, *args[i + 1:]), args[i], f"{name}: ", (fn, name) in INFINITE_OK
+
+
+def _record_input(fn, args, i, field):
+    """As _bare_input, for a field of the record that argument i holds."""
+    record = args[i]
+    call = lambda v: fn(*args[:i], dataclasses.replace(record, **{field: v}), *args[i + 1:])  # noqa: E731
+    in_domain = SPEC_DOMAINS[type(record)][1][field]
+    return call, getattr(record, field), f"{type(record).__name__}.{field}: ", in_domain(math.inf)
+
+
+# (id, case) for each float input of each form above
+FLOAT_INPUTS = [
+    (f"{fn.__name__}-{list(inspect.signature(fn).parameters)[i]}", _bare_input(fn, args, i))
+    for fn, args in BARE_FLOAT_CALLS for i, a in enumerate(args) if isinstance(a, (int, float))
+] + [
+    (f"{fn.__name__}-{name}", _record_input(fn, args, i, field))
+    for fn, args, inputs in RECORD_INPUT_CALLS for name, (i, field) in inputs.items()
+]
+INPUT_IDS = [name for name, _ in FLOAT_INPUTS]
+INPUT_CASES = [case for _, case in FLOAT_INPUTS]
 
 
 class TestDomainErrors:
@@ -642,8 +672,6 @@ class TestDomainErrors:
             QueueSpec(-1, 50, 50, 0.1)
         with pytest.raises(DomainError):
             QueueSpec(10, 50, 50, 1.5)
-        with pytest.raises(DomainError):
-            effective_service_rate(0.0, 50, 0.1)
 
     def test_a_float_overflow_is_a_domain_error_naming_the_field(self):
         with pytest.raises(DomainError, match=r"^QueueSpec\.lam: "):
@@ -681,32 +709,45 @@ class TestDomainErrors:
         else:
             assert domain[name](value)
 
-    @pytest.mark.parametrize("fn, args, i", NAN_CASES, ids=NAN_IDS)
-    def test_nan_float_argument_raises(self, fn, args, i):
-        fn(*args)
-        name = list(inspect.signature(fn).parameters)[i]
+    @pytest.mark.parametrize("case", INPUT_CASES, ids=INPUT_IDS)
+    def test_nan_float_argument_raises(self, case):
+        call, valid, owner, _ = case
+        call(valid)
         with pytest.raises(DomainError) as exc:
-            fn(*args[:i], math.nan, *args[i + 1:])
-        assert str(exc.value).startswith(f"{name}: "), exc.value
+            call(math.nan)
+        assert str(exc.value).startswith(owner), exc.value
 
-    # 1/q overflowed to inf: the factor read inf, the relative error nan and the cloud capacity 0
-    @pytest.mark.parametrize("fn, args, i", [c for c, name in zip(NAN_CASES, NAN_IDS) if name.endswith("-q")],
-                             ids=[name for name in NAN_IDS if name.endswith("-q")])
-    def test_a_packing_factor_whose_reciprocal_overflows_raises(self, fn, args, i):
-        with pytest.raises(DomainError, match=r"^q: must be large enough for a finite 1/q, got 1e-320$"):
-            fn(*args[:i], 1e-320, *args[i + 1:])
+    # 1/q overflowed to inf: the factor read inf, and the cloud capacity 0
+    @pytest.mark.parametrize("case", [c for c, name in zip(INPUT_CASES, INPUT_IDS) if name.endswith("-q")],
+                             ids=[name for name in INPUT_IDS if name.endswith("-q")])
+    def test_a_packing_factor_whose_reciprocal_overflows_raises(self, case):
+        call, _, owner, _ = case
+        with pytest.raises(DomainError, match=rf"^{re.escape(owner)}must be large enough for a finite 1/q, got 1e-320$"):
+            call(1e-320)
 
-    @pytest.mark.parametrize("fn, args, i", NAN_CASES, ids=NAN_IDS)
+    @pytest.mark.parametrize("case", INPUT_CASES, ids=INPUT_IDS)
     @pytest.mark.parametrize("value", [math.inf, -math.inf], ids=["inf", "-inf"])
-    def test_infinite_float_argument_raises_unless_its_domain_holds_inf(self, fn, args, i, value):
-        name = list(inspect.signature(fn).parameters)[i]
-        call = lambda: fn(*args[:i], value, *args[i + 1:])  # noqa: E731
-        if value > 0 and (fn, name) in INFINITE_OK:
-            assert math.isfinite(call())
+    def test_infinite_float_argument_raises_unless_its_domain_holds_inf(self, case, value):
+        call, _, owner, infinite_ok = case
+        if value > 0 and infinite_ok:
+            assert math.isfinite(call(value))
             return
         with pytest.raises(DomainError) as exc:
-            call()
-        assert str(exc.value).startswith(f"{name}: "), exc.value
+            call(value)
+        assert str(exc.value).startswith(owner), exc.value
+
+    @pytest.mark.parametrize("module", [edgeq.analytic, edgeq.capacity], ids=lambda m: m.__name__)
+    def test_a_form_casts_only_its_bare_number_arguments(self, module):
+        # a record checked its fields when it was built; a second cast of one would be a second owner
+        records = {cls.__name__ for cls in SPEC_DOMAINS}
+        for fn in ast.parse(inspect.getsource(module)).body:
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            bare = {a.arg for a in fn.args.args if not (isinstance(a.annotation, ast.Name) and a.annotation.id in records)}
+            for call in ast.walk(fn):
+                if isinstance(call, ast.Call) and isinstance(call.func, ast.Name) and call.func.id == "read":
+                    value = call.args[2]
+                    assert isinstance(value, ast.Name) and value.id in bare, f"{fn.name}: {ast.unparse(call)}"
 
 
 

@@ -32,7 +32,6 @@ from edgeq.capacity import (
     PackingReport,
     SweepPoint,
     capacity_sweep,
-    packing_relative_error,
     save_vm_trace,
     trace_summary,
 )
@@ -65,12 +64,12 @@ class TestClosedForms:
         assert edge_overprovision_factor(1e9) == pytest.approx(1.0, abs=1e-8)
 
     def test_equivalent_worked_example(self):
-        got = cloud_capacity_equivalent(1000, 0.5, 0.0, 2.0, 0.5)
+        got = cloud_capacity_equivalent(DtrpSpec(1000, 0.5, 0.0, 2.0), 0.5)
         assert got == pytest.approx(1000 * 0.5 / (1.5 * 0.5), rel=1e-12)
 
     def test_equivalent_96_to_64_and_160_to_128(self):
-        assert cloud_capacity_equivalent(96, 0.5, 0.0, 2.0, 0.5) == pytest.approx(64.0, rel=1e-12)
-        assert cloud_capacity_equivalent(160, 0.5, 0.0, 4.0, 0.5) == pytest.approx(128.0, rel=1e-12)
+        assert cloud_capacity_equivalent(DtrpSpec(96, 0.5, 0.0, 2.0), 0.5) == pytest.approx(64.0, rel=1e-12)
+        assert cloud_capacity_equivalent(DtrpSpec(160, 0.5, 0.0, 4.0), 0.5) == pytest.approx(128.0, rel=1e-12)
 
     def test_lemma_consistency_at_equal_utilization(self):
         rng = np.random.default_rng(40)
@@ -78,7 +77,7 @@ class TestClosedForms:
             c_edge = rng.uniform(1.0, 1e4)
             rho = rng.uniform(0.0, 0.99)
             q = rng.uniform(0.1, 50.0)
-            c_cloud = cloud_capacity_equivalent(c_edge, rho, 0.0, q, rho)
+            c_cloud = cloud_capacity_equivalent(DtrpSpec(c_edge, rho, 0.0, q), rho)
             assert c_cloud * edge_overprovision_factor(q) == pytest.approx(c_edge, rel=1e-12)
 
     def test_cloud_always_needs_less(self):
@@ -88,13 +87,13 @@ class TestClosedForms:
             rho = rng.uniform(0.0, 0.95)
             tau = rng.uniform(0.0, 0.9 * (1 - rho)) * c_edge
             q = rng.uniform(0.1, 50.0)
-            assert cloud_capacity_equivalent(c_edge, rho, tau, q, rho) < c_edge
+            assert cloud_capacity_equivalent(DtrpSpec(c_edge, rho, tau, q), rho) < c_edge
 
     def test_equivalent_rejects_saturation(self):
-        with pytest.raises(UnstableQueue):
-            cloud_capacity_equivalent(100, 0.9, 20.0, 2.0, 0.5)
+        with pytest.raises(UnstableQueue, match=r"^rho \+ tau/C = 1\.1 >= 1"):
+            cloud_capacity_equivalent(DtrpSpec(100, 0.9, 20.0, 2.0), 0.5)
         with pytest.raises(UnstableQueue, match="rho_cloud = 1 must lie in"):
-            cloud_capacity_equivalent(100, 0.5, 0.0, 2.0, 1.0)
+            cloud_capacity_equivalent(DtrpSpec(100, 0.5, 0.0, 2.0), 1.0)
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -103,9 +102,9 @@ class TestClosedForms:
     )
     @example(c_edge=96.0, rho_edge=0.5, tau_share=0.0, q=2.0, rho_cloud=0.5, lam=10.0)  # C_cloud = 64
     def test_dtrp_edge_equals_cloud_at_equivalent_capacity(self, c_edge, rho_edge, tau_share, q, rho_cloud, lam):
-        tau = tau_share * (1.0 - rho_edge) * c_edge
-        c_cloud = cloud_capacity_equivalent(c_edge, rho_edge, tau, q, rho_cloud)
-        t_edge = dtrp_response_time(DtrpSpec(c_edge, rho_edge, tau, q), lam)
+        edge = DtrpSpec(c_edge, rho_edge, tau_share * (1.0 - rho_edge) * c_edge, q)
+        c_cloud = cloud_capacity_equivalent(edge, rho_cloud)
+        t_edge = dtrp_response_time(edge, lam)
         t_cloud = dtrp_response_time(DtrpSpec(c_cloud, rho_cloud, 0.0, q), lam, cloud=True)
         assert t_edge == pytest.approx(t_cloud, rel=1e-9)
 
@@ -338,9 +337,16 @@ class TestPackingSimulator:
 
 
 class TestCapacitySweep:
-    def test_relative_error_formula(self):
-        assert packing_relative_error(150.0, 100.0, 2.0) == pytest.approx(0.0, abs=1e-12)
-        assert packing_relative_error(120.0, 100.0, 2.0) == pytest.approx(0.2, rel=1e-12)
+    def test_relative_error_is_the_distance_from_the_model_target(self):
+        trace = vm_trace([
+            Vm("a", 0.0, 10.0, 4, site_hint=0),
+            Vm("b", 1.0, 10.0, 4, site_hint=0),
+            Vm("c", 2.0, 10.0, 4, site_hint=1),
+        ])
+        # cloud peak 12 cores, so the model's edge needs 12 * (1 + 1/2) = 18
+        points, _, _ = capacity_sweep(trace, 3, [8, 4], 2.0)
+        assert [p.edge_capacity for p in points] == [12, 8]
+        assert [p.relative_error for p in points] == pytest.approx([6 / 18, 10 / 18], rel=1e-12)
 
     def test_sweep_orders_and_reports(self):
         trace = synthetic_vm_trace(8.0, 10.0, 200.0, SeededStream(53), k_sites=4)
@@ -540,12 +546,13 @@ def replayed_sweep(trace, k_sites, core_grid, q, policy):
         trace, Topology("cloud", 1, len(trace), int(trace.cores.max())), site_assign="hint"
     )
     cloud_peak = cloud.site_capacity_cores
+    target = cloud_peak * edge_overprovision_factor(q)
     points = []
     for cores in core_grid:
         rep = simulate_packing(trace, Topology("edge", k_sites, 1, cores), policy=policy, site_assign="hint")
-        err = packing_relative_error(rep.site_capacity_cores, cloud_peak, q)
+        err = abs(rep.site_capacity_cores - target) / target
         points.append(SweepPoint(cores, rep.site_capacity_cores, err, rep.rejected_or_queued))
-    return points, cloud_peak, cloud_peak * edge_overprovision_factor(q) / k_sites
+    return points, cloud_peak, target / k_sites
 
 
 def site_peaks(trace, k_sites):

@@ -104,6 +104,15 @@ class TestCapacityCommands:
         assert code == EXIT_OK
         assert "c_cloud 64" in out
 
+    @pytest.mark.parametrize("argv, message", [
+        (("--rho-edge", "0.9", "--tau", "20"), "rho + tau/C = 1.1 >= 1; finite response time requires slack"),
+        (("--rho-cloud", "1"), "rho_cloud = 1 must lie in [0, 1)"),
+    ], ids=["edge-slack", "rho-cloud-1"])
+    def test_equivalent_without_slack_exits_2(self, capsys, argv, message):
+        code, out, err = run_cli(capsys, "capacity", "equivalent", "--c-edge", "100", "--q", "2", *argv)
+        assert code == EXIT_CONFIG and out == ""
+        assert message in err
+
     def test_rule(self, capsys):
         code, out, _ = run_cli(capsys, "capacity", "rule", "--lambda", "100", "--k", "4")
         assert code == EXIT_OK
@@ -118,7 +127,7 @@ class TestCapacityCommands:
     @pytest.mark.parametrize("argv, message", [
         (("analytic", "factor", "--q", "nan"), "q: must be > 0, got nan"),
         (("analytic", "factor", "--q", "1e-320"), "q: must be large enough for a finite 1/q, got 1e-320"),  # 1/q is inf
-        (("capacity", "equivalent", "--c-edge", "inf", "--q", "2"), "c_edge: must be finite and > 0, got inf"),
+        (("capacity", "equivalent", "--c-edge", "inf", "--q", "2"), "DtrpSpec.capacity: must be finite and > 0, got inf"),
         (("capacity", "rule", "--lambda", "inf", "--k", "4"), "lambda_site: must be finite and > 0, got inf"),
     ])
     def test_non_finite_argument_exits_2(self, capsys, argv, message):
@@ -614,6 +623,11 @@ def test_an_int_too_large_for_a_float_exits_2_naming_the_key(capsys, tmp_path):
           for model, key, value in SIM_DOMAIN),
         # a value its spec field refuses used to name only the section, or no key
         *(("simulate", with_value(SIM_CONFIGS[model], key, value), f"config.{key}:") for model, key, value in SPEC_DOMAIN),
+        # a pool with no arrivals used to run no request and exit 0 with every metric 0
+        ("simulate", with_value(SIM_CONFIGS["mmk_cloud"], "cloud.rho", 0.0),
+         "cloud.rho (SimConfig.cloud): the arrival rate rho*k*mu must be > 0"),
+        ("simulate", {**with_value(SIM_CONFIGS["mmk_cloud"], "cloud.rho", 0.0), "simulation": {"horizon_s": 10.0}},
+         "cloud.rho (SimConfig.cloud): the arrival rate rho*k*mu must be > 0"),
         # a key the model does not read used to be dropped silently, exit 0
         *(("simulate", with_keys(SIM_CONFIGS[model], section, keys), key) for model, section, keys, key in UNREAD),
     ],
@@ -624,6 +638,7 @@ def test_an_int_too_large_for_a_float_exits_2_naming_the_key(capsys, tmp_path):
          "output-dir-number", "output-name-true",
          *(f"{key}-{value}" for _, key, value in SIM_DOMAIN),
          *(f"spec-{key}-{value}" for _, key, value in SPEC_DOMAIN),
+         "cloud-rho-0-horizon_requests", "cloud-rho-0-horizon_s",
          *(f"{model}-unread-{key.split()[-1]}" for model, _, _, key in UNREAD)],
 )
 def test_config_faults_exit_2_naming_the_key(capsys, tmp_path, command, body, key):

@@ -404,10 +404,16 @@ class TestMmkSim:
         exact_conditional = 1.0 / (16 * 50.0 * (1 - 0.8))
         assert agg.mean.mean_wait_conditional == pytest.approx(exact_conditional, rel=0.1)
 
-    def test_zero_arrival_rate_gives_zero_metrics(self):
-        cfg = SimConfig(model="mmk_cloud", cloud=CloudSpec(4, 50.0, 0.0), horizon_s=100.0)
-        m, _ = run_model(cfg, SeededStream(132))
-        assert m.count_served == 0
+    # each used to run no request and read 0 in every metric, even under horizon_requests
+    @pytest.mark.parametrize("horizon", [{"horizon_s": 100.0}, {"horizon_requests": 1000}],
+                             ids=["horizon_s", "horizon_requests"])
+    @pytest.mark.parametrize("cloud", [CloudSpec(4, 50.0, 0.0), CloudSpec(1, 1e-10, 1e-320)],
+                             ids=["rho-0", "rate-underflow"])
+    def test_zero_arrival_rate_is_refused(self, horizon, cloud):
+        message = (r"^cloud\.rho \(SimConfig\.cloud\): the arrival rate rho\*k\*mu must be > 0, "
+                   rf"got 0\.0 at rho {cloud.rho_cloud!r}$")
+        with pytest.raises(ConfigError, match=message):
+            SimConfig(model="mmk_cloud", cloud=cloud, **horizon)
 
     def test_unstable_pool_rejected(self):
         cfg = SimConfig(model="mmk_cloud", cloud=CloudSpec(4, 50.0, 1.2), horizon_requests=100)
@@ -418,7 +424,7 @@ class TestMmkSim:
 class TestMtm1Sim:
     def test_flat_profile_reduces_to_stationary_mm1(self):
         agg = replicate(mtm1_config(0.0), 5, SeededStream(140))
-        mu_eff = effective_service_rate(32.0, 32.0, 0.3)
+        mu_eff = effective_service_rate(QueueSpec(16.0, 32.0, 32.0, 0.3))
         rho = 16.0 / mu_eff
         assert agg.mean.mean_wait == pytest.approx(rho / (mu_eff * (1 - rho)), rel=0.05)
 
@@ -445,7 +451,7 @@ class TestMtm1Sim:
         # the run's own draws, in its order: arrivals, then service times
         rng = SeededStream(145).generator()
         t = nhpp_sinusoidal(cfg.profile, cfg.horizon_s, rng)
-        mu_eff = effective_service_rate(cfg.queue.mu1, cfg.queue.mu2, cfg.queue.r)
+        mu_eff = effective_service_rate(cfg.queue)
         s = rng.exponential(1.0 / mu_eff, len(t))
         w = lindley_waits(t, s)
         cut = int(len(t) * cfg.warmup)
