@@ -28,7 +28,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .config import count, finite_nonnegative, finite_positive, read, unit
+from .config import count, evaluated, finite_nonnegative, finite_positive, read, unit
 from .errors import DomainError, UnstableQueue
 from .specs import (
     STABILITY_GUARD,
@@ -48,12 +48,12 @@ def mm1_source_wait(spec: QueueSpec) -> float:
 
     This is the M/M/1-with-second-optional-service result: the server is
     occupied for Exp(mu1) per request plus, with probability r, Exp(mu2)
-    of migration work.
+    of migration work. A wait outside the floats >= 0 raises DomainError.
     """
     spec.check_stable()
     lam, mu1, inv2 = spec.lam, spec.mu1, spec.inv_mu2
-    num = lam * (1.0 / mu1**2 + spec.r * inv2**2 + spec.r * inv2 / mu1)
-    return num / (1.0 - lam / mu1 - spec.r * lam * inv2)
+    return evaluated("source wait", lambda: lam * (1.0 / mu1**2 + spec.r * inv2**2 + spec.r * inv2 / mu1)
+                     / (1.0 - lam / mu1 - spec.r * lam * inv2))
 
 
 def destination_wait(spec: QueueSpec) -> float:
@@ -63,12 +63,12 @@ def destination_wait(spec: QueueSpec) -> float:
     fed only by the migrated stream (rate r*lam, no re-migration), so
     the wait is r*lam / (mu1 * (mu1 - r*lam)). Writing mu2 here instead
     of mu1 is a common slip; mu2 is the migration-transfer rate, not the
-    destination's processing rate.
+    destination's processing rate; a wait outside the floats >= 0 raises DomainError.
     """
     lam, mu1, r = spec.lam, spec.mu1, spec.r
     if r * lam >= mu1 * STABILITY_GUARD:
         raise UnstableQueue(f"destination load r*lam = {r * lam:.6g} >= mu1 = {mu1:.6g}")
-    return r * lam / (mu1 * (mu1 - r * lam))
+    return evaluated("destination wait", lambda: r * lam / (mu1 * (mu1 - r * lam)))
 
 
 def mm1_two_phase_wait(spec: QueueSpec) -> float:
@@ -320,11 +320,9 @@ def empirical_rule_capacities(lambda_site: float, k: int) -> tuple[float, float]
     """Two-sigma peak capacities: C_edge = k*(lam + 2*sqrt(lam)),
     C_cloud = k*lam + 2*sqrt(k*lam).
 
-    Pooling k independent Poisson sites shrinks the fluctuation term, so
-    C_cloud < C_edge for every k >= 2 and they agree at k = 1.
+    The cloud is the edge rule at one site of rate k*lam: pooling shrinks
+    the fluctuation term, so C_cloud < C_edge for every k >= 2.
     """
     lambda_site = read("lambda_site", finite_positive, lambda_site, DomainError)
     k = read("k", count, k, DomainError)
-    c_edge = k * (lambda_site + 2.0 * math.sqrt(lambda_site))
-    c_cloud = k * lambda_site + 2.0 * math.sqrt(k * lambda_site)
-    return c_edge, c_cloud
+    return tuple(sites * (rate + 2.0 * math.sqrt(rate)) for sites, rate in ((k, lambda_site), (1, k * lambda_site)))

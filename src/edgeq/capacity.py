@@ -2,18 +2,19 @@
 
 The closed forms relate the server capacity a distributed edge needs to
 match a centralized pool handling the same geographically pinned VM
-workload. The packing sweep measures the over-provisioning; peaks where
-nothing queues come from a sorted +/-cores sweep. A saturated site is one
-server, so the sweep replays it on its own as one FIFO pool of cores, where
-first and best fit place alike, and merges the sites' waits into the
-system-wide backlog afterwards.
+workload; that pool is the edge with its sites pooled into one (q = inf,
+tau = 0, one `Topology` site). The packing sweep measures the
+over-provisioning; peaks where nothing queues come from a sorted
++/-cores sweep. A saturated site is one server, so the sweep replays it
+on its own as one FIFO pool of cores, where first and best fit place
+alike, and merges the sites' waits into the system-wide backlog afterwards.
 
-A trace is a `VmTrace` of columns. The
-general replay, `simulate_packing`, is one event loop over a trace in
-arrival order; it serves `edgeq capacity pack` and is the oracle the sweep
-is tested against. Releases due by an arrival time run before that time's
-arrival batch and never inside it. Each site keeps a FIFO of the VMs that
-fit nowhere, and its head blocks the VMs behind it.
+A trace is a `VmTrace` of columns; `_sites` maps each VM to its site for
+both replays. The general replay, `simulate_packing`, is one event loop
+over a trace in arrival order; it serves `edgeq capacity pack` and is the
+oracle the sweep is tested against. Releases due by an arrival time run
+before that time's arrival batch and never inside it. Each site keeps a
+FIFO of the VMs that fit nowhere, and its head blocks the VMs behind it.
 """
 from __future__ import annotations
 
@@ -29,7 +30,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .config import REQUIRED, Checked, checked, count, finite_nonnegative, finite_positive, ranged, read
+from .config import REQUIRED, Checked, checked, count, evaluated, finite_nonnegative, finite_positive, ranged, read
 from .errors import DomainError, EmptyTrace, OversizedVm, ParseError, UnstableQueue
 from .specs import DtrpSpec, packing_factor
 from .workload import RenewalSpec, SeededStream, poisson_arrivals, renewal_times
@@ -54,30 +55,21 @@ def cloud_capacity_equivalent(edge: DtrpSpec, rho_cloud: float) -> float:
     if rho_cloud >= 1.0:
         raise UnstableQueue(f"rho_cloud = {rho_cloud:.6g} must lie in [0, 1)")
     slack = edge.rho + edge.tau / edge.capacity
-    return edge.capacity * (1.0 - slack) / ((1.0 + 1.0 / edge.q) * (1.0 - rho_cloud))
+    return edge.capacity * (1.0 - slack) / (edge_overprovision_factor(edge.q) * (1.0 - rho_cloud))
 
 
-def dtrp_response_time(spec: DtrpSpec, lam: float, cloud: bool = False) -> float:
+def dtrp_response_time(spec: DtrpSpec, lam: float) -> float:
     """Spatial-queue response time, up to the shared proportionality constant.
 
     gos^2 * lam * area * (1 + 1/q)^2 / (C^2 * v^2 * (1 - rho - tau/C)^2).
-    In cloud mode the pool is large enough that 1/q and tau/C vanish.
-    A time outside the positive floats raises DomainError.
+    The pooled cloud is the spec at q = inf and tau = 0, where 1/q and
+    tau/C vanish. A time outside the positive floats raises DomainError.
     """
     lam = read("lam", finite_positive, lam, DomainError)
-    if cloud:
-        pack = 1.0
-        slack = 1.0 - spec.rho
-    else:
-        pack = edge_overprovision_factor(spec.q)
-        slack = 1.0 - spec.rho - spec.tau / spec.capacity
-    try:
-        time = spec.gos**2 * lam * spec.area * pack**2 / (spec.capacity**2 * spec.velocity**2 * slack**2)
-    except (OverflowError, ZeroDivisionError):  # a power overflowed, or the divisor underflowed to 0
-        time = math.inf
-    if not 0.0 < time < math.inf:
-        raise DomainError(f"response time out of float range, got {time!r}")
-    return time
+    pack = edge_overprovision_factor(spec.q)
+    slack = 1.0 - spec.rho - spec.tau / spec.capacity
+    return evaluated("response time", lambda: spec.gos**2 * lam * spec.area * pack**2
+                     / (spec.capacity**2 * spec.velocity**2 * slack**2), finite_positive)
 
 
 # ---------------------------------------------------------------------------
@@ -265,17 +257,11 @@ packing_policy = ranged(str, POLICIES.__contains__, f"one of {POLICIES}")  # the
 
 @dataclass(frozen=True)
 class Topology(Checked):
-    """Server layout: cloud mode is a single pooled site."""
+    """Server layout: ``k_sites`` sites of ``servers_per_site`` servers; the pooled cloud is one site."""
 
-    mode: str = checked(REQUIRED, ranged(str, lambda m: m in ("edge", "cloud"), "'edge' or 'cloud'"))
     k_sites: int = checked(REQUIRED, count)
     servers_per_site: int = checked(REQUIRED, count)
     cores_per_server: int = checked(REQUIRED, count)
-
-    def __post_init__(self):
-        super().__post_init__()
-        if self.mode == "cloud" and self.k_sites != 1:
-            raise DomainError("cloud mode pools everything into one site")
 
 
 @dataclass
@@ -290,20 +276,14 @@ class PackingReport:
     completed: int
 
 
-def simulate_packing(
-    trace: VmTrace,
-    topology: Topology,
-    policy: str = "first_fit",
-    site_assign: str = "uniform",
-    stream: Optional[SeededStream] = None,
-) -> PackingReport:
+def simulate_packing(trace: VmTrace, topology: Topology, policy: str = "first_fit") -> PackingReport:
     """Replay a VM trace, in arrival order, against a topology.
 
-    Each VM is pinned to its site (uniform draw or the trace's hint; edge
-    sites never borrow from each other) and lands on the first opened
-    server with room (best_fit: the tightest), else on a new server while
-    the site has one left. A VM that fits nowhere waits in its site's FIFO,
-    and the head blocks the VMs behind it until releases free enough cores.
+    Each VM is pinned to its site (`_sites`; sites never borrow from each
+    other) and lands on the first opened server with room (best_fit: the
+    tightest), else on a new server while the site has one left. A VM that
+    fits nowhere waits in its site's FIFO, and the head blocks the VMs
+    behind it until releases free enough cores.
     Releases due by an arrival time run before that time's arrival batch,
     never inside it, so a VM whose end rounds to its arrival holds its cores
     through its batch; first_fit_decreasing_batch places each batch largest
@@ -311,26 +291,11 @@ def simulate_packing(
     oversubscribes a server.
     """
     policy = read("policy", packing_policy, policy, DomainError)
-    site_assign = read("site_assign", ranged(str, ("uniform", "hint").__contains__, "'uniform' or 'hint'"),
-                       site_assign, DomainError)
-    n = len(trace)
-    if not n:
-        raise EmptyTrace("trace contains no VM requests")
     cap = topology.cores_per_server
     _refuse_oversized(trace, cap)
     _arrival_clock(trace)
-
-    n_sites = topology.k_sites if topology.mode == "edge" else 1
-    if topology.mode == "cloud":
-        site_of = [0] * n
-    elif site_assign == "hint":
-        if trace.site_hint is None:
-            raise DomainError(f"site_assign='hint' requires every VM to carry a hint (trace column {HINT_COLUMN})")
-        site_of = (trace.site_hint % n_sites).tolist()
-    else:
-        if stream is None:
-            raise DomainError("site_assign='uniform' requires a SeededStream")
-        site_of = stream.generator().integers(0, n_sites, n).tolist()
+    n, n_sites = len(trace), topology.k_sites
+    site_of = _sites(trace, n_sites).tolist()
 
     times, lifetimes, sizes = trace.arrival.tolist(), trace.lifetime.tolist(), trace.cores.tolist()
     order = range(n)
@@ -432,7 +397,7 @@ class SweepPoint:
 
 
 class PackingSweep:
-    """Edge sites of one size per call against the pooled-cloud baseline, over one hinted trace.
+    """Edge sites of one size per call against the pooled-cloud baseline, over one trace (hinted above one site).
 
     The per-trace state is built once: each VM's site, the cloud peak and
     each site's peak of occupied cores were no VM ever to queue (one sorted
@@ -452,14 +417,10 @@ class PackingSweep:
     """
 
     def __init__(self, trace: VmTrace, k_sites: int, q: float, policy: str = "first_fit"):
-        if not len(trace):
-            raise EmptyTrace("trace contains no VM requests")
         self.policy = read("policy", packing_policy, policy, DomainError)
         self.k_sites = read("k_sites", count, k_sites, DomainError)
-        if trace.site_hint is None:
-            raise DomainError("capacity_sweep requires every VM to carry a site hint")
         self.trace = trace
-        self.site_of = site_of = (trace.site_hint % self.k_sites).astype(np.min_scalar_type(self.k_sites - 1))
+        self.site_of = site_of = _sites(trace, self.k_sites)
         self.cloud_peak, self.peaks = _unqueued_peaks(trace.arrival, trace.lifetime, trace.cores, site_of, self.k_sites)
         self.target = self.cloud_peak * edge_overprovision_factor(q)  # the edge's cores the model predicts
         self.model_size = self.target / self.k_sites
@@ -474,7 +435,7 @@ class PackingSweep:
         capacity = sum(p for p, full in zip(self.peaks, saturated) if not full)
         queue = 0
         if any(saturated):
-            Topology("edge", self.k_sites, 1, size)  # refuses a size below 1
+            Topology(self.k_sites, 1, size)  # refuses a size below 1
             _refuse_oversized(self.trace, size)
             clock = _arrival_clock(self.trace, np.array(saturated)[self.site_of])
             used, queue = _pool_replay([rows for rows, full in zip(self.sites, saturated) if full], clock, size)
@@ -492,6 +453,17 @@ def capacity_sweep(
     """`PackingSweep` at each size of ``core_grid``: (the points, the cloud peak used cores, the model size)."""
     sweep = PackingSweep(trace, k_sites, q, policy)
     return [sweep.point(size) for size in core_grid], sweep.cloud_peak, sweep.model_size
+
+
+def _sites(trace: VmTrace, k_sites: int) -> np.ndarray:
+    """Each VM's site, ``site_hint % k_sites``, in the least dtype that holds ``k_sites - 1``;
+    an empty trace raises EmptyTrace, and one without hints above one site DomainError."""
+    if not len(trace):
+        raise EmptyTrace("trace contains no VM requests")
+    if trace.site_hint is None and k_sites > 1:
+        raise DomainError(f"{k_sites} sites need every VM to carry a site hint (trace column {HINT_COLUMN})")
+    hints = np.zeros(len(trace), np.int64) if trace.site_hint is None else trace.site_hint
+    return (hints % k_sites).astype(np.min_scalar_type(k_sites - 1))
 
 
 def _refuse_oversized(trace: VmTrace, size: int) -> None:
@@ -578,7 +550,8 @@ def _pool_replay(sites: list[tuple], clock: np.ndarray, size: int) -> tuple[int,
     the backlog is merged afterwards. A VM that waits adds 1 at its trace
     position and takes it off at the first replayed row whose release pass
     starts it, which ``clock`` (`_arrival_clock`) locates; the backlog peaks
-    where a VM joins it, since only an arrival raises it.
+    where a VM joins it, since only an arrival raises it. Each of the ``sites``
+    would pass ``size`` were no VM to wait there, so ``joined`` is never empty.
     """
     stop = math.nextafter(clock[-1], math.inf)  # the first time after the last arrival
     used, joined, starts, roots = 0, [], array("d"), array("d")
@@ -589,8 +562,6 @@ def _pool_replay(sites: list[tuple], clock: np.ndarray, size: int) -> tuple[int,
         starts += started
         roots += rooted
     joined = np.concatenate(joined)
-    if not len(joined):
-        return used, 0
     # a release pass runs before the first arrival batch at or after the release time, and
     # after the batch its release chain grew from: a start at that root arrival, where every
     # lifetime of the chain rounded away, leaves the backlog before the batch after the root

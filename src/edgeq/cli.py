@@ -31,7 +31,7 @@ from dataclasses import asdict, replace
 from pathlib import Path
 
 from . import analytic, capacity
-from .config import count, integral, read, whole
+from .config import count, integral, ranged, read, whole
 from .desim import load_sim_config, replicate
 from .errors import EdgeqError, InstabilityDetected
 from .harness import load_scenario, output_stem, run_scenario
@@ -207,16 +207,21 @@ def _parse_topology(text: str) -> capacity.Topology:
             if key not in fields or not value:
                 raise EdgeqError(f"bad topology element {part!r}; use mode:k=..,cores=..,servers=..")
             fields[key] = read(f"--topology {key}", integral, value)
-    return capacity.Topology(mode, fields["k"], fields["servers"], fields["cores"])
+    read("--topology mode", ranged(str, ("edge", "cloud").__contains__, "'edge' or 'cloud'"), mode)
+    topology = capacity.Topology(fields["k"], fields["servers"], fields["cores"])
+    if mode == "cloud" and topology.k_sites != 1:
+        raise EdgeqError("cloud mode pools everything into one site")
+    return topology
 
 
 def _cmd_capacity_pack(args) -> int:
     trace = capacity.load_vm_trace(args.trace)
     topology = _parse_topology(args.topology)
-    report = capacity.simulate_packing(
-        trace, topology, policy=args.policy, site_assign=args.site_assign,
-        stream=SeededStream(_default_seed(args.seed)),
-    )
+    seed = _default_seed(args.seed)
+    if args.site_assign == "uniform" and topology.k_sites > 1:  # each VM at a seeded uniform site
+        sites = SeededStream(seed).generator().integers(0, topology.k_sites, len(trace))
+        trace = capacity.VmTrace(trace.arrival, trace.lifetime, trace.cores, sites, trace.ids)
+    report = capacity.simulate_packing(trace, topology, args.policy)
     record = {
         "trace": args.trace, "topology": args.topology, "policy": args.policy,
         "trace_summary": capacity.trace_summary(trace), **asdict(report),

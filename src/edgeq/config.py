@@ -119,6 +119,22 @@ count = ranged(integral, lambda n: n >= 1, ">= 1")
 whole = ranged(integral, lambda n: n >= 0, ">= 0")
 
 
+def evaluated(what: str, form, cast=finite_nonnegative):
+    """``form()``, a closed form's value, read by ``cast``.
+
+    A power that overflows or a divisor that underflows to 0 reads as inf;
+    a value the cast refuses raises DomainError "``what`` out of float range".
+    """
+    try:
+        value = form()
+    except (OverflowError, ZeroDivisionError):
+        value = math.inf
+    try:
+        return cast(value)
+    except ValueError:
+        raise DomainError(f"{what} out of float range, got {value!r}") from None
+
+
 def checked(default, cast):
     """A dataclass field that keeps ``default`` (REQUIRED for none; a dict is copied) and ``cast``."""
     meta = {"default": default, "cast": cast}

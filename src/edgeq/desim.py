@@ -24,9 +24,9 @@ way and no invalid config exists. The ``edge``, ``cloud``, ``network``
 and ``workload`` sections are cast the same way by the fields of the
 spec records they build. ``MODEL_FIELDS`` names the ``SimConfig`` fields
 each model requires and reads; a config refuses any other field set off
-its default, a horizon other than exactly one, and a pool with no
-arrivals (``cloud.rho`` 0, or so small that rho*k*mu rounds to 0),
-which would run no request.
+its default, a horizon other than exactly one, and, naming its key, a
+rate the run divides by that is 0 (a pool with no arrivals would run no
+request) or so small that its reciprocal overflows.
 
 Single-server waits come from the vectorized Lindley recursion
 (reflected random walk), which ``multiserver_waits`` runs at k = 1, so
@@ -162,11 +162,20 @@ class SimConfig:
             raise ConfigError(f"SimConfig.queue.lam {self.queue.lam!r} != SimConfig.profile.lambda_bar {self.profile.lambda_bar!r}")
         if (self.horizon_requests is None) == (self.horizon_s is None):
             raise ConfigError("set exactly one of simulation.horizon_requests, simulation.horizon_s")
-        if self.cloud is not None and self.cloud.arrival_rate == 0.0:  # a pool with no arrivals would run nothing
-            raise ConfigError(
-                f"cloud.rho (SimConfig.cloud): the arrival rate rho*k*mu must be > 0, got {self.cloud.arrival_rate!r}"
-                f" at rho {self.cloud.rho_cloud!r}"
-            )
+        q, pool, rates = self.queue, self.cloud, []  # (key, name, value, context) of each rate the run divides by
+        if q is not None:
+            rates += [(f"edge.{key} (SimConfig.queue)", "rate", rate, "") for key, rate in
+                      (("lambda", q.lam), ("mu1", q.mu1), ("mu2", q.mu2))]
+            rates.append(("edge (SimConfig.queue)", "effective service rate 1/(1/mu1 + r/mu2)", effective_service_rate(q), ""))
+        if self.dest_rate is not None:
+            rates.append((_key("dest_rate"), "rate", self.dest_rate, ""))
+        if pool is not None:  # a pool whose rho*k*mu is 0 would run no request
+            rates += [("cloud.mu (SimConfig.cloud)", "rate", pool.mu_cloud, ""),
+                      ("cloud.rho (SimConfig.cloud)", "arrival rate rho*k*mu", pool.arrival_rate, f" at rho {pool.rho_cloud!r}")]
+        for key, name, rate, context in rates:  # the run divides by no infinite rate, so inf passes
+            if not (rate > 0.0 and 1.0 / rate < math.inf):
+                need = "> 0" if rate == 0.0 else "large enough for a finite reciprocal"
+                raise ConfigError(f"{key}: the {name} must be {need}, got {rate!r}{context}")
 
 
 # ---------------------------------------------------------------------------

@@ -310,8 +310,8 @@ def test_criterion_7_packing(tmp_path_factory):
     t0 = time.time()
     # worked toy example: 0.8/0.8/0.2/0.2 on unit servers (x10 in cores)
     toy = VmTrace([0.0, 1.0, 2.0, 3.0], [100.0] * 4, [8, 8, 2, 2], [0, 0, 1, 1])
-    cloud = simulate_packing(toy, Topology("cloud", 1, 4, 10), site_assign="hint")
-    edge = simulate_packing(toy, Topology("edge", 2, 4, 10), site_assign="hint")
+    cloud = simulate_packing(toy, Topology(1, 4, 10))
+    edge = simulate_packing(toy, Topology(2, 4, 10))
     ok_toy = cloud.peak_servers_used == 2 and edge.peak_servers_used == 3
 
     rows, summary, _ = run_scenario(

@@ -673,6 +673,33 @@ class TestDomainErrors:
         with pytest.raises(DomainError):
             QueueSpec(10, 50, 50, 1.5)
 
+    # each used to raise ZeroDivisionError or OverflowError, or return inf or nan
+    @pytest.mark.parametrize("form, spec, what", [
+        (mm1_source_wait, QueueSpec(1e-320, 1e-310, 1.0), "source wait"),  # mu1**2 underflows to 0
+        (mm1_source_wait, QueueSpec(1e-300, 1e-160, 1.0), "source wait"),  # 1/mu1**2 overflows
+        (mm1_source_wait, QueueSpec(1.0, 1e200, 1.0), "source wait"),  # mu1**2 overflows
+        (mm1_source_wait, QueueSpec(1.0, 10.0, 1e-310), "source wait"),  # r * (1/mu2)**2 is 0 * inf
+        (destination_wait, QueueSpec(1e-320, 1e-310, 1.0), "destination wait"),  # mu1 * mu1 underflows to 0
+    ], ids=["source-zero-division", "source-inf", "source-overflow", "source-nan", "destination-zero-division"])
+    def test_a_wait_out_of_float_range_raises_domain_error(self, form, spec, what):
+        with pytest.raises(DomainError, match=f"^{what} out of float range, got"):
+            form(spec)
+
+    @settings(max_examples=300, deadline=None)
+    @given(lam=st.floats(0.0, 1e308, exclude_min=True), mu1=st.floats(0.0, 1e308, exclude_min=True),
+           mu2=st.floats(0.0, 1e308, exclude_min=True), r=st.floats(0.0, 1.0))
+    def test_a_wait_is_a_float_at_least_zero_or_an_error(self, lam, mu1, mu2, r):
+        spec = QueueSpec(lam, mu1, mu2, r)
+        for form in (mm1_source_wait, destination_wait):
+            try:
+                wait = form(spec)
+            except UnstableQueue:
+                continue
+            except DomainError as exc:
+                assert "wait out of float range" in str(exc)
+            else:
+                assert 0.0 <= wait < math.inf
+
     def test_a_float_overflow_is_a_domain_error_naming_the_field(self):
         with pytest.raises(DomainError, match=r"^QueueSpec\.lam: "):
             QueueSpec(10**400, 50.0, 50.0)

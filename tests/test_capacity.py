@@ -2,6 +2,7 @@
 import hashlib
 import heapq
 import math
+from dataclasses import replace
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 from edgeq import (
     DomainError,
     DtrpSpec,
+    EdgeqError,
     EmptyTrace,
     OversizedVm,
     ParseError,
@@ -27,6 +29,7 @@ from edgeq import (
     synthetic_vm_trace,
 )
 import edgeq.capacity
+from edgeq.cli import _parse_topology
 from edgeq.capacity import (
     POLICIES,
     PackingReport,
@@ -105,13 +108,13 @@ class TestClosedForms:
         edge = DtrpSpec(c_edge, rho_edge, tau_share * (1.0 - rho_edge) * c_edge, q)
         c_cloud = cloud_capacity_equivalent(edge, rho_cloud)
         t_edge = dtrp_response_time(edge, lam)
-        t_cloud = dtrp_response_time(DtrpSpec(c_cloud, rho_cloud, 0.0, q), lam, cloud=True)
+        t_cloud = dtrp_response_time(DtrpSpec(c_cloud, rho_cloud, 0.0, math.inf), lam)  # the pooled cloud
         assert t_edge == pytest.approx(t_cloud, rel=1e-9)
 
     def test_dtrp_huge_packing_factor_matches_cloud_mode(self):
         spec = DtrpSpec(capacity=64, rho=0.5, tau=0.0, q=1e12)
         assert dtrp_response_time(spec, 10.0) == pytest.approx(
-            dtrp_response_time(spec, 10.0, cloud=True), rel=1e-9
+            dtrp_response_time(replace(spec, q=math.inf), 10.0), rel=1e-9
         )
 
     def test_dtrp_doubling_capacity_quarters_time(self):
@@ -127,9 +130,9 @@ class TestClosedForms:
     def test_dtrp_time_out_of_float_range_raises_domain_error(self, field, value):
         # these used to raise ZeroDivisionError or OverflowError
         spec = DtrpSpec(**{"capacity": 64.0, "rho": 0.5, "tau": 0.0, "q": 2.0, field: value})
-        for cloud in (False, True):
+        for pooled in (spec, replace(spec, q=math.inf, tau=0.0)):
             with pytest.raises(DomainError, match="response time out of float range"):
-                dtrp_response_time(spec, 10.0, cloud=cloud)
+                dtrp_response_time(pooled, 10.0)
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -143,8 +146,10 @@ class TestClosedForms:
             spec = DtrpSpec(capacity, rho, tau_share * (1.0 - rho) * capacity, q, area, velocity, gos)
         except DomainError:  # rounding left no slack, or 1/q overflowed
             assume(False)
+        if cloud:  # the pool, where 1/q and tau/C vanish
+            spec = replace(spec, q=math.inf, tau=0.0)
         try:
-            time = dtrp_response_time(spec, lam, cloud=cloud)
+            time = dtrp_response_time(spec, lam)
         except DomainError as exc:
             assert "response time out of float range" in str(exc)
         else:
@@ -235,43 +240,37 @@ def toy_trace():
 
 class TestPackingSimulator:
     def test_toy_cloud_needs_two_servers(self):
-        report = simulate_packing(
-            toy_trace(), Topology("cloud", 1, 4, 10), site_assign="hint"
-        )
+        report = simulate_packing(toy_trace(), Topology(1, 4, 10))
         assert report.peak_servers_used == 2
 
     def test_toy_edge_needs_three_servers(self):
-        report = simulate_packing(
-            toy_trace(), Topology("edge", 2, 4, 10), site_assign="hint"
-        )
+        report = simulate_packing(toy_trace(), Topology(2, 4, 10))
         assert report.peak_servers_used == 3
         assert report.peak_servers_per_site == [2, 1]
 
     def test_single_vm_single_server(self):
-        trace = vm_trace([Vm("v", 0.0, 1.0, 4)])
-        for mode, k in (("cloud", 1), ("edge", 3)):
-            report = simulate_packing(
-                trace, Topology(mode, k, 2, 10), site_assign="uniform", stream=SeededStream(1)
-            )
+        trace = vm_trace([Vm("v", 0.0, 1.0, 4, site_hint=2)])
+        for k in (1, 3):
+            report = simulate_packing(trace, Topology(k, 2, 10))
             assert report.peak_servers_used == 1
 
     def test_empty_trace_rejected(self):
         with pytest.raises(EmptyTrace, match="trace contains no VM requests"):
-            simulate_packing(vm_trace([]), Topology("cloud", 1, 4, 16))
+            simulate_packing(vm_trace([]), Topology(1, 4, 16))
 
     def test_oversized_vm_rejected(self):
         trace = vm_trace([Vm("big", 0.0, 1.0, 32)])
         with pytest.raises(OversizedVm):
-            simulate_packing(trace, Topology("cloud", 1, 4, 16), site_assign="hint")
+            simulate_packing(trace, Topology(1, 4, 16))
 
     def test_site_affinity_respected(self):
         trace = vm_trace([Vm(f"v{i}", float(i), 50.0, 4, site_hint=0) for i in range(10)])
-        report = simulate_packing(trace, Topology("edge", 4, 8, 8), site_assign="hint")
+        report = simulate_packing(trace, Topology(4, 8, 8))
         assert report.peak_servers_per_site[1:] == [0, 0, 0]
 
     def test_conservation_counts(self):
         trace = synthetic_vm_trace(20.0, 5.0, 100.0, SeededStream(50), k_sites=4)
-        report = simulate_packing(trace, Topology("edge", 4, 100, 32), site_assign="hint")
+        report = simulate_packing(trace, Topology(4, 100, 32))
         assert report.placed == report.completed == len(trace)
 
     def test_full_site_queues_fifo(self):
@@ -280,7 +279,7 @@ class TestPackingSimulator:
             Vm("b", 1.0, 10.0, 8, site_hint=0),   # must wait for a
             Vm("c", 2.0, 10.0, 2, site_hint=0),   # waits behind b (FIFO)
         ])
-        report = simulate_packing(trace, Topology("edge", 1, 1, 10), site_assign="hint")
+        report = simulate_packing(trace, Topology(1, 1, 10))
         assert report.rejected_or_queued == 2
         assert report.completed == 3
 
@@ -288,7 +287,7 @@ class TestPackingSimulator:
         trace = synthetic_vm_trace(20.0, 5.0, 100.0, SeededStream(51), k_sites=1)
         peaks = []
         for cores in (24, 32, 64, 128):
-            rep = simulate_packing(trace, Topology("cloud", 1, len(trace), cores), site_assign="hint")
+            rep = simulate_packing(trace, Topology(1, len(trace), cores))
             peaks.append(rep.peak_servers_used)
         assert peaks == sorted(peaks, reverse=True)
 
@@ -300,9 +299,9 @@ class TestPackingSimulator:
             Vm("c", 0.2, 10.0, 3, site_hint=0),
             Vm("d", 0.3, 10.0, 6, site_hint=0),
         ])
-        top = Topology("edge", 1, 4, 10)
-        ff = simulate_packing(trace, top, policy="first_fit", site_assign="hint")
-        bf = simulate_packing(trace, top, policy="best_fit", site_assign="hint")
+        top = Topology(1, 4, 10)
+        ff = simulate_packing(trace, top, policy="first_fit")
+        bf = simulate_packing(trace, top, policy="best_fit")
         assert ff.peak_servers_used == 3
         assert bf.peak_servers_used == 2
 
@@ -311,9 +310,9 @@ class TestPackingSimulator:
             Vm(f"v{i}", 0.0, 10.0, cores, site_hint=0)
             for i, cores in enumerate([4, 4, 4, 6, 6, 6])
         ])
-        top = Topology("edge", 1, 6, 10)
-        plain = simulate_packing(trace, top, policy="first_fit", site_assign="hint")
-        ffd = simulate_packing(trace, top, policy="first_fit_decreasing_batch", site_assign="hint")
+        top = Topology(1, 6, 10)
+        plain = simulate_packing(trace, top, policy="first_fit")
+        ffd = simulate_packing(trace, top, policy="first_fit_decreasing_batch")
         assert plain.peak_servers_used == 4   # 4+4 | 4+6 | 6 | 6
         assert ffd.peak_servers_used == 3     # 6+4 on each
 
@@ -325,15 +324,17 @@ class TestPackingSimulator:
             Vm("c", 1.0, 5.0, 4, site_hint=0),
         ]
         with pytest.raises(DomainError, match="VM b arrives before"):
-            simulate_packing(vm_trace(rows), Topology("edge", 1, 1, 8), site_assign="hint")
+            simulate_packing(vm_trace(rows), Topology(1, 1, 8))
         with pytest.raises(DomainError, match="VM b arrives before"):
             capacity_sweep(vm_trace(rows), 1, [8, 4], 2.0)
-        assert simulate_packing(vm_trace(sorted(rows, key=lambda r: r.arrival)), Topology("edge", 1, 1, 8),
-                                site_assign="hint").rejected_or_queued == 0
+        in_order = vm_trace(sorted(rows, key=lambda r: r.arrival))
+        assert simulate_packing(in_order, Topology(1, 1, 8)).rejected_or_queued == 0
 
-    def test_uniform_assignment_needs_stream(self):
-        with pytest.raises(DomainError):
-            simulate_packing(toy_trace(), Topology("edge", 2, 2, 10), site_assign="uniform")
+    def test_sites_above_one_need_hints(self):
+        trace = vm_trace([Vm("a", 0.0, 10.0, 4), Vm("b", 1.0, 10.0, 4)])
+        with pytest.raises(DomainError, match="^2 sites need every VM to carry a site hint"):
+            simulate_packing(trace, Topology(2, 2, 10))
+        assert simulate_packing(trace, Topology(1, 1, 4)).rejected_or_queued == 1
 
 
 class TestCapacitySweep:
@@ -421,15 +422,10 @@ class _RefSite:
             self.peak_used = self.used
 
 
-def reference_packing(trace, topology, policy, site_assign, stream):
+def reference_packing(trace, topology, policy):
     """simulate_packing as per-site objects and release/drain closures, the replay the event loop must equal."""
-    n_sites = topology.k_sites if topology.mode == "edge" else 1
-    if topology.mode == "cloud":
-        site_of = np.zeros(len(trace), dtype=int)
-    elif site_assign == "hint":
-        site_of = np.array([r.site_hint % n_sites for r in trace])
-    else:
-        site_of = stream.generator().integers(0, n_sites, len(trace))
+    n_sites = topology.k_sites
+    site_of = [r.site_hint % n_sites for r in trace]
 
     sites = [_RefSite(topology.cores_per_server, topology.servers_per_site) for _ in range(n_sites)]
     releases = []  # (time, site, server, cores)
@@ -525,31 +521,27 @@ def packing_cases(draw):
     rows.sort(key=lambda row: row[0])
     trace = [Vm(f"v{i}", base + a * 64.0, life * 32.0 or 1.0, c, site_hint=h)
              for i, (a, life, c, h) in enumerate(rows)]
-    mode = draw(st.sampled_from(["edge", "cloud"]))
-    k_sites = draw(st.integers(1, 4)) if mode == "edge" else 1
-    topology = Topology(mode, k_sites, draw(st.integers(1, 4)), draw(st.integers(8, 12)))
-    return trace, topology, draw(st.sampled_from(["hint", "uniform"])), SeededStream(draw(st.integers(0, 99)))
+    topology = Topology(draw(st.integers(1, 4)), draw(st.integers(1, 4)), draw(st.integers(8, 12)))
+    return trace, topology
 
 
 class TestReplayMatchesReference:
     @settings(max_examples=300, deadline=None)
     @given(packing_cases(), st.sampled_from(POLICIES))
     def test_equals_reference(self, case, policy):
-        trace, topology, site_assign, stream = case
-        got = simulate_packing(vm_trace(trace), topology, policy=policy, site_assign=site_assign, stream=stream)
-        assert repr(got) == repr(reference_packing(trace, topology, policy, site_assign, stream))
+        trace, topology = case
+        got = simulate_packing(vm_trace(trace), topology, policy=policy)
+        assert repr(got) == repr(reference_packing(trace, topology, policy))
 
 
 def replayed_sweep(trace, k_sites, core_grid, q, policy):
     """capacity_sweep by full replays: the cloud on one server per VM, every edge size in full."""
-    cloud = simulate_packing(
-        trace, Topology("cloud", 1, len(trace), int(trace.cores.max())), site_assign="hint"
-    )
+    cloud = simulate_packing(trace, Topology(1, len(trace), int(trace.cores.max())))
     cloud_peak = cloud.site_capacity_cores
     target = cloud_peak * edge_overprovision_factor(q)
     points = []
     for cores in core_grid:
-        rep = simulate_packing(trace, Topology("edge", k_sites, 1, cores), policy=policy, site_assign="hint")
+        rep = simulate_packing(trace, Topology(k_sites, 1, cores), policy=policy)
         err = abs(rep.site_capacity_cores - target) / target
         points.append(SweepPoint(cores, rep.site_capacity_cores, err, rep.rejected_or_queued))
     return points, cloud_peak, target / k_sites
@@ -725,6 +717,14 @@ class TestSweepMatchesReplay:
         with pytest.raises(DomainError, match="hint"):
             capacity_sweep(trace, 2, [8], 2.0)
 
+    def test_one_site_reads_no_hint(self):
+        rows = [Vm("a", 0.0, 10.0, 4, site_hint=3), Vm("b", 1.0, 10.0, 4, site_hint=6),
+                Vm("c", 2.0, 5.0, 2, site_hint=1)]
+        hinted = capacity_sweep(vm_trace(rows), 1, [4, 8, 16], 2.0)
+        unhinted = vm_trace([r._replace(site_hint=None) for r in rows])
+        assert repr(capacity_sweep(unhinted, 1, [4, 8, 16], 2.0)) == repr(hinted)
+        assert [(p.edge_capacity, p.peak_queue) for p in hinted[0]] == [(4, 2), (8, 1), (10, 0)]
+
     def test_empty_trace_rejected(self):
         with pytest.raises(EmptyTrace):
             capacity_sweep(vm_trace([]), 2, [8], 2.0)
@@ -834,22 +834,22 @@ class TestArgumentDomains:
         assert again.site_hint.tobytes() == trace.site_hint.tobytes()
 
     @pytest.mark.parametrize("args, field", [
-        (("edge", 2.5, 1, 8), "k_sites"),
-        (("edge", True, 1, 8), "k_sites"),
-        (("edge", 2, 0, 8), "servers_per_site"),
-        (("edge", 2, 1, 8.5), "cores_per_server"),
-        (("fog", 2, 1, 8), "mode"),
+        ((2.5, 1, 8), "k_sites"),
+        ((True, 1, 8), "k_sites"),
+        ((2, 0, 8), "servers_per_site"),
+        ((2, 1, 8.5), "cores_per_server"),
     ])
     def test_topology_names_a_bad_field(self, args, field):
         with pytest.raises(DomainError, match=f"^Topology.{field}: must be"):
             Topology(*args)
 
     def test_topology_keeps_the_cloud_rule_and_casts_whole_floats(self):
-        with pytest.raises(DomainError, match="cloud mode pools everything"):
-            Topology("cloud", 2, 1, 8)
-        assert Topology("edge", 2.0, 1, 8.0) == Topology("edge", 2, 1, 8)
+        with pytest.raises(EdgeqError, match="cloud mode pools everything"):
+            _parse_topology("cloud:k=2,cores=8")
+        assert _parse_topology("cloud:cores=8") == _parse_topology("edge:cores=8") == Topology(1, 1, 8)
+        assert Topology(2.0, 1, 8.0) == Topology(2, 1, 8)
 
     def test_fractional_server_size_refused_before_replay(self):
         trace = vm_trace([Vm("a", 0.0, 1.0, 4, site_hint=0), Vm("b", 0.5, 1.0, 20, site_hint=0)])
         with pytest.raises(DomainError, match="^Topology.cores_per_server"):
-            simulate_packing(trace, Topology("edge", 1, 1, 20.5), site_assign="hint")
+            simulate_packing(trace, Topology(1, 1, 20.5))

@@ -129,6 +129,13 @@ class TestCapacityCommands:
         (("analytic", "factor", "--q", "1e-320"), "q: must be large enough for a finite 1/q, got 1e-320"),  # 1/q is inf
         (("capacity", "equivalent", "--c-edge", "inf", "--q", "2"), "DtrpSpec.capacity: must be finite and > 0, got inf"),
         (("capacity", "rule", "--lambda", "inf", "--k", "4"), "lambda_site: must be finite and > 0, got inf"),
+        # these used to die with a ZeroDivisionError traceback (exit 1), or print inf and exit 0
+        (("analytic", "wait", "--lambda", "1e-320", "--mu1", "1e-310", "--mu2", "1"),
+         "source wait out of float range, got inf"),
+        (("analytic", "wait", "--lambda", "1e-300", "--mu1", "1e-160", "--mu2", "1"),
+         "source wait out of float range, got inf"),
+        (("analytic", "deltat", "--lambda", "1e-320", "--mu1", "1e-310", "--mu2", "1", "--k", "2",
+          "--mu-cloud", "10", "--rho-cloud", "0.5"), "source wait out of float range, got inf"),
     ])
     def test_non_finite_argument_exits_2(self, capsys, argv, message):
         code, _, err = run_cli(capsys, *argv)
@@ -147,6 +154,31 @@ class TestCapacityCommands:
         )
         assert code == EXIT_OK
         assert json.loads(out)["peak_servers_used"] == 2
+
+    # (topology, seed, the record's fields that the site of each VM sets)
+    @pytest.mark.parametrize("topology, seed, sites", [
+        ("edge:k=4,cores=8,servers=2", "1", dict(peak_servers_per_site=[0, 2, 2, 2], peak_servers_used=6,
+                                                  rejected_or_queued=4, site_capacity_cores=40)),
+        ("edge:k=4,cores=8,servers=2", "2", dict(peak_servers_per_site=[2, 2, 2, 1], peak_servers_used=7,
+                                                  rejected_or_queued=2, site_capacity_cores=46)),
+        ("edge:k=1,cores=8,servers=2", "1", dict(peak_servers_per_site=[2], peak_servers_used=2,
+                                                  rejected_or_queued=8, site_capacity_cores=16)),
+    ], ids=["k4-seed1", "k4-seed2", "k1"])
+    def test_pack_uniform_sites_print_their_pinned_record(self, capsys, tmp_path, topology, seed, sites):
+        # a trace without hints: each VM's site is the seeded uniform draw
+        trace = tmp_path / "t.csv"
+        sizes = [8, 4, 6, 2, 8, 4, 2, 6, 8, 2, 4, 6]
+        trace.write_text("vm_id,arrival_s,lifetime_s,cores\n"
+                         + "".join(f"v{i},{i},{10 + 3 * (i % 4)},{c}\n" for i, c in enumerate(sizes)))
+        code, out, _ = run_cli(capsys, "capacity", "pack", "--trace", str(trace), "--topology", topology,
+                               "--seed", seed)
+        assert code == EXIT_OK
+        record = {
+            "trace": str(trace), "topology": topology, "policy": "first_fit", "placed": 12, "completed": 12,
+            "trace_summary": {"count": 12, "mean_cores": 5.0, "min_cores": 2, "max_cores": 8, "span_s": 11.0},
+            **sites,
+        }
+        assert out == json.dumps(record, indent=2, sort_keys=True) + "\n"
 
     @pytest.mark.parametrize("row", ["v,0,nan,2", "v,0,inf,2", "v,inf,1,2"])
     def test_pack_non_finite_value_exit_2(self, capsys, tmp_path, row):
@@ -201,6 +233,13 @@ class TestCapacityCommands:
         assert code == EXIT_CONFIG
         assert "cloud mode pools everything into one site" in err
 
+    def test_pack_unknown_topology_mode_exit_2(self, capsys, tmp_path):
+        trace = tmp_path / "t.csv"
+        trace.write_text("vm_id,arrival_s,lifetime_s,cores\nv,0,1,2\n")
+        code, _, err = run_cli(capsys, "capacity", "pack", "--trace", str(trace), "--topology", "fog:cores=8")
+        assert code == EXIT_CONFIG
+        assert "--topology mode: must be 'edge' or 'cloud', got 'fog'" in err
+
     def test_pack_hinted_trace_with_site_assign_hint(self, capsys, tmp_path):
         trace = tmp_path / "t.csv"
         trace.write_text(
@@ -213,6 +252,18 @@ class TestCapacityCommands:
         )
         assert code == EXIT_OK
         assert json.loads(out)["peak_servers_per_site"] == [2, 1]
+
+    def test_pack_one_site_reads_no_hint(self, capsys, tmp_path):
+        trace = tmp_path / "t.csv"
+        trace.write_text("vm_id,arrival_s,lifetime_s,cores\nv1,0,100,8\nv2,1,100,2\n")
+        records = [
+            run_cli(capsys, "capacity", "pack", "--trace", str(trace), "--topology", topology, "--site-assign", "hint")
+            for topology in ("edge:k=1,cores=10,servers=4", "cloud:cores=10,servers=4")
+        ]
+        assert [code for code, _, _ in records] == [EXIT_OK, EXIT_OK]
+        edge, cloud = (json.loads(out) for _, out, _ in records)
+        assert edge["peak_servers_per_site"] == cloud["peak_servers_per_site"] == [1]
+        assert {**edge, "topology": None} == {**cloud, "topology": None}
 
     def test_pack_site_assign_hint_without_hint_column_exit_2(self, capsys, tmp_path):
         trace = tmp_path / "t.csv"
@@ -567,6 +618,13 @@ def test_an_int_too_large_for_a_float_exits_2_naming_the_key(capsys, tmp_path):
     assert code == EXIT_CONFIG
     assert "config.edge.lambda:" in err
 
+# (model, config key) of rates the run divides by
+TINY_RATES = [
+    ("two_phase_edge", "edge.lambda"), ("two_phase_edge", "edge.mu1"), ("two_phase_edge", "simulation.dest_rate"),
+    ("mmk_cloud", "cloud.rho"), ("mmk_cloud", "cloud.mu"), ("mtm1_sinusoidal", "edge.mu1"),
+    ("two_phase_edge", "edge.mu2"),
+]
+
 
 @pytest.mark.parametrize(
     "command, body, key",
@@ -628,6 +686,12 @@ def test_an_int_too_large_for_a_float_exits_2_naming_the_key(capsys, tmp_path):
          "cloud.rho (SimConfig.cloud): the arrival rate rho*k*mu must be > 0"),
         ("simulate", {**with_value(SIM_CONFIGS["mmk_cloud"], "cloud.rho", 0.0), "simulation": {"horizon_s": 10.0}},
          "cloud.rho (SimConfig.cloud): the arrival rate rho*k*mu must be > 0"),
+        # a rate whose reciprocal overflows used to fail in a sampler, naming its argument (mean, mu_eff)
+        *(("simulate", with_value(SIM_CONFIGS[model], key, 1e-310), f"{key} (SimConfig.") for model, key in TINY_RATES),
+        # each rate finite, but 1/mu1 + r/mu2 overflows, so the effective service rate read 0.0
+        ("simulate", with_value(with_value(with_value(SIM_CONFIGS["mtm1_sinusoidal"], "edge.mu1", 1e-308),
+                                           "edge.mu2", 1e-308), "edge.r", 1.0),
+         "edge (SimConfig.queue): the effective service rate 1/(1/mu1 + r/mu2) must be > 0"),
         # a key the model does not read used to be dropped silently, exit 0
         *(("simulate", with_keys(SIM_CONFIGS[model], section, keys), key) for model, section, keys, key in UNREAD),
     ],
@@ -639,6 +703,8 @@ def test_an_int_too_large_for_a_float_exits_2_naming_the_key(capsys, tmp_path):
          *(f"{key}-{value}" for _, key, value in SIM_DOMAIN),
          *(f"spec-{key}-{value}" for _, key, value in SPEC_DOMAIN),
          "cloud-rho-0-horizon_requests", "cloud-rho-0-horizon_s",
+         *(f"{model}-{key}-1e-310" for model, key in TINY_RATES),
+         "mtm1_sinusoidal-mu_eff-0",
          *(f"{model}-unread-{key.split()[-1]}" for model, _, _, key in UNREAD)],
 )
 def test_config_faults_exit_2_naming_the_key(capsys, tmp_path, command, body, key):

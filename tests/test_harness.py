@@ -247,7 +247,7 @@ RECORDS = {
     SinusoidProfile: dict(lambda_bar=16.0, amplitude=0.5, gamma=0.1),
     DtrpSpec: dict(capacity=96.0, rho=0.5, tau=0.0, q=2.0),
     RenewalSpec: dict(scv=2.0, family="hyperexponential2"),
-    Topology: dict(mode="edge", k_sites=4, servers_per_site=2, cores_per_server=16),
+    Topology: dict(k_sites=4, servers_per_site=2, cores_per_server=16),
     SimConfig: dict(model="mmk_cloud", cloud=CloudSpec(2, 10.0, 0.5), horizon_s=100.0),
     Scenario: dict(name="tiny", model="two_phase_wait", grid={"lam": [10.0]}, fixed={"mu1": 50.0}),
 }
