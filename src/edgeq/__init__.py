@@ -10,7 +10,6 @@ from .analytic import (
     delta_t_bound_ggk,
     delta_t_bound_mmk,
     destination_wait,
-    effective_service_rate,
     empirical_rule_capacities,
     erlang_c_wait,
     excess_wait_sinusoidal,

@@ -6,8 +6,8 @@ Steady-state models
 GI/G approximations
     service_scv, gg1_two_phase_wait, ggk_cloud_wait, delta_t_bound_ggk
 Time-varying arrivals
-    effective_service_rate, excess_wait_sinusoidal, overload_window,
-    fluid_backlog, rush_hour_wait, AggregateProfile
+    excess_wait_sinusoidal, overload_window, fluid_backlog,
+    rush_hour_wait, AggregateProfile
 Provisioning rules
     empirical_rule_capacities
 
@@ -17,7 +17,9 @@ checked each field once when they were built. A form with an input that
 no record holds (``excess_wait_sinusoidal``'s ``rho``, a ``mu_eff``,
 ``empirical_rule_capacities``' site rate and count) takes bare numbers,
 each read with the ``config`` cast of its domain, so NaN or a value
-outside that domain raises DomainError naming the argument.
+outside that domain raises DomainError naming the argument; a two-phase
+edge passes its ``QueueSpec.mu_eff``. The simulators read no form here:
+``edgeq.harness`` and ``edgeq.cli`` set the two side by side.
 """
 from __future__ import annotations
 
@@ -199,11 +201,6 @@ def delta_t_bound_ggk(
 # Time-varying (sinusoidal) arrivals
 
 
-def effective_service_rate(spec: QueueSpec) -> float:
-    """Single-rate equivalent of the two-phase server: (1/mu1 + r/mu2)^-1."""
-    return 1.0 / (1.0 / spec.mu1 + spec.r * spec.inv_mu2)
-
-
 def excess_wait_sinusoidal(rho: float, amplitude: float, gamma: float, mu_eff: float) -> float:
     """Second-order extra wait caused by a sinusoidal load swing.
 
@@ -228,10 +225,6 @@ class OverloadWindow:
     t1: float
     t2: float
     theta: float
-
-    @property
-    def duration(self) -> float:
-        return self.t2 - self.t1
 
 
 def overload_window(profile: SinusoidProfile, mu_eff: float) -> Optional[OverloadWindow]:

@@ -30,9 +30,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .config import REQUIRED, Checked, checked, count, evaluated, finite_nonnegative, finite_positive, ranged, read
+from .config import REQUIRED, Checked, checked, count, evaluated, finite_nonnegative, finite_positive, ranged, rate, read
 from .errors import DomainError, EmptyTrace, OversizedVm, ParseError, UnstableQueue
-from .specs import DtrpSpec, packing_factor
+from .specs import DtrpSpec
 from .workload import RenewalSpec, SeededStream, poisson_arrivals, renewal_times
 
 # ---------------------------------------------------------------------------
@@ -41,7 +41,7 @@ from .workload import RenewalSpec, SeededStream, poisson_arrivals, renewal_times
 
 def edge_overprovision_factor(q: float) -> float:
     """Capacity factor the edge needs over the cloud at equal utilization: 1 + 1/q."""
-    q = read("q", packing_factor, q, DomainError)
+    q = read("q", rate, q, DomainError)
     return 1.0 + 1.0 / q
 
 

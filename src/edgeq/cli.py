@@ -142,11 +142,11 @@ def _cmd_simulate(args) -> int:
             writer.writerow(["t_center_s", "mean_wait_s", "mean_rate_per_s"])
             for center, wait, rate in agg.timeseries.bins:
                 writer.writerow([_g(center), _g(wait), _g(rate)])
-            rush = agg.timeseries.rush_window()
-            if rush is not None:
+            win = analytic.overload_window(config.profile, config.queue.mu_eff)
+            if win is not None:  # the worst binned wait in the analytic rush window
                 writer.writerow([])
                 writer.writerow(["rush_t1_s", "rush_t2_s", "rush_mean_wait_s"])
-                writer.writerow([_g(rush[0]), _g(rush[1]), _g(rush[2])])
+                writer.writerow([_g(win.t1), _g(win.t2), _g(agg.timeseries.peak_wait(win.t1, win.t2))])
         written.append(ts_path)
 
     print(f"mean_wait_s {_g(agg.mean.mean_wait)}")

@@ -3,10 +3,13 @@
 A key table maps each key of a JSON object to ``(cast, default)``, or to
 ``(nested table, default)`` for a nested object. A cast wrapped by
 ``ranged`` checks the key's domain, so a bad value fails on load, naming
-the key: ``positive`` reads ``"inf"`` (a rate that may be infinite),
-``finite_positive`` and ``finite_nonnegative`` refuse it and NaN;
-numbers go through ``real``, which refuses a boolean, switches through
-``flag``, counts through ``integral`` and free text through ``text``.
+the key: ``positive`` reads ``"inf"``, ``finite_positive`` and
+``finite_nonnegative`` refuse it and NaN, and ``rate`` and
+``finite_rate`` add to ``positive`` and ``finite_positive`` that the
+reciprocal is finite, so each rate a run or a form divides by owns that
+rule on its own field; numbers go through ``real``, which refuses a
+boolean, switches through ``flag``, counts through ``integral`` and
+free text through ``text``.
 
 A dataclass field declared ``checked(default, cast)`` carries its domain:
 ``table_of`` puts its cast and default in a key table, and ``check``
@@ -109,11 +112,14 @@ def ranged(cast, test, domain: str):
     return within
 
 
-positive = ranged(real, lambda x: x > 0, "> 0")  # a rate that may be infinite
+positive = ranged(real, lambda x: x > 0, "> 0")  # may be infinite
 finite = ranged(real, math.isfinite, "finite")
 unit = ranged(real, lambda x: 0 <= x <= 1, "in [0, 1]")  # a probability or a relative amplitude
 fraction = ranged(real, lambda x: 0 <= x < 1, "in [0, 1)")  # a warm-up share or a stable utilization
 finite_positive = ranged(real, lambda x: 0 < x < math.inf, "finite and > 0")  # a span or a frequency
+# a rate something divides by: 1/x must not overflow; ``rate`` passes inf (1/inf is 0), ``finite_rate`` refuses it first
+rate = ranged(positive, lambda x: 1.0 / x < math.inf, "> 0 with a finite reciprocal")
+finite_rate = ranged(finite_positive, lambda x: 1.0 / x < math.inf, "finite and > 0 with a finite reciprocal")
 finite_nonnegative = ranged(real, lambda x: 0 <= x < math.inf, "finite and >= 0")
 count = ranged(integral, lambda n: n >= 1, ">= 1")
 whole = ranged(integral, lambda n: n >= 0, ">= 0")

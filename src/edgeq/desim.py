@@ -8,11 +8,12 @@ Three models, each one FCFS station pass of the one runner, ``run_model``:
   server at ``mu1`` unless ``dest_rate`` is set; renewal inter-arrival
   and service laws are optional and set only a shape (scv and family):
   their means are 1/lam, 1/mu1 and 1/mu2 of ``queue``.
-* ``mtm1_sinusoidal`` -- the edge's single server under a sinusoidal
-  nonhomogeneous Poisson process, with per-cycle bins and the rush window,
-  whose statistic is the peak binned wait inside it. The profile's
-  ``lambda_bar`` is the arrival rate, and ``queue.lam`` must equal it;
-  a config file states it once, as ``edge.lambda``.
+* ``mtm1_sinusoidal`` -- the edge's single server, at ``queue.mu_eff``,
+  under a sinusoidal nonhomogeneous Poisson process, with per-cycle bins
+  of the waits; ``TimeSeriesMetrics.peak_wait`` reads the worst bin in a
+  window the caller picks. The profile's ``lambda_bar`` is the arrival
+  rate, and ``queue.lam`` must equal it; a config file states it once,
+  as ``edge.lambda``.
 * ``mmk_cloud`` -- the cloud's k identical servers, with the wait of the
   delayed requests.
 
@@ -22,11 +23,12 @@ field's key with it, and building a ``SimConfig`` casts every such field
 again, naming the key, so a config built in Python is checked the same
 way and no invalid config exists. The ``edge``, ``cloud``, ``network``
 and ``workload`` sections are cast the same way by the fields of the
-spec records they build. ``MODEL_FIELDS`` names the ``SimConfig`` fields
-each model requires and reads; a config refuses any other field set off
-its default, a horizon other than exactly one, and, naming its key, a
-rate the run divides by that is 0 (a pool with no arrivals would run no
-request) or so small that its reciprocal overflows.
+spec records they build, whose rate fields refuse a rate with no finite
+reciprocal. ``MODEL_FIELDS`` names the ``SimConfig`` fields each model
+requires and reads; a config refuses any other field set off its
+default, a horizon other than exactly one, and, naming its key, a pool
+whose arrival rate rho*k*mu is 0 (it would run no request) or too small
+for a finite reciprocal. The simulator reads no closed form.
 
 Single-server waits come from the vectorized Lindley recursion
 (reflected random walk), which ``multiserver_waits`` runs at k = 1, so
@@ -62,10 +64,9 @@ from typing import ClassVar, Optional
 
 import numpy as np
 
-from .analytic import effective_service_rate, overload_window
 from .config import (
-    REQUIRED, check, checked, count, finite_nonnegative, finite_positive, flag, fraction, listed, positive,
-    ranged, read, table_of, take, text, whole,
+    REQUIRED, check, checked, count, finite_nonnegative, finite_positive, flag, fraction, listed, ranged, rate,
+    read, table_of, take, text, whole,
 )
 from .errors import ConfigError, InstabilityDetected
 from .specs import CloudSpec, NetworkSpec, QueueSpec, SinusoidProfile
@@ -138,7 +139,7 @@ class SimConfig:
     horizon_s: Optional[float] = checked(None, finite_nonnegative)
     warmup: float = checked(0.1, fraction)
     network: Optional[NetworkSpec] = None
-    dest_rate: Optional[float] = checked(None, positive)  # destination service rate, default mu1
+    dest_rate: Optional[float] = checked(None, rate)  # destination service rate, default mu1
     dest_home_load: float = checked(0.0, finite_nonnegative)  # extra Poisson rate offered to queue 2
     two_stage_service: bool = checked(False, flag)  # explicit phase-1 + phase-2 stages
     bins_per_period: int = checked(100, count)
@@ -162,20 +163,11 @@ class SimConfig:
             raise ConfigError(f"SimConfig.queue.lam {self.queue.lam!r} != SimConfig.profile.lambda_bar {self.profile.lambda_bar!r}")
         if (self.horizon_requests is None) == (self.horizon_s is None):
             raise ConfigError("set exactly one of simulation.horizon_requests, simulation.horizon_s")
-        q, pool, rates = self.queue, self.cloud, []  # (key, name, value, context) of each rate the run divides by
-        if q is not None:
-            rates += [(f"edge.{key} (SimConfig.queue)", "rate", rate, "") for key, rate in
-                      (("lambda", q.lam), ("mu1", q.mu1), ("mu2", q.mu2))]
-            rates.append(("edge (SimConfig.queue)", "effective service rate 1/(1/mu1 + r/mu2)", effective_service_rate(q), ""))
-        if self.dest_rate is not None:
-            rates.append((_key("dest_rate"), "rate", self.dest_rate, ""))
-        if pool is not None:  # a pool whose rho*k*mu is 0 would run no request
-            rates += [("cloud.mu (SimConfig.cloud)", "rate", pool.mu_cloud, ""),
-                      ("cloud.rho (SimConfig.cloud)", "arrival rate rho*k*mu", pool.arrival_rate, f" at rho {pool.rho_cloud!r}")]
-        for key, name, rate, context in rates:  # the run divides by no infinite rate, so inf passes
-            if not (rate > 0.0 and 1.0 / rate < math.inf):
-                need = "> 0" if rate == 0.0 else "large enough for a finite reciprocal"
-                raise ConfigError(f"{key}: the {name} must be {need}, got {rate!r}{context}")
+        pool = self.cloud  # CloudSpec keeps rho 0 for Erlang C, but a pool whose rho*k*mu is 0 would run no request
+        if pool is not None and not (pool.arrival_rate > 0.0 and 1.0 / pool.arrival_rate < math.inf):
+            need = "> 0" if pool.arrival_rate == 0.0 else "large enough for a finite reciprocal"
+            raise ConfigError(f"cloud.rho (SimConfig.cloud): the arrival rate rho*k*mu must be {need}, "
+                              f"got {pool.arrival_rate!r} at rho {pool.rho_cloud!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -224,7 +216,7 @@ def load_sim_config(raw) -> tuple[SimConfig, dict]:
         raise ConfigError("config.workload.profile: its mean rate is edge.lambda, and edge is not set")
     config = SimConfig(
         model=cfg["model"],
-        queue=edge and QueueSpec(edge["lambda"], edge["mu1"], edge["mu2"], edge["r"]),
+        queue=edge and read("config.edge", lambda e: QueueSpec(e["lambda"], e["mu1"], e["mu2"], e["r"]), edge),
         cloud=cloud and CloudSpec(cloud["k"], cloud["mu"], cloud["rho"]),
         network=net and NetworkSpec(net["t_edge_s"], net["t_cloud_s"]),
         profile=profile and SinusoidProfile(
@@ -239,19 +231,16 @@ def load_sim_config(raw) -> tuple[SimConfig, dict]:
 
 @dataclass
 class TimeSeriesMetrics:
-    """Per-cycle binned waits and rates, and the rush window read from them.
+    """Per-cycle binned waits and rates.
 
     Accumulators are kept raw (sums and counts) so replications pool
-    exactly; ``bins`` and ``rush_window`` expose the spec-level view.
-    ``window`` is the analytic overload window (t1, t2), None without
-    overload.
+    exactly; ``bins`` and ``peak_wait`` expose the spec-level view.
     """
 
     period: float
     bin_wait_sum: np.ndarray
     bin_count: np.ndarray
     bin_exposure: np.ndarray
-    window: Optional[tuple[float, float]] = None
 
     @property
     def n_bins(self) -> int:
@@ -276,31 +265,25 @@ class TimeSeriesMetrics:
             for c, w, r in zip(self.bin_centers, waits, rates)
         ]
 
-    def rush_window(self) -> Optional[tuple[float, float, float]]:
-        """(t1, t2, peak_wait): the worst binned mean wait whose bin center falls in the window.
+    def peak_wait(self, t1: float, t2: float) -> float:
+        """The worst binned mean wait whose bin center lies in the window [t1, t2], taken mod the period.
 
-        That peak bin is the congestion peak the fluid drain estimate
-        lower-bounds; it reads 0 when no request arrived in a window bin.
+        Over a rush window, that peak bin is the congestion peak the fluid
+        drain estimate lower-bounds; it reads 0 when no request arrived in
+        a bin of the window.
         """
-        if self.window is None:
-            return None
-        t1, t2 = self.window
         inside = np.mod(self.bin_centers - t1, self.period) <= t2 - t1
         inside &= self.bin_count > 0
-        val = float(np.max(self.bin_wait_sum[inside] / self.bin_count[inside])) if inside.any() else 0.0
-        return (t1, t2, val)
+        return float(np.max(self.bin_wait_sum[inside] / self.bin_count[inside])) if inside.any() else 0.0
 
     def pooled_with(self, other: "TimeSeriesMetrics") -> "TimeSeriesMetrics":
         if self.n_bins != other.n_bins or self.period != other.period:
             raise ConfigError("cannot pool time series with different binning")
-        if self.window != other.window:
-            raise ConfigError("cannot pool time series with different rush windows")
         return TimeSeriesMetrics(
             self.period,
             self.bin_wait_sum + other.bin_wait_sum,
             self.bin_count + other.bin_count,
             self.bin_exposure + other.bin_exposure,
-            self.window,
         )
 
 
@@ -558,8 +541,8 @@ def run_model(config: SimConfig, stream: SeededStream) -> tuple[SimMetrics, Opti
 
     One FCFS station pass: the edge's single server or the cloud's k-server
     pool. The tandem then sends its migrants through ``_destination``. A
-    profile returns the per-cycle bins and the rush window; the pool also
-    reports the wait conditioned on being delayed.
+    profile returns the per-cycle bins; the pool also reports the wait
+    conditioned on being delayed.
     """
     q, pool, prof, net = config.queue, config.cloud, config.profile, config.network
     tandem = config.model == "two_phase_edge"
@@ -568,16 +551,12 @@ def run_model(config: SimConfig, stream: SeededStream) -> tuple[SimMetrics, Opti
     if pool is not None:
         k, mu, rate, queue_id = pool.k, pool.mu_cloud, pool.arrival_rate, "cloud"
     else:
-        k, mu, rate, queue_id = 1, effective_service_rate(q), q.lam, "edge"
+        k, mu, rate, queue_id = 1, q.mu_eff, q.lam, "edge"
     rtt = 0.0 if net is None else net.t_cloud if pool is not None else net.t_edge
     ts = None
     if prof is not None:
-        win = overload_window(prof, mu)
         n_bins = config.bins_per_period
-        ts = TimeSeriesMetrics(
-            prof.period, np.zeros(n_bins), np.zeros(n_bins), np.zeros(n_bins),
-            (win.t1, win.t2) if win is not None else None,
-        )
+        ts = TimeSeriesMetrics(prof.period, np.zeros(n_bins), np.zeros(n_bins), np.zeros(n_bins))
     rng = stream.generator()
 
     # The tandem always passes a renewal law, so over horizon_s it draws exponential

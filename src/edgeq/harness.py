@@ -27,7 +27,8 @@ from typing import Callable, Optional, Sequence
 
 from . import analytic, capacity
 from .config import (
-    REQUIRED, check, checked, count, finite_positive, integral, listed, ranged, real, table_of, take, text, whole,
+    REQUIRED, check, checked, count, finite_positive, finite_rate, integral, listed, ranged, real, table_of, take,
+    text, whole,
 )
 from .desim import FREQUENCY, SimConfig, replicate
 from .errors import ConfigError, DomainError
@@ -121,9 +122,9 @@ def _run_mobility_crossover(sc: Scenario, workers: int):
             model="two_phase_edge", queue=edge_spec, horizon_requests=horizon,
             warmup=warmup, network=net, metrics=("mean_wait", "mean_response", "count_served"),
         )
-        cloud_cfg = SimConfig(
+        cloud_cfg = SimConfig(  # no RTT: neither metric reads one, and the row adds net.t_cloud itself
             model="mmk_cloud", cloud=cloud_spec, horizon_requests=horizon,
-            warmup=warmup, network=net, metrics=("mean_wait_conditional", "count_served"),
+            warmup=warmup, metrics=("mean_wait_conditional", "count_served"),
         )
         edge = replicate(edge_cfg, sc.replications, stream.child(0))  # models: 0 edge, 1 cloud
         cloud = replicate(cloud_cfg, sc.replications, stream.child(1))
@@ -198,8 +199,9 @@ def _run_rush_hour(sc: Scenario, workers: int):
     """Per amplitude, fluid drain estimate vs simulated rush wait, at scale 1 then at ``scale``.
 
     Columns mirror the published layout: overall mean wait, rush-window
-    wait, fluid estimate, and their gap. ``scale`` multiplies lambda_bar,
-    mu1 and mu2 together, under which the fluid column is invariant.
+    wait (the simulated ``peak_wait`` in the analytic overload window, 0
+    without one), fluid estimate, and their gap. ``scale`` multiplies
+    lambda_bar, mu1 and mu2 together, under which the fluid column is invariant.
     """
     points = sc.points()
     scale = points[0][1]["scale"]
@@ -212,7 +214,7 @@ def _run_rush_hour(sc: Scenario, workers: int):
         lam_bar, mu1, mu2 = v["lambda_bar"] * s, v["mu1"] * s, v["mu2"] * s
         profile = SinusoidProfile(lam_bar, v["amplitude"], v["gamma_rad_s"])  # the swept amplitude fails first
         queue = QueueSpec(lam_bar, mu1, mu2, v["r"])
-        fluid = analytic.rush_hour_wait(profile, analytic.effective_service_rate(queue))
+        fluid = analytic.rush_hour_wait(profile, queue.mu_eff)
         config = SimConfig(
             model="mtm1_sinusoidal",
             queue=queue,
@@ -223,13 +225,13 @@ def _run_rush_hour(sc: Scenario, workers: int):
             metrics=("mean_wait", "count_served"),
         )
         agg = replicate(config, sc.replications, stream)
-        rush = agg.timeseries.rush_window()
-        sim_rush = rush[2] if rush is not None else 0.0
+        win = analytic.overload_window(profile, queue.mu_eff)
+        sim_rush = agg.timeseries.peak_wait(win.t1, win.t2) if win else 0.0
         params = {
             **params, "mean_wait": agg.mean.mean_wait,
             "err_rush": sim_rush - fluid,
-            "rush_t1": rush[0] if rush else math.nan,
-            "rush_t2": rush[1] if rush else math.nan,
+            "rush_t1": win.t1 if win else math.nan,
+            "rush_t2": win.t2 if win else math.nan,
         }
         return ComparisonRow(params, fluid, sim_rush, agg.ci95["mean_wait"])
 
@@ -324,7 +326,7 @@ _MODELS: dict[str, tuple[tuple[str, ...], dict, Callable]] = {
     }, _run_rush_hour),
     "excess_wait": (("amplitude",), {
         "amplitude": (real, REQUIRED), "rho": (ranged(real, lambda x: 0 < x < 1, "in (0, 1)"), REQUIRED),
-        "mu_eff": (finite_positive, REQUIRED), **FREQUENCY, "horizon_periods": (finite_positive, 12), **_WARMUP,
+        "mu_eff": (finite_rate, REQUIRED), **FREQUENCY, "horizon_periods": (finite_positive, 12), **_WARMUP,
     }, _run_excess_wait),
     "packing_sweep": (("cores_per_site",), {
         "cores_per_site": (integral, REQUIRED), "k_sites": (count, 16), **table_of(DtrpSpec, "q", q=2.0),

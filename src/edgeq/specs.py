@@ -6,21 +6,21 @@ formula then evaluates its analytic limit (``r/mu2 -> 0``). Every other
 rate, time and moment is finite. Each field declares its domain with
 ``config.checked``, which construction applies (raising DomainError
 naming the field) and from which the ``simulate`` and scenario key
-tables take the casts of the keys that set it.
+tables take the casts of the keys that set it. Each rate a form or a
+run divides by takes ``config.rate`` or ``config.finite_rate``, whose
+reciprocal is finite, and ``QueueSpec`` refuses a ``mu_eff`` of 0.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 
-from .config import REQUIRED, Checked, checked, count, finite, finite_nonnegative, finite_positive, positive, ranged, unit
+from .config import REQUIRED, Checked, checked, count, finite, finite_nonnegative, finite_positive, finite_rate, rate, unit
 from .errors import UnstableQueue
 
 # Utilization at or above this is treated as unstable to keep clear of the
 # (1-rho)^-1 singularities.
 STABILITY_GUARD = 1.0 - 1e-9
-
-packing_factor = ranged(positive, lambda q: 1.0 / q < math.inf, "large enough for a finite 1/q")  # VM packing q
 
 
 @dataclass(frozen=True)
@@ -33,10 +33,15 @@ class QueueSpec(Checked):
     r:    probability an accepted request migrates after phase 1
     """
 
-    lam: float = checked(REQUIRED, finite_positive)
-    mu1: float = checked(REQUIRED, finite_positive)
-    mu2: float = checked(REQUIRED, positive)
+    lam: float = checked(REQUIRED, finite_rate)
+    mu1: float = checked(REQUIRED, finite_rate)
+    mu2: float = checked(REQUIRED, rate)
     r: float = checked(0.0, unit)
+
+    def __post_init__(self):
+        super().__post_init__()
+        if self.mu_eff == 0.0:  # 1/mu1 + r/mu2 overflowed: the server would have no capacity
+            raise UnstableQueue(f"the effective service rate 1/(1/mu1 + r/mu2) must be > 0, got {self.mu_eff!r}")
 
     @property
     def inv_mu2(self) -> float:
@@ -47,6 +52,11 @@ class QueueSpec(Checked):
     def utilization(self) -> float:
         """Offered load of the source server: lam/mu1 + r*lam/mu2."""
         return self.lam / self.mu1 + self.r * self.lam * self.inv_mu2
+
+    @property
+    def mu_eff(self) -> float:
+        """Single-rate equivalent of the two-phase server: (1/mu1 + r/mu2)^-1."""
+        return 1.0 / (1.0 / self.mu1 + self.r * self.inv_mu2)
 
     def check_stable(self) -> None:
         """Raise UnstableQueue unless the source has slack; then so does the destination, as r*lam <= lam < mu1."""
@@ -62,7 +72,7 @@ class CloudSpec(Checked):
     """Centralized pool of k identical servers at utilization rho."""
 
     k: int = checked(REQUIRED, count)
-    mu_cloud: float = checked(REQUIRED, finite_positive)
+    mu_cloud: float = checked(REQUIRED, finite_rate)
     rho_cloud: float = checked(REQUIRED, finite_nonnegative)
 
     @property
@@ -138,10 +148,6 @@ class SinusoidProfile(Checked):
 
         return self.lambda_bar * (1.0 + self.amplitude * np.sin(self.gamma * t + self.phase))
 
-    def scaled(self, c: float) -> "SinusoidProfile":
-        """Profile with mean rate multiplied by c (amplitude, frequency kept)."""
-        return SinusoidProfile(c * self.lambda_bar, self.amplitude, self.gamma, self.phase)
-
 
 @dataclass(frozen=True)
 class DtrpSpec(Checked):
@@ -155,7 +161,7 @@ class DtrpSpec(Checked):
     capacity: float = checked(REQUIRED, finite_positive)
     rho: float = checked(REQUIRED, finite_nonnegative)
     tau: float = checked(REQUIRED, finite_nonnegative)
-    q: float = checked(REQUIRED, packing_factor)
+    q: float = checked(REQUIRED, rate)  # VM packing factor; inf is a perfect packing
     area: float = checked(1.0, finite_positive)
     velocity: float = checked(1.0, finite_positive)
     gos: float = checked(1.0, finite_positive)

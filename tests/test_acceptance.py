@@ -252,7 +252,7 @@ def test_criterion_5_fluid_rush_hour(table1_results):
         gamma = rng.uniform(0.05, 5.0)
         profile = SinusoidProfile(lam_bar, amp, gamma)
         base = rush_hour_wait(profile, mu_eff)
-        scaled = rush_hour_wait(profile.scaled(32.0), 32.0 * mu_eff)
+        scaled = rush_hour_wait(SinusoidProfile(32.0 * profile.lambda_bar, profile.amplitude, profile.gamma), 32.0 * mu_eff)
         if base > 0:
             worst_scale = max(worst_scale, abs(scaled - base) / base)
     rows, summary, table_elapsed = table1_results

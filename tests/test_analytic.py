@@ -23,6 +23,7 @@ from edgeq import (
     PhaseMoments,
     QueueSpec,
     RenewalSpec,
+    SimConfig,
     SinusoidProfile,
     UnreachableScv,
     UnstableQueue,
@@ -30,7 +31,6 @@ from edgeq import (
     delta_t_bound_ggk,
     delta_t_bound_mmk,
     destination_wait,
-    effective_service_rate,
     empirical_rule_capacities,
     erlang_c_wait,
     excess_wait_sinusoidal,
@@ -372,10 +372,15 @@ class TestDeltaTBoundGgk:
 
 class TestEffectiveServiceRate:
     def test_values(self):
-        assert effective_service_rate(QueueSpec(10, 50, 50, 0.0)) == pytest.approx(50.0, rel=1e-12)
-        assert effective_service_rate(QueueSpec(10, 50, 50, 0.1)) == pytest.approx(2500 / 55, rel=1e-12)
-        assert effective_service_rate(QueueSpec(10, 32, 32, 1.0)) == pytest.approx(16.0, rel=1e-12)
-        assert effective_service_rate(QueueSpec(10, 32, math.inf, 1.0)) == 32.0
+        assert QueueSpec(10, 50, 50, 0.0).mu_eff == pytest.approx(50.0, rel=1e-12)
+        assert QueueSpec(10, 50, 50, 0.1).mu_eff == pytest.approx(2500 / 55, rel=1e-12)
+        assert QueueSpec(10, 32, 32, 1.0).mu_eff == pytest.approx(16.0, rel=1e-12)
+        assert QueueSpec(10, 32, math.inf, 1.0).mu_eff == 32.0
+
+    def test_a_spec_whose_effective_rate_reads_0_is_refused(self):
+        # each rate has a finite reciprocal, but 1/mu1 + r/mu2 overflows to inf
+        with pytest.raises(UnstableQueue, match=r"^the effective service rate 1/\(1/mu1 \+ r/mu2\) must be > 0, got 0\.0$"):
+            QueueSpec(10.0, 1e-308, 1e-308, 1.0)
 
 
 class TestExcessWait:
@@ -415,13 +420,13 @@ class TestOverloadWindow:
         shifted = overload_window(SinusoidProfile(16, 0.7, 1.0, phi), 24.0)
         period = 2 * math.pi
         assert shifted.t1 == pytest.approx((base.t1 - phi) % period, rel=1e-9)
-        assert shifted.duration == pytest.approx(base.duration, rel=1e-12)
+        assert shifted.t2 - shifted.t1 == pytest.approx(base.t2 - base.t1, rel=1e-12)
         assert 0.0 <= shifted.t1 < period
 
     def test_experimental_extension_below_mean_rate(self):
         win = overload_window(SinusoidProfile(16, 0.7, 1.0), 12.0)
         assert win.theta < 0
-        assert win.duration > math.pi  # overload covers more than half a cycle
+        assert win.t2 - win.t1 > math.pi  # overload covers more than half a cycle
 
 
 class TestFluidBacklog:
@@ -589,12 +594,23 @@ def _unit(x):
     return 0 <= x <= 1
 
 
+def _rate(x):
+    return x > 0 and 1.0 / x < math.inf
+
+
+def _finite_rate(x):
+    return _positive(x) and 1.0 / x < math.inf
+
+
+finite_rates = st.floats(0.0, 1e308, exclude_min=True).filter(_rate)
+
+
 # spec record -> (the arguments of a valid instance, {numeric field: a test of its domain})
 SPEC_DOMAINS = {
     QueueSpec: (dict(lam=10.0, mu1=50.0, mu2=50.0, r=0.1),
-                dict(lam=_positive, mu1=_positive, mu2=lambda x: x > 0, r=_unit)),
+                dict(lam=_finite_rate, mu1=_finite_rate, mu2=_rate, r=_unit)),
     CloudSpec: (dict(k=4, mu_cloud=10.0, rho_cloud=0.5),
-                dict(k=lambda x: x >= 1 and float(x).is_integer(), mu_cloud=_positive, rho_cloud=_nonnegative)),
+                dict(k=lambda x: x >= 1 and float(x).is_integer(), mu_cloud=_finite_rate, rho_cloud=_nonnegative)),
     NetworkSpec: (dict(t_edge=0.001, t_cloud=0.028), dict(t_edge=_nonnegative, t_cloud=_nonnegative)),
     SinusoidProfile: (dict(lambda_bar=16.0, amplitude=0.5, gamma=0.1),
                       dict(lambda_bar=_positive, amplitude=_unit, gamma=_positive, phase=math.isfinite)),
@@ -602,12 +618,15 @@ SPEC_DOMAINS = {
     PhaseMoments: (dict(mean1=0.02, var1=4e-4, mean2=0.02, var2=4e-4, r=0.1),
                    dict(mean1=_positive, var1=_nonnegative, mean2=_positive, var2=_nonnegative, r=_unit)),
     DtrpSpec: (dict(capacity=96.0, rho=0.5, tau=0.0, q=2.0),
-               dict(capacity=_positive, rho=_nonnegative, tau=_nonnegative, q=lambda x: x > 0 and 1.0 / x < math.inf,
+               dict(capacity=_positive, rho=_nonnegative, tau=_nonnegative, q=_rate,
                     area=_positive, velocity=_positive, gos=_positive)),
     RenewalSpec: (dict(scv=2.0, family="hyperexponential2"), dict(scv=_nonnegative)),
 }
 # the rules that span fields, which a value inside its own field's domain may still break
-CROSS_FIELD = {DtrpSpec: UnstableQueue, RenewalSpec: UnreachableScv}
+CROSS_FIELD = {QueueSpec: UnstableQueue, DtrpSpec: UnstableQueue, RenewalSpec: UnreachableScv}
+# (record, field, whether inf is refused) of each rate that a form or a run divides by
+RATE_FIELDS = [(QueueSpec, "lam", True), (QueueSpec, "mu1", True), (QueueSpec, "mu2", False),
+               (CloudSpec, "mu_cloud", True), (DtrpSpec, "q", False), (SimConfig, "dest_rate", False)]
 
 PROFILE = SinusoidProfile(8.0, 0.5, 0.1)
 # (function, in-domain arguments) for each function that checks its own float arguments: those
@@ -632,7 +651,6 @@ INFINITE_OK = {(edge_overprovision_factor, "q")}
 RECORD_INPUT_CALLS = [
     (destination_wait, (QueueSpec(10.0, 50.0, 50.0, 0.1),), dict(lam=(0, "lam"), mu1=(0, "mu1"), r=(0, "r"))),
     (migration_service_time, (QueueSpec(10.0, 50.0, 50.0, 0.1),), dict(r=(0, "r"), mu2=(0, "mu2"))),
-    (effective_service_rate, (QueueSpec(10.0, 50.0, 50.0, 0.1),), dict(mu1=(0, "mu1"), mu2=(0, "mu2"), r=(0, "r"))),
     (ggk_cloud_wait, (CloudSpec(4, 10.0, 0.5), VariabilitySpec(1.0, 2.0)),
      dict(k=(0, "k"), mu=(0, "mu_cloud"), rho=(0, "rho_cloud"), ca2=(1, "ca2"), cs2=(1, "cs2"))),
     (cloud_capacity_equivalent, (DtrpSpec(96.0, 0.5, 0.0, 2.0), 0.5),
@@ -675,21 +693,25 @@ class TestDomainErrors:
 
     # each used to raise ZeroDivisionError or OverflowError, or return inf or nan
     @pytest.mark.parametrize("form, spec, what", [
-        (mm1_source_wait, QueueSpec(1e-320, 1e-310, 1.0), "source wait"),  # mu1**2 underflows to 0
+        (mm1_source_wait, QueueSpec(1e-180, 1e-170, 1.0), "source wait"),  # mu1**2 underflows to 0
         (mm1_source_wait, QueueSpec(1e-300, 1e-160, 1.0), "source wait"),  # 1/mu1**2 overflows
         (mm1_source_wait, QueueSpec(1.0, 1e200, 1.0), "source wait"),  # mu1**2 overflows
-        (mm1_source_wait, QueueSpec(1.0, 10.0, 1e-310), "source wait"),  # r * (1/mu2)**2 is 0 * inf
-        (destination_wait, QueueSpec(1e-320, 1e-310, 1.0), "destination wait"),  # mu1 * mu1 underflows to 0
-    ], ids=["source-zero-division", "source-inf", "source-overflow", "source-nan", "destination-zero-division"])
+        # (1/mu2)**2 overflows; a 1/mu2 that overflowed, where r * inf**2 read nan, is refused by QueueSpec.mu2
+        (mm1_source_wait, QueueSpec(1.0, 10.0, 1e-160), "source wait"),
+        (destination_wait, QueueSpec(1e-180, 1e-170, 1.0), "destination wait"),  # mu1 * mu1 underflows to 0
+    ], ids=["source-zero-division", "source-inf", "source-overflow", "source-mu2-overflow", "destination-zero-division"])
     def test_a_wait_out_of_float_range_raises_domain_error(self, form, spec, what):
         with pytest.raises(DomainError, match=f"^{what} out of float range, got"):
             form(spec)
 
     @settings(max_examples=300, deadline=None)
-    @given(lam=st.floats(0.0, 1e308, exclude_min=True), mu1=st.floats(0.0, 1e308, exclude_min=True),
-           mu2=st.floats(0.0, 1e308, exclude_min=True), r=st.floats(0.0, 1.0))
+    @given(lam=finite_rates, mu1=finite_rates, mu2=finite_rates, r=st.floats(0.0, 1.0))
     def test_a_wait_is_a_float_at_least_zero_or_an_error(self, lam, mu1, mu2, r):
-        spec = QueueSpec(lam, mu1, mu2, r)
+        try:
+            spec = QueueSpec(lam, mu1, mu2, r)
+        except UnstableQueue as exc:  # 1/mu1 + r/mu2 overflows: no form runs on a server of no capacity
+            assert "effective service rate" in str(exc)
+            return
         for form in (mm1_source_wait, destination_wait):
             try:
                 wait = form(spec)
@@ -736,6 +758,24 @@ class TestDomainErrors:
         else:
             assert domain[name](value)
 
+    @pytest.mark.parametrize("cls, name, finite", RATE_FIELDS, ids=lambda v: getattr(v, "__name__", str(v)))
+    @settings(max_examples=100, deadline=None)
+    @given(x=st.floats())
+    @example(x=1e-308)  # 1/x is 1e308
+    @example(x=5e-309)  # 1/x overflows
+    @example(x=math.inf)
+    @example(x=0.0)
+    def test_a_rate_field_takes_exactly_a_positive_value_with_a_finite_reciprocal(self, cls, name, finite, x):
+        cast = next(f.metadata["cast"] for f in dataclasses.fields(cls) if f.name == name)
+        try:
+            cast(x)
+        except ValueError as exc:
+            assert str(exc).startswith("must be ")
+            accepted = False
+        else:
+            accepted = True
+        assert accepted == (x > 0 and (math.isfinite(x) or not finite) and 1.0 / x < math.inf)
+
     @pytest.mark.parametrize("case", INPUT_CASES, ids=INPUT_IDS)
     def test_nan_float_argument_raises(self, case):
         call, valid, owner, _ = case
@@ -749,7 +789,7 @@ class TestDomainErrors:
                              ids=[name for name in INPUT_IDS if name.endswith("-q")])
     def test_a_packing_factor_whose_reciprocal_overflows_raises(self, case):
         call, _, owner, _ = case
-        with pytest.raises(DomainError, match=rf"^{re.escape(owner)}must be large enough for a finite 1/q, got 1e-320$"):
+        with pytest.raises(DomainError, match=rf"^{re.escape(owner)}must be > 0 with a finite reciprocal, got 1e-320$"):
             call(1e-320)
 
     @pytest.mark.parametrize("case", INPUT_CASES, ids=INPUT_IDS)
@@ -786,7 +826,6 @@ FORM_READERS = {
     "delta_t_bound_mmk": "harness._run_mobility_crossover",
     "destination_wait": "cli._cmd_analytic_wait",
     "edge_overprovision_factor": "capacity.PackingSweep",
-    "effective_service_rate": "harness._run_rush_hour",
     "empirical_rule_capacities": "cli._cmd_capacity_rule",
     "excess_wait_sinusoidal": "harness._run_excess_wait",
     "fluid_backlog": "analytic.rush_hour_wait",
@@ -796,7 +835,7 @@ FORM_READERS = {
     "mm1_source_wait": "cli._cmd_analytic_wait",
     "mm1_two_phase_wait": "harness._run_two_phase_wait",
     "mmk_qed_wait": "analytic.delta_t_bound_mmk",
-    "overload_window": "desim.run_model",
+    "overload_window": "harness._run_rush_hour",
     "rush_hour_wait": "harness._run_rush_hour",
 }
 # ... or, while nothing in src reads it, to the test node that checks it against an independent

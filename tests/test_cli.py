@@ -1,4 +1,5 @@
 """CLI tests: outputs, exit codes, config handling, reproducibility."""
+import hashlib
 import json
 import math
 
@@ -126,16 +127,17 @@ class TestCapacityCommands:
     # each used to print nan or inf and exit 0
     @pytest.mark.parametrize("argv, message", [
         (("analytic", "factor", "--q", "nan"), "q: must be > 0, got nan"),
-        (("analytic", "factor", "--q", "1e-320"), "q: must be large enough for a finite 1/q, got 1e-320"),  # 1/q is inf
+        (("analytic", "factor", "--q", "1e-320"), "q: must be > 0 with a finite reciprocal, got 1e-320"),  # 1/q is inf
         (("capacity", "equivalent", "--c-edge", "inf", "--q", "2"), "DtrpSpec.capacity: must be finite and > 0, got inf"),
         (("capacity", "rule", "--lambda", "inf", "--k", "4"), "lambda_site: must be finite and > 0, got inf"),
         # these used to die with a ZeroDivisionError traceback (exit 1), or print inf and exit 0
+        # 1/lambda overflows, so the record refuses the rate before a form divides by it
         (("analytic", "wait", "--lambda", "1e-320", "--mu1", "1e-310", "--mu2", "1"),
-         "source wait out of float range, got inf"),
+         "QueueSpec.lam: must be finite and > 0 with a finite reciprocal, got 1e-320"),
         (("analytic", "wait", "--lambda", "1e-300", "--mu1", "1e-160", "--mu2", "1"),
          "source wait out of float range, got inf"),
         (("analytic", "deltat", "--lambda", "1e-320", "--mu1", "1e-310", "--mu2", "1", "--k", "2",
-          "--mu-cloud", "10", "--rho-cloud", "0.5"), "source wait out of float range, got inf"),
+          "--mu-cloud", "10", "--rho-cloud", "0.5"), "QueueSpec.lam: must be finite and > 0 with a finite reciprocal, got 1e-320"),
     ])
     def test_non_finite_argument_exits_2(self, capsys, argv, message):
         code, _, err = run_cli(capsys, *argv)
@@ -395,6 +397,25 @@ class TestSimulateCommand:
         assert ts.startswith("t_center_s,mean_wait_s,mean_rate_per_s")
         assert "rush_t1_s" in ts
 
+    # (amplitude, phase, whether the peak rate 16 (1 + A) exceeds mu_eff = 32/1.3, the sha256 of the file)
+    @pytest.mark.parametrize("amplitude, phase, overloaded, digest", [
+        (0.8, 1.0, True, "1bc4d8b841d6faa533999ddb05f58f4b52d5e4fc4d80c2a5c5dd9183d42ec403"),
+        (0.3, 0.0, False, "96583ebd88a77aeb4ff9326462c16479d8b74231345b7d7684022e02a7972176"),
+    ], ids=["overloaded-phase-1", "never-overloaded"])
+    def test_timeseries_csv_is_pinned(self, capsys, tmp_path, amplitude, phase, overloaded, digest):
+        cfg = tmp_path / "sin.json"
+        cfg.write_text(json.dumps({
+            "model": "mtm1_sinusoidal",
+            "edge": {"lambda": 16.0, "mu1": 32.0, "mu2": 32.0, "r": 0.3},
+            "workload": {"profile": {"amplitude": amplitude, "period_s": 200.0, "phase": phase}},
+            "simulation": {"horizon_s": 600.0, "bins_per_period": 20, "seed": 11, "reps": 2},
+            "output": {"deterministic_names": True},
+        }))
+        assert run_cli(capsys, "simulate", str(cfg), "--out", str(tmp_path))[0] == EXIT_OK
+        ts = (tmp_path / "sin.timeseries.csv").read_bytes()
+        assert (b"rush_t1_s" in ts) == overloaded
+        assert hashlib.sha256(ts).hexdigest() == digest
+
     def test_seed_reproducibility(self, capsys, tmp_path):
         cfg = tmp_path / "mm1.json"
         cfg.write_text(json.dumps(MINIMAL_SIM_CONFIG))
@@ -618,11 +639,18 @@ def test_an_int_too_large_for_a_float_exits_2_naming_the_key(capsys, tmp_path):
     assert code == EXIT_CONFIG
     assert "config.edge.lambda:" in err
 
-# (model, config key) of rates the run divides by
+# (model, config key, the refusal) of each rate the run divides by, set to 1e-310, whose reciprocal overflows:
+# each rate field owns the rule, and the pool's arrival rate rho*k*mu, which spans fields, keeps its own
+FINITE_RATE, RATE = "must be finite and > 0 with a finite reciprocal, got 1e-310", "must be > 0 with a finite reciprocal, got 1e-310"
 TINY_RATES = [
-    ("two_phase_edge", "edge.lambda"), ("two_phase_edge", "edge.mu1"), ("two_phase_edge", "simulation.dest_rate"),
-    ("mmk_cloud", "cloud.rho"), ("mmk_cloud", "cloud.mu"), ("mtm1_sinusoidal", "edge.mu1"),
-    ("two_phase_edge", "edge.mu2"),
+    ("two_phase_edge", "edge.lambda", f"config.edge.lambda: {FINITE_RATE}"),
+    ("two_phase_edge", "edge.mu1", f"config.edge.mu1: {FINITE_RATE}"),
+    ("two_phase_edge", "simulation.dest_rate", f"config.simulation.dest_rate: {RATE}"),
+    ("mmk_cloud", "cloud.rho",
+     "cloud.rho (SimConfig.cloud): the arrival rate rho*k*mu must be large enough for a finite reciprocal, got "),
+    ("mmk_cloud", "cloud.mu", f"config.cloud.mu: {FINITE_RATE}"),
+    ("mtm1_sinusoidal", "edge.mu1", f"config.edge.mu1: {FINITE_RATE}"),
+    ("two_phase_edge", "edge.mu2", f"config.edge.mu2: {RATE}"),
 ]
 
 
@@ -687,11 +715,11 @@ TINY_RATES = [
         ("simulate", {**with_value(SIM_CONFIGS["mmk_cloud"], "cloud.rho", 0.0), "simulation": {"horizon_s": 10.0}},
          "cloud.rho (SimConfig.cloud): the arrival rate rho*k*mu must be > 0"),
         # a rate whose reciprocal overflows used to fail in a sampler, naming its argument (mean, mu_eff)
-        *(("simulate", with_value(SIM_CONFIGS[model], key, 1e-310), f"{key} (SimConfig.") for model, key in TINY_RATES),
+        *(("simulate", with_value(SIM_CONFIGS[model], key, 1e-310), message) for model, key, message in TINY_RATES),
         # each rate finite, but 1/mu1 + r/mu2 overflows, so the effective service rate read 0.0
         ("simulate", with_value(with_value(with_value(SIM_CONFIGS["mtm1_sinusoidal"], "edge.mu1", 1e-308),
                                            "edge.mu2", 1e-308), "edge.r", 1.0),
-         "edge (SimConfig.queue): the effective service rate 1/(1/mu1 + r/mu2) must be > 0"),
+         "config.edge: the effective service rate 1/(1/mu1 + r/mu2) must be > 0, got 0.0"),
         # a key the model does not read used to be dropped silently, exit 0
         *(("simulate", with_keys(SIM_CONFIGS[model], section, keys), key) for model, section, keys, key in UNREAD),
     ],
@@ -703,7 +731,7 @@ TINY_RATES = [
          *(f"{key}-{value}" for _, key, value in SIM_DOMAIN),
          *(f"spec-{key}-{value}" for _, key, value in SPEC_DOMAIN),
          "cloud-rho-0-horizon_requests", "cloud-rho-0-horizon_s",
-         *(f"{model}-{key}-1e-310" for model, key in TINY_RATES),
+         *(f"{model}-{key}-1e-310" for model, key, _ in TINY_RATES),
          "mtm1_sinusoidal-mu_eff-0",
          *(f"{model}-unread-{key.split()[-1]}" for model, _, _, key in UNREAD)],
 )

@@ -35,7 +35,6 @@ from edgeq import (
     replicate,
     run_model,
 )
-from edgeq.analytic import effective_service_rate
 from edgeq import desim
 from edgeq.desim import SimMetrics, _time_average_in_system, lindley_waits, multiserver_waits
 from edgeq.workload import BLOCK, exponential_fill
@@ -424,16 +423,24 @@ class TestMmkSim:
 class TestMtm1Sim:
     def test_flat_profile_reduces_to_stationary_mm1(self):
         agg = replicate(mtm1_config(0.0), 5, SeededStream(140))
-        mu_eff = effective_service_rate(QueueSpec(16.0, 32.0, 32.0, 0.3))
+        mu_eff = QueueSpec(16.0, 32.0, 32.0, 0.3).mu_eff
         rho = 16.0 / mu_eff
         assert agg.mean.mean_wait == pytest.approx(rho / (mu_eff * (1 - rho)), rel=0.05)
 
-    def test_rush_window_populated_only_under_overload(self):
-        _, ts_low = run_model(mtm1_config(0.3), SeededStream(141))
-        assert ts_low.rush_window() is None
-        _, ts_high = run_model(mtm1_config(0.8), SeededStream(141))
-        t1, t2, wait = ts_high.rush_window()
-        assert 0 <= t1 < t2 and wait > 0
+    def test_rush_window_exists_only_under_overload_and_holds_a_peak_wait(self):
+        low, high = mtm1_config(0.3), mtm1_config(0.8)
+        assert overload_window(low.profile, low.queue.mu_eff) is None
+        _, ts_high = run_model(high, SeededStream(141))
+        win = overload_window(high.profile, high.queue.mu_eff)
+        assert 0 <= win.t1 < win.t2 and ts_high.peak_wait(win.t1, win.t2) > 0
+
+    def test_peak_wait_reads_the_bins_whose_centers_lie_in_the_window_mod_the_period(self):
+        # four bins of 50 s centred at 25, 75, 125 and 175 s; the third saw no request
+        ts = TimeSeriesMetrics(200.0, np.array([4.0, 9.0, 0.0, 1.0]), np.array([2.0, 3.0, 0.0, 1.0]), np.ones(4))
+        assert ts.peak_wait(60.0, 90.0) == 3.0  # 9 / 3
+        assert ts.peak_wait(150.0, 230.0) == 2.0  # wraps past the period: the bins at 175 s and 25 s
+        assert ts.peak_wait(100.0, 150.0) == 0.0  # no request arrived in the window's only bin
+        assert ts.peak_wait(80.0, 120.0) == 0.0  # no bin centre lies in the window
 
     def test_bins_cover_one_period(self):
         _, ts = run_model(mtm1_config(0.5, bins_per_period=50), SeededStream(142))
@@ -445,13 +452,13 @@ class TestMtm1Sim:
         rates = np.array([b[2] for b in bins])
         assert rates.max() > 1.3 * max(rates.min(), 1e-9)
 
-    def test_rush_window_matches_recomputed_statistic(self):
+    def test_peak_wait_matches_recomputed_statistic(self):
         cfg = mtm1_config(0.8, horizon_s=1000.0, bins_per_period=40)
         _, ts = run_model(cfg, SeededStream(145))
         # the run's own draws, in its order: arrivals, then service times
         rng = SeededStream(145).generator()
         t = nhpp_sinusoidal(cfg.profile, cfg.horizon_s, rng)
-        mu_eff = effective_service_rate(cfg.queue)
+        mu_eff = cfg.queue.mu_eff
         s = rng.exponential(1.0 / mu_eff, len(t))
         w = lindley_waits(t, s)
         cut = int(len(t) * cfg.warmup)
@@ -464,7 +471,7 @@ class TestMtm1Sim:
         centers = (np.arange(n_bins) + 0.5) * (period / n_bins)
         inside = (np.mod(centers - win.t1, period) <= win.t2 - win.t1) & (counts > 0)
         want = float(np.max(sums[inside] / counts[inside]))
-        assert ts.rush_window() == (win.t1, win.t2, want)
+        assert ts.peak_wait(win.t1, win.t2) == want
 
     def test_queue_rate_unequal_to_profile_rate_rejected_naming_both(self):
         with pytest.raises(ConfigError, match=r"^SimConfig\.queue\.lam 20\.0 != SimConfig\.profile\.lambda_bar 16\.0$"):
@@ -576,7 +583,7 @@ class TestWorkingSet:
 
 
 @st.composite
-def time_series(draw, n_bins, period, window=None):
+def time_series(draw, n_bins, period):
     """Raw accumulators as a run leaves them: integer counts, float sums."""
     sums = st.floats(0.0, 1e3)
     counts = st.integers(0, 10_000)
@@ -585,25 +592,21 @@ def time_series(draw, n_bins, period, window=None):
         np.array(draw(st.lists(sums, min_size=n_bins, max_size=n_bins))),
         np.array(draw(st.lists(counts, min_size=n_bins, max_size=n_bins)), dtype=float),
         np.array(draw(st.lists(sums, min_size=n_bins, max_size=n_bins))),
-        window,
     )
 
 
 class TestPooledWith:
     @settings(max_examples=200, deadline=None)
-    @given(
-        st.data(), st.integers(1, 8), st.sampled_from([1.0, 200.0, 1000.0]),
-        st.sampled_from([None, (10.0, 40.0)]),
-    )
-    def test_associative(self, data, n_bins, period, window):
-        a, b, c = (data.draw(time_series(n_bins, period, window)) for _ in range(3))
+    @given(st.data(), st.integers(1, 8), st.sampled_from([1.0, 200.0, 1000.0]))
+    def test_associative(self, data, n_bins, period):
+        a, b, c = (data.draw(time_series(n_bins, period)) for _ in range(3))
         left = a.pooled_with(b).pooled_with(c)
         right = a.pooled_with(b.pooled_with(c))
         assert np.array_equal(left.bin_count, right.bin_count)
         assert np.array_equal(left.bin_count, a.bin_count + b.bin_count + c.bin_count)
         assert left.bin_wait_sum == pytest.approx(right.bin_wait_sum, rel=1e-12, abs=1e-9)
         assert left.bin_exposure == pytest.approx(right.bin_exposure, rel=1e-12, abs=1e-9)
-        assert (left.period, left.window) == (right.period, right.window)
+        assert left.period == right.period
 
     @settings(max_examples=50, deadline=None)
     @given(st.data(), st.integers(1, 8), st.sampled_from([(1, 0.0), (0, 1.0)]))
@@ -613,16 +616,6 @@ class TestPooledWith:
         with pytest.raises(ConfigError, match="binning"):
             a.pooled_with(b)
         with pytest.raises(ConfigError, match="binning"):
-            b.pooled_with(a)
-
-    @settings(max_examples=50, deadline=None)
-    @given(st.data(), st.integers(1, 8), st.sampled_from([None, (10.0, 50.0)]))
-    def test_different_windows_raise(self, data, n_bins, other):
-        a = data.draw(time_series(n_bins, 200.0, (10.0, 40.0)))
-        b = data.draw(time_series(n_bins, 200.0, other))
-        with pytest.raises(ConfigError, match="rush windows"):
-            a.pooled_with(b)
-        with pytest.raises(ConfigError, match="rush windows"):
             b.pooled_with(a)
 
 
@@ -758,6 +751,17 @@ def test_desim_calls_no_generator_method():
     drawn = [f"line {call.lineno}: .{call.func.attr}(" for call in calls if call.func.attr in methods
              and not (isinstance(call.func.value, ast.Name) and call.func.value.id == "np")]  # np.power is no draw
     assert not drawn
+
+
+def test_desim_imports_no_closed_form():
+    """The simulator checks the closed forms, so it reads none: a comparison sets the two side by side."""
+    imported = []
+    for node in ast.walk(ast.parse(inspect.getsource(desim))):
+        if isinstance(node, ast.ImportFrom):
+            imported += [f"{node.module or ''}.{alias.name}" for alias in node.names]
+        elif isinstance(node, ast.Import):
+            imported += [alias.name for alias in node.names]
+    assert imported and not [name for name in imported if "analytic" in name.split(".")]
 
 
 class TestReplicate:

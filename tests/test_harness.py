@@ -85,7 +85,7 @@ OUT_OF_DOMAIN = [
     ("rush_hour", "horizon_periods", 0), ("rush_hour", "scale", 0.0), ("rush_hour", "bins_per_period", 2.5),
     ("excess_wait", "period_s", -100.0), ("excess_wait", "gamma_rad_s", -0.1), ("excess_wait", "horizon_periods", 0),
     ("packing_sweep", "k_sites", 0), ("packing_sweep", "k_sites", 2.5), ("packing_sweep", "q", 0.0),
-    ("packing_sweep", "q", 1e-320),  # 1/q overflows
+    ("packing_sweep", "q", 1e-320), ("excess_wait", "mu_eff", 1e-310),  # 1/q and 1/mu_eff overflow
     ("packing_sweep", "vm_rate", 0.0), ("packing_sweep", "mean_lifetime_s", 0.0), ("packing_sweep", "horizon_s", 0.0),
     ("packing_sweep", "policy", "worst_fit"),
     # spans and frequencies must be finite: an infinite one used to give skipped or zero rows
@@ -342,6 +342,17 @@ class TestRunScenario:
         rows4, _, _ = run_scenario(sc, out_dir=tmp_path / "w4", deterministic_names=True, workers=4)
         assert [(r.parameters, r.sim_value) for r in rows1] == [
             (r.parameters, r.sim_value) for r in rows4
+        ]
+
+    def test_a_swept_rate_with_no_finite_reciprocal_keeps_a_skipped_row(self, tmp_path):
+        # QueueSpec owns the reciprocal rule; the run's own second check used to exit 2 and lose every row
+        sc = tiny_two_phase_scenario(grid={"lam": [1e-310, 10.0]}, fixed={**tiny_two_phase_scenario().fixed, "r": 0.1})
+        path = tmp_path / "tiny.scenario"
+        path.write_text(json.dumps(dataclasses.asdict(sc)))
+        assert main(["validate", str(path), "--out", str(tmp_path), "--deterministic-names"]) == EXIT_OK
+        rows = json.loads((tmp_path / "tiny.json").read_text())["rows"]
+        assert [r["status"] for r in rows] == [
+            "skipped: QueueSpec.lam: must be finite and > 0 with a finite reciprocal, got 1e-310", "ok",
         ]
 
 
