@@ -7,18 +7,23 @@ and the trace-driven packing simulator).
 
 Exit codes: 0 success, 2 validation/config or file error, 3 runtime
 instability.
-``EDGEQ_SEED`` provides the default seed when none is given. All numbers
-print with 9 significant digits so regression files stay stable. Rates
-are per second, times in seconds; ``mu2`` may be ``inf``; sinusoid
-frequency may be given as ``gamma_rad_s`` or ``period_s`` (exactly one)
-and is stored as rad/s.
+Each command reads its seed from the first of these that is set:
+``simulate`` from ``--seed``, the config's ``simulation.seed``,
+``EDGEQ_SEED``, else 0; ``capacity pack`` from ``--seed``,
+``EDGEQ_SEED``, else 0; ``validate`` from ``--seed``, else the
+scenario's ``seed``, whose default is 0 (it never reads ``EDGEQ_SEED``).
+All numbers print with 9 significant digits so regression files stay
+stable. Rates are per second, times in seconds; ``mu2`` may be ``inf``;
+sinusoid frequency may be given as ``gamma_rad_s`` or ``period_s``
+(exactly one) and is stored as rad/s.
 
 ``simulate`` configs and scenario files both go through the key tables
 of ``edgeq.config``: an unknown key, a missing required key or a value
 outside its key's domain exits 2 and names the key, as do a bad
-``--reps``, ``--workers``, ``--seed``, ``--topology`` element and
-``EDGEQ_SEED``. The ``config`` block of ``*.metrics.json`` lists every
-resolved value, defaults included.
+``--reps``, ``--workers``, ``--seed`` and ``EDGEQ_SEED``; a
+``capacity pack`` ``--k``, ``--servers`` or ``--cores`` below 1 names
+its ``Topology`` field. The ``config`` block of ``*.metrics.json``
+lists every resolved value, defaults included.
 """
 from __future__ import annotations
 
@@ -31,9 +36,9 @@ from dataclasses import asdict, replace
 from pathlib import Path
 
 from . import analytic, capacity
-from .config import count, integral, ranged, read, whole
+from .config import count, read, whole
 from .desim import load_sim_config, replicate
-from .errors import EdgeqError, InstabilityDetected
+from .errors import ConfigError, EdgeqError, InstabilityDetected
 from .harness import load_scenario, output_stem, run_scenario
 from .specs import CloudSpec, DtrpSpec, QueueSpec, VariabilitySpec
 from .workload import SeededStream
@@ -86,14 +91,19 @@ def _cmd_analytic_deltat(args) -> int:
         "mode": args.mode, "lambda": args.lam, "mu1": args.mu1, "mu2": args.mu2,
         "r": args.r, "k": args.k, "mu_cloud": args.mu_cloud, "rho_cloud": args.rho_cloud,
     }
-    if args.mode == "mmk":
+    scv = {"ca2": args.ca2, "cs2": args.cs2, "ca2_cloud": args.ca2_cloud, "cs2_cloud": args.cs2_cloud}
+    if args.mode == "mmk":  # scv 1 on both sides: a set scv flag would go unread
+        given = [name for name, value in scv.items() if value is not None]
+        if given:
+            raise ConfigError(f"--{given[0].replace('_', '-')}: only --mode ggk reads it")
         bound = analytic.delta_t_bound_mmk(edge, cloud)
     else:
+        scv = {name: 1.0 if value is None else value for name, value in scv.items()}
         bound = analytic.delta_t_bound_ggk(
-            edge, VariabilitySpec(args.ca2, args.cs2),
-            cloud, VariabilitySpec(args.ca2_cloud, args.cs2_cloud),
+            edge, VariabilitySpec(scv["ca2"], scv["cs2"]),
+            cloud, VariabilitySpec(scv["ca2_cloud"], scv["cs2_cloud"]),
         )
-        inputs.update(ca2=args.ca2, cs2=args.cs2, ca2_cloud=args.ca2_cloud, cs2_cloud=args.cs2_cloud)
+        inputs.update(scv)
     return _report(args, inputs, {"delta_t_bound_s": bound})
 
 
@@ -108,8 +118,7 @@ def _cmd_analytic_factor(args) -> int:
 def _cmd_simulate(args) -> int:
     path = Path(args.config)
     if not path.exists():
-        print(f"config file not found: {path}", file=sys.stderr)
-        return EXIT_CONFIG
+        raise ConfigError(f"config file not found: {path}")
     raw = json.loads(path.read_text())
     config, cfg = load_sim_config(raw)
     sim = cfg["simulation"]
@@ -198,32 +207,16 @@ def _cmd_capacity_rule(args) -> int:
     return _report(args, {"lambda": args.lam, "k": args.k}, {"c_edge": c_edge, "c_cloud": c_cloud})
 
 
-def _parse_topology(text: str) -> capacity.Topology:
-    mode, _, rest = text.partition(":")
-    fields = {"k": 1, "servers": 1, "cores": 64}
-    if rest:
-        for part in rest.split(","):
-            key, _, value = part.partition("=")
-            if key not in fields or not value:
-                raise EdgeqError(f"bad topology element {part!r}; use mode:k=..,cores=..,servers=..")
-            fields[key] = read(f"--topology {key}", integral, value)
-    read("--topology mode", ranged(str, ("edge", "cloud").__contains__, "'edge' or 'cloud'"), mode)
-    topology = capacity.Topology(fields["k"], fields["servers"], fields["cores"])
-    if mode == "cloud" and topology.k_sites != 1:
-        raise EdgeqError("cloud mode pools everything into one site")
-    return topology
-
-
 def _cmd_capacity_pack(args) -> int:
     trace = capacity.load_vm_trace(args.trace)
-    topology = _parse_topology(args.topology)
+    topology = capacity.Topology(args.k, args.servers, args.cores)
     seed = _default_seed(args.seed)
-    if args.site_assign == "uniform" and topology.k_sites > 1:  # each VM at a seeded uniform site
+    if trace.site_hint is None and topology.k_sites > 1:  # no hints: each VM at a seeded uniform site
         sites = SeededStream(seed).generator().integers(0, topology.k_sites, len(trace))
         trace = capacity.VmTrace(trace.arrival, trace.lifetime, trace.cores, sites, trace.ids)
     report = capacity.simulate_packing(trace, topology, args.policy)
     record = {
-        "trace": args.trace, "topology": args.topology, "policy": args.policy,
+        "trace": args.trace, "topology": asdict(topology), "policy": args.policy,
         "trace_summary": capacity.trace_summary(trace), **asdict(report),
     }
     text = json.dumps(record, indent=2, sort_keys=True)
@@ -265,10 +258,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_dt.add_argument("--k", type=int, required=True, help="cloud server count")
     p_dt.add_argument("--mu-cloud", dest="mu_cloud", type=float, required=True)
     p_dt.add_argument("--rho-cloud", dest="rho_cloud", type=float, required=True)
-    p_dt.add_argument("--ca2", type=float, default=1.0, help="edge inter-arrival scv (ggk)")
-    p_dt.add_argument("--cs2", type=float, default=1.0, help="edge service scv (ggk)")
-    p_dt.add_argument("--ca2-cloud", dest="ca2_cloud", type=float, default=1.0)
-    p_dt.add_argument("--cs2-cloud", dest="cs2_cloud", type=float, default=1.0)
+    p_dt.add_argument("--ca2", type=float, default=None, help="edge inter-arrival scv (ggk only; default 1)")
+    p_dt.add_argument("--cs2", type=float, default=None, help="edge service scv (ggk only; default 1)")
+    p_dt.add_argument("--ca2-cloud", dest="ca2_cloud", type=float, default=None)
+    p_dt.add_argument("--cs2-cloud", dest="cs2_cloud", type=float, default=None)
     p_dt.add_argument("--json", action="store_true")
     p_dt.set_defaults(func=_cmd_analytic_deltat)
 
@@ -279,7 +272,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sim = sub.add_parser("simulate", help="run a simulation described by a JSON config")
     p_sim.add_argument("config", help="config file path")
-    p_sim.add_argument("--seed", type=int, default=None, help="override seed (default EDGEQ_SEED)")
+    p_sim.add_argument("--seed", type=int, default=None, help="override seed (default: config seed, then EDGEQ_SEED)")
     p_sim.add_argument("--reps", type=int, default=None, help="override replication count")
     p_sim.add_argument("--out", default=None, help="output directory override")
     p_sim.add_argument("--deterministic-names", action="store_true")
@@ -313,11 +306,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_pack = cap_sub.add_parser("pack", help="replay a VM trace against a topology")
     p_pack.add_argument("--trace", required=True, help="CSV: vm_id,arrival_s,lifetime_s,cores[,site_hint]")
-    p_pack.add_argument("--topology", required=True, help="edge:k=4,cores=96[,servers=1] or cloud:cores=64")
+    p_pack.add_argument("--k", type=int, default=1, help="site count; 1 is the pooled cloud")
+    p_pack.add_argument("--servers", type=int, default=1, help="servers per site")
+    p_pack.add_argument("--cores", type=int, default=64, help="cores per server")
     p_pack.add_argument("--policy", default="first_fit", choices=capacity.POLICIES)
-    p_pack.add_argument("--site-assign", dest="site_assign", default="uniform",
-                        choices=("uniform", "hint"))
-    p_pack.add_argument("--seed", type=int, default=None)
+    p_pack.add_argument("--seed", type=int, default=None, help="uniform-site seed (default EDGEQ_SEED, else 0)")
     p_pack.add_argument("--out", default=None, help="write the JSON report here too")
     p_pack.set_defaults(func=_cmd_capacity_pack)
 

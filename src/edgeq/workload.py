@@ -12,16 +12,17 @@ these samplers:
 * ``coin_flips`` -- Bernoulli marks, such as which requests migrate;
 * ``phase_shifted_sites`` -- site profiles with drawn phases.
 
-The VM sizes, site hints and uniform site draws of ``edgeq.capacity``
-are categorical marks of the packing model and are drawn there; its
-lifetimes and arrivals come from the samplers above. A renewal
-law is a shape only; its sampler takes the mean, so the rate of every
-simulated station comes from its queue spec. Each sampler
-takes a ``np.random.Generator`` and draws from it in a fixed order, so a
-run builds one generator and threads it through every sampler it calls.
-``SeededStream`` appears only where a run starts (``desim.run_model``,
-``replicate``, the harness, the CLI and the capacity trace and packing
-entry points). A stream is a seed and a spawn-key tuple; its generator
+The VM sizes and site hints of ``edgeq.capacity``'s synthetic traces
+are categorical marks of the packing model and are drawn there (the
+uniform sites ``capacity pack`` gives a trace without hints are drawn
+in ``edgeq.cli``); the model's lifetimes and arrivals come from the
+samplers above. A renewal law is a shape only; its sampler takes the
+mean, so the rate of every simulated station comes from its queue spec.
+Each sampler takes a ``np.random.Generator`` and draws from it in a
+fixed order, so a run builds one generator and threads it through every
+sampler it calls. ``SeededStream`` appears only where a run starts
+(``desim.run_model``, ``replicate``, the harness, the CLI and the
+capacity trace generator). A stream is a seed and a spawn-key tuple; its generator
 is numpy's SFC64 seeded from ``SeedSequence(seed, spawn_key=key)``, so
 distinct keys give independent streams and identical (seed, key) pairs
 reproduce identical draws bit for bit within one stream-format version

@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 from edgeq import (
     DomainError,
     DtrpSpec,
-    EdgeqError,
     EmptyTrace,
     OversizedVm,
     ParseError,
@@ -29,7 +28,6 @@ from edgeq import (
     synthetic_vm_trace,
 )
 import edgeq.capacity
-from edgeq.cli import _parse_topology
 from edgeq.capacity import (
     POLICIES,
     PackingReport,
@@ -843,10 +841,7 @@ class TestArgumentDomains:
         with pytest.raises(DomainError, match=f"^Topology.{field}: must be"):
             Topology(*args)
 
-    def test_topology_keeps_the_cloud_rule_and_casts_whole_floats(self):
-        with pytest.raises(EdgeqError, match="cloud mode pools everything"):
-            _parse_topology("cloud:k=2,cores=8")
-        assert _parse_topology("cloud:cores=8") == _parse_topology("edge:cores=8") == Topology(1, 1, 8)
+    def test_topology_casts_whole_floats(self):
         assert Topology(2.0, 1, 8.0) == Topology(2, 1, 8)
 
     def test_fractional_server_size_refused_before_replay(self):

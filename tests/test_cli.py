@@ -2,11 +2,13 @@
 import hashlib
 import json
 import math
+import shlex
+from pathlib import Path
 
 import pytest
 
 from edgeq import ConfigError, SimConfig
-from edgeq.cli import EXIT_CONFIG, EXIT_OK, EXIT_UNSTABLE, main
+from edgeq.cli import EXIT_CONFIG, EXIT_OK, EXIT_UNSTABLE, build_parser, main
 from edgeq.desim import load_sim_config
 
 
@@ -64,6 +66,24 @@ class TestAnalyticCommands:
         )
         assert code == EXIT_OK
         assert json.loads(out)["delta_t_bound_s"] == pytest.approx(-1.79143799, abs=1e-6)
+
+    # mmk used to ignore these flags and print its -0.0164379906 bound
+    @pytest.mark.parametrize("flag", ["--ca2", "--cs2", "--ca2-cloud", "--cs2-cloud"])
+    def test_deltat_mmk_refuses_an_scv_flag(self, capsys, flag):
+        code, out, err = run_cli(
+            capsys, "analytic", "deltat", "--mode", "mmk", "--lambda", "10", "--mu1", "50",
+            "--mu2", "50", "--r", "0.1", "--k", "16", "--mu-cloud", "50", "--rho-cloud", "0.8", flag, "4",
+        )
+        assert code == EXIT_CONFIG and out == ""
+        assert err == f"error: {flag}: only --mode ggk reads it\n"
+
+    def test_deltat_ggk_reads_an_unset_scv_as_1(self, capsys):
+        argv = ("analytic", "deltat", "--mode", "ggk", "--lambda", "10", "--mu1", "50", "--mu2", "50",
+                "--k", "2", "--mu-cloud", "1", "--rho-cloud", "0.8")
+        unset = run_cli(capsys, *argv)
+        ones = run_cli(capsys, *argv, "--ca2", "1", "--cs2", "1", "--ca2-cloud", "1", "--cs2-cloud", "1")
+        assert unset == ones and unset[0] == EXIT_OK
+        assert "ca2=1 cs2=1 ca2_cloud=1 cs2_cloud=1\n" in unset[1]
 
     def test_factor(self, capsys):
         code, out, _ = run_cli(capsys, "analytic", "factor", "--q", "2")
@@ -152,19 +172,19 @@ class TestCapacityCommands:
         )
         code, out, _ = run_cli(
             capsys, "capacity", "pack", "--trace", str(trace),
-            "--topology", "cloud:cores=10,servers=4", "--seed", "5",
+            "--cores", "10", "--servers", "4", "--seed", "5",
         )
         assert code == EXIT_OK
         assert json.loads(out)["peak_servers_used"] == 2
 
-    # (topology, seed, the record's fields that the site of each VM sets)
+    # ((k, servers, cores), seed, the record's fields that the site of each VM sets)
     @pytest.mark.parametrize("topology, seed, sites", [
-        ("edge:k=4,cores=8,servers=2", "1", dict(peak_servers_per_site=[0, 2, 2, 2], peak_servers_used=6,
-                                                  rejected_or_queued=4, site_capacity_cores=40)),
-        ("edge:k=4,cores=8,servers=2", "2", dict(peak_servers_per_site=[2, 2, 2, 1], peak_servers_used=7,
-                                                  rejected_or_queued=2, site_capacity_cores=46)),
-        ("edge:k=1,cores=8,servers=2", "1", dict(peak_servers_per_site=[2], peak_servers_used=2,
-                                                  rejected_or_queued=8, site_capacity_cores=16)),
+        ((4, 2, 8), "1", dict(peak_servers_per_site=[0, 2, 2, 2], peak_servers_used=6,
+                              rejected_or_queued=4, site_capacity_cores=40)),
+        ((4, 2, 8), "2", dict(peak_servers_per_site=[2, 2, 2, 1], peak_servers_used=7,
+                              rejected_or_queued=2, site_capacity_cores=46)),
+        ((1, 2, 8), "1", dict(peak_servers_per_site=[2], peak_servers_used=2,
+                              rejected_or_queued=8, site_capacity_cores=16)),
     ], ids=["k4-seed1", "k4-seed2", "k1"])
     def test_pack_uniform_sites_print_their_pinned_record(self, capsys, tmp_path, topology, seed, sites):
         # a trace without hints: each VM's site is the seeded uniform draw
@@ -172,13 +192,14 @@ class TestCapacityCommands:
         sizes = [8, 4, 6, 2, 8, 4, 2, 6, 8, 2, 4, 6]
         trace.write_text("vm_id,arrival_s,lifetime_s,cores\n"
                          + "".join(f"v{i},{i},{10 + 3 * (i % 4)},{c}\n" for i, c in enumerate(sizes)))
-        code, out, _ = run_cli(capsys, "capacity", "pack", "--trace", str(trace), "--topology", topology,
-                               "--seed", seed)
+        k, servers, cores = topology
+        code, out, _ = run_cli(capsys, "capacity", "pack", "--trace", str(trace), "--k", str(k),
+                               "--servers", str(servers), "--cores", str(cores), "--seed", seed)
         assert code == EXIT_OK
         record = {
-            "trace": str(trace), "topology": topology, "policy": "first_fit", "placed": 12, "completed": 12,
+            "trace": str(trace), "policy": "first_fit", "placed": 12, "completed": 12,
             "trace_summary": {"count": 12, "mean_cores": 5.0, "min_cores": 2, "max_cores": 8, "span_s": 11.0},
-            **sites,
+            "topology": {"k_sites": k, "servers_per_site": servers, "cores_per_server": cores}, **sites,
         }
         assert out == json.dumps(record, indent=2, sort_keys=True) + "\n"
 
@@ -187,7 +208,7 @@ class TestCapacityCommands:
         trace = tmp_path / "t.csv"
         trace.write_text(f"vm_id,arrival_s,lifetime_s,cores\nok,0,1,2\n{row}\n")
         code, _, err = run_cli(
-            capsys, "capacity", "pack", "--trace", str(trace), "--topology", "cloud:cores=8,servers=2"
+            capsys, "capacity", "pack", "--trace", str(trace), "--cores", "8", "--servers", "2"
         )
         assert code == EXIT_CONFIG
         assert "t.csv:3" in err and "finite" in err
@@ -196,7 +217,7 @@ class TestCapacityCommands:
         trace, out_path = tmp_path / "t.csv", tmp_path / "report.json"
         trace.write_text("vm_id,arrival_s,lifetime_s,cores\nv1,0,100,8\nv2,1,100,2\n")
         code, out, _ = run_cli(
-            capsys, "capacity", "pack", "--trace", str(trace), "--topology", "cloud:cores=10,servers=4",
+            capsys, "capacity", "pack", "--trace", str(trace), "--cores", "10", "--servers", "4",
             "--out", str(out_path),
         )
         assert code == EXIT_OK
@@ -205,52 +226,36 @@ class TestCapacityCommands:
 
     def test_pack_missing_trace_exit_2(self, capsys, tmp_path):
         trace = tmp_path / "absent.csv"
-        code, _, err = run_cli(capsys, "capacity", "pack", "--trace", str(trace), "--topology", "cloud:cores=8")
+        code, _, err = run_cli(capsys, "capacity", "pack", "--trace", str(trace), "--cores", "8")
         assert code == EXIT_CONFIG
         assert f"trace file not found: {trace}" in err
 
-    def test_pack_bad_topology_exit_2(self, capsys, tmp_path):
+    def test_pack_fractional_site_count_exit_2_naming_the_flag(self, capsys, tmp_path):
         trace = tmp_path / "t.csv"
         trace.write_text("vm_id,arrival_s,lifetime_s,cores\nv,0,1,2\n")
-        code, _, err = run_cli(
-            capsys, "capacity", "pack", "--trace", str(trace), "--topology", "edge:weird=1"
-        )
-        assert code == EXIT_CONFIG
-        assert "topology" in err
+        with pytest.raises(SystemExit) as exit_info:
+            main(["capacity", "pack", "--trace", str(trace), "--k", "4.5"])
+        assert exit_info.value.code == EXIT_CONFIG
+        assert "argument --k: invalid int value: '4.5'" in capsys.readouterr().err
 
-    def test_pack_fractional_topology_count_exit_2_naming_the_element(self, capsys, tmp_path):
-        # int("4.5") failed with "invalid literal for int()", naming no element
+    def test_pack_site_count_below_1_exit_2_naming_the_field(self, capsys, tmp_path):
         trace = tmp_path / "t.csv"
         trace.write_text("vm_id,arrival_s,lifetime_s,cores\nv,0,1,2\n")
-        code, _, err = run_cli(capsys, "capacity", "pack", "--trace", str(trace), "--topology", "edge:k=4.5")
+        code, _, err = run_cli(capsys, "capacity", "pack", "--trace", str(trace), "--k", "0")
         assert code == EXIT_CONFIG
-        assert "--topology k: " in err
+        assert "Topology.k_sites: must be >= 1, got 0" in err
 
-    def test_pack_cloud_with_several_sites_exit_2(self, capsys, tmp_path):
-        trace = tmp_path / "t.csv"
-        trace.write_text("vm_id,arrival_s,lifetime_s,cores\nv,0,1,2\n")
-        code, _, err = run_cli(
-            capsys, "capacity", "pack", "--trace", str(trace), "--topology", "cloud:k=4,cores=8,servers=2"
-        )
-        assert code == EXIT_CONFIG
-        assert "cloud mode pools everything into one site" in err
-
-    def test_pack_unknown_topology_mode_exit_2(self, capsys, tmp_path):
-        trace = tmp_path / "t.csv"
-        trace.write_text("vm_id,arrival_s,lifetime_s,cores\nv,0,1,2\n")
-        code, _, err = run_cli(capsys, "capacity", "pack", "--trace", str(trace), "--topology", "fog:cores=8")
-        assert code == EXIT_CONFIG
-        assert "--topology mode: must be 'edge' or 'cloud', got 'fog'" in err
-
-    def test_pack_hinted_trace_with_site_assign_hint(self, capsys, tmp_path):
+    @pytest.mark.parametrize("seed", ["1", "2"])
+    def test_pack_hinted_trace_replays_its_hints(self, capsys, tmp_path, seed):
+        # the uniform draw used to override the hints unless a flag asked for them: [1, 2] at seed 1
         trace = tmp_path / "t.csv"
         trace.write_text(
             "vm_id,arrival_s,lifetime_s,cores,site_hint\n"
             "v1,0,100,8,0\nv2,1,100,8,0\nv3,2,100,2,1\nv4,3,100,2,1\n"
         )
         code, out, _ = run_cli(
-            capsys, "capacity", "pack", "--trace", str(trace),
-            "--topology", "edge:k=2,cores=10,servers=4", "--site-assign", "hint",
+            capsys, "capacity", "pack", "--trace", str(trace), "--k", "2", "--cores", "10", "--servers", "4",
+            "--seed", seed,
         )
         assert code == EXIT_OK
         assert json.loads(out)["peak_servers_per_site"] == [2, 1]
@@ -259,23 +264,13 @@ class TestCapacityCommands:
         trace = tmp_path / "t.csv"
         trace.write_text("vm_id,arrival_s,lifetime_s,cores\nv1,0,100,8\nv2,1,100,2\n")
         records = [
-            run_cli(capsys, "capacity", "pack", "--trace", str(trace), "--topology", topology, "--site-assign", "hint")
-            for topology in ("edge:k=1,cores=10,servers=4", "cloud:cores=10,servers=4")
+            run_cli(capsys, "capacity", "pack", "--trace", str(trace), *topology, "--cores", "10", "--servers", "4")
+            for topology in (("--k", "1"), ())
         ]
         assert [code for code, _, _ in records] == [EXIT_OK, EXIT_OK]
         edge, cloud = (json.loads(out) for _, out, _ in records)
         assert edge["peak_servers_per_site"] == cloud["peak_servers_per_site"] == [1]
         assert {**edge, "topology": None} == {**cloud, "topology": None}
-
-    def test_pack_site_assign_hint_without_hint_column_exit_2(self, capsys, tmp_path):
-        trace = tmp_path / "t.csv"
-        trace.write_text("vm_id,arrival_s,lifetime_s,cores\nv1,0,100,8\nv2,1,100,2\n")
-        code, _, err = run_cli(
-            capsys, "capacity", "pack", "--trace", str(trace),
-            "--topology", "edge:k=2,cores=10,servers=4", "--site-assign", "hint",
-        )
-        assert code == EXIT_CONFIG
-        assert "site_hint" in err
 
 
 class TestSimulateCommand:
@@ -299,7 +294,7 @@ class TestSimulateCommand:
     def test_missing_config_exit_2(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "simulate", str(tmp_path / "absent.json"))
         assert code == EXIT_CONFIG
-        assert "not found" in err
+        assert err == f"error: config file not found: {tmp_path / 'absent.json'}\n"
 
     def test_unknown_key_exit_2(self, capsys, tmp_path):
         # rush_stat chose among rush-window statistics; the peak bin is now the only one
@@ -483,6 +478,15 @@ class TestValidateCommand:
             assert code == EXIT_OK
         written = [(tmp_path / out / "tiny.json").read_bytes() for out in ("cli", "file")]
         assert written[0] == written[1] and json.loads(written[0])["seed"] == 11
+
+    def test_seed_is_the_scenario_seed_whatever_edgeq_seed_says(self, capsys, tmp_path, monkeypatch):
+        # validate reads --seed, else the scenario's seed, whose default is 0; EDGEQ_SEED is not read
+        path = tmp_path / "tiny.scenario"
+        path.write_text(json.dumps(TINY_SCENARIO))
+        monkeypatch.setenv("EDGEQ_SEED", "5")
+        code, _, _ = run_cli(capsys, "validate", str(path), "--out", str(tmp_path), "--deterministic-names")
+        assert code == EXIT_OK
+        assert json.loads((tmp_path / "tiny.json").read_text())["seed"] == 0
 
     def test_missing_scenario_exit_2(self, capsys):
         code, _, err = run_cli(capsys, "validate", "missing.scenario")
@@ -755,7 +759,7 @@ SEED_ROUTES = [
     ("validate--seed", "tiny.scenario", TINY_SCENARIO, "validate {file} --out {out} --seed -1",
      None, "--seed: must be >= 0, got -1"),
     ("pack--seed", "t.csv", "vm_id,arrival_s,lifetime_s,cores\nv,0,1,2\n",
-     "capacity pack --trace {file} --topology cloud:cores=8 --seed -1", None, "--seed: must be >= 0, got -1"),
+     "capacity pack --trace {file} --cores 8 --seed -1", None, "--seed: must be >= 0, got -1"),
 ]
 
 
@@ -777,7 +781,7 @@ def test_a_negative_seed_exits_2_naming_its_key(capsys, tmp_path, monkeypatch, n
 @pytest.mark.parametrize("argv, message", [
     ("simulate {dir}", "Is a directory"),
     ("validate {dir}", "Is a directory"),
-    ("capacity pack --trace {dir} --topology cloud:cores=64", "Is a directory"),
+    ("capacity pack --trace {dir}", "Is a directory"),
     ("simulate {dir}/log.json --out {dir}", "No such file or directory"),  # an event log in no directory
 ], ids=["simulate-dir", "validate-dir", "pack-trace-dir", "event-log-dir-missing"])
 def test_a_file_error_exits_2_without_a_traceback(capsys, tmp_path, argv, message):
@@ -786,3 +790,17 @@ def test_a_file_error_exits_2_without_a_traceback(capsys, tmp_path, argv, messag
     code, _, err = run_cli(capsys, *argv.format(dir=tmp_path).split())
     assert code == EXIT_CONFIG
     assert err.startswith("error: ") and message in err
+
+
+def readme_cli_lines() -> list[str]:
+    """Each ``edgeq ...`` command of README's CLI block, its ``\\`` continuations joined."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("\n## CLI\n", 1)[1].split("```bash\n", 1)[1].split("```", 1)[0]
+    return [line for line in block.replace("\\\n", " ").splitlines() if line.startswith("edgeq ")]
+
+
+@pytest.mark.parametrize("line", readme_cli_lines())
+def test_readme_cli_example_parses(line):
+    argv = shlex.split(line, comments=True)
+    assert argv[0] == "edgeq"
+    build_parser().parse_args(argv[1:])  # a flag the parser does not know exits 2
